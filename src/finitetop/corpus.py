@@ -10,32 +10,14 @@ in the test suite as an independent cross-check.
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import permutations
 
-from .bits import iter_bits
 from .errors import NotDistributiveError, NotLatticeError
-from .frames import FiniteFrame, frame_from_poset
+from .frames import frame_from_poset
+from .order import certificate as poset_certificate
 from .poset import FinitePoset
-from .spaces import FiniteSpace, space_from_preorder
+from .spaces import space_from_preorder
 
 LABELS = "abcdefghijklmnop"
-
-
-def poset_certificate(up_rows):
-    """Canonical form of an order relation: the minimal row tuple over relabelings."""
-    n = len(up_rows)
-    best = None
-    for perm in permutations(range(n)):
-        rows = [0] * n
-        for i, r in enumerate(up_rows):
-            m = 0
-            for j in iter_bits(r):
-                m |= 1 << perm[j]
-            rows[perm[i]] = m
-        key = tuple(rows)
-        if best is None or key < best:
-            best = key
-    return best
 
 
 def _poset_from_rows(rows):

@@ -10,19 +10,17 @@ from __future__ import annotations
 
 from functools import cached_property
 
-from .bits import iter_bits, mask_of, popcount, submasks
+from .bits import iter_bits, mask_of
 from .errors import (
     NotDistributiveError,
     NotHomError,
     NotLatticeError,
     NotPrenucleusError,
-    SizeError,
     VerificationError,
 )
-from .poset import FinitePoset
+from .poset import DownsetFamily, poset_isomorphism, validate_poset
 
 DISTRIBUTIVITY_CHECK_LIMIT = 128
-WAY_BELOW_CAP_BITS = 22
 
 
 class FiniteFrame:
@@ -81,17 +79,6 @@ class FiniteFrame:
         for j in self.irreducibles:
             irr_mask |= 1 << j
         return tuple(self.order.down[x] & irr_mask for x in range(self.n))
-
-    @cached_property
-    def subset_join_table(self):
-        """For carriers up to 16 elements, joins of all subsets, memoized fully."""
-        if self.n > 16:
-            raise SizeError("subset join table only materialized up to 16 elements")
-        table = [self.bottom] * (1 << self.n)
-        for m in range(1, 1 << self.n):
-            low = (m & -m).bit_length() - 1
-            table[m] = self.join[table[m ^ (m & -m)]][low]
-        return table
 
     def joins_of_subsets(self, mask):
         """The set {join of X : X a subset of mask}, as a mask; includes bottom."""
@@ -202,8 +189,6 @@ def frame_from_downsets(family):
 
 def downset_frame(poset):
     """All downsets of a poset as a frame; the free frame on the poset."""
-    from .poset import DownsetFamily
-
     return frame_from_downsets(DownsetFamily(poset, tuple(poset.downsets())))
 
 
@@ -414,37 +399,6 @@ def right_adjoint(hom):
     return GaloisConnection(hom, g)
 
 
-def way_below(frame, a, b, cap_bits=WAY_BELOW_CAP_BITS):
-    """Literal evaluation: every join cover of b has a finite subcover above a.
-
-    Quantifies over all subsets K with join K = b; the inner existential is
-    witnessed by K' = K, which is complete because subset joins are bounded
-    by join K.  SizeError when the carrier is too large to sweep.
-    """
-    if frame.n > cap_bits:
-        raise SizeError(f"way-below sweep needs 2^{frame.n} subsets")
-    for k_mask in submasks((1 << frame.n) - 1):
-        if frame.join_mask(k_mask) != b:
-            continue
-        # the whole cover is itself the finite subcover candidate; smaller
-        # subsets only shrink the join, so this witness is complete
-        if not frame.leq_idx(a, b):
-            return False
-    return True
-
-
-def is_locally_compact(frame, cap_bits=WAY_BELOW_CAP_BITS):
-    """Every element is the join of the elements way below it."""
-    for a in range(frame.n):
-        wb = 0
-        for x in range(frame.n):
-            if way_below(frame, x, a, cap_bits):
-                wb |= 1 << x
-        if frame.join_mask(wb) != a:
-            return False
-    return True
-
-
 class Prenucleus:
     """An inflationary monotone self-map with k(x) & y <= k(x & y)."""
 
@@ -543,8 +497,6 @@ def frame_isomorphism(a, b):
     extends by joins.  The extension is re-verified by transferring every
     up-set, so the certificate does not rest on that theorem alone.
     """
-    from .poset import poset_isomorphism
-
     if a.n != b.n:
         return None
     irr_a = a.irreducibles
@@ -579,8 +531,6 @@ def chain_frame(k):
     """The k-element chain 0 < 1 < ... as a frame; k >= 1."""
     labels = [f"c{i:02d}" for i in range(k)]
     pairs = [(labels[i], labels[i + 1]) for i in range(k - 1)]
-    from .poset import validate_poset
-
     return frame_from_poset(validate_poset(labels, pairs))
 
 

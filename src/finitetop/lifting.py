@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
-from .bits import iter_bits, popcount
+from .bits import iter_bits
 from .errors import (
     BoundExceeded,
     CarrierMismatchError,
@@ -31,6 +31,7 @@ from .errors import (
     TopologyError,
     VerificationError,
 )
+from .order import count_fill, fill, glue, transpose
 
 COMPLETE = "COMPLETE"
 PARTIAL = "PARTIAL"
@@ -65,11 +66,7 @@ class Preorder:
 
     @cached_property
     def down(self):
-        rows = [0] * self.n
-        for i in range(self.n):
-            for j in iter_bits(self.up[i]):
-                rows[j] |= 1 << i
-        return tuple(rows)
+        return transpose(self.up)
 
     @property
     def full(self):
@@ -175,131 +172,10 @@ def identity_arrow(pre):
     return PreMap(pre, pre, range(pre.n), validate=False)
 
 
-def _transpose(up):
-    rows = [0] * len(up)
-    for i, r in enumerate(up):
-        for j in iter_bits(r):
-            rows[j] |= 1 << i
-    return tuple(rows)
-
-
 @lru_cache(maxsize=None)
 def _monotone_tuples(src_up, dst_up):
-    """Every monotone assignment between the presented preorders.
-
-    Backtracks over the source in an order linearizing the preorder (row
-    popcount descending), intersecting the allowed mask with the up or down
-    row of each already placed comparable point.
-    """
-    n = len(src_up)
-    if n == 0:
-        return ((),)
-    if not dst_up:
-        return ()
-    dst_down = _transpose(dst_up)
-    full = (1 << len(dst_up)) - 1
-    order = sorted(range(n), key=lambda i: (-popcount(src_up[i]), i))
-    out = []
-    assigned = [0] * n
-
-    def rec(t):
-        if t == n:
-            out.append(tuple(assigned))
-            return
-        i = order[t]
-        cand = full
-        for s in range(t):
-            k = order[s]
-            j = assigned[k]
-            if src_up[i] >> k & 1:
-                cand &= dst_down[j]
-            if src_up[k] >> i & 1:
-                cand &= dst_up[j]
-            if not cand:
-                return
-        for v in iter_bits(cand):
-            assigned[i] = v
-            rec(t + 1)
-
-    rec(0)
-    return tuple(out)
-
-
-def _fill_stream(src_up, dst_up, allowed=None):
-    """Monotone assignments restricted to a per-point allowed mask, streamed."""
-    n = len(src_up)
-    if n == 0:
-        yield ()
-        return
-    if not dst_up:
-        return
-    full = (1 << len(dst_up)) - 1
-    if allowed is None:
-        allowed = (full,) * n
-    elif not all(allowed):
-        return
-    dst_down = _transpose(dst_up)
-    order = sorted(range(n), key=lambda i: (-popcount(src_up[i]), i))
-    assigned = [0] * n
-
-    def rec(t):
-        if t == n:
-            yield tuple(assigned)
-            return
-        i = order[t]
-        cand = allowed[i]
-        for s in range(t):
-            k = order[s]
-            j = assigned[k]
-            if src_up[i] >> k & 1:
-                cand &= dst_down[j]
-            if src_up[k] >> i & 1:
-                cand &= dst_up[j]
-            if not cand:
-                return
-        for v in iter_bits(cand):
-            assigned[i] = v
-            yield from rec(t + 1)
-
-    yield from rec(0)
-
-
-def _count_fill(src_up, dst_up, allowed):
-    """Count the monotone assignments under a per-point allowed mask.
-
-    Same backtracking as the stream, except the last point contributes a
-    popcount instead of a branch, which collapses the widest level.
-    """
-    n = len(src_up)
-    if n == 0:
-        return 1
-    if not dst_up or not all(allowed):
-        return 0
-    dst_down = _transpose(dst_up)
-    order = sorted(range(n), key=lambda i: (-popcount(src_up[i]), i))
-    assigned = [0] * n
-
-    def rec(t):
-        i = order[t]
-        cand = allowed[i]
-        for s in range(t):
-            k = order[s]
-            j = assigned[k]
-            if src_up[i] >> k & 1:
-                cand &= dst_down[j]
-            if src_up[k] >> i & 1:
-                cand &= dst_up[j]
-            if not cand:
-                return 0
-        if t == n - 1:
-            return popcount(cand)
-        total = 0
-        for v in iter_bits(cand):
-            assigned[i] = v
-            total += rec(t + 1)
-        return total
-
-    return rec(0)
+    """Every monotone assignment between the presented preorders, in fill order."""
+    return tuple(fill(src_up, dst_up))
 
 
 def iter_monotone_arrows(source, target):
@@ -325,7 +201,7 @@ def _solved_squares(left_key, right_key):
     na = len(a_up)
     nb = len(b_up)
     solved = set()
-    for h in _fill_stream(b_up, x_up):
+    for h in fill(b_up, x_up):
         top = tuple(h[i_map[a]] for a in range(na))
         bot = tuple(f_map[h[b]] for b in range(nb))
         solved.add((top, bot))
@@ -367,16 +243,16 @@ def _iter_squares(left_key, right_key):
     top_bound = max(len(x_up), 1) ** len(a_up)
     bot_bound = max(len(y_up), 1) ** len(b_up)
     if top_bound <= bot_bound:
-        for top in _fill_stream(a_up, x_up):
+        for top in fill(a_up, x_up):
             allowed = _pin_bottom(left_key, right_key, top)
             if allowed is None:
                 continue
-            for bot in _fill_stream(b_up, y_up, allowed):
+            for bot in fill(b_up, y_up, allowed):
                 yield top, bot
     else:
-        for bot in _fill_stream(b_up, y_up):
+        for bot in fill(b_up, y_up):
             allowed = _pin_top(left_key, right_key, bot)
-            for top in _fill_stream(a_up, x_up, allowed):
+            for top in fill(a_up, x_up, allowed):
                 yield top, bot
 
 
@@ -393,18 +269,18 @@ def _square_count(left_key, right_key):
     total = 0
     memo = {}
     if top_bound <= bot_bound:
-        for top in _fill_stream(a_up, x_up):
+        for top in fill(a_up, x_up):
             allowed = _pin_bottom(left_key, right_key, top)
             if allowed is None:
                 continue
             if allowed not in memo:
-                memo[allowed] = _count_fill(b_up, y_up, allowed)
+                memo[allowed] = count_fill(b_up, y_up, allowed)
             total += memo[allowed]
     else:
-        for bot in _fill_stream(b_up, y_up):
+        for bot in fill(b_up, y_up):
             allowed = _pin_top(left_key, right_key, bot)
             if allowed not in memo:
-                memo[allowed] = _count_fill(a_up, x_up, allowed)
+                memo[allowed] = count_fill(a_up, x_up, allowed)
             total += memo[allowed]
     return total
 
@@ -474,7 +350,7 @@ def enumerate_lifts(square):
         allowed[i.mapping[a]] &= 1 << u.mapping[a]
     return tuple(
         PreMap(b, x, h, validate=False)
-        for h in _fill_stream(b.up, x.up, tuple(allowed))
+        for h in fill(b.up, x.up, tuple(allowed))
     )
 
 
@@ -616,29 +492,8 @@ def pushout_pre(f, g):
         raise CarrierMismatchError("pushout needs a common source")
     b = f.target
     c = g.target
-    total = b.n + c.n
-    parent = list(range(total))
-
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    for a in range(f.source.n):
-        ra = find(f.mapping[a])
-        rb = find(b.n + g.mapping[a])
-        if ra != rb:
-            parent[rb] = ra
-    roots = []
-    index = {}
-    for i in range(total):
-        r = find(i)
-        if r not in index:
-            index[r] = len(roots)
-            roots.append(r)
-    cls = [index[find(i)] for i in range(total)]
-    n = len(roots)
+    cls = glue(b.n + c.n, [(fa, b.n + ga) for fa, ga in zip(f.mapping, g.mapping)])
+    n = max(cls, default=-1) + 1
     members = [[] for _ in range(n)]
     for i in range(b.n):
         members[cls[i]].append((0, i))
@@ -1051,21 +906,6 @@ def associates(f, g, h):
             return sz0 + (i * na + j) * nb2 + k
         return base2 + (i * nb + j) * na2 + k
 
-    def partition(relations):
-        parent = list(range(total))
-
-        def find(i):
-            while parent[i] != i:
-                parent[i] = parent[parent[i]]
-                i = parent[i]
-            return i
-
-        for a, b in relations:
-            ra, rb = find(a), find(b)
-            if ra != rb:
-                parent[rb] = ra
-        return [find(i) for i in range(total)]
-
     lhs_rel = []
     for p1, members in enumerate(c1.corner.classes):
         first = members[0]
@@ -1118,14 +958,9 @@ def associates(f, g, h):
                 b0, a20 = divmod(idx, na2)
                 pt = flat(2, f.mapping[x], b0, a20)
             rhs_rel.append((flat(0, x, b, b2), pt))
-    lhs_root = partition(lhs_rel)
-    rhs_root = partition(rhs_rel)
-    fwd = {}
-    bwd = {}
-    for p in range(total):
-        a, b = lhs_root[p], rhs_root[p]
-        if fwd.setdefault(a, b) != b or bwd.setdefault(b, a) != a:
-            return False
+    classes = glue(total, lhs_rel)
+    if classes != glue(total, rhs_rel):
+        return False
     values = {}
     for p in range(total):
         if p < sz0:
@@ -1140,7 +975,7 @@ def associates(f, g, h):
             i, rest = divmod(p - base2, nb * na2)
             j, k = divmod(rest, na2)
             val = (i, j, h.mapping[k])
-        if values.setdefault(lhs_root[p], val) != val:
+        if values.setdefault(classes[p], val) != val:
             return False
     return True
 

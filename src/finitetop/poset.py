@@ -20,6 +20,7 @@ from .errors import (
     NotMonotoneError,
     SizeError,
 )
+from .order import fill, isomorphism, transpose
 
 DOWNSET_CAP = 1 << 20
 
@@ -67,11 +68,7 @@ class FinitePoset:
 
     @cached_property
     def down(self):
-        rows = [0] * self.n
-        for i in range(self.n):
-            for j in iter_bits(self.up[i]):
-                rows[j] |= 1 << i
-        return tuple(rows)
+        return transpose(self.up)
 
     @cached_property
     def linear_extension(self):
@@ -310,76 +307,11 @@ def downset_image(f, mask):
 
 
 def iter_monotone_maps(source, target):
-    """All monotone maps source -> target by pruned backtracking.
-
-    Walks the source's linear extension; at each step the candidate set is
-    the intersection of up-sets of the images of already placed lower
-    bounds, so dead prefixes never extend.
-    """
-    n = source.n
-    if n == 0:
-        yield MonotoneMap(source, target, [])
-        return
-    if target.n == 0:
-        return
-    ext = source.linear_extension
-    down = source.down
-    assigned = [0] * n
-    tfull = target.full
-
-    def rec(t):
-        if t == n:
-            yield MonotoneMap(source, target, list(assigned))
-            return
-        i = ext[t]
-        cand = tfull
-        for j in iter_bits(down[i] & ~(1 << i)):
-            cand &= target.up[assigned[j]]
-        for v in iter_bits(cand):
-            assigned[i] = v
-            yield from rec(t + 1)
-
-    yield from rec(0)
+    """All monotone maps source -> target, in the fixed fill order."""
+    for mapping in fill(source.up, target.up):
+        yield MonotoneMap(source, target, mapping)
 
 
 def poset_isomorphism(p, q):
-    """An order isomorphism p -> q as an index tuple, or None.
-
-    Candidates are pruned by (|down|, |up|) signatures before backtracking.
-    """
-    if p.n != q.n:
-        return None
-    sig_p = [(popcount(p.down[i]), popcount(p.up[i])) for i in range(p.n)]
-    sig_q = [(popcount(q.down[i]), popcount(q.up[i])) for i in range(q.n)]
-    if sorted(sig_p) != sorted(sig_q):
-        return None
-    cands = [
-        [j for j in range(q.n) if sig_q[j] == sig_p[i]] for i in range(p.n)
-    ]
-    order = sorted(range(p.n), key=lambda i: len(cands[i]))
-    image = [-1] * p.n
-    used = [False] * q.n
-
-    def rec(t):
-        if t == p.n:
-            return True
-        i = order[t]
-        for j in cands[i]:
-            if used[j]:
-                continue
-            ok = True
-            for k in order[:t]:
-                if p.leq_idx(i, k) != q.leq_idx(j, image[k]) or p.leq_idx(
-                    k, i
-                ) != q.leq_idx(image[k], j):
-                    ok = False
-                    break
-            if ok:
-                image[i] = j
-                used[j] = True
-                if rec(t + 1):
-                    return True
-                used[j] = False
-        return False
-
-    return tuple(image) if rec(0) else None
+    """An order isomorphism p -> q as an index tuple, or None."""
+    return isomorphism(p.up, q.up)

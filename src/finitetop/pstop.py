@@ -9,7 +9,6 @@ filter gets an explicit marker (base 0) and converges everywhere.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import permutations as _permutations
 from itertools import product as _iterproduct
 
 from .bits import iter_bits, popcount
@@ -19,7 +18,8 @@ from .errors import (
     SizeError,
     VerificationError,
 )
-from .spaces import FiniteSpace, SpaceMap, pushout_spaces
+from .order import certificate
+from .spaces import FiniteSpace, iter_continuous_maps, pushout_carrier, pushout_spaces
 
 CERTIFY_POINT_CAP = 4
 
@@ -367,11 +367,6 @@ def is_topological_ps(xi):
     return xi == ps_from_space(top_modification(xi))
 
 
-def is_hausdorff_ps(xi):
-    """Every ultrafilter converges to at most one point; finitely, discreteness."""
-    return xi.is_discrete
-
-
 def subspace_ps(xi, mask):
     """Restriction: limits along the inclusion intersected with the subset."""
     if mask == 0:
@@ -476,34 +471,7 @@ def pushout_ps(f_piece, g_piece):
     (a_space2, g_map, c_space) = g_piece
     if a_space2 != a_space:
         raise CarrierMismatchError("the span legs must share a source")
-    total = b_space.n + c_space.n
-    parent = list(range(total))
-
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    for a in range(a_space.n):
-        ra = find(f_map[a])
-        rc = find(b_space.n + g_map[a])
-        if ra != rc:
-            parent[rc] = ra
-    tags = [
-        f"b:{b_space.points[i]}" if i < b_space.n else f"c:{c_space.points[i - b_space.n]}"
-        for i in range(total)
-    ]
-    label = {}
-    for i in range(total):
-        r = find(i)
-        if r not in label or tags[i] < label[r]:
-            label[r] = tags[i]
-    points = sorted(set(label.values()))
-    index = {x: t for t, x in enumerate(points)}
-    tag_point = [index[label[find(i)]] for i in range(total)]
-    b_inj = tuple(tag_point[: b_space.n])
-    c_inj = tuple(tag_point[b_space.n :])
+    points, b_inj, c_inj = pushout_carrier(b_space.points, c_space.points, f_map, g_map)
     space = final_structure([(b_space, b_inj), (c_space, c_inj)], points)
     return space, b_inj, c_inj
 
@@ -525,20 +493,10 @@ def ps_spaces_up_to_iso(n, labels="123456"):
     reps = []
     seen = set()
     for xi in all_ps_spaces(n, labels):
-        best = None
-        for perm in _permutations(range(n)):
-            relabelled = [0] * n
-            for i in range(n):
-                m = 0
-                for j in iter_bits(xi.lim[i]):
-                    m |= 1 << perm[j]
-                relabelled[perm[i]] = m
-            key = tuple(relabelled)
-            if best is None or key < best:
-                best = key
-        if best not in seen:
-            seen.add(best)
-            reps.append(PsSpace(xi.points, best, validate=False))
+        cert = certificate(xi.lim)
+        if cert not in seen:
+            seen.add(cert)
+            reps.append(PsSpace(xi.points, cert, validate=False))
     return reps
 
 
@@ -688,12 +646,12 @@ def lemma_pushout_agreement(max_points=2):
     spaces = [s for s in spaces_upto(max_points) if s.n >= 1]
     for a_space in spaces:
         for b_space in spaces:
-            maps_ab = list(iter_space_maps(a_space, b_space))
+            maps_ab = list(iter_continuous_maps(a_space, b_space))
             if not maps_ab:
                 continue
             for c_space in spaces:
                 for f in maps_ab:
-                    for g in iter_space_maps(a_space, c_space):
+                    for g in iter_continuous_maps(a_space, c_space):
                         apex, ib, ic = pushout_spaces(f, g)
                         if not apex.is_discrete:
                             continue
@@ -705,12 +663,6 @@ def lemma_pushout_agreement(max_points=2):
                         if ps_apex != ps_from_space(apex):
                             failures.append((a_space, b_space, c_space, f, g))
     return LemmaReport("pushout_agreement", instances, tuple(failures))
-
-
-def iter_space_maps(source, target):
-    from .spaces import iter_continuous_maps
-
-    return iter_continuous_maps(source, target)
 
 
 def lemma_tau_iota(max_points=3):
@@ -731,7 +683,7 @@ def lemma_tau_iota(max_points=3):
             for target in targets:
                 instances += 1
                 via_ps = set(iter_continuous_ps_maps(xi, ps_from_space(target)))
-                via_top = {m.mapping for m in iter_space_maps(tau, target)}
+                via_top = {m.mapping for m in iter_continuous_maps(tau, target)}
                 if via_ps != via_top:
                     failures.append((xi, target, via_ps ^ via_top))
     return LemmaReport("tau_iota_adjunction", instances, tuple(failures))

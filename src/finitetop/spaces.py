@@ -12,13 +12,13 @@ from functools import cached_property
 
 from .bits import iter_bits, popcount
 from .errors import (
-    EmptySubspaceError,
     HypothesisError,
     SizeError,
     TopologyError,
     VerificationError,
 )
-from .poset import FinitePoset, iter_monotone_maps, transitive_closure
+from .order import fill, glue, isomorphism, transpose
+from .poset import FinitePoset
 
 
 class FiniteSpace:
@@ -124,11 +124,7 @@ class FiniteSpace:
 
     @cached_property
     def spec_down(self):
-        rows = [0] * self.n
-        for i in range(self.n):
-            for j in iter_bits(self.spec_up[i]):
-                rows[j] |= 1 << i
-        return tuple(rows)
+        return transpose(self.spec_up)
 
     def closure(self, mask):
         return sum(
@@ -281,37 +277,10 @@ def iter_continuous_maps(source, target):
     """All continuous maps, via monotonicity for the specialization preorders.
 
     Finite spaces are Alexandrov, so continuity is exactly preservation of
-    specialization; the backtracking runs on the preorder rows.
+    specialization; the fill runs on the preorder rows.
     """
-    n = source.n
-    if n == 0:
-        yield SpaceMap(source, target, [])
-        return
-    if target.n == 0:
-        return
-    sup = source.spec_up
-    tup = target.spec_up
-    tdown = target.spec_down
-    assigned = [-1] * n
-
-    def rec(i):
-        if i == n:
-            yield SpaceMap(source, target, list(assigned))
-            return
-        cand = target.full
-        for k in range(i):
-            j = assigned[k]
-            if sup[i] >> k & 1:
-                cand &= tdown[j]
-            if sup[k] >> i & 1:
-                cand &= tup[j]
-            if not cand:
-                break
-        for v in iter_bits(cand):
-            assigned[i] = v
-            yield from rec(i + 1)
-
-    yield from rec(0)
+    for mapping in fill(source.spec_up, target.spec_up):
+        yield SpaceMap(source, target, mapping)
 
 
 def irreducible_closed_sets(space):
@@ -428,43 +397,29 @@ def spaces_homeomorphic(x, y):
     """A homeomorphism as an index tuple, or None.
 
     Finite spaces are determined by their specialization preorders, so this
-    is a preorder isomorphism search with signature pruning.
+    is a preorder isomorphism search.
     """
-    if x.n != y.n or len(x.opens) != len(y.opens):
-        return None
-    xu = x.spec_up
-    yu = y.spec_up
-    xd = x.spec_down
-    yd = y.spec_down
-    sig_x = [(popcount(xu[i]), popcount(xd[i])) for i in range(x.n)]
-    sig_y = [(popcount(yu[i]), popcount(yd[i])) for i in range(y.n)]
-    if sorted(sig_x) != sorted(sig_y):
-        return None
-    image = [-1] * x.n
-    used = [False] * y.n
+    return isomorphism(x.spec_up, y.spec_up)
 
-    def rec(t):
-        if t == x.n:
-            return True
-        for j in range(y.n):
-            if used[j] or sig_y[j] != sig_x[t]:
-                continue
-            ok = True
-            for k in range(t):
-                if (xu[t] >> k & 1) != (yu[j] >> image[k] & 1) or (
-                    xu[k] >> t & 1
-                ) != (yu[image[k]] >> j & 1):
-                    ok = False
-                    break
-            if ok:
-                image[t] = j
-                used[j] = True
-                if rec(t + 1):
-                    return True
-                used[j] = False
-        return False
 
-    return tuple(image) if rec(0) else None
+def pushout_carrier(b_points, c_points, f_map, g_map):
+    """The glued carrier of a span of point maps into B and C.
+
+    Each class of the disjoint union glued along the span is labelled by
+    its least tag "b:x"/"c:y".  Returns the sorted labels and the two
+    injections as index tuples.
+    """
+    nb = len(b_points)
+    cls = glue(nb + len(c_points), [(fa, nb + ga) for fa, ga in zip(f_map, g_map)])
+    tags = [f"b:{x}" for x in b_points] + [f"c:{y}" for y in c_points]
+    label = {}
+    for tag, k in zip(tags, cls):
+        if k not in label or tag < label[k]:
+            label[k] = tag
+    points = sorted(label.values())
+    index = {x: t for t, x in enumerate(points)}
+    inj = tuple(index[label[k]] for k in cls)
+    return points, inj[:nb], inj[nb:]
 
 
 def pushout_spaces(f, g, cap=20):
@@ -479,36 +434,11 @@ def pushout_spaces(f, g, cap=20):
         raise ValueError("the span legs must share a source")
     b_space = f.target
     c_space = g.target
-    total = b_space.n + c_space.n
-    parent = list(range(total))
-
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    for a in range(f.source.n):
-        ra = find(f.mapping[a])
-        rc = find(b_space.n + g.mapping[a])
-        if ra != rc:
-            parent[rc] = ra
-    tags = [
-        f"b:{b_space.points[i]}" if i < b_space.n else f"c:{c_space.points[i - b_space.n]}"
-        for i in range(total)
-    ]
-    class_label = {}
-    for i in range(total):
-        r = find(i)
-        if r not in class_label or tags[i] < class_label[r]:
-            class_label[r] = tags[i]
-    points = sorted(set(class_label.values()))
+    points, b_map, c_map = pushout_carrier(
+        b_space.points, c_space.points, f.mapping, g.mapping
+    )
     if len(points) > cap:
         raise SizeError(f"pushout carrier exceeds {cap} points")
-    index = {x: t for t, x in enumerate(points)}
-    tag_point = [index[class_label[find(i)]] for i in range(total)]
-    b_map = tag_point[: b_space.n]
-    c_map = tag_point[b_space.n :]
     n = len(points)
     opens = []
     for m in range(1 << n):

@@ -3,8 +3,7 @@
 Every suite packages one claim into a single runner keyed by a stable
 citation label.  Reports carry the exact corpus swept and every failure
 witness, so a green run documents what was checked, not just that a check
-ran.  Options only scale the corpus bounds; the loops themselves are
-shared with the acceptance tests, which run them at larger sizes.
+ran.  Options only scale the corpus bounds.
 
 Wall times are measured but excluded from `report_data`, keeping report
 bytes reproducible for a fixed seed.
@@ -69,8 +68,8 @@ from .spatial import adjunction_check, is_spatial, omega, pt
 class SuiteOptions:
     """Corpus bounds shared by every suite runner.
 
-    The defaults are desk scale; the acceptance tests pass the larger
-    bounds stated with each criterion.
+    The defaults are desk scale.  Both size bounds must be at least 1:
+    below that every corpus is empty, so a run would check nothing.
     """
 
     max_points: int = 3
@@ -78,6 +77,12 @@ class SuiteOptions:
     steps: int = 4
     seed: int = 0
     samples: int = 200
+
+    def __post_init__(self):
+        for name in ("max_points", "max_frame_size"):
+            value = getattr(self, name)
+            if value < 1:
+                raise ValueError(f"{name} must be at least 1, got {value}")
 
 
 @dataclass(frozen=True)
@@ -178,18 +183,6 @@ def _run_frame_coproduct(opt):
         f"{opt.max_frame_size + 1}"
     )
     return corpus, cases, failures
-
-
-def _run_tensor_unit(frames):
-    """The unit law two (x) L = L over an explicit frame family."""
-    unit = two()
-    failures = []
-    cases = 0
-    for frame in frames:
-        cases += 1
-        if frame_isomorphism(coproduct(unit, frame), frame) is None:
-            failures.append(f"two (x) {_frame_name(frame)} is not {_frame_name(frame)}")
-    return cases, failures
 
 
 def _run_galois_laws(opt):

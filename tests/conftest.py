@@ -1,9 +1,4 @@
-"""Shared fixtures: small named posets, spaces, and frames.
-
-The acceptance criteria live in test_acceptance.py; the summary hook at
-the bottom reprints one line per criterion after the run so the verdicts
-are visible even when pytest captures stdout.
-"""
+"""Shared fixtures: small named posets, spaces, and frames."""
 
 import pytest
 
@@ -85,18 +80,3 @@ def chain3_frame():
 def b4_frame():
     return frame_from_poset(grid_poset())
 
-
-_CRITERION_LINES = []
-
-
-def record_criterion(number, label, passed):
-    state = "PASS" if passed else "FAIL"
-    _CRITERION_LINES.append((number, f"{state} criterion {number:2d}: {label}"))
-
-
-def pytest_terminal_summary(terminalreporter, exitstatus, config):
-    if not _CRITERION_LINES:
-        return
-    terminalreporter.section("acceptance criteria")
-    for _, line in sorted(_CRITERION_LINES):
-        terminalreporter.write_line(line)

@@ -1,0 +1,60 @@
+"""The command line exit contract: 0 ok, 1 a negative check, 2 unusable input."""
+
+import json
+
+import pytest
+
+from finitetop import suites
+from finitetop.cli import run
+
+
+def _error(capsys):
+    return json.loads(capsys.readouterr().err)["error"]
+
+
+def test_an_ok_check_exits_0(tmp_path, capsys):
+    out = tmp_path / "report.json"
+    code = run(["check", "frames", "--max-frame-size", "2", "--json-out", str(out)])
+    assert code == 0
+    reports = json.loads(out.read_text())
+    assert [r["citation"] for r in reports] == list(suites.GROUPS["frames"])
+    assert all(r["ok"] and r["cases"] > 0 for r in reports)
+    assert json.loads(capsys.readouterr().out) == reports
+
+
+@pytest.mark.parametrize(
+    "argv, option",
+    [
+        (["check", "frames", "--max-frame-size", "-1"], "max_frame_size"),
+        (["check", "frames", "--max-frame-size", "0"], "max_frame_size"),
+        (["check", "pstop-lemmas", "--max-points", "0"], "max_points"),
+        (["check", "lifting", "--max-points", "-2"], "max_points"),
+        (["pstop", "check", "--max-points", "0"], "max_points"),
+    ],
+)
+def test_empty_corpus_bounds_exit_2(argv, option, capsys):
+    assert run(argv) == 2
+    error = _error(capsys)
+    assert error["kind"] == "input"
+    assert option in error["message"]
+
+
+def test_unknown_target_and_unreadable_input_exit_2(tmp_path, capsys):
+    assert run(["check", "no-such-suite"]) == 2
+    assert _error(capsys)["kind"] == "input"
+    assert run(["validate", "--input", str(tmp_path / "missing.json")]) == 2
+    assert _error(capsys)["kind"] == "input"
+
+
+def test_a_failed_check_exits_1_with_its_witness(monkeypatch, tmp_path, capsys):
+    monkeypatch.setattr(suites, "frame_isomorphism", lambda a, b: None)
+    out = tmp_path / "report.json"
+    code = run(
+        ["check", "FrameCoproduct", "--max-frame-size", "2", "--json-out", str(out)]
+    )
+    assert code == 1
+    (report,) = json.loads(out.read_text())
+    assert report["ok"] is False
+    assert report["failures"]
+    assert all(f.startswith("two (x) ") and " is not " in f for f in report["failures"])
+    assert "FAIL FrameCoproduct" in capsys.readouterr().err

@@ -21,14 +21,12 @@ from finitetop import (
     frame_corpus,
     frame_from_poset,
     frame_isomorphism,
-    is_locally_compact,
     iter_frame_homs,
     nucleus_from_prenucleus,
     prenucleus_violation,
     right_adjoint,
     two,
     validate_poset,
-    way_below,
 )
 from finitetop.bits import iter_bits
 from finitetop.corpus import all_frames, all_lattices
@@ -175,18 +173,6 @@ def test_galois_rejects_wrong_right_adjoint():
     ident = check_frame_hom(c3, c3, (0, 1, 2))
     with pytest.raises(VerificationError):
         GaloisConnection(ident, (0, 0, 2))
-
-
-def test_way_below_collapses_to_leq():
-    for frame in frame_corpus():
-        for a in range(frame.n):
-            for b in range(frame.n):
-                assert way_below(frame, a, b) == frame.leq_idx(a, b)
-
-
-def test_all_corpus_frames_locally_compact():
-    for frame in frame_corpus():
-        assert is_locally_compact(frame)
 
 
 def test_prenucleus_identity_and_constant_top():

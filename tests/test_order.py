@@ -1,0 +1,166 @@
+"""The order-row kernels against literal oracles."""
+
+import itertools
+import random
+
+from finitetop.bits import iter_bits, popcount
+from finitetop.corpus import all_posets, all_preorders_labelled
+from finitetop.order import certificate, count_fill, fill, glue, isomorphism, transpose
+
+SMALL = [rows for n in range(4) for rows in all_preorders_labelled(n)]
+FOUR = list(all_preorders_labelled(4))
+
+
+def _monotone(src, dst, mapping):
+    return all(
+        dst[mapping[i]] >> mapping[j] & 1 for i in range(len(src)) for j in iter_bits(src[i])
+    )
+
+
+def _oracle_fill(src, dst, allowed):
+    """Every monotone, allowed assignment, in the documented visit order."""
+    order = sorted(range(len(src)), key=lambda i: (-popcount(src[i]), i))
+    found = [
+        m
+        for m in itertools.product(range(len(dst)), repeat=len(src))
+        if _monotone(src, dst, m) and all(allowed[i] >> m[i] & 1 for i in range(len(src)))
+    ]
+    return sorted(found, key=lambda m: tuple(m[i] for i in order))
+
+
+def _relabel(rows, perm):
+    out = [0] * len(rows)
+    for i, r in enumerate(rows):
+        m = 0
+        for j in iter_bits(r):
+            m |= 1 << perm[j]
+        out[perm[i]] = m
+    return tuple(out)
+
+
+def _is_iso(a, b, image):
+    return len(set(image)) == len(a) and _relabel(a, image) == tuple(b)
+
+
+def _antisymmetric(rows):
+    return all(
+        not (rows[j] >> i & 1) for i in range(len(rows)) for j in iter_bits(rows[i]) if j != i
+    )
+
+
+def _fill_cases():
+    rng = random.Random(7)
+    cases = [(src, dst) for src in SMALL for dst in SMALL if len(dst) <= 2]
+    cases += [(rng.choice(FOUR), rng.choice(SMALL + FOUR)) for _ in range(60)]
+    cases += [(rng.choice(SMALL), rng.choice(FOUR)) for _ in range(60)]
+    out = []
+    for src, dst in cases:
+        full = (1 << len(dst)) - 1
+        masks = tuple(rng.randint(0, full) | rng.randint(0, full) for _ in src)
+        out.append((src, dst, masks))
+    return out
+
+
+def test_fill_matches_product_filter_in_visit_order():
+    cases = _fill_cases()
+    assert any(not _antisymmetric(src) for src, _, _ in cases)
+    assert any(not _antisymmetric(dst) for _, dst, _ in cases)
+    for src, dst, masks in cases:
+        full = (1 << len(dst)) - 1
+        assert list(fill(src, dst)) == _oracle_fill(src, dst, (full,) * len(src))
+        assert list(fill(src, dst, masks)) == _oracle_fill(src, dst, masks)
+
+
+def test_count_fill_matches_product_filter():
+    for src, dst, masks in _fill_cases():
+        full = (1 << len(dst)) - 1
+        assert count_fill(src, dst, masks) == len(_oracle_fill(src, dst, masks))
+        assert count_fill(src, dst, (full,) * len(src)) == len(
+            _oracle_fill(src, dst, (full,) * len(src))
+        )
+
+
+def test_transpose_is_the_dual_relation():
+    for rows in SMALL + FOUR[::7]:
+        down = transpose(rows)
+        n = len(rows)
+        for i in range(n):
+            for j in range(n):
+                assert (down[j] >> i & 1) == (rows[i] >> j & 1)
+        assert transpose(down) == tuple(rows)
+
+
+def _oracle_glue(total, pairs):
+    classes = [{i} for i in range(total)]
+    changed = True
+    while changed:
+        changed = False
+        for a, b in pairs:
+            ca = next(c for c in classes if a in c)
+            cb = next(c for c in classes if b in c)
+            if ca is not cb:
+                ca |= cb
+                classes.remove(cb)
+                changed = True
+    ids = {}
+    out = []
+    for i in range(total):
+        owner = min(next(c for c in classes if i in c))
+        out.append(ids.setdefault(owner, len(ids)))
+    return out
+
+
+def test_glue_matches_fixed_point_partition():
+    rng = random.Random(11)
+    for _ in range(300):
+        total = rng.randint(0, 12)
+        pairs = [
+            (rng.randrange(total), rng.randrange(total))
+            for _ in range(rng.randint(0, 2 * total) if total else 0)
+        ]
+        assert glue(total, pairs) == _oracle_glue(total, pairs)
+
+
+def _oracle_isomorphic(a, b):
+    if len(a) != len(b):
+        return False
+    return any(_relabel(a, p) == tuple(b) for p in itertools.permutations(range(len(a))))
+
+
+def test_isomorphism_matches_brute_force_on_posets():
+    posets = [p.up for p in all_posets(4)]
+    for a in posets:
+        for b in posets:
+            image = isomorphism(a, b)
+            assert (image is not None) == _oracle_isomorphic(a, b)
+            if image is not None:
+                assert _is_iso(a, b, image)
+
+
+def test_isomorphism_matches_brute_force_on_preorders():
+    rng = random.Random(5)
+    spaces = [r for r in SMALL if not _antisymmetric(r)] + rng.sample(FOUR, 40)
+    assert any(not _antisymmetric(r) for r in spaces)
+    for a in spaces:
+        relabelled = _relabel(a, rng.sample(range(len(a)), len(a)))
+        image = isomorphism(a, relabelled)
+        assert image is not None and _is_iso(a, relabelled, image)
+        for b in rng.sample(spaces, 12):
+            image = isomorphism(a, b)
+            assert (image is not None) == _oracle_isomorphic(a, b)
+            if image is not None:
+                assert _is_iso(a, b, image)
+
+
+def test_certificate_is_the_least_relabelling():
+    for rows in SMALL + FOUR[::9]:
+        perms = itertools.permutations(range(len(rows)))
+        assert certificate(rows) == min(_relabel(rows, p) for p in perms)
+
+
+def test_certificate_is_invariant_under_relabelling():
+    rng = random.Random(3)
+    for rows in SMALL + rng.sample(FOUR, 60):
+        perm = rng.sample(range(len(rows)), len(rows))
+        assert certificate(_relabel(rows, perm)) == certificate(rows)
+

@@ -1,0 +1,51 @@
+"""Every registered suite at small bounds: verdicts and report bytes."""
+
+import hashlib
+
+from finitetop.serialize import canonical_json
+from finitetop.suites import REGISTRY, SuiteOptions, report_data, run_all, run_suite
+
+SMALL = SuiteOptions(max_points=1, max_frame_size=2)
+
+# sha256 of each suite's canonical report at SMALL; any change to a report
+# byte, case count or verdict changes its digest.
+DIGESTS = {
+    "FrameCoproduct": "372fcdbc9e4b98168253c681fb8b5be0850f45e5ee15f21f214274378060f8bc",
+    "GaloisLaws": "1dde191448ecfbf448ce44da4df68139d73fd6c69d9c8fafb0b25672e8890822",
+    "NucleusGeneration": "6cb106238298c5b44124a5e194c6dbddf32ca36a9e84f33ea0207bc5c149ab25",
+    "ProductDistributeLocale": "23df2b0a2f41523d4dd4a3744e17efb6a612551669be7627032263d4bf48d3aa",
+    "LocPushout": "4bfda73d4f43f09a55f5d663c8f45a4ce6fd9fe8f8e049a01d2064f3cd2050e9",
+    "LocSpatialProducts": "e399a6803c6aaf827503dc0ab00830c87af28f89c3a4f0f9a577952e8e6a11f5",
+    "OmegaPtAdjunction": "1469a0c7079c255b310d506d3936d684c1575d3ab38364247965c95b3c672a94",
+    "SubspaceRestiction": "0cdc020f06406d8a18c047f8097f4dc6aaf41943acd8ed3d3bdeb0b7f7b71a98",
+    "SubspaceLemma": "5e6793b8af4866215a3bc810f39494119c696f2a2d093d97881808fb364ddb8f",
+    "CompactImageCompact": "70da819d835dd57537eabf004e390d936b75011f2241ea7b1f9d637de62205c4",
+    "CompactSpacesBalanced": "cbaa8175aad743113490f7247e1de5e35e80e03189fa8b03274ed61368b510b7",
+    "PushoutsInPsTop": "fb6aa07a74473b48c9bf5b4ca34787c94dc2aa2a2e7784a40d8c6df26b65a858",
+    "TauIotaAdjunction": "1f589c859567ffb5a8be01b0884fdd0b2be81b963fb80838e1302eb4e09fdf7c",
+    "PsTopLattice": "d88c105b84785c36a27c22d81693541b9efacb07a9accc849d61f74b27a41db3",
+    "FinitePsTopCompact": "01666cd90b956764252b4fdb95a63c0bfc5db161a24456f94eb8e347bfea571c",
+    "PushProdAndPullPowerLemma": "cd57d7c531480590ce769e3166885efb8a551e6df4c23a76c16fcc3db5d5d0f1",
+    "PushProdArrowCategory": "a4a9a21269e299224dd5859b56fa67c51f0cf0398d087bcee027a83da662f76a",
+    "PushProdIdentity1": "b46713b936a7a793f873d9bae897413236aa6a83a617c8bfa8462fd0cfc2ff08",
+    "SmallObjectArgument": "8bcb84a86b8a3d8b9034e070d9c1125747552d6ba36e2309f4b73d855ea61130",
+}
+
+
+def _digest(report):
+    return hashlib.sha256(canonical_json(report_data(report)).encode()).hexdigest()
+
+
+def test_every_suite_is_ok_with_its_recorded_report_bytes():
+    reports = run_all(SMALL)
+    assert [r.citation for r in reports] == list(REGISTRY)
+    assert set(DIGESTS) == set(REGISTRY)
+    for report in reports:
+        assert report.ok, (report.citation, report.failures)
+        assert _digest(report) == DIGESTS[report.citation], report.citation
+
+
+def test_unit_bounds_are_accepted():
+    opt = SuiteOptions(max_points=1, max_frame_size=1)
+    assert run_suite("GaloisLaws", opt).ok
+
