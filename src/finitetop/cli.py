@@ -105,10 +105,11 @@ def _emit(data, args):
 
 
 def _options(args):
+    if args.jobs < 1:
+        raise ValueError(f"jobs must be at least 1, got {args.jobs}")
     return SuiteOptions(
         max_points=args.max_points,
         max_frame_size=args.max_frame_size,
-        steps=args.steps,
         seed=args.seed,
     )
 
@@ -235,7 +236,6 @@ def _add_output(parser):
 def _add_suite_options(parser):
     parser.add_argument("--max-points", type=int, default=3, metavar="N")
     parser.add_argument("--max-frame-size", type=int, default=3, metavar="N")
-    parser.add_argument("--steps", type=int, default=4, metavar="N")
     parser.add_argument("--seed", type=int, default=0, metavar="N")
     parser.add_argument("--jobs", type=int, default=1, metavar="N")
 

@@ -12,6 +12,14 @@ Lifting verdicts run on the solved-square set: every monotone map out of
 the left map's target yields one commuting square it solves, and that
 projection hits exactly the squares admitting a diagonal, so a lifting
 property holds if and only if square enumeration never leaves the set.
+
+Pushout-product corners and pullback-power comparisons depend on their
+factors only through `PreMap.key`: gluing numbers classes by first
+occurrence and a power object lists its maps in fill order, never by
+label.  So each is built once per pair of keys, by the memoized kernels
+`_corner` and `_power`; `PushoutProductMap` and `PullbackPowerMap` take
+their numbering from those and only add point labels.  Every cache here
+is LRU-bounded, above what a default-bounds `check all` fills.
 """
 
 from __future__ import annotations
@@ -39,6 +47,14 @@ PARTIAL = "PARTIAL"
 POWER_POINT_CAP = 4096
 PRODUCT_POINT_CAP = 4096
 FACTORIZE_POINT_CAP = 512
+
+# Cache bounds.  A default-bounds `check all` creates about 260 map lists,
+# 5.1k corners, 2.1k powers and 45k census pairs; every bound is above its
+# count, so that run evicts nothing.
+MAPS_CACHE_SIZE = 1024
+CORNER_CACHE_SIZE = 8192
+POWER_CACHE_SIZE = 8192
+LIFTS_CACHE_SIZE = 1 << 16
 
 
 class Preorder:
@@ -172,7 +188,15 @@ def identity_arrow(pre):
     return PreMap(pre, pre, range(pre.n), validate=False)
 
 
-@lru_cache(maxsize=None)
+def _arrow_from_key(key):
+    """An arrow with the given structural key, its points labelled by position."""
+    src_up, dst_up, mapping = key
+    src = Preorder(tuple(map(str, range(len(src_up)))), src_up, validate=False)
+    dst = Preorder(tuple(map(str, range(len(dst_up)))), dst_up, validate=False)
+    return PreMap(src, dst, mapping, validate=False)
+
+
+@lru_cache(maxsize=MAPS_CACHE_SIZE)
 def _monotone_tuples(src_up, dst_up):
     """Every monotone assignment between the presented preorders, in fill order."""
     return tuple(fill(src_up, dst_up))
@@ -285,7 +309,7 @@ def _square_count(left_key, right_key):
     return total
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=LIFTS_CACHE_SIZE)
 def _lifts(left_key, right_key):
     """Whether every commuting square admits a diagonal.
 
@@ -481,6 +505,54 @@ class PushoutPre:
     classes: tuple
 
 
+def _glue_span(b_up, c_up, f_map, g_map):
+    """Label-free pushout of B <- A -> C, given by rows and the two images.
+
+    Returns the apex rows and the classes, numbered by first occurrence;
+    a class lists its members as (0, i) for B's i-th point and (1, j) for
+    C's j-th point, B first.  The order is the transitive closure of the
+    two image orders.
+    """
+    nb = len(b_up)
+    cls = glue(nb + len(c_up), [(fa, nb + ga) for fa, ga in zip(f_map, g_map)])
+    n = max(cls, default=-1) + 1
+    members = [[] for _ in range(n)]
+    for p, k in enumerate(cls):
+        members[k].append((0, p) if p < nb else (1, p - nb))
+    rows = [1 << k for k in range(n)]
+    for offset, ups in ((0, b_up), (nb, c_up)):
+        for i, row in enumerate(ups):
+            for j in iter_bits(row):
+                rows[cls[offset + i]] |= 1 << cls[offset + j]
+    for k in range(n):
+        for i in range(n):
+            if rows[i] >> k & 1:
+                rows[i] |= rows[k]
+    return tuple(rows), tuple(map(tuple, members))
+
+
+def _label_span(b, c, rows, classes):
+    """The pushout on glued rows, each class labelled by its least member.
+
+    Member labels carry the side prefixes "b:" and "c:".
+    """
+    labels = [
+        min(
+            (f"b:{b.points[i]}" if side == 0 else f"c:{c.points[i]}")
+            for side, i in members
+        )
+        for members in classes
+    ]
+    apex = Preorder(labels, rows, validate=False)
+    cls = [0] * (b.n + c.n)
+    for k, members in enumerate(classes):
+        for side, i in members:
+            cls[side * b.n + i] = k
+    left_inj = PreMap(b, apex, cls[: b.n], validate=False)
+    right_inj = PreMap(c, apex, cls[b.n :], validate=False)
+    return PushoutPre(apex, left_inj, right_inj, classes)
+
+
 def pushout_pre(f, g):
     """Pushout of g.target <- source -> f.target in preorders.
 
@@ -490,37 +562,8 @@ def pushout_pre(f, g):
     """
     if f.source != g.source:
         raise CarrierMismatchError("pushout needs a common source")
-    b = f.target
-    c = g.target
-    cls = glue(b.n + c.n, [(fa, b.n + ga) for fa, ga in zip(f.mapping, g.mapping)])
-    n = max(cls, default=-1) + 1
-    members = [[] for _ in range(n)]
-    for i in range(b.n):
-        members[cls[i]].append((0, i))
-    for j in range(c.n):
-        members[cls[b.n + j]].append((1, j))
-    rows = [1 << k for k in range(n)]
-    for i in range(b.n):
-        for j in iter_bits(b.up[i]):
-            rows[cls[i]] |= 1 << cls[j]
-    for i in range(c.n):
-        for j in iter_bits(c.up[i]):
-            rows[cls[b.n + i]] |= 1 << cls[b.n + j]
-    for k in range(n):
-        for i in range(n):
-            if rows[i] >> k & 1:
-                rows[i] |= rows[k]
-    labels = [
-        min(
-            (f"b:{b.points[i]}" if side == 0 else f"c:{c.points[i]}")
-            for side, i in members[k]
-        )
-        for k in range(n)
-    ]
-    apex = Preorder(labels, rows, validate=False)
-    left_inj = PreMap(b, apex, cls[: b.n], validate=False)
-    right_inj = PreMap(c, apex, cls[b.n :], validate=False)
-    return PushoutPre(apex, left_inj, right_inj, tuple(map(tuple, members)))
+    rows, classes = _glue_span(f.target.up, g.target.up, f.mapping, g.mapping)
+    return _label_span(f.target, g.target, rows, classes)
 
 
 class PowerPre(Preorder):
@@ -533,9 +576,7 @@ class PowerPre(Preorder):
         if len(maps) > cap:
             raise SizeError(f"map object exceeds {cap} points")
         self.maps = maps
-        points = [
-            "[" + ",".join(base.points[v] for v in m) + "]" for m in maps
-        ]
+        points = [_map_label(base, m) for m in maps]
         rows = []
         for m in maps:
             row = 0
@@ -545,8 +586,17 @@ class PowerPre(Preorder):
             rows.append(row)
         super().__init__(points, rows, validate=False)
 
+    @cached_property
+    def _positions(self):
+        return {m: k for k, m in enumerate(self.maps)}
+
     def index_of(self, mapping):
-        return self.maps.index(tuple(mapping))
+        return self._positions[tuple(mapping)]
+
+
+def _map_label(base, m):
+    """The label of a power-object point: its values in the base, in brackets."""
+    return "[" + ",".join(base.points[v] for v in m) + "]"
 
 
 def power_pre(base, exponent, cap=POWER_POINT_CAP):
@@ -560,9 +610,8 @@ def curry(m):
         raise CarrierMismatchError("currying needs a product source")
     z, a = src.left, src.right
     target = power_pre(m.target, a)
-    pos = {t: k for k, t in enumerate(target.maps)}
     mapping = [
-        pos[tuple(m.mapping[src.pair(i, j)] for j in range(a.n))]
+        target.index_of(m.mapping[src.pair(i, j)] for j in range(a.n))
         for i in range(z.n)
     ]
     return PreMap(z, target, mapping, validate=False)
@@ -582,44 +631,58 @@ def uncurry(m):
     return PreMap(src, m.target.base, mapping, validate=False)
 
 
+@lru_cache(maxsize=CORNER_CACHE_SIZE)
+def _corner(f_key, g_key):
+    """The pushout-product of two arrow keys: its key and its corner classes.
+
+    The corner glues X x B (side 0) and Y x A (side 1) over X x A, with
+    products numbered row-major; the comparison sends each class into
+    Y x B and must agree on all its members.
+    """
+    f = _arrow_from_key(f_key)
+    g = _arrow_from_key(g_key)
+    xb = product_pre(f.source, g.target)
+    ya = product_pre(f.target, g.source)
+    xa = product_pre(f.source, g.source)
+    span = [xa.split(k) for k in range(xa.n)]
+    rows, classes = _glue_span(
+        xb.up,
+        ya.up,
+        [xb.pair(x, g.mapping[a]) for x, a in span],
+        [ya.pair(f.mapping[x], a) for x, a in span],
+    )
+    yb = product_pre(f.target, g.target)
+    mapping = []
+    for members in classes:
+        vals = set()
+        for side, idx in members:
+            if side == 0:
+                x, b = xb.split(idx)
+                vals.add(yb.pair(f.mapping[x], b))
+            else:
+                y, a = ya.split(idx)
+                vals.add(yb.pair(y, g.mapping[a]))
+        if len(vals) != 1:
+            raise VerificationError("pushout-product comparison is not well defined")
+        mapping.append(vals.pop())
+    return (rows, yb.up, tuple(mapping)), classes
+
+
 class PushoutProductMap(PreMap):
-    """The comparison out of the pushout corner into the target product."""
+    """The comparison out of the pushout corner into the target product.
+
+    The numbering is `_corner`'s; this adds the factors' point labels.
+    """
 
     def __init__(self, f, g):
+        (rows, _, mapping), classes = _corner(f.key, g.key)
         xb = product_pre(f.source, g.target)
         ya = product_pre(f.target, g.source)
-        xa = product_pre(f.source, g.source)
-        m1 = PreMap(
-            xa,
-            xb,
-            [xb.pair(x, g.mapping[a]) for x in range(f.source.n) for a in range(g.source.n)],
-            validate=False,
-        )
-        m2 = PreMap(
-            xa,
-            ya,
-            [ya.pair(f.mapping[x], a) for x in range(f.source.n) for a in range(g.source.n)],
-            validate=False,
-        )
-        po = pushout_pre(m1, m2)
-        yb = product_pre(f.target, g.target)
-        mapping = []
-        for members in po.classes:
-            vals = set()
-            for side, idx in members:
-                if side == 0:
-                    x, b = xb.split(idx)
-                    vals.add(yb.pair(f.mapping[x], b))
-                else:
-                    y, a = ya.split(idx)
-                    vals.add(yb.pair(y, g.mapping[a]))
-            if len(vals) != 1:
-                raise VerificationError("pushout-product comparison is not well defined")
-            mapping.append(vals.pop())
         self.left_factor = f
         self.right_factor = g
-        self.corner = po
-        super().__init__(po.apex, yb, mapping, validate=False)
+        self.corner = _label_span(xb, ya, rows, classes)
+        yb = product_pre(f.target, g.target)
+        super().__init__(self.corner.apex, yb, mapping, validate=False)
 
 
 def pushout_product(f, g):
@@ -627,46 +690,65 @@ def pushout_product(f, g):
     return PushoutProductMap(arrow(f), arrow(g))
 
 
+@lru_cache(maxsize=POWER_CACHE_SIZE)
+def _power(f_key, g_key):
+    """The pullback-power of two arrow keys: its key and its apex pairs.
+
+    The apex point (i, j) pairs the i-th map of X^A with the j-th map of
+    Y^B that agree in Y^A, maps numbered in fill order.
+    """
+    f = _arrow_from_key(f_key)
+    g = _arrow_from_key(g_key)
+    xb = power_pre(f.source, g.target)
+    xa = power_pre(f.source, g.source)
+    yb = power_pre(f.target, g.target)
+    na = g.source.n
+    restricted = {}
+    for j, delta in enumerate(yb.maps):
+        restricted.setdefault(
+            tuple(delta[g.mapping[a]] for a in range(na)), []
+        ).append(j)
+    pairs = []
+    for i, alpha in enumerate(xa.maps):
+        pushed = tuple(f.mapping[alpha[a]] for a in range(na))
+        for j in restricted.get(pushed, ()):
+            pairs.append((i, j))
+    pos = {p: k for k, p in enumerate(pairs)}
+    rows = []
+    for i, j in pairs:
+        row = 0
+        for k, (i2, j2) in enumerate(pairs):
+            if xa.up[i] >> i2 & 1 and yb.up[j] >> j2 & 1:
+                row |= 1 << k
+        rows.append(row)
+    mapping = []
+    for beta in xb.maps:
+        alpha = (beta[g.mapping[a]] for a in range(na))
+        delta = (f.mapping[v] for v in beta)
+        mapping.append(pos[(xa.index_of(alpha), yb.index_of(delta))])
+    return (xb.up, tuple(rows), tuple(mapping)), tuple(pairs)
+
+
 class PullbackPowerMap(PreMap):
-    """The comparison from X^B into the pullback of X^A and Y^B over Y^A."""
+    """The comparison from X^B into the pullback of X^A and Y^B over Y^A.
+
+    The numbering is `_power`'s; this adds the factors' point labels.
+    """
 
     def __init__(self, f, g):
-        xb = power_pre(f.source, g.target)
-        xa = power_pre(f.source, g.source)
-        yb = power_pre(f.target, g.target)
-        na = g.source.n
-        restricted = {}
-        for j, delta in enumerate(yb.maps):
-            restricted.setdefault(
-                tuple(delta[g.mapping[a]] for a in range(na)), []
-            ).append(j)
-        pairs = []
-        for i, alpha in enumerate(xa.maps):
-            pushed = tuple(f.mapping[alpha[a]] for a in range(na))
-            for j in restricted.get(pushed, ()):
-                pairs.append((i, j))
-        pos = {p: k for k, p in enumerate(pairs)}
-        labels = [f"({xa.points[i]},{yb.points[j]})" for i, j in pairs]
-        rows = []
-        for i, j in pairs:
-            row = 0
-            for k, (i2, j2) in enumerate(pairs):
-                if xa.up[i] >> i2 & 1 and yb.up[j] >> j2 & 1:
-                    row |= 1 << k
-            rows.append(row)
-        apex = Preorder(labels, rows, validate=False)
-        mapping = []
-        for beta in xb.maps:
-            alpha = tuple(beta[g.mapping[a]] for a in range(na))
-            delta = tuple(f.mapping[v] for v in beta)
-            mapping.append(
-                pos[(xa.maps.index(alpha), yb.maps.index(delta))]
-            )
+        (_, rows, mapping), pairs = _power(f.key, g.key)
+        xa = _monotone_tuples(g.source.up, f.source.up)
+        yb = _monotone_tuples(g.target.up, f.target.up)
+        labels = [
+            f"({_map_label(f.source, xa[i])},{_map_label(f.target, yb[j])})"
+            for i, j in pairs
+        ]
         self.left_factor = f
         self.right_factor = g
-        self.power = xb
-        self.pairs = tuple(pairs)
-        super().__init__(xb, apex, mapping, validate=False)
+        self.power = power_pre(f.source, g.target)
+        self.pairs = pairs
+        apex = Preorder(labels, rows, validate=False)
+        super().__init__(self.power, apex, mapping, validate=False)
 
 
 def pullback_power(f, g):
@@ -683,9 +765,9 @@ def lifting_adjunction_check(f, g, i):
     f = arrow(f)
     g = arrow(g)
     i = arrow(i)
-    c = pushout_product(f, i)
-    q = pullback_power(g, i)
-    return _lifts(c.key, g.key) == _lifts(f.key, q.key)
+    corner_key, _ = _corner(f.key, i.key)
+    power_key, _ = _power(g.key, i.key)
+    return _lifts(corner_key, g.key) == _lifts(f.key, power_key)
 
 
 @dataclass(frozen=True)
@@ -889,8 +971,8 @@ def associates(f, g, h):
     f = arrow(f)
     g = arrow(g)
     h = arrow(h)
-    c1 = pushout_product(f, g)
-    c2 = pushout_product(g, h)
+    (_, _, map1), classes1 = _corner(f.key, g.key)
+    (_, _, map2), classes2 = _corner(g.key, h.key)
     nx, ny = f.source.n, f.target.n
     na, nb = g.source.n, g.target.n
     na2, nb2 = h.source.n, h.target.n
@@ -907,7 +989,7 @@ def associates(f, g, h):
         return base2 + (i * nb + j) * na2 + k
 
     lhs_rel = []
-    for p1, members in enumerate(c1.corner.classes):
+    for p1, members in enumerate(classes1):
         first = members[0]
         for b2 in range(nb2):
             base = None
@@ -922,7 +1004,7 @@ def associates(f, g, h):
                     base = pt
                 else:
                     lhs_rel.append((base, pt))
-        y, b = divmod(c1.mapping[p1], nb)
+        y, b = divmod(map1[p1], nb)
         side, idx = first
         for a2 in range(na2):
             if side == 0:
@@ -933,7 +1015,7 @@ def associates(f, g, h):
                 pt = flat(1, y0, a0, h.mapping[a2])
             lhs_rel.append((pt, flat(2, y, b, a2)))
     rhs_rel = []
-    for p2, members in enumerate(c2.corner.classes):
+    for p2, members in enumerate(classes2):
         first = members[0]
         for y in range(ny):
             base = None
@@ -948,7 +1030,7 @@ def associates(f, g, h):
                     base = pt
                 else:
                     rhs_rel.append((base, pt))
-        b, b2 = divmod(c2.mapping[p2], nb2)
+        b, b2 = divmod(map2[p2], nb2)
         side, idx = first
         for x in range(nx):
             if side == 0:
@@ -1009,13 +1091,11 @@ class FactorizationTrace:
 @lru_cache(maxsize=512)
 def _arrow_autos(key):
     """Automorphism pairs of a generator arrow, for problem deduplication."""
-    src_up, dst_up, mapping = key
-    src = Preorder(tuple(map(str, range(len(src_up)))), src_up, validate=False)
-    dst = Preorder(tuple(map(str, range(len(dst_up)))), dst_up, validate=False)
+    s = _arrow_from_key(key)
     pairs = []
-    for alpha in preorder_isos(src, src):
-        for beta in preorder_isos(dst, dst):
-            if all(mapping[alpha[i]] == beta[mapping[i]] for i in range(len(mapping))):
+    for alpha in preorder_isos(s.source, s.source):
+        for beta in preorder_isos(s.target, s.target):
+            if all(s.mapping[alpha[i]] == beta[s.mapping[i]] for i in range(s.source.n)):
                 pairs.append((alpha, beta))
     return tuple(pairs)
 
@@ -1112,6 +1192,8 @@ def bounded_factorize(
     COMPLETE; hitting the step bound with problems remaining is PARTIAL,
     raised as BoundExceeded only under strict.
     """
+    if steps < 0:
+        raise ValueError(f"steps must be at least 0, got {steps}")
     f = arrow(f)
     generators = tuple(arrow(s) for s in generators)
     left = identity_arrow(f.source)

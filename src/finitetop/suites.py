@@ -74,7 +74,6 @@ class SuiteOptions:
 
     max_points: int = 3
     max_frame_size: int = 3
-    steps: int = 4
     seed: int = 0
     samples: int = 200
 

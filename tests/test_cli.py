@@ -6,6 +6,8 @@ import pytest
 
 from finitetop import suites
 from finitetop.cli import run
+from finitetop.lifting import PreMap, Preorder
+from finitetop.serialize import structure_data
 
 
 def _error(capsys):
@@ -30,6 +32,8 @@ def test_an_ok_check_exits_0(tmp_path, capsys):
         (["check", "pstop-lemmas", "--max-points", "0"], "max_points"),
         (["check", "lifting", "--max-points", "-2"], "max_points"),
         (["pstop", "check", "--max-points", "0"], "max_points"),
+        (["check", "lifting", "--jobs", "0"], "jobs"),
+        (["pstop", "check", "--jobs", "-3"], "jobs"),
     ],
 )
 def test_empty_corpus_bounds_exit_2(argv, option, capsys):
@@ -37,6 +41,28 @@ def test_empty_corpus_bounds_exit_2(argv, option, capsys):
     error = _error(capsys)
     assert error["kind"] == "input"
     assert option in error["message"]
+
+
+@pytest.mark.parametrize(
+    "argv", [["check", "all", "--steps", "-1"], ["pstop", "check", "--steps", "4"]]
+)
+def test_suite_commands_take_no_steps_option(argv, capsys):
+    assert run(argv) == 2
+    assert _error(capsys)["kind"] == "usage"
+
+
+def test_factorize_rejects_negative_steps(tmp_path, capsys):
+    cell = PreMap(Preorder((), ()), Preorder(("p",), (1,)), ())
+    (tmp_path / "map.json").write_text(json.dumps(structure_data(cell)))
+    (tmp_path / "gens.json").write_text(json.dumps([structure_data(cell)]))
+    argv = ["lift", "factorize", "--map", str(tmp_path / "map.json")]
+    argv += ["--gens", str(tmp_path / "gens.json"), "--steps"]
+    assert run(argv + ["0"]) == 0
+    capsys.readouterr()
+    assert run(argv + ["-1"]) == 2
+    error = _error(capsys)
+    assert error["kind"] == "input"
+    assert "steps" in error["message"]
 
 
 def test_unknown_target_and_unreadable_input_exit_2(tmp_path, capsys):

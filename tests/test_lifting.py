@@ -4,6 +4,8 @@ import dataclasses
 import itertools
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from finitetop import (
     ArrowIso,
@@ -43,7 +45,11 @@ from finitetop import (
     rlp,
     uncurry,
 )
+from finitetop import lifting
+from finitetop.corpus import all_preorders_labelled
+from finitetop.errors import FinitetopError
 from finitetop.lifting import COMPLETE, PARTIAL, coproduct_pre
+from finitetop.order import fill
 from finitetop.spaces import SpaceMap
 
 from conftest import sierpinski
@@ -326,6 +332,147 @@ def test_lifting_adjunction_on_small_triples():
     pool = [CELL, FOLD, EDGE, identity_arrow(C2)]
     for f, g, i in itertools.product(pool, repeat=3):
         assert lifting_adjunction_check(f, g, i)
+
+
+ROWS_UPTO_3 = [rows for n in range(4) for rows in all_preorders_labelled(n)]
+
+
+@st.composite
+def arrow_twins(draw):
+    """A random arrow of up to 3 points and a relabelled twin with its key."""
+    src = draw(st.sampled_from(ROWS_UPTO_3))
+    dst = draw(st.sampled_from([rows for rows in ROWS_UPTO_3 if rows or not src]))
+    mapping = draw(st.sampled_from(list(fill(src, dst))))
+
+    def labelled(alphabet):
+        source = Preorder(draw(st.permutations(alphabet))[: len(src)], src)
+        target = Preorder(draw(st.permutations(alphabet.upper()))[: len(dst)], dst)
+        return PreMap(source, target, mapping)
+
+    f, twin = labelled("abc"), labelled("xyz")
+    assert f.key == twin.key and (f.source.points != twin.source.points or not src)
+    return f, twin
+
+
+def _check_corner_literally(f, g, corner):
+    """Glue the corner by graph search and compare classes, order and comparison."""
+    nb, na = g.target.n, g.source.n
+    points = [(0, x * nb + b) for x in range(f.source.n) for b in range(nb)]
+    points += [(1, y * na + a) for y in range(f.target.n) for a in range(na)]
+    edges = {p: set() for p in points}
+    for x in range(f.source.n):
+        for a in range(na):
+            p, q = (0, x * nb + g.mapping[a]), (1, f.mapping[x] * na + a)
+            edges[p].add(q)
+            edges[q].add(p)
+    classes, seen = [], set()
+    for p in points:
+        if p not in seen:
+            found, todo = {p}, [p]
+            while todo:
+                for q in edges[todo.pop()] - found:
+                    found.add(q)
+                    todo.append(q)
+            seen |= found
+            classes.append(tuple(sorted(found)))
+    assert list(corner.corner.classes) == classes
+    class_of = {p: k for k, members in enumerate(classes) for p in members}
+    injections = corner.corner.left_inj.mapping + corner.corner.right_inj.mapping
+    assert injections == tuple(class_of[p] for p in points)
+
+    order = set()
+    for (s1, p1), (s2, p2) in itertools.product(points, repeat=2):
+        outer, inner = (f.source, g.target) if s1 == 0 else (f.target, g.source)
+        (u1, v1), (u2, v2) = divmod(p1, inner.n), divmod(p2, inner.n)
+        if s1 == s2 and outer.leq(u1, u2) and inner.leq(v1, v2):
+            order.add((class_of[(s1, p1)], class_of[(s2, p2)]))
+    while more := {(a, d) for a, b in order for c, d in order if b == c} - order:
+        order |= more
+    n = len(classes)
+    assert order == {(k, k2) for k in range(n) for k2 in range(n) if corner.source.leq(k, k2)}
+
+    for (side, idx), k in class_of.items():
+        if side == 0:
+            x, b = divmod(idx, nb)
+            assert corner.mapping[k] == f.mapping[x] * nb + b
+        else:
+            y, a = divmod(idx, na)
+            assert corner.mapping[k] == y * nb + g.mapping[a]
+
+
+def _check_power_literally(f, g, power):
+    """Enumerate maps by brute force and compare the pullback and the comparison."""
+
+    def maps(src, dst):
+        return [
+            m
+            for m in itertools.product(range(dst.n), repeat=src.n)
+            if all(dst.leq(m[i], m[j]) for i in range(src.n) for j in range(src.n) if src.leq(i, j))
+        ]
+
+    pairs = [
+        (alpha, delta)
+        for alpha in maps(g.source, f.source)
+        for delta in maps(g.target, f.target)
+        if all(f.mapping[alpha[a]] == delta[g.mapping[a]] for a in range(g.source.n))
+    ]
+    xa = power_pre(f.source, g.source).maps
+    yb = power_pre(f.target, g.target).maps
+    points = [(xa[i], yb[j]) for i, j in power.pairs]
+    assert sorted(points) == sorted(pairs)
+    for k, (alpha, delta) in enumerate(points):
+        for k2, (alpha2, delta2) in enumerate(points):
+            pointwise = all(f.source.leq(u, v) for u, v in zip(alpha, alpha2)) and all(
+                f.target.leq(u, v) for u, v in zip(delta, delta2)
+            )
+            assert power.target.leq(k, k2) == pointwise
+
+    expected = {
+        beta: (tuple(beta[v] for v in g.mapping), tuple(f.mapping[v] for v in beta))
+        for beta in maps(g.target, f.source)
+    }
+    assert {m: points[power.mapping[k]] for k, m in enumerate(power.source.maps)} == expected
+
+
+@settings(max_examples=150, deadline=None)
+@given(arrow_twins(), arrow_twins())
+def test_memoized_corner_and_power_match_fresh_builds(fs, gs):
+    (f, f_twin), (g, g_twin) = fs, gs
+    corner_key, classes = lifting._corner(f.key, g.key)
+    power_key, _ = lifting._power(f.key, g.key)
+    lifting._corner.cache_clear()
+    lifting._power.cache_clear()
+    corner = pushout_product(f_twin, g_twin)
+    power = pullback_power(f_twin, g_twin)
+    assert (corner.key, corner.corner.classes) == (corner_key, classes)
+    assert power.key == power_key
+    _check_corner_literally(f, g, corner)
+    _check_power_literally(f, g, power)
+
+
+@settings(max_examples=80, deadline=None)
+@given(arrow_twins(), arrow_twins(), arrow_twins())
+def test_adjunction_check_matches_fresh_lifting_verdicts(fs, gs, is_):
+    verdict = lifting_adjunction_check(fs[0], gs[0], is_[0])
+    lifting._corner.cache_clear()
+    lifting._power.cache_clear()
+    f, g, i = fs[1], gs[1], is_[1]
+    left = lifts_against(pushout_product(f, i), g).holds
+    right = lifts_against(f, pullback_power(g, i)).holds
+    assert verdict == (left == right)
+    assert verdict
+
+
+@settings(max_examples=80, deadline=None)
+@given(arrow_twins(), arrow_twins(), arrow_twins())
+def test_associates_holds_exactly_when_the_associator_is_certified(fs, gs, hs):
+    f, g, h = fs[0], gs[1], hs[0]
+    try:
+        associator(f, g, h)
+        certified = True
+    except FinitetopError:
+        certified = False
+    assert associates(f, g, h) == certified
 
 
 def test_factorize_map_with_rlp_needs_no_stages():
