@@ -10,9 +10,9 @@ operation applied outside its preconditions.
 from __future__ import annotations
 
 import argparse
-import sys
-
 import json
+import sys
+from contextlib import nullcontext
 
 from .colimits import copair, coproduct, pushout_loc
 from .errors import FinitetopError, ParseError, VerificationError
@@ -20,7 +20,13 @@ from .frames import FiniteFrame, FrameHom, downset_frame
 from .lifting import LiftingSquare, PreMap, arrow, bounded_factorize, enumerate_lifts
 from .poset import FinitePoset
 from .pstop import PsSpace, join_ps, meet_ps, top_modification
-from .serialize import canonical_json, load_structure, parse_structure, structure_data
+from .serialize import (
+    canonical_json,
+    iter_canonical_json,
+    load_structure,
+    parse_structure,
+    structure_data,
+)
 from .spaces import FiniteSpace, SpaceMap
 from .spatial import omega, pt
 from .suites import (
@@ -97,11 +103,13 @@ def _load_generators(path):
 
 
 def _emit(data, args):
-    text = canonical_json(data)
-    sys.stdout.write(text)
-    if getattr(args, "json_out", None):
-        with open(args.json_out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+    """Stream the canonical JSON to stdout, and to --json-out if given."""
+    path = getattr(args, "json_out", None)
+    with open(path, "w", encoding="utf-8") if path else nullcontext() as fh:
+        for block in iter_canonical_json(data):
+            sys.stdout.write(block)
+            if fh is not None:
+                fh.write(block)
 
 
 def _options(args):

@@ -3,15 +3,23 @@
 A finite frame is a finite distributive lattice; binary meets and joins are
 precomputed index tables so that everything downstream is table lookups and
 mask folds.  Validation is eager: `frame_from_poset` rejects non-lattices
-and non-distributive lattices with witnesses.
+and non-distributive lattices with witnesses.  Building the tables costs
+O(n^2) bit-row operations: a join is the index whose up row equals the
+intersection of two up rows, and a meet likewise with down rows.
+Distributivity of an order-built lattice is decided by Birkhoff's
+join-primality test in O(n^2); the literal triple sweep
+`distributivity_witness` names the witness, and checks tables that were
+built from masks rather than from an order.
 """
 
 from __future__ import annotations
 
 from functools import cached_property
+from operator import itemgetter
 
 from .bits import iter_bits, mask_of
 from .errors import (
+    CarrierMismatchError,
     NotDistributiveError,
     NotHomError,
     NotLatticeError,
@@ -103,82 +111,102 @@ class FiniteFrame:
 def frame_from_poset(poset, *, check_distributive=True):
     """Build a FiniteFrame, or raise NotLatticeError / NotDistributiveError.
 
-    Pairwise bounds are located as least/greatest elements of bound sets;
-    a missing one yields the offending pair.  Distributivity is checked on
-    every triple, so the diamond M3 and the pentagon N5 are both rejected
-    with witnesses.
+    The upper bounds of i and j form the up-set `up[i] & up[j]`, which has
+    a least element u exactly when it equals `up[u]`; so every join is one
+    dict lookup from up rows to indices, and every meet one lookup from
+    down rows.  Pairs are scanned in row order, join before meet, and the
+    first pair without a bound is named.
+
+    Distributivity is decided by Birkhoff's criterion: a finite lattice is
+    distributive iff every join-irreducible below `i | j` is below i or
+    below j, that is, iff `irreducibles_below` turns joins into unions.
+    That is quadratic.  Only when it fails does the literal triple sweep
+    run, to name the first triple (a, b, c) with a&(b|c) != (a&b)|(a&c),
+    so both the diamond M3 and the pentagon N5 are rejected with witnesses.
     """
     n = poset.n
     if n == 0:
         raise NotLatticeError("a frame needs at least one element")
     up = poset.up
     down = poset.down
-    join = [[0] * n for _ in range(n)]
-    meet = [[0] * n for _ in range(n)]
+    least = {}
+    greatest = {}
+    for u in range(n):
+        least.setdefault(up[u], u)
+        greatest.setdefault(down[u], u)
+    join = []
+    meet = []
     for i in range(n):
-        for j in range(i, n):
-            ub = up[i] & up[j]
-            least = _least_of(poset, ub)
-            if least is None:
-                raise NotLatticeError(
-                    f"no least upper bound for {poset.labels[i]!r}, {poset.labels[j]!r}"
-                )
-            join[i][j] = join[j][i] = least
-            lb = down[i] & down[j]
-            greatest = _greatest_of(poset, lb)
-            if greatest is None:
-                raise NotLatticeError(
-                    f"no greatest lower bound for {poset.labels[i]!r}, {poset.labels[j]!r}"
-                )
-            meet[i][j] = meet[j][i] = greatest
+        jrow = tuple(map(least.get, map(up[i].__and__, up)))
+        mrow = tuple(map(greatest.get, map(down[i].__and__, down)))
+        if None in jrow or None in mrow:
+            _raise_missing_bound(poset, i, jrow, mrow)
+        join.append(jrow)
+        meet.append(mrow)
     bottom = 0
     top = 0
     for i in range(n):
         bottom = meet[bottom][i]
         top = join[top][i]
-    frame = FiniteFrame(
-        poset,
-        tuple(tuple(r) for r in join),
-        tuple(tuple(r) for r in meet),
-        bottom,
-        top,
-    )
-    if check_distributive:
+    frame = FiniteFrame(poset, tuple(join), tuple(meet), bottom, top)
+    if check_distributive and not _joins_are_unions(frame):
         witness = distributivity_witness(frame)
-        if witness is not None:
-            a, b, c = (poset.labels[k] for k in witness)
-            raise NotDistributiveError(
-                f"distributivity fails on ({a!r}, {b!r}, {c!r})"
+        if witness is None:
+            raise VerificationError(
+                "Birkhoff's test and the triple sweep disagree on distributivity"
             )
+        a, b, c = (poset.labels[k] for k in witness)
+        raise NotDistributiveError(f"distributivity fails on ({a!r}, {b!r}, {c!r})")
     return frame
 
 
-def _least_of(poset, mask):
-    for u in iter_bits(mask):
-        if mask & ~poset.up[u] == 0:
-            return u
-    return None
+def _raise_missing_bound(poset, i, jrow, mrow):
+    """Name the first j >= i whose join, then meet, with i is missing.
+
+    Row i is reached only after every earlier row was complete, so by
+    symmetry no j < i is missing.
+    """
+    for j in range(i, poset.n):
+        if jrow[j] is None:
+            raise NotLatticeError(
+                f"no least upper bound for {poset.labels[i]!r}, {poset.labels[j]!r}"
+            )
+        if mrow[j] is None:
+            raise NotLatticeError(
+                f"no greatest lower bound for {poset.labels[i]!r}, {poset.labels[j]!r}"
+            )
 
 
-def _greatest_of(poset, mask):
-    for u in iter_bits(mask):
-        if mask & ~poset.down[u] == 0:
-            return u
-    return None
+def _joins_are_unions(frame):
+    """Birkhoff's test: the irreducibles below i | j are those below i or below j."""
+    below = frame.irreducibles_below
+    for i, row in enumerate(frame.join):
+        if tuple(map(below.__getitem__, row)) != tuple(map(below[i].__or__, below)):
+            return False
+    return True
 
 
 def distributivity_witness(frame):
-    """A triple violating a&(b|c) == (a&b)|(a&c), or None."""
+    """The first triple (a, b, c) with a&(b|c) != (a&b)|(a&c), or None.
+
+    Triples are visited in lexicographic order.  For each (a, b) the whole
+    c row is compared at once, (a&(b|c))_c against ((a&b)|(a&c))_c, through
+    `itemgetter`; the row is scanned for c only when the two differ.
+    """
     n = frame.n
     join = frame.join
     meet = frame.meet
+    pick_join = [itemgetter(*row) for row in join]
     for a in range(n):
         ma = meet[a]
+        pick_meet = itemgetter(*ma)
         for b in range(n):
-            ab = ma[b]
-            for c in range(n):
-                if ma[join[b][c]] != join[ab][ma[c]]:
-                    return (a, b, c)
+            jab = join[ma[b]]
+            if pick_join[b](ma) != pick_meet(jab):
+                jb = join[b]
+                for c in range(n):
+                    if ma[jb[c]] != jab[ma[c]]:
+                        return (a, b, c)
     return None
 
 
@@ -225,7 +253,8 @@ class FrameHom:
         return self.target.labels[self.mapping[self.source.order.index(x)]]
 
     def then(self, other):
-        assert self.target == other.source
+        if self.target != other.source:
+            raise CarrierMismatchError("composition needs matching middle object")
         return FrameHom(
             self.source, other.target, [other.mapping[v] for v in self.mapping]
         )

@@ -14,11 +14,13 @@ from functools import cached_property
 
 from .bits import iter_bits, popcount
 from .errors import (
+    CarrierMismatchError,
     CycleError,
     DuplicateLabelError,
     NotDownsetError,
     NotMonotoneError,
     SizeError,
+    VerificationError,
 )
 from .order import fill, isomorphism, transpose
 
@@ -76,7 +78,8 @@ class FinitePoset:
         order = sorted(range(self.n), key=lambda i: (popcount(self.down[i]), i))
         seen = 0
         for i in order:
-            assert self.down[i] & ~seen == 1 << i
+            if self.down[i] & ~seen != 1 << i:
+                raise VerificationError("linear extension is not order-preserving")
             seen |= 1 << i
         return tuple(order)
 
@@ -244,7 +247,8 @@ class MonotoneMap:
         self.source = source
         self.target = target
         self.mapping = tuple(mapping)
-        assert len(self.mapping) == source.n
+        if len(self.mapping) != source.n:
+            raise CarrierMismatchError("one image per source point")
         for i in range(source.n):
             fi = self.mapping[i]
             for j in iter_bits(source.up[i]):
@@ -267,7 +271,8 @@ class MonotoneMap:
 
     def then(self, other):
         """Composite self followed by other."""
-        assert self.target is other.source or self.target == other.source
+        if self.target is not other.source and self.target != other.source:
+            raise CarrierMismatchError("composition needs matching middle object")
         return MonotoneMap(
             self.source, other.target, [other.mapping[v] for v in self.mapping]
         )

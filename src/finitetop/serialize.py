@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from itertools import islice
 
 from .bits import iter_bits
 from .colimits import PushoutLocaleResult
@@ -30,9 +31,30 @@ from .pstop import PsSpace
 from .spaces import FiniteSpace, SpaceMap
 
 
+_ENCODER = json.JSONEncoder(sort_keys=True, indent=2, ensure_ascii=False)
+
+# Encoder chunks joined into one block of streamed output.
+_BLOCK_CHUNKS = 8192
+
+
+def iter_canonical_json(data):
+    """The canonical text of data in blocks: sorted keys, two-space indent, newline end.
+
+    Streaming keeps a large structure from holding every encoder chunk in
+    memory at once; the blocks concatenate to exactly `canonical_json(data)`.
+    """
+    chunks = _ENCODER.iterencode(data)
+    while True:
+        block = list(islice(chunks, _BLOCK_CHUNKS))
+        if not block:
+            break
+        yield "".join(block)
+    yield "\n"
+
+
 def canonical_json(data):
     """Deterministic text form: sorted keys, two-space indent, newline end."""
-    return json.dumps(data, sort_keys=True, indent=2, ensure_ascii=False) + "\n"
+    return "".join(iter_canonical_json(data))
 
 
 def _mask_labels(labels, mask):

@@ -12,6 +12,7 @@ from functools import cached_property
 
 from .bits import iter_bits, popcount
 from .errors import (
+    CarrierMismatchError,
     HypothesisError,
     SizeError,
     TopologyError,
@@ -212,7 +213,8 @@ class SpaceMap:
         self.source = source
         self.target = target
         self.mapping = tuple(mapping)
-        assert len(self.mapping) == source.n
+        if len(self.mapping) != source.n:
+            raise CarrierMismatchError("one image per source point")
         for u in target.opens:
             pre = 0
             for i in range(source.n):
@@ -236,7 +238,8 @@ class SpaceMap:
         return self.target.points[self.mapping[self.source.index(x)]]
 
     def then(self, other):
-        assert self.target == other.source
+        if self.target != other.source:
+            raise CarrierMismatchError("composition needs matching middle object")
         return SpaceMap(
             self.source, other.target, [other.mapping[v] for v in self.mapping]
         )

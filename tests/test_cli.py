@@ -84,3 +84,30 @@ def test_a_failed_check_exits_1_with_its_witness(monkeypatch, tmp_path, capsys):
     assert report["failures"]
     assert all(f.startswith("two (x) ") and " is not " in f for f in report["failures"])
     assert "FAIL FrameCoproduct" in capsys.readouterr().err
+
+
+def _m3():
+    middles = ("a", "b", "c")
+    return ["0", *middles, "1"], [["0", m] for m in middles] + [[m, "1"] for m in middles]
+
+
+def _n5():
+    return ["0", "a", "b", "c", "1"], [["0", "a"], ["a", "b"], ["b", "1"], ["0", "c"], ["c", "1"]]
+
+
+@pytest.mark.parametrize(
+    "frame, message",
+    [
+        (_m3(), "distributivity fails on ('a', 'b', 'c')"),
+        (_n5(), "distributivity fails on ('b', 'a', 'c')"),
+        ((["x", "y"], []), "no least upper bound for 'x', 'y'"),
+    ],
+)
+def test_pt_rejects_a_lattice_that_is_not_a_frame(frame, message, tmp_path, capsys):
+    points, leq = frame
+    path = tmp_path / "frame.json"
+    path.write_text(json.dumps({"kind": "frame", "points": points, "leq": leq}))
+    assert run(["pt", "--frame", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert json.loads(captured.err) == {"error": {"kind": "input", "message": message}}

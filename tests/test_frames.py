@@ -1,12 +1,16 @@
 """Frames, homomorphisms, adjoints, and nuclei."""
 
 import random
+import re
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from finitetop import (
+    CarrierMismatchError,
+    FinitePoset,
     FrameHom,
     GaloisConnection,
     NotDistributiveError,
@@ -29,7 +33,8 @@ from finitetop import (
     validate_poset,
 )
 from finitetop.bits import iter_bits
-from finitetop.corpus import all_frames, all_lattices
+from finitetop.corpus import all_frames, all_posets
+from finitetop.frames import distributivity_witness
 
 from conftest import antichain_poset, chain_poset, diamond_m3, grid_poset, pentagon_n5
 
@@ -67,29 +72,6 @@ def test_powerset_of_two_is_a_frame():
     assert b4.n == 4
     atoms = {b4.order.index("a"), b4.order.index("b")}
     assert set(b4.irreducibles) == atoms
-
-
-def _distributive_brute(frame):
-    n = frame.n
-    return all(
-        frame.meet[a][frame.join[b][c]] == frame.join[frame.meet[a][b]][frame.meet[a][c]]
-        for a in range(n)
-        for b in range(n)
-        for c in range(n)
-    )
-
-
-def test_frame_validation_accepts_exactly_distributive_lattices():
-    rejected = 0
-    for p in all_lattices(6):
-        raw = frame_from_poset(p, check_distributive=False)
-        if _distributive_brute(raw):
-            frame_from_poset(p)
-        else:
-            rejected += 1
-            with pytest.raises(NotDistributiveError):
-                frame_from_poset(p)
-    assert rejected > 0
 
 
 def test_frame_counts_frozen():
@@ -144,6 +126,13 @@ def test_bad_homs_are_rejected():
         check_frame_hom(c3, c3, (0, 2, 1))
     with pytest.raises(NotHomError):
         check_frame_hom(c3, c3, (1, 1, 2))
+
+
+def test_composing_homs_needs_a_matching_middle_frame():
+    c2 = FrameHom.identity(chain_frame(2))
+    c3 = FrameHom.identity(chain_frame(3))
+    with pytest.raises(CarrierMismatchError):
+        c2.then(c3)
 
 
 def test_right_adjoint_of_identity():
@@ -291,3 +280,179 @@ def test_meet_join_lattice_laws(which, data):
     assert frame.join[x][frame.join[y][z]] == frame.join[frame.join[x][y]][z]
     assert frame.join[x][frame.meet[x][y]] == x
     assert frame.meet[x][frame.join[x][y]] == x
+
+
+# --- the table builder and the distributivity test against literal oracles --
+
+
+def _least_of(poset, mask):
+    for u in iter_bits(mask):
+        if mask & ~poset.up[u] == 0:
+            return u
+    return None
+
+
+def _greatest_of(poset, mask):
+    for u in iter_bits(mask):
+        if mask & ~poset.down[u] == 0:
+            return u
+    return None
+
+
+def _literal_tables(poset):
+    """Join and meet tables with each bound found as the least/greatest of its bound set."""
+    n = poset.n
+    if n == 0:
+        raise NotLatticeError("a frame needs at least one element")
+    join = [[0] * n for _ in range(n)]
+    meet = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            least = _least_of(poset, poset.up[i] & poset.up[j])
+            if least is None:
+                raise NotLatticeError(
+                    f"no least upper bound for {poset.labels[i]!r}, {poset.labels[j]!r}"
+                )
+            join[i][j] = join[j][i] = least
+            greatest = _greatest_of(poset, poset.down[i] & poset.down[j])
+            if greatest is None:
+                raise NotLatticeError(
+                    f"no greatest lower bound for {poset.labels[i]!r}, {poset.labels[j]!r}"
+                )
+            meet[i][j] = meet[j][i] = greatest
+    return tuple(map(tuple, join)), tuple(map(tuple, meet))
+
+
+def _built_tables(poset):
+    frame = frame_from_poset(poset, check_distributive=False)
+    return frame.join, frame.meet
+
+
+def _tables_or_error(build, poset):
+    try:
+        return build(poset)
+    except NotLatticeError as exc:
+        return str(exc)
+
+
+def _first_triple(join, meet):
+    """The lexicographically first (a, b, c) with a&(b|c) != (a&b)|(a&c), or None."""
+    n = len(join)
+    for a in range(n):
+        for b in range(n):
+            for c in range(n):
+                if meet[a][join[b][c]] != join[meet[a][b]][meet[a][c]]:
+                    return (a, b, c)
+    return None
+
+
+def _assert_verdict_matches_triple_sweep(poset, join, meet):
+    """frame_from_poset accepts iff no triple fails, else names the first one."""
+    witness = _first_triple(join, meet)
+    if witness is None:
+        frame_from_poset(poset)
+        return True
+    a, b, c = (poset.labels[k] for k in witness)
+    message = f"distributivity fails on ({a!r}, {b!r}, {c!r})"
+    with pytest.raises(NotDistributiveError, match=f"^{re.escape(message)}$"):
+        frame_from_poset(poset)
+    return False
+
+
+def test_table_builder_matches_literal_oracle_on_small_posets():
+    outcomes = [_tables_or_error(_literal_tables, p) for p in all_posets(5)]
+    for p, expected in zip(all_posets(5), outcomes):
+        assert _tables_or_error(_built_tables, p) == expected
+    lattices = sum(not isinstance(o, str) for o in outcomes)
+    assert 0 < lattices < len(outcomes)
+
+
+@st.composite
+def labelled_posets(draw, min_n=6, max_n=10):
+    """Random posets, half of them between an extra bottom and top, randomly labelled."""
+    n = draw(st.integers(min_n, max_n))
+    below = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    keep = draw(st.lists(st.booleans(), min_size=len(below), max_size=len(below)))
+    pairs = [pair for pair, k in zip(below, keep) if k]
+    if draw(st.booleans()):
+        pairs += [(0, j) for j in range(1, n)] + [(i, n - 1) for i in range(n - 1)]
+    names = draw(st.permutations([f"p{k}" for k in range(n)]))
+    return validate_poset(names, [(names[i], names[j]) for i, j in pairs])
+
+
+@settings(max_examples=150, deadline=None)
+@given(labelled_posets())
+def test_table_builder_and_verdict_match_oracles_on_random_posets(poset):
+    expected = _tables_or_error(_literal_tables, poset)
+    assert _tables_or_error(_built_tables, poset) == expected
+    if isinstance(expected, str):
+        with pytest.raises(NotLatticeError, match=f"^{re.escape(expected)}$"):
+            frame_from_poset(poset)
+    else:
+        _assert_verdict_matches_triple_sweep(poset, *expected)
+
+
+def _lattices_upto_7():
+    """Every lattice of 1 to 7 elements up to isomorphism.
+
+    A lattice of two or more elements is a poset of at most five elements
+    between a new bottom and a new top, kept when the literal oracle finds
+    every bound.
+    """
+    out = [chain_poset(1)]
+    for p in all_posets(5):
+        n = p.n + 2
+        top = 1 << (n - 1)
+        rows = [(1 << n) - 1] + [row << 1 | top for row in p.up] + [top]
+        q = FinitePoset([f"e{k}" for k in range(n)], rows)
+        if not isinstance(_tables_or_error(_literal_tables, q), str):
+            out.append(q)
+    return out
+
+
+def test_frame_validation_accepts_exactly_distributive_lattices():
+    lattices = {}
+    distributive = {}
+    for p in _lattices_upto_7():
+        lattices[p.n] = lattices.get(p.n, 0) + 1
+        if _assert_verdict_matches_triple_sweep(p, *_literal_tables(p)):
+            distributive[p.n] = distributive.get(p.n, 0) + 1
+    # OEIS A006966 and A006982: lattices and distributive lattices by size.
+    assert lattices == {1: 1, 2: 1, 3: 1, 4: 2, 5: 5, 6: 15, 7: 53}
+    assert distributive == {1: 1, 2: 1, 3: 1, 4: 2, 5: 3, 6: 5, 7: 8}
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.integers(1, 8).flatmap(
+        lambda n: st.tuples(
+            *[
+                st.lists(
+                    st.lists(st.integers(0, n - 1), min_size=n, max_size=n),
+                    min_size=n,
+                    max_size=n,
+                )
+            ]
+            * 2
+        )
+    )
+)
+def test_distributivity_witness_matches_scalar_loop_on_random_tables(tables):
+    join, meet = tables
+    table = SimpleNamespace(n=len(join), join=join, meet=meet)
+    assert distributivity_witness(table) == _first_triple(join, meet)
+
+
+@pytest.mark.parametrize("which", range(8))
+def test_distributivity_witness_finds_a_single_perturbed_entry(which):
+    frame = frame_corpus()[which]
+    n = frame.n
+    assert distributivity_witness(frame) is None
+    rng = random.Random(which)
+    for _ in range(40):
+        join = [list(row) for row in frame.join]
+        meet = [list(row) for row in frame.meet]
+        table = rng.choice((join, meet))
+        table[rng.randrange(n)][rng.randrange(n)] = rng.randrange(n)
+        perturbed = SimpleNamespace(n=n, join=join, meet=meet)
+        assert distributivity_witness(perturbed) == _first_triple(join, meet)

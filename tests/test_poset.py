@@ -7,10 +7,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from finitetop import (
+    CarrierMismatchError,
     CycleError,
     FinitePoset,
     MonotoneMap,
     NotDownsetError,
+    VerificationError,
     downset_frame,
     downset_image,
     iter_monotone_maps,
@@ -203,6 +205,19 @@ def test_linear_extension_is_consistent():
         for i in range(p.n):
             for j in iter_bits(p.up[i] & ~(1 << i)):
                 assert pos[i] < pos[j]
+
+
+def test_linear_extension_rejects_a_cyclic_relation():
+    with pytest.raises(VerificationError):
+        FinitePoset(["a", "b"], [0b11, 0b11]).linear_extension
+
+
+def test_monotone_map_mismatches_raise():
+    c2, c3 = chain_poset(2), chain_poset(3)
+    with pytest.raises(CarrierMismatchError):
+        MonotoneMap(c2, c3, [0])
+    with pytest.raises(CarrierMismatchError):
+        MonotoneMap(c2, c3, [0, 1]).then(MonotoneMap(c2, c2, [0, 1]))
 
 
 def test_monotone_map_count_between_chains():

@@ -5,6 +5,7 @@ import itertools
 import pytest
 
 from finitetop import (
+    CarrierMismatchError,
     FiniteSpace,
     HypothesisError,
     SpaceMap,
@@ -293,3 +294,11 @@ def test_homeomorphic_is_an_iso_relation():
 def test_space_counts_frozen():
     assert len(all_spaces(2)) == 5
     assert len(all_spaces(3)) == 14
+
+
+def test_space_map_mismatches_raise():
+    s, p = sierpinski(), point_space()
+    with pytest.raises(CarrierMismatchError):
+        SpaceMap(s, p, [0])
+    with pytest.raises(CarrierMismatchError):
+        SpaceMap(s, p, [0, 0]).then(SpaceMap(s, s, [0, 1]))
