@@ -668,8 +668,30 @@ class ProductFrame(FiniteFrame):
         return FrameHom(source, self, mapping)
 
 
+def _mixed_radix_row(rows):
+    """The product-table row over one factor row per factor.
+
+    Tuples are listed in `itertools.product` order, so the index of
+    (t_0, ..., t_k) is its mixed-radix value ((t_0 * n_1 + t_1) * n_2 + ...),
+    and the row is that value of (rows[0][b_0], ..., rows[k][b_k]) over
+    every tuple b, in the same order.
+    """
+    acc = [0]
+    for row in rows:
+        m = len(row)
+        acc = [x * m + y for x in acc for y in row]
+    return tuple(acc)
+
+
 def product_frames(factors, *, max_elements=PRODUCT_ELEMENT_CAP):
-    """The product of a family of frames; the empty product is the one-point frame."""
+    """The product of a family of frames; the empty product is the one-point frame.
+
+    Elements are the tuples of factor elements in `itertools.product`
+    order.  Up to EAGER_TABLE_LIMIT elements the join and meet tables are
+    built eagerly, each row by mixed-radix arithmetic over the factor rows
+    (`_mixed_radix_row`); above it they are looked up per entry through
+    the tuple index.
+    """
     factors = tuple(factors)
     count = 1
     for f in factors:
@@ -701,17 +723,11 @@ def product_frames(factors, *, max_elements=PRODUCT_ELEMENT_CAP):
     top = index[tuple(f.top for f in factors)]
     if n <= EAGER_TABLE_LIMIT:
         join = tuple(
-            tuple(
-                index[tuple(f.join[a[k]][b[k]] for k, f in enumerate(factors))]
-                for b in tuples
-            )
+            _mixed_radix_row([f.join[a[k]] for k, f in enumerate(factors)])
             for a in tuples
         )
         meet = tuple(
-            tuple(
-                index[tuple(f.meet[a[k]][b[k]] for k, f in enumerate(factors))]
-                for b in tuples
-            )
+            _mixed_radix_row([f.meet[a[k]] for k, f in enumerate(factors)])
             for a in tuples
         )
     else:

@@ -19,13 +19,18 @@ from .spaces import space_from_preorder
 
 LABELS = "abcdefghijklmnop"
 
+# Entries per corpus function, each one whole corpus.  A run asks for a
+# handful of bounds (a default `check all` plus the groups at frame size 4
+# fill at most 4 entries of any one function), so 16 evicts nothing.
+CORPUS_CACHE_SIZE = 16
+
 
 def _poset_from_rows(rows):
     n = len(rows)
     return FinitePoset(LABELS[:n], rows)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=CORPUS_CACHE_SIZE)
 def all_posets(max_n):
     """All posets with at most max_n elements, one per isomorphism class."""
     layers = {0: [()]}
@@ -49,7 +54,7 @@ def all_posets(max_n):
     return tuple(out)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=CORPUS_CACHE_SIZE)
 def all_preorders_labelled(n):
     """All reflexive transitive relations on n labelled points, as row tuples."""
     if n == 0:
@@ -75,7 +80,7 @@ def all_preorders_labelled(n):
     return tuple(sorted(out))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=CORPUS_CACHE_SIZE)
 def all_spaces(max_n, *, up_to_iso=True, t0_only=False):
     """All finite topologies with at most max_n points, via their preorders."""
     out = []
@@ -98,7 +103,7 @@ def all_spaces(max_n, *, up_to_iso=True, t0_only=False):
     return tuple(out)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=CORPUS_CACHE_SIZE)
 def all_lattices(max_n):
     """All lattice posets with 1..max_n elements, one per isomorphism class."""
     out = []
@@ -113,7 +118,7 @@ def all_lattices(max_n):
     return tuple(out)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=CORPUS_CACHE_SIZE)
 def all_frames(max_n):
     """All frames (distributive lattices) with 1..max_n elements, up to iso."""
     out = []
@@ -125,7 +130,7 @@ def all_frames(max_n):
     return tuple(out)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=CORPUS_CACHE_SIZE)
 def frame_corpus():
     """The default frame corpus: every frame with at most 5 elements."""
     return all_frames(5)

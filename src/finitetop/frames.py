@@ -285,21 +285,27 @@ class FrameHom:
 
 
 def _check_hom(source, target, mapping):
-    if len(mapping) != source.n:
+    n = source.n
+    if len(mapping) != n:
         raise NotHomError("mapping length does not match the source")
     if mapping[source.bottom] != target.bottom:
         raise NotHomError("bottom is not preserved")
     if mapping[source.top] != target.top:
         raise NotHomError("top is not preserved")
-    for i in range(source.n):
+    for i in range(n):
         fi = mapping[i]
-        for j in range(i, source.n):
+        # rows by indexing, so a lazy table serves them too
+        sjoin = source.join[i]
+        smeet = source.meet[i]
+        tjoin = target.join[fi]
+        tmeet = target.meet[fi]
+        for j in range(i, n):
             fj = mapping[j]
-            if mapping[source.join[i][j]] != target.join[fi][fj]:
+            if mapping[sjoin[j]] != tjoin[fj]:
                 raise NotHomError(
                     f"join of {source.labels[i]!r}, {source.labels[j]!r} not preserved"
                 )
-            if mapping[source.meet[i][j]] != target.meet[fi][fj]:
+            if mapping[smeet[j]] != tmeet[fj]:
                 raise NotHomError(
                     f"meet of {source.labels[i]!r}, {source.labels[j]!r} not preserved"
                 )

@@ -153,7 +153,7 @@ class FinitePoset:
         return FinitePoset(labels, rows)
 
     def __eq__(self, other):
-        return (
+        return self is other or (
             isinstance(other, FinitePoset)
             and self.labels == other.labels
             and self.up == other.up

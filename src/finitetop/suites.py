@@ -132,16 +132,51 @@ def _arrow_name(m):
 # --- frames -----------------------------------------------------------------
 
 
+def _hom_sets():
+    """A per-run memo: `homs(source, target)` enumerates each hom set once.
+
+    Keyed on the corpus frames, which live for the whole run; the tuple is
+    in enumeration order, so loops over it visit homs as before.
+    """
+    memo = {}
+
+    def homs(source, target):
+        key = (source, target)
+        found = memo.get(key)
+        if found is None:
+            found = memo[key] = tuple(iter_frame_homs(source, target))
+        return found
+
+    return homs
+
+
+def _by_legs(homs, legs):
+    """Group homs by `legs(h)`, a pair of leg mappings, keeping their order.
+
+    Legs out of one frame into one target are equal as homs exactly when
+    their mappings are, so the homs restricting to a cocone are one lookup
+    away.  The legs are built by `then`, so each is validated as a hom.
+    """
+    table = {}
+    for h in homs:
+        table.setdefault(legs(h), []).append(h)
+    return table
+
+
 def _run_frame_coproduct(opt):
     """Universal property of the frame coproduct, plus the unit law.
 
     Sweeps every cocone out of every pair of small frames, checks the
     copairing triangles, and certifies the mediating hom as the only hom
-    satisfying them.  The unit law two (x) L = L runs over the frames up
-    to the same bound.
+    satisfying them.  The homs tensor -> target are enumerated once per
+    target and grouped by their legs (m;iota1, m;iota2), so the homs
+    restricting to a cocone (f, g) are the group at (f, g); uniqueness
+    holds when that group is exactly [copair(f, g)].  The unit law
+    two (x) L = L runs over the frames up to the same bound.
     """
     pool = frames_upto(opt.max_frame_size)
     cocones = frames_upto(opt.max_frame_size + 1)
+    homs = _hom_sets()
     failures = []
     cases = 0
     for left in pool:
@@ -149,11 +184,17 @@ def _run_frame_coproduct(opt):
             tensor = coproduct(left, right)
             pair = _frame_name(left) + " (x) " + _frame_name(right)
             for target in cocones:
-                fs = tuple(iter_frame_homs(left, target))
-                gs = tuple(iter_frame_homs(right, target))
+                fs = homs(left, target)
+                gs = homs(right, target)
                 if not fs or not gs:
                     continue
-                mediators = tuple(iter_frame_homs(tensor, target))
+                mediators = _by_legs(
+                    iter_frame_homs(tensor, target),
+                    lambda m: (
+                        tensor.iota1.then(m).mapping,
+                        tensor.iota2.then(m).mapping,
+                    ),
+                )
                 for f in fs:
                     for g in gs:
                         cases += 1
@@ -162,11 +203,7 @@ def _run_frame_coproduct(opt):
                         except VerificationError as exc:
                             failures.append(f"{pair}: {exc}")
                             continue
-                        found = [
-                            m
-                            for m in mediators
-                            if tensor.iota1.then(m) == f and tensor.iota2.then(m) == g
-                        ]
+                        found = mediators.get((f.mapping, g.mapping), [])
                         if found != [h]:
                             failures.append(
                                 f"{pair} into {_frame_name(target)}: "
@@ -302,17 +339,23 @@ def _run_loc_pushout(opt):
     Every span of corpus frame homs is pushed out; each cocone gets its
     mediator certified unique among all homs into the apex, and a
     surjective span hom must make the opposite projection surjective.
+    Each hom set between corpus frames is enumerated once per run, each
+    cocone hom is composed with its span leg once, and the homs into an
+    apex are grouped once by their projections (h;proj_b, h;proj_c), so
+    the homs restricting to a cocone (u, v) are the group at (u, v);
+    uniqueness holds when that group is exactly [mediator].
     """
     pool = frames_upto(opt.max_frame_size)
+    homs = _hom_sets()
     failures = []
     cases = 0
     for apex_frame in pool:
         for b_frame in pool:
-            homs_b = tuple(iter_frame_homs(b_frame, apex_frame))
+            homs_b = homs(b_frame, apex_frame)
             if not homs_b:
                 continue
             for c_frame in pool:
-                homs_c = tuple(iter_frame_homs(c_frame, apex_frame))
+                homs_c = homs(c_frame, apex_frame)
                 for f in homs_b:
                     for g in homs_c:
                         cases += 1
@@ -332,10 +375,16 @@ def _run_loc_pushout(opt):
                         if g_surj and len(set(result.proj_b.mapping)) != b_frame.n:
                             failures.append(f"{tag}: pushed leg lost injectivity")
                         for q_frame in pool:
+                            us = homs(q_frame, b_frame)
+                            vs = homs(q_frame, c_frame)
+                            if not us or not vs:
+                                continue
+                            vgs = [v.then(g).mapping for v in vs]
                             into_apex = None
-                            for u in iter_frame_homs(q_frame, b_frame):
-                                for v in iter_frame_homs(q_frame, c_frame):
-                                    if u.then(f) != v.then(g):
+                            for u in us:
+                                uf = u.then(f).mapping
+                                for v, vg in zip(vs, vgs):
+                                    if uf != vg:
                                         continue
                                     try:
                                         m = pushout_mediator(result, u, v)
@@ -343,15 +392,14 @@ def _run_loc_pushout(opt):
                                         failures.append(f"{tag}: {exc}")
                                         continue
                                     if into_apex is None:
-                                        into_apex = tuple(
-                                            iter_frame_homs(q_frame, result.apex)
+                                        into_apex = _by_legs(
+                                            iter_frame_homs(q_frame, result.apex),
+                                            lambda h: (
+                                                h.then(result.proj_b).mapping,
+                                                h.then(result.proj_c).mapping,
+                                            ),
                                         )
-                                    found = [
-                                        h
-                                        for h in into_apex
-                                        if h.then(result.proj_b) == u
-                                        and h.then(result.proj_c) == v
-                                    ]
+                                    found = into_apex.get((u.mapping, v.mapping), [])
                                     if found != [m]:
                                         failures.append(
                                             f"{tag}: {len(found)} mediators from "

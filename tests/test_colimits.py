@@ -1,8 +1,11 @@
 """Frame coproducts, products, distribution, and localic pushouts."""
 
+import functools
 import itertools
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from finitetop import (
     FrameHom,
@@ -26,7 +29,7 @@ from finitetop import (
     two,
 )
 from finitetop.bits import iter_bits, popcount
-from finitetop.colimits import TensorCarrier
+from finitetop.colimits import EAGER_TABLE_LIMIT, TensorCarrier, _LazyTable
 from finitetop.corpus import all_frames
 
 from conftest import grid_poset
@@ -375,3 +378,59 @@ def test_tensor_orders_revalidate_as_frames():
         assert rebuilt.meet == t.meet
         assert rebuilt.bottom == t.bottom
         assert rebuilt.top == t.top
+
+
+def _literal_product_tables(factors):
+    """The product's tuples and tables, one tuple and index lookup per pair."""
+    tuples = list(itertools.product(*(range(f.n) for f in factors)))
+    index = {t: k for k, t in enumerate(tuples)}
+
+    def table(op):
+        return tuple(
+            tuple(
+                index[tuple(getattr(f, op)[a[k]][b[k]] for k, f in enumerate(factors))]
+                for b in tuples
+            )
+            for a in tuples
+        )
+
+    return tuple(tuples), table("join"), table("meet")
+
+
+# corpus frames, a longer chain, and a tensor and a product as factors
+PRODUCT_FACTORS = all_frames(5) + (
+    chain_frame(6),
+    coproduct(two(), chain_frame(3)),
+    product_frames([two(), chain_frame(3)]),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.sampled_from(PRODUCT_FACTORS), max_size=3))
+@example([])
+def test_product_tables_match_the_literal_tuple_build(factors):
+    p = product_frames(factors)
+    tuples, join, meet = _literal_product_tables(factors)
+    assert p.tuples == tuples
+    assert p.join == join
+    assert p.meet == meet
+
+
+@functools.lru_cache(maxsize=2)
+def _lazy_frame_and_eager_oracle(kind):
+    if kind == "product":
+        frame = product_frames([chain_frame(25), chain_frame(25)])
+    else:
+        frame = coproduct(chain_frame(6), chain_frame(8))
+    return frame, frame_from_poset(frame.order, check_distributive=False)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(["product", "tensor"]), st.data())
+def test_lazy_tables_match_an_eager_build(kind, data):
+    frame, eager = _lazy_frame_and_eager_oracle(kind)
+    assert frame.n > EAGER_TABLE_LIMIT
+    assert isinstance(frame.join, _LazyTable) and isinstance(frame.meet, _LazyTable)
+    i = data.draw(st.integers(0, frame.n - 1))
+    assert tuple(frame.join[i][j] for j in range(frame.n)) == eager.join[i]
+    assert tuple(frame.meet[i][j] for j in range(frame.n)) == eager.meet[i]

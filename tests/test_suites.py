@@ -2,8 +2,17 @@
 
 import hashlib
 
+import finitetop.suites as suites
+from finitetop.frames import iter_frame_homs
 from finitetop.serialize import canonical_json
-from finitetop.suites import REGISTRY, SuiteOptions, report_data, run_all, run_suite
+from finitetop.suites import (
+    REGISTRY,
+    SuiteOptions,
+    report_data,
+    run_all,
+    run_group,
+    run_suite,
+)
 
 SMALL = SuiteOptions(max_points=1, max_frame_size=2)
 
@@ -31,6 +40,18 @@ DIGESTS = {
     "SmallObjectArgument": "8bcb84a86b8a3d8b9034e070d9c1125747552d6ba36e2309f4b73d855ea61130",
 }
 
+# sha256 of the frames, colimits and spatial reports at the default bounds
+# (frame size 3), where the coproduct and pushout cocones are not trivial.
+DEFAULT_DIGESTS = {
+    "FrameCoproduct": "8ee7edf33cf8f9c0b50852591c1f39ba02b2bc4b297e8b4625aff73b5ab40aea",
+    "GaloisLaws": "0ec81911b8adc6d58e50c9411336f3d1de5855b2845aa10f5b9b6ab1d821ce94",
+    "NucleusGeneration": "9e9a5a36809a90a8f95c62537b452ecd2915e4f5b96bf70b4adedb5e03e803f8",
+    "ProductDistributeLocale": "4c107990f9fa20656814d0dee498fdc196590eba9bcf39122522aab770b149dc",
+    "LocPushout": "785c3e2c989667817bc356e4a835fa1d0797a478ac79914203601a7bba9252f0",
+    "LocSpatialProducts": "96b94d800ff2ccc915c26428e9678bc9326f5f30eca04a2853c6a00cd26185e7",
+    "OmegaPtAdjunction": "4fb2d0dbd0d3c3644fbf51077ef506d2e0e890ca2b6391c9ad9e970ff08ee66b",
+}
+
 
 def _digest(report):
     return hashlib.sha256(canonical_json(report_data(report)).encode()).hexdigest()
@@ -49,3 +70,33 @@ def test_unit_bounds_are_accepted():
     opt = SuiteOptions(max_points=1, max_frame_size=1)
     assert run_suite("GaloisLaws", opt).ok
 
+
+def test_frame_colimit_and_spatial_reports_at_the_default_bounds():
+    reports = [
+        r for g in ("frames", "colimits", "spatial") for r in run_group(g, SuiteOptions())
+    ]
+    assert [r.citation for r in reports] == list(DEFAULT_DIGESTS)
+    for report in reports:
+        assert report.ok, (report.citation, report.failures)
+        assert _digest(report) == DEFAULT_DIGESTS[report.citation], report.citation
+
+
+def test_a_repeated_hom_shows_as_a_second_mediator(monkeypatch):
+    """Uniqueness is certified against every enumerated hom, repeats included."""
+
+    def repeating(source, target):
+        # every hom into a larger frame is yielded twice
+        for h in iter_frame_homs(source, target):
+            yield h
+            if target.n > source.n:
+                yield h
+
+    monkeypatch.setattr(suites, "iter_frame_homs", repeating)
+    coproduct_report = run_suite("FrameCoproduct", SMALL)
+    assert coproduct_report.cases == 11
+    assert coproduct_report.failures == (
+        "{a,b} (x) {a,b} into {a,b,c}: 2 mediators for one cocone",
+    ) * 4
+    pushout_report = run_suite("LocPushout", SMALL)
+    assert pushout_report.cases == 5
+    assert pushout_report.failures == ("{a,b} <- {a} -> {a,b}: 2 mediators from {a,b}",)
