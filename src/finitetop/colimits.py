@@ -87,7 +87,6 @@ class TensorCarrier:
         for i in range(self.nl):
             nbar |= 1 << (i * self.nm + right.bottom)
         self.nbar = nbar
-        self._sat = {}
 
     def pos(self, i, j):
         return i * self.nm + j
@@ -141,16 +140,12 @@ class TensorCarrier:
         both passes are inflationary and monotone, so the limit is the least
         common fixed point above the input.
         """
-        out = self._sat.get(mask)
-        if out is not None:
-            return out
         cur = mask
         while True:
             nxt = self.col_pass(self.row_pass(cur))
             if nxt == cur:
                 break
             cur = nxt
-        self._sat[mask] = cur
         return cur
 
     def tensor_mask(self, x, y):

@@ -17,7 +17,7 @@ from __future__ import annotations
 from functools import cached_property
 from operator import itemgetter
 
-from .bits import iter_bits, mask_of
+from .bits import iter_bits, mask_of, popcount
 from .errors import (
     CarrierMismatchError,
     NotDistributiveError,
@@ -26,6 +26,7 @@ from .errors import (
     NotPrenucleusError,
     VerificationError,
 )
+from .order import fill
 from .poset import DownsetFamily, poset_isomorphism, validate_poset
 
 DISTRIBUTIVITY_CHECK_LIMIT = 128
@@ -87,6 +88,15 @@ class FiniteFrame:
         for j in self.irreducibles:
             irr_mask |= 1 << j
         return tuple(self.order.down[x] & irr_mask for x in range(self.n))
+
+    @cached_property
+    def irreducible_up(self):
+        """Up rows of the poset J of join-irreducibles, on positions in `irreducibles`."""
+        irr = self.irreducibles
+        up = self.order.up
+        return tuple(
+            sum(1 << s for s, q in enumerate(irr) if up[p] >> q & 1) for p in irr
+        )
 
     def joins_of_subsets(self, mask):
         """The set {join of X : X a subset of mask}, as a mask; includes bottom."""
@@ -317,54 +327,56 @@ def check_frame_hom(source, target, mapping):
 
 
 def iter_frame_homs(source, target):
-    """All frame homs source -> target.
+    """All frame homs source -> target, each validated, in a fixed order.
 
-    A hom is determined by its monotone restriction to join-irreducibles
-    (every element is the join of the irreducibles below it, and in a
-    distributive lattice irreducibles are join-prime, so the interpolation
-    preserves joins by construction).  Candidates are then filtered by the
-    top and meet laws.
+    Birkhoff duality: the frame homs h: L -> M of finite distributive
+    lattices correspond one to one with the monotone maps phi: J(M) -> J(L)
+    of their posets of join-irreducibles.  phi(q) is the least p in J(L)
+    with q <= h(p), and back, h(x) = join{q in J(M) : phi(q) <= x}.  (Davey
+    and Priestley, *Introduction to Lattices and Order*, 2nd ed., 2002,
+    ch. 5.)  So `order.fill` lists the maps phi on the J up rows, and each
+    one is a hom: nothing is interpolated and no candidate is rejected.
+
+    h is built on masks of J(M).  The set {q : phi(q) <= x} grows by the
+    fibre of phi over one source irreducible from a smaller element y to x,
+    and becomes h(x) by one lookup from `target.irreducibles_below` to an
+    index.  The homs are sorted by `tuple(h[p] for p in ext)`, ext the
+    source irreducibles in `linear_extension` order: lexicographic in the
+    values on the irreducibles.  Every hom is still built by FrameHom, so
+    `_check_hom` validates each one.  A frame that is not distributive has
+    downsets of J that name no element, and raises VerificationError.
     """
     irr = source.irreducibles
-    if source.n == 1:
-        if target.n == 1:
-            yield FrameHom(source, target, [target.bottom])
-        return
-    ext = [i for i in source.order.linear_extension if i in set(irr)]
-    pos = {j: t for t, j in enumerate(ext)}
-    values = [0] * len(ext)
-    tfull = (1 << target.n) - 1
+    at = {p: t for t, p in enumerate(irr)}
+    ext = [p for p in source.order.linear_extension if p in at]
+    tbits = [1 << q for q in target.irreducibles]
     below = source.irreducibles_below
-
-    def interpolate():
-        mapping = [0] * source.n
-        for x in range(source.n):
-            acc = target.bottom
-            for j in iter_bits(below[x]):
-                acc = target.join[acc][values[pos[j]]]
-            mapping[x] = acc
-        return mapping
-
-    def rec(t):
-        if t == len(ext):
-            mapping = interpolate()
-            if mapping[source.top] != target.top:
-                return
-            try:
-                yield FrameHom(source, target, mapping)
-            except NotHomError:
-                return
-            return
-        i = ext[t]
-        cand = tfull
-        for k in ext[:t]:
-            if source.leq_idx(k, i):
-                cand &= target.order.up[values[pos[k]]]
-        for v in iter_bits(cand):
-            values[t] = v
-            yield from rec(t + 1)
-
-    yield from rec(0)
+    index = {m: x for x, m in enumerate(target.irreducibles_below)}
+    mappings = []
+    try:
+        source_index = {m: x for x, m in enumerate(below)}
+        # (x, y, t): the irreducibles below x are those below y, and irr[t]
+        steps = []
+        for x in sorted(range(source.n), key=lambda x: popcount(below[x])):
+            if below[x]:
+                p = next(p for p in reversed(ext) if below[x] >> p & 1)
+                steps.append((x, source_index[below[x] ^ 1 << p], at[p]))
+        for phi in fill(target.irreducible_up, source.irreducible_up):
+            fibres = [0] * len(irr)
+            for bit, t in zip(tbits, phi):
+                fibres[t] |= bit
+            masks = [0] * source.n
+            for x, y, t in steps:
+                masks[x] = masks[y] | fibres[t]
+            mappings.append(tuple(map(index.__getitem__, masks)))
+    except KeyError:
+        raise VerificationError(
+            "a downset of join-irreducibles names no element; the frame is not distributive"
+        ) from None
+    if ext:
+        mappings.sort(key=itemgetter(*ext))
+    for mapping in mappings:
+        yield FrameHom(source, target, mapping)
 
 
 class GaloisConnection:

@@ -12,13 +12,23 @@ Assignments therefore come out in a fixed sequence.  That sequence is part
 of the observable output: power-object points are numbered by it, arrow
 sampling indexes into it, and report bytes depend on both.  Changing it
 changes reports.
+
+The visit plan of a source and the dual rows of a target depend on the rows
+alone, so `fill` and `count_fill` read both from bounded LRU caches keyed on
+the row tuples (`_plan` and `_dual_rows`); a run over a fixed corpus builds
+each once.  `PLAN_CACHE_SIZE` bounds each cache.
 """
 
 from __future__ import annotations
 
+from functools import lru_cache
 from itertools import permutations
 
 from .bits import iter_bits, popcount
+
+# Entries per cache.  `check all` at the default bounds needs fewer than 500
+# distinct plans and dual-row tuples, so nothing is evicted there.
+PLAN_CACHE_SIZE = 2048
 
 
 def transpose(up):
@@ -30,17 +40,21 @@ def transpose(up):
     return tuple(rows)
 
 
+_dual_rows = lru_cache(maxsize=PLAN_CACHE_SIZE)(transpose)
+
+
+@lru_cache(maxsize=PLAN_CACHE_SIZE)
 def _plan(src_up):
     """Per visit step: the point, and the earlier points above and below it."""
     order = sorted(range(len(src_up)), key=lambda i: (-popcount(src_up[i]), i))
-    return [
+    return tuple(
         (
             i,
             tuple(k for k in order[:t] if src_up[i] >> k & 1),
             tuple(k for k in order[:t] if src_up[k] >> i & 1),
         )
         for t, i in enumerate(order)
-    ]
+    )
 
 
 def fill(src_up, dst_up, allowed=None):
@@ -60,8 +74,8 @@ def fill(src_up, dst_up, allowed=None):
         allowed = ((1 << len(dst_up)) - 1,) * n
     elif not all(allowed):
         return
-    dst_down = transpose(dst_up)
-    plan = _plan(src_up)
+    dst_down = _dual_rows(tuple(dst_up))
+    plan = _plan(tuple(src_up))
     last = n - 1
     assigned = [0] * n
 
@@ -95,8 +109,8 @@ def count_fill(src_up, dst_up, allowed):
         return 1
     if not dst_up or not all(allowed):
         return 0
-    dst_down = transpose(dst_up)
-    plan = _plan(src_up)
+    dst_down = _dual_rows(tuple(dst_up))
+    plan = _plan(tuple(src_up))
     last = n - 1
     assigned = [0] * n
 

@@ -1,9 +1,9 @@
 """The open-sets / points correspondence for finite spaces and frames.
 
 Points of a frame are its homs into the two-element frame.  On a finite
-lattice the preimage of top under such a hom is a principal filter, so the
-candidates are indexed by their least member and validated one by one;
-nothing is sampled.
+lattice the preimage of top under such a hom is a principal prime filter,
+so the candidates are indexed by their least member, a join-irreducible,
+and validated one by one; nothing is sampled.
 """
 
 from __future__ import annotations
@@ -55,11 +55,17 @@ def locale_points(frame):
 
     A hom's preimage of top is a filter containing top; on a finite lattice
     that filter is principal, so each candidate is the up-set of a single
-    generator and hom validation is exactly primality of the filter.
+    generator and hom validation is exactly primality of the filter.  A
+    prime filter's generator is join-irreducible: bottom generates the whole
+    lattice, and x = a | b with a, b < x puts a | b in the filter but
+    neither a nor b.  So only irreducibles are tried, in ascending order,
+    and the points and their order are those of a sweep over every element.
+    This is Birkhoff duality for the target 2, whose only irreducible is its
+    top: on a distributive frame every candidate is a hom.
     """
     target = two()
     out = []
-    for x in range(frame.n):
+    for x in frame.irreducibles:
         mapping = [1 if frame.leq_idx(x, a) else 0 for a in range(frame.n)]
         try:
             hom = FrameHom(frame, target, mapping)

@@ -1,11 +1,13 @@
 """Shared fixtures: small named posets, spaces, and frames."""
 
 import pytest
+from hypothesis import strategies as st
 
 from finitetop import (
     FinitePoset,
     FiniteSpace,
     chain_frame,
+    downset_frame,
     frame_from_poset,
     validate_poset,
 )
@@ -45,6 +47,17 @@ def pentagon_n5():
         ["0", "a", "b", "c", "1"],
         [("0", "a"), ("a", "c"), ("c", "1"), ("0", "b"), ("b", "1")],
     )
+
+
+@st.composite
+def downset_frames(draw, max_n=3):
+    """The frame of downsets of a random poset of 0 to max_n points."""
+    n = draw(st.integers(0, max_n))
+    below = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    keep = draw(st.lists(st.booleans(), min_size=len(below), max_size=len(below)))
+    names = [f"p{k}" for k in range(n)]
+    pairs = [(names[i], names[j]) for (i, j), k in zip(below, keep) if k]
+    return downset_frame(validate_poset(names, pairs))
 
 
 def point_space():

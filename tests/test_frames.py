@@ -1,5 +1,6 @@
 """Frames, homomorphisms, adjoints, and nuclei."""
 
+import hashlib
 import random
 import re
 from types import SimpleNamespace
@@ -21,6 +22,7 @@ from finitetop import (
     VerificationError,
     chain_frame,
     check_frame_hom,
+    coproduct,
     downset_frame,
     frame_corpus,
     frame_from_poset,
@@ -28,6 +30,7 @@ from finitetop import (
     iter_frame_homs,
     nucleus_from_prenucleus,
     prenucleus_violation,
+    product_frames,
     right_adjoint,
     two,
     validate_poset,
@@ -36,7 +39,14 @@ from finitetop.bits import iter_bits
 from finitetop.corpus import all_frames, all_posets
 from finitetop.frames import distributivity_witness
 
-from conftest import antichain_poset, chain_poset, diamond_m3, grid_poset, pentagon_n5
+from conftest import (
+    antichain_poset,
+    chain_poset,
+    diamond_m3,
+    downset_frames,
+    grid_poset,
+    pentagon_n5,
+)
 
 
 def test_chain_frame_tables():
@@ -456,3 +466,115 @@ def test_distributivity_witness_finds_a_single_perturbed_entry(which):
         table[rng.randrange(n)][rng.randrange(n)] = rng.randrange(n)
         perturbed = SimpleNamespace(n=n, join=join, meet=meet)
         assert distributivity_witness(perturbed) == _first_triple(join, meet)
+
+
+# --- the hom enumerator against the enumerate-interpolate-filter oracle ------
+
+
+def _oracle_homs(source, target):
+    """Every frame hom source -> target, as mappings, by the literal route.
+
+    A hom is determined by its monotone values on the join-irreducibles, so
+    those are enumerated, in linear-extension order with values ascending;
+    each candidate is extended by joins and kept when it preserves top and
+    passes FrameHom's validation.  This is the enumerator that Birkhoff
+    duality replaced; its output order is the lexicographic order of the
+    values on the irreducibles.
+    """
+    irr = set(source.irreducibles)
+    if source.n == 1:
+        return [(target.bottom,)] if target.n == 1 else []
+    ext = [i for i in source.order.linear_extension if i in irr]
+    below = source.irreducibles_below
+    values = {}
+    out = []
+
+    def rec(t):
+        if t == len(ext):
+            mapping = []
+            for x in range(source.n):
+                acc = target.bottom
+                for j in iter_bits(below[x]):
+                    acc = target.join[acc][values[j]]
+                mapping.append(acc)
+            if mapping[source.top] != target.top:
+                return
+            try:
+                out.append(FrameHom(source, target, mapping).mapping)
+            except NotHomError:
+                pass
+            return
+        i = ext[t]
+        cand = (1 << target.n) - 1
+        for k in ext[:t]:
+            if source.leq_idx(k, i):
+                cand &= target.order.up[values[k]]
+        for v in iter_bits(cand):
+            values[i] = v
+            rec(t + 1)
+
+    rec(0)
+    return out
+
+
+def _assert_homs_match_oracle(source, target):
+    homs = list(iter_frame_homs(source, target))
+    assert all(h.source is source and h.target is target for h in homs)
+    mappings = [h.mapping for h in homs]
+    assert mappings == _oracle_homs(source, target)
+    return mappings
+
+
+# sha256 of the hom lists over all ordered pairs of the frames of at most six
+# elements, in `all_frames(6)` order, each list in enumeration order, as the
+# enumerate-interpolate-filter enumerator produced them.
+CORPUS6_HOMS_DIGEST = "e14596f4e611e804a3411637eab23d042f627f38956d98987a75aa0f455405c3"
+
+
+def test_hom_lists_on_the_corpus_up_to_six_elements_are_pinned():
+    pool = all_frames(6)
+    lists = [_assert_homs_match_oracle(a, b) for a in pool for b in pool]
+    assert len(lists) == 169
+    assert sum(map(len, lists)) == 2655
+    digest = hashlib.sha256(repr(lists).encode()).hexdigest()
+    assert digest == CORPUS6_HOMS_DIGEST
+
+
+# factors of at most three elements keep tensors and products at nine
+# elements, where the oracle's candidate sweep stays cheap
+SMALL_FRAMES = st.sampled_from(all_frames(3))
+
+
+@st.composite
+def built_frames(draw):
+    """A corpus frame, a random downset frame, a tensor or a product of two."""
+    kind = draw(st.sampled_from(("corpus", "downsets", "tensor", "product")))
+    if kind == "corpus":
+        return draw(st.sampled_from(all_frames(6)))
+    if kind == "downsets":
+        return draw(downset_frames())
+    left = draw(SMALL_FRAMES)
+    right = draw(SMALL_FRAMES)
+    if kind == "tensor":
+        return coproduct(left, right)
+    return product_frames([left, right])
+
+
+@settings(max_examples=150, deadline=None)
+@given(built_frames(), built_frames())
+def test_hom_lists_match_the_oracle_in_order(source, target):
+    _assert_homs_match_oracle(source, target)
+
+
+def test_one_element_frames_as_source_and_target():
+    one = downset_frame(validate_poset([], []))
+    assert one.n == 1
+    for other in [one, two(), chain_frame(3), coproduct(two(), chain_frame(3))]:
+        assert _assert_homs_match_oracle(one, other) == ([(0,)] if other.n == 1 else [])
+        assert _assert_homs_match_oracle(other, one) == [(0,) * other.n]
+
+
+def test_homs_out_of_a_non_distributive_table_are_refused():
+    m3 = frame_from_poset(diamond_m3(), check_distributive=False)
+    with pytest.raises(VerificationError, match="not distributive"):
+        list(iter_frame_homs(m3, two()))

@@ -4,8 +4,10 @@ import itertools
 import random
 
 from finitetop.bits import iter_bits, popcount
+from finitetop import order
 from finitetop.corpus import all_posets, all_preorders_labelled
 from finitetop.order import certificate, count_fill, fill, glue, isomorphism, transpose
+from finitetop.suites import SuiteOptions, run_suite
 
 SMALL = [rows for n in range(4) for rows in all_preorders_labelled(n)]
 FOUR = list(all_preorders_labelled(4))
@@ -78,6 +80,58 @@ def test_count_fill_matches_product_filter():
         assert count_fill(src, dst, (full,) * len(src)) == len(
             _oracle_fill(src, dst, (full,) * len(src))
         )
+
+
+def _clear_plan_caches():
+    order._plan.cache_clear()
+    order._dual_rows.cache_clear()
+
+
+def _fill_outputs(cases, *, cold):
+    out = []
+    for src, dst, masks in cases:
+        if cold:
+            _clear_plan_caches()
+        out.append(
+            (list(fill(src, dst)), list(fill(src, dst, masks)), count_fill(src, dst, masks))
+        )
+    return out
+
+
+def test_fill_and_count_fill_are_the_same_from_cached_plans():
+    cases = _fill_cases()
+    _clear_plan_caches()
+    first = _fill_outputs(cases, cold=False)
+    misses = order._plan.cache_info().misses
+    cached = _fill_outputs(cases, cold=False)
+    assert order._plan.cache_info().misses == misses
+    assert order._plan.cache_info().hits > 0 and order._dual_rows.cache_info().hits > 0
+    cold = _fill_outputs(cases, cold=True)
+    assert cached == first == cold
+    as_lists = [(list(s), list(d), list(m)) for s, d, m in cases]
+    assert _fill_outputs(as_lists, cold=False) == cached
+
+
+def test_the_plan_caches_evict_nothing_at_the_default_bounds():
+    """The suites that build plans when `check all` runs at the default bounds.
+
+    Run in registry order, the other suites build no new plan;
+    PushProdArrowCategory, the slowest of them, is left out for time.
+    """
+    _clear_plan_caches()
+    for name in (
+        "FrameCoproduct",
+        "LocPushout",
+        "OmegaPtAdjunction",
+        "PushoutsInPsTop",
+        "TauIotaAdjunction",
+        "PushProdAndPullPowerLemma",
+    ):
+        assert run_suite(name, SuiteOptions()).ok, name
+    for cache in (order._plan, order._dual_rows):
+        info = cache.cache_info()
+        assert info.hits > 0
+        assert info.misses == info.currsize < info.maxsize
 
 
 def test_transpose_is_the_dual_relation():

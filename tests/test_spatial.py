@@ -3,9 +3,12 @@
 import itertools
 
 import pytest
+from hypothesis import given, settings
 
 from finitetop import (
+    FrameHom,
     HypothesisError,
+    NotHomError,
     adjunction_check,
     chain_frame,
     check_frame_hom,
@@ -26,12 +29,15 @@ from finitetop import (
     spaces_homeomorphic,
     two,
 )
-from finitetop.corpus import all_spaces
+from finitetop.corpus import all_frames, all_spaces
 
 from conftest import (
+    diamond_m3,
     discrete_space,
+    downset_frames,
     grid_poset,
     indiscrete_space,
+    pentagon_n5,
     point_space,
     sierpinski,
 )
@@ -67,6 +73,46 @@ def test_pt_of_powerset_is_discrete_two():
 
 def test_chain3_has_two_points():
     assert len(locale_points(chain_frame(3))) == 2
+
+
+def _oracle_points(frame):
+    """(generator, mapping) of every principal filter that is a hom into 2.
+
+    The sweep over every element, each up-set tried as a hom and kept when
+    it validates.
+    """
+    target = two()
+    out = []
+    for x in range(frame.n):
+        mapping = [1 if frame.leq_idx(x, a) else 0 for a in range(frame.n)]
+        try:
+            out.append((x, FrameHom(frame, target, mapping).mapping))
+        except NotHomError:
+            continue
+    return out
+
+
+def _points(frame):
+    return [(p.generator, p.hom.mapping) for p in locale_points(frame)]
+
+
+def test_points_match_the_all_elements_sweep_on_the_corpus():
+    for frame in all_frames(6):
+        assert _points(frame) == _oracle_points(frame)
+        assert [g for g, _ in _points(frame)] == list(frame.irreducibles)
+
+
+def test_points_match_the_sweep_on_non_distributive_tables():
+    for poset in (diamond_m3(), pentagon_n5()):
+        table = frame_from_poset(poset, check_distributive=False)
+        assert _points(table) == _oracle_points(table)
+        assert len(_points(table)) < len(table.irreducibles)
+
+
+@settings(max_examples=100, deadline=None)
+@given(downset_frames(max_n=5))
+def test_points_match_the_sweep_on_random_downset_frames(frame):
+    assert _points(frame) == _oracle_points(frame)
 
 
 def test_every_corpus_frame_is_spatial():

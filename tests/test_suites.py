@@ -52,6 +52,15 @@ DEFAULT_DIGESTS = {
     "OmegaPtAdjunction": "4fb2d0dbd0d3c3644fbf51077ef506d2e0e890ca2b6391c9ad9e970ff08ee66b",
 }
 
+# sha256 of the frame colimit and points reports at frame size 4, where hom
+# sets out of tensors of four-element frames run into the thousands.
+FRAME4_DIGESTS = {
+    "FrameCoproduct": "d049eb9f114062672490ffadc4c73575071123af01af68156791d08a4e97b6cb",
+    "GaloisLaws": "cde2c274b75b6c801f3fa7eca4d23833012f2eaf104d47f939b4f6901f6ac5e5",
+    "LocPushout": "dee0edcce4c306e28923a0d8b7bf669fae1834e790ec7f04dd77c4038515a3ac",
+    "OmegaPtAdjunction": "c10b09d4d41cf8aa2ac61532e604940c0d357ab2c264cae92f9441a6b20b222c",
+}
+
 
 def _digest(report):
     return hashlib.sha256(canonical_json(report_data(report)).encode()).hexdigest()
@@ -79,6 +88,14 @@ def test_frame_colimit_and_spatial_reports_at_the_default_bounds():
     for report in reports:
         assert report.ok, (report.citation, report.failures)
         assert _digest(report) == DEFAULT_DIGESTS[report.citation], report.citation
+
+
+def test_frame_colimit_and_points_reports_at_frame_size_four():
+    opt = SuiteOptions(max_frame_size=4)
+    for citation, digest in FRAME4_DIGESTS.items():
+        report = run_suite(citation, opt)
+        assert report.ok, (citation, report.failures)
+        assert _digest(report) == digest, citation
 
 
 def test_a_repeated_hom_shows_as_a_second_mediator(monkeypatch):
