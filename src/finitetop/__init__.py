@@ -6,173 +6,25 @@ distributive lattices with total operation tables; and the higher layers
 (coproducts of frames, the open-sets/points adjunction, pseudotopological
 spaces, lifting problems in preorders) only ever quantify over sets they
 can enumerate.
-"""
 
-from .colimits import (
-    DistributeIso,
-    ProductFrame,
-    PushoutLocaleResult,
-    TensorCarrier,
-    TensorFrame,
-    coproduct,
-    copair,
-    density_surjective,
-    distribute_iso,
-    factor_through_stage,
-    map_tensor,
-    prenuclei,
-    product_frames,
-    product_poset,
-    pushout_loc,
-    pushout_mediator,
-    saturate,
-)
-from .corpus import frame_corpus, frames_upto, poset_certificate, spaces_upto
-from .errors import (
-    BoundExceeded,
-    CarrierMismatchError,
-    CycleError,
-    DuplicateLabelError,
-    EmptySubspaceError,
-    FinitetopError,
-    HypothesisError,
-    NonCommutingError,
-    NotDistributiveError,
-    NotDownsetError,
-    NotFrameError,
-    NotHomError,
-    NotIsoError,
-    NotLatticeError,
-    NotMonotoneError,
-    NotPrenucleusError,
-    ParseError,
-    SizeError,
-    TopologyError,
-    VerificationError,
-)
-from .frames import (
-    FiniteFrame,
-    FrameHom,
-    GaloisConnection,
-    Nucleus,
-    Prenucleus,
-    chain_frame,
-    check_frame_hom,
-    downset_frame,
-    frame_from_downsets,
-    frame_from_poset,
-    frame_isomorphism,
-    iter_frame_homs,
-    nucleus_from_prenucleus,
-    prenucleus_violation,
-    right_adjoint,
-    two,
-)
-from .poset import (
-    DownsetFamily,
-    FinitePoset,
-    MonotoneMap,
-    downset_image,
-    iter_monotone_maps,
-    poset_isomorphism,
-    validate_poset,
-)
-from .lifting import (
-    ArrowIso,
-    CellStage,
-    FactorizationTrace,
-    LiftingSquare,
-    LiftVerdict,
-    PreMap,
-    Preorder,
-    arrow,
-    arrow_iso,
-    arrows_between,
-    associates,
-    associator,
-    bounded_factorize,
-    braiding,
-    curry,
-    enumerate_lifts,
-    identity_arrow,
-    iter_monotone_arrows,
-    lifting_adjunction_check,
-    lifts_against,
-    llp,
-    power_pre,
-    product_arrow,
-    product_pre,
-    pullback_power,
-    pushout_pre,
-    pushout_product,
-    replay_trace,
-    retract_check,
-    rlp,
-    uncurry,
-)
-from .pstop import (
-    PsSpace,
-    all_pseudotopologies,
-    check_continuity,
-    discrete_ps,
-    final_structure,
-    indiscrete_ps,
-    initial_structure,
-    is_compact_ps,
-    is_topological_ps,
-    join_ps,
-    lemma_suite,
-    meet_ps,
-    ps_from_space,
-    pushout_ps,
-    subspace_ps,
-    top_modification,
-)
-from .serialize import (
-    canonical_json,
-    dump_structure,
-    load_structure,
-    parse_structure,
-    structure_data,
-)
-from .spaces import (
-    FiniteSpace,
-    GlueReport,
-    SpaceMap,
-    alexandrov,
-    irreducible_closed_sets,
-    is_sober,
-    iter_continuous_maps,
-    product_spaces,
-    pushout_spaces,
-    sober_glue_check,
-    soberify,
-    space_from_preorder,
-    spaces_homeomorphic,
-    specialization_poset,
-)
-from .spatial import (
-    AdjunctionReport,
-    LocalePoint,
-    SpatialityReport,
-    adjunction_check,
-    is_spatial,
-    locale_points,
-    omega,
-    omega_map,
-    pt,
-    pt_map,
-    space_to_loc_transpose,
-)
-from .suites import (
-    GROUPS,
-    REGISTRY,
-    SuiteOptions,
-    SuiteReport,
-    report_data,
-    run_all,
-    run_group,
-    run_suite,
-)
+The package re-exports nothing; import each name from the module that
+defines it:
+
+- `bits`, `order`: bitmask iteration and the shared order kernels
+  (`fill`, `glue`, `isomorphism`, `certificate`);
+- `poset`: `FinitePoset`, `MonotoneMap`, `validate_poset`;
+- `frames`: `FiniteFrame`, `FrameHom`, `iter_frame_homs`, nuclei and
+  Galois connections;
+- `colimits`: frame coproducts, products and localic pushouts;
+- `spaces`: `FiniteSpace`, `SpaceMap`, soberness, pushouts and products;
+- `spatial`: `omega`, `pt` and their adjunction;
+- `pstop`: pseudotopologies and the lemma checks;
+- `lifting`: preorders, lifting verdicts, pushout-products and bounded
+  factorization;
+- `corpus`: the enumerated structures the suites run over;
+- `serialize`: canonical JSON in and out;
+- `suites`, `cli`: the verification suites and the `finitetop` command;
+- `errors`: the exception hierarchy under `FinitetopError`.
+"""
 
 __version__ = "0.1.0"

@@ -170,22 +170,6 @@ class TensorCarrier:
         return out | self.nbar
 
 
-def product_poset(left, right):
-    """The product order of two posets, pairs laid out row-major."""
-    nl = left.n
-    nm = right.n
-    labels = []
-    rows = []
-    for i in range(nl):
-        for j in range(nm):
-            labels.append(f"({left.labels[i]},{right.labels[j]})")
-            row = 0
-            for k in iter_bits(left.up[i]):
-                row |= right.up[j] << (k * nm)
-            rows.append(row)
-    return FinitePoset(labels, rows)
-
-
 def prenuclei(left, right, mask):
     """Literal evaluation of the three closure passes on one downset.
 
@@ -193,6 +177,8 @@ def prenuclei(left, right, mask):
     updirected subsets, pi1 adds (join X, y) for every X contained in a
     column, and pihat2 adds (x, join Y) for every Y contained in a row.
     All three quantifiers are swept directly, so sizes are capped hard.
+    This is the literal oracle that the tests hold `TensorCarrier.row_pass`,
+    `TensorCarrier.col_pass` and `saturate` against.
     """
     if left.n > LITERAL_SIDE_CAP or right.n > LITERAL_SIDE_CAP:
         raise SizeError("literal prenucleus evaluation is capped at 12x12 carriers")
@@ -416,7 +402,7 @@ def _up_rows_by_covers(n, reduced, red_index, grid):
     return up
 
 
-def coproduct(left, right, *, max_elements=TENSOR_ELEMENT_CAP):
+def coproduct(left, right):
     """The coproduct of two finite frames as a TensorFrame.
 
     Every saturated downset is the join of the single-pair tensors of the
@@ -435,10 +421,10 @@ def coproduct(left, right, *, max_elements=TENSOR_ELEMENT_CAP):
         ),
     )
     try:
-        family = base.downsets(cap=max_elements)
+        family = base.downsets(cap=TENSOR_ELEMENT_CAP)
     except SizeError:
         raise SizeError(
-            f"coproduct exceeds the cap of {max_elements} elements"
+            f"coproduct exceeds the cap of {TENSOR_ELEMENT_CAP} elements"
         ) from None
     reduced = family.masks
     n = len(reduced)
@@ -562,33 +548,6 @@ def _tensor_action(source, target, hom):
     return mapping
 
 
-def map_tensor(left, hom, *, source=None, target=None):
-    """The hom (id tensor f) between coproduct frames.
-
-    Sends an element to the join of a tensor f(b) over its member pairs
-    (a, b).  Both triangle laws with the injections are certified before
-    the hom is returned; the direct law sweep runs when the source is small
-    enough to afford it.
-    """
-    if source is None:
-        source = coproduct(left, hom.source)
-    elif source.left != left or source.right != hom.source:
-        raise ValueError("the given source tensor does not match the hom")
-    if target is None:
-        target = coproduct(left, hom.target)
-    elif target.left != left or target.right != hom.target:
-        raise ValueError("the given target tensor does not match the hom")
-    mapping = _tensor_action(source, target, hom)
-    out = FrameHom(source, target, mapping, validate=source.n <= EAGER_TABLE_LIMIT)
-    for x in range(left.n):
-        if out.mapping[source.iota1.mapping[x]] != target.iota1.mapping[x]:
-            raise VerificationError("the left injection triangle fails")
-    for y in range(hom.source.n):
-        if out.mapping[source.iota2.mapping[y]] != target.iota2.mapping[hom.mapping[y]]:
-            raise VerificationError("the right injection triangle fails")
-    return out
-
-
 def copair(f, g, *, tensor=None):
     """The mediating hom out of a coproduct for a cocone (f, g).
 
@@ -678,7 +637,7 @@ def _mixed_radix_row(rows):
     return tuple(acc)
 
 
-def product_frames(factors, *, max_elements=PRODUCT_ELEMENT_CAP):
+def product_frames(factors):
     """The product of a family of frames; the empty product is the one-point frame.
 
     Elements are the tuples of factor elements in `itertools.product`
@@ -691,8 +650,8 @@ def product_frames(factors, *, max_elements=PRODUCT_ELEMENT_CAP):
     count = 1
     for f in factors:
         count *= f.n
-        if count > max_elements:
-            raise SizeError(f"product exceeds the cap of {max_elements} elements")
+        if count > PRODUCT_ELEMENT_CAP:
+            raise SizeError(f"product exceeds the cap of {PRODUCT_ELEMENT_CAP} elements")
     tuples = tuple(_iterproduct(*(range(f.n) for f in factors)))
     n = len(tuples)
     labels = tuple(
@@ -757,7 +716,7 @@ class DistributeIso:
     inverse: FrameHom
 
 
-def distribute_iso(left, m1, m2, *, max_elements=TENSOR_ELEMENT_CAP):
+def distribute_iso(left, m1, m2):
     """L tensor (M1 x M2) against (L tensor M1) x (L tensor M2).
 
     The forward map pairs the two projection actions (id tensor p_k); it is
@@ -767,10 +726,10 @@ def distribute_iso(left, m1, m2, *, max_elements=TENSOR_ELEMENT_CAP):
     otherwise.
     """
     prod = product_frames([m1, m2])
-    source = coproduct(left, prod, max_elements=max_elements)
-    t1 = coproduct(left, m1, max_elements=max_elements)
-    t2 = coproduct(left, m2, max_elements=max_elements)
-    target = product_frames([t1, t2], max_elements=max_elements)
+    source = coproduct(left, prod)
+    t1 = coproduct(left, m1)
+    t2 = coproduct(left, m2)
+    target = product_frames([t1, t2])
     c1 = _tensor_action(source, t1, prod.projection(0))
     c2 = _tensor_action(source, t2, prod.projection(1))
     tindex = target.tuple_index
@@ -915,42 +874,3 @@ def pushout_mediator(result, u_left, v_left):
     if out.then(result.proj_b) != u_left or out.then(result.proj_c) != v_left:
         raise VerificationError("the mediator breaks a pushout triangle")
     return out
-
-
-def density_surjective(hom, generators):
-    """Conclude surjectivity from generators landing in the image.
-
-    The family must join-generate the codomain (every element is a join of
-    a subfamily); the check then reports whether each generator is hit,
-    which by join preservation settles surjectivity.
-    """
-    target = hom.target
-    gen_mask = 0
-    for g in generators:
-        gen_mask |= 1 << g
-    if target.joins_of_subsets(gen_mask) != (1 << target.n) - 1:
-        raise ValueError("the family does not join-generate the codomain")
-    image = set(hom.mapping)
-    return all(g in image for g in iter_bits(gen_mask))
-
-
-def factor_through_stage(inclusion, whole):
-    """Mediating hom through a surjective stage hom, or None.
-
-    `inclusion` and `whole` share a source; `inclusion` must be surjective
-    (the frame side of an injective localic map).  A factorization exists
-    exactly when `whole` is constant on the fibres of `inclusion`, and the
-    values can then be read off directly.
-    """
-    if inclusion.source != whole.source:
-        raise ValueError("both homs must share a source frame")
-    if not inclusion.is_surjective():
-        raise ValueError("the stage hom must be surjective")
-    values = [None] * inclusion.target.n
-    for u in range(inclusion.source.n):
-        w = inclusion.mapping[u]
-        if values[w] is None:
-            values[w] = whole.mapping[u]
-        elif values[w] != whole.mapping[u]:
-            return None
-    return FrameHom(inclusion.target, whole.target, values)

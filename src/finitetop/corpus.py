@@ -132,7 +132,11 @@ def all_frames(max_n):
 
 @lru_cache(maxsize=CORPUS_CACHE_SIZE)
 def frame_corpus():
-    """The default frame corpus: every frame with at most 5 elements."""
+    """The default frame corpus: every frame with at most 5 elements.
+
+    No package code calls it; the tests use it and the bench tracer wraps it
+    by name.
+    """
     return all_frames(5)
 
 

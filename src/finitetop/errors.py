@@ -69,10 +69,6 @@ class NonCommutingError(FinitetopError):
     """A diagram expected to commute does not."""
 
 
-class BoundExceeded(FinitetopError):
-    """A bounded factorization hit its step cap before stabilizing."""
-
-
 class ParseError(FinitetopError):
     """Input data does not describe a known structure."""
 

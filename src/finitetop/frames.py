@@ -321,11 +321,6 @@ def _check_hom(source, target, mapping):
                 )
 
 
-def check_frame_hom(source, target, mapping):
-    """Validate and wrap; this is the only way maps become FrameHoms."""
-    return FrameHom(source, target, mapping)
-
-
 def iter_frame_homs(source, target):
     """All frame homs source -> target, each validated, in a fixed order.
 

@@ -29,7 +29,6 @@ from functools import cached_property, lru_cache
 
 from .bits import iter_bits
 from .errors import (
-    BoundExceeded,
     CarrierMismatchError,
     DuplicateLabelError,
     NonCommutingError,
@@ -411,16 +410,6 @@ def lifts_against(left, right):
     return LiftVerdict(False, _witness_square(left, right, miss))
 
 
-def llp(f, generators):
-    """f has the left lifting property against every generator."""
-    f = arrow(f)
-    for s in generators:
-        verdict = lifts_against(f, s)
-        if not verdict:
-            return verdict
-    return LiftVerdict(True, None)
-
-
 def rlp(f, generators):
     """f has the right lifting property against every generator."""
     f = arrow(f)
@@ -434,9 +423,9 @@ def rlp(f, generators):
 class ProductPre(Preorder):
     """Binary product preorder on row-major pairs."""
 
-    def __init__(self, left, right, cap=PRODUCT_POINT_CAP):
-        if left.n * right.n > cap:
-            raise SizeError(f"product exceeds {cap} points")
+    def __init__(self, left, right):
+        if left.n * right.n > PRODUCT_POINT_CAP:
+            raise SizeError(f"product exceeds {PRODUCT_POINT_CAP} points")
         self.left = left
         self.right = right
         nr = right.n
@@ -457,16 +446,12 @@ class ProductPre(Preorder):
         return divmod(k, self.right.n)
 
 
-def product_pre(left, right, cap=PRODUCT_POINT_CAP):
-    return ProductPre(left, right, cap)
-
-
 def product_arrow(f, g):
     """The componentwise map f x g between the product preorders."""
     f = arrow(f)
     g = arrow(g)
-    src = product_pre(f.source, g.source)
-    dst = product_pre(f.target, g.target)
+    src = ProductPre(f.source, g.source)
+    dst = ProductPre(f.target, g.target)
     mapping = [
         dst.pair(f.mapping[i], g.mapping[j])
         for i in range(f.source.n)
@@ -569,12 +554,12 @@ def pushout_pre(f, g):
 class PowerPre(Preorder):
     """Monotone-map object base^exponent with the pointwise order."""
 
-    def __init__(self, base, exponent, cap=POWER_POINT_CAP):
+    def __init__(self, base, exponent):
         self.base = base
         self.exponent = exponent
         maps = _monotone_tuples(exponent.up, base.up)
-        if len(maps) > cap:
-            raise SizeError(f"map object exceeds {cap} points")
+        if len(maps) > POWER_POINT_CAP:
+            raise SizeError(f"map object exceeds {POWER_POINT_CAP} points")
         self.maps = maps
         points = [_map_label(base, m) for m in maps]
         rows = []
@@ -599,38 +584,6 @@ def _map_label(base, m):
     return "[" + ",".join(base.points[v] for v in m) + "]"
 
 
-def power_pre(base, exponent, cap=POWER_POINT_CAP):
-    return PowerPre(base, exponent, cap)
-
-
-def curry(m):
-    """Transpose a map out of a product into a map into the power object."""
-    src = m.source
-    if not isinstance(src, ProductPre):
-        raise CarrierMismatchError("currying needs a product source")
-    z, a = src.left, src.right
-    target = power_pre(m.target, a)
-    mapping = [
-        target.index_of(m.mapping[src.pair(i, j)] for j in range(a.n))
-        for i in range(z.n)
-    ]
-    return PreMap(z, target, mapping, validate=False)
-
-
-def uncurry(m):
-    """Transpose a map into a power object into a map out of a product."""
-    if not isinstance(m.target, PowerPre):
-        raise CarrierMismatchError("uncurrying needs a power target")
-    a = m.target.exponent
-    src = product_pre(m.source, a)
-    mapping = [
-        m.target.maps[m.mapping[i]][j]
-        for i in range(m.source.n)
-        for j in range(a.n)
-    ]
-    return PreMap(src, m.target.base, mapping, validate=False)
-
-
 @lru_cache(maxsize=CORNER_CACHE_SIZE)
 def _corner(f_key, g_key):
     """The pushout-product of two arrow keys: its key and its corner classes.
@@ -641,9 +594,9 @@ def _corner(f_key, g_key):
     """
     f = _arrow_from_key(f_key)
     g = _arrow_from_key(g_key)
-    xb = product_pre(f.source, g.target)
-    ya = product_pre(f.target, g.source)
-    xa = product_pre(f.source, g.source)
+    xb = ProductPre(f.source, g.target)
+    ya = ProductPre(f.target, g.source)
+    xa = ProductPre(f.source, g.source)
     span = [xa.split(k) for k in range(xa.n)]
     rows, classes = _glue_span(
         xb.up,
@@ -651,7 +604,7 @@ def _corner(f_key, g_key):
         [xb.pair(x, g.mapping[a]) for x, a in span],
         [ya.pair(f.mapping[x], a) for x, a in span],
     )
-    yb = product_pre(f.target, g.target)
+    yb = ProductPre(f.target, g.target)
     mapping = []
     for members in classes:
         vals = set()
@@ -676,12 +629,12 @@ class PushoutProductMap(PreMap):
 
     def __init__(self, f, g):
         (rows, _, mapping), classes = _corner(f.key, g.key)
-        xb = product_pre(f.source, g.target)
-        ya = product_pre(f.target, g.source)
+        xb = ProductPre(f.source, g.target)
+        ya = ProductPre(f.target, g.source)
         self.left_factor = f
         self.right_factor = g
         self.corner = _label_span(xb, ya, rows, classes)
-        yb = product_pre(f.target, g.target)
+        yb = ProductPre(f.target, g.target)
         super().__init__(self.corner.apex, yb, mapping, validate=False)
 
 
@@ -699,9 +652,9 @@ def _power(f_key, g_key):
     """
     f = _arrow_from_key(f_key)
     g = _arrow_from_key(g_key)
-    xb = power_pre(f.source, g.target)
-    xa = power_pre(f.source, g.source)
-    yb = power_pre(f.target, g.target)
+    xb = PowerPre(f.source, g.target)
+    xa = PowerPre(f.source, g.source)
+    yb = PowerPre(f.target, g.target)
     na = g.source.n
     restricted = {}
     for j, delta in enumerate(yb.maps):
@@ -745,14 +698,19 @@ class PullbackPowerMap(PreMap):
         ]
         self.left_factor = f
         self.right_factor = g
-        self.power = power_pre(f.source, g.target)
+        self.power = PowerPre(f.source, g.target)
         self.pairs = pairs
         apex = Preorder(labels, rows, validate=False)
         super().__init__(self.power, apex, mapping, validate=False)
 
 
 def pullback_power(f, g):
-    """The induced map X^B -> X^A x_{Y^A} Y^B for f: X -> Y and g: A -> B."""
+    """The induced map X^B -> X^A x_{Y^A} Y^B for f: X -> Y and g: A -> B.
+
+    The literal oracle of `_power`: it builds the labelled map, which
+    `test_memoized_corner_and_power_match_fresh_builds` checks point by
+    point against the memoized key.  The bench tracer wraps it by name.
+    """
     return PullbackPowerMap(arrow(f), arrow(g))
 
 
@@ -826,10 +784,10 @@ def braiding(f, g):
     g = arrow(g)
     c1 = pushout_product(f, g)
     c2 = pushout_product(g, f)
-    xb = product_pre(f.source, g.target)
-    ya = product_pre(f.target, g.source)
-    ay = product_pre(g.source, f.target)
-    bx = product_pre(g.target, f.source)
+    xb = ProductPre(f.source, g.target)
+    ya = ProductPre(f.target, g.source)
+    ay = ProductPre(g.source, f.target)
+    bx = ProductPre(g.target, f.source)
     cls2 = {}
     for k, members in enumerate(c2.corner.classes):
         for side, idx in members:
@@ -1182,15 +1140,12 @@ def cell_attach(right, generators, problems):
     )
 
 
-def bounded_factorize(
-    f, generators, steps, *, strict=False, max_points=FACTORIZE_POINT_CAP
-):
+def bounded_factorize(f, generators, steps):
     """Factor f as a cell complex followed by a candidate rlp map.
 
     Each stage attaches every currently unsolved lifting problem of the
     generators against the right factor.  A run with no problems left is
-    COMPLETE; hitting the step bound with problems remaining is PARTIAL,
-    raised as BoundExceeded only under strict.
+    COMPLETE; hitting the step bound with problems remaining is PARTIAL.
     """
     if steps < 0:
         raise ValueError(f"steps must be at least 0, got {steps}")
@@ -1208,16 +1163,14 @@ def bounded_factorize(
             verdict = PARTIAL
             break
         stage = cell_attach(right, generators, problems)
-        if stage.attached.n > max_points:
-            raise SizeError(f"factorization grew past {max_points} points")
+        if stage.attached.n > FACTORIZE_POINT_CAP:
+            raise SizeError(f"factorization grew past {FACTORIZE_POINT_CAP} points")
         left = left.then(stage.step)
         right = stage.right
         stages.append(stage)
     trace = FactorizationTrace(f, tuple(stages), left, right, verdict)
     if left.then(right) != f:
         raise VerificationError("the factorization does not compose to the map")
-    if strict and verdict == PARTIAL:
-        raise BoundExceeded(f"no rlp factor within {steps} steps")
     return trace
 
 
@@ -1247,39 +1200,3 @@ def replay_trace(trace, generators):
     if trace.verdict == PARTIAL and not remaining:
         raise VerificationError("a partial trace replays to a complete one")
     return True
-
-
-def retract_check(f, g):
-    """A retract witness (a, b, c, d) with c.a and d.b identities, or None.
-
-    (a, b) is an arrow map f -> g and (c, d) an arrow map g -> f; the
-    search is exhaustive over monotone maps.
-    """
-    f = arrow(f)
-    g = arrow(g)
-    id_src = tuple(range(f.source.n))
-    id_dst = tuple(range(f.target.n))
-    for a in _monotone_tuples(f.source.up, g.source.up):
-        for b in _monotone_tuples(f.target.up, g.target.up):
-            if any(
-                b[f.mapping[i]] != g.mapping[a[i]] for i in range(f.source.n)
-            ):
-                continue
-            for c in _monotone_tuples(g.source.up, f.source.up):
-                if tuple(c[v] for v in a) != id_src:
-                    continue
-                for d in _monotone_tuples(g.target.up, f.target.up):
-                    if tuple(d[v] for v in b) != id_dst:
-                        continue
-                    if any(
-                        d[g.mapping[i]] != f.mapping[c[i]]
-                        for i in range(g.source.n)
-                    ):
-                        continue
-                    return (
-                        PreMap(f.source, g.source, a, validate=False),
-                        PreMap(f.target, g.target, b, validate=False),
-                        PreMap(g.source, f.source, c, validate=False),
-                        PreMap(g.target, f.target, d, validate=False),
-                    )
-    return None

@@ -17,12 +17,11 @@ from .errors import (
     CarrierMismatchError,
     CycleError,
     DuplicateLabelError,
-    NotDownsetError,
     NotMonotoneError,
     SizeError,
     VerificationError,
 )
-from .order import fill, isomorphism, transpose
+from .order import isomorphism, transpose
 
 DOWNSET_CAP = 1 << 20
 
@@ -299,22 +298,6 @@ class MonotoneMap:
             f"{x}->{self.target.labels[v]}" for x, v in zip(self.source.labels, self.mapping)
         )
         return f"MonotoneMap({pairs})"
-
-
-def downset_image(f, mask):
-    """The downward closure of the image of a downset; NotDownsetError otherwise."""
-    if not f.source.is_downset(mask):
-        raise NotDownsetError("argument is not a downset of the source")
-    out = 0
-    for i in iter_bits(mask):
-        out |= f.target.down[f.mapping[i]]
-    return out
-
-
-def iter_monotone_maps(source, target):
-    """All monotone maps source -> target, in the fixed fill order."""
-    for mapping in fill(source.up, target.up):
-        yield MonotoneMap(source, target, mapping)
 
 
 def poset_isomorphism(p, q):

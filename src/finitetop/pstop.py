@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import product as _iterproduct
 
-from .bits import iter_bits, popcount
+from .bits import iter_bits
 from .errors import (
     CarrierMismatchError,
     EmptySubspaceError,
@@ -105,12 +105,6 @@ def discrete_ps(points):
     return PsSpace(points, [1 << i for i in range(len(points))])
 
 
-def indiscrete_ps(points):
-    points = tuple(sorted(points))
-    full = (1 << len(points)) - 1
-    return PsSpace(points, [full] * len(points))
-
-
 @dataclass(frozen=True)
 class FilterRep:
     """A filter on a finite carrier: principal with nonempty base, or improper.
@@ -129,11 +123,6 @@ class FilterRep:
     @classmethod
     def principal(cls, space, labels):
         return cls(space, space.mask_from_labels(labels))
-
-
-def all_filters(space):
-    """Every filter on the carrier: one per base subset, improper included."""
-    return [FilterRep(space, m) for m in range(space.full + 1)]
 
 
 def lim_filter(xi, filt):
@@ -254,7 +243,7 @@ def all_pseudotopologies(points):
         yield PsSpace(points, lim, validate=False)
 
 
-def final_structure(pieces, points, *, certify=None):
+def final_structure(pieces, points):
     """Finest pseudotopology on `points` making every given map continuous.
 
     `pieces` is a list of (source PsSpace, mapping into the new carrier).
@@ -270,9 +259,7 @@ def final_structure(pieces, points, *, certify=None):
         for x in range(source.n):
             lim[mapping[x]] |= _image(mapping, source.lim[x])
     out = PsSpace(points, lim)
-    if certify is None:
-        certify = n <= CERTIFY_POINT_CAP
-    if certify:
+    if n <= CERTIFY_POINT_CAP:
         _certify_final(pieces, out)
     return out
 
@@ -289,48 +276,6 @@ def _certify_final(pieces, out):
         ):
             if not check_continuity(ident, out, candidate):
                 raise VerificationError("the final structure is not finest")
-
-
-def initial_structure(pieces, points, *, certify=None):
-    """Coarsest pseudotopology on `points` making every given map continuous.
-
-    `pieces` is a list of (mapping out of the new carrier, target PsSpace).
-    Certification mirrors final_structure.
-    """
-    points = tuple(sorted(points))
-    n = len(points)
-    full = (1 << n) - 1
-    lim = [full] * n
-    for mapping, target in pieces:
-        if len(mapping) != n:
-            raise CarrierMismatchError("a piece map must be total on the carrier")
-        for x in range(n):
-            allowed = 0
-            for z in range(n):
-                if target.lim[mapping[x]] >> mapping[z] & 1:
-                    allowed |= 1 << z
-            lim[x] &= allowed
-    lim = [m | (1 << i) for i, m in enumerate(lim)]
-    out = PsSpace(points, lim)
-    if certify is None:
-        certify = n <= CERTIFY_POINT_CAP
-    if certify:
-        _certify_initial(pieces, out)
-    return out
-
-
-def _certify_initial(pieces, out):
-    for mapping, target in pieces:
-        if not check_continuity(mapping, out, target):
-            raise VerificationError("a defining map fails continuity from the initial structure")
-    ident = tuple(range(out.n))
-    for candidate in all_pseudotopologies(out.points):
-        if all(
-            check_continuity(mapping, candidate, target)
-            for mapping, target in pieces
-        ):
-            if not check_continuity(ident, candidate, out):
-                raise VerificationError("the initial structure is not coarsest")
 
 
 def top_modification(xi):
@@ -362,11 +307,6 @@ def ps_from_space(space):
     )
 
 
-def is_topological_ps(xi):
-    """Whether the pseudotopology is induced by its own modification."""
-    return xi == ps_from_space(top_modification(xi))
-
-
 def subspace_ps(xi, mask):
     """Restriction: limits along the inclusion intersected with the subset."""
     if mask == 0:
@@ -381,53 +321,6 @@ def subspace_ps(xi, mask):
                 m |= 1 << t
         lim.append(m)
     return PsSpace(points, lim)
-
-
-@dataclass(frozen=True)
-class Collection:
-    """A family of subsets of a PsSpace carrier."""
-
-    space: PsSpace
-    sets: tuple
-
-    @classmethod
-    def of(cls, space, families):
-        masks = sorted(
-            {space.mask_from_labels(f) for f in families},
-            key=lambda m: (popcount(m), m),
-        )
-        return cls(space, tuple(masks))
-
-
-def grill(collection):
-    """All subsets meeting every member of the collection."""
-    space = collection.space
-    hits = [
-        m
-        for m in range(space.full + 1)
-        if all(m & a for a in collection.sets)
-    ]
-    return Collection(space, tuple(sorted(hits, key=lambda m: (popcount(m), m))))
-
-
-def filter_meshes(filt, collection):
-    # the improper filter has the empty set as a member, so it only meshes
-    # the empty collection
-    if not collection.sets:
-        return True
-    if not filt.proper:
-        return False
-    return all(filt.base & a for a in collection.sets)
-
-
-def adherence(xi, collection):
-    """Union of filter limits over every filter meshing the collection."""
-    out = 0
-    for base in range(xi.full + 1):
-        filt = FilterRep(xi, base)
-        if filter_meshes(filt, collection):
-            out |= lim_filter(xi, filt)
-    return out
 
 
 def adherence_filter(xi, filt):
@@ -731,17 +624,3 @@ def lemma_all_compact(max_points=3):
             if not is_compact_ps(xi):
                 failures.append((xi,))
     return LemmaReport("all_compact", instances, tuple(failures))
-
-
-def lemma_suite(max_points=3):
-    """Run every PsTop lemma check; all reports must hold."""
-    return (
-        lemma_subspace_restriction(max_points),
-        lemma_subspace_modification(max_points),
-        lemma_compact_image(max_points),
-        lemma_compact_balanced(max_points),
-        lemma_pushout_agreement(min(max_points, 2)),
-        lemma_tau_iota(max_points),
-        lemma_lattice_bounds(max_points),
-        lemma_all_compact(max_points),
-    )

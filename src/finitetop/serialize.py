@@ -417,8 +417,3 @@ def load_structure(path):
         except json.JSONDecodeError as exc:
             raise ParseError(f"{path}: {exc}") from None
     return parse_structure(data)
-
-
-def dump_structure(obj):
-    """Encode a structure as canonical JSON text."""
-    return canonical_json(structure_data(obj))

@@ -13,13 +13,14 @@ from functools import cached_property
 from .bits import iter_bits, popcount
 from .errors import (
     CarrierMismatchError,
-    HypothesisError,
     SizeError,
     TopologyError,
-    VerificationError,
 )
 from .order import fill, glue, isomorphism, transpose
-from .poset import FinitePoset
+
+# the largest carrier whose opens are found by sweeping all 2^n subsets
+SWEEP_POINT_CAP = 20
+PRODUCT_OPEN_CAP = 4096
 
 
 class FiniteSpace:
@@ -167,14 +168,7 @@ class FiniteSpace:
         return f"FiniteSpace({self.n} points, {len(self.opens)} opens)"
 
 
-def alexandrov(poset, cap=1 << 20):
-    """The space of up-sets of a poset; complements of downsets."""
-    family = poset.downsets(cap)
-    full = poset.full
-    return FiniteSpace(poset.labels, [full ^ m for m in family.masks], validate=False)
-
-
-def space_from_preorder(labels, up_rows, cap=1 << 20):
+def space_from_preorder(labels, up_rows):
     """Alexandrov space of a (not necessarily antisymmetric) preorder."""
     n = len(labels)
     order = sorted(range(n), key=lambda i: labels[i])
@@ -188,7 +182,7 @@ def space_from_preorder(labels, up_rows, cap=1 << 20):
     labels = [labels[i] for i in order]
     opens = []
     full = (1 << n) - 1
-    if n > 20:
+    if n > SWEEP_POINT_CAP:
         raise SizeError("preorder too large to materialize its topology")
     for m in range(full + 1):
         up = m
@@ -197,13 +191,6 @@ def space_from_preorder(labels, up_rows, cap=1 << 20):
         if up == m:
             opens.append(m)
     return FiniteSpace(labels, opens, validate=False)
-
-
-def specialization_poset(space):
-    """The specialization order as a FinitePoset; requires T0."""
-    if not space.is_t0:
-        raise TopologyError("specialization order is a poset only for T0 spaces")
-    return FinitePoset(space.points, space.spec_up)
 
 
 class SpaceMap:
@@ -317,85 +304,6 @@ def is_sober(space):
     return True
 
 
-def soberify(space):
-    """The T0 quotient together with its quotient map.
-
-    Points with identical minimal opens collapse; the result is verified
-    sober rather than assumed (for finite spaces T0 and sober coincide, and
-    the check is cheap).
-    """
-    classes = {}
-    for i in range(space.n):
-        classes.setdefault(space.min_open[i], []).append(i)
-    reps = {}
-    for key, members in classes.items():
-        rep_label = min(space.points[i] for i in members)
-        reps[key] = (rep_label, members)
-    new_points = sorted(lbl for lbl, _ in reps.values())
-    new_index = {x: t for t, x in enumerate(new_points)}
-    point_class = [0] * space.n
-    for key, (lbl, members) in reps.items():
-        for i in members:
-            point_class[i] = new_index[lbl]
-    opens = set()
-    for u in space.opens:
-        m = 0
-        for i in iter_bits(u):
-            m |= 1 << point_class[i]
-        opens.add(m)
-    quotient = FiniteSpace(new_points, opens)
-    qmap = SpaceMap(space, quotient, point_class)
-    if not quotient.is_t0 or not is_sober(quotient):
-        raise VerificationError("T0 quotient failed to come out sober")
-    return quotient, qmap
-
-
-class GlueReport:
-    """Outcome of a closed/discrete decomposition soberness check."""
-
-    def __init__(self, a_sober, b_hausdorff, x_sober):
-        self.a_sober = a_sober
-        self.b_hausdorff = b_hausdorff
-        self.x_sober = x_sober
-
-    @property
-    def hypotheses_hold(self):
-        return self.a_sober and self.b_hausdorff
-
-    @property
-    def consistent(self):
-        return not self.hypotheses_hold or self.x_sober
-
-    def __repr__(self):
-        return (
-            f"GlueReport(a_sober={self.a_sober}, b_hausdorff={self.b_hausdorff}, "
-            f"x_sober={self.x_sober})"
-        )
-
-
-def sober_glue_check(space, a_mask, b_mask):
-    """Evaluate the decomposition criterion X = A u B for soberness.
-
-    Preconditions (HypothesisError): the masks partition the carrier, A is
-    closed, and every point of B is closed in X.  The report then records
-    whether A is sober and B Hausdorff as subspaces, and whether X is sober,
-    so a suite can confirm the implication never fails.
-    """
-    if a_mask | b_mask != space.full or a_mask & b_mask:
-        raise HypothesisError("A and B must partition the carrier")
-    if not space.is_open(space.full ^ a_mask):
-        raise HypothesisError("A must be closed")
-    for i in iter_bits(b_mask):
-        if space.closure(1 << i) != 1 << i:
-            raise HypothesisError(
-                f"point {space.points[i]!r} of B is not closed in X"
-            )
-    a_sober = is_sober(space.subspace(a_mask)) if a_mask else True
-    sub_b = space.subspace(b_mask)
-    b_hausdorff = sub_b.is_discrete
-    return GlueReport(a_sober, b_hausdorff, is_sober(space))
-
-
 def spaces_homeomorphic(x, y):
     """A homeomorphism as an index tuple, or None.
 
@@ -425,7 +333,7 @@ def pushout_carrier(b_points, c_points, f_map, g_map):
     return points, inj[:nb], inj[nb:]
 
 
-def pushout_spaces(f, g, cap=20):
+def pushout_spaces(f, g):
     """Pushout of the span f : A -> B, g : A -> C in finite spaces.
 
     The carrier glues the disjoint union of B and C along the images of A,
@@ -440,8 +348,8 @@ def pushout_spaces(f, g, cap=20):
     points, b_map, c_map = pushout_carrier(
         b_space.points, c_space.points, f.mapping, g.mapping
     )
-    if len(points) > cap:
-        raise SizeError(f"pushout carrier exceeds {cap} points")
+    if len(points) > SWEEP_POINT_CAP:
+        raise SizeError(f"pushout carrier exceeds {SWEEP_POINT_CAP} points")
     n = len(points)
     opens = []
     for m in range(1 << n):
@@ -461,7 +369,7 @@ def pushout_spaces(f, g, cap=20):
     return space, SpaceMap(b_space, space, b_map), SpaceMap(c_space, space, c_map)
 
 
-def product_spaces(x, y, cap=4096):
+def product_spaces(x, y):
     """The product space on pair points, with the projection maps.
 
     Opens are the unions of open boxes U x V.  Pair labels keep the
@@ -485,8 +393,8 @@ def product_spaces(x, y, cap=4096):
             for b in list(opens):
                 u = a | b
                 if u not in opens:
-                    if len(opens) >= cap:
-                        raise SizeError(f"product topology exceeds {cap} opens")
+                    if len(opens) >= PRODUCT_OPEN_CAP:
+                        raise SizeError(f"product topology exceeds {PRODUCT_OPEN_CAP} opens")
                     opens.add(u)
                     fresh.append(u)
         frontier = fresh

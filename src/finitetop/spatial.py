@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from .errors import HypothesisError, NotHomError, VerificationError
 from .frames import FiniteFrame, FrameHom, frame_from_poset, iter_frame_homs, two
 from .poset import FinitePoset
-from .spaces import FiniteSpace, SpaceMap, is_sober, iter_continuous_maps
+from .spaces import FiniteSpace, is_sober, iter_continuous_maps
 
 
 @dataclass(frozen=True)
@@ -37,17 +37,6 @@ def omega(space):
                 row |= 1 << k
         rows.append(row)
     return frame_from_poset(FinitePoset(labels, rows), check_distributive=False)
-
-
-def omega_map(f, *, omega_source=None, omega_target=None):
-    """Preimage as a frame hom from the codomain topology to the domain one."""
-    if omega_source is None:
-        omega_source = omega(f.source)
-    if omega_target is None:
-        omega_target = omega(f.target)
-    position = {m: k for k, m in enumerate(f.source.opens)}
-    mapping = [position[f.preimage_mask(v)] for v in f.target.opens]
-    return FrameHom(omega_target, omega_source, mapping)
 
 
 def locale_points(frame):
@@ -110,30 +99,6 @@ def pt(frame):
     return space
 
 
-def pt_map(hom, *, source_space=None, target_space=None):
-    """The continuous action on points induced by a frame hom.
-
-    For hom : M -> L, a point p of L is carried to p after hom, a point of
-    M; the generator of the composite's filter locates the image point.
-    """
-    big = hom.target
-    small = hom.source
-    if source_space is None:
-        source_space = pt(big)
-    if target_space is None:
-        target_space = pt(small)
-    mapping = []
-    for x in source_space.points:
-        g = big.order.index(x)
-        filter_mask = 0
-        for b in range(small.n):
-            if big.leq_idx(g, hom.mapping[b]):
-                filter_mask |= 1 << b
-        generator = small.meet_mask(filter_mask)
-        mapping.append(target_space.index(small.labels[generator]))
-    return SpaceMap(source_space, target_space, mapping)
-
-
 @dataclass(frozen=True)
 class SpatialityReport:
     """Verdict of the comparison a |-> Sigma_a, with the witness homs."""
@@ -163,21 +128,6 @@ def is_spatial(frame):
             inverse_map[s] = a
         return SpatialityReport(True, comparison, FrameHom(opens_frame, frame, inverse_map))
     return SpatialityReport(False, comparison, None)
-
-
-def space_to_loc_transpose(g, frame, *, omega_source=None):
-    """Transpose a continuous map into pt(frame) across the adjunction.
-
-    The result sends a frame element to the preimage of its Sigma-open, a
-    frame hom from the frame to the domain's topology.
-    """
-    if omega_source is None:
-        omega_source = omega(g.source)
-    points = locale_points(frame)
-    sigma = _sigma_masks(frame, points, g.target)
-    position = {m: k for k, m in enumerate(g.source.opens)}
-    mapping = [position[g.preimage_mask(s)] for s in sigma]
-    return FrameHom(frame, omega_source, mapping)
 
 
 @dataclass(frozen=True)

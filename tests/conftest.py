@@ -3,14 +3,9 @@
 import pytest
 from hypothesis import strategies as st
 
-from finitetop import (
-    FinitePoset,
-    FiniteSpace,
-    chain_frame,
-    downset_frame,
-    frame_from_poset,
-    validate_poset,
-)
+from finitetop.frames import chain_frame, downset_frame, frame_from_poset
+from finitetop.poset import validate_poset
+from finitetop.spaces import FiniteSpace
 
 
 def chain_poset(k, labels=None):

@@ -1,9 +1,15 @@
 """The command line exit contract: 0 ok, 1 a negative check, 2 unusable input."""
 
+import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import finitetop
 from finitetop import suites
 from finitetop.cli import run
 from finitetop.lifting import PreMap, Preorder
@@ -51,18 +57,47 @@ def test_suite_commands_take_no_steps_option(argv, capsys):
     assert _error(capsys)["kind"] == "usage"
 
 
-def test_factorize_rejects_negative_steps(tmp_path, capsys):
+def _factorize_argv(tmp_path):
+    """Factorize the cell map against itself; `--steps` comes last, unset."""
     cell = PreMap(Preorder((), ()), Preorder(("p",), (1,)), ())
     (tmp_path / "map.json").write_text(json.dumps(structure_data(cell)))
     (tmp_path / "gens.json").write_text(json.dumps([structure_data(cell)]))
     argv = ["lift", "factorize", "--map", str(tmp_path / "map.json")]
-    argv += ["--gens", str(tmp_path / "gens.json"), "--steps"]
+    return argv + ["--gens", str(tmp_path / "gens.json"), "--steps"]
+
+
+def test_factorize_rejects_negative_steps(tmp_path, capsys):
+    argv = _factorize_argv(tmp_path)
     assert run(argv + ["0"]) == 0
     capsys.readouterr()
     assert run(argv + ["-1"]) == 2
     error = _error(capsys)
     assert error["kind"] == "input"
     assert "steps" in error["message"]
+
+
+@pytest.mark.parametrize(
+    "steps, digest",
+    [
+        ("0", "e6529515cb07f6c03e0bb173a14bf2786ddfc53c85f64283cffad9aebdfebd96"),
+        ("2", "f6dccf5dadb9f5223282239d05f2200d1be1e42ce01de80238dfa4090bd40606"),
+    ],
+)
+def test_factorize_output_bytes_are_pinned(steps, digest, tmp_path, capsys):
+    assert run(_factorize_argv(tmp_path) + [steps]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_python_dash_m_runs_a_check():
+    src = str(Path(finitetop.__file__).parent.parent)
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    argv = [sys.executable, "-m", "finitetop", "check", "frames", "--max-frame-size", "2"]
+    done = subprocess.run(argv, capture_output=True, text=True, env=env, timeout=120)
+    assert done.returncode == 0, done.stderr
+    reports = json.loads(done.stdout)
+    assert [r["citation"] for r in reports] == list(suites.GROUPS["frames"])
 
 
 def test_unknown_target_and_unreadable_input_exit_2(tmp_path, capsys):

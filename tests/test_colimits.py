@@ -7,30 +7,31 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from finitetop import (
-    FrameHom,
-    chain_frame,
-    check_frame_hom,
+from finitetop.bits import iter_bits
+from finitetop.colimits import (
+    EAGER_TABLE_LIMIT,
+    TensorCarrier,
+    _LazyTable,
+    _tensor_action,
     copair,
     coproduct,
     distribute_iso,
-    density_surjective,
-    factor_through_stage,
-    frame_corpus,
-    frame_from_poset,
-    frame_isomorphism,
-    iter_frame_homs,
     prenuclei,
     product_frames,
-    product_poset,
     pushout_loc,
     pushout_mediator,
     saturate,
+)
+from finitetop.corpus import all_frames, frame_corpus
+from finitetop.frames import (
+    FrameHom,
+    chain_frame,
+    frame_from_poset,
+    frame_isomorphism,
+    iter_frame_homs,
     two,
 )
-from finitetop.bits import iter_bits, popcount
-from finitetop.colimits import EAGER_TABLE_LIMIT, TensorCarrier, _LazyTable
-from finitetop.corpus import all_frames
+from finitetop.poset import FinitePoset
 
 from conftest import grid_poset
 
@@ -95,14 +96,27 @@ def test_every_element_is_a_join_of_tensors():
 def test_injections_are_certified_homs():
     c3 = chain_frame(3)
     t = coproduct(c3, c3)
-    check_frame_hom(c3, t, t.iota1.mapping)
-    check_frame_hom(c3, t, t.iota2.mapping)
+    FrameHom(c3, t, t.iota1.mapping)
+    FrameHom(c3, t, t.iota2.mapping)
     assert t.iota1.mapping[c3.top] == t.top
     assert t.iota1.mapping[c3.bottom] == t.bottom
 
 
+def _product_poset(left, right):
+    """The product order of two posets, pairs laid out row-major."""
+    labels = [f"({a},{b})" for a in left.labels for b in right.labels]
+    rows = []
+    for i in range(left.n):
+        for j in range(right.n):
+            row = 0
+            for k in iter_bits(left.up[i]):
+                row |= right.up[j] << (k * right.n)
+            rows.append(row)
+    return FinitePoset(labels, rows)
+
+
 def _product_downsets(left, right):
-    return product_poset(left.order, right.order).downsets().masks
+    return _product_poset(left.order, right.order).downsets().masks
 
 
 def test_sigma0_is_identity_on_finite_downsets():
@@ -168,7 +182,7 @@ def test_single_generator_saturation_collapses_to_bottom():
 
 def test_copair_codiagonal_is_meet():
     c3 = chain_frame(3)
-    ident = check_frame_hom(c3, c3, (0, 1, 2))
+    ident = FrameHom(c3, c3, (0, 1, 2))
     t = coproduct(c3, c3)
     h = copair(ident, ident, tensor=t)
     for x in range(3):
@@ -202,36 +216,21 @@ def test_copair_is_the_unique_mediator():
 
 def test_copair_needs_a_common_codomain():
     c3 = chain_frame(3)
-    f = check_frame_hom(c3, c3, (0, 1, 2))
-    g = check_frame_hom(c3, two(), (0, 0, 1))
+    f = FrameHom(c3, c3, (0, 1, 2))
+    g = FrameHom(c3, two(), (0, 0, 1))
     with pytest.raises(ValueError):
         copair(f, g)
 
 
-def test_map_tensor_of_identity():
-    from finitetop import map_tensor
-
+def test_tensor_action_matches_the_copair_oracle():
+    """(id tensor hom) sends each element where the copair of the legs does."""
     c3 = chain_frame(3)
-    t = coproduct(c3, c3)
-    ident = check_frame_hom(c3, c3, (0, 1, 2))
-    out = map_tensor(c3, ident, source=t, target=t)
-    assert out.mapping == tuple(range(t.n))
-
-
-def test_map_tensor_against_copair_oracle():
-    from finitetop import map_tensor
-
-    c3 = chain_frame(3)
-    t2 = two()
-    for hom in iter_frame_homs(c3, t2):
-        source = coproduct(c3, c3)
-        target = coproduct(c3, t2)
-        lifted = map_tensor(c3, hom, source=source, target=target)
-        oracle = copair(
-            target.iota1, hom.then(target.iota2), tensor=source
-        )
-        assert lifted.mapping == oracle.mapping
-
+    for target_right in (two(), c3):
+        for hom in iter_frame_homs(c3, target_right):
+            source = coproduct(c3, c3)
+            target = coproduct(c3, target_right)
+            oracle = copair(target.iota1, hom.then(target.iota2), tensor=source)
+            assert _tensor_action(source, target, hom) == list(oracle.mapping)
 
 def test_empty_product_is_the_one_point_frame():
     p = product_frames([])
@@ -243,7 +242,7 @@ def test_product_of_two_and_two_is_powerset():
     b4 = frame_from_poset(grid_poset())
     assert frame_isomorphism(p, b4) is not None
     for k in range(2):
-        check_frame_hom(p, two(), p.projection(k).mapping)
+        FrameHom(p, two(), p.projection(k).mapping)
 
 
 def test_product_pair_is_the_unique_mediator():
@@ -271,13 +270,13 @@ def test_distribute_iso_small_triple():
         assert ds.inverse.mapping[ds.forward.mapping[k]] == k
     for k in range(tgt.n):
         assert ds.forward.mapping[ds.inverse.mapping[k]] == k
-    check_frame_hom(src, tgt, ds.forward.mapping)
-    check_frame_hom(tgt, src, ds.inverse.mapping)
+    FrameHom(src, tgt, ds.forward.mapping)
+    FrameHom(tgt, src, ds.inverse.mapping)
 
 
 def test_pushout_of_identity_span():
     c3 = chain_frame(3)
-    ident = check_frame_hom(c3, c3, (0, 1, 2))
+    ident = FrameHom(c3, c3, (0, 1, 2))
     result = pushout_loc(ident, ident)
     assert frame_isomorphism(result.apex, c3) is not None
 
@@ -310,9 +309,9 @@ def test_pushout_preserves_localic_injections():
 
 def test_pushout_mediator_triangles_and_uniqueness():
     c3 = chain_frame(3)
-    ident = check_frame_hom(c3, c3, (0, 1, 2))
+    ident = FrameHom(c3, c3, (0, 1, 2))
     result = pushout_loc(ident, ident)
-    u = check_frame_hom(c3, c3, (0, 1, 2))
+    u = FrameHom(c3, c3, (0, 1, 2))
     h = pushout_mediator(result, u, u)
     assert h.then(result.proj_b) == u
     assert h.then(result.proj_c) == u
@@ -326,47 +325,11 @@ def test_pushout_mediator_triangles_and_uniqueness():
 
 def test_pushout_mediator_rejects_non_cocones():
     c3 = chain_frame(3)
-    ident = check_frame_hom(c3, c3, (0, 1, 2))
-    collapse = check_frame_hom(c3, c3, (0, 0, 2))
+    ident = FrameHom(c3, c3, (0, 1, 2))
+    collapse = FrameHom(c3, c3, (0, 0, 2))
     result = pushout_loc(ident, ident)
     with pytest.raises(ValueError):
         pushout_mediator(result, ident, collapse)
-
-
-def test_density_matches_literal_surjectivity():
-    for src in all_frames(4):
-        for tgt in all_frames(4):
-            for hom in iter_frame_homs(src, tgt):
-                expected = hom.is_surjective()
-                got = density_surjective(hom, tgt.irreducibles)
-                assert got == expected
-
-
-def test_density_rejects_non_generating_families():
-    c3 = chain_frame(3)
-    ident = check_frame_hom(c3, c3, (0, 1, 2))
-    with pytest.raises(ValueError):
-        density_surjective(ident, (0,))
-
-
-def test_factor_through_stage_examples():
-    c3 = chain_frame(3)
-    t2 = two()
-    stage = check_frame_hom(c3, t2, (0, 1, 1))
-    ident = check_frame_hom(c3, c3, (0, 1, 2))
-    assert factor_through_stage(stage, ident) is None
-    lifted = factor_through_stage(stage, check_frame_hom(c3, c3, (0, 2, 2)))
-    assert lifted is not None
-    assert lifted.mapping == (0, 2)
-    assert factor_through_stage(ident, ident).mapping == ident.mapping
-
-
-def test_factor_through_stage_needs_surjective_stage():
-    c3 = chain_frame(3)
-    inc = check_frame_hom(two(), c3, (0, 2))
-    ident2 = check_frame_hom(two(), two(), (0, 1))
-    with pytest.raises(ValueError):
-        factor_through_stage(inc, ident2)
 
 
 def test_tensor_orders_revalidate_as_frames():

@@ -9,35 +9,33 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from finitetop import (
+from finitetop.bits import iter_bits
+from finitetop.colimits import coproduct, product_frames
+from finitetop.corpus import all_frames, all_posets, frame_corpus
+from finitetop.errors import (
     CarrierMismatchError,
-    FinitePoset,
-    FrameHom,
-    GaloisConnection,
     NotDistributiveError,
     NotHomError,
     NotLatticeError,
     NotPrenucleusError,
-    Prenucleus,
     VerificationError,
+)
+from finitetop.frames import (
+    FrameHom,
+    GaloisConnection,
+    Prenucleus,
     chain_frame,
-    check_frame_hom,
-    coproduct,
+    distributivity_witness,
     downset_frame,
-    frame_corpus,
     frame_from_poset,
     frame_isomorphism,
     iter_frame_homs,
     nucleus_from_prenucleus,
     prenucleus_violation,
-    product_frames,
     right_adjoint,
     two,
-    validate_poset,
 )
-from finitetop.bits import iter_bits
-from finitetop.corpus import all_frames, all_posets
-from finitetop.frames import distributivity_witness
+from finitetop.poset import FinitePoset, validate_poset
 
 from conftest import (
     antichain_poset,
@@ -106,7 +104,7 @@ def test_infinitary_distributivity_on_corpus():
 
 def test_identity_hom_and_initiality():
     c3 = chain_frame(3)
-    ident = check_frame_hom(c3, c3, (0, 1, 2))
+    ident = FrameHom(c3, c3, (0, 1, 2))
     assert ident.mapping == (0, 1, 2)
     t = two()
     initial = list(iter_frame_homs(t, c3))
@@ -120,7 +118,7 @@ def test_chain_to_two_has_both_collapses():
     homs = sorted(h.mapping for h in iter_frame_homs(c3, t))
     assert homs == [(0, 0, 1), (0, 1, 1)]
     for mapping in homs:
-        check_frame_hom(c3, t, mapping)
+        FrameHom(c3, t, mapping)
 
 
 def test_hom_counts_from_powerset():
@@ -133,9 +131,9 @@ def test_hom_counts_from_powerset():
 def test_bad_homs_are_rejected():
     c3 = chain_frame(3)
     with pytest.raises(NotHomError):
-        check_frame_hom(c3, c3, (0, 2, 1))
+        FrameHom(c3, c3, (0, 2, 1))
     with pytest.raises(NotHomError):
-        check_frame_hom(c3, c3, (1, 1, 2))
+        FrameHom(c3, c3, (1, 1, 2))
 
 
 def test_composing_homs_needs_a_matching_middle_frame():
@@ -147,14 +145,14 @@ def test_composing_homs_needs_a_matching_middle_frame():
 
 def test_right_adjoint_of_identity():
     c3 = chain_frame(3)
-    ident = check_frame_hom(c3, c3, (0, 1, 2))
+    ident = FrameHom(c3, c3, (0, 1, 2))
     gc = right_adjoint(ident)
     assert gc.right == (0, 1, 2)
 
 
 def test_right_adjoint_of_unit_inclusion():
     c3 = chain_frame(3)
-    f = check_frame_hom(two(), c3, (0, 2))
+    f = FrameHom(two(), c3, (0, 2))
     gc = right_adjoint(f)
     assert gc.right == (0, 0, 1)
 
@@ -169,7 +167,7 @@ def test_galois_laws_hold_on_small_corpus():
 
 def test_galois_rejects_wrong_right_adjoint():
     c3 = chain_frame(3)
-    ident = check_frame_hom(c3, c3, (0, 1, 2))
+    ident = FrameHom(c3, c3, (0, 1, 2))
     with pytest.raises(VerificationError):
         GaloisConnection(ident, (0, 0, 2))
 

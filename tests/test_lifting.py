@@ -7,19 +7,27 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from finitetop import (
-    ArrowIso,
-    BoundExceeded,
+from finitetop import lifting
+from finitetop.corpus import all_preorders_labelled
+from finitetop.errors import (
     CarrierMismatchError,
     DuplicateLabelError,
-    LiftingSquare,
+    FinitetopError,
     NonCommutingError,
     NotMonotoneError,
-    PreMap,
-    Preorder,
     SizeError,
     TopologyError,
     VerificationError,
+)
+from finitetop.lifting import (
+    COMPLETE,
+    PARTIAL,
+    ArrowIso,
+    LiftingSquare,
+    PowerPre,
+    PreMap,
+    Preorder,
+    ProductPre,
     arrow,
     arrow_iso,
     arrows_between,
@@ -27,28 +35,19 @@ from finitetop import (
     associator,
     bounded_factorize,
     braiding,
-    curry,
+    coproduct_pre,
     enumerate_lifts,
     identity_arrow,
     iter_monotone_arrows,
     lifting_adjunction_check,
     lifts_against,
-    llp,
-    power_pre,
     product_arrow,
-    product_pre,
     pullback_power,
     pushout_pre,
     pushout_product,
     replay_trace,
-    retract_check,
     rlp,
-    uncurry,
 )
-from finitetop import lifting
-from finitetop.corpus import all_preorders_labelled
-from finitetop.errors import FinitetopError
-from finitetop.lifting import COMPLETE, PARTIAL, coproduct_pre
 from finitetop.order import fill
 from finitetop.spaces import SpaceMap
 
@@ -185,7 +184,6 @@ def test_verdict_is_truthy_on_success():
 
 
 def test_empty_generator_set_is_vacuous():
-    assert llp(EDGE, [])
     assert rlp(EDGE, ())
 
 
@@ -212,7 +210,7 @@ def test_generators_lift_against_their_rlp_class():
 
 
 def test_product_orders_pointwise():
-    prod = product_pre(C2, D2)
+    prod = ProductPre(C2, D2)
     assert prod.n == 4
     assert prod.leq(prod.pair(0, 1), prod.pair(1, 1))
     assert not prod.leq(prod.pair(0, 0), prod.pair(0, 1))
@@ -234,14 +232,14 @@ def test_coproduct_prefixes_labels():
 
 
 def test_power_points_are_monotone_maps():
-    power = power_pre(C2, D2)
+    power = PowerPre(C2, D2)
     assert power.n == 4
     assert set(power.maps) == {(0, 0), (0, 1), (1, 0), (1, 1)}
     assert power.index_of((0, 1)) == power.maps.index((0, 1))
 
 
 def test_power_of_chain_by_chain_is_a_chain():
-    power = power_pre(C2, C2)
+    power = PowerPre(C2, C2)
     assert power.n == 3
     chain3 = Preorder(("0", "1", "2"), (7, 6, 4))
     from finitetop.lifting import preorder_isos
@@ -251,33 +249,27 @@ def test_power_of_chain_by_chain_is_a_chain():
 
 def test_exponential_law_is_a_bijection():
     for z, a, x in itertools.product([PT, D2, C2], repeat=3):
-        prod = product_pre(z, a)
-        power = power_pre(x, a)
+        prod = ProductPre(z, a)
+        power = PowerPre(x, a)
         outs = list(iter_monotone_arrows(prod, x))
         ins = list(iter_monotone_arrows(z, power))
         assert len(outs) == len(ins)
-        for m in outs:
-            back = uncurry(curry(PreMap(prod, x, m.mapping)))
-            assert back.mapping == m.mapping
-            assert back.source.up == prod.up
-        for m in ins:
-            back = curry(uncurry(PreMap(z, power, m.mapping)))
-            assert back.mapping == m.mapping
-
-
-def test_curry_needs_a_product_source():
-    with pytest.raises(CarrierMismatchError):
-        curry(EDGE)
-    with pytest.raises(CarrierMismatchError):
-        uncurry(EDGE)
+        transposes = {
+            tuple(
+                power.index_of(m.mapping[prod.pair(i, j)] for j in range(a.n))
+                for i in range(z.n)
+            )
+            for m in outs
+        }
+        assert transposes == {m.mapping for m in ins}
 
 
 def test_size_caps_reject_large_objects():
     big = Preorder([f"p{i:02d}" for i in range(70)], [1 << i for i in range(70)])
     with pytest.raises(SizeError):
-        power_pre(big, D2)
+        PowerPre(big, D2)
     with pytest.raises(SizeError):
-        product_pre(big, big)
+        ProductPre(big, big)
 
 
 def test_pushout_product_of_cells_is_a_cell():
@@ -325,7 +317,7 @@ def test_pullback_power_by_the_cell_recovers_the_map():
 
 def test_pullback_power_shape():
     pw = pullback_power(EDGE, FOLD)
-    assert pw.source.n == len(power_pre(EDGE.source, FOLD.target).maps)
+    assert pw.source.n == len(PowerPre(EDGE.source, FOLD.target).maps)
 
 
 def test_lifting_adjunction_on_small_triples():
@@ -416,8 +408,8 @@ def _check_power_literally(f, g, power):
         for delta in maps(g.target, f.target)
         if all(f.mapping[alpha[a]] == delta[g.mapping[a]] for a in range(g.source.n))
     ]
-    xa = power_pre(f.source, g.source).maps
-    yb = power_pre(f.target, g.target).maps
+    xa = PowerPre(f.source, g.source).maps
+    yb = PowerPre(f.target, g.target).maps
     points = [(xa[i], yb[j]) for i, j in power.pairs]
     assert sorted(points) == sorted(pairs)
     for k, (alpha, delta) in enumerate(points):
@@ -515,12 +507,6 @@ def test_factorize_partial_when_out_of_steps():
     assert replay_trace(tr, [CELL]) is True
 
 
-def test_factorize_strict_raises_on_partial():
-    f = PreMap(EMPTY, D2, ())
-    with pytest.raises(BoundExceeded):
-        bounded_factorize(f, [CELL], 0, strict=True)
-
-
 def test_replay_rejects_a_flipped_verdict():
     f = PreMap(EMPTY, D2, ())
     done = bounded_factorize(f, [CELL], 2)
@@ -545,39 +531,3 @@ def test_factorized_right_lifts_after_each_gain():
     assert rlp(tr.right, [EDGE])
     assert tr.left.then(tr.right).mapping == tr.original.mapping
     assert replay_trace(tr, [EDGE]) is True
-
-
-def test_every_map_is_a_retract_of_itself():
-    witness = retract_check(EDGE, EDGE)
-    assert witness is not None
-    a, b, c, d = witness
-    assert a.then(c).mapping == (0, 1)
-    assert b.then(d).mapping == (0, 1)
-
-
-def test_cell_is_not_a_retract_of_the_empty_identity():
-    assert retract_check(CELL, identity_arrow(EMPTY)) is None
-
-
-def test_retract_witness_is_an_arrow_map():
-    total, (inl, _) = coproduct_pre([PT, PT], ["l", "r"])
-    wide = PreMap(total, PT, (0, 0))
-    witness = retract_check(identity_arrow(PT), wide)
-    assert witness is not None
-    a, b, c, d = witness
-    assert a.then(wide).mapping == b.mapping
-    assert wide.then(d).mapping == c.then(identity_arrow(PT)).mapping
-
-
-def test_retracts_inherit_rlp():
-    gens = [CELL, FOLD]
-    pool = arrows_between([PT, D2, C2])
-    hits = 0
-    for f in pool:
-        for g in pool:
-            if retract_check(f, g) is None:
-                continue
-            hits += 1
-            if rlp(g, gens):
-                assert rlp(f, gens)
-    assert hits > len(pool)

@@ -5,46 +5,38 @@ import random
 
 import pytest
 
-from finitetop import (
-    CarrierMismatchError,
-    EmptySubspaceError,
+from finitetop.bits import iter_bits
+from finitetop.corpus import all_spaces
+from finitetop.errors import CarrierMismatchError, EmptySubspaceError
+from finitetop.pstop import (
+    FilterRep,
     PsSpace,
+    adherence_filter,
     all_pseudotopologies,
     check_continuity,
-    discrete_ps,
-    final_structure,
-    indiscrete_ps,
-    initial_structure,
-    is_compact_ps,
-    is_topological_ps,
-    join_ps,
-    lemma_suite,
-    meet_ps,
-    ps_from_space,
-    pushout_ps,
-    subspace_ps,
-    top_modification,
-)
-from finitetop.pstop import (
-    Collection,
-    FilterRep,
-    adherence,
-    adherence_filter,
-    all_filters,
     compact_at,
     continuous_on_ultrafilters,
+    discrete_ps,
+    final_structure,
     finer_ps,
-    grill,
+    is_compact_ps,
     iter_continuous_ps_maps,
+    join_ps,
     lemma_lattice_bounds,
     lemma_pushout_agreement,
     lemma_tau_iota,
     lim_filter,
+    meet_ps,
+    ps_from_space,
     ps_spaces_up_to_iso,
     push_filter,
+    pushout_ps,
+    subspace_ps,
+    top_modification,
 )
+from finitetop.suites import SuiteOptions, run_group
 
-from conftest import discrete_space, indiscrete_space, sierpinski
+from conftest import discrete_space, indiscrete_space
 
 
 def _kink():
@@ -87,7 +79,7 @@ def test_discrete_maps_anywhere_continuously():
 
 
 def test_continuity_failure_carries_a_witness():
-    i2 = indiscrete_ps(["1", "2"])
+    i2 = PsSpace(("1", "2"), (3, 3))
     d2 = discrete_ps(["1", "2"])
     report = check_continuity((0, 1), i2, d2)
     assert not report
@@ -143,7 +135,7 @@ def test_lattice_ops_need_a_shared_carrier():
 
 def test_top_modification_of_discrete_and_indiscrete():
     assert top_modification(discrete_ps(["1", "2"])) == discrete_space(["1", "2"])
-    assert top_modification(indiscrete_ps(["1", "2"])) == indiscrete_space(["1", "2"])
+    assert top_modification(PsSpace(("1", "2"), (3, 3))) == indiscrete_space(["1", "2"])
 
 
 def test_top_modification_of_the_kink():
@@ -162,16 +154,16 @@ def test_top_modification_is_monotone():
 
 
 def test_topological_round_trip_is_identity():
-    from finitetop.corpus import all_spaces
-
     for space in all_spaces(3):
         xi = ps_from_space(space)
-        assert is_topological_ps(xi)
+        assert xi == ps_from_space(top_modification(xi))
         assert top_modification(xi) == space
 
 
 def test_non_topological_pseudotopology_exists():
-    found = [xi for xi in ps_spaces_up_to_iso(3) if not is_topological_ps(xi)]
+    found = [
+        xi for xi in ps_spaces_up_to_iso(3) if xi != ps_from_space(top_modification(xi))
+    ]
     assert found
 
 
@@ -186,16 +178,16 @@ def test_subspace_restriction():
 
 
 def test_subspace_is_the_initial_structure_of_inclusion():
-    from finitetop.bits import iter_bits
-
+    """The subspace is the coarsest structure making the inclusion continuous."""
     for xi in ps_spaces_up_to_iso(3):
         for mask in range(1, xi.full + 1):
-            members = list(iter_bits(mask))
+            inclusion = tuple(iter_bits(mask))
             sub = subspace_ps(xi, mask)
-            via_initial = initial_structure(
-                [(tuple(members), xi)], sub.points
-            )
-            assert via_initial.lim == sub.lim
+            ident = tuple(range(sub.n))
+            assert check_continuity(inclusion, sub, xi)
+            for zeta in all_pseudotopologies(sub.points):
+                if check_continuity(inclusion, zeta, xi):
+                    assert check_continuity(ident, zeta, sub)
 
 
 def test_final_structure_folds_two_points():
@@ -203,25 +195,6 @@ def test_final_structure_folds_two_points():
     out = final_structure([(pt2, (0, 0))], ["z"])
     assert out.points == ("z",)
     assert out.lim == (1,)
-
-
-def test_grill_of_a_single_set():
-    xi = _kink()
-    col = Collection.of(xi, [["1", "2"]])
-    g = grill(col)
-    expected = tuple(
-        sorted(
-            (m for m in range(xi.full + 1) if m & col.sets[0]),
-            key=lambda m: (bin(m).count("1"), m),
-        )
-    )
-    assert g.sets == expected
-
-
-def test_adherence_of_the_whole_carrier_collection():
-    for xi in ps_spaces_up_to_iso(3):
-        col = Collection(xi, (xi.full,))
-        assert adherence(xi, col) == xi.full
 
 
 def test_adherence_filter_of_principal_point():
@@ -242,13 +215,6 @@ def test_compact_at_fails_outside_adherent_sets():
     d2 = discrete_ps(["1", "2"])
     assert not compact_at(d2, 1, 2)
     assert compact_at(d2, 1, 1)
-
-
-def test_filters_enumeration_covers_all_bases():
-    xi = _kink()
-    filters = all_filters(xi)
-    assert len(filters) == (1 << xi.n)
-    assert sum(1 for f in filters if not f.proper) == 1
 
 
 def test_pushout_ps_glues_like_spaces():
@@ -275,8 +241,8 @@ def test_continuous_map_enumeration_matches_filtering():
 
 
 def test_lemma_suite_all_hold_at_desk_scale():
-    for report in lemma_suite(2):
-        assert report.holds, report
+    for report in run_group("pstop-lemmas", SuiteOptions(max_points=2)):
+        assert report.ok, report
 
 
 def test_tau_iota_and_lattice_lemmas_at_three_points():

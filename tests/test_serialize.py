@@ -4,40 +4,36 @@ import json
 
 import pytest
 
-from finitetop import (
-    CycleError,
-    FrameHom,
-    MonotoneMap,
-    ParseError,
+from finitetop.colimits import pushout_loc
+from finitetop.errors import CycleError, ParseError
+from finitetop.frames import FrameHom, frame_from_poset
+from finitetop.lifting import (
+    LiftingSquare,
     PreMap,
     Preorder,
-    PsSpace,
-    SpaceMap,
     bounded_factorize,
-    frame_from_poset,
     identity_arrow,
     lifts_against,
-    pushout_loc,
     replay_trace,
-    validate_poset,
 )
-from finitetop.lifting import LiftingSquare
+from finitetop.poset import MonotoneMap
+from finitetop.pstop import PsSpace
 from finitetop.serialize import (
     LocPushoutData,
     canonical_json,
-    dump_structure,
     load_structure,
     parse_structure,
     structure_data,
 )
+from finitetop.spaces import SpaceMap
 
 from conftest import chain_poset, grid_poset, sierpinski
 
 
 def _round_trip(obj):
-    text = dump_structure(obj)
+    text = canonical_json(structure_data(obj))
     parsed = parse_structure(json.loads(text))
-    assert dump_structure(parsed) == text
+    assert canonical_json(structure_data(parsed)) == text
     return parsed
 
 
@@ -128,7 +124,7 @@ def test_unsorted_labels_parse_to_an_isomorphic_preorder():
     from finitetop.lifting import preorder_isos
 
     pre = Preorder(("b", "a"), (1, 3))
-    parsed = parse_structure(json.loads(dump_structure(pre)))
+    parsed = parse_structure(json.loads(canonical_json(structure_data(pre))))
     assert parsed.points == ("a", "b")
     assert preorder_isos(pre, parsed)
 
@@ -226,12 +222,12 @@ def test_cyclic_poset_data_raises_the_order_error():
 
 def test_dump_rejects_unsupported_objects():
     with pytest.raises(ParseError):
-        dump_structure(object())
+        structure_data(object())
 
 
 def test_load_structure_reads_files(tmp_path):
     path = tmp_path / "space.json"
-    path.write_text(dump_structure(sierpinski()), encoding="utf-8")
+    path.write_text(canonical_json(structure_data(sierpinski())), encoding="utf-8")
     assert load_structure(path) == sierpinski()
 
 

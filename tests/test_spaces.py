@@ -1,30 +1,23 @@
-"""Finite spaces, sobriety, and the glue lemma for decompositions."""
+"""Finite spaces, sobriety, maps, pushouts and products."""
 
 import itertools
 
 import pytest
 
-from finitetop import (
-    CarrierMismatchError,
+from finitetop.corpus import all_posets, all_spaces
+from finitetop.errors import CarrierMismatchError, TopologyError
+from finitetop.poset import FinitePoset, poset_isomorphism
+from finitetop.spaces import (
     FiniteSpace,
-    HypothesisError,
     SpaceMap,
-    TopologyError,
-    alexandrov,
     irreducible_closed_sets,
     is_sober,
     iter_continuous_maps,
-    poset_isomorphism,
     product_spaces,
     pushout_spaces,
-    sober_glue_check,
-    soberify,
     space_from_preorder,
     spaces_homeomorphic,
-    specialization_poset,
 )
-from finitetop.bits import iter_bits
-from finitetop.corpus import all_posets, all_spaces
 
 from conftest import (
     chain_poset,
@@ -87,104 +80,23 @@ def test_is_sober_examples():
     assert not is_sober(indiscrete_space(["a", "b"]))
 
 
-def test_soberify_fixes_sierpinski():
-    s = sierpinski()
-    q, m = soberify(s)
-    assert spaces_homeomorphic(q, s) is not None
-    assert m.mapping == (0, 1)
-
-
-def test_soberify_collapses_indiscrete():
-    q, m = soberify(indiscrete_space(["a", "b"]))
-    assert q.n == 1
-    assert m.mapping == (0, 0)
-
-
-def test_soberify_fixes_discrete():
-    d = discrete_space(["a", "b", "c"])
-    q, _ = soberify(d)
-    assert spaces_homeomorphic(q, d) is not None
-
-
 def test_finite_t0_iff_sober_exhaustive():
     for space in all_spaces(4):
-        q, m = soberify(space)
-        assert is_sober(q)
-        assert space.is_t0 == (spaces_homeomorphic(q, space) is not None)
         assert space.is_t0 == is_sober(space)
-        for u in q.opens:
-            assert space.is_open(m.preimage_mask(u))
-
-
-def test_glue_check_discrete_split():
-    d2 = discrete_space(["a", "b"])
-    report = sober_glue_check(d2, 0, d2.full)
-    assert report.hypotheses_hold
-    assert report.x_sober
-    assert report.consistent
-
-
-def test_glue_check_whole_space_as_closed_part():
-    s = sierpinski()
-    report = sober_glue_check(s, s.full, 0)
-    assert report.hypotheses_hold
-    assert report.x_sober
-
-
-def test_glue_check_rejects_non_closed_part():
-    s = sierpinski()
-    with pytest.raises(HypothesisError):
-        sober_glue_check(s, 2, 1)
-
-
-def test_glue_check_rejects_open_point_in_b():
-    s = sierpinski()
-    with pytest.raises(HypothesisError):
-        sober_glue_check(s, 1, 2)
-
-
-def test_glue_check_rejects_overlap():
-    d2 = discrete_space(["a", "b"])
-    with pytest.raises(HypothesisError):
-        sober_glue_check(d2, 3, 1)
-
-
-def _valid_decompositions(space):
-    for a_mask in range(1 << space.n):
-        b_mask = space.full ^ a_mask
-        if not space.is_open(space.full ^ a_mask):
-            continue
-        if any(space.closure(1 << i) != 1 << i for i in iter_bits(b_mask)):
-            continue
-        yield a_mask, b_mask
-
-
-def test_glue_lemma_has_no_small_counterexample():
-    cases = 0
-    for space in all_spaces(4):
-        for a_mask, b_mask in _valid_decompositions(space):
-            report = sober_glue_check(space, a_mask, b_mask)
-            assert report.consistent
-            cases += 1
-    assert cases > 50
 
 
 def test_alexandrov_round_trip():
     for p in all_posets(4):
-        space = alexandrov(p)
+        space = space_from_preorder(p.labels, p.up)
         assert space.is_t0
-        assert poset_isomorphism(specialization_poset(space), p) is not None
-
-
-def test_specialization_requires_t0():
-    with pytest.raises(TopologyError):
-        specialization_poset(indiscrete_space(["a", "b"]))
+        assert poset_isomorphism(FinitePoset(space.points, space.spec_up), p) is not None
 
 
 def test_space_from_preorder_collapses_nothing_on_posets():
     c3 = chain_poset(3)
     space = space_from_preorder(c3.labels, c3.up)
-    assert spaces_homeomorphic(space, alexandrov(c3)) is not None
+    upsets = FiniteSpace(c3.labels, [c3.full ^ m for m in c3.downsets().masks])
+    assert spaces_homeomorphic(space, upsets) is not None
 
 
 def test_continuous_map_counts():
