@@ -222,7 +222,15 @@ def test_copair_needs_a_common_codomain():
         copair(f, g)
 
 
-def test_tensor_action_matches_the_copair_oracle():
+def test_map_tensor_of_identity():
+    """(id tensor id) is the identity on the coproduct."""
+    c3 = chain_frame(3)
+    t = coproduct(c3, c3)
+    ident = FrameHom(c3, c3, (0, 1, 2))
+    assert _tensor_action(t, t, ident) == list(range(t.n))
+
+
+def test_map_tensor_against_copair_oracle():
     """(id tensor hom) sends each element where the copair of the legs does."""
     c3 = chain_frame(3)
     for target_right in (two(), c3):
@@ -231,6 +239,7 @@ def test_tensor_action_matches_the_copair_oracle():
             target = coproduct(c3, target_right)
             oracle = copair(target.iota1, hom.then(target.iota2), tensor=source)
             assert _tensor_action(source, target, hom) == list(oracle.mapping)
+
 
 def test_empty_product_is_the_one_point_frame():
     p = product_frames([])

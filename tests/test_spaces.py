@@ -18,6 +18,7 @@ from finitetop.spaces import (
     space_from_preorder,
     spaces_homeomorphic,
 )
+from finitetop.spatial import omega, pt
 
 from conftest import (
     chain_poset,
@@ -78,6 +79,21 @@ def test_is_sober_examples():
     assert is_sober(sierpinski())
     assert is_sober(discrete_space(["a", "b", "c"]))
     assert not is_sober(indiscrete_space(["a", "b"]))
+
+
+def test_soberify_fixes_sierpinski():
+    """The sobrification pt(omega(X)) of a sober space is the space itself."""
+    s = sierpinski()
+    assert spaces_homeomorphic(pt(omega(s)), s) is not None
+
+
+def test_soberify_collapses_indiscrete():
+    assert pt(omega(indiscrete_space(["a", "b"]))).n == 1
+
+
+def test_soberify_fixes_discrete():
+    d = discrete_space(["a", "b", "c"])
+    assert spaces_homeomorphic(pt(omega(d)), d) is not None
 
 
 def test_finite_t0_iff_sober_exhaustive():

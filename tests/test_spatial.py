@@ -12,7 +12,12 @@ from finitetop.frames import (
     frame_isomorphism,
     two,
 )
-from finitetop.spaces import is_sober, product_spaces, spaces_homeomorphic
+from finitetop.spaces import (
+    is_sober,
+    iter_continuous_maps,
+    product_spaces,
+    spaces_homeomorphic,
+)
 from finitetop.spatial import adjunction_check, is_spatial, locale_points, omega, pt
 
 from conftest import (
@@ -164,6 +169,19 @@ def test_transpose_matches_adjunction_report():
                 if c3.leq_idx(c3.order.index(points.points[g.mapping[x]]), a):
                     mask |= 1 << x
             assert t.mapping[a] == s.opens.index(mask)
+
+
+def test_transpose_is_natural_in_the_space():
+    """The transpose of h then g is the transpose of g followed by omega(h)."""
+    s = sierpinski()
+    c3 = chain_frame(3)
+    report = adjunction_check(s, c3)
+    transpose = dict(zip(report.space_maps, report.transposes))
+    om = omega(s)
+    for h in iter_continuous_maps(s, s):
+        omega_h = FrameHom(om, om, [s.opens.index(h.preimage_mask(u)) for u in s.opens])
+        for g, t_g in transpose.items():
+            assert transpose[h.then(g)] == t_g.then(omega_h)
 
 
 def test_omega_of_product_is_tensor_sized():
