@@ -11,16 +11,18 @@ The package re-exports nothing; import each name from the module that
 defines it:
 
 - `bits`, `order`: bitmask iteration and the shared order kernels
-  (`fill`, `glue`, `isomorphism`, `certificate`);
-- `poset`: `FinitePoset`, `MonotoneMap`, `validate_poset`;
+  (`upsets`, `product_rows`, `fill`, `glue`, `isomorphism`, `certificate`);
+- `poset`: `Preorder`, the one order type, with its subclass
+  `FinitePoset`, the one map class `PreMap`, and `validate_poset`;
 - `frames`: `FiniteFrame`, `FrameHom`, `iter_frame_homs`, nuclei and
   Galois connections;
 - `colimits`: frame coproducts, products and localic pushouts;
-- `spaces`: `FiniteSpace`, `SpaceMap`, soberness, pushouts and products;
+- `spaces`: `FiniteSpace`, the `Preorder` of a space's specialization
+  order, soberness, pushouts and products;
 - `spatial`: `omega`, `pt` and their adjunction;
 - `pstop`: pseudotopologies and the lemma checks;
-- `lifting`: preorders, lifting verdicts, pushout-products and bounded
-  factorization;
+- `lifting`: lifting verdicts, pushout-products and bounded
+  factorization over preorders;
 - `corpus`: the enumerated structures the suites run over;
 - `serialize`: canonical JSON in and out;
 - `suites`, `cli`: the verification suites and the `finitetop` command;

@@ -17,8 +17,8 @@ from contextlib import nullcontext
 from .colimits import copair, coproduct, pushout_loc
 from .errors import FinitetopError, ParseError, VerificationError
 from .frames import FiniteFrame, FrameHom, downset_frame
-from .lifting import LiftingSquare, PreMap, arrow, bounded_factorize, enumerate_lifts
-from .poset import FinitePoset
+from .lifting import LiftingSquare, arrow, bounded_factorize, enumerate_lifts
+from .poset import FinitePoset, PreMap
 from .pstop import PsSpace, join_ps, meet_ps, top_modification
 from .serialize import (
     canonical_json,
@@ -27,7 +27,7 @@ from .serialize import (
     parse_structure,
     structure_data,
 )
-from .spaces import FiniteSpace, SpaceMap
+from .spaces import FiniteSpace
 from .spatial import omega, pt
 from .suites import (
     GROUPS,
@@ -76,7 +76,7 @@ def _load(path, want=None):
 
 
 def _as_arrow(obj, where):
-    if not isinstance(obj, (PreMap, SpaceMap)):
+    if not isinstance(obj, PreMap) or isinstance(obj.source, FinitePoset):
         raise _InputProblem(f"{where}: expected a premap or space map")
     return arrow(obj)
 

@@ -34,6 +34,7 @@ from .frames import (
     frame_from_poset,
     right_adjoint,
 )
+from .order import product_rows
 from .poset import FinitePoset
 
 TENSOR_ELEMENT_CAP = 20000
@@ -65,24 +66,8 @@ class TensorCarrier:
         self.size = self.nl * self.nm
         self.row_mask = (1 << self.nm) - 1
         self.full = (1 << self.size) - 1
-        ldown = left.order.down
-        rdown = right.order.down
-        lup = left.order.up
-        rup = right.order.up
-        down = []
-        up = []
-        for i in range(self.nl):
-            for j in range(self.nm):
-                d = 0
-                for k in iter_bits(ldown[i]):
-                    d |= rdown[j] << (k * self.nm)
-                down.append(d)
-                u = 0
-                for k in iter_bits(lup[i]):
-                    u |= rup[j] << (k * self.nm)
-                up.append(u)
-        self.down = tuple(down)
-        self.up = tuple(up)
+        self.down = product_rows(left.order.down, right.order.down)
+        self.up = product_rows(left.order.up, right.order.up)
         nbar = self.row_mask << (left.bottom * self.nm)
         for i in range(self.nl):
             nbar |= 1 << (i * self.nm + right.bottom)
@@ -91,21 +76,11 @@ class TensorCarrier:
     def pos(self, i, j):
         return i * self.nm + j
 
-    def pairs_of(self, mask):
-        for p in iter_bits(mask):
-            yield divmod(p, self.nm)
-
     def is_downset(self, mask):
         acc = 0
         for p in iter_bits(mask):
             acc |= self.down[p]
         return acc | mask == mask
-
-    def down_closure(self, mask):
-        acc = mask
-        for p in iter_bits(mask):
-            acc |= self.down[p]
-        return acc
 
     def row_pass(self, mask):
         """Close every row under joins taken in the right frame.
@@ -369,15 +344,6 @@ class TensorFrame(FiniteFrame):
     def tensor(self, x, y):
         return self.red_index[self.grid.rt[x][y]]
 
-    def element_pairs(self, k):
-        """The member pairs of element k as sorted label pairs."""
-        carrier = self.carrier
-        out = [
-            (self.left.labels[i], self.right.labels[j])
-            for i, j in carrier.pairs_of(self.masks[k])
-        ]
-        return sorted(out)
-
     def cover_pairs(self):
         """All covering pairs (k, t), element t covering element k."""
         grid = self.grid
@@ -419,6 +385,7 @@ def coproduct(left, right):
         tuple(
             mask_from_down(grid, p) for p in range(grid.size)
         ),
+        validate=False,
     )
     try:
         family = base.downsets(cap=TENSOR_ELEMENT_CAP)
@@ -460,6 +427,7 @@ def coproduct(left, right):
     order = FinitePoset(
         tuple(f"t{k:0{width}d}" for k in range(n)),
         tuple(_up_rows_by_covers(n, reduced, red_index, grid)),
+        validate=False,
     )
     if n <= EAGER_TABLE_LIMIT:
         join = tuple(
@@ -672,7 +640,7 @@ def product_frames(factors):
             for v in covers[k][a[k]]:
                 row |= up[index[a[:k] + (v,) + a[k + 1 :]]]
         up[x] = row
-    order = FinitePoset(labels, tuple(up))
+    order = FinitePoset(labels, tuple(up), validate=False)
     bottom = index[tuple(f.bottom for f in factors)]
     top = index[tuple(f.top for f in factors)]
     if n <= EAGER_TABLE_LIMIT:
@@ -777,9 +745,6 @@ class PushoutLocaleResult:
     span_left: FrameHom
     span_right: FrameHom
 
-    def pair_index(self, b, c):
-        return self.pairs.index((b, c))
-
 
 def pushout_loc(f_left, g_left):
     """Pushout in the localic direction of the span given by two frame homs.
@@ -811,7 +776,7 @@ def pushout_loc(f_left, g_left):
                 row |= 1 << t
         rows.append(row)
     try:
-        apex = frame_from_poset(FinitePoset(labels, rows))
+        apex = frame_from_poset(FinitePoset(labels, rows, validate=False))
     except (NotLatticeError, NotDistributiveError) as exc:
         raise NotFrameError(f"the agreement pairs do not form a frame: {exc}") from exc
     index = {p: k for k, p in enumerate(pairs)}

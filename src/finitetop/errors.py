@@ -22,7 +22,7 @@ class NotDownsetError(FinitetopError):
 
 
 class NotMonotoneError(FinitetopError):
-    """A map between posets fails to preserve the order."""
+    """A map between preorders fails to preserve the order; for spaces, continuity fails."""
 
 
 class TopologyError(FinitetopError):

@@ -27,7 +27,7 @@ from .errors import (
     VerificationError,
 )
 from .order import fill
-from .poset import DownsetFamily, poset_isomorphism, validate_poset
+from .poset import poset_isomorphism, validate_poset
 
 DISTRIBUTIVITY_CHECK_LIMIT = 128
 
@@ -48,16 +48,10 @@ class FiniteFrame:
 
     @property
     def labels(self):
-        return self.order.labels
+        return self.order.points
 
     def leq_idx(self, i, j):
         return self.order.leq_idx(i, j)
-
-    def join2(self, i, j):
-        return self.join[i][j]
-
-    def meet2(self, i, j):
-        return self.meet[i][j]
 
     def join_mask(self, mask):
         acc = self.bottom
@@ -165,7 +159,7 @@ def frame_from_poset(poset, *, check_distributive=True):
             raise VerificationError(
                 "Birkhoff's test and the triple sweep disagree on distributivity"
             )
-        a, b, c = (poset.labels[k] for k in witness)
+        a, b, c = (poset.points[k] for k in witness)
         raise NotDistributiveError(f"distributivity fails on ({a!r}, {b!r}, {c!r})")
     return frame
 
@@ -179,11 +173,11 @@ def _raise_missing_bound(poset, i, jrow, mrow):
     for j in range(i, poset.n):
         if jrow[j] is None:
             raise NotLatticeError(
-                f"no least upper bound for {poset.labels[i]!r}, {poset.labels[j]!r}"
+                f"no least upper bound for {poset.points[i]!r}, {poset.points[j]!r}"
             )
         if mrow[j] is None:
             raise NotLatticeError(
-                f"no greatest lower bound for {poset.labels[i]!r}, {poset.labels[j]!r}"
+                f"no greatest lower bound for {poset.points[i]!r}, {poset.points[j]!r}"
             )
 
 
@@ -220,14 +214,9 @@ def distributivity_witness(frame):
     return None
 
 
-def frame_from_downsets(family):
-    """The frame of downsets of a poset, ordered by inclusion."""
-    return frame_from_poset(family.poset, check_distributive=False)
-
-
 def downset_frame(poset):
-    """All downsets of a poset as a frame; the free frame on the poset."""
-    return frame_from_downsets(DownsetFamily(poset, tuple(poset.downsets())))
+    """All downsets of a poset as a frame ordered by inclusion; the free frame on the poset."""
+    return frame_from_poset(poset.downsets().poset, check_distributive=False)
 
 
 class FrameHom:
@@ -247,20 +236,8 @@ class FrameHom:
         if validate:
             _check_hom(source, target, self.mapping)
 
-    @classmethod
-    def from_labels(cls, source, target, assignment):
-        mapping = [target.order.index(assignment[x]) for x in source.labels]
-        return cls(source, target, mapping)
-
-    @classmethod
-    def identity(cls, frame):
-        return cls(frame, frame, range(frame.n))
-
     def __call__(self, i):
         return self.mapping[i]
-
-    def apply_label(self, x):
-        return self.target.labels[self.mapping[self.source.order.index(x)]]
 
     def then(self, other):
         if self.target != other.source:
@@ -268,12 +245,6 @@ class FrameHom:
         return FrameHom(
             self.source, other.target, [other.mapping[v] for v in self.mapping]
         )
-
-    def is_surjective(self):
-        return len(set(self.mapping)) == self.target.n
-
-    def is_injective(self):
-        return len(set(self.mapping)) == self.source.n
 
     def __eq__(self, other):
         return (

@@ -1,9 +1,11 @@
 """Lifting problems, pushout products, pullback powers, cell attachment.
 
-The ambient category is finite preorders, which is finite topological
-spaces presented by their specialization order: continuity is exactly
-monotonicity, limits and colimits compute componentwise and by quotient,
-and every object is exponentiable with the monotone-map object under the
+The ambient category is finite preorders, `poset.Preorder` with
+`poset.PreMap`.  A finite space is the same object presented by its
+specialization order (`spaces.FiniteSpace` is a Preorder subclass), and
+continuity is exactly monotonicity; `arrow` moves a space map onto plain
+preorders.  Limits and colimits compute componentwise and by quotient, and
+every object is exponentiable with the monotone-map object under the
 pointwise order.  Working on order rows keeps the derived objects
 (iterated products, map objects, pushouts of both) small where explicit
 open-set families would grow exponentially.
@@ -30,15 +32,14 @@ from functools import cached_property, lru_cache
 from .bits import iter_bits
 from .errors import (
     CarrierMismatchError,
-    DuplicateLabelError,
     NonCommutingError,
     NotIsoError,
-    NotMonotoneError,
     SizeError,
-    TopologyError,
     VerificationError,
 )
-from .order import count_fill, fill, glue, transpose
+from .order import count_fill, fill, glue, product_rows
+from .poset import FinitePoset, PreMap, Preorder, transitive_closure
+from .spaces import FiniteSpace
 
 COMPLETE = "COMPLETE"
 PARTIAL = "PARTIAL"
@@ -56,131 +57,24 @@ POWER_CACHE_SIZE = 8192
 LIFTS_CACHE_SIZE = 1 << 16
 
 
-class Preorder:
-    """Finite preorder: labelled points plus reflexive transitive up rows."""
-
-    def __init__(self, points, up, *, validate=True):
-        self.points = tuple(points)
-        self.up = tuple(up)
-        self.n = len(self.points)
-        if validate:
-            if len(set(self.points)) != self.n:
-                raise DuplicateLabelError("preorder labels repeat")
-            if len(self.up) != self.n:
-                raise CarrierMismatchError("one up row per point")
-            for i, row in enumerate(self.up):
-                if not row >> i & 1:
-                    raise TopologyError("preorder rows must be reflexive")
-                for j in iter_bits(row):
-                    if self.up[j] & ~row:
-                        raise TopologyError("preorder rows must be transitive")
-
-    @classmethod
-    def from_space(cls, space):
-        return cls(space.points, space.spec_up, validate=False)
-
-    @cached_property
-    def down(self):
-        return transpose(self.up)
-
-    @property
-    def full(self):
-        return (1 << self.n) - 1
-
-    def leq(self, i, j):
-        return bool(self.up[i] >> j & 1)
-
-    def space(self):
-        from .spaces import space_from_preorder
-
-        return space_from_preorder(self.points, self.up)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, Preorder)
-            and self.points == other.points
-            and self.up == other.up
-        )
-
-    def __hash__(self):
-        return hash((self.points, self.up))
-
-    def __repr__(self):
-        return f"Preorder({self.n} points)"
-
-
-class PreMap:
-    """A monotone map between finite preorders."""
-
-    def __init__(self, source, target, mapping, *, validate=True):
-        self.source = source
-        self.target = target
-        self.mapping = tuple(mapping)
-        if len(self.mapping) != source.n:
-            raise CarrierMismatchError("one image per source point")
-        if validate:
-            tup = target.up
-            for i in range(source.n):
-                row = source.up[i]
-                ti = self.mapping[i]
-                for j in iter_bits(row):
-                    if not tup[ti] >> self.mapping[j] & 1:
-                        raise NotMonotoneError(
-                            f"{source.points[i]} <= {source.points[j]} is not preserved"
-                        )
-
-    @classmethod
-    def from_labels(cls, source, target, assignment):
-        pos = {x: i for i, x in enumerate(target.points)}
-        return cls(source, target, [pos[assignment[x]] for x in source.points])
-
-    def __call__(self, i):
-        return self.mapping[i]
-
-    def then(self, other):
-        if self.target != other.source:
-            raise CarrierMismatchError("composition needs matching middle object")
-        return PreMap(
-            self.source,
-            other.target,
-            [other.mapping[v] for v in self.mapping],
-            validate=False,
-        )
-
-    @cached_property
-    def key(self):
-        """Label-free structural key; equal keys share all lifting behaviour."""
-        return (self.source.up, self.target.up, self.mapping)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, PreMap)
-            and self.source == other.source
-            and self.target == other.target
-            and self.mapping == other.mapping
-        )
-
-    def __hash__(self):
-        return hash((self.source, self.target, self.mapping))
-
-    def __repr__(self):
-        pairs = ", ".join(
-            f"{x}->{self.target.points[v]}"
-            for x, v in zip(self.source.points, self.mapping)
-        )
-        return f"PreMap({pairs})"
+def _plain(pre):
+    """A space or poset as a plain Preorder; other preorders pass through."""
+    if isinstance(pre, (FiniteSpace, FinitePoset)):
+        return Preorder(pre.points, pre.up, validate=False)
+    return pre
 
 
 def arrow(m):
-    """Coerce a continuous map of spaces, or a PreMap, into a PreMap."""
-    if isinstance(m, PreMap):
+    """A map of spaces or preorders as a PreMap between plain preorders.
+
+    A space map keeps its mapping and moves to the specialization
+    preorders, so lifting reports speak of preorders throughout.
+    """
+    source = _plain(m.source)
+    target = _plain(m.target)
+    if source is m.source and target is m.target:
         return m
-    return PreMap(
-        Preorder.from_space(m.source),
-        Preorder.from_space(m.target),
-        m.mapping,
-        validate=False,
-    )
+    return PreMap(source, target, m.mapping, validate=False)
 
 
 def identity_arrow(pre):
@@ -208,11 +102,10 @@ def iter_monotone_arrows(source, target):
 
 
 def arrows_between(objects):
-    """Every monotone arrow between members of a family of spaces or preorders."""
-    pres = [p if isinstance(p, Preorder) else Preorder.from_space(p) for p in objects]
+    """Every monotone arrow between members of a family of preorders."""
     out = []
-    for a in pres:
-        for b in pres:
+    for a in objects:
+        for b in objects:
             out.extend(iter_monotone_arrows(a, b))
     return tuple(out)
 
@@ -428,15 +321,8 @@ class ProductPre(Preorder):
             raise SizeError(f"product exceeds {PRODUCT_POINT_CAP} points")
         self.left = left
         self.right = right
-        nr = right.n
         points = [f"({a},{b})" for a in left.points for b in right.points]
-        rows = []
-        for i in range(left.n):
-            for j in range(right.n):
-                m = 0
-                for i2 in iter_bits(left.up[i]):
-                    m |= right.up[j] << (i2 * nr)
-                rows.append(m)
+        rows = product_rows(left.up, right.up)
         super().__init__(points, rows, validate=False)
 
     def pair(self, i, j):
@@ -509,11 +395,7 @@ def _glue_span(b_up, c_up, f_map, g_map):
         for i, row in enumerate(ups):
             for j in iter_bits(row):
                 rows[cls[offset + i]] |= 1 << cls[offset + j]
-    for k in range(n):
-        for i in range(n):
-            if rows[i] >> k & 1:
-                rows[i] |= rows[k]
-    return tuple(rows), tuple(map(tuple, members))
+    return tuple(transitive_closure(rows)), tuple(map(tuple, members))
 
 
 def _label_span(b, c, rows, classes):
@@ -1040,10 +922,6 @@ class FactorizationTrace:
     left: PreMap
     right: PreMap
     verdict: str
-
-    @property
-    def complete(self):
-        return self.verdict == COMPLETE
 
 
 @lru_cache(maxsize=512)

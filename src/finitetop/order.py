@@ -1,10 +1,11 @@
-"""Kernels on order rows: transpose, monotone fill, gluing, isomorphism.
+"""Kernels on order rows: transpose, products, up-sets, fill, glue, isomorphism.
 
 Posets, finite spaces (through their specialization preorders) and the
 preorders of the lifting layer all present an order as reflexive,
 transitive up rows: bit j of `up[i]` is set when i <= j.  The functions
 here take such rows directly, so one mechanism serves every order type,
-antisymmetric or not.
+antisymmetric or not.  `upsets` lists the up-sets of such rows, which are
+the opens of a finite space and, on the dual rows, the downsets of a poset.
 
 Visit order of the monotone fill is fixed: source points are placed in
 ascending `(-popcount(up[i]), i)`, and the values for each point ascend.
@@ -41,6 +42,60 @@ def transpose(up):
 
 
 _dual_rows = lru_cache(maxsize=PLAN_CACHE_SIZE)(transpose)
+
+
+def sort_labels(labels, rows):
+    """The labels in sorted order, with the rows renumbered to match."""
+    order = sorted(range(len(labels)), key=lambda i: labels[i])
+    pos = {i: t for t, i in enumerate(order)}
+    out = [0] * len(labels)
+    for i, r in enumerate(rows):
+        m = 0
+        for j in iter_bits(r):
+            m |= 1 << pos[j]
+        out[pos[i]] = m
+    return [labels[i] for i in order], out
+
+
+def product_rows(left, right):
+    """Rows of the product order on row-major pairs: (i, j) at i * len(right) + j."""
+    nr = len(right)
+    rows = []
+    for row in left:
+        for r in right:
+            m = 0
+            for k in iter_bits(row):
+                m |= r << (k * nr)
+            rows.append(m)
+    return tuple(rows)
+
+
+def upsets(up, cap=None):
+    """Every up-set of the rows, sorted by (size, mask).
+
+    Each step takes the lowest undecided point and either excludes it with
+    everything below it or includes it with everything above it; both
+    branches stay consistent, so every leaf is a distinct up-set and no
+    branch dies.  With a `cap`, enumeration stops after cap + 1 up-sets, so
+    a caller tells "too many" by the length.
+    """
+    down = transpose(up)
+    full = (1 << len(up)) - 1
+    out = []
+    stack = [(0, 0)]
+    while stack:
+        inc, exc = stack.pop()
+        free = full & ~(inc | exc)
+        if not free:
+            out.append(inc)
+            if cap is not None and len(out) > cap:
+                break
+            continue
+        i = (free & -free).bit_length() - 1
+        stack.append((inc | up[i], exc))
+        stack.append((inc, exc | down[i]))
+    out.sort(key=lambda m: (popcount(m), m))
+    return tuple(out)
 
 
 @lru_cache(maxsize=PLAN_CACHE_SIZE)

@@ -1,11 +1,16 @@
-"""Finite posets, monotone maps and downset enumeration.
+"""Finite preorders, posets, monotone maps and downset enumeration.
 
-Element labels are opaque strings.  Constructors that parse labelled input
-sort the labels once, and everything downstream works with positional
-indices against the stored order, so enumeration is reproducible.  The
-order relation is stored as transitively closed bit rows: `up[i]` holds the
-mask of all j with i <= j, `down[i]` the dual.  Subsets of the carrier are
-plain ints over the same bit positions.
+`Preorder` is the one order type: labelled points with transitively
+closed up rows, where `up[i]` holds the mask of all j with i <= j and
+`down[i]` the dual.  Posets are the antisymmetric preorders, a finite
+space (in `spaces`) is the preorder of its specialization order, and the
+lifting layer works on plain preorders; the subclasses add only their
+serialization kind and their own operations.  `PreMap` is the one map class: a map is valid
+when it is monotone on the up rows, which for finite spaces is exactly
+continuity.  Element labels are opaque strings; constructors that parse
+labelled input sort them once, and everything downstream works with
+positional indices, so enumeration is reproducible.  Subsets of the
+carrier are plain ints over the same bit positions.
 """
 
 from __future__ import annotations
@@ -19,9 +24,10 @@ from .errors import (
     DuplicateLabelError,
     NotMonotoneError,
     SizeError,
+    TopologyError,
     VerificationError,
 )
-from .order import isomorphism, transpose
+from .order import isomorphism, sort_labels, transpose, upsets
 
 DOWNSET_CAP = 1 << 20
 
@@ -37,39 +43,77 @@ def transitive_closure(rows):
     return rows
 
 
-class FinitePoset:
-    """Immutable finite partial order on sorted string labels."""
+class Preorder:
+    """Finite preorder: labelled points plus reflexive transitive up rows."""
 
-    def __init__(self, labels, up):
-        self.labels = tuple(labels)
+    def __init__(self, points, up, *, validate=True):
+        self.points = tuple(points)
         self.up = tuple(up)
-        self._index = {x: i for i, x in enumerate(self.labels)}
-
-    @classmethod
-    def from_pairs(cls, elements, pairs):
-        """Build from labels and a label-pair relation; see validate_poset."""
-        return validate_poset(elements, pairs)
+        self.n = len(self.points)
+        if validate:
+            if len(set(self.points)) != self.n:
+                raise DuplicateLabelError("preorder labels repeat")
+            if len(self.up) != self.n:
+                raise CarrierMismatchError("one up row per point")
+            for i, row in enumerate(self.up):
+                if not row >> i & 1:
+                    raise TopologyError("preorder rows must be reflexive")
+                for j in iter_bits(row):
+                    if self.up[j] & ~row:
+                        raise TopologyError("preorder rows must be transitive")
 
     @property
-    def n(self):
-        return len(self.labels)
-
-    @cached_property
     def full(self):
         return (1 << self.n) - 1
-
-    def index(self, label):
-        return self._index[label]
-
-    def leq_idx(self, i, j):
-        return bool(self.up[i] >> j & 1)
-
-    def leq(self, x, y):
-        return self.leq_idx(self._index[x], self._index[y])
 
     @cached_property
     def down(self):
         return transpose(self.up)
+
+    def leq_idx(self, i, j):
+        return bool(self.up[i] >> j & 1)
+
+    @cached_property
+    def _index(self):
+        return {x: i for i, x in enumerate(self.points)}
+
+    def index(self, label):
+        return self._index[label]
+
+    def label_set(self, mask):
+        return tuple(self.points[i] for i in iter_bits(mask))
+
+    def restrict(self, mask):
+        """The induced order on the points of `mask`, of the same kind."""
+        keep = list(iter_bits(mask))
+        pos = {i: t for t, i in enumerate(keep)}
+        rows = []
+        for i in keep:
+            r = 0
+            for j in iter_bits(self.up[i] & mask):
+                r |= 1 << pos[j]
+            rows.append(r)
+        return type(self)([self.points[i] for i in keep], rows, validate=False)
+
+    def __eq__(self, other):
+        return self is other or (
+            isinstance(other, Preorder)
+            and self.points == other.points
+            and self.up == other.up
+        )
+
+    def __hash__(self):
+        return hash((self.points, self.up))
+
+    def __repr__(self):
+        return f"{type(self).__name__}({self.n} points)"
+
+
+class FinitePoset(Preorder):
+    """A finite partial order: a preorder whose rows are antisymmetric.
+
+    `validate_poset` is the checking constructor from labels and pairs.
+    """
 
     @cached_property
     def linear_extension(self):
@@ -82,87 +126,15 @@ class FinitePoset:
             seen |= 1 << i
         return tuple(order)
 
-    def is_downset(self, mask):
-        acc = 0
-        for i in iter_bits(mask):
-            acc |= self.down[i]
-        return acc | mask == mask
-
-    def down_closure(self, mask):
-        acc = mask
-        for i in iter_bits(mask):
-            acc |= self.down[i]
-        return acc
-
-    def up_closure(self, mask):
-        acc = mask
-        for i in iter_bits(mask):
-            acc |= self.up[i]
-        return acc
-
     def downsets(self, cap=DOWNSET_CAP):
-        """Enumerate all downsets, canonically ordered; SizeError beyond cap.
+        """All downsets, the up-sets of the dual rows, ordered by (size, mask).
 
-        Walks the fixed linear extension and decides membership per element;
-        an element may be included only when its strict predecessors already
-        are, which prunes every dead branch immediately.
+        SizeError beyond `cap`.
         """
-        out = []
-        ext = self.linear_extension
-        down = self.down
-        n = self.n
-
-        def rec(t, mask):
-            if t == len(ext):
-                out.append(mask)
-                if len(out) > cap:
-                    raise SizeError(
-                        f"more than {cap} downsets on {n} elements"
-                    )
-                return
-            i = ext[t]
-            rec(t + 1, mask)
-            if down[i] & ~mask == 1 << i:
-                rec(t + 1, mask | 1 << i)
-
-        rec(0, 0)
-        out.sort(key=lambda m: (popcount(m), m))
-        return DownsetFamily(self, tuple(out))
-
-    def label_set(self, mask):
-        return tuple(self.labels[i] for i in iter_bits(mask))
-
-    def mask_from_labels(self, labels):
-        m = 0
-        for x in labels:
-            m |= 1 << self._index[x]
-        return m
-
-    def restrict(self, mask):
-        """Induced subposet on the elements of `mask`."""
-        keep = list(iter_bits(mask))
-        labels = [self.labels[i] for i in keep]
-        pos = {i: t for t, i in enumerate(keep)}
-        rows = []
-        for i in keep:
-            r = 0
-            for j in iter_bits(self.up[i] & mask):
-                r |= 1 << pos[j]
-            rows.append(r)
-        return FinitePoset(labels, rows)
-
-    def __eq__(self, other):
-        return self is other or (
-            isinstance(other, FinitePoset)
-            and self.labels == other.labels
-            and self.up == other.up
-        )
-
-    def __hash__(self):
-        return hash((self.labels, self.up))
-
-    def __repr__(self):
-        return f"FinitePoset({len(self.labels)} elements)"
+        masks = upsets(self.down, cap)
+        if len(masks) > cap:
+            raise SizeError(f"more than {cap} downsets on {self.n} elements")
+        return DownsetFamily(self, masks)
 
 
 def validate_poset(elements, relation):
@@ -190,7 +162,7 @@ def validate_poset(elements, relation):
                 raise CycleError(
                     f"cycle through {labels[i]!r} and {labels[j]!r}"
                 )
-    return FinitePoset(labels, rows)
+    return FinitePoset(labels, rows, validate=False)
 
 
 class DownsetFamily:
@@ -224,67 +196,67 @@ class DownsetFamily:
                 if a & ~b == 0:
                     r |= 1 << k
             rows.append(r)
-        order = sorted(range(len(labels)), key=lambda k: labels[k])
-        relabel = {k: t for t, k in enumerate(order)}
-        out_rows = [0] * len(labels)
-        for k, r in enumerate(rows):
-            nr = 0
-            for j in iter_bits(r):
-                nr |= 1 << relabel[j]
-            out_rows[relabel[k]] = nr
-        return FinitePoset([labels[k] for k in order], out_rows)
+        return FinitePoset(*sort_labels(labels, rows), validate=False)
 
 
 def downset_label(poset, mask):
-    return "{" + ",".join(poset.labels[i] for i in iter_bits(mask)) + "}"
+    return "{" + ",".join(poset.points[i] for i in iter_bits(mask)) + "}"
 
 
-class MonotoneMap:
-    """A validated monotone map between finite posets."""
+class PreMap:
+    """A monotone map between finite preorders.
 
-    def __init__(self, source, target, mapping):
+    For finite spaces monotonicity of the specialization rows is exactly
+    continuity, so this is also the map class of spaces.  The kind a map
+    serializes as follows its source: poset, space or plain preorder.
+    """
+
+    def __init__(self, source, target, mapping, *, validate=True):
         self.source = source
         self.target = target
         self.mapping = tuple(mapping)
         if len(self.mapping) != source.n:
             raise CarrierMismatchError("one image per source point")
-        for i in range(source.n):
-            fi = self.mapping[i]
-            for j in iter_bits(source.up[i]):
-                if not target.leq_idx(fi, self.mapping[j]):
-                    raise NotMonotoneError(
-                        f"{source.labels[i]!r} <= {source.labels[j]!r} "
-                        "but the images are not comparable that way"
-                    )
-
-    @classmethod
-    def from_labels(cls, source, target, assignment):
-        mapping = [target.index(assignment[x]) for x in source.labels]
-        return cls(source, target, mapping)
+        if validate:
+            tup = target.up
+            for i in range(source.n):
+                row = source.up[i]
+                ti = self.mapping[i]
+                for j in iter_bits(row):
+                    if not tup[ti] >> self.mapping[j] & 1:
+                        raise NotMonotoneError(
+                            f"{source.points[i]} <= {source.points[j]} is not preserved"
+                        )
 
     def __call__(self, i):
         return self.mapping[i]
 
-    def apply_label(self, x):
-        return self.target.labels[self.mapping[self.source.index(x)]]
-
     def then(self, other):
         """Composite self followed by other."""
-        if self.target is not other.source and self.target != other.source:
+        if self.target != other.source:
             raise CarrierMismatchError("composition needs matching middle object")
-        return MonotoneMap(
-            self.source, other.target, [other.mapping[v] for v in self.mapping]
+        return PreMap(
+            self.source,
+            other.target,
+            [other.mapping[v] for v in self.mapping],
+            validate=False,
         )
 
-    def image_mask(self, mask):
+    def preimage_mask(self, mask):
         m = 0
-        for i in iter_bits(mask):
-            m |= 1 << self.mapping[i]
+        for i, v in enumerate(self.mapping):
+            if mask >> v & 1:
+                m |= 1 << i
         return m
+
+    @cached_property
+    def key(self):
+        """Label-free structural key; equal keys share all lifting behaviour."""
+        return (self.source.up, self.target.up, self.mapping)
 
     def __eq__(self, other):
         return (
-            isinstance(other, MonotoneMap)
+            isinstance(other, PreMap)
             and self.source == other.source
             and self.target == other.target
             and self.mapping == other.mapping
@@ -295,9 +267,10 @@ class MonotoneMap:
 
     def __repr__(self):
         pairs = ", ".join(
-            f"{x}->{self.target.labels[v]}" for x, v in zip(self.source.labels, self.mapping)
+            f"{x}->{self.target.points[v]}"
+            for x, v in zip(self.source.points, self.mapping)
         )
-        return f"MonotoneMap({pairs})"
+        return f"PreMap({pairs})"
 
 
 def poset_isomorphism(p, q):

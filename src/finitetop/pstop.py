@@ -19,9 +19,12 @@ from .errors import (
     VerificationError,
 )
 from .order import certificate
+from .poset import transitive_closure
 from .spaces import FiniteSpace, iter_continuous_maps, pushout_carrier, pushout_spaces
 
 CERTIFY_POINT_CAP = 4
+# carrier labels of the enumerated pseudotopology corpora
+PS_LABELS = "123456"
 
 
 class PsSpace:
@@ -72,12 +75,6 @@ class PsSpace:
     def label_set(self, mask):
         return tuple(self.points[i] for i in iter_bits(mask))
 
-    def mask_from_labels(self, labels):
-        m = 0
-        for x in labels:
-            m |= 1 << self._index[x]
-        return m
-
     @property
     def is_discrete(self):
         return all(self.lim[i] == 1 << i for i in range(self.n))
@@ -119,10 +116,6 @@ class FilterRep:
     @property
     def proper(self):
         return self.base != 0
-
-    @classmethod
-    def principal(cls, space, labels):
-        return cls(space, space.mask_from_labels(labels))
 
 
 def lim_filter(xi, filt):
@@ -282,17 +275,16 @@ def top_modification(xi):
     """The reflection into topological spaces.
 
     A set is open when every point whose ultrafilter limit meets it already
-    lies inside; the identity carrier map into the result is the unit of
-    the adjunction and is re-verified to be continuous.
+    lies inside, so y <= x in the specialization order whenever y is a limit
+    of x's ultrafilter, and the opens are the up-sets of the transitive
+    closure.  The identity carrier map into the result is the unit of the
+    adjunction and is re-verified to be continuous.
     """
-    opens = []
-    for m in range(xi.full + 1):
-        if all(
-            not (xi.lim[x] & m) or (m >> x & 1)
-            for x in range(xi.n)
-        ):
-            opens.append(m)
-    space = FiniteSpace(xi.points, opens)
+    rows = [1 << i for i in range(xi.n)]
+    for x, lim in enumerate(xi.lim):
+        for y in iter_bits(lim):
+            rows[y] |= 1 << x
+    space = FiniteSpace(xi.points, transitive_closure(rows))
     ident = tuple(range(xi.n))
     if not check_continuity(ident, xi, ps_from_space(space)):
         raise VerificationError("the modification unit failed continuity")
@@ -369,14 +361,14 @@ def pushout_ps(f_piece, g_piece):
     return space, b_inj, c_inj
 
 
-def all_ps_spaces(n, labels="123456"):
-    """Every pseudotopology on a fixed labelled n-point carrier."""
+def all_ps_spaces(n):
+    """Every pseudotopology on the n-point carrier labelled from PS_LABELS."""
     if n > 4:
         raise SizeError("exhaustive pseudotopology corpus stops at 4 points")
-    return list(all_pseudotopologies(labels[:n]))
+    return list(all_pseudotopologies(PS_LABELS[:n]))
 
 
-def ps_spaces_up_to_iso(n, labels="123456"):
+def ps_spaces_up_to_iso(n):
     """One canonical representative per isomorphism class of pseudotopologies.
 
     The canonical form is the least relabelled lim tuple over all carrier
@@ -385,7 +377,7 @@ def ps_spaces_up_to_iso(n, labels="123456"):
     """
     reps = []
     seen = set()
-    for xi in all_ps_spaces(n, labels):
+    for xi in all_ps_spaces(n):
         cert = certificate(xi.lim)
         if cert not in seen:
             seen.add(cert)
@@ -470,7 +462,7 @@ def lemma_subspace_modification(max_points=3):
             for a_mask in range(1, xi.full + 1):
                 instances += 1
                 fine = top_modification(subspace_ps(xi, a_mask))
-                coarse = tau_whole.subspace(a_mask)
+                coarse = tau_whole.restrict(a_mask)
                 if any(not fine.is_open(u) for u in coarse.opens):
                     failures.append((xi, a_mask))
     return LemmaReport("subspace_modification", instances, tuple(failures))
@@ -509,7 +501,7 @@ def lemma_compact_balanced(max_points=3):
     instances = 0
     failures = []
     for n in range(1, max_points + 1):
-        hausdorff = discrete_ps("123456"[:n])
+        hausdorff = discrete_ps(PS_LABELS[:n])
         for xi in ps_spaces_up_to_iso(n):
             if not is_compact_ps(xi):
                 continue
@@ -587,7 +579,7 @@ def lemma_lattice_bounds(max_points=3):
     instances = 0
     failures = []
     for n in range(1, max_points + 1):
-        everything = list(all_pseudotopologies("123456"[:n]))
+        everything = list(all_pseudotopologies(PS_LABELS[:n]))
         for xi in everything:
             for zeta in everything:
                 instances += 1

@@ -18,17 +18,11 @@ from .bits import iter_bits
 from .colimits import PushoutLocaleResult
 from .errors import ParseError
 from .frames import FiniteFrame, FrameHom, frame_from_poset
-from .lifting import (
-    CellStage,
-    FactorizationTrace,
-    LiftingSquare,
-    LiftVerdict,
-    PreMap,
-    Preorder,
-)
-from .poset import FinitePoset, MonotoneMap, transitive_closure, validate_poset
+from .lifting import CellStage, FactorizationTrace, LiftingSquare, LiftVerdict
+from .order import sort_labels
+from .poset import FinitePoset, PreMap, Preorder, transitive_closure, validate_poset
 from .pstop import PsSpace
-from .spaces import FiniteSpace, SpaceMap
+from .spaces import FiniteSpace
 
 
 _ENCODER = json.JSONEncoder(sort_keys=True, indent=2, ensure_ascii=False)
@@ -57,6 +51,14 @@ def canonical_json(data):
     return "".join(iter_canonical_json(data))
 
 
+def _map_kind(source):
+    if isinstance(source, FinitePoset):
+        return "monotone-map"
+    if isinstance(source, FiniteSpace):
+        return "space-map"
+    return "premap"
+
+
 def _mask_labels(labels, mask):
     return [labels[i] for i in iter_bits(mask)]
 
@@ -72,13 +74,7 @@ def _relation_pairs(labels, up):
 
 
 def _order_data(kind, labels, up):
-    order = sorted(range(len(labels)), key=lambda i: labels[i])
-    pos = {i: k for k, i in enumerate(order)}
-    rows = [0] * len(labels)
-    for i, row in enumerate(up):
-        for j in iter_bits(row):
-            rows[pos[i]] |= 1 << pos[j]
-    sorted_labels = [labels[i] for i in order]
+    sorted_labels, rows = sort_labels(labels, up)
     return {
         "kind": kind,
         "points": sorted_labels,
@@ -115,9 +111,9 @@ def _pushout_parts(obj):
 def structure_data(obj):
     """Encode a supported structure as canonical JSON data."""
     if isinstance(obj, FinitePoset):
-        return _order_data("poset", obj.labels, obj.up)
+        return _order_data("poset", obj.points, obj.up)
     if isinstance(obj, FiniteFrame):
-        data = _order_data("frame", obj.order.labels, obj.order.up)
+        data = _order_data("frame", obj.order.points, obj.order.up)
         data["kind"] = "frame"
         return data
     if isinstance(obj, FrameHom):
@@ -126,8 +122,8 @@ def structure_data(obj):
             structure_data(obj.source),
             structure_data(obj.target),
             obj.mapping,
-            obj.source.order.labels,
-            obj.target.order.labels,
+            obj.source.labels,
+            obj.target.labels,
         )
     if isinstance(obj, (PushoutLocaleResult, LocPushoutData)):
         apex, left_leg, right_leg = _pushout_parts(obj)
@@ -145,24 +141,6 @@ def structure_data(obj):
                 sorted(_mask_labels(obj.points, m)) for m in obj.opens
             ),
         }
-    if isinstance(obj, SpaceMap):
-        return _map_data(
-            "space-map",
-            structure_data(obj.source),
-            structure_data(obj.target),
-            obj.mapping,
-            obj.source.points,
-            obj.target.points,
-        )
-    if isinstance(obj, MonotoneMap):
-        return _map_data(
-            "monotone-map",
-            structure_data(obj.source),
-            structure_data(obj.target),
-            obj.mapping,
-            obj.source.labels,
-            obj.target.labels,
-        )
     if isinstance(obj, PsSpace):
         return {
             "kind": "pstop",
@@ -176,7 +154,7 @@ def structure_data(obj):
         return _order_data("preorder", obj.points, obj.up)
     if isinstance(obj, PreMap):
         return _map_data(
-            "premap",
+            _map_kind(obj.source),
             structure_data(obj.source),
             structure_data(obj.target),
             obj.mapping,
@@ -258,9 +236,7 @@ def _parse_frame_hom(data):
     _expect(data, "frame-hom")
     source = _parse_frame(data["source"])
     target = _parse_frame(data["target"])
-    mapping = _positional(
-        data["mapping"], source.order.labels, target.order.labels
-    )
+    mapping = _positional(data["mapping"], source.labels, target.labels)
     return FrameHom(source, target, mapping)
 
 
@@ -278,23 +254,18 @@ def _parse_space(data):
                 raise ParseError(f"open set mentions unknown point {x!r}")
             m |= 1 << index[x]
         opens.append(m)
-    return FiniteSpace(points, opens)
+    return FiniteSpace.from_opens(points, opens)
 
 
-def _parse_space_map(data):
-    _expect(data, "space-map")
-    source = _parse_space(data["source"])
-    target = _parse_space(data["target"])
-    mapping = _positional(data["mapping"], source.points, target.points)
-    return SpaceMap(source, target, mapping)
+def _parse_map(kind, parse_end):
+    def parse(data):
+        _expect(data, kind)
+        source = parse_end(data["source"])
+        target = parse_end(data["target"])
+        mapping = _positional(data["mapping"], source.points, target.points)
+        return PreMap(source, target, mapping)
 
-
-def _parse_monotone_map(data):
-    _expect(data, "monotone-map")
-    source = _parse_poset(data["source"])
-    target = _parse_poset(data["target"])
-    mapping = _positional(data["mapping"], source.labels, target.labels)
-    return MonotoneMap(source, target, mapping)
+    return parse
 
 
 def _parse_pstop(data):
@@ -316,12 +287,7 @@ def _parse_preorder(data):
     return Preorder(points, transitive_closure(rows))
 
 
-def _parse_premap(data):
-    _expect(data, "premap")
-    source = _parse_preorder(data["source"])
-    target = _parse_preorder(data["target"])
-    mapping = _positional(data["mapping"], source.points, target.points)
-    return PreMap(source, target, mapping)
+_parse_premap = _parse_map("premap", _parse_preorder)
 
 
 def _parse_loc_pushout(data):
@@ -383,8 +349,8 @@ _PARSERS = {
     "frame": _parse_frame,
     "frame-hom": _parse_frame_hom,
     "space": _parse_space,
-    "space-map": _parse_space_map,
-    "monotone-map": _parse_monotone_map,
+    "space-map": _parse_map("space-map", _parse_space),
+    "monotone-map": _parse_map("monotone-map", _parse_poset),
     "pstop": _parse_pstop,
     "loc-pushout": _parse_loc_pushout,
     "preorder": _parse_preorder,

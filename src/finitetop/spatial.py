@@ -36,7 +36,9 @@ def omega(space):
             if u & ~v == 0:
                 row |= 1 << k
         rows.append(row)
-    return frame_from_poset(FinitePoset(labels, rows), check_distributive=False)
+    return frame_from_poset(
+        FinitePoset(labels, rows, validate=False), check_distributive=False
+    )
 
 
 def locale_points(frame):
@@ -93,7 +95,7 @@ def pt(frame):
             if p.hom.mapping[a]:
                 m |= 1 << index[frame.labels[p.generator]]
         opens.add(m)
-    space = FiniteSpace(labels, opens)
+    space = FiniteSpace.from_opens(labels, opens)
     if not is_sober(space):
         raise VerificationError("a point space failed to be sober")
     return space

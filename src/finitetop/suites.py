@@ -33,8 +33,6 @@ from .frames import (
 from .lifting import (
     COMPLETE,
     PARTIAL,
-    PreMap,
-    Preorder,
     arrow_iso,
     arrows_between,
     associates,
@@ -50,6 +48,8 @@ from .lifting import (
     replay_trace,
     rlp,
 )
+from .order import upsets
+from .poset import PreMap, Preorder
 from .pstop import (
     lemma_all_compact,
     lemma_compact_balanced,
@@ -118,7 +118,8 @@ def _frame_name(frame):
 
 
 def _space_name(space):
-    return "{" + ",".join(space.points) + "|" + str(len(space.opens)) + " opens}"
+    """A space, or a preorder as its Alexandrov space: points and open count."""
+    return "{" + ",".join(space.points) + "|" + str(len(upsets(space.up))) + " opens}"
 
 
 def _arrow_name(m):
@@ -493,7 +494,7 @@ def _wrap_lemma(func, capped=False):
 
 
 def _preorder_pool(max_points):
-    return tuple(Preorder.from_space(s) for s in spaces_upto(max_points))
+    return tuple(Preorder(s.points, s.up, validate=False) for s in spaces_upto(max_points))
 
 
 def _sample_arrow(rng, pool, cache):
@@ -653,7 +654,7 @@ def _run_pushout_product_units(opt):
             corner = pushout_product(bang, f)
             expected = product_arrow(identity_arrow(pre), f)
             if arrow_iso(corner, expected) is None:
-                failures.append(f"{_space_name(pre.space())} with {_arrow_name(f)}")
+                failures.append(f"{_space_name(pre)} with {_arrow_name(f)}")
     cases += 1
     corner = pushout_product(cell, cell)
     if corner.source.n != 0 or corner.target.n != 1:

@@ -56,27 +56,27 @@ def downset_frames(draw, max_n=3):
 
 
 def point_space():
-    return FiniteSpace(("p",), (0, 1))
+    return FiniteSpace.from_opens(("p",), (0, 1))
 
 
 def empty_space():
-    return FiniteSpace((), (0,))
+    return FiniteSpace.from_opens((), (0,))
 
 
 def discrete_space(labels):
     points = tuple(labels)
     n = len(points)
-    return FiniteSpace(points, tuple(range(1 << n)))
+    return FiniteSpace.from_opens(points, tuple(range(1 << n)))
 
 
 def indiscrete_space(labels):
     points = tuple(labels)
-    return FiniteSpace(points, (0, (1 << len(points)) - 1))
+    return FiniteSpace.from_opens(points, (0, (1 << len(points)) - 1))
 
 
 def sierpinski():
     """Points x, y with {y} open; the specialization order is x < y."""
-    return FiniteSpace(("x", "y"), (0, 2, 3))
+    return FiniteSpace.from_opens(("x", "y"), (0, 2, 3))
 
 
 @pytest.fixture

@@ -146,3 +146,71 @@ def test_pt_rejects_a_lattice_that_is_not_a_frame(frame, message, tmp_path, caps
     captured = capsys.readouterr()
     assert captured.out == ""
     assert json.loads(captured.err) == {"error": {"kind": "input", "message": message}}
+
+
+POSET = {"kind": "poset", "points": ["b", "1", "a", "0"], "leq": [["0", "a"], ["0", "b"], ["a", "1"], ["b", "1"]]}
+CHAIN2 = {"kind": "poset", "points": ["lo", "hi"], "leq": [["lo", "hi"]]}
+SPACE = {"kind": "space", "points": ["c", "a", "b"], "opens": [[], ["b"], ["a", "b"], ["b", "c"], ["a", "b", "c"]]}
+SIERPINSKI = {"kind": "space", "points": ["x", "y"], "opens": [[], ["y"], ["x", "y"]]}
+PREORDER = {"kind": "preorder", "points": ["r", "p", "q"], "leq": [["p", "q"], ["q", "p"], ["q", "r"]]}
+CHAIN2_PRE = {"kind": "preorder", "points": ["s", "t"], "leq": [["s", "t"]]}
+INPUTS = {
+    "poset": POSET,
+    "space": SPACE,
+    "preorder": PREORDER,
+    "monotone-map": {"kind": "monotone-map", "source": POSET, "target": CHAIN2,
+                     "mapping": {"0": "lo", "a": "lo", "b": "hi", "1": "hi"}},
+    "space-map": {"kind": "space-map", "source": SIERPINSKI, "target": SPACE,
+                  "mapping": {"x": "a", "y": "b"}},
+    "premap": {"kind": "premap", "source": CHAIN2_PRE, "target": PREORDER,
+               "mapping": {"s": "p", "t": "r"}},
+    "frame": {"kind": "frame", "points": ["0", "a", "b", "c", "1"],
+              "leq": [["0", "a"], ["0", "b"], ["a", "c"], ["b", "c"], ["c", "1"]]},
+    "pstop": {"kind": "pstop", "points": ["1", "2", "3"],
+              "limits": {"1": ["1", "2"], "2": ["2"], "3": ["1", "3"]}},
+}
+
+
+def _write_inputs(tmp_path):
+    paths = {}
+    for kind, data in INPUTS.items():
+        paths[kind] = str(tmp_path / f"{kind}.json")
+        Path(paths[kind]).write_text(json.dumps(data))
+    cell = PreMap(Preorder((), ()), Preorder(("p",), (1,)), ())
+    paths["gens"] = str(tmp_path / "gens.json")
+    Path(paths["gens"]).write_text(json.dumps([structure_data(cell)]))
+    return paths
+
+
+@pytest.mark.parametrize(
+    "words, digest",
+    [
+        (["validate", "--input", "poset"], "6f7a3af97339ee35e2eb434978323cd8f3561a759883c5dad171cfba4f3bace7"),
+        (["validate", "--input", "space"], "8226abb39359099fbe042b090bd90ea5e723413d3dc25d779ae3b871e3970652"),
+        (["validate", "--input", "preorder"], "f1894177a9b2435567f99cf2e6285a4aac400104621b64d62990997d1ee51877"),
+        (["validate", "--input", "monotone-map"], "9cc046b39fc7d6a3d216e96aa1e65d809ab7b6d1b610645c6e05cf677e70b197"),
+        (["validate", "--input", "space-map"], "0afb451d25b80f5c799773c5757874afa774d81fc785b78f3bbba87be5ac25c5"),
+        (["validate", "--input", "premap"], "98ee9a5a2ab7fb67328c56de3392156d9cfc1b44a10a45afd462f78e90e88f3f"),
+        (["omega", "--space", "space"], "bd7eafa6633504c8e52c93e869652f9775b9a5b6e89a78cee70a9773ae9e4b44"),
+        (["pt", "--frame", "frame"], "c0d81227a4ccb837d0b1aca3dbcba5d4da3c9a18ed1967ac5fe1081432d4eab9"),
+        (["downsets", "--poset", "poset"], "cebe58db447a4df67571913b37426bf2bae7f03803ad18926e6a8d47ea908432"),
+        (["pstop", "tau", "--input", "pstop"], "dc0bf2ec067f31c7f4616f6de9ef5862022a16b92ae16707a59a64a907eacff2"),
+        (["lift", "factorize", "--map", "space-map", "--gens", "gens"], "0d309be4a5ef663fdb0e118de0c6e75bc3285877d736e7391f7a74c39144a2bd"),
+    ],
+)
+def test_structure_output_bytes_are_pinned(words, digest, tmp_path, capsys):
+    paths = _write_inputs(tmp_path)
+    argv = [paths[w] if words[k - 1].startswith("--") else w for k, w in enumerate(words)]
+    assert run(argv) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_factorize_refuses_a_monotone_map_of_posets(tmp_path, capsys):
+    paths = _write_inputs(tmp_path)
+    argv = ["lift", "factorize", "--map", paths["monotone-map"], "--gens", paths["gens"]]
+    assert run(argv) == 2
+    assert _error(capsys) == {
+        "kind": "input",
+        "message": f"{paths['monotone-map']}: expected a premap or space map",
+    }

@@ -88,8 +88,8 @@ def test_every_element_is_a_join_of_tensors():
         t = coproduct(left, right)
         for k in range(t.n):
             acc = t.bottom
-            for i, j in t.carrier.pairs_of(t.masks[k]):
-                acc = t.join[acc][t.tensor(i, j)]
+            for p in iter_bits(t.masks[k]):
+                acc = t.join[acc][t.tensor(*divmod(p, right.n))]
             assert acc == k
 
 
@@ -104,7 +104,7 @@ def test_injections_are_certified_homs():
 
 def _product_poset(left, right):
     """The product order of two posets, pairs laid out row-major."""
-    labels = [f"({a},{b})" for a in left.labels for b in right.labels]
+    labels = [f"({a},{b})" for a in left.points for b in right.points]
     rows = []
     for i in range(left.n):
         for j in range(right.n):
@@ -306,12 +306,12 @@ def test_pushout_preserves_localic_injections():
     for a in small:
         for b in small:
             for f_left in iter_frame_homs(b, a):
-                if not f_left.is_surjective():
+                if len(set(f_left.mapping)) != f_left.target.n:
                     continue
                 for c in small:
                     for g_left in iter_frame_homs(c, a):
                         result = pushout_loc(f_left, g_left)
-                        assert result.proj_c.is_surjective()
+                        assert len(set(result.proj_c.mapping)) == result.proj_c.target.n
                         cases += 1
     assert cases > 20
 

@@ -63,35 +63,37 @@ def _top_level_names(node):
     return []
 
 
-def test_every_top_level_name_has_a_package_caller():
-    """Every top-level def, class and constant is used by live package code.
-
-    A name that only tests or re-exports reach is surface nothing checks.  A
-    reference inside the definition's own body does not count, and neither
-    does one inside a definition already found dead, so a helper that only
-    dead code calls is found too.
-    """
-    definitions = []
-    references = []
+def _package_trees():
     for path in sorted(Path(finitetop.__file__).parent.glob("*.py")):
-        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
-        for node in tree.body:
-            span = (path.name, node.lineno, node.end_lineno)
-            definitions += [(name, span) for name in _top_level_names(node)]
-        references += [
-            (_name(node), path.name, node.lineno)
-            for node in ast.walk(tree)
-            if isinstance(node, (ast.Name, ast.Attribute))
-        ]
+        yield path.name, ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+
+
+def _references():
+    """(name, module, line) of every Name and Attribute in package code."""
+    return [
+        (_name(node), module, node.lineno)
+        for module, tree in _package_trees()
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Name, ast.Attribute))
+    ]
+
+
+def _unreached(definitions):
+    """The definitions no package code reaches, as sorted "module:line key" strings.
+
+    `definitions` holds (key, name, (module, first, last)).  A reference to
+    the name inside the definition's own lines does not count, and neither
+    does one inside a definition already found unreached, so a helper that
+    only dead code calls is found too.
+    """
+    references = _references()
     dead = {}
     while True:
         skipped = list(dead.values())
         found = {
-            name: span
-            for name, span in definitions
-            if not name.startswith("__")
-            and name not in UNREFERENCED_ALLOWED
-            and name not in dead
+            key: span
+            for key, name, span in definitions
+            if key not in dead
             and not any(
                 ref == name
                 and not any(m == module and a <= line <= b for m, a, b in skipped + [span])
@@ -101,7 +103,22 @@ def test_every_top_level_name_has_a_package_caller():
         if not found:
             break
         dead.update(found)
-    assert sorted(f"{m}:{a} {name}" for name, (m, a, _) in dead.items()) == []
+    return sorted(f"{m}:{a} {key}" for key, (m, a, _) in dead.items())
+
+
+def test_every_top_level_name_has_a_package_caller():
+    """Every top-level def, class and constant is used by live package code.
+
+    A name that only tests or re-exports reach is surface nothing checks.
+    """
+    definitions = [
+        (name, name, (module, node.lineno, node.end_lineno))
+        for module, tree in _package_trees()
+        for node in tree.body
+        for name in _top_level_names(node)
+        if not name.startswith("__") and name not in UNREFERENCED_ALLOWED
+    ]
+    assert _unreached(definitions) == []
 
 
 def test_the_package_init_imports_nothing():
@@ -110,3 +127,28 @@ def test_the_package_init_imports_nothing():
     tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
     imports = [n.lineno for n in ast.walk(tree) if isinstance(n, (ast.Import, ast.ImportFrom))]
     assert imports == []
+
+
+# Methods and properties that no package code references, each kept for a reason.
+UNREFERENCED_METHODS_ALLOWED = {
+    "_Parser.error": "argparse calls it on a usage error",
+}
+
+
+def test_every_method_has_a_package_caller():
+    """Every non-dunder method and property is used by live package code.
+
+    The rule of the top-level test, one level down, with a method's
+    qualified name as its key.
+    """
+    definitions = [
+        (f"{cls.name}.{node.name}", node.name, (module, node.lineno, node.end_lineno))
+        for module, tree in _package_trees()
+        for cls in tree.body
+        if isinstance(cls, ast.ClassDef)
+        for node in cls.body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and not node.name.startswith("__")
+        and f"{cls.name}.{node.name}" not in UNREFERENCED_METHODS_ALLOWED
+    ]
+    assert _unreached(definitions) == []

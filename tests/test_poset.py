@@ -8,26 +8,27 @@ from hypothesis import strategies as st
 
 from finitetop.bits import iter_bits, popcount
 from finitetop.corpus import all_posets, poset_certificate
-from finitetop.errors import CarrierMismatchError, CycleError, VerificationError
+from finitetop.errors import CarrierMismatchError, CycleError, SizeError, VerificationError
 from finitetop.frames import downset_frame
 from finitetop.order import fill
-from finitetop.poset import FinitePoset, MonotoneMap, poset_isomorphism, validate_poset
+from finitetop.poset import FinitePoset, PreMap, poset_isomorphism, validate_poset
+from finitetop.serialize import parse_structure
 
 from conftest import antichain_poset, chain_poset, grid_poset
 
 
 def test_validate_poset_chain():
     p = validate_poset(["a", "b"], [("a", "b")])
-    assert p.labels == ("a", "b")
-    assert p.leq("a", "b")
-    assert not p.leq("b", "a")
-    assert p.leq("a", "a")
+    assert p.points == ("a", "b")
+    assert p.leq_idx(0, 1)
+    assert not p.leq_idx(1, 0)
+    assert p.leq_idx(0, 0)
 
 
 def test_validate_poset_singleton():
     p = validate_poset(["x"], [])
     assert p.n == 1
-    assert p.leq("x", "x")
+    assert p.leq_idx(0, 0)
 
 
 def test_validate_poset_rejects_cycle():
@@ -37,7 +38,7 @@ def test_validate_poset_rejects_cycle():
 
 def test_validate_poset_takes_transitive_closure():
     p = validate_poset(["a", "b", "c"], [("a", "b"), ("b", "c")])
-    assert p.leq("a", "c")
+    assert p.leq_idx(p.index("a"), p.index("c"))
 
 
 def test_validate_poset_rejects_unknown_labels():
@@ -139,7 +140,7 @@ def test_poset_isomorphism_detects_relabelling():
     b = chain_poset(3, ["x", "y", "z"])
     iso = poset_isomorphism(a, b)
     assert iso is not None
-    assert [b.labels[iso[i]] for i in range(3)] == ["x", "y", "z"]
+    assert [b.points[iso[i]] for i in range(3)] == ["x", "y", "z"]
 
 
 def test_poset_isomorphism_rejects_different_shapes():
@@ -164,9 +165,9 @@ def test_linear_extension_rejects_a_cyclic_relation():
 def test_monotone_map_mismatches_raise():
     c2, c3 = chain_poset(2), chain_poset(3)
     with pytest.raises(CarrierMismatchError):
-        MonotoneMap(c2, c3, [0])
+        PreMap(c2, c3, [0])
     with pytest.raises(CarrierMismatchError):
-        MonotoneMap(c2, c3, [0, 1]).then(MonotoneMap(c2, c2, [0, 1]))
+        PreMap(c2, c3, [0, 1]).then(PreMap(c2, c2, [0, 1]))
 
 
 def test_monotone_map_count_between_chains():
@@ -197,7 +198,7 @@ def test_monotone_maps_match_brute_force():
 def test_monotone_composition_associates(k, data):
     p = chain_poset(k)
     maps = list(fill(p.up, p.up))
-    f, g, h = (MonotoneMap(p, p, data.draw(st.sampled_from(maps))) for _ in range(3))
+    f, g, h = (PreMap(p, p, data.draw(st.sampled_from(maps))) for _ in range(3))
     assert f.then(g).mapping == tuple(g.mapping[v] for v in f.mapping)
     assert f.then(g).then(h).mapping == f.then(g.then(h)).mapping
 
@@ -213,6 +214,33 @@ def test_certificate_invariant_under_relabelling():
 
 
 def test_from_pairs_is_validate_poset():
-    p = FinitePoset.from_pairs(["a", "b"], [("a", "b")])
+    p = parse_structure({"kind": "poset", "points": ["b", "a"], "leq": [["a", "b"]]})
     q = validate_poset(["a", "b"], [("a", "b")])
-    assert p.up == q.up and p.labels == q.labels
+    assert p.up == q.up and p.points == q.points
+
+
+def _downsets_by_linear_extension(p):
+    """Walk the linear extension; add a point only once its strict predecessors are in."""
+    out = []
+    ext = p.linear_extension
+
+    def rec(t, mask):
+        if t == len(ext):
+            out.append(mask)
+            return
+        i = ext[t]
+        rec(t + 1, mask)
+        if p.down[i] & ~mask == 1 << i:
+            rec(t + 1, mask | 1 << i)
+
+    rec(0, 0)
+    return sorted(out, key=lambda m: (popcount(m), m))
+
+
+def test_downsets_match_the_linear_extension_recursion():
+    for p in all_posets(5):
+        masks = p.downsets().masks
+        assert list(masks) == _downsets_by_linear_extension(p)
+        assert p.downsets(cap=len(masks)).masks == masks
+        with pytest.raises(SizeError, match=f"more than {len(masks) - 1} downsets on {p.n} elements"):
+            p.downsets(cap=len(masks) - 1)

@@ -53,7 +53,7 @@ def test_ps_space_requires_reflexivity():
 
 def test_lim_of_principal_filters():
     xi = _kink()
-    at_12 = FilterRep.principal(xi, ["1", "2"])
+    at_12 = FilterRep(xi, 1 << xi.index("1") | 1 << xi.index("2"))
     assert xi.label_set(xi.lim[xi.index("2")]) == ("1", "2")
     assert xi.label_set(lim_filter(xi, at_12)) == ("1",)
 
@@ -141,7 +141,7 @@ def test_top_modification_of_discrete_and_indiscrete():
 def test_top_modification_of_the_kink():
     xi = PsSpace.from_lim(["1", "2"], {"1": ["1"], "2": ["1", "2"]})
     space = top_modification(xi)
-    assert space.opens == (0, space.mask_from_labels(["2"]), 3)
+    assert space.opens == (0, 1 << space.index("2"), 3)
 
 
 def test_top_modification_is_monotone():
@@ -170,7 +170,7 @@ def test_non_topological_pseudotopology_exists():
 def test_subspace_restriction():
     xi = _kink()
     assert subspace_ps(xi, xi.full) == xi
-    single = subspace_ps(xi, xi.mask_from_labels(["2"]))
+    single = subspace_ps(xi, 1 << xi.index("2"))
     assert single.points == ("2",)
     assert single.lim == (1,)
     with pytest.raises(EmptySubspaceError):
@@ -199,7 +199,7 @@ def test_final_structure_folds_two_points():
 
 def test_adherence_filter_of_principal_point():
     xi = _kink()
-    filt = FilterRep.principal(xi, ["2"])
+    filt = FilterRep(xi, 1 << xi.index("2"))
     assert adherence_filter(xi, filt) == xi.lim[xi.index("2")]
     assert adherence_filter(xi, FilterRep(xi, 0)) == 0
 
@@ -249,3 +249,17 @@ def test_tau_iota_and_lattice_lemmas_at_three_points():
     assert lemma_tau_iota(3).holds
     assert lemma_lattice_bounds(2).holds
     assert lemma_pushout_agreement(2).holds
+
+
+def test_top_modification_matches_the_subset_sweep():
+    """The opens of tau(xi) are the sets containing every point whose limit meets them."""
+    for n in range(1, 4):
+        for xi in ps_spaces_up_to_iso(n):
+            swept = [
+                m
+                for m in range(xi.full + 1)
+                if all(not (xi.lim[x] & m) or (m >> x & 1) for x in range(xi.n))
+            ]
+            assert top_modification(xi).opens == tuple(
+                sorted(swept, key=lambda m: (bin(m).count("1"), m))
+            )

@@ -16,7 +16,6 @@ from finitetop.lifting import (
     lifts_against,
     replay_trace,
 )
-from finitetop.poset import MonotoneMap
 from finitetop.pstop import PsSpace
 from finitetop.serialize import (
     LocPushoutData,
@@ -25,7 +24,6 @@ from finitetop.serialize import (
     parse_structure,
     structure_data,
 )
-from finitetop.spaces import SpaceMap
 
 from conftest import chain_poset, grid_poset, sierpinski
 
@@ -83,13 +81,15 @@ def test_space_round_trip():
 
 def test_space_map_round_trip():
     s = sierpinski()
-    m = SpaceMap(s, s, (0, 1))
+    m = PreMap(s, s, (0, 1))
+    assert structure_data(m)["kind"] == "space-map"
     assert _round_trip(m) == m
 
 
 def test_monotone_map_round_trip():
     p = chain_poset(3)
-    m = MonotoneMap(p, p, (0, 0, 1))
+    m = PreMap(p, p, (0, 0, 1))
+    assert structure_data(m)["kind"] == "monotone-map"
     assert _round_trip(m) == m
 
 
@@ -117,7 +117,7 @@ def test_preorder_parse_closes_transitively():
         "leq": [["x", "y"], ["y", "z"]],
     }
     pre = parse_structure(data)
-    assert pre.leq(0, 2)
+    assert pre.leq_idx(0, 2)
 
 
 def test_unsorted_labels_parse_to_an_isomorphic_preorder():

@@ -3,13 +3,16 @@
 import itertools
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from finitetop.corpus import all_posets, all_spaces
-from finitetop.errors import CarrierMismatchError, TopologyError
-from finitetop.poset import FinitePoset, poset_isomorphism
+from finitetop.bits import iter_bits, popcount
+from finitetop.corpus import LABELS, all_posets, all_preorders_labelled, all_spaces
+from finitetop.errors import CarrierMismatchError, NotMonotoneError, TopologyError
+from finitetop.poset import FinitePoset, PreMap, poset_isomorphism
+from finitetop.serialize import parse_structure
 from finitetop.spaces import (
     FiniteSpace,
-    SpaceMap,
     irreducible_closed_sets,
     is_sober,
     iter_continuous_maps,
@@ -32,30 +35,35 @@ from conftest import (
 
 def test_space_requires_empty_open():
     with pytest.raises(TopologyError):
-        FiniteSpace(("a",), (1,))
+        FiniteSpace.from_opens(("a",), (1,))
 
 
 def test_space_requires_full_open():
     with pytest.raises(TopologyError):
-        FiniteSpace(("a", "b"), (0, 1, 2))
+        FiniteSpace.from_opens(("a", "b"), (0, 1, 2))
 
 
 def test_space_requires_closure_under_intersection():
     with pytest.raises(TopologyError):
-        FiniteSpace(("a", "b", "c"), (0, 3, 6, 7))
+        FiniteSpace.from_opens(("a", "b", "c"), (0, 3, 6, 7))
 
 
 def test_space_requires_sorted_unique_points():
     with pytest.raises(TopologyError):
-        FiniteSpace(("b", "a"), (0, 3))
+        FiniteSpace.from_opens(("b", "a"), (0, 3))
     with pytest.raises(TopologyError):
-        FiniteSpace(("a", "a"), (0, 3))
+        FiniteSpace.from_opens(("a", "a"), (0, 3))
+
+
+def _is_t0(space):
+    """Distinct points have distinct smallest opens."""
+    return len(set(space.up)) == space.n
 
 
 def test_from_sets_builds_sierpinski():
-    s = FiniteSpace.from_sets(["x", "y"], [[], ["y"], ["x", "y"]])
+    s = parse_structure({"kind": "space", "points": ["y", "x"], "opens": [[], ["y"], ["x", "y"]]})
     assert s == sierpinski()
-    assert s.is_t0
+    assert _is_t0(s)
     assert not s.is_discrete
 
 
@@ -98,20 +106,20 @@ def test_soberify_fixes_discrete():
 
 def test_finite_t0_iff_sober_exhaustive():
     for space in all_spaces(4):
-        assert space.is_t0 == is_sober(space)
+        assert _is_t0(space) == is_sober(space)
 
 
 def test_alexandrov_round_trip():
     for p in all_posets(4):
-        space = space_from_preorder(p.labels, p.up)
-        assert space.is_t0
-        assert poset_isomorphism(FinitePoset(space.points, space.spec_up), p) is not None
+        space = space_from_preorder(p.points, p.up)
+        assert _is_t0(space)
+        assert poset_isomorphism(FinitePoset(space.points, space.up), p) is not None
 
 
 def test_space_from_preorder_collapses_nothing_on_posets():
     c3 = chain_poset(3)
-    space = space_from_preorder(c3.labels, c3.up)
-    upsets = FiniteSpace(c3.labels, [c3.full ^ m for m in c3.downsets().masks])
+    space = space_from_preorder(c3.points, c3.up)
+    upsets = FiniteSpace.from_opens(c3.points, [c3.full ^ m for m in c3.downsets().masks])
     assert spaces_homeomorphic(space, upsets) is not None
 
 
@@ -129,8 +137,8 @@ def test_continuous_map_counts():
 def test_continuity_is_validated():
     s = sierpinski()
     d2 = discrete_space(["x", "y"])
-    with pytest.raises(TopologyError):
-        SpaceMap(s, d2, (0, 1))
+    with pytest.raises(NotMonotoneError):
+        PreMap(s, d2, (0, 1))
 
 
 def test_map_composition_and_masks():
@@ -140,7 +148,7 @@ def test_map_composition_and_masks():
         h = f.then(g)
         assert h.mapping == tuple(g.mapping[v] for v in f.mapping)
     f = maps[0]
-    assert f.image_mask(0) == 0
+    assert f.preimage_mask(0) == 0
     assert f.preimage_mask(s.full) == s.full
 
 
@@ -177,7 +185,7 @@ def test_product_universal_property_small():
 
 def test_pushout_identity_span():
     s = sierpinski()
-    ident = SpaceMap(s, s, (0, 1))
+    ident = PreMap(s, s, (0, 1))
     out, inj_b, inj_c = pushout_spaces(ident, ident)
     assert spaces_homeomorphic(out, s) is not None
     assert inj_b.mapping == inj_c.mapping
@@ -186,7 +194,7 @@ def test_pushout_identity_span():
 def test_pushout_wedge_of_two_sierpinski():
     s = sierpinski()
     pt = point_space()
-    to_closed = SpaceMap(pt, s, (0,))
+    to_closed = PreMap(pt, s, (0,))
     out, inj_b, inj_c = pushout_spaces(to_closed, to_closed)
     assert out.n == 3
     assert inj_b.mapping[0] == inj_c.mapping[0]
@@ -196,7 +204,7 @@ def test_pushout_wedge_of_two_sierpinski():
 def test_pushout_universal_property_small():
     s = sierpinski()
     pt = point_space()
-    f = SpaceMap(pt, s, (0,))
+    f = PreMap(pt, s, (0,))
     out, inj_b, inj_c = pushout_spaces(f, f)
     for u in iter_continuous_maps(s, s):
         for v in iter_continuous_maps(s, s):
@@ -212,7 +220,7 @@ def test_pushout_universal_property_small():
 
 def test_homeomorphic_is_an_iso_relation():
     s = sierpinski()
-    relabeled = FiniteSpace(("u", "v"), (0, 2, 3))
+    relabeled = FiniteSpace.from_opens(("u", "v"), (0, 2, 3))
     iso = spaces_homeomorphic(s, relabeled)
     assert iso is not None
     assert spaces_homeomorphic(s, discrete_space(["a", "b"])) is None
@@ -227,6 +235,125 @@ def test_space_counts_frozen():
 def test_space_map_mismatches_raise():
     s, p = sierpinski(), point_space()
     with pytest.raises(CarrierMismatchError):
-        SpaceMap(s, p, [0])
+        PreMap(s, p, [0])
     with pytest.raises(CarrierMismatchError):
-        SpaceMap(s, p, [0, 0]).then(SpaceMap(s, s, [0, 1]))
+        PreMap(s, p, [0, 0]).then(PreMap(s, s, [0, 1]))
+
+
+# Literal oracles: the open-family constructions the row-built spaces replaced.
+
+
+def _canonical(masks):
+    return tuple(sorted(set(masks), key=lambda m: (popcount(m), m)))
+
+
+def _swept_opens(up):
+    """Every subset that contains the up row of each of its points, over all 2^n subsets."""
+    out = []
+    for m in range(1 << len(up)):
+        closed = m
+        for i in iter_bits(m):
+            closed |= up[i]
+        if closed == m:
+            out.append(m)
+    return _canonical(out)
+
+
+def test_opens_match_the_subset_sweep():
+    for n in range(5):
+        for rows in all_preorders_labelled(n):
+            space = space_from_preorder(LABELS[:n], rows)
+            assert space.up == rows
+            assert space.opens == _swept_opens(rows)
+            assert space.closed_sets == _canonical(space.full ^ u for u in space.opens)
+
+
+def _box_union_opens(x, y):
+    """The unions of open boxes U x V, closing the boxes under binary union."""
+    ny = y.n
+    boxes = set()
+    for u in x.opens:
+        for v in y.opens:
+            m = 0
+            for i in iter_bits(u):
+                m |= v << (i * ny)
+            boxes.add(m)
+    opens = set(boxes)
+    frontier = list(boxes)
+    while frontier:
+        fresh = []
+        for a in frontier:
+            for b in list(opens):
+                if a | b not in opens:
+                    opens.add(a | b)
+                    fresh.append(a | b)
+        frontier = fresh
+    return _canonical(opens)
+
+
+def test_product_opens_match_the_union_closure_of_boxes():
+    pool = all_spaces(3, t0_only=True)
+    for x in pool:
+        for y in pool:
+            prod, _, _ = product_spaces(x, y)
+            assert prod.opens == _box_union_opens(x, y)
+            assert prod.opens == _swept_opens(prod.up)
+
+
+def _final_opens(f, g, space, inj_b, inj_c):
+    """The subsets of the pushout whose preimages in B and C are both open."""
+    b_opens = set(f.target.opens)
+    c_opens = set(g.target.opens)
+    out = []
+    for m in range(1 << space.n):
+        if inj_b.preimage_mask(m) in b_opens and inj_c.preimage_mask(m) in c_opens:
+            out.append(m)
+    return _canonical(out)
+
+
+def _check_pushout_against_the_sweep(f, g):
+    space, inj_b, inj_c = pushout_spaces(f, g)
+    assert space.opens == _final_opens(f, g, space, inj_b, inj_c)
+
+
+def test_pushout_opens_match_the_preimage_sweep():
+    spaces = all_spaces(2)
+    cases = 0
+    for a, b, c in itertools.product(spaces, repeat=3):
+        for f in iter_continuous_maps(a, b):
+            for g in iter_continuous_maps(a, c):
+                _check_pushout_against_the_sweep(f, g)
+                cases += 1
+    assert cases > 100
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_pushout_opens_match_the_preimage_sweep_at_three_points(data):
+    spaces = all_spaces(3)
+    a, b, c = (data.draw(st.sampled_from(spaces)) for _ in range(3))
+    maps_b = list(iter_continuous_maps(a, b))
+    maps_c = list(iter_continuous_maps(a, c))
+    if maps_b and maps_c:
+        _check_pushout_against_the_sweep(
+            data.draw(st.sampled_from(maps_b)), data.draw(st.sampled_from(maps_c))
+        )
+
+
+def test_monotone_on_rows_is_continuity():
+    """PreMap accepts a point function exactly when every open pulls back open."""
+    spaces = all_spaces(3)
+    for x in spaces:
+        x_opens = set(x.opens)
+        for y in spaces:
+            for mapping in itertools.product(range(y.n), repeat=x.n):
+                continuous = all(
+                    sum(1 << i for i, v in enumerate(mapping) if u >> v & 1) in x_opens
+                    for u in y.opens
+                )
+                try:
+                    PreMap(x, y, mapping)
+                    accepted = True
+                except NotMonotoneError:
+                    accepted = False
+                assert accepted == continuous
