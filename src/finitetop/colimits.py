@@ -43,6 +43,10 @@ LITERAL_SIDE_CAP = 12
 LITERAL_SUBSET_CAP = 16
 EAGER_TABLE_LIMIT = 600
 SATURATION_CHECK_LIMIT = 512
+# Entries per frame of the join-closure memo, oldest out first.  The frames,
+# colimits and spatial groups fill at most 9 per frame at the default bounds
+# and 16 at frame size 4, so neither run evicts.
+JOIN_CLOSURE_MEMO_SIZE = 256
 
 
 def _join_closure(frame, mask):
@@ -51,6 +55,8 @@ def _join_closure(frame, mask):
     out = cache.get(mask)
     if out is None:
         out = frame.joins_of_subsets(mask)
+        if len(cache) >= JOIN_CLOSURE_MEMO_SIZE:
+            del cache[next(iter(cache))]
         cache[mask] = out
     return out
 

@@ -20,14 +20,20 @@ factors only through `PreMap.key`: gluing numbers classes by first
 occurrence and a power object lists its maps in fill order, never by
 label.  So each is built once per pair of keys, by the memoized kernels
 `_corner` and `_power`; `PushoutProductMap` and `PullbackPowerMap` take
-their numbering from those and only add point labels.  Every cache here
-is LRU-bounded, above what a default-bounds `check all` fills.
+their numbering from those and only add point labels.
+
+The associativity verdict reads less still: corner classes and
+comparisons never read an up row, so `_associates` is memoized on each
+arrow's sizes and mapping alone.  That key is exact, not a canonical
+form: every input the verdict reads is in it.  Every cache here is
+LRU-bounded, above what a default-bounds `check all` fills.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
+from operator import itemgetter
 
 from .bits import iter_bits
 from .errors import (
@@ -49,12 +55,15 @@ PRODUCT_POINT_CAP = 4096
 FACTORIZE_POINT_CAP = 512
 
 # Cache bounds.  A default-bounds `check all` creates about 260 map lists,
-# 5.1k corners, 2.1k powers and 45k census pairs; every bound is above its
-# count, so that run evicts nothing.
+# 5.4k corners (340 of them on discrete orders, for `_associates`), 2.1k
+# powers, 45k census pairs and at most 1,531 associativity verdicts (the
+# two-point corpus has 11 set keys, so 1,331 triples, plus 200 seeded);
+# every bound is above its count, so that run evicts nothing.
 MAPS_CACHE_SIZE = 1024
 CORNER_CACHE_SIZE = 8192
 POWER_CACHE_SIZE = 8192
 LIFTS_CACHE_SIZE = 1 << 16
+ASSOC_CACHE_SIZE = 4096
 
 
 def _plain(pre):
@@ -111,17 +120,22 @@ def arrows_between(objects):
 
 
 def _solved_squares(left_key, right_key):
-    """The commuting squares admitting a diagonal, as a set of (top, bottom)."""
-    a_up, b_up, i_map = left_key
+    """The commuting squares admitting a diagonal, as a set of (top, bottom).
+
+    A diagonal h gives the top h.i and the bottom f.h; `itemgetter` projects
+    the top, with one point and none as its own cases, since `itemgetter`
+    returns a bare value for one index and needs at least one.
+    """
+    _, b_up, i_map = left_key
     x_up, _, f_map = right_key
-    na = len(a_up)
-    nb = len(b_up)
-    solved = set()
-    for h in fill(b_up, x_up):
-        top = tuple(h[i_map[a]] for a in range(na))
-        bot = tuple(f_map[h[b]] for b in range(nb))
-        solved.add((top, bot))
-    return solved
+    bottom = f_map.__getitem__
+    if len(i_map) > 1:
+        top = itemgetter(*i_map)
+        return {(top(h), tuple(map(bottom, h))) for h in fill(b_up, x_up)}
+    if i_map:
+        (a,) = i_map
+        return {((h[a],), tuple(map(bottom, h))) for h in fill(b_up, x_up)}
+    return {((), tuple(map(bottom, h))) for h in fill(b_up, x_up)}
 
 
 def _pin_bottom(left_key, right_key, top):
@@ -800,22 +814,46 @@ def associator(f, g, h):
     return ArrowIso(PreMap(lhs.source, rhs.source, top, validate=False), bottom)
 
 
+def _discrete_key(set_key):
+    """The structural key of the arrow with the given set key on discrete orders."""
+    ns, nt, mapping = set_key
+    return (tuple(1 << i for i in range(ns)), tuple(1 << i for i in range(nt)), mapping)
+
+
 def associates(f, g, h):
-    """Fast associativity verdict by comparing the two glued partitions.
+    """Whether (f x^ g) x^ h and f x^ (g x^ h) agree, by `_associates`.
+
+    The verdict reads the three arrows' sizes and mappings only, so it is
+    memoized on those, the set keys (source size, target size, mapping).
+    """
+    return _associates(
+        (f.source.n, f.target.n, f.mapping),
+        (g.source.n, g.target.n, g.mapping),
+        (h.source.n, h.target.n, h.mapping),
+    )
+
+
+@lru_cache(maxsize=ASSOC_CACHE_SIZE)
+def _associates(f_set, g_set, h_set):
+    """The associativity verdict on set keys, by comparing glued partitions.
 
     Builds no apex objects: the three product blocks are indexed flat, the
-    two bracketings contribute their gluing relations through the actual
-    stage-one corners, and the verdict is that the partitions and the
-    induced comparison values coincide.
+    two bracketings contribute their gluing relations through the stage-one
+    corners, and the verdict is that the partitions and the induced
+    comparison values coincide.  Corner classes and comparisons come from
+    `_glue_span`'s index arithmetic and the mappings, never from an up row,
+    so `_corner` yields the same ones on discrete orders as on any rows, and
+    still raises on an ill-defined comparison.  The key is thus exactly what
+    the verdict reads.  Unlike a memo on isomorphism classes, it leaves out
+    no labelling or order that a verdict could depend on, so it cannot hide
+    a labelling bug behind a representative.
     """
-    f = arrow(f)
-    g = arrow(g)
-    h = arrow(h)
-    (_, _, map1), classes1 = _corner(f.key, g.key)
-    (_, _, map2), classes2 = _corner(g.key, h.key)
-    nx, ny = f.source.n, f.target.n
-    na, nb = g.source.n, g.target.n
-    na2, nb2 = h.source.n, h.target.n
+    f_d, g_d, h_d = map(_discrete_key, (f_set, g_set, h_set))
+    (_, _, map1), classes1 = _corner(f_d, g_d)
+    (_, _, map2), classes2 = _corner(g_d, h_d)
+    nx, ny, f_map = f_set
+    na, nb, g_map = g_set
+    na2, nb2, h_map = h_set
     sz0 = nx * nb * nb2
     sz1 = ny * na * nb2
     base2 = sz0 + sz1
@@ -849,10 +887,10 @@ def associates(f, g, h):
         for a2 in range(na2):
             if side == 0:
                 x0, b0 = divmod(idx, nb)
-                pt = flat(0, x0, b0, h.mapping[a2])
+                pt = flat(0, x0, b0, h_map[a2])
             else:
                 y0, a0 = divmod(idx, na)
-                pt = flat(1, y0, a0, h.mapping[a2])
+                pt = flat(1, y0, a0, h_map[a2])
             lhs_rel.append((pt, flat(2, y, b, a2)))
     rhs_rel = []
     for p2, members in enumerate(classes2):
@@ -875,10 +913,10 @@ def associates(f, g, h):
         for x in range(nx):
             if side == 0:
                 a0, b20 = divmod(idx, nb2)
-                pt = flat(1, f.mapping[x], a0, b20)
+                pt = flat(1, f_map[x], a0, b20)
             else:
                 b0, a20 = divmod(idx, na2)
-                pt = flat(2, f.mapping[x], b0, a20)
+                pt = flat(2, f_map[x], b0, a20)
             rhs_rel.append((flat(0, x, b, b2), pt))
     classes = glue(total, lhs_rel)
     if classes != glue(total, rhs_rel):
@@ -888,15 +926,15 @@ def associates(f, g, h):
         if p < sz0:
             i, rest = divmod(p, nb * nb2)
             j, k = divmod(rest, nb2)
-            val = (f.mapping[i], j, k)
+            val = (f_map[i], j, k)
         elif p < base2:
             i, rest = divmod(p - sz0, na * nb2)
             j, k = divmod(rest, nb2)
-            val = (i, g.mapping[j], k)
+            val = (i, g_map[j], k)
         else:
             i, rest = divmod(p - base2, nb * na2)
             j, k = divmod(rest, na2)
-            val = (i, j, h.mapping[k])
+            val = (i, j, h_map[k])
         if values.setdefault(classes[p], val) != val:
             return False
     return True

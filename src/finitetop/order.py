@@ -129,28 +129,31 @@ def fill(src_up, dst_up, allowed=None):
         allowed = ((1 << len(dst_up)) - 1,) * n
     elif not all(allowed):
         return
-    dst_down = _dual_rows(tuple(dst_up))
     plan = _plan(tuple(src_up))
-    last = n - 1
-    assigned = [0] * n
+    yield from _fill_from(0, plan, allowed, dst_up, _dual_rows(tuple(dst_up)), [0] * n)
 
-    def rec(t):
-        i, above, below = plan[t]
-        cand = allowed[i]
-        for k in above:
-            cand &= dst_down[assigned[k]]
-        for k in below:
-            cand &= dst_up[assigned[k]]
-        if t == last:
-            for v in iter_bits(cand):
-                assigned[i] = v
-                yield tuple(assigned)
-            return
+
+# The recursions of `fill`, `count_fill` and `isomorphism` are module-level
+# functions: a nested function that calls itself holds itself through its
+# closure cell, so every call would leave a cycle for the garbage collector.
+
+
+def _fill_from(t, plan, allowed, dst_up, dst_down, assigned):
+    """The assignments extending `assigned` from visit step t on."""
+    i, above, below = plan[t]
+    cand = allowed[i]
+    for k in above:
+        cand &= dst_down[assigned[k]]
+    for k in below:
+        cand &= dst_up[assigned[k]]
+    if t == len(plan) - 1:
         for v in iter_bits(cand):
             assigned[i] = v
-            yield from rec(t + 1)
-
-    yield from rec(0)
+            yield tuple(assigned)
+        return
+    for v in iter_bits(cand):
+        assigned[i] = v
+        yield from _fill_from(t + 1, plan, allowed, dst_up, dst_down, assigned)
 
 
 def count_fill(src_up, dst_up, allowed):
@@ -164,27 +167,25 @@ def count_fill(src_up, dst_up, allowed):
         return 1
     if not dst_up or not all(allowed):
         return 0
-    dst_down = _dual_rows(tuple(dst_up))
     plan = _plan(tuple(src_up))
-    last = n - 1
-    assigned = [0] * n
+    return _count_from(0, plan, allowed, dst_up, _dual_rows(tuple(dst_up)), [0] * n)
 
-    def rec(t):
-        i, above, below = plan[t]
-        cand = allowed[i]
-        for k in above:
-            cand &= dst_down[assigned[k]]
-        for k in below:
-            cand &= dst_up[assigned[k]]
-        if t == last:
-            return popcount(cand)
-        total = 0
-        for v in iter_bits(cand):
-            assigned[i] = v
-            total += rec(t + 1)
-        return total
 
-    return rec(0)
+def _count_from(t, plan, allowed, dst_up, dst_down, assigned):
+    """The number of assignments extending `assigned` from visit step t on."""
+    i, above, below = plan[t]
+    cand = allowed[i]
+    for k in above:
+        cand &= dst_down[assigned[k]]
+    for k in below:
+        cand &= dst_up[assigned[k]]
+    if t == len(plan) - 1:
+        return popcount(cand)
+    total = 0
+    for v in iter_bits(cand):
+        assigned[i] = v
+        total += _count_from(t + 1, plan, allowed, dst_up, dst_down, assigned)
+    return total
 
 
 def glue(total, pairs):
@@ -228,28 +229,29 @@ def isomorphism(up_a, up_b):
     cands = [[j for j in range(n) if sig_b[j] == sig_a[i]] for i in range(n)]
     order = sorted(range(n), key=lambda i: len(cands[i]))
     image = [-1] * n
-    used = [False] * n
+    found = _extend_iso(0, order, cands, up_a, up_b, image, [False] * n)
+    return tuple(image) if found else None
 
-    def rec(t):
-        if t == n:
-            return True
-        i = order[t]
-        for j in cands[i]:
-            if used[j]:
-                continue
-            if all(
-                (up_a[i] >> k & 1) == (up_b[j] >> image[k] & 1)
-                and (up_a[k] >> i & 1) == (up_b[image[k]] >> j & 1)
-                for k in order[:t]
-            ):
-                image[i] = j
-                used[j] = True
-                if rec(t + 1):
-                    return True
-                used[j] = False
-        return False
 
-    return tuple(image) if rec(0) else None
+def _extend_iso(t, order, cands, up_a, up_b, image, used):
+    """Whether the partial isomorphism on order[:t] extends to every point."""
+    if t == len(order):
+        return True
+    i = order[t]
+    for j in cands[i]:
+        if used[j]:
+            continue
+        if all(
+            (up_a[i] >> k & 1) == (up_b[j] >> image[k] & 1)
+            and (up_a[k] >> i & 1) == (up_b[image[k]] >> j & 1)
+            for k in order[:t]
+        ):
+            image[i] = j
+            used[j] = True
+            if _extend_iso(t + 1, order, cands, up_a, up_b, image, used):
+                return True
+            used[j] = False
+    return False
 
 
 def certificate(rows):

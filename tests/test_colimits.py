@@ -7,9 +7,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from finitetop import colimits
 from finitetop.bits import iter_bits
 from finitetop.colimits import (
     EAGER_TABLE_LIMIT,
+    JOIN_CLOSURE_MEMO_SIZE,
     TensorCarrier,
     _LazyTable,
     _tensor_action,
@@ -24,6 +26,7 @@ from finitetop.colimits import (
 )
 from finitetop.corpus import all_frames, frame_corpus
 from finitetop.frames import (
+    FiniteFrame,
     FrameHom,
     chain_frame,
     frame_from_poset,
@@ -32,6 +35,7 @@ from finitetop.frames import (
     two,
 )
 from finitetop.poset import FinitePoset
+from finitetop.suites import SuiteOptions, run_group
 
 from conftest import grid_poset
 
@@ -406,3 +410,37 @@ def test_lazy_tables_match_an_eager_build(kind, data):
     i = data.draw(st.integers(0, frame.n - 1))
     assert tuple(frame.join[i][j] for j in range(frame.n)) == eager.join[i]
     assert tuple(frame.meet[i][j] for j in range(frame.n)) == eager.meet[i]
+
+
+def test_the_join_closure_memo_keeps_its_bound(monkeypatch):
+    monkeypatch.setattr(colimits, "JOIN_CLOSURE_MEMO_SIZE", 3)
+    frame = chain_frame(5)
+    masks = list(range(1 << frame.n)) * 2
+    closures = [colimits._join_closure(frame, m) for m in masks]
+    assert closures == [frame.joins_of_subsets(m) for m in masks]
+    assert list(frame.__dict__["_join_closure_memo"]) == masks[-3:]
+
+
+def test_the_join_closure_memo_evicts_nothing_in_the_frame_groups(monkeypatch):
+    """The frames, colimits and spatial groups at the default bounds and at frame size 4.
+
+    A closure is computed only on a memo miss, and a miss evicts only when it
+    finds the memo full; so the largest memo a miss finds, plus the entry it
+    adds, is the peak.
+    """
+    found = []
+    closure = FiniteFrame.joins_of_subsets
+
+    def spy(frame, mask):
+        found.append(len(frame.__dict__["_join_closure_memo"]))
+        return closure(frame, mask)
+
+    monkeypatch.setattr(FiniteFrame, "joins_of_subsets", spy)
+    peaks = []
+    for opt in (SuiteOptions(), SuiteOptions(max_frame_size=4)):
+        found.clear()
+        for group in ("frames", "colimits", "spatial"):
+            assert all(r.ok for r in run_group(group, opt))
+        peaks.append(max(found) + 1)
+    assert peaks == [9, 16]
+    assert max(peaks) < JOIN_CLOSURE_MEMO_SIZE

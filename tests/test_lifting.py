@@ -4,7 +4,7 @@ import dataclasses
 import itertools
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from finitetop import lifting
@@ -48,8 +48,9 @@ from finitetop.lifting import (
     replay_trace,
     rlp,
 )
-from finitetop.order import fill
+from finitetop.order import fill, glue
 from finitetop.spaces import space_from_preorder
+from finitetop.suites import SuiteOptions, _preorder_pool, run_group
 
 from conftest import sierpinski
 
@@ -465,6 +466,185 @@ def test_associates_holds_exactly_when_the_associator_is_certified(fs, gs, hs):
     except FinitetopError:
         certified = False
     assert associates(f, g, h) == certified
+
+
+def _associates_oracle(f, g, h):
+    """The associativity verdict read off the arrows' own stage-one corners.
+
+    The literal oracle of `lifting._associates`: the same partition
+    comparison, on the corners of the arrows' structural keys, with no memo.
+    """
+    f = arrow(f)
+    g = arrow(g)
+    h = arrow(h)
+    (_, _, map1), classes1 = lifting._corner(f.key, g.key)
+    (_, _, map2), classes2 = lifting._corner(g.key, h.key)
+    nx, ny = f.source.n, f.target.n
+    na, nb = g.source.n, g.target.n
+    na2, nb2 = h.source.n, h.target.n
+    sz0 = nx * nb * nb2
+    sz1 = ny * na * nb2
+    base2 = sz0 + sz1
+    total = base2 + ny * nb * na2
+
+    def flat(tag, i, j, k):
+        if tag == 0:
+            return (i * nb + j) * nb2 + k
+        if tag == 1:
+            return sz0 + (i * na + j) * nb2 + k
+        return base2 + (i * nb + j) * na2 + k
+
+    lhs_rel = []
+    for p1, members in enumerate(classes1):
+        first = members[0]
+        for b2 in range(nb2):
+            base = None
+            for side, idx in members:
+                if side == 0:
+                    x, b = divmod(idx, nb)
+                    pt = flat(0, x, b, b2)
+                else:
+                    y, a = divmod(idx, na)
+                    pt = flat(1, y, a, b2)
+                if base is None:
+                    base = pt
+                else:
+                    lhs_rel.append((base, pt))
+        y, b = divmod(map1[p1], nb)
+        side, idx = first
+        for a2 in range(na2):
+            if side == 0:
+                x0, b0 = divmod(idx, nb)
+                pt = flat(0, x0, b0, h.mapping[a2])
+            else:
+                y0, a0 = divmod(idx, na)
+                pt = flat(1, y0, a0, h.mapping[a2])
+            lhs_rel.append((pt, flat(2, y, b, a2)))
+    rhs_rel = []
+    for p2, members in enumerate(classes2):
+        first = members[0]
+        for y in range(ny):
+            base = None
+            for side, idx in members:
+                if side == 0:
+                    a, b2 = divmod(idx, nb2)
+                    pt = flat(1, y, a, b2)
+                else:
+                    b, a2 = divmod(idx, na2)
+                    pt = flat(2, y, b, a2)
+                if base is None:
+                    base = pt
+                else:
+                    rhs_rel.append((base, pt))
+        b, b2 = divmod(map2[p2], nb2)
+        side, idx = first
+        for x in range(nx):
+            if side == 0:
+                a0, b20 = divmod(idx, nb2)
+                pt = flat(1, f.mapping[x], a0, b20)
+            else:
+                b0, a20 = divmod(idx, na2)
+                pt = flat(2, f.mapping[x], b0, a20)
+            rhs_rel.append((flat(0, x, b, b2), pt))
+    classes = glue(total, lhs_rel)
+    if classes != glue(total, rhs_rel):
+        return False
+    values = {}
+    for p in range(total):
+        if p < sz0:
+            i, rest = divmod(p, nb * nb2)
+            j, k = divmod(rest, nb2)
+            val = (f.mapping[i], j, k)
+        elif p < base2:
+            i, rest = divmod(p - sz0, na * nb2)
+            j, k = divmod(rest, nb2)
+            val = (i, g.mapping[j], k)
+        else:
+            i, rest = divmod(p - base2, nb * na2)
+            j, k = divmod(rest, na2)
+            val = (i, j, h.mapping[k])
+        if values.setdefault(classes[p], val) != val:
+            return False
+    return True
+
+
+def _order_twin(m, discrete_target):
+    """m's sizes and mapping on a discrete source, and a discrete target if asked."""
+    source = Preorder(m.source.points, tuple(1 << i for i in range(m.source.n)))
+    target = m.target
+    if discrete_target:
+        target = Preorder(target.points, tuple(1 << i for i in range(target.n)))
+    return PreMap(source, target, m.mapping)
+
+
+@settings(max_examples=80, deadline=None)
+@given(arrow_twins(), arrow_twins(), arrow_twins(), st.lists(st.booleans(), min_size=3, max_size=3))
+def test_associates_matches_the_literal_oracle_on_arrow_and_order_twins(fs, gs, hs, discrete):
+    verdict = associates(fs[0], gs[0], hs[0])
+    lifting._associates.cache_clear()
+    lifting._corner.cache_clear()
+    twins = (fs[1], gs[1], hs[1])
+    assert _associates_oracle(*twins) == verdict
+    assert associates(*twins) == verdict
+    order_twins = [_order_twin(m, d) for m, d in zip(twins, discrete)]
+    hits = lifting._associates.cache_info().hits
+    assert associates(*order_twins) == verdict
+    assert lifting._associates.cache_info().hits == hits + 1
+    assert _associates_oracle(*order_twins) == verdict
+
+
+def test_associates_runs_once_per_triple_of_sizes_and_mappings():
+    """The suites' exhaustive two-point corpus: 44 arrows, but 11 set keys."""
+    small = arrows_between(_preorder_pool(2))
+    keys = {(m.source.n, m.target.n, m.mapping) for m in small}
+    assert (len(small), len({m.key for m in small}), len(keys)) == (44, 44, 11)
+    lifting._associates.cache_clear()
+    assert all(associates(f, g, h) for f, g, h in itertools.product(small, repeat=3))
+    assert lifting._associates.cache_info().misses == len(keys) ** 3
+
+
+def _solved_squares_oracle(left_key, right_key):
+    a_up, b_up, i_map = left_key
+    x_up, _, f_map = right_key
+    return {
+        (tuple(h[i_map[a]] for a in range(len(a_up))), tuple(f_map[h[b]] for b in range(len(b_up))))
+        for h in fill(b_up, x_up)
+    }
+
+
+@settings(max_examples=200, deadline=None)
+@given(arrow_twins(), arrow_twins())
+@example((CELL, CELL), (EDGE, EDGE))
+@example((identity_arrow(PT), identity_arrow(PT)), (FOLD, FOLD))
+@example((EDGE, EDGE), (identity_arrow(C2), identity_arrow(C2)))
+@example((EDGE, EDGE), (identity_arrow(EMPTY), identity_arrow(EMPTY)))
+@example((CELL, CELL), (identity_arrow(EMPTY), identity_arrow(EMPTY)))
+def test_solved_squares_match_the_generator_projection(ls, rs):
+    left, right = ls[0].key, rs[0].key
+    assert lifting._solved_squares(left, right) == _solved_squares_oracle(left, right)
+
+
+def test_the_lifting_caches_evict_nothing_at_the_default_bounds():
+    """The lifting group from cold caches: every miss is still in its cache.
+
+    A miss adds one entry and only an eviction removes one, so the run
+    evicts nothing exactly when the misses equal the size.  `_corner` holds
+    the discrete-order corners of `_associates` next to the structural ones.
+    """
+    caches = (
+        lifting._monotone_tuples,
+        lifting._corner,
+        lifting._power,
+        lifting._lifts,
+        lifting._associates,
+    )
+    for cache in caches:
+        cache.cache_clear()
+    assert all(r.ok for r in run_group("lifting", SuiteOptions()))
+    for cache in caches:
+        info = cache.cache_info()
+        assert info.misses == info.currsize < info.maxsize, cache.__name__
+    assert lifting._associates.cache_info().misses <= 11**3 + SuiteOptions().samples
 
 
 def test_factorize_map_with_rlp_needs_no_stages():

@@ -152,3 +152,45 @@ def test_every_method_has_a_package_caller():
         and f"{cls.name}.{node.name}" not in UNREFERENCED_METHODS_ALLOWED
     ]
     assert _unreached(definitions) == []
+
+
+def _self_naming_nested_functions(tree):
+    """(name, line) of every function defined inside another that names itself."""
+    found = []
+
+    def visit(node, nested):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                if nested and any(
+                    isinstance(n, ast.Name) and n.id == child.name
+                    for stmt in child.body
+                    for n in ast.walk(stmt)
+                ):
+                    found.append((child.name, child.lineno))
+                visit(child, True)
+            else:
+                visit(child, nested or isinstance(child, ast.Lambda))
+
+    visit(tree, False)
+    return found
+
+
+def test_the_self_naming_guard_finds_a_nested_recursion():
+    source = "def outer():\n    def rec(t):\n        return rec(t - 1)\n    return rec(3)\n"
+    assert _self_naming_nested_functions(ast.parse(source)) == [("rec", 2)]
+    assert _self_naming_nested_functions(ast.parse("def rec(t):\n    return rec(t)\n")) == []
+
+
+def test_no_nested_function_refers_to_its_own_name():
+    """A nested function that names itself holds itself through its closure cell.
+
+    Every call of the enclosing function then leaves a function-cell cycle
+    that only the cyclic garbage collector frees; recurse through a
+    module-level function instead.
+    """
+    found = [
+        f"{module}:{line} {name}"
+        for module, tree in _package_trees()
+        for name, line in _self_naming_nested_functions(tree)
+    ]
+    assert found == []

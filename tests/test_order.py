@@ -1,5 +1,6 @@
 """The order-row kernels against literal oracles."""
 
+import gc
 import itertools
 import random
 
@@ -218,3 +219,27 @@ def test_certificate_is_invariant_under_relabelling():
         perm = rng.sample(range(len(rows)), len(rows))
         assert certificate(_relabel(rows, perm)) == certificate(rows)
 
+
+
+def _garbage_after(run):
+    """The unreachable objects the cyclic collector finds after run()."""
+    gc.collect()
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        run()
+        return gc.collect()
+    finally:
+        if enabled:
+            gc.enable()
+
+
+def test_the_order_kernels_leave_no_cyclic_garbage():
+    src, dst = FOUR[3], FOUR[-1]
+    full = ((1 << len(dst)) - 1,) * len(src)
+    assert len(list(fill(src, dst))) > 1
+    assert _garbage_after(lambda: list(fill(src, dst))) == 0
+    assert _garbage_after(lambda: next(fill(src, dst))) == 0
+    assert _garbage_after(lambda: count_fill(src, dst, full)) == 0
+    assert isomorphism(FOUR[3], FOUR[6]) == (1, 2, 0, 3)
+    assert _garbage_after(lambda: isomorphism(FOUR[3], FOUR[6])) == 0

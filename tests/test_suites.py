@@ -61,6 +61,13 @@ FRAME4_DIGESTS = {
     "OmegaPtAdjunction": "c10b09d4d41cf8aa2ac61532e604940c0d357ab2c264cae92f9441a6b20b222c",
 }
 
+# sha256 of the lifting reports at two points and 20 seeded samples, where
+# the exhaustive two-point arrow corpus runs in full.
+LIFTING2_DIGESTS = {
+    "PushProdAndPullPowerLemma": "bd16d0fee40729aaf9a316e98182bf22c2ae3573d67a933d93e4c72739b42879",
+    "PushProdArrowCategory": "10521b65ffdeae0496c3b0878e6d15141dff78e054cdb2ab8cd7894c8a0e195e",
+}
+
 
 def _digest(report):
     return hashlib.sha256(canonical_json(report_data(report)).encode()).hexdigest()
@@ -93,6 +100,14 @@ def test_frame_colimit_and_spatial_reports_at_the_default_bounds():
 def test_frame_colimit_and_points_reports_at_frame_size_four():
     opt = SuiteOptions(max_frame_size=4)
     for citation, digest in FRAME4_DIGESTS.items():
+        report = run_suite(citation, opt)
+        assert report.ok, (citation, report.failures)
+        assert _digest(report) == digest, citation
+
+
+def test_lifting_reports_over_the_exhaustive_two_point_corpus():
+    opt = SuiteOptions(max_points=2, samples=20)
+    for citation, digest in LIFTING2_DIGESTS.items():
         report = run_suite(citation, opt)
         assert report.ok, (citation, report.failures)
         assert _digest(report) == digest, citation
