@@ -11,9 +11,12 @@ The package re-exports nothing; import each name from the module that
 defines it:
 
 - `bits`, `order`: bitmask iteration and the shared order kernels
-  (`upsets`, `product_rows`, `fill`, `glue`, `isomorphism`, `certificate`);
+  (`upsets`, `product_rows`, `fill` and its cached list `maps`, `glue`,
+  the one isomorphism search `isomorphisms`, `is_isomorphism`, and the
+  corpus dedupe `representatives`);
 - `poset`: `Preorder`, the one order type, with its subclass
-  `FinitePoset`, the one map class `PreMap`, and `validate_poset`;
+  `FinitePoset`, the one map class `PreMap` with its enumerator
+  `iter_monotone_maps`, and `validate_poset`;
 - `frames`: `FiniteFrame`, `FrameHom`, `iter_frame_homs`, nuclei and
   Galois connections;
 - `colimits`: frame coproducts, products and localic pushouts;

@@ -9,13 +9,6 @@ def iter_bits(mask):
         mask ^= low
 
 
-def mask_of(indices):
-    m = 0
-    for i in indices:
-        m |= 1 << i
-    return m
-
-
 def submasks(mask):
     """Yield every subset of `mask`, descending, ending with 0."""
     s = mask

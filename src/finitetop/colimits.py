@@ -30,6 +30,7 @@ from .frames import (
     FiniteFrame,
     FrameHom,
     GaloisConnection,
+    _check_hom,
     distributivity_witness,
     frame_from_poset,
     right_adjoint,
@@ -316,8 +317,9 @@ class TensorFrame(FiniteFrame):
 
     Elements are saturated-downset masks in canonical order; `masks[k]` is
     the downset behind element k and `reduced[k]` its restriction to the
-    irreducible pairs.  The injections are validated FrameHoms and
-    `tensor(x, y)` locates the image of a single pair.
+    irreducible pairs.  The injections `iota1`/`iota2` are FrameHoms on
+    mappings `coproduct` validated, and `tensor(x, y)` locates the image of
+    a single pair.
     """
 
     def __init__(
@@ -334,6 +336,8 @@ class TensorFrame(FiniteFrame):
         masks,
         grid,
         reduced,
+        iota1_map,
+        iota2_map,
     ):
         super().__init__(order, join, meet, bottom, top)
         self.left = left
@@ -344,8 +348,19 @@ class TensorFrame(FiniteFrame):
         self.grid = grid
         self.reduced = reduced
         self.red_index = {m: k for k, m in enumerate(reduced)}
-        self.iota1 = None
-        self.iota2 = None
+        self.iota1_map = tuple(iota1_map)
+        self.iota2_map = tuple(iota2_map)
+
+    # The injections are built on access: a FrameHom into the tensor held by
+    # the tensor would make every tensor a reference cycle.  `coproduct`
+    # checks both mappings once.
+    @property
+    def iota1(self):
+        return FrameHom(self.left, self, self.iota1_map, validate=False)
+
+    @property
+    def iota2(self):
+        return FrameHom(self.right, self, self.iota2_map, validate=False)
 
     def tensor(self, x, y):
         return self.red_index[self.grid.rt[x][y]]
@@ -449,22 +464,6 @@ def coproduct(left, right):
     top = red_index[grid.full]
     if masks[bottom] != carrier.nbar or masks[top] != carrier.full:
         raise VerificationError("the coproduct bounds are not the stated ones")
-    frame = TensorFrame(
-        order,
-        join,
-        meet,
-        bottom,
-        top,
-        left=left,
-        right=right,
-        carrier=carrier,
-        masks=masks,
-        grid=grid,
-        reduced=reduced,
-    )
-    if n <= DISTRIBUTIVITY_CHECK_LIMIT:
-        if distributivity_witness(frame) is not None:
-            raise VerificationError("the coproduct frame failed distributivity")
     iota1_map = []
     for x in range(left.n):
         k = red_index[grid.iota1_reduced(x)]
@@ -477,8 +476,26 @@ def coproduct(left, right):
         if masks[k] != carrier.iota2_mask(y):
             raise VerificationError("the right injection misses its stated mask")
         iota2_map.append(k)
-    frame.iota1 = FrameHom(left, frame, iota1_map)
-    frame.iota2 = FrameHom(right, frame, iota2_map)
+    frame = TensorFrame(
+        order,
+        join,
+        meet,
+        bottom,
+        top,
+        left=left,
+        right=right,
+        carrier=carrier,
+        masks=masks,
+        grid=grid,
+        reduced=reduced,
+        iota1_map=iota1_map,
+        iota2_map=iota2_map,
+    )
+    if n <= DISTRIBUTIVITY_CHECK_LIMIT:
+        if distributivity_witness(frame) is not None:
+            raise VerificationError("the coproduct frame failed distributivity")
+    _check_hom(left, frame, frame.iota1_map)
+    _check_hom(right, frame, frame.iota2_map)
     return frame
 
 
@@ -545,10 +562,10 @@ def copair(f, g, *, tensor=None):
         mapping.append(acc)
     out = FrameHom(tensor, codomain, mapping)
     for x in range(f.source.n):
-        if out.mapping[tensor.iota1.mapping[x]] != f.mapping[x]:
+        if out.mapping[tensor.iota1_map[x]] != f.mapping[x]:
             raise VerificationError("copair does not restrict to f on the left leg")
     for y in range(g.source.n):
-        if out.mapping[tensor.iota2.mapping[y]] != g.mapping[y]:
+        if out.mapping[tensor.iota2_map[y]] != g.mapping[y]:
             raise VerificationError("copair does not restrict to g on the right leg")
     return out
 

@@ -2,9 +2,10 @@
 
 Generation is deterministic: posets grow by attaching a fresh maximal
 element over each downset of a smaller poset (every finite poset arises
-this way by deleting a maximal element), and duplicates are removed via a
-minimum-over-permutations canonical certificate.  Known counts are frozen
-in the test suite as an independent cross-check.
+this way by deleting a maximal element), spaces are the labelled preorders,
+and `order.representatives` keeps the first relation of each isomorphism
+class.  Known counts are frozen in the test suite as an independent
+cross-check.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from functools import lru_cache
 
 from .errors import NotDistributiveError, NotLatticeError
 from .frames import frame_from_poset
-from .order import certificate as poset_certificate
+from .order import representatives
 from .poset import FinitePoset
 from .spaces import space_from_preorder
 
@@ -23,6 +24,9 @@ LABELS = "abcdefghijklmnop"
 # handful of bounds (a default `check all` plus the groups at frame size 4
 # fill at most 4 entries of any one function), so 16 evicts nothing.
 CORPUS_CACHE_SIZE = 16
+
+# the bench tracer books the corpus dedupe under this name
+poset_certificate = representatives
 
 
 def _poset_from_rows(rows):
@@ -35,22 +39,17 @@ def all_posets(max_n):
     """All posets with at most max_n elements, one per isomorphism class."""
     layers = {0: [()]}
     for n in range(1, max_n + 1):
-        seen = {}
+        top = 1 << (n - 1)
+        grown = []
         for rows in layers[n - 1]:
-            base = _poset_from_rows(list(rows))
-            for d in base.downsets().masks:
-                new_rows = [
-                    rows[i] | ((1 << (n - 1)) if d >> i & 1 else 0)
-                    for i in range(n - 1)
-                ]
-                new_rows.append(1 << (n - 1))
-                cert = poset_certificate(new_rows)
-                if cert not in seen:
-                    seen[cert] = tuple(new_rows)
-        layers[n] = sorted(seen.values())
+            for d in _poset_from_rows(rows).downsets().masks:
+                grown.append(
+                    tuple(r | top if d >> i & 1 else r for i, r in enumerate(rows)) + (top,)
+                )
+        layers[n] = sorted(representatives(grown))
     out = []
     for n in range(0, max_n + 1):
-        out.extend(_poset_from_rows(list(rows)) for rows in layers[n])
+        out.extend(_poset_from_rows(rows) for rows in layers[n])
     return tuple(out)
 
 
@@ -85,15 +84,11 @@ def all_spaces(max_n, *, t0_only=False):
     """All finite topologies with at most max_n points, one per homeomorphism class."""
     out = []
     for n in range(0, max_n + 1):
-        seen = set()
-        for rows in all_preorders_labelled(n):
+        relations = all_preorders_labelled(n)
+        if t0_only:
             # T0 is antisymmetry: no two points share an up row
-            if t0_only and len(set(rows)) != n:
-                continue
-            cert = poset_certificate(rows)
-            if cert in seen:
-                continue
-            seen.add(cert)
+            relations = [rows for rows in relations if len(set(rows)) == n]
+        for rows in representatives(relations):
             out.append(space_from_preorder(LABELS[:n], rows))
     return tuple(out)
 

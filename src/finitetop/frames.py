@@ -17,7 +17,7 @@ from __future__ import annotations
 from functools import cached_property
 from operator import itemgetter
 
-from .bits import iter_bits, mask_of, popcount
+from .bits import iter_bits, popcount
 from .errors import (
     CarrierMismatchError,
     NotDistributiveError,
@@ -26,8 +26,8 @@ from .errors import (
     NotPrenucleusError,
     VerificationError,
 )
-from .order import fill
-from .poset import poset_isomorphism, validate_poset
+from .order import fill, is_isomorphism, isomorphisms
+from .poset import validate_poset
 
 DISTRIBUTIVITY_CHECK_LIMIT = 128
 
@@ -507,37 +507,24 @@ def frame_isomorphism(a, b):
 
     Finite distributive lattices are isomorphic exactly when their posets
     of join-irreducibles are, and a poset isomorphism of irreducibles
-    extends by joins.  The extension is re-verified by transferring every
-    up-set, so the certificate does not rest on that theorem alone.
+    extends by joins.  The extension is re-verified with
+    `order.is_isomorphism`, so the result does not rest on that theorem
+    alone.
     """
     if a.n != b.n:
         return None
-    irr_a = a.irreducibles
-    irr_b = b.irreducibles
-    if len(irr_a) != len(irr_b):
-        return None
-    phi = poset_isomorphism(
-        a.order.restrict(mask_of(irr_a)), b.order.restrict(mask_of(irr_b))
-    )
+    phi = next(isomorphisms(a.irreducible_up, b.irreducible_up), None)
     if phi is None:
         return None
+    irr_b = b.irreducibles
     mapping = []
     for x in range(a.n):
         m = 0
-        for t, j in enumerate(irr_a):
+        for t, j in enumerate(a.irreducibles):
             if a.order.down[x] >> j & 1:
                 m |= 1 << irr_b[phi[t]]
         mapping.append(b.join_mask(m))
-    if len(set(mapping)) != a.n:
-        return None
-    bu = b.order.up
-    for i in range(a.n):
-        transferred = 0
-        for j in iter_bits(a.order.up[i]):
-            transferred |= 1 << mapping[j]
-        if transferred != bu[mapping[i]]:
-            return None
-    return tuple(mapping)
+    return tuple(mapping) if is_isomorphism(a.order.up, b.order.up, mapping) else None
 
 
 def chain_frame(k):

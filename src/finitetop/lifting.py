@@ -43,8 +43,9 @@ from .errors import (
     SizeError,
     VerificationError,
 )
-from .order import count_fill, fill, glue, product_rows
+from .order import count_fill, fill, glue, is_isomorphism, isomorphisms, maps, product_rows
 from .poset import FinitePoset, PreMap, Preorder, transitive_closure
+from .poset import iter_monotone_maps as iter_monotone_arrows
 from .spaces import FiniteSpace
 
 COMPLETE = "COMPLETE"
@@ -54,12 +55,11 @@ POWER_POINT_CAP = 4096
 PRODUCT_POINT_CAP = 4096
 FACTORIZE_POINT_CAP = 512
 
-# Cache bounds.  A default-bounds `check all` creates about 260 map lists,
-# 5.4k corners (340 of them on discrete orders, for `_associates`), 2.1k
-# powers, 45k census pairs and at most 1,531 associativity verdicts (the
-# two-point corpus has 11 set keys, so 1,331 triples, plus 200 seeded);
-# every bound is above its count, so that run evicts nothing.
-MAPS_CACHE_SIZE = 1024
+# Cache bounds.  A default-bounds `check all` creates about 5.4k corners
+# (340 of them on discrete orders, for `_associates`), 2.1k powers, 45k
+# census pairs and at most 1,531 associativity verdicts (the two-point
+# corpus has 11 set keys, so 1,331 triples, plus 200 seeded); every bound
+# is above its count, so that run evicts nothing.
 CORNER_CACHE_SIZE = 8192
 POWER_CACHE_SIZE = 8192
 LIFTS_CACHE_SIZE = 1 << 16
@@ -96,18 +96,6 @@ def _arrow_from_key(key):
     src = Preorder(tuple(map(str, range(len(src_up)))), src_up, validate=False)
     dst = Preorder(tuple(map(str, range(len(dst_up)))), dst_up, validate=False)
     return PreMap(src, dst, mapping, validate=False)
-
-
-@lru_cache(maxsize=MAPS_CACHE_SIZE)
-def _monotone_tuples(src_up, dst_up):
-    """Every monotone assignment between the presented preorders, in fill order."""
-    return tuple(fill(src_up, dst_up))
-
-
-def iter_monotone_arrows(source, target):
-    """All monotone maps source -> target, in a fixed enumeration order."""
-    for m in _monotone_tuples(source.up, target.up):
-        yield PreMap(source, target, m, validate=False)
 
 
 def arrows_between(objects):
@@ -453,15 +441,15 @@ class PowerPre(Preorder):
     def __init__(self, base, exponent):
         self.base = base
         self.exponent = exponent
-        maps = _monotone_tuples(exponent.up, base.up)
-        if len(maps) > POWER_POINT_CAP:
+        mappings = maps(exponent.up, base.up)
+        if len(mappings) > POWER_POINT_CAP:
             raise SizeError(f"map object exceeds {POWER_POINT_CAP} points")
-        self.maps = maps
-        points = [_map_label(base, m) for m in maps]
+        self.maps = mappings
+        points = [_map_label(base, m) for m in mappings]
         rows = []
-        for m in maps:
+        for m in mappings:
             row = 0
-            for t, m2 in enumerate(maps):
+            for t, m2 in enumerate(mappings):
                 if all(base.up[a] >> b & 1 for a, b in zip(m, m2)):
                     row |= 1 << t
             rows.append(row)
@@ -586,8 +574,8 @@ class PullbackPowerMap(PreMap):
 
     def __init__(self, f, g):
         (_, rows, mapping), pairs = _power(f.key, g.key)
-        xa = _monotone_tuples(g.source.up, f.source.up)
-        yb = _monotone_tuples(g.target.up, f.target.up)
+        xa = maps(g.source.up, f.source.up)
+        yb = maps(g.target.up, f.target.up)
         labels = [
             f"({_map_label(f.source, xa[i])},{_map_label(f.target, yb[j])})"
             for i, j in pairs
@@ -632,40 +620,32 @@ class ArrowIso:
     bottom: PreMap
 
 
-def _check_order_iso(mapping, src, dst):
-    if len(set(mapping)) != src.n or src.n != dst.n:
-        return False
-    for i in range(src.n):
-        transferred = 0
-        for j in iter_bits(src.up[i]):
-            transferred |= 1 << mapping[j]
-        if transferred != dst.up[mapping[i]]:
-            return False
-    return True
+def _arrow_isos(key1, key2):
+    """Every arrow isomorphism between two structural keys, as (top, bottom).
 
-
-def preorder_isos(a, b):
-    """All order isomorphisms a -> b."""
-    return [
-        m for m in _monotone_tuples(a.up, b.up) if _check_order_iso(m, a, b)
-    ]
+    top and bottom are order isomorphisms on the sources and on the
+    targets, and bottom after the first arrow is the second after top.
+    """
+    src1, dst1, map1 = key1
+    src2, dst2, map2 = key2
+    bottoms = tuple(isomorphisms(dst1, dst2))
+    if not bottoms:
+        return
+    for top in isomorphisms(src1, src2):
+        for bottom in bottoms:
+            if all(bottom[v] == map2[top[i]] for i, v in enumerate(map1)):
+                yield top, bottom
 
 
 def arrow_iso(m1, m2):
     """An arrow-category isomorphism m1 -> m2, or None, by exhaustive search."""
     m1 = arrow(m1)
     m2 = arrow(m2)
-    bottoms = preorder_isos(m1.target, m2.target)
-    for top in preorder_isos(m1.source, m2.source):
-        for bottom in bottoms:
-            if all(
-                bottom[m1.mapping[i]] == m2.mapping[top[i]]
-                for i in range(m1.source.n)
-            ):
-                return ArrowIso(
-                    PreMap(m1.source, m2.source, top, validate=False),
-                    PreMap(m1.target, m2.target, bottom, validate=False),
-                )
+    for top, bottom in _arrow_isos(m1.key, m2.key):
+        return ArrowIso(
+            PreMap(m1.source, m2.source, top, validate=False),
+            PreMap(m1.target, m2.target, bottom, validate=False),
+        )
     return None
 
 
@@ -701,14 +681,14 @@ def braiding(f, g):
         if len(targets) != 1:
             raise NotIsoError("the swap does not respect the glued classes")
         top.append(targets.pop())
-    if not _check_order_iso(top, c1.source, c2.source):
+    if not is_isomorphism(c1.source.up, c2.source.up, top):
         raise NotIsoError("the swap is not an order isomorphism on the corner")
     yb = c1.target
     by = c2.target
     bottom = [
         by.pair(*reversed(yb.split(k))) for k in range(yb.n)
     ]
-    if not _check_order_iso(bottom, yb, by):
+    if not is_isomorphism(yb.up, by.up, bottom):
         raise NotIsoError("the swap is not an order isomorphism on the target")
     for i in range(c1.source.n):
         if bottom[c1.mapping[i]] != c2.mapping[top[i]]:
@@ -803,7 +783,7 @@ def associator(f, g, h):
         if len(targets) != 1:
             raise NotIsoError("re-association does not respect the glued classes")
         top.append(targets.pop())
-    if not _check_order_iso(top, lhs.source, rhs.source):
+    if not is_isomorphism(lhs.source.up, rhs.source.up, top):
         raise NotIsoError("re-association is not an order isomorphism on the corner")
     if lhs.target.up != rhs.target.up:
         raise VerificationError("the target products disagree as orders")
@@ -965,13 +945,7 @@ class FactorizationTrace:
 @lru_cache(maxsize=512)
 def _arrow_autos(key):
     """Automorphism pairs of a generator arrow, for problem deduplication."""
-    s = _arrow_from_key(key)
-    pairs = []
-    for alpha in preorder_isos(s.source, s.source):
-        for beta in preorder_isos(s.target, s.target):
-            if all(s.mapping[alpha[i]] == beta[s.mapping[i]] for i in range(s.source.n)):
-                pairs.append((alpha, beta))
-    return tuple(pairs)
+    return tuple(_arrow_isos(key, key))
 
 
 def _orbit_rep(square, autos):

@@ -1,4 +1,4 @@
-"""Kernels on order rows: transpose, products, up-sets, fill, glue, isomorphism.
+"""Kernels on order rows: transpose, products, up-sets, maps, glue, isomorphisms.
 
 Posets, finite spaces (through their specialization preorders) and the
 preorders of the lifting layer all present an order as reflexive,
@@ -6,30 +6,37 @@ transitive up rows: bit j of `up[i]` is set when i <= j.  The functions
 here take such rows directly, so one mechanism serves every order type,
 antisymmetric or not.  `upsets` lists the up-sets of such rows, which are
 the opens of a finite space and, on the dual rows, the downsets of a poset.
+`fill` and `isomorphisms` need only reflexive rows, so they serve the
+limit rows of a pseudotopology too.
 
 Visit order of the monotone fill is fixed: source points are placed in
 ascending `(-popcount(up[i]), i)`, and the values for each point ascend.
 Assignments therefore come out in a fixed sequence.  That sequence is part
 of the observable output: power-object points are numbered by it, arrow
 sampling indexes into it, and report bytes depend on both.  Changing it
-changes reports.
+changes reports.  `maps` is that sequence as a tuple, LRU-cached on the
+row tuples; every list of maps between two orders reads it.
 
 The visit plan of a source and the dual rows of a target depend on the rows
 alone, so `fill` and `count_fill` read both from bounded LRU caches keyed on
 the row tuples (`_plan` and `_dual_rows`); a run over a fixed corpus builds
 each once.  `PLAN_CACHE_SIZE` bounds each cache.
+
+`isomorphisms` is the one isomorphism search: it yields every isomorphism
+between two relations, and `representatives` dedupes a corpus with it.
+`is_isomorphism` checks a mapping built some other way.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import permutations
-
 from .bits import iter_bits, popcount
 
-# Entries per cache.  `check all` at the default bounds needs fewer than 500
-# distinct plans and dual-row tuples, so nothing is evicted there.
+# Entries per cache.  `check all` at the default bounds needs about 500
+# distinct plans, 200 dual-row tuples and 200 map lists, so nothing is
+# evicted there.
 PLAN_CACHE_SIZE = 2048
+MAPS_CACHE_SIZE = 1024
 
 
 def transpose(up):
@@ -133,7 +140,13 @@ def fill(src_up, dst_up, allowed=None):
     yield from _fill_from(0, plan, allowed, dst_up, _dual_rows(tuple(dst_up)), [0] * n)
 
 
-# The recursions of `fill`, `count_fill` and `isomorphism` are module-level
+@lru_cache(maxsize=MAPS_CACHE_SIZE)
+def maps(src_up, dst_up):
+    """Every assignment `fill` yields between the row tuples, as one tuple."""
+    return tuple(fill(src_up, dst_up))
+
+
+# The recursions of `fill`, `count_fill` and `isomorphisms` are module-level
 # functions: a nested function that calls itself holds itself through its
 # closure cell, so every call would leave a cycle for the garbage collector.
 
@@ -211,32 +224,37 @@ def glue(total, pairs):
     return [ids.setdefault(find(i), len(ids)) for i in range(total)]
 
 
-def isomorphism(up_a, up_b):
-    """An order isomorphism a -> b as an index tuple, or None.
+def _signatures(up):
+    """Per point, the sizes of its up and down rows; an isomorphism keeps them."""
+    return [(popcount(u), popcount(d)) for u, d in zip(up, transpose(up))]
 
-    Candidates are pruned by (|up|, |down|) signatures, and points with the
-    fewest candidates are placed first.
+
+def isomorphisms(up_a, up_b):
+    """Every isomorphism a -> b of reflexive relations, as index tuples.
+
+    An isomorphism is a bijection that preserves and reflects the rows.
+    Candidates are pruned by (|up|, |down|) signatures, points with the
+    fewest candidates are placed first, and each placement is checked
+    against every point placed before it.  Each isomorphism is yielded
+    once; with none, nothing is.
     """
     n = len(up_a)
     if len(up_b) != n:
-        return None
-    down_a = transpose(up_a)
-    down_b = transpose(up_b)
-    sig_a = [(popcount(up_a[i]), popcount(down_a[i])) for i in range(n)]
-    sig_b = [(popcount(up_b[j]), popcount(down_b[j])) for j in range(n)]
+        return
+    sig_a = _signatures(up_a)
+    sig_b = _signatures(up_b)
     if sorted(sig_a) != sorted(sig_b):
-        return None
+        return
     cands = [[j for j in range(n) if sig_b[j] == sig_a[i]] for i in range(n)]
     order = sorted(range(n), key=lambda i: len(cands[i]))
-    image = [-1] * n
-    found = _extend_iso(0, order, cands, up_a, up_b, image, [False] * n)
-    return tuple(image) if found else None
+    yield from _extend_iso(0, order, cands, up_a, up_b, [-1] * n, [False] * n)
 
 
 def _extend_iso(t, order, cands, up_a, up_b, image, used):
-    """Whether the partial isomorphism on order[:t] extends to every point."""
+    """The isomorphisms extending the partial one on order[:t]."""
     if t == len(order):
-        return True
+        yield tuple(image)
+        return
     i = order[t]
     for j in cands[i]:
         if used[j]:
@@ -248,24 +266,36 @@ def _extend_iso(t, order, cands, up_a, up_b, image, used):
         ):
             image[i] = j
             used[j] = True
-            if _extend_iso(t + 1, order, cands, up_a, up_b, image, used):
-                return True
+            yield from _extend_iso(t + 1, order, cands, up_a, up_b, image, used)
             used[j] = False
-    return False
 
 
-def certificate(rows):
-    """Canonical form of a relation: the least row tuple over relabellings."""
-    n = len(rows)
-    best = None
-    for perm in permutations(range(n)):
-        relabelled = [0] * n
-        for i, r in enumerate(rows):
-            m = 0
-            for j in iter_bits(r):
-                m |= 1 << perm[j]
-            relabelled[perm[i]] = m
-        key = tuple(relabelled)
-        if best is None or key < best:
-            best = key
-    return best
+def is_isomorphism(up_a, up_b, mapping):
+    """Whether `mapping` is a bijection a -> b carrying each row onto its image's row."""
+    n = len(up_a)
+    if len(up_b) != n or len(mapping) != n or len(set(mapping)) != n:
+        return False
+    for i, row in enumerate(up_a):
+        moved = 0
+        for j in iter_bits(row):
+            moved |= 1 << mapping[j]
+        if moved != up_b[mapping[i]]:
+            return False
+    return True
+
+
+def representatives(relations):
+    """The first relation of each isomorphism class, in order of appearance.
+
+    A relation is searched with `isomorphisms` only against the earlier
+    representatives that share its sorted (|up|, |down|) signature.
+    """
+    buckets = {}
+    out = []
+    for rows in relations:
+        rows = tuple(rows)
+        bucket = buckets.setdefault(tuple(sorted(_signatures(rows))), [])
+        if all(next(isomorphisms(rep, rows), None) is None for rep in bucket):
+            bucket.append(rows)
+            out.append(rows)
+    return out

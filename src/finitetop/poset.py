@@ -5,10 +5,11 @@ closed up rows, where `up[i]` holds the mask of all j with i <= j and
 `down[i]` the dual.  Posets are the antisymmetric preorders, a finite
 space (in `spaces`) is the preorder of its specialization order, and the
 lifting layer works on plain preorders; the subclasses add only their
-serialization kind and their own operations.  `PreMap` is the one map class: a map is valid
-when it is monotone on the up rows, which for finite spaces is exactly
-continuity.  Element labels are opaque strings; constructors that parse
-labelled input sort them once, and everything downstream works with
+serialization kind and their own operations.  `PreMap` is the one map
+class: a map is valid when it is monotone on the up rows, which for finite
+spaces is exactly continuity, and `iter_monotone_maps` lists every map
+between two orders.  Element labels are opaque strings; constructors that
+parse labelled input sort them once, and everything downstream works with
 positional indices, so enumeration is reproducible.  Subsets of the
 carrier are plain ints over the same bit positions.
 """
@@ -27,7 +28,7 @@ from .errors import (
     TopologyError,
     VerificationError,
 )
-from .order import isomorphism, sort_labels, transpose, upsets
+from .order import maps, sort_labels, transpose, upsets
 
 DOWNSET_CAP = 1 << 20
 
@@ -273,6 +274,10 @@ class PreMap:
         return f"PreMap({pairs})"
 
 
-def poset_isomorphism(p, q):
-    """An order isomorphism p -> q as an index tuple, or None."""
-    return isomorphism(p.up, q.up)
+def iter_monotone_maps(source, target):
+    """Every monotone map source -> target, in the fill order of `order.maps`.
+
+    For spaces these are the continuous maps.
+    """
+    for mapping in maps(source.up, target.up):
+        yield PreMap(source, target, mapping, validate=False)

@@ -18,9 +18,9 @@ from .errors import (
     SizeError,
     VerificationError,
 )
-from .order import certificate
-from .poset import transitive_closure
-from .spaces import FiniteSpace, iter_continuous_maps, pushout_carrier, pushout_spaces
+from .order import fill, representatives
+from .poset import iter_monotone_maps, transitive_closure
+from .spaces import FiniteSpace, pushout_carrier, pushout_spaces
 
 CERTIFY_POINT_CAP = 4
 # carrier labels of the enumerated pseudotopology corpora
@@ -191,13 +191,13 @@ def continuous_on_ultrafilters(mapping, xi, zeta):
 
 
 def iter_continuous_ps_maps(xi, zeta):
-    """All continuous point maps between two finite PsSpaces."""
-    if xi.n == 0:
-        yield ()
-        return
-    for mapping in _iterproduct(range(zeta.n), repeat=xi.n):
-        if continuous_on_ultrafilters(mapping, xi, zeta):
-            yield mapping
+    """All continuous point maps between two finite PsSpaces.
+
+    By `continuous_on_ultrafilters`, y in lim x must give f(y) in lim f(x):
+    the maps preserve the limit relations, so `order.fill` lists them on the
+    limit rows, which are reflexive.
+    """
+    return fill(xi.lim, zeta.lim)
 
 
 def meet_ps(xi, zeta):
@@ -369,20 +369,15 @@ def all_ps_spaces(n):
 
 
 def ps_spaces_up_to_iso(n):
-    """One canonical representative per isomorphism class of pseudotopologies.
+    """One representative per isomorphism class of pseudotopologies.
 
-    The canonical form is the least relabelled lim tuple over all carrier
-    permutations, so the output is deterministic and the suites that
-    quantify per space can skip isomorphic repeats.
+    Each is the first labelled space of its class in `all_ps_spaces` order,
+    so the output is deterministic and the suites that quantify per space
+    can skip isomorphic repeats.
     """
-    reps = []
-    seen = set()
-    for xi in all_ps_spaces(n):
-        cert = certificate(xi.lim)
-        if cert not in seen:
-            seen.add(cert)
-            reps.append(PsSpace(xi.points, cert, validate=False))
-    return reps
+    points = PS_LABELS[:n]
+    lims = representatives(xi.lim for xi in all_ps_spaces(n))
+    return [PsSpace(points, lim, validate=False) for lim in lims]
 
 
 def _adherence_table(xi):
@@ -531,12 +526,12 @@ def lemma_pushout_agreement(max_points=2):
     spaces = [s for s in spaces_upto(max_points) if s.n >= 1]
     for a_space in spaces:
         for b_space in spaces:
-            maps_ab = list(iter_continuous_maps(a_space, b_space))
+            maps_ab = list(iter_monotone_maps(a_space, b_space))
             if not maps_ab:
                 continue
             for c_space in spaces:
                 for f in maps_ab:
-                    for g in iter_continuous_maps(a_space, c_space):
+                    for g in iter_monotone_maps(a_space, c_space):
                         apex, ib, ic = pushout_spaces(f, g)
                         if not apex.is_discrete:
                             continue
@@ -568,7 +563,7 @@ def lemma_tau_iota(max_points=3):
             for target in targets:
                 instances += 1
                 via_ps = set(iter_continuous_ps_maps(xi, ps_from_space(target)))
-                via_top = {m.mapping for m in iter_continuous_maps(tau, target)}
+                via_top = set(fill(tau.up, target.up))
                 if via_ps != via_top:
                     failures.append((xi, target, via_ps ^ via_top))
     return LemmaReport("tau_iota_adjunction", instances, tuple(failures))

@@ -5,7 +5,8 @@ specialization preorder, x <= y when y lies in every open around x.  So a
 `FiniteSpace` is a `Preorder` on sorted point labels whose rows are that
 order, its opens are listed by the shared up-set enumerator, and its maps
 are the monotone `PreMap`s.  Constructions (preorders, pushouts, products)
-build rows, never open families.
+build rows, never open families.  The continuous maps are the monotone
+ones, `poset.iter_monotone_maps`.
 """
 
 from __future__ import annotations
@@ -14,11 +15,9 @@ from functools import cached_property
 
 from .bits import iter_bits, popcount
 from .errors import SizeError, TopologyError
-from .order import fill, glue, isomorphism, product_rows, sort_labels, upsets
+from .order import glue, isomorphisms, product_rows, sort_labels, upsets
 from .poset import PreMap, Preorder, transitive_closure
 
-# the largest carrier of a space built from a preorder or a pushout
-SWEEP_POINT_CAP = 20
 PRODUCT_OPEN_CAP = 4096
 
 
@@ -95,19 +94,7 @@ class FiniteSpace(Preorder):
 
 def space_from_preorder(labels, up_rows):
     """Alexandrov space of a (not necessarily antisymmetric) preorder."""
-    if len(labels) > SWEEP_POINT_CAP:
-        raise SizeError("preorder too large to materialize its topology")
     return FiniteSpace(*sort_labels(labels, up_rows), validate=False)
-
-
-def iter_continuous_maps(source, target):
-    """All continuous maps, via monotonicity for the specialization preorders.
-
-    Finite spaces are Alexandrov, so continuity is exactly preservation of
-    specialization; the fill runs on the preorder rows.
-    """
-    for mapping in fill(source.up, target.up):
-        yield PreMap(source, target, mapping, validate=False)
 
 
 def irreducible_closed_sets(space):
@@ -147,7 +134,7 @@ def spaces_homeomorphic(x, y):
     Finite spaces are determined by their specialization preorders, so this
     is a preorder isomorphism search.
     """
-    return isomorphism(x.up, y.up)
+    return next(isomorphisms(x.up, y.up), None)
 
 
 def pushout_carrier(b_points, c_points, f_map, g_map):
@@ -187,8 +174,6 @@ def pushout_spaces(f, g):
     points, b_map, c_map = pushout_carrier(
         b_space.points, c_space.points, f.mapping, g.mapping
     )
-    if len(points) > SWEEP_POINT_CAP:
-        raise SizeError(f"pushout carrier exceeds {SWEEP_POINT_CAP} points")
     rows = [1 << k for k in range(len(points))]
     for space, inj in ((b_space, b_map), (c_space, c_map)):
         for i, row in enumerate(space.up):

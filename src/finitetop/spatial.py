@@ -12,8 +12,8 @@ from dataclasses import dataclass
 
 from .errors import HypothesisError, NotHomError, VerificationError
 from .frames import FiniteFrame, FrameHom, frame_from_poset, iter_frame_homs, two
-from .poset import FinitePoset
-from .spaces import FiniteSpace, is_sober, iter_continuous_maps
+from .poset import FinitePoset, iter_monotone_maps
+from .spaces import FiniteSpace, is_sober
 
 
 @dataclass(frozen=True)
@@ -155,7 +155,7 @@ def adjunction_check(space, frame):
     opens_frame = omega(space)
     point_space = pt(frame)
     loc_homs = tuple(iter_frame_homs(frame, opens_frame))
-    space_maps = tuple(iter_continuous_maps(space, point_space))
+    space_maps = tuple(iter_monotone_maps(space, point_space))
     points = locale_points(frame)
     sigma = _sigma_masks(frame, points, point_space)
     position = {m: k for k, m in enumerate(space.opens)}

@@ -41,14 +41,13 @@ from .lifting import (
     braiding,
     coproduct_pre,
     identity_arrow,
-    iter_monotone_arrows,
     lifting_adjunction_check,
     product_arrow,
     pushout_product,
     replay_trace,
     rlp,
 )
-from .order import upsets
+from .order import maps, upsets
 from .poset import PreMap, Preorder
 from .pstop import (
     lemma_all_compact,
@@ -183,6 +182,7 @@ def _run_frame_coproduct(opt):
     for left in pool:
         for right in pool:
             tensor = coproduct(left, right)
+            iota1, iota2 = tensor.iota1, tensor.iota2
             pair = _frame_name(left) + " (x) " + _frame_name(right)
             for target in cocones:
                 fs = homs(left, target)
@@ -191,10 +191,7 @@ def _run_frame_coproduct(opt):
                     continue
                 mediators = _by_legs(
                     iter_frame_homs(tensor, target),
-                    lambda m: (
-                        tensor.iota1.then(m).mapping,
-                        tensor.iota2.then(m).mapping,
-                    ),
+                    lambda m: (iota1.then(m).mapping, iota2.then(m).mapping),
                 )
                 for f in fs:
                     for g in gs:
@@ -497,16 +494,14 @@ def _preorder_pool(max_points):
     return tuple(Preorder(s.points, s.up, validate=False) for s in spaces_upto(max_points))
 
 
-def _sample_arrow(rng, pool, cache):
+def _sample_arrow(rng, pool):
     while True:
-        i = rng.randrange(len(pool))
-        j = rng.randrange(len(pool))
-        maps = cache.get((i, j))
-        if maps is None:
-            maps = tuple(iter_monotone_arrows(pool[i], pool[j]))
-            cache[(i, j)] = maps
-        if maps:
-            return maps[rng.randrange(len(maps))]
+        source = pool[rng.randrange(len(pool))]
+        target = pool[rng.randrange(len(pool))]
+        mappings = maps(source.up, target.up)
+        if mappings:
+            mapping = mappings[rng.randrange(len(mappings))]
+            return PreMap(source, target, mapping, validate=False)
 
 
 def _run_lifting_adjunction(opt):
@@ -528,11 +523,10 @@ def _run_lifting_adjunction(opt):
                     )
     rng = random.Random(opt.seed)
     pool = _preorder_pool(opt.max_points)
-    cache = {}
     for _ in range(opt.samples):
-        f = _sample_arrow(rng, pool, cache)
-        g = _sample_arrow(rng, pool, cache)
-        i = _sample_arrow(rng, pool, cache)
+        f = _sample_arrow(rng, pool)
+        g = _sample_arrow(rng, pool)
+        i = _sample_arrow(rng, pool)
         cases += 1
         if not lifting_adjunction_check(f, g, i):
             failures.append(
@@ -609,11 +603,10 @@ def _run_pushout_product_symmetry(opt):
                 )
     rng = random.Random(opt.seed)
     pool = _preorder_pool(opt.max_points)
-    cache = {}
     for _ in range(opt.samples):
-        f = _sample_arrow(rng, pool, cache)
-        g = _sample_arrow(rng, pool, cache)
-        h = _sample_arrow(rng, pool, cache)
+        f = _sample_arrow(rng, pool)
+        g = _sample_arrow(rng, pool)
+        h = _sample_arrow(rng, pool)
         cases += 2
         try:
             braiding(f, g)

@@ -1,11 +1,49 @@
 """Shared fixtures: small named posets, spaces, and frames."""
 
+import gc
+from itertools import permutations
+
 import pytest
 from hypothesis import strategies as st
 
+from finitetop.bits import iter_bits
 from finitetop.frames import chain_frame, downset_frame, frame_from_poset
 from finitetop.poset import validate_poset
 from finitetop.spaces import FiniteSpace
+
+
+def garbage_after(run):
+    """The unreachable objects the cyclic collector finds after run()."""
+    gc.collect()
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        run()
+        return gc.collect()
+    finally:
+        if enabled:
+            gc.enable()
+
+
+def certificate(rows):
+    """Canonical form of a relation: the least row tuple over all n! relabellings.
+
+    The literal oracle of isomorphism: two relations are isomorphic exactly
+    when their certificates are equal.
+    """
+    n = len(rows)
+    best = None
+    for perm in permutations(range(n)):
+        relabelled = [0] * n
+        for i, r in enumerate(rows):
+            m = 0
+            for j in iter_bits(r):
+                m |= 1 << perm[j]
+            relabelled[perm[i]] = m
+        key = tuple(relabelled)
+        if best is None or key < best:
+            best = key
+    return best
 
 
 def chain_poset(k, labels=None):

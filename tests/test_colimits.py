@@ -37,7 +37,7 @@ from finitetop.frames import (
 from finitetop.poset import FinitePoset
 from finitetop.suites import SuiteOptions, run_group
 
-from conftest import grid_poset
+from conftest import garbage_after, grid_poset
 
 
 def _small_pairs():
@@ -104,6 +104,19 @@ def test_injections_are_certified_homs():
     FrameHom(c3, t, t.iota2.mapping)
     assert t.iota1.mapping[c3.top] == t.top
     assert t.iota1.mapping[c3.bottom] == t.bottom
+
+
+def test_a_dropped_coproduct_leaves_no_cyclic_garbage():
+    """The tensor holds its injections as mappings, so nothing points back at it."""
+    c3 = chain_frame(3)
+    b4 = product_frames([two(), two()])
+
+    def build_and_use():
+        t = coproduct(c3, b4)
+        copair(t.iota1, t.iota2, tensor=t)
+
+    assert garbage_after(lambda: coproduct(c3, b4)) == 0
+    assert garbage_after(build_and_use) == 0
 
 
 def _product_poset(left, right):

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from finitetop import lifting
+from finitetop import lifting, order
 from finitetop.corpus import all_preorders_labelled
 from finitetop.errors import (
     CarrierMismatchError,
@@ -48,7 +48,7 @@ from finitetop.lifting import (
     replay_trace,
     rlp,
 )
-from finitetop.order import fill, glue
+from finitetop.order import fill, glue, isomorphisms
 from finitetop.spaces import space_from_preorder
 from finitetop.suites import SuiteOptions, _preorder_pool, run_group
 
@@ -243,9 +243,7 @@ def test_power_of_chain_by_chain_is_a_chain():
     power = PowerPre(C2, C2)
     assert power.n == 3
     chain3 = Preorder(("0", "1", "2"), (7, 6, 4))
-    from finitetop.lifting import preorder_isos
-
-    assert preorder_isos(power, chain3)
+    assert next(isomorphisms(power.up, chain3.up), None) is not None
 
 
 def test_exponential_law_is_a_bijection():
@@ -632,7 +630,7 @@ def test_the_lifting_caches_evict_nothing_at_the_default_bounds():
     the discrete-order corners of `_associates` next to the structural ones.
     """
     caches = (
-        lifting._monotone_tuples,
+        order.maps,
         lifting._corner,
         lifting._power,
         lifting._lifts,

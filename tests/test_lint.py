@@ -1,9 +1,12 @@
 """Source checks over the package itself."""
 
 import ast
+import importlib
+import importlib.util
 from pathlib import Path
 
 import finitetop
+import finitetop.suites
 
 
 def test_the_package_has_no_assert_statements():
@@ -50,6 +53,7 @@ UNREFERENCED_ALLOWED = {
     "main": "the `finitetop` console script in pyproject.toml",
     "pullback_power": "oracle of `lifting._power` in the tests; the bench tracer wraps it",
     "frame_corpus": "test corpus; the bench tracer wraps it",
+    "poset_certificate": "the bench tracer wraps the corpus dedupe by this name",
     "prenuclei": "literal oracle of the tensor closure passes in the tests",
 }
 
@@ -194,3 +198,22 @@ def test_no_nested_function_refers_to_its_own_name():
         for name, line in _self_naming_nested_functions(tree)
     ]
     assert found == []
+
+
+def test_every_function_the_bench_tracer_wraps_resolves():
+    """perfbench/tracer.py looks up what it wraps by module and name.
+
+    Reads the tracer's span table and changes nothing in perfbench, so a
+    rename that would break a traced bench run fails here too.
+    """
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    lifting = importlib.import_module("finitetop.lifting")
+    missing = [
+        f"{module}.{function}"
+        for module, function, _, _ in tracer._span_table(lifting)
+        if not callable(getattr(importlib.import_module(f"finitetop.{module}"), function, None))
+    ]
+    assert missing == []

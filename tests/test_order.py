@@ -1,14 +1,23 @@
 """The order-row kernels against literal oracles."""
 
-import gc
 import itertools
 import random
 
 from finitetop.bits import iter_bits, popcount
 from finitetop import order
-from finitetop.corpus import all_posets, all_preorders_labelled
-from finitetop.order import certificate, count_fill, fill, glue, isomorphism, transpose
+from finitetop.corpus import all_posets, all_preorders_labelled, all_spaces
+from finitetop.order import (
+    count_fill,
+    fill,
+    glue,
+    is_isomorphism,
+    isomorphisms,
+    transpose,
+)
+from finitetop.pstop import all_ps_spaces, ps_spaces_up_to_iso
 from finitetop.suites import SuiteOptions, run_suite
+
+from conftest import certificate, garbage_after
 
 SMALL = [rows for n in range(4) for rows in all_preorders_labelled(n)]
 FOUR = list(all_preorders_labelled(4))
@@ -39,10 +48,6 @@ def _relabel(rows, perm):
             m |= 1 << perm[j]
         out[perm[i]] = m
     return tuple(out)
-
-
-def _is_iso(a, b, image):
-    return len(set(image)) == len(a) and _relabel(a, image) == tuple(b)
 
 
 def _antisymmetric(rows):
@@ -176,35 +181,85 @@ def test_glue_matches_fixed_point_partition():
         assert glue(total, pairs) == _oracle_glue(total, pairs)
 
 
-def _oracle_isomorphic(a, b):
-    if len(a) != len(b):
-        return False
-    return any(_relabel(a, p) == tuple(b) for p in itertools.permutations(range(len(a))))
+def _reflexive_relations(n):
+    """Every reflexive relation on n points, transitive or not."""
+    pairs = [(i, j) for i in range(n) for j in range(n) if i != j]
+    out = []
+    for choice in range(1 << len(pairs)):
+        rows = [1 << i for i in range(n)]
+        for t, (i, j) in enumerate(pairs):
+            if choice >> t & 1:
+                rows[i] |= 1 << j
+        out.append(tuple(rows))
+    return out
+
+
+def _assert_isomorphisms_match_brute_force(a, b):
+    """`isomorphisms` yields each bijection carrying a's rows onto b's, once."""
+    found = list(isomorphisms(a, b))
+    perms = itertools.permutations(range(len(a))) if len(a) == len(b) else ()
+    assert len(found) == len(set(found))
+    assert set(found) == {p for p in perms if _relabel(a, p) == tuple(b)}
+    assert all(is_isomorphism(a, b, p) for p in found)
 
 
 def test_isomorphism_matches_brute_force_on_posets():
+    """Every poset of up to 4 points against every relabelling of each one."""
     posets = [p.up for p in all_posets(4)]
     for a in posets:
         for b in posets:
-            image = isomorphism(a, b)
-            assert (image is not None) == _oracle_isomorphic(a, b)
-            if image is not None:
-                assert _is_iso(a, b, image)
+            if len(a) == len(b):
+                for perm in itertools.permutations(range(len(b))):
+                    _assert_isomorphisms_match_brute_force(a, _relabel(b, perm))
 
 
 def test_isomorphism_matches_brute_force_on_preorders():
+    """Reflexive relations of up to 3 points pairwise, and sampled 4-point preorders.
+
+    The relations need not be transitive, as pseudotopology limit rows are not.
+    """
     rng = random.Random(5)
-    spaces = [r for r in SMALL if not _antisymmetric(r)] + rng.sample(FOUR, 40)
-    assert any(not _antisymmetric(r) for r in spaces)
-    for a in spaces:
-        relabelled = _relabel(a, rng.sample(range(len(a)), len(a)))
-        image = isomorphism(a, relabelled)
-        assert image is not None and _is_iso(a, relabelled, image)
-        for b in rng.sample(spaces, 12):
-            image = isomorphism(a, b)
-            assert (image is not None) == _oracle_isomorphic(a, b)
-            if image is not None:
-                assert _is_iso(a, b, image)
+    relations = [r for n in range(4) for r in _reflexive_relations(n)]
+    assert any(not _antisymmetric(r) for r in relations)
+    assert set(SMALL) < set(relations)
+    for a in relations:
+        for b in relations:
+            _assert_isomorphisms_match_brute_force(a, b)
+    for a in rng.sample(FOUR, 40):
+        _assert_isomorphisms_match_brute_force(a, _relabel(a, rng.sample(range(4), 4)))
+        for b in rng.sample(FOUR, 12):
+            _assert_isomorphisms_match_brute_force(a, b)
+
+
+def test_is_isomorphism_rejects_non_bijections_and_unmatched_rows():
+    chain = (0b11, 0b10)
+    assert is_isomorphism(chain, chain, (0, 1))
+    assert not is_isomorphism(chain, chain, (1, 0))
+    assert not is_isomorphism(chain, chain, (0, 0))
+    assert not is_isomorphism(chain, (0b01, 0b10), (0, 1))
+    assert not is_isomorphism(chain, (0b111, 0b110, 0b100), (0, 1))
+
+
+def test_corpus_representatives_are_one_per_isomorphism_class():
+    """Pairwise non-isomorphic, and every labelled relation has one of them.
+
+    `tests/test_poset.py` checks the same of `all_posets`.
+    """
+    corpora = [
+        ([s.up for s in all_spaces(4)], [r for n in range(5) for r in all_preorders_labelled(n)]),
+        (
+            [s.up for s in all_spaces(4, t0_only=True)],
+            [r for n in range(5) for r in all_preorders_labelled(n) if _antisymmetric(r)],
+        ),
+        (
+            [xi.lim for n in range(4) for xi in ps_spaces_up_to_iso(n)],
+            [xi.lim for n in range(4) for xi in all_ps_spaces(n)],
+        ),
+    ]
+    for reps, labelled in corpora:
+        certs = [certificate(r) for r in reps]
+        assert len(set(certs)) == len(certs)
+        assert set(certs) == {certificate(r) for r in labelled}
 
 
 def test_certificate_is_the_least_relabelling():
@@ -221,25 +276,13 @@ def test_certificate_is_invariant_under_relabelling():
 
 
 
-def _garbage_after(run):
-    """The unreachable objects the cyclic collector finds after run()."""
-    gc.collect()
-    enabled = gc.isenabled()
-    gc.disable()
-    try:
-        run()
-        return gc.collect()
-    finally:
-        if enabled:
-            gc.enable()
-
-
 def test_the_order_kernels_leave_no_cyclic_garbage():
     src, dst = FOUR[3], FOUR[-1]
     full = ((1 << len(dst)) - 1,) * len(src)
     assert len(list(fill(src, dst))) > 1
-    assert _garbage_after(lambda: list(fill(src, dst))) == 0
-    assert _garbage_after(lambda: next(fill(src, dst))) == 0
-    assert _garbage_after(lambda: count_fill(src, dst, full)) == 0
-    assert isomorphism(FOUR[3], FOUR[6]) == (1, 2, 0, 3)
-    assert _garbage_after(lambda: isomorphism(FOUR[3], FOUR[6])) == 0
+    assert garbage_after(lambda: list(fill(src, dst))) == 0
+    assert garbage_after(lambda: next(fill(src, dst))) == 0
+    assert garbage_after(lambda: count_fill(src, dst, full)) == 0
+    assert next(isomorphisms(FOUR[3], FOUR[6])) == (1, 2, 0, 3)
+    assert garbage_after(lambda: next(isomorphisms(FOUR[3], FOUR[6]))) == 0
+    assert garbage_after(lambda: list(isomorphisms(FOUR[3], FOUR[6]))) == 0

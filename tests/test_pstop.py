@@ -12,6 +12,7 @@ from finitetop.pstop import (
     FilterRep,
     PsSpace,
     adherence_filter,
+    all_ps_spaces,
     all_pseudotopologies,
     check_continuity,
     compact_at,
@@ -229,8 +230,11 @@ def test_pushout_ps_glues_like_spaces():
 
 
 def test_continuous_map_enumeration_matches_filtering():
-    for xi in ps_spaces_up_to_iso(2):
-        for zeta in ps_spaces_up_to_iso(2):
+    """Every labelled pseudotopology of 1 to 3 points, relabelled twins included."""
+    spaces = [xi for n in range(1, 4) for xi in all_ps_spaces(n)]
+    assert len(spaces) == 69
+    for xi in spaces:
+        for zeta in spaces:
             fast = set(iter_continuous_ps_maps(xi, zeta))
             slow = {
                 m

@@ -9,13 +9,13 @@ from hypothesis import strategies as st
 from finitetop.bits import iter_bits, popcount
 from finitetop.corpus import LABELS, all_posets, all_preorders_labelled, all_spaces
 from finitetop.errors import CarrierMismatchError, NotMonotoneError, TopologyError
-from finitetop.poset import FinitePoset, PreMap, poset_isomorphism
+from finitetop.order import isomorphisms
+from finitetop.poset import PreMap, iter_monotone_maps
 from finitetop.serialize import parse_structure
 from finitetop.spaces import (
     FiniteSpace,
     irreducible_closed_sets,
     is_sober,
-    iter_continuous_maps,
     product_spaces,
     pushout_spaces,
     space_from_preorder,
@@ -113,7 +113,7 @@ def test_alexandrov_round_trip():
     for p in all_posets(4):
         space = space_from_preorder(p.points, p.up)
         assert _is_t0(space)
-        assert poset_isomorphism(FinitePoset(space.points, space.up), p) is not None
+        assert next(isomorphisms(space.up, p.up), None) is not None
 
 
 def test_space_from_preorder_collapses_nothing_on_posets():
@@ -127,11 +127,11 @@ def test_continuous_map_counts():
     s = sierpinski()
     d2 = discrete_space(["a", "b"])
     i2 = indiscrete_space(["a", "b"])
-    assert len(list(iter_continuous_maps(s, s))) == 3
-    assert len(list(iter_continuous_maps(d2, d2))) == 4
-    assert len(list(iter_continuous_maps(i2, i2))) == 4
-    assert len(list(iter_continuous_maps(s, d2))) == 2
-    assert len(list(iter_continuous_maps(d2, s))) == 4
+    assert len(list(iter_monotone_maps(s, s))) == 3
+    assert len(list(iter_monotone_maps(d2, d2))) == 4
+    assert len(list(iter_monotone_maps(i2, i2))) == 4
+    assert len(list(iter_monotone_maps(s, d2))) == 2
+    assert len(list(iter_monotone_maps(d2, s))) == 4
 
 
 def test_continuity_is_validated():
@@ -143,7 +143,7 @@ def test_continuity_is_validated():
 
 def test_map_composition_and_masks():
     s = sierpinski()
-    maps = list(iter_continuous_maps(s, s))
+    maps = list(iter_monotone_maps(s, s))
     for f, g in itertools.product(maps, repeat=2):
         h = f.then(g)
         assert h.mapping == tuple(g.mapping[v] for v in f.mapping)
@@ -173,11 +173,11 @@ def test_product_universal_property_small():
     d2 = discrete_space(["a", "b"])
     prod, px, py = product_spaces(s, d2)
     for z in (s, d2):
-        for u in iter_continuous_maps(z, s):
-            for v in iter_continuous_maps(z, d2):
+        for u in iter_monotone_maps(z, s):
+            for v in iter_monotone_maps(z, d2):
                 mediators = [
                     w
-                    for w in iter_continuous_maps(z, prod)
+                    for w in iter_monotone_maps(z, prod)
                     if w.then(px) == u and w.then(py) == v
                 ]
                 assert len(mediators) == 1
@@ -189,6 +189,17 @@ def test_pushout_identity_span():
     out, inj_b, inj_c = pushout_spaces(ident, ident)
     assert spaces_homeomorphic(out, s) is not None
     assert inj_b.mapping == inj_c.mapping
+
+
+def test_rows_built_spaces_take_carriers_over_twenty_points():
+    """Building rows is O(n^2), so neither construction caps its carrier."""
+    n = 24
+    chain = [(1 << n) - (1 << i) for i in range(n)]
+    space = space_from_preorder([f"p{i:02d}" for i in range(n)], chain)
+    assert space.up == tuple(chain)
+    ident = PreMap(space, space, range(n))
+    out, _, _ = pushout_spaces(ident, ident)
+    assert spaces_homeomorphic(out, space) is not None
 
 
 def test_pushout_wedge_of_two_sierpinski():
@@ -206,13 +217,13 @@ def test_pushout_universal_property_small():
     pt = point_space()
     f = PreMap(pt, s, (0,))
     out, inj_b, inj_c = pushout_spaces(f, f)
-    for u in iter_continuous_maps(s, s):
-        for v in iter_continuous_maps(s, s):
+    for u in iter_monotone_maps(s, s):
+        for v in iter_monotone_maps(s, s):
             if f.then(u) != f.then(v):
                 continue
             mediators = [
                 w
-                for w in iter_continuous_maps(out, s)
+                for w in iter_monotone_maps(out, s)
                 if inj_b.then(w) == u and inj_c.then(w) == v
             ]
             assert len(mediators) == 1
@@ -320,8 +331,8 @@ def test_pushout_opens_match_the_preimage_sweep():
     spaces = all_spaces(2)
     cases = 0
     for a, b, c in itertools.product(spaces, repeat=3):
-        for f in iter_continuous_maps(a, b):
-            for g in iter_continuous_maps(a, c):
+        for f in iter_monotone_maps(a, b):
+            for g in iter_monotone_maps(a, c):
                 _check_pushout_against_the_sweep(f, g)
                 cases += 1
     assert cases > 100
@@ -332,8 +343,8 @@ def test_pushout_opens_match_the_preimage_sweep():
 def test_pushout_opens_match_the_preimage_sweep_at_three_points(data):
     spaces = all_spaces(3)
     a, b, c = (data.draw(st.sampled_from(spaces)) for _ in range(3))
-    maps_b = list(iter_continuous_maps(a, b))
-    maps_c = list(iter_continuous_maps(a, c))
+    maps_b = list(iter_monotone_maps(a, b))
+    maps_c = list(iter_monotone_maps(a, c))
     if maps_b and maps_c:
         _check_pushout_against_the_sweep(
             data.draw(st.sampled_from(maps_b)), data.draw(st.sampled_from(maps_c))

@@ -12,12 +12,8 @@ from finitetop.frames import (
     frame_isomorphism,
     two,
 )
-from finitetop.spaces import (
-    is_sober,
-    iter_continuous_maps,
-    product_spaces,
-    spaces_homeomorphic,
-)
+from finitetop.poset import iter_monotone_maps
+from finitetop.spaces import is_sober, product_spaces, spaces_homeomorphic
 from finitetop.spatial import adjunction_check, is_spatial, locale_points, omega, pt
 
 from conftest import (
@@ -178,7 +174,7 @@ def test_transpose_is_natural_in_the_space():
     report = adjunction_check(s, c3)
     transpose = dict(zip(report.space_maps, report.transposes))
     om = omega(s)
-    for h in iter_continuous_maps(s, s):
+    for h in iter_monotone_maps(s, s):
         omega_h = FrameHom(om, om, [s.opens.index(h.preimage_mask(u)) for u in s.opens])
         for g, t_g in transpose.items():
             assert transpose[h.then(g)] == t_g.then(omega_h)
