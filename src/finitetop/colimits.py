@@ -344,7 +344,6 @@ class TensorFrame(FiniteFrame):
         self.right = right
         self.carrier = carrier
         self.masks = masks
-        self.mask_index = {m: k for k, m in enumerate(masks)}
         self.grid = grid
         self.reduced = reduced
         self.red_index = {m: k for k, m in enumerate(reduced)}

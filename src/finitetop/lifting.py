@@ -18,9 +18,13 @@ property holds if and only if square enumeration never leaves the set.
 Pushout-product corners and pullback-power comparisons depend on their
 factors only through `PreMap.key`: gluing numbers classes by first
 occurrence and a power object lists its maps in fill order, never by
-label.  So each is built once per pair of keys, by the memoized kernels
-`_corner` and `_power`; `PushoutProductMap` and `PullbackPowerMap` take
-their numbering from those and only add point labels.
+label.  So each is built once per pair of keys, on rows and indices alone,
+by the memoized kernels `_corner` and `_power`.  Products are row-major
+(`order.product_rows`), power objects list `order.maps` in fill order.
+`pushout_product`, `pullback_power` and `product_arrow` return the arrow
+of the resulting key with its points labelled by position, and `braiding`
+and `associator` certify their isomorphisms on `_corner`'s keys and
+classes.
 
 The associativity verdict reads less still: corner classes and
 comparisons never read an up row, so `_associates` is memoized on each
@@ -32,7 +36,7 @@ LRU-bounded, above what a default-bounds `check all` fills.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from operator import itemgetter
 
 from .bits import iter_bits
@@ -315,37 +319,20 @@ def rlp(f, generators):
     return LiftVerdict(True, None)
 
 
-class ProductPre(Preorder):
-    """Binary product preorder on row-major pairs."""
-
-    def __init__(self, left, right):
-        if left.n * right.n > PRODUCT_POINT_CAP:
+def _check_products(*sizes):
+    """Refuse, in order, the first pair of sizes whose product is over the cap."""
+    for m, n in sizes:
+        if m * n > PRODUCT_POINT_CAP:
             raise SizeError(f"product exceeds {PRODUCT_POINT_CAP} points")
-        self.left = left
-        self.right = right
-        points = [f"({a},{b})" for a in left.points for b in right.points]
-        rows = product_rows(left.up, right.up)
-        super().__init__(points, rows, validate=False)
-
-    def pair(self, i, j):
-        return i * self.right.n + j
-
-    def split(self, k):
-        return divmod(k, self.right.n)
 
 
 def product_arrow(f, g):
-    """The componentwise map f x g between the product preorders."""
-    f = arrow(f)
-    g = arrow(g)
-    src = ProductPre(f.source, g.source)
-    dst = ProductPre(f.target, g.target)
-    mapping = [
-        dst.pair(f.mapping[i], g.mapping[j])
-        for i in range(f.source.n)
-        for j in range(g.source.n)
-    ]
-    return PreMap(src, dst, mapping, validate=False)
+    """The componentwise map f x g between the product preorders, row-major."""
+    (x_up, y_up, f_map), (a_up, b_up, g_map) = f.key, g.key
+    nb = len(b_up)
+    _check_products((len(x_up), len(a_up)), (len(y_up), nb))
+    mapping = tuple(y * nb + b for y in f_map for b in g_map)
+    return _arrow_from_key((product_rows(x_up, a_up), product_rows(y_up, b_up), mapping))
 
 
 def coproduct_pre(parts, prefixes):
@@ -435,96 +422,65 @@ def pushout_pre(f, g):
     return _label_span(f.target, g.target, rows, classes)
 
 
-class PowerPre(Preorder):
-    """Monotone-map object base^exponent with the pointwise order."""
-
-    def __init__(self, base, exponent):
-        self.base = base
-        self.exponent = exponent
-        mappings = maps(exponent.up, base.up)
-        if len(mappings) > POWER_POINT_CAP:
-            raise SizeError(f"map object exceeds {POWER_POINT_CAP} points")
-        self.maps = mappings
-        points = [_map_label(base, m) for m in mappings]
-        rows = []
-        for m in mappings:
-            row = 0
-            for t, m2 in enumerate(mappings):
-                if all(base.up[a] >> b & 1 for a, b in zip(m, m2)):
-                    row |= 1 << t
-            rows.append(row)
-        super().__init__(points, rows, validate=False)
-
-    @cached_property
-    def _positions(self):
-        return {m: k for k, m in enumerate(self.maps)}
-
-    def index_of(self, mapping):
-        return self._positions[tuple(mapping)]
-
-
-def _map_label(base, m):
-    """The label of a power-object point: its values in the base, in brackets."""
-    return "[" + ",".join(base.points[v] for v in m) + "]"
-
-
 @lru_cache(maxsize=CORNER_CACHE_SIZE)
 def _corner(f_key, g_key):
     """The pushout-product of two arrow keys: its key and its corner classes.
 
     The corner glues X x B (side 0) and Y x A (side 1) over X x A, with
     products numbered row-major; the comparison sends each class into
-    Y x B and must agree on all its members.
+    Y x B and must agree on all its members.  X x A is never built, but it
+    is refused over the product cap like the other three.
     """
-    f = _arrow_from_key(f_key)
-    g = _arrow_from_key(g_key)
-    xb = ProductPre(f.source, g.target)
-    ya = ProductPre(f.target, g.source)
-    xa = ProductPre(f.source, g.source)
-    span = [xa.split(k) for k in range(xa.n)]
+    x_up, y_up, f_map = f_key
+    a_up, b_up, g_map = g_key
+    nx, ny, na, nb = len(x_up), len(y_up), len(a_up), len(b_up)
+    _check_products((nx, nb), (ny, na), (nx, na), (ny, nb))
     rows, classes = _glue_span(
-        xb.up,
-        ya.up,
-        [xb.pair(x, g.mapping[a]) for x, a in span],
-        [ya.pair(f.mapping[x], a) for x, a in span],
+        product_rows(x_up, b_up),
+        product_rows(y_up, a_up),
+        [x * nb + b for x in range(nx) for b in g_map],
+        [y * na + a for y in f_map for a in range(na)],
     )
-    yb = ProductPre(f.target, g.target)
     mapping = []
     for members in classes:
         vals = set()
         for side, idx in members:
             if side == 0:
-                x, b = xb.split(idx)
-                vals.add(yb.pair(f.mapping[x], b))
+                x, b = divmod(idx, nb)
+                vals.add(f_map[x] * nb + b)
             else:
-                y, a = ya.split(idx)
-                vals.add(yb.pair(y, g.mapping[a]))
+                y, a = divmod(idx, na)
+                vals.add(y * nb + g_map[a])
         if len(vals) != 1:
             raise VerificationError("pushout-product comparison is not well defined")
         mapping.append(vals.pop())
-    return (rows, yb.up, tuple(mapping)), classes
-
-
-class PushoutProductMap(PreMap):
-    """The comparison out of the pushout corner into the target product.
-
-    The numbering is `_corner`'s; this adds the factors' point labels.
-    """
-
-    def __init__(self, f, g):
-        (rows, _, mapping), classes = _corner(f.key, g.key)
-        xb = ProductPre(f.source, g.target)
-        ya = ProductPre(f.target, g.source)
-        self.left_factor = f
-        self.right_factor = g
-        self.corner = _label_span(xb, ya, rows, classes)
-        yb = ProductPre(f.target, g.target)
-        super().__init__(self.corner.apex, yb, mapping, validate=False)
+    return (rows, product_rows(y_up, b_up), tuple(mapping)), classes
 
 
 def pushout_product(f, g):
     """The induced map from X x B glued with Y x A over X x A into Y x B."""
-    return PushoutProductMap(arrow(f), arrow(g))
+    key, _ = _corner(f.key, g.key)
+    return _arrow_from_key(key)
+
+
+def _capped_maps(src_up, dst_up):
+    """The points of the map object dst^src, refused over the cap."""
+    mappings = maps(src_up, dst_up)
+    if len(mappings) > POWER_POINT_CAP:
+        raise SizeError(f"map object exceeds {POWER_POINT_CAP} points")
+    return mappings
+
+
+def _pointwise_rows(base_up, mappings):
+    """Rows of the pointwise order on maps into the base."""
+    rows = []
+    for m in mappings:
+        row = 0
+        for t, m2 in enumerate(mappings):
+            if all(base_up[a] >> b & 1 for a, b in zip(m, m2)):
+                row |= 1 << t
+        rows.append(row)
+    return tuple(rows)
 
 
 @lru_cache(maxsize=POWER_CACHE_SIZE)
@@ -534,68 +490,42 @@ def _power(f_key, g_key):
     The apex point (i, j) pairs the i-th map of X^A with the j-th map of
     Y^B that agree in Y^A, maps numbered in fill order.
     """
-    f = _arrow_from_key(f_key)
-    g = _arrow_from_key(g_key)
-    xb = PowerPre(f.source, g.target)
-    xa = PowerPre(f.source, g.source)
-    yb = PowerPre(f.target, g.target)
-    na = g.source.n
+    x_up, y_up, f_map = f_key
+    a_up, b_up, g_map = g_key
+    xb = _capped_maps(b_up, x_up)
+    xa = _capped_maps(a_up, x_up)
+    yb = _capped_maps(b_up, y_up)
+    xa_up = _pointwise_rows(x_up, xa)
+    yb_up = _pointwise_rows(y_up, yb)
     restricted = {}
-    for j, delta in enumerate(yb.maps):
-        restricted.setdefault(
-            tuple(delta[g.mapping[a]] for a in range(na)), []
-        ).append(j)
+    for j, delta in enumerate(yb):
+        restricted.setdefault(tuple(delta[b] for b in g_map), []).append(j)
     pairs = []
-    for i, alpha in enumerate(xa.maps):
-        pushed = tuple(f.mapping[alpha[a]] for a in range(na))
-        for j in restricted.get(pushed, ()):
+    for i, alpha in enumerate(xa):
+        for j in restricted.get(tuple(f_map[v] for v in alpha), ()):
             pairs.append((i, j))
-    pos = {p: k for k, p in enumerate(pairs)}
     rows = []
     for i, j in pairs:
         row = 0
         for k, (i2, j2) in enumerate(pairs):
-            if xa.up[i] >> i2 & 1 and yb.up[j] >> j2 & 1:
+            if xa_up[i] >> i2 & 1 and yb_up[j] >> j2 & 1:
                 row |= 1 << k
         rows.append(row)
-    mapping = []
-    for beta in xb.maps:
-        alpha = (beta[g.mapping[a]] for a in range(na))
-        delta = (f.mapping[v] for v in beta)
-        mapping.append(pos[(xa.index_of(alpha), yb.index_of(delta))])
-    return (xb.up, tuple(rows), tuple(mapping)), tuple(pairs)
-
-
-class PullbackPowerMap(PreMap):
-    """The comparison from X^B into the pullback of X^A and Y^B over Y^A.
-
-    The numbering is `_power`'s; this adds the factors' point labels.
-    """
-
-    def __init__(self, f, g):
-        (_, rows, mapping), pairs = _power(f.key, g.key)
-        xa = maps(g.source.up, f.source.up)
-        yb = maps(g.target.up, f.target.up)
-        labels = [
-            f"({_map_label(f.source, xa[i])},{_map_label(f.target, yb[j])})"
-            for i, j in pairs
-        ]
-        self.left_factor = f
-        self.right_factor = g
-        self.power = PowerPre(f.source, g.target)
-        self.pairs = pairs
-        apex = Preorder(labels, rows, validate=False)
-        super().__init__(self.power, apex, mapping, validate=False)
+    pos = {(xa[i], yb[j]): k for k, (i, j) in enumerate(pairs)}
+    mapping = tuple(
+        pos[(tuple(beta[b] for b in g_map), tuple(f_map[v] for v in beta))]
+        for beta in xb
+    )
+    return (_pointwise_rows(x_up, xb), tuple(rows), mapping), tuple(pairs)
 
 
 def pullback_power(f, g):
     """The induced map X^B -> X^A x_{Y^A} Y^B for f: X -> Y and g: A -> B.
 
-    The literal oracle of `_power`: it builds the labelled map, which
-    `test_memoized_corner_and_power_match_fresh_builds` checks point by
-    point against the memoized key.  The bench tracer wraps it by name.
+    The arrow of `_power`'s key; the bench tracer wraps it by name.
     """
-    return PullbackPowerMap(arrow(f), arrow(g))
+    key, _ = _power(f.key, g.key)
+    return _arrow_from_key(key)
 
 
 def lifting_adjunction_check(f, g, i):
@@ -637,15 +567,20 @@ def _arrow_isos(key1, key2):
                 yield top, bottom
 
 
+def _iso_between(m1, m2, top, bottom):
+    """The ArrowIso m1 -> m2 with the given source and target mappings."""
+    return ArrowIso(
+        PreMap(m1.source, m2.source, top, validate=False),
+        PreMap(m1.target, m2.target, bottom, validate=False),
+    )
+
+
 def arrow_iso(m1, m2):
     """An arrow-category isomorphism m1 -> m2, or None, by exhaustive search."""
     m1 = arrow(m1)
     m2 = arrow(m2)
     for top, bottom in _arrow_isos(m1.key, m2.key):
-        return ArrowIso(
-            PreMap(m1.source, m2.source, top, validate=False),
-            PreMap(m1.target, m2.target, bottom, validate=False),
-        )
+        return _iso_between(m1, m2, top, bottom)
     return None
 
 
@@ -656,105 +591,86 @@ def braiding(f, g):
     the target product; the certificate checks class structure, order
     transfer in both directions, and commutation with the comparisons.
     """
-    f = arrow(f)
-    g = arrow(g)
-    c1 = pushout_product(f, g)
-    c2 = pushout_product(g, f)
-    xb = ProductPre(f.source, g.target)
-    ya = ProductPre(f.target, g.source)
-    ay = ProductPre(g.source, f.target)
-    bx = ProductPre(g.target, f.source)
-    cls2 = {}
-    for k, members in enumerate(c2.corner.classes):
-        for side, idx in members:
-            cls2[(side, idx)] = k
+    key1, classes1 = _corner(f.key, g.key)
+    key2, classes2 = _corner(g.key, f.key)
+    nx, ny = len(f.key[0]), len(f.key[1])
+    na, nb = len(g.key[0]), len(g.key[1])
+    cls2 = {member: k for k, members in enumerate(classes2) for member in members}
     top = []
-    for members in c1.corner.classes:
+    for members in classes1:
         targets = set()
         for side, idx in members:
             if side == 0:
-                x, b = xb.split(idx)
-                targets.add(cls2[(1, bx.pair(b, x))])
+                x, b = divmod(idx, nb)
+                targets.add(cls2[(1, b * nx + x)])
             else:
-                y, a = ya.split(idx)
-                targets.add(cls2[(0, ay.pair(a, y))])
+                y, a = divmod(idx, na)
+                targets.add(cls2[(0, a * ny + y)])
         if len(targets) != 1:
             raise NotIsoError("the swap does not respect the glued classes")
         top.append(targets.pop())
-    if not is_isomorphism(c1.source.up, c2.source.up, top):
+    (rows1, yb_up, map1), (rows2, by_up, map2) = key1, key2
+    if not is_isomorphism(rows1, rows2, top):
         raise NotIsoError("the swap is not an order isomorphism on the corner")
-    yb = c1.target
-    by = c2.target
-    bottom = [
-        by.pair(*reversed(yb.split(k))) for k in range(yb.n)
-    ]
-    if not is_isomorphism(yb.up, by.up, bottom):
+    bottom = [b * ny + y for y in range(ny) for b in range(nb)]
+    if not is_isomorphism(yb_up, by_up, bottom):
         raise NotIsoError("the swap is not an order isomorphism on the target")
-    for i in range(c1.source.n):
-        if bottom[c1.mapping[i]] != c2.mapping[top[i]]:
-            raise NotIsoError("the swap does not commute with the comparisons")
-    return ArrowIso(
-        PreMap(c1.source, c2.source, top, validate=False),
-        PreMap(yb, by, bottom, validate=False),
-    )
+    if any(bottom[v] != map2[t] for v, t in zip(map1, top)):
+        raise NotIsoError("the swap does not commute with the comparisons")
+    return _iso_between(_arrow_from_key(key1), _arrow_from_key(key2), top, bottom)
 
 
-def _expand_lhs(lhs):
-    """Flat coordinates per corner class of (f x^ g) x^ h."""
-    c1 = lhs.left_factor
-    h = lhs.right_factor
-    f, g = c1.left_factor, c1.right_factor
-    nb = g.target.n
-    nb2 = h.target.n
-    na2 = h.source.n
-    out = {}
-    p1_nb2 = nb2
-    for k, members in enumerate(lhs.corner.classes):
+def _expand_lhs(classes, inner, na, nb, na2, nb2):
+    """Flat coordinates per corner class of (f x^ g) x^ h.
+
+    `inner` holds the classes of f x^ g; g has na source and nb target
+    points, h has na2 and nb2.
+    """
+    out = []
+    for members in classes:
         flats = []
         for side, idx in members:
             if side == 0:
-                p1, b2 = divmod(idx, p1_nb2)
-                for iside, iidx in c1.corner.classes[p1]:
+                p1, b2 = divmod(idx, nb2)
+                for iside, iidx in inner[p1]:
                     if iside == 0:
                         x, b = divmod(iidx, nb)
                         flats.append((0, x, b, b2))
                     else:
-                        y, a = divmod(iidx, g.source.n)
+                        y, a = divmod(iidx, na)
                         flats.append((1, y, a, b2))
             else:
                 yb, a2 = divmod(idx, na2)
                 y, b = divmod(yb, nb)
                 flats.append((2, y, b, a2))
-        out[k] = flats
+        out.append(flats)
     return out
 
 
-def _expand_rhs(rhs):
-    """Flat coordinates per corner class of f x^ (g x^ h)."""
-    f = rhs.left_factor
-    c2 = rhs.right_factor
-    g, h = c2.left_factor, c2.right_factor
-    nb2 = h.target.n
-    na2 = h.source.n
-    out = {}
-    p2_n = c2.source.n
-    for k, members in enumerate(rhs.corner.classes):
+def _expand_rhs(classes, inner, nb, na2, nb2):
+    """Flat coordinates per corner class of f x^ (g x^ h).
+
+    `inner` holds the classes of g x^ h; g has nb target points, h has na2
+    source and nb2 target points.
+    """
+    out = []
+    for members in classes:
         flats = []
         for side, idx in members:
             if side == 0:
-                x, bb2 = divmod(idx, g.target.n * nb2)
+                x, bb2 = divmod(idx, nb * nb2)
                 b, b2 = divmod(bb2, nb2)
                 flats.append((0, x, b, b2))
             else:
-                y, p2 = divmod(idx, p2_n)
-                for iside, iidx in c2.corner.classes[p2]:
+                y, p2 = divmod(idx, len(inner))
+                for iside, iidx in inner[p2]:
                     if iside == 0:
                         a, b2 = divmod(iidx, nb2)
                         flats.append((1, y, a, b2))
                     else:
                         b, a2 = divmod(iidx, na2)
                         flats.append((2, y, b, a2))
-        out[k] = flats
+        out.append(flats)
     return out
 
 
@@ -767,31 +683,33 @@ def associator(f, g, h):
     comparisons commute through the row-major index identification of the
     two target products.
     """
-    f = arrow(f)
-    g = arrow(g)
-    h = arrow(h)
-    lhs = pushout_product(pushout_product(f, g), h)
-    rhs = pushout_product(f, pushout_product(g, h))
-    left_flat = _expand_lhs(lhs)
-    rhs_of = {}
-    for k, flats in _expand_rhs(rhs).items():
-        for fl in flats:
-            rhs_of[fl] = k
+    fg_key, fg_classes = _corner(f.key, g.key)
+    lhs_key, lhs_classes = _corner(fg_key, h.key)
+    gh_key, gh_classes = _corner(g.key, h.key)
+    rhs_key, rhs_classes = _corner(f.key, gh_key)
+    na, nb = len(g.key[0]), len(g.key[1])
+    na2, nb2 = len(h.key[0]), len(h.key[1])
+    rhs_of = {
+        fl: k
+        for k, flats in enumerate(_expand_rhs(rhs_classes, gh_classes, nb, na2, nb2))
+        for fl in flats
+    }
     top = []
-    for k in range(lhs.source.n):
-        targets = {rhs_of[fl] for fl in left_flat[k]}
+    for flats in _expand_lhs(lhs_classes, fg_classes, na, nb, na2, nb2):
+        targets = {rhs_of[fl] for fl in flats}
         if len(targets) != 1:
             raise NotIsoError("re-association does not respect the glued classes")
         top.append(targets.pop())
-    if not is_isomorphism(lhs.source.up, rhs.source.up, top):
+    (lhs_rows, lhs_target, lhs_map), (rhs_rows, rhs_target, rhs_map) = lhs_key, rhs_key
+    if not is_isomorphism(lhs_rows, rhs_rows, top):
         raise NotIsoError("re-association is not an order isomorphism on the corner")
-    if lhs.target.up != rhs.target.up:
+    if lhs_target != rhs_target:
         raise VerificationError("the target products disagree as orders")
-    for i in range(lhs.source.n):
-        if lhs.mapping[i] != rhs.mapping[top[i]]:
-            raise NotIsoError("re-association does not commute with the comparisons")
-    bottom = PreMap(lhs.target, rhs.target, range(lhs.target.n), validate=False)
-    return ArrowIso(PreMap(lhs.source, rhs.source, top, validate=False), bottom)
+    if any(v != rhs_map[t] for v, t in zip(lhs_map, top)):
+        raise NotIsoError("re-association does not commute with the comparisons")
+    return _iso_between(
+        _arrow_from_key(lhs_key), _arrow_from_key(rhs_key), top, range(len(lhs_target))
+    )
 
 
 def _discrete_key(set_key):

@@ -18,7 +18,7 @@ from .bits import iter_bits
 from .colimits import PushoutLocaleResult
 from .errors import ParseError
 from .frames import FiniteFrame, FrameHom, frame_from_poset
-from .lifting import CellStage, FactorizationTrace, LiftingSquare, LiftVerdict
+from .lifting import COMPLETE, PARTIAL, CellStage, FactorizationTrace, LiftingSquare, LiftVerdict
 from .order import sort_labels
 from .poset import FinitePoset, PreMap, Preorder, transitive_closure, validate_poset
 from .pstop import PsSpace
@@ -311,6 +311,8 @@ def _parse_square(data):
 
 def _parse_trace(data):
     _expect(data, "factorization-trace")
+    if data["verdict"] not in (COMPLETE, PARTIAL):
+        raise ParseError(f"unknown trace verdict {data['verdict']!r}")
     original = _parse_premap(data["original"])
     complex_index = {x: i for i, x in enumerate(original.source.points)}
     target_index = {x: i for i, x in enumerate(original.target.points)}

@@ -66,14 +66,17 @@ def locale_points(frame):
     return tuple(out)
 
 
-def _sigma_masks(frame, points, space):
-    """Per frame element, the mask of points whose hom sends it to top."""
+def _sigma_masks(frame, points, position):
+    """Per frame element, the mask of points whose hom sends it to top.
+
+    `position` gives a point's bit from its generator's label.
+    """
     out = []
     for a in range(frame.n):
         m = 0
         for p in points:
             if p.hom.mapping[a]:
-                m |= 1 << space.index(frame.labels[p.generator])
+                m |= 1 << position(frame.labels[p.generator])
         out.append(m)
     return out
 
@@ -88,13 +91,7 @@ def pt(frame):
     points = locale_points(frame)
     labels = sorted(frame.labels[p.generator] for p in points)
     index = {x: i for i, x in enumerate(labels)}
-    opens = set()
-    for a in range(frame.n):
-        m = 0
-        for p in points:
-            if p.hom.mapping[a]:
-                m |= 1 << index[frame.labels[p.generator]]
-        opens.add(m)
+    opens = set(_sigma_masks(frame, points, index.__getitem__))
     space = FiniteSpace.from_opens(labels, opens)
     if not is_sober(space):
         raise VerificationError("a point space failed to be sober")
@@ -121,7 +118,7 @@ def is_spatial(frame):
     space = pt(frame)
     opens_frame = omega(space)
     position = {m: k for k, m in enumerate(space.opens)}
-    sigma = _sigma_masks(frame, points, space)
+    sigma = _sigma_masks(frame, points, space.index)
     mapping = [position[m] for m in sigma]
     comparison = FrameHom(frame, opens_frame, mapping)
     if opens_frame.n == frame.n and len(set(mapping)) == frame.n:
@@ -157,7 +154,7 @@ def adjunction_check(space, frame):
     loc_homs = tuple(iter_frame_homs(frame, opens_frame))
     space_maps = tuple(iter_monotone_maps(space, point_space))
     points = locale_points(frame)
-    sigma = _sigma_masks(frame, points, point_space)
+    sigma = _sigma_masks(frame, points, point_space.index)
     position = {m: k for k, m in enumerate(space.opens)}
     transposes = tuple(
         FrameHom(frame, opens_frame, [position[g.preimage_mask(s)] for s in sigma])

@@ -89,6 +89,21 @@ def test_factorize_output_bytes_are_pinned(steps, digest, tmp_path, capsys):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+def test_a_trace_with_an_unknown_verdict_exits_2(tmp_path, capsys):
+    """A parsed factorization trace is COMPLETE or PARTIAL, nothing else."""
+    assert run(_factorize_argv(tmp_path) + ["2"]) == 0
+    trace = json.loads(capsys.readouterr().out)
+    path = tmp_path / "trace.json"
+    path.write_text(json.dumps(trace))
+    assert run(["validate", "--input", str(path)]) == 0
+    assert json.loads(capsys.readouterr().out) == trace
+    path.write_text(json.dumps(dict(trace, verdict="BOGUS")))
+    assert run(["validate", "--input", str(path)]) == 2
+    error = _error(capsys)
+    assert error["kind"] == "input"
+    assert "BOGUS" in error["message"]
+
+
 def test_python_dash_m_runs_a_check():
     src = str(Path(finitetop.__file__).parent.parent)
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))

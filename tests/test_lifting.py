@@ -24,10 +24,8 @@ from finitetop.lifting import (
     PARTIAL,
     ArrowIso,
     LiftingSquare,
-    PowerPre,
     PreMap,
     Preorder,
-    ProductPre,
     arrow,
     arrow_iso,
     arrows_between,
@@ -52,7 +50,7 @@ from finitetop.order import fill, glue, isomorphisms
 from finitetop.spaces import space_from_preorder
 from finitetop.suites import SuiteOptions, _preorder_pool, run_group
 
-from conftest import sierpinski
+from conftest import garbage_after, sierpinski
 
 EMPTY = Preorder((), ())
 PT = Preorder(("p",), (1,))
@@ -211,18 +209,19 @@ def test_generators_lift_against_their_rlp_class():
 
 
 def test_product_orders_pointwise():
-    prod = ProductPre(C2, D2)
-    assert prod.n == 4
-    assert prod.leq_idx(prod.pair(0, 1), prod.pair(1, 1))
-    assert not prod.leq_idx(prod.pair(0, 0), prod.pair(0, 1))
-    assert prod.split(prod.pair(1, 0)) == (1, 0)
+    rows = order.product_rows(C2.up, D2.up)
+    assert len(rows) == 4
+    for (i, j), (i2, j2) in itertools.product(itertools.product(range(2), repeat=2), repeat=2):
+        pointwise = C2.leq_idx(i, i2) and D2.leq_idx(j, j2)
+        assert bool(rows[i * 2 + j] >> (i2 * 2 + j2) & 1) == pointwise
 
 
 def test_product_arrow_acts_componentwise():
-    m = product_arrow(EDGE, identity_arrow(PT))
-    assert m.source.n == 2 and m.target.n == 2
-    for x in range(D2.n):
-        assert m.mapping[m.source.pair(x, 0)] == m.target.pair(EDGE.mapping[x], 0)
+    m = product_arrow(EDGE, FOLD)
+    assert m.source.up == order.product_rows(D2.up, FOLD.source.up)
+    assert m.target.up == order.product_rows(C2.up, PT.up)
+    for x, a in itertools.product(range(D2.n), range(FOLD.source.n)):
+        assert m.mapping[x * FOLD.source.n + a] == EDGE.mapping[x] * PT.n + FOLD.mapping[a]
 
 
 def test_coproduct_prefixes_labels():
@@ -232,43 +231,73 @@ def test_coproduct_prefixes_labels():
     assert not total.leq_idx(inl.mapping[0], inr.mapping[0])
 
 
+def _power_rows(base, exponent):
+    """Rows of base^exponent: the source of id_base pullback-power (empty -> exponent)."""
+    (rows, _, _), _ = lifting._power(identity_arrow(base).key, PreMap(EMPTY, exponent, ()).key)
+    return rows
+
+
 def test_power_points_are_monotone_maps():
-    power = PowerPre(C2, D2)
-    assert power.n == 4
-    assert set(power.maps) == {(0, 0), (0, 1), (1, 0), (1, 1)}
-    assert power.index_of((0, 1)) == power.maps.index((0, 1))
+    mappings = order.maps(D2.up, C2.up)
+    assert set(mappings) == {(0, 0), (0, 1), (1, 0), (1, 1)}
+    rows = _power_rows(C2, D2)
+    assert len(rows) == len(mappings)
+    for (s, m), (t, m2) in itertools.product(enumerate(mappings), repeat=2):
+        pointwise = all(C2.leq_idx(u, v) for u, v in zip(m, m2))
+        assert bool(rows[s] >> t & 1) == pointwise
 
 
 def test_power_of_chain_by_chain_is_a_chain():
-    power = PowerPre(C2, C2)
-    assert power.n == 3
+    rows = _power_rows(C2, C2)
+    assert len(rows) == 3
     chain3 = Preorder(("0", "1", "2"), (7, 6, 4))
-    assert next(isomorphisms(power.up, chain3.up), None) is not None
+    assert next(isomorphisms(rows, chain3.up), None) is not None
 
 
 def test_exponential_law_is_a_bijection():
     for z, a, x in itertools.product([PT, D2, C2], repeat=3):
-        prod = ProductPre(z, a)
-        power = PowerPre(x, a)
-        outs = list(iter_monotone_arrows(prod, x))
-        ins = list(iter_monotone_arrows(z, power))
+        prod = order.product_rows(z.up, a.up)
+        index_of = {m: k for k, m in enumerate(order.maps(a.up, x.up))}
+        outs = order.maps(prod, x.up)
+        ins = order.maps(z.up, _power_rows(x, a))
         assert len(outs) == len(ins)
         transposes = {
-            tuple(
-                power.index_of(m.mapping[prod.pair(i, j)] for j in range(a.n))
-                for i in range(z.n)
-            )
-            for m in outs
+            tuple(index_of[m[i * a.n : (i + 1) * a.n]] for i in range(z.n)) for m in outs
         }
-        assert transposes == {m.mapping for m in ins}
+        assert transposes == set(ins)
+
+
+BIG = Preorder([f"p{i:02d}" for i in range(70)], [1 << i for i in range(70)])
+BIG_FOLD = PreMap(BIG, PT, (0,) * 70)
+BIG_PICK = PreMap(PT, BIG, (0,))
 
 
 def test_size_caps_reject_large_objects():
-    big = Preorder([f"p{i:02d}" for i in range(70)], [1 << i for i in range(70)])
-    with pytest.raises(SizeError):
-        PowerPre(big, D2)
-    with pytest.raises(SizeError):
-        ProductPre(big, big)
+    """Every refusal, each on a pair where only that product or power is too big.
+
+    X x A of the corner is the test below.
+    """
+    products = [
+        (pushout_product, BIG_FOLD, BIG_PICK),  # X x B
+        (pushout_product, BIG_PICK, BIG_FOLD),  # Y x A
+        (pushout_product, BIG_PICK, BIG_PICK),  # Y x B
+        (product_arrow, BIG_FOLD, BIG_FOLD),  # the source product
+        (product_arrow, BIG_PICK, BIG_PICK),  # the target product
+    ]
+    for build, f, g in products:
+        with pytest.raises(SizeError, match="^product exceeds 4096 points$"):
+            build(f, g)
+    to_d2 = PreMap(EMPTY, D2, ())
+    powers = [(BIG_FOLD, to_d2), (BIG_FOLD, PreMap(D2, PT, (0, 0))), (BIG_PICK, to_d2)]
+    for f, g in powers:  # X^B, X^A, Y^B
+        with pytest.raises(SizeError, match="^map object exceeds 4096 points$"):
+            pullback_power(f, g)
+
+
+def test_pushout_product_of_two_large_folds_is_refused():
+    """X x B and Y x A have 70 points each; only X x A, never built, is too big."""
+    with pytest.raises(SizeError, match="product exceeds 4096 points"):
+        pushout_product(BIG_FOLD, BIG_FOLD)
 
 
 def test_pushout_product_of_cells_is_a_cell():
@@ -285,8 +314,6 @@ def test_cell_is_a_unit_for_pushout_product():
 
 def test_pushout_product_factors_are_recorded():
     pp = pushout_product(EDGE, FOLD)
-    assert pp.left_factor is EDGE or pp.left_factor == EDGE
-    assert pp.right_factor == FOLD
     assert pp.target.n == EDGE.target.n * FOLD.target.n
 
 
@@ -316,7 +343,7 @@ def test_pullback_power_by_the_cell_recovers_the_map():
 
 def test_pullback_power_shape():
     pw = pullback_power(EDGE, FOLD)
-    assert pw.source.n == len(PowerPre(EDGE.source, FOLD.target).maps)
+    assert pw.source.n == len(order.maps(FOLD.target.up, EDGE.source.up))
 
 
 def test_lifting_adjunction_on_small_triples():
@@ -345,7 +372,7 @@ def arrow_twins(draw):
     return f, twin
 
 
-def _check_corner_literally(f, g, corner):
+def _check_corner_literally(f, g, key, classes):
     """Glue the corner by graph search and compare classes, order and comparison."""
     nb, na = g.target.n, g.source.n
     points = [(0, x * nb + b) for x in range(f.source.n) for b in range(nb)]
@@ -356,7 +383,7 @@ def _check_corner_literally(f, g, corner):
             p, q = (0, x * nb + g.mapping[a]), (1, f.mapping[x] * na + a)
             edges[p].add(q)
             edges[q].add(p)
-    classes, seen = [], set()
+    found_classes, seen = [], set()
     for p in points:
         if p not in seen:
             found, todo = {p}, [p]
@@ -365,33 +392,35 @@ def _check_corner_literally(f, g, corner):
                     found.add(q)
                     todo.append(q)
             seen |= found
-            classes.append(tuple(sorted(found)))
-    assert list(corner.corner.classes) == classes
+            found_classes.append(tuple(sorted(found)))
+    assert list(classes) == found_classes
     class_of = {p: k for k, members in enumerate(classes) for p in members}
-    injections = corner.corner.left_inj.mapping + corner.corner.right_inj.mapping
-    assert injections == tuple(class_of[p] for p in points)
 
-    order = set()
+    relation = set()
     for (s1, p1), (s2, p2) in itertools.product(points, repeat=2):
         outer, inner = (f.source, g.target) if s1 == 0 else (f.target, g.source)
         (u1, v1), (u2, v2) = divmod(p1, inner.n), divmod(p2, inner.n)
         if s1 == s2 and outer.leq_idx(u1, u2) and inner.leq_idx(v1, v2):
-            order.add((class_of[(s1, p1)], class_of[(s2, p2)]))
-    while more := {(a, d) for a, b in order for c, d in order if b == c} - order:
-        order |= more
+            relation.add((class_of[(s1, p1)], class_of[(s2, p2)]))
+    while more := {(a, d) for a, b in relation for c, d in relation if b == c} - relation:
+        relation |= more
+    rows, target, mapping = key
     n = len(classes)
-    assert order == {(k, k2) for k in range(n) for k2 in range(n) if corner.source.leq_idx(k, k2)}
+    assert relation == {(k, k2) for k in range(n) for k2 in range(n) if rows[k] >> k2 & 1}
+    for (y, b), (y2, b2) in itertools.product(itertools.product(range(f.target.n), range(nb)), repeat=2):
+        pointwise = f.target.leq_idx(y, y2) and g.target.leq_idx(b, b2)
+        assert bool(target[y * nb + b] >> (y2 * nb + b2) & 1) == pointwise
 
     for (side, idx), k in class_of.items():
         if side == 0:
             x, b = divmod(idx, nb)
-            assert corner.mapping[k] == f.mapping[x] * nb + b
+            assert mapping[k] == f.mapping[x] * nb + b
         else:
             y, a = divmod(idx, na)
-            assert corner.mapping[k] == y * nb + g.mapping[a]
+            assert mapping[k] == y * nb + g.mapping[a]
 
 
-def _check_power_literally(f, g, power):
+def _check_power_literally(f, g, key, pairs):
     """Enumerate maps by brute force and compare the pullback and the comparison."""
 
     def maps(src, dst):
@@ -401,44 +430,50 @@ def _check_power_literally(f, g, power):
             if all(dst.leq_idx(m[i], m[j]) for i in range(src.n) for j in range(src.n) if src.leq_idx(i, j))
         ]
 
-    pairs = [
+    agreeing = [
         (alpha, delta)
         for alpha in maps(g.source, f.source)
         for delta in maps(g.target, f.target)
         if all(f.mapping[alpha[a]] == delta[g.mapping[a]] for a in range(g.source.n))
     ]
-    xa = PowerPre(f.source, g.source).maps
-    yb = PowerPre(f.target, g.target).maps
-    points = [(xa[i], yb[j]) for i, j in power.pairs]
-    assert sorted(points) == sorted(pairs)
+    source, target, mapping = key
+    xa = order.maps(g.source.up, f.source.up)
+    yb = order.maps(g.target.up, f.target.up)
+    points = [(xa[i], yb[j]) for i, j in pairs]
+    assert sorted(points) == sorted(agreeing)
     for k, (alpha, delta) in enumerate(points):
         for k2, (alpha2, delta2) in enumerate(points):
             pointwise = all(f.source.leq_idx(u, v) for u, v in zip(alpha, alpha2)) and all(
                 f.target.leq_idx(u, v) for u, v in zip(delta, delta2)
             )
-            assert power.target.leq_idx(k, k2) == pointwise
+            assert bool(target[k] >> k2 & 1) == pointwise
 
+    xb = order.maps(g.target.up, f.source.up)
+    for (k, beta), (k2, beta2) in itertools.product(enumerate(xb), repeat=2):
+        pointwise = all(f.source.leq_idx(u, v) for u, v in zip(beta, beta2))
+        assert bool(source[k] >> k2 & 1) == pointwise
     expected = {
         beta: (tuple(beta[v] for v in g.mapping), tuple(f.mapping[v] for v in beta))
         for beta in maps(g.target, f.source)
     }
-    assert {m: points[power.mapping[k]] for k, m in enumerate(power.source.maps)} == expected
+    assert {m: points[mapping[k]] for k, m in enumerate(xb)} == expected
 
 
 @settings(max_examples=150, deadline=None)
 @given(arrow_twins(), arrow_twins())
 def test_memoized_corner_and_power_match_fresh_builds(fs, gs):
+    """The memoized kernels against a cold rebuild and the literal oracles."""
     (f, f_twin), (g, g_twin) = fs, gs
-    corner_key, classes = lifting._corner(f.key, g.key)
-    power_key, _ = lifting._power(f.key, g.key)
+    corner = lifting._corner(f.key, g.key)
+    power = lifting._power(f.key, g.key)
     lifting._corner.cache_clear()
     lifting._power.cache_clear()
-    corner = pushout_product(f_twin, g_twin)
-    power = pullback_power(f_twin, g_twin)
-    assert (corner.key, corner.corner.classes) == (corner_key, classes)
-    assert power.key == power_key
-    _check_corner_literally(f, g, corner)
-    _check_power_literally(f, g, power)
+    assert pushout_product(f_twin, g_twin).key == corner[0]
+    assert pullback_power(f_twin, g_twin).key == power[0]
+    assert lifting._corner(f_twin.key, g_twin.key) == corner
+    assert lifting._power(f_twin.key, g_twin.key) == power
+    _check_corner_literally(f, g, *corner)
+    _check_power_literally(f, g, *power)
 
 
 @settings(max_examples=80, deadline=None)
@@ -452,6 +487,23 @@ def test_adjunction_check_matches_fresh_lifting_verdicts(fs, gs, is_):
     right = lifts_against(f, pullback_power(g, i)).holds
     assert verdict == (left == right)
     assert verdict
+
+
+def _check_arrow_iso(iso, m1, m2):
+    """iso is an order isomorphism on both ends that carries m1 onto m2."""
+    assert order.is_isomorphism(m1.source.up, m2.source.up, iso.top.mapping)
+    assert order.is_isomorphism(m1.target.up, m2.target.up, iso.bottom.mapping)
+    assert iso.top.then(m2).mapping == m1.then(iso.bottom).mapping
+
+
+@settings(max_examples=80, deadline=None)
+@given(arrow_twins(), arrow_twins(), arrow_twins())
+def test_braiding_and_associator_are_arrow_isomorphisms(fs, gs, hs):
+    f, g, h = fs[0], gs[1], hs[0]
+    _check_arrow_iso(braiding(f, g), pushout_product(f, g), pushout_product(g, f))
+    lhs = pushout_product(pushout_product(f, g), h)
+    rhs = pushout_product(f, pushout_product(g, h))
+    _check_arrow_iso(associator(f, g, h), lhs, rhs)
 
 
 @settings(max_examples=80, deadline=None)
@@ -628,6 +680,7 @@ def test_the_lifting_caches_evict_nothing_at_the_default_bounds():
     A miss adds one entry and only an eviction removes one, so the run
     evicts nothing exactly when the misses equal the size.  `_corner` holds
     the discrete-order corners of `_associates` next to the structural ones.
+    The run leaves no cyclic garbage, so reference counting frees all it drops.
     """
     caches = (
         order.maps,
@@ -638,7 +691,9 @@ def test_the_lifting_caches_evict_nothing_at_the_default_bounds():
     )
     for cache in caches:
         cache.cache_clear()
-    assert all(r.ok for r in run_group("lifting", SuiteOptions()))
+    reports = []
+    assert garbage_after(lambda: reports.extend(run_group("lifting", SuiteOptions()))) == 0
+    assert reports and all(r.ok for r in reports)
     for cache in caches:
         info = cache.cache_info()
         assert info.misses == info.currsize < info.maxsize, cache.__name__

@@ -51,7 +51,7 @@ def test_the_package_has_no_unbounded_caches():
 # Top-level names that no package code references, each kept for a reason.
 UNREFERENCED_ALLOWED = {
     "main": "the `finitetop` console script in pyproject.toml",
-    "pullback_power": "oracle of `lifting._power` in the tests; the bench tracer wraps it",
+    "pullback_power": "the pullback-power arrow of `lifting._power`'s key, for the tests; the bench tracer wraps it",
     "frame_corpus": "test corpus; the bench tracer wraps it",
     "poset_certificate": "the bench tracer wraps the corpus dedupe by this name",
     "prenuclei": "literal oracle of the tensor closure passes in the tests",
