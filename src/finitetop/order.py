@@ -23,7 +23,10 @@ the row tuples (`_plan` and `_dual_rows`); a run over a fixed corpus builds
 each once.  `PLAN_CACHE_SIZE` bounds each cache.
 
 `isomorphisms` is the one isomorphism search: it yields every isomorphism
-between two relations, and `representatives` dedupes a corpus with it.
+between two relations, or only those keeping given point colours (the
+lifting layer searches arrows as one relation with the sources and the
+targets coloured apart), and `representatives` dedupes a corpus with it.
+`invariant` is the sorted signature list it prunes by, and
 `is_isomorphism` checks a mapping built some other way.
 """
 
@@ -224,25 +227,34 @@ def glue(total, pairs):
     return [ids.setdefault(find(i), len(ids)) for i in range(total)]
 
 
-def _signatures(up):
-    """Per point, the sizes of its up and down rows; an isomorphism keeps them."""
-    return [(popcount(u), popcount(d)) for u, d in zip(up, transpose(up))]
+def _signatures(up, colours=None):
+    """Per point, its colour and the sizes of its up and down rows; an isomorphism keeps them."""
+    if colours is None:
+        colours = (0,) * len(up)
+    return [(c, popcount(u), popcount(d)) for c, u, d in zip(colours, up, transpose(up))]
 
 
-def isomorphisms(up_a, up_b):
+def invariant(up, colours=None):
+    """The sorted signatures: equal for isomorphic relations under the same colouring."""
+    return tuple(sorted(_signatures(up, colours)))
+
+
+def isomorphisms(up_a, up_b, colours=None):
     """Every isomorphism a -> b of reflexive relations, as index tuples.
 
     An isomorphism is a bijection that preserves and reflects the rows.
-    Candidates are pruned by (|up|, |down|) signatures, points with the
-    fewest candidates are placed first, and each placement is checked
-    against every point placed before it.  Each isomorphism is yielded
-    once; with none, nothing is.
+    `colours`, a pair of per-point colour sequences for a and b, restricts
+    it to maps that keep every point's colour.  Candidates are pruned by
+    (colour, |up|, |down|) signatures, points with the fewest candidates are
+    placed first, and each placement is checked against every point placed
+    before it.  Each isomorphism is yielded once; with none, nothing is.
     """
     n = len(up_a)
     if len(up_b) != n:
         return
-    sig_a = _signatures(up_a)
-    sig_b = _signatures(up_b)
+    colours_a, colours_b = colours or (None, None)
+    sig_a = _signatures(up_a, colours_a)
+    sig_b = _signatures(up_b, colours_b)
     if sorted(sig_a) != sorted(sig_b):
         return
     cands = [[j for j in range(n) if sig_b[j] == sig_a[i]] for i in range(n)]
@@ -294,7 +306,7 @@ def representatives(relations):
     out = []
     for rows in relations:
         rows = tuple(rows)
-        bucket = buckets.setdefault(tuple(sorted(_signatures(rows))), [])
+        bucket = buckets.setdefault(invariant(rows), [])
         if all(next(isomorphisms(rep, rows), None) is None for rep in bucket):
             bucket.append(rows)
             out.append(rows)

@@ -309,6 +309,13 @@ def _parse_square(data):
     )
 
 
+def _generator_index(value):
+    """A problem's generator: a non-negative int, for it indexes the generator list."""
+    if type(value) is not int or value < 0:
+        raise ParseError(f"a problem's generator must be a non-negative index, got {value!r}")
+    return value
+
+
 def _parse_trace(data):
     _expect(data, "factorization-trace")
     if data["verdict"] not in (COMPLETE, PARTIAL):
@@ -320,7 +327,7 @@ def _parse_trace(data):
     for stage in data["stages"]:
         problems = tuple(
             (
-                p["generator"],
+                _generator_index(p["generator"]),
                 tuple(complex_index[x] for x in p["top"]),
                 tuple(target_index[x] for x in p["bottom"]),
             )

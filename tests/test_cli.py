@@ -104,6 +104,20 @@ def test_a_trace_with_an_unknown_verdict_exits_2(tmp_path, capsys):
     assert "BOGUS" in error["message"]
 
 
+@pytest.mark.parametrize("generator", ["not-an-index", -1, True, 0.0, None])
+def test_a_trace_with_a_non_index_generator_exits_2(generator, tmp_path, capsys):
+    """A problem's generator indexes the generator list: a non-negative int only."""
+    assert run(_factorize_argv(tmp_path) + ["2"]) == 0
+    trace = json.loads(capsys.readouterr().out)
+    trace["stages"][0]["problems"][0]["generator"] = generator
+    path = tmp_path / "trace.json"
+    path.write_text(json.dumps(trace))
+    assert run(["validate", "--input", str(path)]) == 2
+    error = _error(capsys)
+    assert error["kind"] == "input"
+    assert repr(generator) in error["message"]
+
+
 def test_python_dash_m_runs_a_check():
     src = str(Path(finitetop.__file__).parent.parent)
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))

@@ -674,23 +674,168 @@ def test_solved_squares_match_the_generator_projection(ls, rs):
     assert lifting._solved_squares(left, right) == _solved_squares_oracle(left, right)
 
 
-def test_the_lifting_caches_evict_nothing_at_the_default_bounds():
+def _square_count(left_key, right_key):
+    """The number of commuting squares, counting the wide side per pin.
+
+    Streams the side with the smaller map bound and counts the other with
+    `count_fill`, memoized per pin pattern: the literal census oracle.
+    """
+    a_up, b_up, i_map = left_key
+    x_up, y_up, f_map = right_key
+    fibre = [sum(1 << x for x, y in enumerate(f_map) if y == v) for v in range(len(y_up))]
+    total = 0
+    memo = {}
+    if max(len(x_up), 1) ** len(a_up) <= max(len(y_up), 1) ** len(b_up):
+        for top in fill(a_up, x_up):
+            allowed = [(1 << len(y_up)) - 1] * len(b_up)
+            for a, t in enumerate(top):
+                allowed[i_map[a]] &= 1 << f_map[t]
+            allowed = tuple(allowed)
+            if allowed not in memo:
+                memo[allowed] = order.count_fill(b_up, y_up, allowed)
+            total += memo[allowed]
+    else:
+        for bot in fill(b_up, y_up):
+            allowed = tuple(fibre[bot[i_map[a]]] for a in range(len(a_up)))
+            if allowed not in memo:
+                memo[allowed] = order.count_fill(a_up, x_up, allowed)
+            total += memo[allowed]
+    return total
+
+
+def _census_oracle(left_key, right_key):
+    """Every square solved: the square count equals the solved-square count."""
+    total = _square_count(left_key, right_key)
+    solved = len(_solved_squares_oracle(left_key, right_key))
+    assert total >= solved
+    return total == solved
+
+
+def _renumbered(key, sigma, tau):
+    """The key with source point i moved to sigma[i] and target point v to tau[v]."""
+    src_up, dst_up, mapping = key
+
+    def moved(up, perm):
+        rows = [0] * len(up)
+        for i, row in enumerate(up):
+            rows[perm[i]] = sum(1 << perm[j] for j in range(len(up)) if row >> j & 1)
+        return tuple(rows)
+
+    new_map = [0] * len(mapping)
+    for i, v in enumerate(mapping):
+        new_map[sigma[i]] = tau[v]
+    return moved(src_up, sigma), moved(dst_up, tau), tuple(new_map)
+
+
+@st.composite
+def renumbered_twins(draw):
+    """The key of a random arrow of up to 3 points, and the key renumbered."""
+    f, _ = draw(arrow_twins())
+    src, dst, _ = f.key
+    sigma = draw(st.permutations(range(len(src))))
+    tau = draw(st.permutations(range(len(dst))))
+    return f.key, _renumbered(f.key, sigma, tau)
+
+
+# A seeded corner of two 3-point arrows (11 points over 9) and a 3-point
+# arrow it does not lift against; the census streams bottoms on this pair.
+SEEDED_CORNER, _ = lifting._corner(
+    ((3, 2, 6), (3, 2, 7), (0, 1, 0)), ((1, 6, 6), (5, 7, 5), (0, 0, 0))
+)
+SEEDED_RIGHT = ((5, 2, 4), (1, 2, 7), (2, 1, 2))
+
+
+@settings(max_examples=200, deadline=None)
+@given(renumbered_twins(), renumbered_twins())
+@example((CELL.key, CELL.key), (EDGE.key, EDGE.key))
+@example((identity_arrow(EMPTY).key,) * 2, (FOLD.key, _renumbered(FOLD.key, (1, 0), (0,))))
+@example(
+    (SEEDED_CORNER, _renumbered(SEEDED_CORNER, tuple(range(10, -1, -1)), (2, 0, 1, 5, 3, 4, 8, 6, 7))),
+    (SEEDED_RIGHT, _renumbered(SEEDED_RIGHT, (1, 2, 0), (2, 1, 0))),
+)
+def test_census_matches_the_oracle_on_keys_and_renumbered_twins(ls, rs):
+    """The fibre census, alone and through the class memo, against the oracle."""
+    (left, left_twin), (right, right_twin) = ls, rs
+    expected = _census_oracle(left, right)
+    assert _census_oracle(left_twin, right_twin) == expected
+    assert lifting._census.__wrapped__(left, right) == expected
+    assert lifting._census.__wrapped__(left_twin, right_twin) == expected
+    assert lifting._lifts(left, right) == expected
+    assert lifting._lifts(left_twin, right_twin) == expected
+
+
+def test_the_seeded_corner_fails_to_lift_by_streaming_bottoms():
+    assert not lifting._streams_tops(SEEDED_CORNER, SEEDED_RIGHT)
+    assert not _census_oracle(SEEDED_CORNER, SEEDED_RIGHT)
+
+
+def test_renumbered_twins_cost_one_census_run():
+    left = pushout_product(EDGE, FOLD).key
+    right = EDGE.key
+    left_twin = _renumbered(left, (1, 0), (1, 0))
+    right_twin = _renumbered(right, (1, 0), (0, 1))
+    assert left_twin != left and right_twin != right
+    lifting._census.cache_clear()
+    assert lifting._lifts(left, right) == lifting._lifts(left_twin, right_twin)
+    info = lifting._census.cache_info()
+    assert (info.misses, info.hits) == (1, 1)
+
+
+def _arrow_isos_oracle(key1, key2):
+    """Every arrow isomorphism by the two-level loop: target isos, then source isos."""
+    src1, dst1, map1 = key1
+    src2, dst2, map2 = key2
+    bottoms = tuple(isomorphisms(dst1, dst2))
+    for top in isomorphisms(src1, src2):
+        for bottom in bottoms:
+            if all(bottom[v] == map2[top[i]] for i, v in enumerate(map1)):
+                yield top, bottom
+
+
+@settings(max_examples=200, deadline=None)
+@given(renumbered_twins(), renumbered_twins())
+def test_arrow_isos_match_the_two_level_search(fs, gs):
+    for key1, key2 in [fs, gs, (fs[0], gs[1])]:
+        found = list(lifting._arrow_isos(key1, key2))
+        assert len(set(found)) == len(found)
+        assert set(found) == set(_arrow_isos_oracle(key1, key2))
+    assert next(lifting._arrow_isos(*fs), None) is not None
+
+
+def test_arrow_iso_relabels_an_eight_point_discrete_identity():
+    """The identity of an 8-point antichain has 8! automorphisms; the first is returned."""
+    labels = [f"p{i}" for i in range(8)]
+    discrete = Preorder(labels, [1 << i for i in range(8)])
+    twin = Preorder(labels[::-1], [1 << i for i in range(8)])
+    iso = arrow_iso(identity_arrow(discrete), identity_arrow(twin))
+    assert iso is not None and iso.top.mapping == iso.bottom.mapping
+
+
+def _refuse_to_clear():
+    raise AssertionError("the arrow-class table filled up")
+
+
+def test_the_lifting_caches_evict_nothing_at_the_default_bounds(monkeypatch):
     """The lifting group from cold caches: every miss is still in its cache.
 
     A miss adds one entry and only an eviction removes one, so the run
     evicts nothing exactly when the misses equal the size.  `_corner` holds
     the discrete-order corners of `_associates` next to the structural ones.
+    The table of arrow-class representatives starts empty and never fills.
     The run leaves no cyclic garbage, so reference counting frees all it drops.
     """
     caches = (
         order.maps,
         lifting._corner,
         lifting._power,
-        lifting._lifts,
+        lifting._arrow_class,
+        lifting._census,
         lifting._associates,
     )
     for cache in caches:
         cache.cache_clear()
+    lifting._CLASSES.clear()
+    monkeypatch.setattr(lifting._CLASSES, "clear", _refuse_to_clear)
     reports = []
     assert garbage_after(lambda: reports.extend(run_group("lifting", SuiteOptions()))) == 0
     assert reports and all(r.ok for r in reports)
@@ -698,6 +843,7 @@ def test_the_lifting_caches_evict_nothing_at_the_default_bounds():
         info = cache.cache_info()
         assert info.misses == info.currsize < info.maxsize, cache.__name__
     assert lifting._associates.cache_info().misses <= 11**3 + SuiteOptions().samples
+    assert 0 < lifting._CLASSES.size < lifting._CLASSES.bound
 
 
 def test_factorize_map_with_rlp_needs_no_stages():

@@ -200,6 +200,93 @@ def test_no_nested_function_refers_to_its_own_name():
     assert found == []
 
 
+_CONTAINER_CALLS = {"dict", "list", "set", "defaultdict", "OrderedDict"}
+_GROWING_METHODS = {"append", "extend", "insert", "add", "update", "setdefault"}
+
+# Module-level containers that package functions may grow, each kept for a reason.
+MODULE_MUTATION_ALLOWED = {}
+
+
+def _module_containers(tree):
+    """Names bound at module level to a dict, list or set display or constructor."""
+    names = set()
+    for node in tree.body:
+        value = getattr(node, "value", None)
+        is_container = isinstance(
+            value, (ast.Dict, ast.List, ast.Set, ast.DictComp, ast.ListComp, ast.SetComp)
+        ) or (isinstance(value, ast.Call) and _name(value.func) in _CONTAINER_CALLS)
+        if isinstance(node, (ast.Assign, ast.AnnAssign)) and is_container:
+            names.update(_top_level_names(node))
+    return names
+
+
+def _local_names(function, nodes):
+    """Parameters and names a function binds itself, which shadow module names."""
+    params = {a.arg for a in ast.walk(function.args) if isinstance(a, ast.arg)}
+    stores = {n.id for n in nodes if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Store)}
+    declared = {name for n in nodes if isinstance(n, ast.Global) for name in n.names}
+    return (params | stores) - declared
+
+
+def _mutated_module_containers(tree):
+    """(name, line) of every growth of a module-level container inside a function.
+
+    Growth is a call of `append`, `extend`, `insert`, `add`, `update` or
+    `setdefault` on the name, or an assignment to one of its items.
+    """
+    containers = _module_containers(tree)
+    found = []
+    for function in ast.walk(tree):
+        if not isinstance(function, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            continue
+        body = function.body if isinstance(function.body, list) else [function.body]
+        nodes = [n for stmt in body for n in ast.walk(stmt)]
+        shared = containers - _local_names(function, nodes)
+        for node in nodes:
+            target = None
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
+                if node.func.attr in _GROWING_METHODS:
+                    target = node.func.value
+            elif isinstance(node, ast.Subscript) and isinstance(node.ctx, ast.Store):
+                target = node.value
+            if isinstance(target, ast.Name) and target.id in shared:
+                found.append((target.id, node.lineno))
+    return sorted(set(found), key=lambda f: f[1])
+
+
+def test_the_module_mutation_guard_finds_a_hand_rolled_cache():
+    source = (
+        "_MEMO = {}\n_SEEN = set()\n_LOG = []\n"
+        "def f(k):\n"
+        "    _MEMO[k] = 1\n"
+        "    _SEEN.add(k)\n"
+        "    _LOG.append(k)\n"
+        "    return _MEMO.setdefault(k, 2)\n"
+        "def g(_LOG):\n"
+        "    _LOG.append(1)\n"
+        "    local = {}\n"
+        "    local[1] = 2\n"
+    )
+    found = _mutated_module_containers(ast.parse(source))
+    assert found == [("_MEMO", 5), ("_SEEN", 6), ("_LOG", 7), ("_MEMO", 8)]
+
+
+def test_no_package_function_grows_a_module_level_container():
+    """A module-level dict, list or set that functions grow is a hand-rolled cache.
+
+    Nothing bounds it, and `test_the_package_has_no_unbounded_caches` only
+    sees `lru_cache` and `cache`; keep such state in a bounded `lru_cache`,
+    or in an object that enforces its own bound.
+    """
+    found = [
+        f"{module}:{line} {name}"
+        for module, tree in _package_trees()
+        for name, line in _mutated_module_containers(tree)
+        if f"{module}:{name}" not in MODULE_MUTATION_ALLOWED
+    ]
+    assert found == []
+
+
 def test_every_function_the_bench_tracer_wraps_resolves():
     """perfbench/tracer.py looks up what it wraps by module and name.
 
