@@ -12,11 +12,12 @@ defines it:
 
 - `bits`, `order`: bitmask iteration and the shared order kernels
   (`upsets`, `product_rows`, `fill` and its cached list `maps`, `glue`,
-  the one isomorphism search `isomorphisms`, `is_isomorphism`, and the
-  corpus dedupe `representatives`);
+  `transitive_closure`, the one gluing kernel `glue_span`, the one
+  isomorphism search `isomorphisms`, `is_isomorphism`, and the corpus
+  dedupe `representatives`);
 - `poset`: `Preorder`, the one order type, with its subclass
   `FinitePoset`, the one map class `PreMap` with its enumerator
-  `iter_monotone_maps`, and `validate_poset`;
+  `iter_monotone_maps`, the one labelled `pushout`, and `validate_poset`;
 - `frames`: `FiniteFrame`, `FrameHom`, `iter_frame_homs`, nuclei and
   Galois connections;
 - `colimits`: frame coproducts, products and localic pushouts;

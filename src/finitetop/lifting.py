@@ -30,7 +30,9 @@ factors only through `PreMap.key`: gluing numbers classes by first
 occurrence and a power object lists its maps in fill order, never by
 label.  So each is built once per pair of keys, on rows and indices alone,
 by the memoized kernels `_corner` and `_power`.  Products are row-major
-(`order.product_rows`), power objects list `order.maps` in fill order.
+(`order.product_rows`), power objects list `order.maps` in fill order, and
+a corner is glued by `order.glue_span`, the package's one gluing kernel,
+whose first-occurrence classes it keeps.
 `pushout_product`, `pullback_power` and `product_arrow` return the arrow
 of the resulting key with its points labelled by position, and `braiding`
 and `associator` certify their isomorphisms on `_corner`'s keys and
@@ -41,6 +43,11 @@ comparisons never read an up row, so `_associates` is memoized on each
 arrow's sizes and mapping alone.  That key is exact, not a canonical
 form: every input the verdict reads is in it.  Every cache here is
 LRU-bounded, above what a default-bounds `check all` fills.
+
+Cell attachment glues with the labelled `poset.pushout`, the same one
+finite spaces and pseudotopologies use.  Its labels and the coproduct's
+are sorted, as a parsed trace's are, so a trace replays after a JSON
+round trip however many cells a stage attaches.
 """
 
 from __future__ import annotations
@@ -49,7 +56,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 from operator import itemgetter
 
-from .bits import iter_bits
 from .errors import (
     CarrierMismatchError,
     NonCommutingError,
@@ -61,13 +67,15 @@ from .order import (
     count_fill,
     fill,
     glue,
+    glue_span,
     invariant,
     is_isomorphism,
     isomorphisms,
     maps,
     product_rows,
+    sort_labels,
 )
-from .poset import FinitePoset, PreMap, Preorder, transitive_closure
+from .poset import FinitePoset, PreMap, Preorder, pushout
 from .poset import iter_monotone_maps as iter_monotone_arrows
 from .spaces import FiniteSpace
 
@@ -404,8 +412,6 @@ def _witness_square(left, right, square):
 
 def lifts_against(left, right):
     """Does every square of left against right admit a diagonal."""
-    left = arrow(left)
-    right = arrow(right)
     if _lifts(left.key, right.key):
         return LiftVerdict(True, None)
     miss = _find_unsolved(left.key, right.key)
@@ -416,7 +422,6 @@ def lifts_against(left, right):
 
 def rlp(f, generators):
     """f has the right lifting property against every generator."""
-    f = arrow(f)
     for s in generators:
         verdict = lifts_against(s, f)
         if not verdict:
@@ -441,90 +446,38 @@ def product_arrow(f, g):
 
 
 def coproduct_pre(parts, prefixes):
-    """Disjoint union with prefixed labels; returns the sum and injections."""
+    """Disjoint union with prefixed labels; returns the sum and injections.
+
+    The labels are sorted, as a parsed structure's are, and the injections
+    follow the sort.
+    """
     if len(parts) != len(prefixes):
         raise CarrierMismatchError("one prefix per summand")
     points = []
     rows = []
-    injections = []
     offset = 0
     for part, prefix in zip(parts, prefixes):
         points.extend(f"{prefix}:{x}" for x in part.points)
         rows.extend(r << offset for r in part.up)
-        injections.append(range(offset, offset + part.n))
         offset += part.n
-    total = Preorder(points, rows, validate=False)
+    total = Preorder(*sort_labels(points, rows), validate=False)
     return total, tuple(
-        PreMap(part, total, rng, validate=False)
-        for part, rng in zip(parts, injections)
+        PreMap(part, total, [total.index(f"{prefix}:{x}") for x in part.points], validate=False)
+        for part, prefix in zip(parts, prefixes)
     )
 
 
-@dataclass(frozen=True)
-class PushoutPre:
-    """A preorder pushout: apex, the two injections, and class membership."""
+def _descend(cls, values, message):
+    """Per class 0, 1, ... of `cls`, the value all its points share.
 
-    apex: Preorder
-    left_inj: PreMap
-    right_inj: PreMap
-    classes: tuple
-
-
-def _glue_span(b_up, c_up, f_map, g_map):
-    """Label-free pushout of B <- A -> C, given by rows and the two images.
-
-    Returns the apex rows and the classes, numbered by first occurrence;
-    a class lists its members as (0, i) for B's i-th point and (1, j) for
-    C's j-th point, B first.  The order is the transitive closure of the
-    two image orders.
+    `values` runs over the same points as `cls`; a class whose points
+    disagree raises VerificationError with `message`.
     """
-    nb = len(b_up)
-    cls = glue(nb + len(c_up), [(fa, nb + ga) for fa, ga in zip(f_map, g_map)])
-    n = max(cls, default=-1) + 1
-    members = [[] for _ in range(n)]
-    for p, k in enumerate(cls):
-        members[k].append((0, p) if p < nb else (1, p - nb))
-    rows = [1 << k for k in range(n)]
-    for offset, ups in ((0, b_up), (nb, c_up)):
-        for i, row in enumerate(ups):
-            for j in iter_bits(row):
-                rows[cls[offset + i]] |= 1 << cls[offset + j]
-    return tuple(transitive_closure(rows)), tuple(map(tuple, members))
-
-
-def _label_span(b, c, rows, classes):
-    """The pushout on glued rows, each class labelled by its least member.
-
-    Member labels carry the side prefixes "b:" and "c:".
-    """
-    labels = [
-        min(
-            (f"b:{b.points[i]}" if side == 0 else f"c:{c.points[i]}")
-            for side, i in members
-        )
-        for members in classes
-    ]
-    apex = Preorder(labels, rows, validate=False)
-    cls = [0] * (b.n + c.n)
-    for k, members in enumerate(classes):
-        for side, i in members:
-            cls[side * b.n + i] = k
-    left_inj = PreMap(b, apex, cls[: b.n], validate=False)
-    right_inj = PreMap(c, apex, cls[b.n :], validate=False)
-    return PushoutPre(apex, left_inj, right_inj, classes)
-
-
-def pushout_pre(f, g):
-    """Pushout of g.target <- source -> f.target in preorders.
-
-    Points are glued by union-find over the span, the order is the
-    transitive closure of the two image orders, and each class is labelled
-    by its least member label under the side prefixes "b:" and "c:".
-    """
-    if f.source != g.source:
-        raise CarrierMismatchError("pushout needs a common source")
-    rows, classes = _glue_span(f.target.up, g.target.up, f.mapping, g.mapping)
-    return _label_span(f.target, g.target, rows, classes)
+    out = {}
+    for k, v in zip(cls, values):
+        if out.setdefault(k, v) != v:
+            raise VerificationError(message)
+    return tuple(out[k] for k in range(len(out)))
 
 
 @lru_cache(maxsize=CORNER_CACHE_SIZE)
@@ -540,26 +493,22 @@ def _corner(f_key, g_key):
     a_up, b_up, g_map = g_key
     nx, ny, na, nb = len(x_up), len(y_up), len(a_up), len(b_up)
     _check_products((nx, nb), (ny, na), (nx, na), (ny, nb))
-    rows, classes = _glue_span(
+    rows, cls = glue_span(
         product_rows(x_up, b_up),
         product_rows(y_up, a_up),
         [x * nb + b for x in range(nx) for b in g_map],
         [y * na + a for y in f_map for a in range(na)],
     )
-    mapping = []
-    for members in classes:
-        vals = set()
-        for side, idx in members:
-            if side == 0:
-                x, b = divmod(idx, nb)
-                vals.add(f_map[x] * nb + b)
-            else:
-                y, a = divmod(idx, na)
-                vals.add(y * nb + g_map[a])
-        if len(vals) != 1:
-            raise VerificationError("pushout-product comparison is not well defined")
-        mapping.append(vals.pop())
-    return (rows, product_rows(y_up, b_up), tuple(mapping)), classes
+    mapping = _descend(
+        cls,
+        [y * nb + b for y in f_map for b in range(nb)]
+        + [y * nb + b for y in range(ny) for b in g_map],
+        "pushout-product comparison is not well defined",
+    )
+    classes = [[] for _ in rows]
+    for p, k in enumerate(cls):
+        classes[k].append((0, p) if p < nx * nb else (1, p - nx * nb))
+    return (rows, product_rows(y_up, b_up), mapping), tuple(map(tuple, classes))
 
 
 def pushout_product(f, g):
@@ -639,9 +588,6 @@ def lifting_adjunction_check(f, g, i):
     Compares (f pushout-product i) lifting on the left against g with f
     lifting on the left against (g pullback-power i).
     """
-    f = arrow(f)
-    g = arrow(g)
-    i = arrow(i)
     corner_key, _ = _corner(f.key, i.key)
     power_key, _ = _power(g.key, i.key)
     return _lifts(corner_key, g.key) == _lifts(f.key, power_key)
@@ -840,7 +786,7 @@ def _associates(f_set, g_set, h_set):
     two bracketings contribute their gluing relations through the stage-one
     corners, and the verdict is that the partitions and the induced
     comparison values coincide.  Corner classes and comparisons come from
-    `_glue_span`'s index arithmetic and the mappings, never from an up row,
+    `order.glue_span`'s index arithmetic and the mappings, never from an up row,
     so `_corner` yields the same ones on discrete orders as on any rows, and
     still raises on an ill-defined comparison.  The key is thus exactly what
     the verdict reads.  Unlike a memo on isomorphism classes, it leaves out
@@ -1002,50 +948,36 @@ def _unsolved_problems(generators, right):
 def cell_attach(right, generators, problems):
     """Glue every recorded problem's cell onto the source of the right factor.
 
-    One step of the factorization: the problem tops give a map out of the
-    coproduct of generator sources, the pushout along the coproduct of the
-    generators attaches the cells, and the problem bottoms extend the
-    right factor over the new points.
+    One step of the factorization: the pushout of the right factor's
+    source and the coproduct of the generator targets, glued along the
+    problem tops and the generators, attaches the cells, and the problem
+    bottoms extend the right factor over the new points.
     """
-    z = right.source
-    y = right.target
-    prefixes = [str(t) for t in range(len(problems))]
-    siga, _ = coproduct_pre(
-        [generators[t].source for t, _, _ in problems], prefixes
-    )
     sigb, inj_b = coproduct_pre(
-        [generators[t].target for t, _, _ in problems], prefixes
+        [generators[t].target for t, _, _ in problems],
+        [str(k) for k in range(len(problems))],
     )
     sigma = []
     sig_s = []
-    for k, (t, top, _) in enumerate(problems):
+    bottoms = [0] * sigb.n
+    for (t, top, bottom), inj in zip(problems, inj_b):
         sigma.extend(top)
-        sig_s.extend(inj_b[k].mapping[v] for v in generators[t].mapping)
-    po = pushout_pre(
-        PreMap(siga, z, sigma, validate=False),
-        PreMap(siga, sigb, sig_s, validate=False),
+        sig_s.extend(inj.mapping[v] for v in generators[t].mapping)
+        for v, p in enumerate(inj.mapping):
+            bottoms[p] = bottom[v]
+    points, rows, step, cells = pushout(right.source, sigb, sigma, sig_s)
+    apex = Preorder(points, rows, validate=False)
+    new_right = _descend(
+        step + cells,
+        right.mapping + tuple(bottoms),
+        "the extended right factor is not well defined",
     )
-    new_right = [0] * po.apex.n
-    for k, members in enumerate(po.classes):
-        vals = set()
-        for side, idx in members:
-            if side == 0:
-                vals.add(right.mapping[idx])
-            else:
-                block = 0
-                while idx >= generators[problems[block][0]].target.n:
-                    idx -= generators[problems[block][0]].target.n
-                    block += 1
-                vals.add(problems[block][2][idx])
-        if len(vals) != 1:
-            raise VerificationError("the extended right factor is not well defined")
-        new_right[k] = vals.pop()
     return CellStage(
         tuple(problems),
-        po.apex,
-        po.left_inj,
-        po.right_inj,
-        PreMap(po.apex, y, new_right, validate=False),
+        apex,
+        PreMap(right.source, apex, step, validate=False),
+        PreMap(sigb, apex, cells, validate=False),
+        PreMap(apex, right.target, new_right, validate=False),
     )
 
 

@@ -22,6 +22,11 @@ alone, so `fill` and `count_fill` read both from bounded LRU caches keyed on
 the row tuples (`_plan` and `_dual_rows`); a run over a fixed corpus builds
 each once.  `PLAN_CACHE_SIZE` bounds each cache.
 
+`glue_span` is the one pushout kernel: it glues B and C along the images
+of a span B <- A -> C and closes the two image orders, on rows and
+indices alone.  `poset.pushout` labels its classes, and the lifting
+layer's pushout-product corners read its classes directly.
+
 `isomorphisms` is the one isomorphism search: it yields every isomorphism
 between two relations, or only those keeping given point colours (the
 lifting layer searches arrows as one relation with the sources and the
@@ -225,6 +230,35 @@ def glue(total, pairs):
             parent[rb] = ra
     ids = {}
     return [ids.setdefault(find(i), len(ids)) for i in range(total)]
+
+
+def transitive_closure(rows):
+    """In-place Warshall closure of successor bit rows."""
+    n = len(rows)
+    for k in range(n):
+        bit = 1 << k
+        for i in range(n):
+            if rows[i] & bit:
+                rows[i] |= rows[k]
+    return rows
+
+
+def glue_span(b_up, c_up, f_map, g_map):
+    """Label-free pushout of B <- A -> C, given by rows and the two images of A.
+
+    Points are B's then C's, glued by `glue` along the pairs (f(a), g(a)),
+    so classes are numbered by first occurrence.  Returns the apex rows,
+    the transitive closure of the two image orders, and the class of every
+    point of B and then of C.
+    """
+    nb = len(b_up)
+    cls = glue(nb + len(c_up), [(fa, nb + ga) for fa, ga in zip(f_map, g_map)])
+    rows = [1 << k for k in range(max(cls, default=-1) + 1)]
+    for offset, ups in ((0, b_up), (nb, c_up)):
+        for i, row in enumerate(ups):
+            for j in iter_bits(row):
+                rows[cls[offset + i]] |= 1 << cls[offset + j]
+    return tuple(transitive_closure(rows)), cls
 
 
 def _signatures(up, colours=None):

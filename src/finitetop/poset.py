@@ -8,7 +8,9 @@ lifting layer works on plain preorders; the subclasses add only their
 serialization kind and their own operations.  `PreMap` is the one map
 class: a map is valid when it is monotone on the up rows, which for finite
 spaces is exactly continuity, and `iter_monotone_maps` lists every map
-between two orders.  Element labels are opaque strings; constructors that
+between two orders.  `pushout` is the one labelled pushout: finite
+spaces, pseudotopologies (on their carriers) and cell attachment all glue
+their spans with it.  Element labels are opaque strings; constructors that
 parse labelled input sort them once, and everything downstream works with
 positional indices, so enumeration is reproducible.  Subsets of the
 carrier are plain ints over the same bit positions.
@@ -28,20 +30,9 @@ from .errors import (
     TopologyError,
     VerificationError,
 )
-from .order import maps, sort_labels, transpose, upsets
+from .order import glue_span, maps, sort_labels, transitive_closure, transpose, upsets
 
 DOWNSET_CAP = 1 << 20
-
-
-def transitive_closure(rows):
-    """In-place Warshall closure of successor bit rows."""
-    n = len(rows)
-    for k in range(n):
-        bit = 1 << k
-        for i in range(n):
-            if rows[i] & bit:
-                rows[i] |= rows[k]
-    return rows
 
 
 class Preorder:
@@ -281,3 +272,23 @@ def iter_monotone_maps(source, target):
     """
     for mapping in maps(source.up, target.up):
         yield PreMap(source, target, mapping, validate=False)
+
+
+def pushout(b, c, f_map, g_map):
+    """Pushout of B <- A -> C in preorders, given by the two images of A.
+
+    The apex is `order.glue_span`'s.  Each class is labelled by its least
+    tag "b:x"/"c:y", and the labels are sorted, as a parsed structure's
+    are.  Returns the labels, the apex rows and the two injections as
+    index tuples.
+    """
+    rows, cls = glue_span(b.up, c.up, f_map, g_map)
+    labels = [None] * len(rows)
+    tags = [f"b:{x}" for x in b.points] + [f"c:{y}" for y in c.points]
+    for tag, k in zip(tags, cls):
+        if labels[k] is None or tag < labels[k]:
+            labels[k] = tag
+    points, rows = sort_labels(labels, rows)
+    index = {x: t for t, x in enumerate(points)}
+    inj = tuple(index[labels[k]] for k in cls)
+    return points, rows, inj[: b.n], inj[b.n :]

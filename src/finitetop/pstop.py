@@ -18,9 +18,9 @@ from .errors import (
     SizeError,
     VerificationError,
 )
-from .order import fill, representatives
-from .poset import iter_monotone_maps, transitive_closure
-from .spaces import FiniteSpace, pushout_carrier, pushout_spaces
+from .order import fill, representatives, transitive_closure
+from .poset import Preorder, iter_monotone_maps, pushout
+from .spaces import FiniteSpace, pushout_spaces
 
 CERTIFY_POINT_CAP = 4
 # carrier labels of the enumerated pseudotopology corpora
@@ -350,13 +350,19 @@ def pushout_ps(f_piece, g_piece):
 
     Arguments are (source, mapping, target) triples sharing the source;
     returns (space, mapping from the first target, mapping from the second).
-    Carrier and labels match pushout_spaces on the underlying sets.
+    The carrier is `poset.pushout`'s on the underlying sets, passed as
+    discrete orders since no order reaches the labels, so carrier and
+    labels match pushout_spaces.
     """
     (a_space, f_map, b_space) = f_piece
     (a_space2, g_map, c_space) = g_piece
     if a_space2 != a_space:
         raise CarrierMismatchError("the span legs must share a source")
-    points, b_inj, c_inj = pushout_carrier(b_space.points, c_space.points, f_map, g_map)
+    b_set, c_set = (
+        Preorder(s.points, [1 << i for i in range(s.n)], validate=False)
+        for s in (b_space, c_space)
+    )
+    points, _, b_inj, c_inj = pushout(b_set, c_set, f_map, g_map)
     space = final_structure([(b_space, b_inj), (c_space, c_inj)], points)
     return space, b_inj, c_inj
 

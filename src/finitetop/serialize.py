@@ -19,8 +19,8 @@ from .colimits import PushoutLocaleResult
 from .errors import ParseError
 from .frames import FiniteFrame, FrameHom, frame_from_poset
 from .lifting import COMPLETE, PARTIAL, CellStage, FactorizationTrace, LiftingSquare, LiftVerdict
-from .order import sort_labels
-from .poset import FinitePoset, PreMap, Preorder, transitive_closure, validate_poset
+from .order import sort_labels, transitive_closure
+from .poset import FinitePoset, PreMap, Preorder, validate_poset
 from .pstop import PsSpace
 from .spaces import FiniteSpace
 

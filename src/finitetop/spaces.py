@@ -5,7 +5,8 @@ specialization preorder, x <= y when y lies in every open around x.  So a
 `FiniteSpace` is a `Preorder` on sorted point labels whose rows are that
 order, its opens are listed by the shared up-set enumerator, and its maps
 are the monotone `PreMap`s.  Constructions (preorders, pushouts, products)
-build rows, never open families.  The continuous maps are the monotone
+build rows, never open families; a pushout is the labelled `poset.pushout`
+of the specialization orders.  The continuous maps are the monotone
 ones, `poset.iter_monotone_maps`.
 """
 
@@ -14,9 +15,9 @@ from __future__ import annotations
 from functools import cached_property
 
 from .bits import iter_bits, popcount
-from .errors import SizeError, TopologyError
-from .order import glue, isomorphisms, product_rows, sort_labels, upsets
-from .poset import PreMap, Preorder, transitive_closure
+from .errors import CarrierMismatchError, SizeError, TopologyError
+from .order import isomorphisms, product_rows, sort_labels, upsets
+from .poset import PreMap, Preorder, pushout
 
 PRODUCT_OPEN_CAP = 4096
 
@@ -137,50 +138,21 @@ def spaces_homeomorphic(x, y):
     return next(isomorphisms(x.up, y.up), None)
 
 
-def pushout_carrier(b_points, c_points, f_map, g_map):
-    """The glued carrier of a span of point maps into B and C.
-
-    Each class of the disjoint union glued along the span is labelled by
-    its least tag "b:x"/"c:y".  Returns the sorted labels and the two
-    injections as index tuples.
-    """
-    nb = len(b_points)
-    cls = glue(nb + len(c_points), [(fa, nb + ga) for fa, ga in zip(f_map, g_map)])
-    tags = [f"b:{x}" for x in b_points] + [f"c:{y}" for y in c_points]
-    label = {}
-    for tag, k in zip(tags, cls):
-        if k not in label or tag < label[k]:
-            label[k] = tag
-    points = sorted(label.values())
-    index = {x: t for t, x in enumerate(points)}
-    inj = tuple(index[label[k]] for k in cls)
-    return points, inj[:nb], inj[nb:]
-
-
 def pushout_spaces(f, g):
     """Pushout of the span f : A -> B, g : A -> C in finite spaces.
 
-    The carrier glues the disjoint union of B and C along the images of A,
-    with class labels "b:x"/"c:y" taken least over each class.  The final
-    topology is the Alexandrov topology of the order generated by the two
-    injected orders: a set has open preimages under both injections exactly
-    when it is an up-set of each injected order.  Returns (space, inj_b,
-    inj_c).
+    The carrier and order are `poset.pushout`'s: the disjoint union of B
+    and C glued along the images of A, each class labelled by its least
+    tag "b:x"/"c:y".  The final topology is the Alexandrov topology of the
+    order generated by the two injected orders: a set has open preimages
+    under both injections exactly when it is an up-set of each injected
+    order.  Returns (space, inj_b, inj_c).
     """
     if g.source != f.source:
-        raise ValueError("the span legs must share a source")
-    b_space = f.target
-    c_space = g.target
-    points, b_map, c_map = pushout_carrier(
-        b_space.points, c_space.points, f.mapping, g.mapping
-    )
-    rows = [1 << k for k in range(len(points))]
-    for space, inj in ((b_space, b_map), (c_space, c_map)):
-        for i, row in enumerate(space.up):
-            for j in iter_bits(row):
-                rows[inj[i]] |= 1 << inj[j]
-    space = FiniteSpace(points, transitive_closure(rows))
-    return space, PreMap(b_space, space, b_map), PreMap(c_space, space, c_map)
+        raise CarrierMismatchError("the span legs must share a source")
+    points, rows, b_map, c_map = pushout(f.target, g.target, f.mapping, g.mapping)
+    space = FiniteSpace(points, rows)
+    return space, PreMap(f.target, space, b_map), PreMap(g.target, space, c_map)
 
 
 def product_spaces(x, y):

@@ -1,14 +1,16 @@
 """Lifting problems in preorders: squares, pushout products, factorizations."""
 
 import dataclasses
+import hashlib
 import itertools
+import json
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from finitetop import lifting, order
-from finitetop.corpus import all_preorders_labelled
+from finitetop.corpus import all_preorders_labelled, all_spaces
 from finitetop.errors import (
     CarrierMismatchError,
     DuplicateLabelError,
@@ -33,6 +35,7 @@ from finitetop.lifting import (
     associator,
     bounded_factorize,
     braiding,
+    cell_attach,
     coproduct_pre,
     enumerate_lifts,
     identity_arrow,
@@ -41,14 +44,15 @@ from finitetop.lifting import (
     lifts_against,
     product_arrow,
     pullback_power,
-    pushout_pre,
     pushout_product,
     replay_trace,
     rlp,
 )
 from finitetop.order import fill, glue, isomorphisms
-from finitetop.spaces import space_from_preorder
-from finitetop.suites import SuiteOptions, _preorder_pool, run_group
+from finitetop.poset import pushout
+from finitetop.serialize import canonical_json, parse_structure, structure_data
+from finitetop.spaces import FiniteSpace, space_from_preorder
+from finitetop.suites import SuiteOptions, _preorder_pool, run_group, soa_regression_cases
 
 from conftest import garbage_after, sierpinski
 
@@ -125,6 +129,23 @@ def test_arrow_coerces_space_maps():
     assert arrow(EDGE) is EDGE
 
 
+def test_space_maps_lift_like_their_plain_twins():
+    """Verdicts read only structural keys, so no arrow is coerced before them."""
+    spaces = all_spaces(2)
+    space_maps = [m for a in spaces for b in spaces for m in iter_monotone_arrows(a, b)]
+    assert isinstance(space_maps[0].source, FiniteSpace)
+    for left, right in itertools.product(space_maps, repeat=2):
+        plain = lifts_against(arrow(left), arrow(right))
+        verdict = lifts_against(left, right)
+        assert verdict.holds == plain.holds
+        assert structure_data(verdict) == structure_data(plain)
+        assert rlp(right, [left]).holds == plain.holds
+    for f, g, i in itertools.product(space_maps[::3], repeat=3):
+        assert lifting_adjunction_check(f, g, i) == lifting_adjunction_check(
+            arrow(f), arrow(g), arrow(i)
+        )
+
+
 def test_square_corners_must_match():
     with pytest.raises(CarrierMismatchError):
         LiftingSquare(CELL, EDGE, identity_arrow(EMPTY), identity_arrow(C2))
@@ -194,7 +215,8 @@ def test_rlp_against_the_cell_is_surjectivity():
 
 def test_rlp_unchanged_by_pushed_generators():
     """A cobase change of a generator imposes no new lifting condition."""
-    pushed = pushout_pre(CELL, PreMap(EMPTY, C2, ())).right_inj
+    points, rows, _, inj = pushout(PT, C2, (), ())
+    pushed = PreMap(C2, Preorder(points, rows), inj)
     assert pushed.source.n == 2 and pushed.target.n == 3
     for f in arrows_between([EMPTY, PT, D2, C2]):
         assert rlp(f, [CELL]).holds == rlp(f, [CELL, pushed]).holds
@@ -229,6 +251,10 @@ def test_coproduct_prefixes_labels():
     assert total.points == ("u:a", "u:b", "w:p")
     assert total.leq_idx(inl.mapping[0], inl.mapping[1])
     assert not total.leq_idx(inl.mapping[0], inr.mapping[0])
+    total, (inw, inu) = coproduct_pre([C2, PT], ["w", "u"])
+    assert total.points == ("u:p", "w:a", "w:b")
+    assert inw.mapping == (1, 2) and inu.mapping == (0,)
+    assert total.leq_idx(1, 2)
 
 
 def _power_rows(base, exponent):
@@ -902,6 +928,22 @@ def test_replay_rejects_wrong_generators():
         replay_trace(tr, [FOLD])
 
 
+def test_a_stage_of_eleven_cells_replays_after_a_json_round_trip():
+    """Block "10" sorts before block "2", and the parser sorts every label."""
+    target = Preorder([f"q{i:02d}" for i in range(11)], [1 << i for i in range(11)])
+    trace = bounded_factorize(PreMap(EMPTY, target, ()), [CELL], 1)
+    assert len(trace.stages[0].problems) == 11
+    parsed = parse_structure(json.loads(json.dumps(structure_data(trace))))
+    assert replay_trace(parsed, [CELL]) is True
+
+
+def test_cell_attach_refuses_a_problem_that_does_not_commute():
+    """The glued cell point would need two values under the extended right factor."""
+    right = PreMap(PT, C2, (0,))
+    with pytest.raises(VerificationError, match="not well defined"):
+        cell_attach(right, [identity_arrow(PT)], [(0, (0,), (1,))])
+
+
 def test_factorized_right_lifts_after_each_gain():
     """Factorizing against the edge generator fills in the order."""
     f = PreMap(D2, C2, (0, 1))
@@ -910,3 +952,37 @@ def test_factorized_right_lifts_after_each_gain():
     assert rlp(tr.right, [EDGE])
     assert tr.left.then(tr.right).mapping == tr.original.mapping
     assert replay_trace(tr, [EDGE]) is True
+
+
+# sha256 of each regression trace's canonical structure JSON; a change to
+# any stage's points, rows, injections or problems changes its digest.
+TRACE_DIGESTS = {
+    "attach-two-cells": "2fe2f2946c71b53d705c6062fb8e3c6f072b76d3a6b85be0662b9f6eef25e25f",
+    "attach-cells-no-steps": "d8a9c6dc7af15282c676666529e5b7572609f7360bc71cd4f6d69add00430a3c",
+    "fold-pair": "b076ad505ffbad54709ad803f0c2355e8b2e954e499df412e05d26caa25a8d76",
+    "fold-pair-no-steps": "3253d12a544e7c7b3d8c757ffdf7a21104ec2af7088f8d159691644dd352ef4a",
+    "fill-edge": "18487d897a49e612704e869b38f372c558e52940293a8afe5541b72a6f7d8737",
+    "fill-edge-no-steps": "cb1ad87b7a69e6bc1eb114bffa30eafbe1e463125f0149f930aa3cd6ccfe3b7a",
+    "climb-chain": "399877da2a28aa6fa2faaa64ca211213c32d8dd5eed0884d7174af0fac71e1ec",
+    "climb-chain-short": "33f6310d22632557dad68fe4652cbeffe2674e6dddd4cb0097c1f0f29e3561c1",
+    "mixed-generators": "6003d59f54de3f2c0360c5f624e822dfded0ba0e46dbeee7c9dda6c852c7fa84",
+    "grow-wedge": "a8eda6bd85070ca89ccbaf16ac0693e32a935c5b3ccfa97bdae87205d46fdc08",
+    "indiscrete-edge": "cac6d65440b76d7ca39d0d9affdf7d24fd0b9dcee047a3173ec926972b40b673",
+    "identity-stays": "47496a07b6ae9d32289971661e0e6e4e95e445b4962486df78f96bcea78bd332",
+    "empty-identity": "2126c1c57dc2aa854d021ac046bc1005ee324e028fca009e76bffa7a840e886b",
+    "single-cell": "f6dccf5dadb9f5223282239d05f2200d1be1e42ce01de80238dfa4090bd40606",
+    "merge-then-order": "c441fdeb5501a58a4b7db99e32eab4c88f54a36d2b11917efb3193c8ff4f55af",
+    "grow-under-top": "0e0e7e76809d623926daeb05f5a80dbb0ca297a037d1a824b0b2547b1956f9a7",
+    "grow-under-top-no-steps": "35980c946c0cd3502966a16aca24cd797d7bd74f98dd9d6c872c85d20ce9b2a0",
+    "two-sided-chain": "55709e882b011686a6bbb412a44e622ab6d353604f3afea7787a56c6afaeceb4",
+    "collapse-chain": "5724d10e53ca56c69bb128b5c88a1a618b390f7fa9e6b2c0fd4a526fa73a392d",
+    "build-chain-from-nothing": "1008fba6aae248cbd0e95fe77b265287b62547dcccbc58e56ed6e571122ed02c",
+}
+
+
+def test_every_regression_trace_has_its_recorded_bytes():
+    cases = soa_regression_cases()
+    assert [name for name, _, _, _ in cases] == list(TRACE_DIGESTS)
+    for name, f, generators, steps in cases:
+        data = canonical_json(structure_data(bounded_factorize(f, generators, steps)))
+        assert hashlib.sha256(data.encode()).hexdigest() == TRACE_DIGESTS[name], name

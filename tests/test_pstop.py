@@ -229,6 +229,13 @@ def test_pushout_ps_glues_like_spaces():
     assert check_continuity(c_inj, b, space)
 
 
+def test_pushout_ps_refuses_legs_without_a_shared_source():
+    a = discrete_ps(["a"])
+    b = discrete_ps(["1", "2"])
+    with pytest.raises(CarrierMismatchError):
+        pushout_ps((a, (0,), b), (b, (0, 1), b))
+
+
 def test_continuous_map_enumeration_matches_filtering():
     """Every labelled pseudotopology of 1 to 3 points, relabelled twins included."""
     spaces = [xi for n in range(1, 4) for xi in all_ps_spaces(n)]

@@ -213,20 +213,31 @@ def test_pushout_wedge_of_two_sierpinski():
 
 
 def test_pushout_universal_property_small():
+    """Every span of spaces of at most two points, against every cocone into one."""
+    spaces = all_spaces(2)
+    cocones = 0
+    for a, b, c in itertools.product(spaces, repeat=3):
+        for f in iter_monotone_maps(a, b):
+            for g in iter_monotone_maps(a, c):
+                out, inj_b, inj_c = pushout_spaces(f, g)
+                for z in spaces:
+                    ws = list(iter_monotone_maps(out, z))
+                    for u in iter_monotone_maps(b, z):
+                        for v in iter_monotone_maps(c, z):
+                            if f.then(u) != g.then(v):
+                                continue
+                            cocones += 1
+                            mediators = [
+                                w for w in ws if inj_b.then(w) == u and inj_c.then(w) == v
+                            ]
+                            assert len(mediators) == 1
+    assert cocones > 1000
+
+
+def test_pushout_refuses_legs_without_a_shared_source():
     s = sierpinski()
-    pt = point_space()
-    f = PreMap(pt, s, (0,))
-    out, inj_b, inj_c = pushout_spaces(f, f)
-    for u in iter_monotone_maps(s, s):
-        for v in iter_monotone_maps(s, s):
-            if f.then(u) != f.then(v):
-                continue
-            mediators = [
-                w
-                for w in iter_monotone_maps(out, s)
-                if inj_b.then(w) == u and inj_c.then(w) == v
-            ]
-            assert len(mediators) == 1
+    with pytest.raises(CarrierMismatchError):
+        pushout_spaces(PreMap(point_space(), s, (0,)), PreMap(s, s, (0, 1)))
 
 
 def test_homeomorphic_is_an_iso_relation():

@@ -132,3 +132,11 @@ def test_a_repeated_hom_shows_as_a_second_mediator(monkeypatch):
     pushout_report = run_suite("LocPushout", SMALL)
     assert pushout_report.cases == 5
     assert pushout_report.failures == ("{a,b} <- {a} -> {a,b}: 2 mediators from {a,b}",)
+
+
+def test_pstop_pushout_report_at_the_default_bounds():
+    """Two-point spans, where the glued carriers are not all trivial."""
+    report = run_suite("PushoutsInPsTop", SuiteOptions())
+    assert report.ok, report.failures
+    assert report.cases == 106
+    assert _digest(report) == "8401a3caf2780c3f8b7506419fa5b830aca45c40fbeb88d24d64083dc5a0bc1a"
