@@ -11,10 +11,11 @@ The package re-exports nothing; import each name from the module that
 defines it:
 
 - `bits`, `order`: bitmask iteration and the shared order kernels
-  (`upsets`, `product_rows`, `fill` and its cached list `maps`, `glue`,
-  `transitive_closure`, the one gluing kernel `glue_span`, the one
-  isomorphism search `isomorphisms`, `is_isomorphism`, and the corpus
-  dedupe `representatives`);
+  (`upsets`, `product_rows`, `inclusion_rows`, `fill` and its cached list
+  `maps`, `glue`, `transitive_closure`, the one gluing kernel `glue_span`
+  with its closure half `quotient_rows`, the one isomorphism search
+  `isomorphisms`, `is_isomorphism`, and the corpus dedupe
+  `representatives`);
 - `poset`: `Preorder`, the one order type, with its subclass
   `FinitePoset`, the one map class `PreMap` with its enumerator
   `iter_monotone_maps`, the one labelled `pushout`, and `validate_poset`;

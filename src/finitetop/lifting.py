@@ -12,18 +12,18 @@ open-set families would grow exponentially.
 
 Lifting verdicts run a square census fibre by fibre.  Every monotone map
 out of the left map's target yields one commuting square it solves, and
-that projection hits exactly the squares admitting a diagonal.  `_census`
-streams the side with fewer candidate maps, tops or bottoms; for each
-streamed top it counts the squares on that top with a memoized counted
-fill and compares the count with the distinct squares the diagonals
-pinned to that top solve (for a bottom, the same on the bottom's fibres).
-The property holds exactly when every fibre matches, and the first fibre
-that falls short decides a failure without touching the rest.  Lifting is
-invariant under arrow isomorphism, so `_lifts` runs the census once per
-pair of class representatives: `_arrow_class` maps a key to the
-first-seen key of its class, found by the coloured `order.isomorphisms`
-search among earlier representatives with equal signatures.  A witness
-square for a failure is still searched on the real keys.
+that projection hits exactly the squares admitting a diagonal.
+`_fibre_walk` is the one walk over squares: it streams the side with
+fewer candidate maps, and per streamed top (or bottom) yields the pins of
+the other side's fill and the squares its pinned diagonals solve.
+`_census` counts each fibre against its solved squares and stops at the
+first that falls short; `_unsolved` lists the missed squares, for a
+witness and for cell attachment.  Lifting is invariant under arrow
+isomorphism, so `_lifts` runs the census once per pair of class
+representatives: `_arrow_class` maps a key to the first-seen key of its
+class, found by the coloured `order.isomorphisms` search among earlier
+representatives with equal signatures.  A witness square for a failure is
+still searched on the real keys.
 
 Pushout-product corners and pullback-power comparisons depend on their
 factors only through `PreMap.key`: gluing numbers classes by first
@@ -31,18 +31,22 @@ occurrence and a power object lists its maps in fill order, never by
 label.  So each is built once per pair of keys, on rows and indices alone,
 by the memoized kernels `_corner` and `_power`.  Products are row-major
 (`order.product_rows`), power objects list `order.maps` in fill order, and
-a corner is glued by `order.glue_span`, the package's one gluing kernel,
-whose first-occurrence classes it keeps.
+a corner's classes are glued by `order.glue` and ordered by
+`order.quotient_rows`, the two halves of `order.glue_span`.
 `pushout_product`, `pullback_power` and `product_arrow` return the arrow
 of the resulting key with its points labelled by position, and `braiding`
 and `associator` certify their isomorphisms on `_corner`'s keys and
 classes.
 
-The associativity verdict reads less still: corner classes and
-comparisons never read an up row, so `_associates` is memoized on each
-arrow's sizes and mapping alone.  That key is exact, not a canonical
-form: every input the verdict reads is in it.  Every cache here is
-LRU-bounded, above what a default-bounds `check all` fills.
+Corner classes and comparisons never read an up row, so `_glued` builds
+them on set keys (source size, target size, mapping) and `_corner` adds
+only the rows.  `_reassociate` is the one comparison of a corner's two
+bracketings: the class map between them, on set keys, which must be a
+bijection commuting with the comparisons.  The verdict `_associates` is
+that map found, memoized on the three set keys, an exact key and not a
+canonical form; `associator` adds the order isomorphism on the rows.
+Every cache here is LRU-bounded, above what a default-bounds `check all`
+fills.
 
 Cell attachment glues with the labelled `poset.pushout`, the same one
 finite spaces and pseudotopologies use.  Its labels and the coproduct's
@@ -67,12 +71,12 @@ from .order import (
     count_fill,
     fill,
     glue,
-    glue_span,
     invariant,
     is_isomorphism,
     isomorphisms,
     maps,
     product_rows,
+    quotient_rows,
     sort_labels,
 )
 from .poset import FinitePoset, PreMap, Preorder, pushout
@@ -86,13 +90,14 @@ POWER_POINT_CAP = 4096
 PRODUCT_POINT_CAP = 4096
 FACTORIZE_POINT_CAP = 512
 
-# Cache bounds.  A default-bounds `check all` creates about 5.4k corners
-# (340 of them on discrete orders, for `_associates`), 2.1k powers and at
-# most 1,531 associativity verdicts (the two-point corpus has 11 set keys,
-# so 1,331 triples, plus 200 seeded).  Its 44.6k labelled census pairs
-# fall into 11.4k pairs of class representatives, and `_arrow_class` sees
-# 1.6k keys in at most 890 classes (seeds 0, 3, 5 and 7).  Every bound is
-# above its count, so that run evicts nothing.
+# Cache bounds.  A default-bounds `check all` creates about 5.1k corners
+# on about 1.9k set-level corners (`_glued`, shared by `_corner` and
+# `_associates`), 2.1k powers and at most 1,531 associativity verdicts (the
+# two-point corpus has 11 set keys, so 1,331 triples, plus 200 seeded).
+# Its 44.6k labelled census pairs fall into 11.4k pairs of class
+# representatives, and `_arrow_class` sees 1.6k keys in at most 890 classes
+# (seeds 0, 3, 5 and 7).  Every bound is above its count, so that run
+# evicts nothing.  `_glued` shares `CORNER_CACHE_SIZE`.
 CORNER_CACHE_SIZE = 8192
 POWER_CACHE_SIZE = 8192
 CENSUS_CACHE_SIZE = 1 << 14
@@ -156,18 +161,6 @@ def _restriction(i_map):
     return lambda h: ()
 
 
-def _solved_squares(left_key, right_key):
-    """The commuting squares admitting a diagonal, as a set of (top, bottom).
-
-    A diagonal h gives the top h.i and the bottom f.h.
-    """
-    _, b_up, i_map = left_key
-    x_up, _, f_map = right_key
-    top = _restriction(i_map)
-    bottom = f_map.__getitem__
-    return {(top(h), tuple(map(bottom, h))) for h in fill(b_up, x_up)}
-
-
 def _streams_tops(left_key, right_key):
     """Whether the tops have the smaller map bound, so squares stream by top."""
     a_up, b_up, _ = left_key
@@ -175,100 +168,65 @@ def _streams_tops(left_key, right_key):
     return max(len(x_up), 1) ** len(a_up) <= max(len(y_up), 1) ** len(b_up)
 
 
-def _pin_bottom(left_key, right_key, top):
-    """Allowed masks for bottoms completing a given top, or None on clash."""
-    _, b_up, i_map = left_key
-    _, y_up, f_map = right_key
-    y_full = (1 << len(y_up)) - 1
-    allowed = [y_full] * len(b_up)
-    for a, t in enumerate(top):
-        pin = 1 << f_map[t]
-        if not allowed[i_map[a]] & pin:
-            return None
-        allowed[i_map[a]] = pin
-    return tuple(allowed)
+def _fibre_walk(left_key, right_key):
+    """The commuting squares, one fibre per streamed top or bottom.
 
-
-def _fibres(right_key):
-    """Per target point of the right map, the mask of its preimage."""
-    _, y_up, f_map = right_key
-    fibre = [0] * len(y_up)
-    for x, y in enumerate(f_map):
-        fibre[y] |= 1 << x
-    return fibre
-
-
-def _iter_squares(left_key, right_key):
-    """All commuting squares of the left map against the right map.
-
-    Streams whichever side has the smaller map bound and fills the other
-    side under the pins the streamed side imposes.
+    Streams the side with the smaller map bound in `fill` order.  For each
+    streamed top u (or bottom v) yields ((src_up, dst_up, square), allowed,
+    solved): the fibre's squares are square(m) for m in fill(src_up,
+    dst_up, allowed), and `solved` holds the m that the diagonals h pinned
+    to u (or to the fibres of v) give, the distinct f.h (or h.i).
     """
     a_up, b_up, i_map = left_key
-    x_up, y_up, _ = right_key
+    x_up, y_up, f_map = right_key
     if _streams_tops(left_key, right_key):
+        x_full = (1 << len(x_up)) - 1
+        y_full = (1 << len(y_up)) - 1
+        bottom = f_map.__getitem__
         for top in fill(a_up, x_up):
-            allowed = _pin_bottom(left_key, right_key, top)
-            if allowed is None:
-                continue
-            for bot in fill(b_up, y_up, allowed):
-                yield top, bot
+            allowed = [y_full] * len(b_up)
+            pins = [x_full] * len(b_up)
+            for a, t in enumerate(top):
+                allowed[i_map[a]] &= 1 << f_map[t]
+                pins[i_map[a]] &= 1 << t
+            solved = {tuple(map(bottom, h)) for h in fill(b_up, x_up, tuple(pins))}
+            yield (b_up, y_up, lambda bot, top=top: (top, bot)), tuple(allowed), solved
     else:
-        fibre = _fibres(right_key)
+        fibre = [0] * len(y_up)
+        for x, y in enumerate(f_map):
+            fibre[y] |= 1 << x
+        restrict = _restriction(i_map)
         for bot in fill(b_up, y_up):
-            for top in fill(a_up, x_up, tuple(fibre[bot[b]] for b in i_map)):
-                yield top, bot
-
-
-def _fibre_solved(solved, counted):
-    """Whether a fibre's diagonals solve all of its squares; raises on excess."""
-    if solved > counted:
-        raise VerificationError("square census undercounts its solved squares")
-    return solved == counted
+            pins = tuple(fibre[v] for v in bot)
+            solved = {restrict(h) for h in fill(b_up, x_up, pins)}
+            yield (a_up, x_up, lambda top, bot=bot: (top, bot)), restrict(pins), solved
 
 
 @lru_cache(maxsize=CENSUS_CACHE_SIZE)
 def _census(left_key, right_key):
     """Whether every commuting square admits a diagonal, one fibre at a time.
 
-    Squares stream by the side with the smaller map bound.  For each
-    streamed top u (or bottom v), the fibre's squares are counted by
-    `count_fill`, memoized per pin pattern, and its solved squares are the
-    distinct f.h (or h.i) over the diagonals pinned to u (or to the fibres
-    of v).  Diagonal projections land inside the commuting squares, so the
-    property holds exactly when every fibre's two numbers match; the first
-    fibre with fewer solved squares decides False.
+    Each fibre of `_fibre_walk` is counted by `count_fill`, memoized per
+    pin pattern, against its solved squares; the first fibre with fewer
+    solved squares decides False.
     """
-    a_up, b_up, i_map = left_key
-    x_up, y_up, f_map = right_key
     counts = {}
-    if _streams_tops(left_key, right_key):
-        x_full = (1 << len(x_up)) - 1
-        bottom = f_map.__getitem__
-        for top in fill(a_up, x_up):
-            allowed = _pin_bottom(left_key, right_key, top)
-            if allowed is None:
-                continue
-            if allowed not in counts:
-                counts[allowed] = count_fill(b_up, y_up, allowed)
-            pins = [x_full] * len(b_up)
-            for a, t in enumerate(top):
-                pins[i_map[a]] &= 1 << t
-            solved = {tuple(map(bottom, h)) for h in fill(b_up, x_up, tuple(pins))}
-            if not _fibre_solved(len(solved), counts[allowed]):
-                return False
-    else:
-        fibre = _fibres(right_key)
-        top = _restriction(i_map)
-        for bot in fill(b_up, y_up):
-            allowed = tuple(fibre[bot[b]] for b in i_map)
-            if allowed not in counts:
-                counts[allowed] = count_fill(a_up, x_up, allowed)
-            pins = tuple(fibre[v] for v in bot)
-            solved = {top(h) for h in fill(b_up, x_up, pins)}
-            if not _fibre_solved(len(solved), counts[allowed]):
-                return False
+    for (src_up, dst_up, _), allowed, solved in _fibre_walk(left_key, right_key):
+        if allowed not in counts:
+            counts[allowed] = count_fill(src_up, dst_up, allowed)
+        if len(solved) > counts[allowed]:
+            raise VerificationError("square census undercounts its solved squares")
+        if len(solved) < counts[allowed]:
+            return False
     return True
+
+
+def _unsolved(left_key, right_key):
+    """The commuting squares with no diagonal, as (top, bottom), fibre by fibre."""
+    for (src_up, dst_up, square), allowed, solved in _fibre_walk(left_key, right_key):
+        for m in fill(src_up, dst_up, allowed):
+            if m not in solved:
+                yield square(m)
 
 
 def _arrow_rows(key):
@@ -333,15 +291,6 @@ def _lifts(left_key, right_key):
     runs once per pair of class representatives.
     """
     return _census(_arrow_class(left_key), _arrow_class(right_key))
-
-
-def _find_unsolved(left_key, right_key):
-    """The first commuting square with no diagonal, or None."""
-    solved = _solved_squares(left_key, right_key)
-    for square in _iter_squares(left_key, right_key):
-        if square not in solved:
-            return square
-    return None
 
 
 class LiftingSquare:
@@ -414,7 +363,7 @@ def lifts_against(left, right):
     """Does every square of left against right admit a diagonal."""
     if _lifts(left.key, right.key):
         return LiftVerdict(True, None)
-    miss = _find_unsolved(left.key, right.key)
+    miss = next(_unsolved(left.key, right.key), None)
     if miss is None:
         raise VerificationError("a failed census produced no witness square")
     return LiftVerdict(False, _witness_square(left, right, miss))
@@ -480,35 +429,57 @@ def _descend(cls, values, message):
     return tuple(out[k] for k in range(len(out)))
 
 
+def _set_key(key):
+    """The set key of an arrow key: source size, target size and mapping."""
+    src_up, dst_up, mapping = key
+    return len(src_up), len(dst_up), mapping
+
+
 @lru_cache(maxsize=CORNER_CACHE_SIZE)
-def _corner(f_key, g_key):
-    """The pushout-product of two arrow keys: its key and its corner classes.
+def _glued(f_set, g_set):
+    """The pushout-product of two set keys: its set key, classes and point classes.
 
     The corner glues X x B (side 0) and Y x A (side 1) over X x A, with
-    products numbered row-major; the comparison sends each class into
-    Y x B and must agree on all its members.  X x A is never built, but it
+    products numbered row-major and classes by first occurrence; the
+    comparison sends each class into Y x B and must agree on all its
+    members.  None of this reads an up row.  X x A is never built, but it
     is refused over the product cap like the other three.
     """
-    x_up, y_up, f_map = f_key
-    a_up, b_up, g_map = g_key
-    nx, ny, na, nb = len(x_up), len(y_up), len(a_up), len(b_up)
+    nx, ny, f_map = f_set
+    na, nb, g_map = g_set
     _check_products((nx, nb), (ny, na), (nx, na), (ny, nb))
-    rows, cls = glue_span(
-        product_rows(x_up, b_up),
-        product_rows(y_up, a_up),
-        [x * nb + b for x in range(nx) for b in g_map],
-        [y * na + a for y in f_map for a in range(na)],
-    )
+    side = nx * nb
+    pairs = [
+        (x * nb + b, side + y * na + a) for x, y in enumerate(f_map) for a, b in enumerate(g_map)
+    ]
+    cls = tuple(glue(side + ny * na, pairs))
     mapping = _descend(
         cls,
         [y * nb + b for y in f_map for b in range(nb)]
         + [y * nb + b for y in range(ny) for b in g_map],
         "pushout-product comparison is not well defined",
     )
-    classes = [[] for _ in rows]
+    classes = [[] for _ in mapping]
     for p, k in enumerate(cls):
-        classes[k].append((0, p) if p < nx * nb else (1, p - nx * nb))
-    return (rows, product_rows(y_up, b_up), mapping), tuple(map(tuple, classes))
+        classes[k].append((0, p) if p < side else (1, p - side))
+    return (len(mapping), ny * nb, mapping), tuple(map(tuple, classes)), cls
+
+
+@lru_cache(maxsize=CORNER_CACHE_SIZE)
+def _corner(f_key, g_key):
+    """The pushout-product of two arrow keys: its key and its corner classes.
+
+    `_glued` numbers the classes; the corner orders them by `quotient_rows`
+    of X x B beside Y x A.
+    """
+    x_up, y_up, _ = f_key
+    a_up, b_up, _ = g_key
+    (_, _, mapping), classes, cls = _glued(_set_key(f_key), _set_key(g_key))
+    side = len(x_up) * len(b_up)
+    rows = quotient_rows(
+        cls, product_rows(x_up, b_up) + tuple(r << side for r in product_rows(y_up, a_up))
+    )
+    return (rows, product_rows(y_up, b_up), mapping), classes
 
 
 def pushout_product(f, g):
@@ -721,21 +692,20 @@ def _expand_rhs(classes, inner, nb, na2, nb2):
     return out
 
 
-def associator(f, g, h):
-    """The re-association isomorphism (f x^ g) x^ h -> f x^ (g x^ h).
+def _reassociate(f_set, g_set, h_set):
+    """The class map (f x^ g) x^ h -> f x^ (g x^ h) on set keys.
 
-    Both corners glue the same three product blocks, so the mediator is
-    induced by the identity on block coordinates; the certificate checks
-    the partitions agree, the order transfers both ways, and the
-    comparisons commute through the row-major index identification of the
-    two target products.
+    Both corners glue the same three product blocks, so the map is induced
+    by the identity on block coordinates.  Raises NotIsoError unless it is
+    a bijection of classes that commutes with the comparisons, through the
+    row-major identification of the two target products.
     """
-    fg_key, fg_classes = _corner(f.key, g.key)
-    lhs_key, lhs_classes = _corner(fg_key, h.key)
-    gh_key, gh_classes = _corner(g.key, h.key)
-    rhs_key, rhs_classes = _corner(f.key, gh_key)
-    na, nb = len(g.key[0]), len(g.key[1])
-    na2, nb2 = len(h.key[0]), len(h.key[1])
+    fg_set, fg_classes, _ = _glued(f_set, g_set)
+    (_, _, lhs_map), lhs_classes, _ = _glued(fg_set, h_set)
+    gh_set, gh_classes, _ = _glued(g_set, h_set)
+    (_, _, rhs_map), rhs_classes, _ = _glued(f_set, gh_set)
+    na, nb, _ = g_set
+    na2, nb2, _ = h_set
     rhs_of = {
         fl: k
         for k, flats in enumerate(_expand_rhs(rhs_classes, gh_classes, nb, na2, nb2))
@@ -747,22 +717,30 @@ def associator(f, g, h):
         if len(targets) != 1:
             raise NotIsoError("re-association does not respect the glued classes")
         top.append(targets.pop())
-    (lhs_rows, lhs_target, lhs_map), (rhs_rows, rhs_target, rhs_map) = lhs_key, rhs_key
+    if sorted(top) != list(range(len(rhs_classes))):
+        raise NotIsoError("re-association is not a bijection of the glued classes")
+    if any(v != rhs_map[t] for v, t in zip(lhs_map, top)):
+        raise NotIsoError("re-association does not commute with the comparisons")
+    return top
+
+
+def associator(f, g, h):
+    """The re-association isomorphism (f x^ g) x^ h -> f x^ (g x^ h).
+
+    `_reassociate` gives the class map; the certificate adds that the
+    order transfers both ways and that the target products agree.
+    """
+    top = _reassociate(_set_key(f.key), _set_key(g.key), _set_key(h.key))
+    lhs_key, _ = _corner(_corner(f.key, g.key)[0], h.key)
+    rhs_key, _ = _corner(f.key, _corner(g.key, h.key)[0])
+    (lhs_rows, lhs_target, _), (rhs_rows, rhs_target, _) = lhs_key, rhs_key
     if not is_isomorphism(lhs_rows, rhs_rows, top):
         raise NotIsoError("re-association is not an order isomorphism on the corner")
     if lhs_target != rhs_target:
         raise VerificationError("the target products disagree as orders")
-    if any(v != rhs_map[t] for v, t in zip(lhs_map, top)):
-        raise NotIsoError("re-association does not commute with the comparisons")
     return _iso_between(
         _arrow_from_key(lhs_key), _arrow_from_key(rhs_key), top, range(len(lhs_target))
     )
-
-
-def _discrete_key(set_key):
-    """The structural key of the arrow with the given set key on discrete orders."""
-    ns, nt, mapping = set_key
-    return (tuple(1 << i for i in range(ns)), tuple(1 << i for i in range(nt)), mapping)
 
 
 def associates(f, g, h):
@@ -771,117 +749,22 @@ def associates(f, g, h):
     The verdict reads the three arrows' sizes and mappings only, so it is
     memoized on those, the set keys (source size, target size, mapping).
     """
-    return _associates(
-        (f.source.n, f.target.n, f.mapping),
-        (g.source.n, g.target.n, g.mapping),
-        (h.source.n, h.target.n, h.mapping),
-    )
+    return _associates(_set_key(f.key), _set_key(g.key), _set_key(h.key))
 
 
 @lru_cache(maxsize=ASSOC_CACHE_SIZE)
 def _associates(f_set, g_set, h_set):
-    """The associativity verdict on set keys, by comparing glued partitions.
+    """The associativity verdict on set keys: whether `_reassociate` succeeds.
 
-    Builds no apex objects: the three product blocks are indexed flat, the
-    two bracketings contribute their gluing relations through the stage-one
-    corners, and the verdict is that the partitions and the induced
-    comparison values coincide.  Corner classes and comparisons come from
-    `order.glue_span`'s index arithmetic and the mappings, never from an up row,
-    so `_corner` yields the same ones on discrete orders as on any rows, and
-    still raises on an ill-defined comparison.  The key is thus exactly what
-    the verdict reads.  Unlike a memo on isomorphism classes, it leaves out
-    no labelling or order that a verdict could depend on, so it cannot hide
-    a labelling bug behind a representative.
+    The key is exactly what the verdict reads.  Unlike a memo on
+    isomorphism classes, it leaves out no labelling or order that a verdict
+    could depend on, so it cannot hide a labelling bug behind a
+    representative.
     """
-    f_d, g_d, h_d = map(_discrete_key, (f_set, g_set, h_set))
-    (_, _, map1), classes1 = _corner(f_d, g_d)
-    (_, _, map2), classes2 = _corner(g_d, h_d)
-    nx, ny, f_map = f_set
-    na, nb, g_map = g_set
-    na2, nb2, h_map = h_set
-    sz0 = nx * nb * nb2
-    sz1 = ny * na * nb2
-    base2 = sz0 + sz1
-    total = base2 + ny * nb * na2
-
-    def flat(tag, i, j, k):
-        if tag == 0:
-            return (i * nb + j) * nb2 + k
-        if tag == 1:
-            return sz0 + (i * na + j) * nb2 + k
-        return base2 + (i * nb + j) * na2 + k
-
-    lhs_rel = []
-    for p1, members in enumerate(classes1):
-        first = members[0]
-        for b2 in range(nb2):
-            base = None
-            for side, idx in members:
-                if side == 0:
-                    x, b = divmod(idx, nb)
-                    pt = flat(0, x, b, b2)
-                else:
-                    y, a = divmod(idx, na)
-                    pt = flat(1, y, a, b2)
-                if base is None:
-                    base = pt
-                else:
-                    lhs_rel.append((base, pt))
-        y, b = divmod(map1[p1], nb)
-        side, idx = first
-        for a2 in range(na2):
-            if side == 0:
-                x0, b0 = divmod(idx, nb)
-                pt = flat(0, x0, b0, h_map[a2])
-            else:
-                y0, a0 = divmod(idx, na)
-                pt = flat(1, y0, a0, h_map[a2])
-            lhs_rel.append((pt, flat(2, y, b, a2)))
-    rhs_rel = []
-    for p2, members in enumerate(classes2):
-        first = members[0]
-        for y in range(ny):
-            base = None
-            for side, idx in members:
-                if side == 0:
-                    a, b2 = divmod(idx, nb2)
-                    pt = flat(1, y, a, b2)
-                else:
-                    b, a2 = divmod(idx, na2)
-                    pt = flat(2, y, b, a2)
-                if base is None:
-                    base = pt
-                else:
-                    rhs_rel.append((base, pt))
-        b, b2 = divmod(map2[p2], nb2)
-        side, idx = first
-        for x in range(nx):
-            if side == 0:
-                a0, b20 = divmod(idx, nb2)
-                pt = flat(1, f_map[x], a0, b20)
-            else:
-                b0, a20 = divmod(idx, na2)
-                pt = flat(2, f_map[x], b0, a20)
-            rhs_rel.append((flat(0, x, b, b2), pt))
-    classes = glue(total, lhs_rel)
-    if classes != glue(total, rhs_rel):
+    try:
+        _reassociate(f_set, g_set, h_set)
+    except NotIsoError:
         return False
-    values = {}
-    for p in range(total):
-        if p < sz0:
-            i, rest = divmod(p, nb * nb2)
-            j, k = divmod(rest, nb2)
-            val = (f_map[i], j, k)
-        elif p < base2:
-            i, rest = divmod(p - sz0, na * nb2)
-            j, k = divmod(rest, nb2)
-            val = (i, g_map[j], k)
-        else:
-            i, rest = divmod(p - base2, nb * na2)
-            j, k = divmod(rest, na2)
-            val = (i, j, h_map[k])
-        if values.setdefault(classes[p], val) != val:
-            return False
     return True
 
 
@@ -933,11 +816,8 @@ def _unsolved_problems(generators, right):
     out = []
     for t, s in enumerate(generators):
         autos = _arrow_autos(s.key)
-        solved = _solved_squares(s.key, right.key)
         seen = set()
-        for square in _iter_squares(s.key, right.key):
-            if square in solved:
-                continue
+        for square in _unsolved(s.key, right.key):
             rep = _orbit_rep(square, autos) if len(autos) > 1 else square
             if rep not in seen:
                 seen.add(rep)

@@ -24,8 +24,11 @@ each once.  `PLAN_CACHE_SIZE` bounds each cache.
 
 `glue_span` is the one pushout kernel: it glues B and C along the images
 of a span B <- A -> C and closes the two image orders, on rows and
-indices alone.  `poset.pushout` labels its classes, and the lifting
-layer's pushout-product corners read its classes directly.
+indices alone.  `poset.pushout` labels its classes.  Its closure half,
+`quotient_rows`, orders any partition of a relation: the lifting layer
+numbers a pushout-product corner's classes without rows and orders them
+with it.  `inclusion_rows` orders a family of sets by inclusion, as the
+opens of a space and the downsets of a poset are.
 
 `isomorphisms` is the one isomorphism search: it yields every isomorphism
 between two relations, or only those keeping given point colours (the
@@ -243,22 +246,42 @@ def transitive_closure(rows):
     return rows
 
 
+def quotient_rows(cls, up):
+    """Rows of the quotient of a relation by the classes 0, 1, ... of `cls`.
+
+    Class k is below class k2 when the transitive closure of the images of
+    the rows relates them; `cls` gives the class of every point of `up`.
+    """
+    rows = [1 << k for k in range(max(cls, default=-1) + 1)]
+    for i, row in enumerate(up):
+        for j in iter_bits(row):
+            rows[cls[i]] |= 1 << cls[j]
+    return tuple(transitive_closure(rows))
+
+
 def glue_span(b_up, c_up, f_map, g_map):
     """Label-free pushout of B <- A -> C, given by rows and the two images of A.
 
     Points are B's then C's, glued by `glue` along the pairs (f(a), g(a)),
     so classes are numbered by first occurrence.  Returns the apex rows,
-    the transitive closure of the two image orders, and the class of every
+    the `quotient_rows` of B and C side by side, and the class of every
     point of B and then of C.
     """
     nb = len(b_up)
     cls = glue(nb + len(c_up), [(fa, nb + ga) for fa, ga in zip(f_map, g_map)])
-    rows = [1 << k for k in range(max(cls, default=-1) + 1)]
-    for offset, ups in ((0, b_up), (nb, c_up)):
-        for i, row in enumerate(ups):
-            for j in iter_bits(row):
-                rows[cls[offset + i]] |= 1 << cls[offset + j]
-    return tuple(transitive_closure(rows)), cls
+    return quotient_rows(cls, tuple(b_up) + tuple(r << nb for r in c_up)), cls
+
+
+def inclusion_rows(masks):
+    """Rows of a family of sets ordered by inclusion, in the family's order."""
+    rows = []
+    for a in masks:
+        row = 0
+        for k, b in enumerate(masks):
+            if a & ~b == 0:
+                row |= 1 << k
+        rows.append(row)
+    return tuple(rows)
 
 
 def _signatures(up, colours=None):

@@ -30,7 +30,7 @@ from .errors import (
     TopologyError,
     VerificationError,
 )
-from .order import glue_span, maps, sort_labels, transitive_closure, transpose, upsets
+from .order import glue_span, inclusion_rows, maps, sort_labels, transitive_closure, transpose, upsets
 
 DOWNSET_CAP = 1 << 20
 
@@ -181,14 +181,7 @@ class DownsetFamily:
     def poset(self):
         """The family ordered by inclusion, labelled by member sets."""
         labels = [downset_label(self.base, m) for m in self.masks]
-        rows = []
-        for a in self.masks:
-            r = 0
-            for k, b in enumerate(self.masks):
-                if a & ~b == 0:
-                    r |= 1 << k
-            rows.append(r)
-        return FinitePoset(*sort_labels(labels, rows), validate=False)
+        return FinitePoset(*sort_labels(labels, inclusion_rows(self.masks)), validate=False)
 
 
 def downset_label(poset, mask):

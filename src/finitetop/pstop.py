@@ -137,10 +137,7 @@ def push_filter(mapping, target, filt):
     """Pushforward along a point map: the principal filter at the image."""
     if not filt.proper:
         return FilterRep(target, 0)
-    img = 0
-    for x in iter_bits(filt.base):
-        img |= 1 << mapping[x]
-    return FilterRep(target, img)
+    return FilterRep(target, _image(mapping, filt.base))
 
 
 def _image(mapping, mask):
@@ -576,7 +573,11 @@ def lemma_tau_iota(max_points=3):
 
 
 def lemma_lattice_bounds(max_points=3):
-    """meet_ps and join_ps are the extremal bounds for the refinement order."""
+    """meet_ps and join_ps are the extremal bounds for the refinement order.
+
+    The meet is a common coarsening of xi and zeta finer than every other,
+    and the join a common refinement coarser than every other.
+    """
     instances = 0
     failures = []
     for n in range(1, max_points + 1):
@@ -592,14 +593,14 @@ def lemma_lattice_bounds(max_points=3):
                     and finer_ps(joined, xi)
                     and finer_ps(joined, zeta)
                     and all(
-                        finer_ps(eta, met)
-                        for eta in everything
-                        if finer_ps(eta, xi) and finer_ps(eta, zeta)
-                    )
-                    and all(
-                        finer_ps(joined, eta)
+                        finer_ps(met, eta)
                         for eta in everything
                         if finer_ps(xi, eta) and finer_ps(zeta, eta)
+                    )
+                    and all(
+                        finer_ps(eta, joined)
+                        for eta in everything
+                        if finer_ps(eta, xi) and finer_ps(eta, zeta)
                     )
                 )
                 if not ok:

@@ -12,6 +12,7 @@ from dataclasses import dataclass
 
 from .errors import HypothesisError, NotHomError, VerificationError
 from .frames import FiniteFrame, FrameHom, frame_from_poset, iter_frame_homs, two
+from .order import inclusion_rows
 from .poset import FinitePoset, iter_monotone_maps
 from .spaces import FiniteSpace, is_sober
 
@@ -29,15 +30,8 @@ def omega(space):
     """The topology of a space as a frame ordered by inclusion."""
     opens = space.opens
     labels = ["{" + ",".join(space.label_set(m)) + "}" for m in opens]
-    rows = []
-    for u in opens:
-        row = 0
-        for k, v in enumerate(opens):
-            if u & ~v == 0:
-                row |= 1 << k
-        rows.append(row)
     return frame_from_poset(
-        FinitePoset(labels, rows, validate=False), check_distributive=False
+        FinitePoset(labels, inclusion_rows(opens), validate=False), check_distributive=False
     )
 
 

@@ -398,6 +398,16 @@ def arrow_twins(draw):
     return f, twin
 
 
+def _monotone_maps(src_up, dst_up):
+    """Every monotone map between two row tuples, by brute force over all maps."""
+    n = len(src_up)
+    return [
+        m
+        for m in itertools.product(range(len(dst_up)), repeat=n)
+        if all(dst_up[m[i]] >> m[j] & 1 for i in range(n) for j in range(n) if src_up[i] >> j & 1)
+    ]
+
+
 def _check_corner_literally(f, g, key, classes):
     """Glue the corner by graph search and compare classes, order and comparison."""
     nb, na = g.target.n, g.source.n
@@ -448,18 +458,10 @@ def _check_corner_literally(f, g, key, classes):
 
 def _check_power_literally(f, g, key, pairs):
     """Enumerate maps by brute force and compare the pullback and the comparison."""
-
-    def maps(src, dst):
-        return [
-            m
-            for m in itertools.product(range(dst.n), repeat=src.n)
-            if all(dst.leq_idx(m[i], m[j]) for i in range(src.n) for j in range(src.n) if src.leq_idx(i, j))
-        ]
-
     agreeing = [
         (alpha, delta)
-        for alpha in maps(g.source, f.source)
-        for delta in maps(g.target, f.target)
+        for alpha in _monotone_maps(g.source.up, f.source.up)
+        for delta in _monotone_maps(g.target.up, f.target.up)
         if all(f.mapping[alpha[a]] == delta[g.mapping[a]] for a in range(g.source.n))
     ]
     source, target, mapping = key
@@ -480,7 +482,7 @@ def _check_power_literally(f, g, key, pairs):
         assert bool(source[k] >> k2 & 1) == pointwise
     expected = {
         beta: (tuple(beta[v] for v in g.mapping), tuple(f.mapping[v] for v in beta))
-        for beta in maps(g.target, f.source)
+        for beta in _monotone_maps(g.target.up, f.source.up)
     }
     assert {m: points[mapping[k]] for k, m in enumerate(xb)} == expected
 
@@ -492,6 +494,7 @@ def test_memoized_corner_and_power_match_fresh_builds(fs, gs):
     (f, f_twin), (g, g_twin) = fs, gs
     corner = lifting._corner(f.key, g.key)
     power = lifting._power(f.key, g.key)
+    lifting._glued.cache_clear()
     lifting._corner.cache_clear()
     lifting._power.cache_clear()
     assert pushout_product(f_twin, g_twin).key == corner[0]
@@ -506,6 +509,7 @@ def test_memoized_corner_and_power_match_fresh_builds(fs, gs):
 @given(arrow_twins(), arrow_twins(), arrow_twins())
 def test_adjunction_check_matches_fresh_lifting_verdicts(fs, gs, is_):
     verdict = lifting_adjunction_check(fs[0], gs[0], is_[0])
+    lifting._glued.cache_clear()
     lifting._corner.cache_clear()
     lifting._power.cache_clear()
     f, g, i = fs[1], gs[1], is_[1]
@@ -658,6 +662,7 @@ def _order_twin(m, discrete_target):
 def test_associates_matches_the_literal_oracle_on_arrow_and_order_twins(fs, gs, hs, discrete):
     verdict = associates(fs[0], gs[0], hs[0])
     lifting._associates.cache_clear()
+    lifting._glued.cache_clear()
     lifting._corner.cache_clear()
     twins = (fs[1], gs[1], hs[1])
     assert _associates_oracle(*twins) == verdict
@@ -696,8 +701,70 @@ def _solved_squares_oracle(left_key, right_key):
 @example((EDGE, EDGE), (identity_arrow(EMPTY), identity_arrow(EMPTY)))
 @example((CELL, CELL), (identity_arrow(EMPTY), identity_arrow(EMPTY)))
 def test_solved_squares_match_the_generator_projection(ls, rs):
+    """The fibre walk partitions the squares; its solved sets are the projection."""
     left, right = ls[0].key, rs[0].key
-    assert lifting._solved_squares(left, right) == _solved_squares_oracle(left, right)
+    expected = _solved_squares_oracle(left, right)
+    squares, solved = [], set()
+    for (src_up, dst_up, square), allowed, fibre_solved in lifting._fibre_walk(left, right):
+        others = list(fill(src_up, dst_up, allowed))
+        assert fibre_solved <= set(others)
+        squares += map(square, others)
+        solved |= set(map(square, fibre_solved))
+    assert solved == expected
+    in_order = _squares_in_walk_order(left, right)
+    assert squares == in_order
+    assert list(lifting._unsolved(left, right)) == [sq for sq in in_order if sq not in expected]
+
+
+def _squares_in_walk_order(left_key, right_key):
+    """Every commuting square, by streamed side in fill order, then the other side."""
+    a_up, b_up, i_map = left_key
+    x_up, y_up, f_map = right_key
+    tops, bottoms = list(fill(a_up, x_up)), list(fill(b_up, y_up))
+    squares = [
+        (top, bot)
+        for top in tops
+        for bot in bottoms
+        if all(f_map[top[a]] == bot[i_map[a]] for a in range(len(a_up)))
+    ]
+    if not lifting._streams_tops(left_key, right_key):
+        squares.sort(key=lambda sq: (bottoms.index(sq[1]), tops.index(sq[0])))
+    return squares
+
+
+def _unsolved_oracle(left_key, right_key):
+    """The commuting squares with no diagonal, by listing every square and diagonal."""
+    a_up, b_up, i_map = left_key
+    x_up, y_up, f_map = right_key
+    squares = [
+        (top, bot)
+        for top, bot in itertools.product(_monotone_maps(a_up, x_up), _monotone_maps(b_up, y_up))
+        if all(f_map[top[a]] == bot[i_map[a]] for a in range(len(a_up)))
+    ]
+    solved = {
+        (tuple(h[b] for b in i_map), tuple(f_map[x] for x in h)) for h in _monotone_maps(b_up, x_up)
+    }
+    return [sq for sq in squares if sq not in solved]
+
+
+@settings(max_examples=200, deadline=None)
+@given(arrow_twins(), arrow_twins())
+@example((CELL, CELL), (EDGE, EDGE))
+@example((EDGE, EDGE), (FOLD, FOLD))
+@example((EDGE, EDGE), (identity_arrow(EMPTY), identity_arrow(EMPTY)))
+def test_lifting_verdicts_match_brute_force_squares_and_diagonals(ls, rs):
+    """`_lifts` and the witness of `lifts_against` against literal enumeration."""
+    (left, left_twin), (right, right_twin) = ls, rs
+    unsolved = _unsolved_oracle(left.key, right.key)
+    assert lifting._lifts(left.key, right.key) == (not unsolved)
+    verdict = lifts_against(left_twin, right_twin)
+    assert verdict.holds == (not unsolved)
+    if unsolved:
+        witness = verdict.witness
+        assert (witness.top.mapping, witness.bottom.mapping) in unsolved
+        assert witness.left == left_twin and witness.right == right_twin
+    else:
+        assert verdict.witness is None
 
 
 def _square_count(left_key, right_key):
@@ -845,13 +912,13 @@ def test_the_lifting_caches_evict_nothing_at_the_default_bounds(monkeypatch):
     """The lifting group from cold caches: every miss is still in its cache.
 
     A miss adds one entry and only an eviction removes one, so the run
-    evicts nothing exactly when the misses equal the size.  `_corner` holds
-    the discrete-order corners of `_associates` next to the structural ones.
-    The table of arrow-class representatives starts empty and never fills.
+    evicts nothing exactly when the misses equal the size.  `_glued` holds
+    the set-level corners of `_corner` and of `_associates`.  The table of arrow-class representatives starts empty and never fills.
     The run leaves no cyclic garbage, so reference counting frees all it drops.
     """
     caches = (
         order.maps,
+        lifting._glued,
         lifting._corner,
         lifting._power,
         lifting._arrow_class,

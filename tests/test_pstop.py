@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+from finitetop import pstop
 from finitetop.bits import iter_bits
 from finitetop.corpus import all_spaces
 from finitetop.errors import CarrierMismatchError, EmptySubspaceError
@@ -125,6 +126,14 @@ def test_lattice_ops_bound_both_arguments():
                     assert finer_ps(m, eta)
                 if finer_ps(eta, xi) and finer_ps(eta, zeta):
                     assert finer_ps(eta, j)
+
+
+def test_lattice_bounds_catch_an_indiscrete_meet_and_a_discrete_join(monkeypatch):
+    """Both are bounds of every pair but not the extremal ones, so the lemma fails."""
+    monkeypatch.setattr(pstop, "meet_ps", lambda xi, zeta: PsSpace(xi.points, [xi.full] * xi.n))
+    monkeypatch.setattr(pstop, "join_ps", lambda xi, zeta: discrete_ps(xi.points))
+    report = lemma_lattice_bounds(2)
+    assert (report.instances, len(report.failures)) == (17, 12)
 
 
 def test_lattice_ops_need_a_shared_carrier():

@@ -68,6 +68,14 @@ LIFTING2_DIGESTS = {
     "PushProdArrowCategory": "10521b65ffdeae0496c3b0878e6d15141dff78e054cdb2ab8cd7894c8a0e195e",
 }
 
+# sha256 of the lifting reports at the default bounds: the exhaustive
+# two-point corpus plus 200 seeded triples of up to three points.
+DEFAULT_LIFTING_DIGESTS = {
+    "PushProdAndPullPowerLemma": "e19ad4283dcc9cd708df1edcddac2409744dc98a711bb4c97709ed2b73017bd8",
+    "PushProdArrowCategory": "84f181311785f35218ab4f0a0a818cd146e88a5b18daa113df5c37fe0d906b73",
+    "SmallObjectArgument": "8bcb84a86b8a3d8b9034e070d9c1125747552d6ba36e2309f4b73d855ea61130",
+}
+
 
 def _digest(report):
     return hashlib.sha256(canonical_json(report_data(report)).encode()).hexdigest()
@@ -109,6 +117,13 @@ def test_lifting_reports_over_the_exhaustive_two_point_corpus():
     opt = SuiteOptions(max_points=2, samples=20)
     for citation, digest in LIFTING2_DIGESTS.items():
         report = run_suite(citation, opt)
+        assert report.ok, (citation, report.failures)
+        assert _digest(report) == digest, citation
+
+
+def test_lifting_reports_at_the_default_bounds():
+    for citation, digest in DEFAULT_LIFTING_DIGESTS.items():
+        report = run_suite(citation, SuiteOptions())
         assert report.ok, (citation, report.failures)
         assert _digest(report) == digest, citation
 
