@@ -572,16 +572,48 @@ def lemma_tau_iota(max_points=3):
     return LemmaReport("tau_iota_adjunction", instances, tuple(failures))
 
 
+def _refinement_bits(everything):
+    """Per limit tuple, the bitsets over `everything` of the etas above and below it.
+
+    Bit k of `above` is set when the space is finer than everything[k], and
+    bit k of `below` when everything[k] is finer than the space; both come
+    from `finer_ps`.
+    """
+    out = {}
+    for space in everything:
+        above = below = 0
+        for k, eta in enumerate(everything):
+            if finer_ps(space, eta):
+                above |= 1 << k
+            if finer_ps(eta, space):
+                below |= 1 << k
+        out[space.lim] = (above, below)
+    return out
+
+
+def _extremal(bits, xi, zeta, met, joined):
+    """Every common coarsening of xi and zeta is coarser than met, and every
+    common refinement is finer than joined, as two bitset tests."""
+    above_xi, below_xi = bits[xi.lim]
+    above_zeta, below_zeta = bits[zeta.lim]
+    return (
+        above_xi & above_zeta & ~bits[met.lim][0] == 0
+        and below_xi & below_zeta & ~bits[joined.lim][1] == 0
+    )
+
+
 def lemma_lattice_bounds(max_points=3):
     """meet_ps and join_ps are the extremal bounds for the refinement order.
 
     The meet is a common coarsening of xi and zeta finer than every other,
-    and the join a common refinement coarser than every other.
+    and the join a common refinement coarser than every other; the two
+    extremality clauses read `_refinement_bits` of the carrier's corpus.
     """
     instances = 0
     failures = []
     for n in range(1, max_points + 1):
         everything = list(all_pseudotopologies(PS_LABELS[:n]))
+        bits = _refinement_bits(everything)
         for xi in everything:
             for zeta in everything:
                 instances += 1
@@ -592,16 +624,7 @@ def lemma_lattice_bounds(max_points=3):
                     and finer_ps(zeta, met)
                     and finer_ps(joined, xi)
                     and finer_ps(joined, zeta)
-                    and all(
-                        finer_ps(met, eta)
-                        for eta in everything
-                        if finer_ps(xi, eta) and finer_ps(zeta, eta)
-                    )
-                    and all(
-                        finer_ps(eta, joined)
-                        for eta in everything
-                        if finer_ps(eta, xi) and finer_ps(eta, zeta)
-                    )
+                    and _extremal(bits, xi, zeta, met, joined)
                 )
                 if not ok:
                     failures.append((xi, zeta))

@@ -21,9 +21,11 @@ from finitetop.errors import (
     VerificationError,
 )
 from finitetop.frames import (
+    DISTRIBUTIVITY_CHECK_LIMIT,
     FrameHom,
     GaloisConnection,
     Prenucleus,
+    _suspect_rows,
     chain_frame,
     distributivity_witness,
     downset_frame,
@@ -36,6 +38,8 @@ from finitetop.frames import (
     two,
 )
 from finitetop.poset import FinitePoset, validate_poset
+from finitetop.spaces import space_from_preorder
+from finitetop.spatial import omega
 
 from conftest import (
     antichain_poset,
@@ -344,10 +348,13 @@ def _tables_or_error(build, poset):
         return str(exc)
 
 
-def _first_triple(join, meet):
-    """The lexicographically first (a, b, c) with a&(b|c) != (a&b)|(a&c), or None."""
+def _first_triple(join, meet, rows=None):
+    """The lexicographically first (a, b, c) with a&(b|c) != (a&b)|(a&c), or None.
+
+    `rows` restricts a to the given indices; by default every a is tried.
+    """
     n = len(join)
-    for a in range(n):
+    for a in range(n) if rows is None else rows:
         for b in range(n):
             for c in range(n):
                 if meet[a][join[b][c]] != join[meet[a][b]][meet[a][c]]:
@@ -431,32 +438,65 @@ def test_frame_validation_accepts_exactly_distributive_lattices():
     assert distributive == {1: 1, 2: 1, 3: 1, 4: 2, 5: 3, 6: 5, 7: 8}
 
 
+@st.composite
+def screen_tables(draw):
+    """Join and meet tables of at most 8 elements, with list or tuple rows.
+
+    Half are a downset frame's tables with up to three entries changed, so
+    that some rows pass and some fail; the rest are random.
+    """
+    if draw(st.booleans()):
+        frame = draw(downset_frames())
+        n = frame.n
+        join = [list(row) for row in frame.join]
+        meet = [list(row) for row in frame.meet]
+        for _ in range(draw(st.integers(0, 3))):
+            table = draw(st.sampled_from((join, meet)))
+            row = draw(st.integers(0, n - 1))
+            table[row][draw(st.integers(0, n - 1))] = draw(st.integers(0, n - 1))
+    else:
+        n = draw(st.integers(1, 8))
+        cells = st.lists(st.integers(0, n - 1), min_size=n, max_size=n)
+        join = draw(st.lists(cells, min_size=n, max_size=n))
+        meet = draw(st.lists(cells, min_size=n, max_size=n))
+    if draw(st.booleans()):
+        join = tuple(map(tuple, join))
+        meet = tuple(map(tuple, meet))
+    return join, meet
+
+
 @settings(max_examples=300, deadline=None)
-@given(
-    st.integers(1, 8).flatmap(
-        lambda n: st.tuples(
-            *[
-                st.lists(
-                    st.lists(st.integers(0, n - 1), min_size=n, max_size=n),
-                    min_size=n,
-                    max_size=n,
-                )
-            ]
-            * 2
-        )
-    )
-)
+@given(screen_tables())
 def test_distributivity_witness_matches_scalar_loop_on_random_tables(tables):
+    """The screen yields exactly the rows with a failing triple, and the witness is the first."""
     join, meet = tables
-    table = SimpleNamespace(n=len(join), join=join, meet=meet)
+    n = len(join)
+    table = SimpleNamespace(n=n, join=join, meet=meet)
+    failing = {a for a in range(n) if _first_triple(join, meet, rows=(a,)) is not None}
+    assert set(_suspect_rows(table)) == failing
     assert distributivity_witness(table) == _first_triple(join, meet)
 
 
-@pytest.mark.parametrize("which", range(8))
+def _self_checked_tensors():
+    """Tensors of 64 and 125 elements that `coproduct` sweeps for distributivity.
+
+    Both are Omega of the discrete 3-point space tensored with Omega of
+    another 3-point space: a chain (4 opens) and a space with 5 opens.
+    """
+    discrete = omega(space_from_preorder("abc", (1, 2, 4)))
+    return [
+        coproduct(discrete, omega(space_from_preorder("abc", rows)))
+        for rows in ((1, 3, 7), (1, 2, 7))
+    ]
+
+
+@pytest.mark.parametrize("which", range(10))
 def test_distributivity_witness_finds_a_single_perturbed_entry(which):
-    frame = frame_corpus()[which]
+    frame = (list(frame_corpus()) + _self_checked_tensors())[which]
     n = frame.n
+    assert n <= DISTRIBUTIVITY_CHECK_LIMIT
     assert distributivity_witness(frame) is None
+    assert list(_suspect_rows(frame)) == []
     rng = random.Random(which)
     for _ in range(40):
         join = [list(row) for row in frame.join]
@@ -465,6 +505,36 @@ def test_distributivity_witness_finds_a_single_perturbed_entry(which):
         table[rng.randrange(n)][rng.randrange(n)] = rng.randrange(n)
         perturbed = SimpleNamespace(n=n, join=join, meet=meet)
         assert distributivity_witness(perturbed) == _first_triple(join, meet)
+
+
+def test_every_self_checked_sweep_is_screened():
+    """The byte screen covers frames of up to 256 elements; every sweep must fit."""
+    assert DISTRIBUTIVITY_CHECK_LIMIT <= 256
+
+
+@pytest.mark.parametrize("lattice", [diamond_m3, pentagon_n5])
+def test_non_distributive_lattice_above_256_elements_names_the_first_triple(lattice):
+    """M3 or N5, whose top is "1", under a chain of 256 elements: the sweep runs unscreened."""
+    small = lattice()
+    chain = [f"z{k:03d}" for k in range(256)]
+    pairs = [
+        (small.points[i], small.points[j])
+        for i in range(small.n)
+        for j in iter_bits(small.up[i])
+        if i != j
+    ]
+    pairs += [("1", chain[0])] + list(zip(chain, chain[1:]))
+    poset = validate_poset(list(small.points) + chain, pairs)
+    assert poset.n == 261
+    tables = frame_from_poset(poset, check_distributive=False)
+    assert list(_suspect_rows(tables)) == list(range(poset.n))
+    witness = _first_triple(tables.join, tables.meet)
+    assert witness is not None
+    assert distributivity_witness(tables) == witness
+    a, b, c = (poset.points[k] for k in witness)
+    message = f"distributivity fails on ({a!r}, {b!r}, {c!r})"
+    with pytest.raises(NotDistributiveError, match=f"^{re.escape(message)}$"):
+        frame_from_poset(poset)
 
 
 # --- the hom enumerator against the enumerate-interpolate-filter oracle ------

@@ -136,6 +136,32 @@ def test_lattice_bounds_catch_an_indiscrete_meet_and_a_discrete_join(monkeypatch
     assert (report.instances, len(report.failures)) == (17, 12)
 
 
+def _literal_extremal(everything, xi, zeta, met, joined):
+    """The extremality clauses of `lemma_lattice_bounds`, one `finer_ps` at a time."""
+    return all(
+        finer_ps(met, eta)
+        for eta in everything
+        if finer_ps(xi, eta) and finer_ps(zeta, eta)
+    ) and all(
+        finer_ps(eta, joined)
+        for eta in everything
+        if finer_ps(eta, xi) and finer_ps(eta, zeta)
+    )
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_lattice_bitset_clauses_match_the_literal_clauses(n):
+    """Every pair, against every candidate meet and join on the carrier."""
+    everything = list(all_pseudotopologies(pstop.PS_LABELS[:n]))
+    bits = pstop._refinement_bits(everything)
+    verdicts = set()
+    for xi, zeta, met, joined in itertools.product(everything, repeat=4):
+        literal = _literal_extremal(everything, xi, zeta, met, joined)
+        assert pstop._extremal(bits, xi, zeta, met, joined) == literal
+        verdicts.add(literal)
+    assert verdicts == ({True} if n == 1 else {True, False})
+
+
 def test_lattice_ops_need_a_shared_carrier():
     with pytest.raises(CarrierMismatchError):
         meet_ps(discrete_ps(["1", "2"]), discrete_ps(["1", "3"]))
