@@ -21,7 +21,8 @@ defines it:
   `iter_monotone_maps`, the one labelled `pushout`, and `validate_poset`;
 - `frames`: `FiniteFrame`, `FrameHom`, `iter_frame_homs`, nuclei and
   Galois connections;
-- `colimits`: frame coproducts, products and localic pushouts;
+- `colimits`: frame coproducts and products, both built as set families
+  by one kernel, and localic pushouts;
 - `spaces`: `FiniteSpace`, the `Preorder` of a space's specialization
   order, soberness, pushouts and products;
 - `spatial`: `omega`, `pt` and their adjunction;

@@ -8,11 +8,20 @@ pairs it contains, so the element set is enumerated as the downsets of the
 irreducible-pair subposet and each element's full downset mask is
 reconstructed from there; the saturation machinery stays as the per-call
 cross-check on small carriers and as the slow oracle in the test suite.
+
+Coproducts and products are both built by one kernel, `_family_lattice`,
+on a family of sets closed under union and intersection.  A coproduct
+element is its downset of irreducible pairs; by Birkhoff's representation a
+product element is the disjoint union of the join-irreducibles below its
+components.  The kernel orders the family by inclusion and reads joins and
+meets as unions and intersections through the family's index, so the
+tables are distributive by construction and no triple sweep runs.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 from itertools import product as _iterproduct
 
 from .bits import iter_bits, popcount, submasks
@@ -26,16 +35,14 @@ from .errors import (
     VerificationError,
 )
 from .frames import (
-    DISTRIBUTIVITY_CHECK_LIMIT,
     FiniteFrame,
     FrameHom,
     GaloisConnection,
     _check_hom,
-    distributivity_witness,
     frame_from_poset,
     right_adjoint,
 )
-from .order import product_rows
+from .order import inclusion_rows, product_rows, transpose
 from .poset import FinitePoset
 
 TENSOR_ELEMENT_CAP = 20000
@@ -160,7 +167,7 @@ def prenuclei(left, right, mask):
     column, and pihat2 adds (x, join Y) for every Y contained in a row.
     All three quantifiers are swept directly, so sizes are capped hard.
     This is the literal oracle that the tests hold `TensorCarrier.row_pass`,
-    `TensorCarrier.col_pass` and `saturate` against.
+    `TensorCarrier.col_pass` and `TensorCarrier.saturate` against.
     """
     if left.n > LITERAL_SIDE_CAP or right.n > LITERAL_SIDE_CAP:
         raise SizeError("literal prenucleus evaluation is capped at 12x12 carriers")
@@ -211,14 +218,6 @@ def prenuclei(left, right, mask):
     return sigma0, pi1, pihat2
 
 
-def saturate(left, right, mask):
-    """Saturate one downset of the product of two frame carriers."""
-    carrier = TensorCarrier(left, right)
-    if not carrier.is_downset(mask):
-        raise NotDownsetError("saturation needs a downward closed input")
-    return carrier.saturate(mask)
-
-
 class _IrrGrid:
     """The join-irreducible pairs of a coproduct, with reduced-mask tables.
 
@@ -233,7 +232,6 @@ class _IrrGrid:
         self.irr_right = right.irreducibles
         self.width = len(self.irr_right)
         self.size = len(self.irr_left) * self.width
-        self.full = (1 << self.size) - 1
         lpos = {x: a for a, x in enumerate(self.irr_left)}
         rpos = {y: b for b, y in enumerate(self.irr_right)}
         lbits = []
@@ -312,6 +310,40 @@ class _LazyTable:
         return _LazyRow(self.elems, self.index, self.op, self.elems[i])
 
 
+def _family_lattice(labels, masks):
+    """The lattice of a family of sets closed under union and intersection.
+
+    Returns the family's index, mask to position, and the (order, join,
+    meet, bottom, top) of a FiniteFrame on it.  The order is inclusion
+    (`order.inclusion_rows`); join and meet are the positions of a | b and
+    a & b, gathered a row at a time with `map` up to EAGER_TABLE_LIMIT
+    members, where a missing union or intersection raises
+    VerificationError, and `_LazyTable`s above it.  Bottom and top are the
+    AND and the OR of the family.  Unions and intersections of sets
+    distribute over each other, so the tables need no distributivity sweep.
+    """
+    index = {m: k for k, m in enumerate(masks)}
+    if len(masks) <= EAGER_TABLE_LIMIT:
+        join = tuple(tuple(map(index.get, map(a.__or__, masks))) for a in masks)
+        meet = tuple(tuple(map(index.get, map(a.__and__, masks))) for a in masks)
+        for table, what in ((join, "union"), (meet, "intersection")):
+            for a, row in enumerate(table):
+                if None in row:
+                    b = labels[row.index(None)]
+                    raise VerificationError(
+                        f"the family misses the {what} of {labels[a]!r} and {b!r}"
+                    )
+    else:
+        join = _LazyTable(masks, index, int.__or__)
+        meet = _LazyTable(masks, index, int.__and__)
+    top = index.get(reduce(int.__or__, masks, 0))
+    bottom = index.get(reduce(int.__and__, masks, ~0))
+    if bottom is None or top is None:
+        raise VerificationError("the family has no least or no greatest member")
+    order = FinitePoset(labels, inclusion_rows(masks), validate=False)
+    return index, (order, join, meet, bottom, top)
+
+
 class TensorFrame(FiniteFrame):
     """The coproduct frame of two finite frames.
 
@@ -364,29 +396,6 @@ class TensorFrame(FiniteFrame):
     def tensor(self, x, y):
         return self.red_index[self.grid.rt[x][y]]
 
-    def cover_pairs(self):
-        """All covering pairs (k, t), element t covering element k."""
-        grid = self.grid
-        idx = self.red_index
-        for k, r in enumerate(self.reduced):
-            rest = grid.full & ~r
-            for p in iter_bits(rest):
-                if (grid.down[p] ^ (1 << p)) & ~r == 0:
-                    yield k, idx[r | (1 << p)]
-
-
-def _up_rows_by_covers(n, reduced, red_index, grid):
-    # masks are sorted by popcount, so walking backwards sees covers first
-    up = [0] * n
-    for k in range(n - 1, -1, -1):
-        r = reduced[k]
-        row = 1 << k
-        for p in iter_bits(grid.full & ~r):
-            if (grid.down[p] ^ (1 << p)) & ~r == 0:
-                row |= up[red_index[r | (1 << p)]]
-        up[k] = row
-    return up
-
 
 def coproduct(left, right):
     """The coproduct of two finite frames as a TensorFrame.
@@ -394,18 +403,15 @@ def coproduct(left, right):
     Every saturated downset is the join of the single-pair tensors of the
     irreducible pairs it contains, and restriction to irreducible pairs is
     inverse to that join; the elements are therefore enumerated as downsets
-    of the irreducible-pair subposet.  Each single-pair tensor is verified
-    to appear with the stated full mask, and on small carriers every
+    of the irreducible-pair subposet, and `_family_lattice` builds the
+    frame on those reduced masks.  Each single-pair tensor is verified to
+    appear with the stated full mask, and on small carriers every
     reconstructed element is re-checked against literal saturation.
     """
     carrier = TensorCarrier(left, right)
     grid = _IrrGrid(left, right)
     base = FinitePoset(
-        tuple(f"p{k}" for k in range(grid.size)),
-        tuple(
-            mask_from_down(grid, p) for p in range(grid.size)
-        ),
-        validate=False,
+        tuple(f"p{k}" for k in range(grid.size)), transpose(grid.down), validate=False
     )
     try:
         family = base.downsets(cap=TENSOR_ELEMENT_CAP)
@@ -415,7 +421,9 @@ def coproduct(left, right):
         ) from None
     reduced = family.masks
     n = len(reduced)
-    red_index = {m: k for k, m in enumerate(reduced)}
+    width = max(4, len(str(n - 1)))
+    labels = tuple(f"t{k:0{width}d}" for k in range(n))
+    red_index, (order, join, meet, bottom, top) = _family_lattice(labels, reduced)
     nm = right.n
     rt = grid.rt
     masks = []
@@ -443,24 +451,6 @@ def coproduct(left, right):
                 raise VerificationError(
                     "a reconstructed element failed to be saturated"
                 )
-    width = max(4, len(str(n - 1)))
-    order = FinitePoset(
-        tuple(f"t{k:0{width}d}" for k in range(n)),
-        tuple(_up_rows_by_covers(n, reduced, red_index, grid)),
-        validate=False,
-    )
-    if n <= EAGER_TABLE_LIMIT:
-        join = tuple(
-            tuple(red_index[a | b] for b in reduced) for a in reduced
-        )
-        meet = tuple(
-            tuple(red_index[a & b] for b in reduced) for a in reduced
-        )
-    else:
-        join = _LazyTable(reduced, red_index, int.__or__)
-        meet = _LazyTable(reduced, red_index, int.__and__)
-    bottom = red_index[0]
-    top = red_index[grid.full]
     if masks[bottom] != carrier.nbar or masks[top] != carrier.full:
         raise VerificationError("the coproduct bounds are not the stated ones")
     iota1_map = []
@@ -490,21 +480,9 @@ def coproduct(left, right):
         iota1_map=iota1_map,
         iota2_map=iota2_map,
     )
-    if n <= DISTRIBUTIVITY_CHECK_LIMIT:
-        if distributivity_witness(frame) is not None:
-            raise VerificationError("the coproduct frame failed distributivity")
     _check_hom(left, frame, frame.iota1_map)
     _check_hom(right, frame, frame.iota2_map)
     return frame
-
-
-def mask_from_down(grid, p):
-    # up-row of the irreducible-pair subposet: everything it sits below
-    row = 1 << p
-    for q in range(grid.size):
-        if grid.down[q] >> p & 1:
-            row |= 1 << q
-    return row
 
 
 def _tensor_action(source, target, hom):
@@ -570,18 +548,24 @@ def copair(f, g, *, tensor=None):
 
 
 def _cover_lists(frame):
-    """Per element, the indices covering it."""
-    out = [[] for _ in range(frame.n)]
-    if isinstance(frame, TensorFrame):
-        for k, t in frame.cover_pairs():
-            out[k].append(t)
-        return out
-    order = frame.order
-    for u in range(frame.n):
-        strict = order.up[u] ^ (1 << u)
-        for v in iter_bits(strict):
-            if order.down[v] & strict == 1 << v:
-                out[u].append(v)
+    """Per element, the indices covering it.
+
+    The covers of u are its strict up-set less everything strictly above a
+    member of it.  Members are taken lowest index first, and a member
+    already found above one taken before is skipped, so on an order whose
+    indices extend it linearly only the covers are taken.
+    """
+    up = frame.order.up
+    out = []
+    for u, row in enumerate(up):
+        strict = row ^ (1 << u)
+        rest = strict
+        above = 0
+        while rest:
+            low = rest & -rest
+            above |= up[low.bit_length() - 1] ^ low
+            rest &= ~(above | low)
+        out.append(list(iter_bits(strict & ~above)))
     return out
 
 
@@ -612,29 +596,19 @@ class ProductFrame(FiniteFrame):
         return FrameHom(source, self, mapping)
 
 
-def _mixed_radix_row(rows):
-    """The product-table row over one factor row per factor.
-
-    Tuples are listed in `itertools.product` order, so the index of
-    (t_0, ..., t_k) is its mixed-radix value ((t_0 * n_1 + t_1) * n_2 + ...),
-    and the row is that value of (rows[0][b_0], ..., rows[k][b_k]) over
-    every tuple b, in the same order.
-    """
-    acc = [0]
-    for row in rows:
-        m = len(row)
-        acc = [x * m + y for x in acc for y in row]
-    return tuple(acc)
-
-
 def product_frames(factors):
     """The product of a family of frames; the empty product is the one-point frame.
 
     Elements are the tuples of factor elements in `itertools.product`
-    order.  Up to EAGER_TABLE_LIMIT elements the join and meet tables are
-    built eagerly, each row by mixed-radix arithmetic over the factor rows
-    (`_mixed_radix_row`); above it they are looked up per entry through
-    the tuple index.
+    order.  By Birkhoff's representation each tuple is the set of
+    join-irreducibles below its components: factor k contributes its
+    `irreducibles_below` mask, shifted past the elements of the factors
+    before it.  `_family_lattice` builds the frame on those masks.  Inclusion
+    of such sets is the componentwise order in any finite lattice, and
+    intersection is the componentwise meet; union is the componentwise join
+    exactly when every factor is distributive, so the kernel's closure check
+    refuses, with VerificationError, a factor that is not, at every size up
+    to EAGER_TABLE_LIMIT.
     """
     factors = tuple(factors)
     count = 1
@@ -643,59 +617,18 @@ def product_frames(factors):
         if count > PRODUCT_ELEMENT_CAP:
             raise SizeError(f"product exceeds the cap of {PRODUCT_ELEMENT_CAP} elements")
     tuples = tuple(_iterproduct(*(range(f.n) for f in factors)))
-    n = len(tuples)
     labels = tuple(
         "(" + ",".join(f.labels[t[k]] for k, f in enumerate(factors)) + ")"
         for t in tuples
     )
-    index = {t: k for k, t in enumerate(tuples)}
-    covers = [_cover_lists(f) for f in factors]
-    ranks = [
-        tuple(popcount(f.order.down[i]) for i in range(f.n)) for f in factors
-    ]
-    height = [sum(ranks[k][t[k]] for k in range(len(factors))) for t in tuples]
-    up = [0] * n
-    for x in sorted(range(n), key=lambda x: height[x], reverse=True):
-        a = tuples[x]
-        row = 1 << x
-        for k in range(len(factors)):
-            for v in covers[k][a[k]]:
-                row |= up[index[a[:k] + (v,) + a[k + 1 :]]]
-        up[x] = row
-    order = FinitePoset(labels, tuple(up), validate=False)
-    bottom = index[tuple(f.bottom for f in factors)]
-    top = index[tuple(f.top for f in factors)]
-    if n <= EAGER_TABLE_LIMIT:
-        join = tuple(
-            _mixed_radix_row([f.join[a[k]] for k, f in enumerate(factors)])
-            for a in tuples
-        )
-        meet = tuple(
-            _mixed_radix_row([f.meet[a[k]] for k, f in enumerate(factors)])
-            for a in tuples
-        )
-    else:
-        def joined(a, b):
-            return tuple(f.join[a[k]][b[k]] for k, f in enumerate(factors))
-
-        def met(a, b):
-            return tuple(f.meet[a[k]][b[k]] for k, f in enumerate(factors))
-
-        join = _LazyTable(tuples, index, joined)
-        meet = _LazyTable(tuples, index, met)
-    frame = ProductFrame(
-        order,
-        join,
-        meet,
-        bottom,
-        top,
-        factors=factors,
-        tuples=tuples,
-    )
-    if n <= DISTRIBUTIVITY_CHECK_LIMIT:
-        if distributivity_witness(frame) is not None:
-            raise VerificationError("a product of frames failed distributivity")
-    return frame
+    masks = [0]
+    shift = 0
+    for f in factors:
+        below = [m << shift for m in f.irreducibles_below]
+        masks = [a | b for a in masks for b in below]
+        shift += f.n
+    _, lattice = _family_lattice(labels, masks)
+    return ProductFrame(*lattice, factors=factors, tuples=tuples)
 
 
 @dataclass(frozen=True)
@@ -729,9 +662,10 @@ def distribute_iso(left, m1, m2):
     inv = [0] * target.n
     for k, v in enumerate(fwd):
         inv[v] = k
-    for k, t in source.cover_pairs():
-        if not (t1.leq_idx(c1[k], c1[t]) and t2.leq_idx(c2[k], c2[t])):
-            raise NotIsoError("the distribution map does not preserve the order")
+    for k, covers in enumerate(_cover_lists(source)):
+        for t in covers:
+            if not (t1.leq_idx(c1[k], c1[t]) and t2.leq_idx(c2[k], c2[t])):
+                raise NotIsoError("the distribution map does not preserve the order")
     cov1 = _cover_lists(t1)
     cov2 = _cover_lists(t2)
     sup = source.order.up
@@ -850,7 +784,9 @@ def pushout_mediator(result, u_left, v_left):
         raise ValueError("the first cocone hom must land in the left span frame")
     if v_left.target != result.span_right.source:
         raise ValueError("the second cocone hom must land in the right span frame")
-    if u_left.then(result.span_left) != v_left.then(result.span_right):
+    # The checks above fix every source and target, so composites compare
+    # as mappings and need no validated `then`.
+    if _composed(u_left, result.span_left) != _composed(v_left, result.span_right):
         raise ValueError("the cocone does not commute with the span")
     index = {p: k for k, p in enumerate(result.pairs)}
     mapping = [
@@ -858,6 +794,14 @@ def pushout_mediator(result, u_left, v_left):
         for q in range(u_left.source.n)
     ]
     out = FrameHom(u_left.source, result.apex, mapping)
-    if out.then(result.proj_b) != u_left or out.then(result.proj_c) != v_left:
+    if (
+        _composed(out, result.proj_b) != u_left.mapping
+        or _composed(out, result.proj_c) != v_left.mapping
+    ):
         raise VerificationError("the mediator breaks a pushout triangle")
     return out
+
+
+def _composed(first, second):
+    """The mapping of `first` then `second`, unvalidated."""
+    return tuple(map(second.mapping.__getitem__, first.mapping))

@@ -7,12 +7,11 @@ and non-distributive lattices with witnesses.  Building the tables costs
 O(n^2) bit-row operations: a join is the index whose up row equals the
 intersection of two up rows, and a meet likewise with down rows.
 Distributivity of an order-built lattice is decided by Birkhoff's
-join-primality test in O(n^2); the literal triple sweep
-`distributivity_witness` names the witness, and checks tables that were
-built from masks rather than from an order.  The sweep scans only the rows
-a that `_suspect_rows` yields: up to 256 elements every index is a byte,
-so both sides of a row are compared whole as `bytes.translate` gathers,
-and a row that passes holds no failing triple.
+join-primality test in O(n^2); only when that test fails does the literal
+triple sweep `distributivity_witness` run, to name the witness.  Frames
+built from set families (`colimits.coproduct` and `product_frames`) take
+their tables from unions and intersections, which distribute, and are not
+swept.
 """
 
 from __future__ import annotations
@@ -31,8 +30,6 @@ from .errors import (
 )
 from .order import fill, is_isomorphism, isomorphisms
 from .poset import validate_poset
-
-DISTRIBUTIVITY_CHECK_LIMIT = 128
 
 
 class FiniteFrame:
@@ -106,7 +103,7 @@ class FiniteFrame:
         return acc
 
     def __eq__(self, other):
-        return isinstance(other, FiniteFrame) and self.order == other.order
+        return self is other or (isinstance(other, FiniteFrame) and self.order == other.order)
 
     def __hash__(self):
         return hash(self.order)
@@ -193,46 +190,20 @@ def _joins_are_unions(frame):
     return True
 
 
-def _suspect_rows(frame):
-    """The rows a, ascending, with some (b, c) where a&(b|c) != (a&b)|(a&c).
-
-    Every index fits in a byte when n <= 256, so both sides of row a are
-    byte strings of n*n entries in (b, c) order, built by gathers:
-    a&(b|c) is the flattened join table translated through meet row a, and
-    (a&b)|(a&c) is meet row a translated through join row v, once for each
-    distinct v = a&b, laid out in b order.  Row a is yielded exactly when
-    the two strings differ.  Above 256 elements every row is yielded.
-    """
-    n = frame.n
-    if n > 256:
-        yield from range(n)
-        return
-    join = frame.join
-    meet = frame.meet
-    pad = bytes(256 - n)
-    flat_join = b"".join(map(bytes, join))
-    join_rows = [bytes(row) + pad for row in join]
-    for a in range(n):
-        ma = bytes(meet[a])
-        through = {v: ma.translate(join_rows[v]) for v in set(ma)}
-        if flat_join.translate(ma + pad) != b"".join(map(through.__getitem__, ma)):
-            yield a
-
-
 def distributivity_witness(frame):
     """The first triple (a, b, c) with a&(b|c) != (a&b)|(a&c), or None.
 
-    Triples are visited in lexicographic order, on the rows a that
-    `_suspect_rows` yields; the rows it rules out hold no failing triple,
-    so the first one found is the first overall.  For each (a, b) the whole
-    c row is compared at once, (a&(b|c))_c against ((a&b)|(a&c))_c, through
-    `itemgetter`; the row is scanned for c only when the two differ.
+    Triples are visited in lexicographic order.  `frame_from_poset` runs
+    this sweep only after Birkhoff's test has failed, to name the witness.
+    For each (a, b) the whole c row is compared at once, (a&(b|c))_c
+    against ((a&b)|(a&c))_c, through `itemgetter`; the row is scanned for c
+    only when the two differ.
     """
     n = frame.n
     join = frame.join
     meet = frame.meet
     pick_join = [itemgetter(*row) for row in join]
-    for a in _suspect_rows(frame):
+    for a in range(n):
         ma = meet[a]
         pick_meet = itemgetter(*ma)
         for b in range(n):

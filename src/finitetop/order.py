@@ -28,7 +28,9 @@ indices alone.  `poset.pushout` labels its classes.  Its closure half,
 `quotient_rows`, orders any partition of a relation: the lifting layer
 numbers a pushout-product corner's classes without rows and orders them
 with it.  `inclusion_rows` orders a family of sets by inclusion, as the
-opens of a space and the downsets of a poset are.
+opens of a space, the downsets of a poset and the elements of a frame
+coproduct or product are; row a is one AND per point of a, over the
+bit-sliced column of members holding that point.
 
 `isomorphisms` is the one isomorphism search: it yields every isomorphism
 between two relations, or only those keeping given point colours (the
@@ -273,13 +275,23 @@ def glue_span(b_up, c_up, f_map, g_map):
 
 
 def inclusion_rows(masks):
-    """Rows of a family of sets ordered by inclusion, in the family's order."""
+    """Rows of a family of sets ordered by inclusion, in the family's order.
+
+    Bit-sliced: bit k of `holders[p]` is set when member k holds point p,
+    and row a is the AND of `holders[p]` over the points p of a, the
+    members that hold every point of a.
+    """
+    holders = [0] * max(masks, default=0).bit_length()
+    for k, m in enumerate(masks):
+        bit = 1 << k
+        for p in iter_bits(m):
+            holders[p] |= bit
+    everyone = (1 << len(masks)) - 1
     rows = []
     for a in masks:
-        row = 0
-        for k, b in enumerate(masks):
-            if a & ~b == 0:
-                row |= 1 << k
+        row = everyone
+        for p in iter_bits(a):
+            row &= holders[p]
         rows.append(row)
     return tuple(rows)
 

@@ -235,6 +235,27 @@ def test_structure_output_bytes_are_pinned(words, digest, tmp_path, capsys):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+CHAIN7 = {"kind": "frame", "points": [f"c{k}" for k in range(7)],
+          "leq": [[f"c{k}", f"c{k + 1}"] for k in range(6)]}
+
+
+@pytest.mark.parametrize(
+    "frame, digest",
+    [
+        (INPUTS["frame"], "a5b95f748ae96b29c74878630797fd79d80dd655acb0df9c870ab58e17c2fee3"),
+        # 924 elements: above EAGER_TABLE_LIMIT, so the tables are lazy
+        (CHAIN7, "4addba159e3941fd19db2dbd7499a1389652b0dd801803add0d5e33b6c5337d9"),
+    ],
+    ids=["frame", "chain7"],
+)
+def test_coproduct_output_bytes_are_pinned(frame, digest, tmp_path, capsys):
+    path = tmp_path / "frame.json"
+    path.write_text(json.dumps(frame))
+    assert run(["coproduct", "--left", str(path), "--right", str(path)]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 def test_factorize_refuses_a_monotone_map_of_posets(tmp_path, capsys):
     paths = _write_inputs(tmp_path)
     argv = ["lift", "factorize", "--map", paths["monotone-map"], "--gens", paths["gens"]]

@@ -13,6 +13,7 @@ from finitetop.colimits import (
     EAGER_TABLE_LIMIT,
     JOIN_CLOSURE_MEMO_SIZE,
     TensorCarrier,
+    _family_lattice,
     _LazyTable,
     _tensor_action,
     copair,
@@ -22,9 +23,9 @@ from finitetop.colimits import (
     product_frames,
     pushout_loc,
     pushout_mediator,
-    saturate,
 )
 from finitetop.corpus import all_frames, frame_corpus
+from finitetop.errors import VerificationError
 from finitetop.frames import (
     FiniteFrame,
     FrameHom,
@@ -37,7 +38,7 @@ from finitetop.frames import (
 from finitetop.poset import FinitePoset
 from finitetop.suites import SuiteOptions, run_group
 
-from conftest import garbage_after, grid_poset
+from conftest import diamond_m3, garbage_after, grid_poset
 
 
 def _small_pairs():
@@ -155,7 +156,8 @@ def test_prenuclei_passes_are_inflationary_downset_maps():
 def test_saturate_is_a_closure_operator():
     c3 = chain_frame(3)
     downs = _product_downsets(c3, c3)
-    sat = {m: saturate(c3, c3, m) for m in downs}
+    carrier = TensorCarrier(c3, c3)
+    sat = {m: carrier.saturate(m) for m in downs}
     for m in downs:
         assert sat[m] & m == m
         assert sat[sat[m]] == sat[m]
@@ -170,7 +172,7 @@ def test_saturated_masks_are_fixed_by_all_passes():
     t = coproduct(c3, c3)
     for m in t.masks:
         assert prenuclei(c3, c3, m) == (m, m, m)
-        assert saturate(c3, c3, m) == m
+        assert t.carrier.saturate(m) == m
 
 
 def test_elements_are_exactly_the_saturated_downsets():
@@ -180,10 +182,11 @@ def test_elements_are_exactly_the_saturated_downsets():
         (chain_frame(3), chain_frame(3)),
         (two(), frame_from_poset(grid_poset())),
     ]:
+        carrier = TensorCarrier(left, right)
         fixed = {
             m
             for m in _product_downsets(left, right)
-            if saturate(left, right, m) == m
+            if carrier.saturate(m) == m
         }
         t = coproduct(left, right)
         assert set(t.masks) == fixed
@@ -194,7 +197,7 @@ def test_single_generator_saturation_collapses_to_bottom():
     t = coproduct(c3, c3)
     carrier = t.carrier
     mask = carrier.down[carrier.pos(1, c3.bottom)]
-    assert saturate(c3, c3, mask) == t.masks[t.bottom]
+    assert carrier.saturate(mask) == t.masks[t.bottom]
 
 
 def test_copair_codiagonal_is_meet():
@@ -423,6 +426,47 @@ def test_lazy_tables_match_an_eager_build(kind, data):
     i = data.draw(st.integers(0, frame.n - 1))
     assert tuple(frame.join[i][j] for j in range(frame.n)) == eager.join[i]
     assert tuple(frame.meet[i][j] for j in range(frame.n)) == eager.meet[i]
+
+
+def _labels(masks):
+    return tuple(f"m{m}" for m in masks)
+
+
+def test_the_family_kernel_builds_a_powerset():
+    masks = (0b00, 0b01, 0b10, 0b11)
+    index, (order, join, meet, bottom, top) = _family_lattice(_labels(masks), masks)
+    assert index == {m: k for k, m in enumerate(masks)}
+    assert order.up == (0b1111, 0b1010, 0b1100, 0b1000)
+    assert join[1][2] == 3 and meet[1][2] == 0
+    assert (bottom, top) == (0, 3)
+
+
+@pytest.mark.parametrize(
+    "masks, message",
+    [
+        ((0b00, 0b01, 0b10), "the family misses the union of 'm1' and 'm2'"),
+        ((0b01, 0b10, 0b11), "the family misses the intersection of 'm1' and 'm2'"),
+        ((), "the family has no least or no greatest member"),
+    ],
+    ids=["union", "intersection", "empty"],
+)
+def test_the_family_kernel_refuses_a_family_that_is_not_a_lattice_of_sets(masks, message):
+    with pytest.raises(VerificationError, match=f"^{message}$"):
+        _family_lattice(_labels(masks), masks)
+
+
+def test_the_lazy_family_kernel_refuses_a_family_with_no_least_member():
+    """Above EAGER_TABLE_LIMIT no table is built, but the bounds are still looked up."""
+    masks = tuple(1 << k for k in range(EAGER_TABLE_LIMIT + 1))
+    with pytest.raises(VerificationError, match="no least or no greatest member"):
+        _family_lattice(_labels(masks), masks)
+
+
+def test_a_product_with_a_non_distributive_factor_is_refused():
+    """Birkhoff masks of M3 miss a union, so the kernel refuses the product."""
+    m3 = frame_from_poset(diamond_m3(), check_distributive=False)
+    with pytest.raises(VerificationError, match="misses the union"):
+        product_frames([two(), m3])
 
 
 def test_the_join_closure_memo_keeps_its_bound(monkeypatch):

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from finitetop.bits import iter_bits
 from finitetop.colimits import coproduct, product_frames
-from finitetop.corpus import all_frames, all_posets, frame_corpus
+from finitetop.corpus import all_frames, all_posets, frame_corpus, frames_upto
 from finitetop.errors import (
     CarrierMismatchError,
     NotDistributiveError,
@@ -21,11 +21,9 @@ from finitetop.errors import (
     VerificationError,
 )
 from finitetop.frames import (
-    DISTRIBUTIVITY_CHECK_LIMIT,
     FrameHom,
     GaloisConnection,
     Prenucleus,
-    _suspect_rows,
     chain_frame,
     distributivity_witness,
     downset_frame,
@@ -348,13 +346,10 @@ def _tables_or_error(build, poset):
         return str(exc)
 
 
-def _first_triple(join, meet, rows=None):
-    """The lexicographically first (a, b, c) with a&(b|c) != (a&b)|(a&c), or None.
-
-    `rows` restricts a to the given indices; by default every a is tried.
-    """
+def _first_triple(join, meet):
+    """The lexicographically first (a, b, c) with a&(b|c) != (a&b)|(a&c), or None."""
     n = len(join)
-    for a in range(n) if rows is None else rows:
+    for a in range(n):
         for b in range(n):
             for c in range(n):
                 if meet[a][join[b][c]] != join[meet[a][b]][meet[a][c]]:
@@ -439,7 +434,7 @@ def test_frame_validation_accepts_exactly_distributive_lattices():
 
 
 @st.composite
-def screen_tables(draw):
+def perturbed_tables(draw):
     """Join and meet tables of at most 8 elements, with list or tuple rows.
 
     Half are a downset frame's tables with up to three entries changed, so
@@ -466,19 +461,16 @@ def screen_tables(draw):
 
 
 @settings(max_examples=300, deadline=None)
-@given(screen_tables())
+@given(perturbed_tables())
 def test_distributivity_witness_matches_scalar_loop_on_random_tables(tables):
-    """The screen yields exactly the rows with a failing triple, and the witness is the first."""
+    """The witness is the first failing triple of the literal loop."""
     join, meet = tables
-    n = len(join)
-    table = SimpleNamespace(n=n, join=join, meet=meet)
-    failing = {a for a in range(n) if _first_triple(join, meet, rows=(a,)) is not None}
-    assert set(_suspect_rows(table)) == failing
+    table = SimpleNamespace(n=len(join), join=join, meet=meet)
     assert distributivity_witness(table) == _first_triple(join, meet)
 
 
 def _self_checked_tensors():
-    """Tensors of 64 and 125 elements that `coproduct` sweeps for distributivity.
+    """Tensors of 64 and 125 elements, which `coproduct` once swept for distributivity.
 
     Both are Omega of the discrete 3-point space tensored with Omega of
     another 3-point space: a chain (4 opens) and a space with 5 opens.
@@ -494,9 +486,8 @@ def _self_checked_tensors():
 def test_distributivity_witness_finds_a_single_perturbed_entry(which):
     frame = (list(frame_corpus()) + _self_checked_tensors())[which]
     n = frame.n
-    assert n <= DISTRIBUTIVITY_CHECK_LIMIT
+    assert _first_triple(frame.join, frame.meet) is None
     assert distributivity_witness(frame) is None
-    assert list(_suspect_rows(frame)) == []
     rng = random.Random(which)
     for _ in range(40):
         join = [list(row) for row in frame.join]
@@ -507,14 +498,25 @@ def test_distributivity_witness_finds_a_single_perturbed_entry(which):
         assert distributivity_witness(perturbed) == _first_triple(join, meet)
 
 
-def test_every_self_checked_sweep_is_screened():
-    """The byte screen covers frames of up to 256 elements; every sweep must fit."""
-    assert DISTRIBUTIVITY_CHECK_LIMIT <= 256
+FAMILY_BUILDERS = {
+    "coproduct": coproduct,
+    "product": lambda left, right: product_frames([left, right]),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(FAMILY_BUILDERS))
+def test_family_frames_hold_no_failing_triple(kind):
+    """The self-check sweep these constructions no longer run, kept as an oracle."""
+    frames = frames_upto(4)
+    for left in frames:
+        for right in frames:
+            frame = FAMILY_BUILDERS[kind](left, right)
+            assert _first_triple(frame.join, frame.meet) is None
 
 
 @pytest.mark.parametrize("lattice", [diamond_m3, pentagon_n5])
 def test_non_distributive_lattice_above_256_elements_names_the_first_triple(lattice):
-    """M3 or N5, whose top is "1", under a chain of 256 elements: the sweep runs unscreened."""
+    """M3 or N5, whose top is "1", under a chain of 256 elements."""
     small = lattice()
     chain = [f"z{k:03d}" for k in range(256)]
     pairs = [
@@ -527,7 +529,6 @@ def test_non_distributive_lattice_above_256_elements_names_the_first_triple(latt
     poset = validate_poset(list(small.points) + chain, pairs)
     assert poset.n == 261
     tables = frame_from_poset(poset, check_distributive=False)
-    assert list(_suspect_rows(tables)) == list(range(poset.n))
     witness = _first_triple(tables.join, tables.meet)
     assert witness is not None
     assert distributivity_witness(tables) == witness

@@ -72,25 +72,26 @@ def _package_trees():
         yield path.name, ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
 
 
-def _references():
-    """(name, module, line) of every Name and Attribute in package code."""
+def _references(kinds):
+    """(name, module, line) of every node of the given kinds in package code."""
     return [
         (_name(node), module, node.lineno)
         for module, tree in _package_trees()
         for node in ast.walk(tree)
-        if isinstance(node, (ast.Name, ast.Attribute))
+        if isinstance(node, kinds)
     ]
 
 
-def _unreached(definitions):
+def _unreached(definitions, kinds):
     """The definitions no package code reaches, as sorted "module:line key" strings.
 
-    `definitions` holds (key, name, (module, first, last)).  A reference to
+    `definitions` holds (key, name, (module, first, last)), and a reference
+    is a node of one of `kinds` that bears the name.  A reference to
     the name inside the definition's own lines does not count, and neither
     does one inside a definition already found unreached, so a helper that
     only dead code calls is found too.
     """
-    references = _references()
+    references = _references(kinds)
     dead = {}
     while True:
         skipped = list(dead.values())
@@ -114,6 +115,9 @@ def test_every_top_level_name_has_a_package_caller():
     """Every top-level def, class and constant is used by live package code.
 
     A name that only tests or re-exports reach is surface nothing checks.
+    Only a bare name reaches a top-level definition: package code never
+    reads module attributes, so a method call `x.f()` must not keep a dead
+    top-level `f` alive.
     """
     definitions = [
         (name, name, (module, node.lineno, node.end_lineno))
@@ -122,7 +126,7 @@ def test_every_top_level_name_has_a_package_caller():
         for name in _top_level_names(node)
         if not name.startswith("__") and name not in UNREFERENCED_ALLOWED
     ]
-    assert _unreached(definitions) == []
+    assert _unreached(definitions, ast.Name) == []
 
 
 def test_the_package_init_imports_nothing():
@@ -155,7 +159,7 @@ def test_every_method_has_a_package_caller():
         and not node.name.startswith("__")
         and f"{cls.name}.{node.name}" not in UNREFERENCED_METHODS_ALLOWED
     ]
-    assert _unreached(definitions) == []
+    assert _unreached(definitions, (ast.Name, ast.Attribute)) == []
 
 
 def _self_naming_nested_functions(tree):

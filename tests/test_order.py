@@ -3,6 +3,9 @@
 import itertools
 import random
 
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
 from finitetop.bits import iter_bits, popcount
 from finitetop import order
 from finitetop.corpus import all_posets, all_preorders_labelled, all_spaces
@@ -10,6 +13,7 @@ from finitetop.order import (
     count_fill,
     fill,
     glue,
+    inclusion_rows,
     is_isomorphism,
     isomorphisms,
     transpose,
@@ -148,6 +152,27 @@ def test_transpose_is_the_dual_relation():
             for j in range(n):
                 assert (down[j] >> i & 1) == (rows[i] >> j & 1)
         assert transpose(down) == tuple(rows)
+
+
+def _oracle_inclusion_rows(masks):
+    """Bit k of row a is set when member a is a subset of member k, pair by pair."""
+    rows = []
+    for a in masks:
+        row = 0
+        for k, b in enumerate(masks):
+            if a & ~b == 0:
+                row |= 1 << k
+        rows.append(row)
+    return tuple(rows)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(0, (1 << 12) - 1), max_size=24))
+@example([])
+@example([0])
+@example([5, 0, 5, 7])
+def test_inclusion_rows_match_the_pairwise_loop(masks):
+    assert inclusion_rows(masks) == _oracle_inclusion_rows(masks)
 
 
 def _oracle_glue(total, pairs):
