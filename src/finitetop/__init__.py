@@ -20,12 +20,14 @@ defines it:
   `FinitePoset`, the one map class `PreMap` with its enumerator
   `iter_monotone_maps`, the one labelled `pushout`, and `validate_poset`;
 - `frames`: `FiniteFrame`, `FrameHom`, `iter_frame_homs`, nuclei and
-  Galois connections;
-- `colimits`: frame coproducts and products, both built as set families
-  by one kernel, and localic pushouts;
+  Galois connections, and the one set-family frame kernel
+  `family_lattice`, which `downset_frame`, `spatial.omega` and every
+  construction in `colimits` call;
+- `colimits`: frame coproducts and products and localic pushouts, each
+  built as a set family by `frames.family_lattice`;
 - `spaces`: `FiniteSpace`, the `Preorder` of a space's specialization
   order, soberness, pushouts and products;
-- `spatial`: `omega`, `pt` and their adjunction;
+- `spatial`: `omega`, on the set-family kernel, `pt` and their adjunction;
 - `pstop`: pseudotopologies and the lemma checks;
 - `lifting`: lifting verdicts, pushout-products and bounded
   factorization over preorders;

@@ -9,47 +9,40 @@ irreducible-pair subposet and each element's full downset mask is
 reconstructed from there; the saturation machinery stays as the per-call
 cross-check on small carriers and as the slow oracle in the test suite.
 
-Coproducts and products are both built by one kernel, `_family_lattice`,
-on a family of sets closed under union and intersection.  A coproduct
-element is its downset of irreducible pairs; by Birkhoff's representation a
-product element is the disjoint union of the join-irreducibles below its
+Coproducts, products and localic pushouts are all built by the set-family
+kernel `frames.family_lattice`, on a family of sets closed under union and
+intersection.  A coproduct element is its downset of irreducible pairs; by
+Birkhoff's representation a product element, and a pushout's agreeing
+pair, is the disjoint union of the join-irreducibles below its
 components.  The kernel orders the family by inclusion and reads joins and
 meets as unions and intersections through the family's index, so the
-tables are distributive by construction and no triple sweep runs.
+tables are distributive by construction and no triple sweep runs.  The
+coproduct keeps that index: its injections, `tensor` and the tensor action
+of a hom are lookups of single-pair tensors in it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
 from itertools import product as _iterproduct
 
 from .bits import iter_bits, popcount, submasks
-from .errors import (
-    NotDistributiveError,
-    NotDownsetError,
-    NotFrameError,
-    NotIsoError,
-    NotLatticeError,
-    SizeError,
-    VerificationError,
-)
+from .errors import NotDownsetError, NotIsoError, SizeError, VerificationError
 from .frames import (
     FiniteFrame,
     FrameHom,
     GaloisConnection,
     _check_hom,
-    frame_from_poset,
+    family_lattice,
     right_adjoint,
 )
-from .order import inclusion_rows, product_rows, transpose
+from .order import is_isomorphism, product_rows, transpose
 from .poset import FinitePoset
 
 TENSOR_ELEMENT_CAP = 20000
 PRODUCT_ELEMENT_CAP = 20000
 LITERAL_SIDE_CAP = 12
 LITERAL_SUBSET_CAP = 16
-EAGER_TABLE_LIMIT = 600
 SATURATION_CHECK_LIMIT = 512
 # Entries per frame of the join-closure memo, oldest out first.  The frames,
 # colimits and spatial groups fill at most 9 per frame at the default bounds
@@ -145,19 +138,6 @@ class TensorCarrier:
             out |= rd << (k * self.nm)
         return out | self.nbar
 
-    def iota1_mask(self, x):
-        out = 0
-        for k in iter_bits(self.left.order.down[x]):
-            out |= self.row_mask << (k * self.nm)
-        return out | self.nbar
-
-    def iota2_mask(self, y):
-        out = 0
-        rd = self.right.order.down[y]
-        for i in range(self.nl):
-            out |= rd << (i * self.nm)
-        return out | self.nbar
-
 
 def prenuclei(left, right, mask):
     """Literal evaluation of the three closure passes on one downset.
@@ -230,32 +210,16 @@ class _IrrGrid:
     def __init__(self, left, right):
         self.irr_left = left.irreducibles
         self.irr_right = right.irreducibles
-        self.width = len(self.irr_right)
-        self.size = len(self.irr_left) * self.width
-        lpos = {x: a for a, x in enumerate(self.irr_left)}
-        rpos = {y: b for b, y in enumerate(self.irr_right)}
-        lbits = []
-        for x in range(left.n):
-            m = 0
-            for j in iter_bits(left.irreducibles_below[x]):
-                m |= 1 << lpos[j]
-            lbits.append(m)
-        rbits = []
-        for y in range(right.n):
-            m = 0
-            for j in iter_bits(right.irreducibles_below[y]):
-                m |= 1 << rpos[j]
-            rbits.append(m)
-        self.lbits = tuple(lbits)
-        self.rbits = tuple(rbits)
-        w = self.width
+        w = len(self.irr_right)
+        self.size = len(self.irr_left) * w
+        lbits = _positions_below(left)
+        rbits = _positions_below(right)
         rt = []
-        for x in range(left.n):
+        for lb in lbits:
             row = []
-            for y in range(right.n):
+            for rb in rbits:
                 m = 0
-                rb = rbits[y]
-                for a in iter_bits(lbits[x]):
+                for a in iter_bits(lb):
                     m |= rb << (a * w)
                 row.append(m)
             rt.append(tuple(row))
@@ -264,94 +228,22 @@ class _IrrGrid:
             rt[p][q] for p in self.irr_left for q in self.irr_right
         )
 
-    def iota1_reduced(self, x):
-        out = 0
-        row = (1 << self.width) - 1
-        for a in iter_bits(self.lbits[x]):
-            out |= row << (a * self.width)
-        return out
 
-    def iota2_reduced(self, y):
-        out = 0
-        rb = self.rbits[y]
-        for a in range(self.size // self.width if self.width else 0):
-            out |= rb << (a * self.width)
-        return out
-
-
-class _LazyRow:
-    __slots__ = ("elems", "index", "op", "base")
-
-    def __init__(self, elems, index, op, base):
-        self.elems = elems
-        self.index = index
-        self.op = op
-        self.base = base
-
-    def __getitem__(self, j):
-        return self.index[self.op(self.base, self.elems[j])]
-
-
-class _LazyTable:
-    """Row-indexable join/meet table computed per lookup.
-
-    Stands in for the eager tuple tables above EAGER_TABLE_LIMIT, where a
-    quadratic table would dominate both memory and construction time.
-    """
-
-    __slots__ = ("elems", "index", "op")
-
-    def __init__(self, elems, index, op):
-        self.elems = elems
-        self.index = index
-        self.op = op
-
-    def __getitem__(self, i):
-        return _LazyRow(self.elems, self.index, self.op, self.elems[i])
-
-
-def _family_lattice(labels, masks):
-    """The lattice of a family of sets closed under union and intersection.
-
-    Returns the family's index, mask to position, and the (order, join,
-    meet, bottom, top) of a FiniteFrame on it.  The order is inclusion
-    (`order.inclusion_rows`); join and meet are the positions of a | b and
-    a & b, gathered a row at a time with `map` up to EAGER_TABLE_LIMIT
-    members, where a missing union or intersection raises
-    VerificationError, and `_LazyTable`s above it.  Bottom and top are the
-    AND and the OR of the family.  Unions and intersections of sets
-    distribute over each other, so the tables need no distributivity sweep.
-    """
-    index = {m: k for k, m in enumerate(masks)}
-    if len(masks) <= EAGER_TABLE_LIMIT:
-        join = tuple(tuple(map(index.get, map(a.__or__, masks))) for a in masks)
-        meet = tuple(tuple(map(index.get, map(a.__and__, masks))) for a in masks)
-        for table, what in ((join, "union"), (meet, "intersection")):
-            for a, row in enumerate(table):
-                if None in row:
-                    b = labels[row.index(None)]
-                    raise VerificationError(
-                        f"the family misses the {what} of {labels[a]!r} and {b!r}"
-                    )
-    else:
-        join = _LazyTable(masks, index, int.__or__)
-        meet = _LazyTable(masks, index, int.__and__)
-    top = index.get(reduce(int.__or__, masks, 0))
-    bottom = index.get(reduce(int.__and__, masks, ~0))
-    if bottom is None or top is None:
-        raise VerificationError("the family has no least or no greatest member")
-    order = FinitePoset(labels, inclusion_rows(masks), validate=False)
-    return index, (order, join, meet, bottom, top)
+def _positions_below(frame):
+    """Per element, the join-irreducibles below it, as bits of their positions in `irreducibles`."""
+    at = {j: a for a, j in enumerate(frame.irreducibles)}
+    return [sum(1 << at[j] for j in iter_bits(m)) for m in frame.irreducibles_below]
 
 
 class TensorFrame(FiniteFrame):
     """The coproduct frame of two finite frames.
 
     Elements are saturated-downset masks in canonical order; `masks[k]` is
-    the downset behind element k and `reduced[k]` its restriction to the
-    irreducible pairs.  The injections `iota1`/`iota2` are FrameHoms on
-    mappings `coproduct` validated, and `tensor(x, y)` locates the image of
-    a single pair.
+    the downset behind element k, `reduced[k]` its restriction to the
+    irreducible pairs and `index` the kernel's map back from reduced masks.
+    `tensor(x, y)` locates the image of a single pair, and the injections
+    `iota1`/`iota2` send x to x (x) top and y to top (x) y; `coproduct`
+    validates both mappings.
     """
 
     def __init__(
@@ -368,8 +260,7 @@ class TensorFrame(FiniteFrame):
         masks,
         grid,
         reduced,
-        iota1_map,
-        iota2_map,
+        index,
     ):
         super().__init__(order, join, meet, bottom, top)
         self.left = left
@@ -378,9 +269,9 @@ class TensorFrame(FiniteFrame):
         self.masks = masks
         self.grid = grid
         self.reduced = reduced
-        self.red_index = {m: k for k, m in enumerate(reduced)}
-        self.iota1_map = tuple(iota1_map)
-        self.iota2_map = tuple(iota2_map)
+        self.index = index
+        self.iota1_map = tuple(self.tensor(x, right.top) for x in range(left.n))
+        self.iota2_map = tuple(self.tensor(left.top, y) for y in range(right.n))
 
     # The injections are built on access: a FrameHom into the tensor held by
     # the tensor would make every tensor a reference cycle.  `coproduct`
@@ -394,7 +285,7 @@ class TensorFrame(FiniteFrame):
         return FrameHom(self.right, self, self.iota2_map, validate=False)
 
     def tensor(self, x, y):
-        return self.red_index[self.grid.rt[x][y]]
+        return self.index[self.grid.rt[x][y]]
 
 
 def coproduct(left, right):
@@ -403,10 +294,11 @@ def coproduct(left, right):
     Every saturated downset is the join of the single-pair tensors of the
     irreducible pairs it contains, and restriction to irreducible pairs is
     inverse to that join; the elements are therefore enumerated as downsets
-    of the irreducible-pair subposet, and `_family_lattice` builds the
-    frame on those reduced masks.  Each single-pair tensor is verified to
-    appear with the stated full mask, and on small carriers every
-    reconstructed element is re-checked against literal saturation.
+    of the irreducible-pair subposet, and `frames.family_lattice` builds
+    the frame on those reduced masks.  Each single-pair tensor is verified
+    to appear with the stated full mask, the injections' x (x) top and
+    top (x) y among them, and on small carriers every reconstructed element
+    is re-checked against literal saturation.
     """
     carrier = TensorCarrier(left, right)
     grid = _IrrGrid(left, right)
@@ -414,16 +306,15 @@ def coproduct(left, right):
         tuple(f"p{k}" for k in range(grid.size)), transpose(grid.down), validate=False
     )
     try:
-        family = base.downsets(cap=TENSOR_ELEMENT_CAP)
+        reduced = base.downsets(cap=TENSOR_ELEMENT_CAP)
     except SizeError:
         raise SizeError(
             f"coproduct exceeds the cap of {TENSOR_ELEMENT_CAP} elements"
         ) from None
-    reduced = family.masks
     n = len(reduced)
     width = max(4, len(str(n - 1)))
     labels = tuple(f"t{k:0{width}d}" for k in range(n))
-    red_index, (order, join, meet, bottom, top) = _family_lattice(labels, reduced)
+    index, (order, join, meet, bottom, top) = family_lattice(labels, reduced)
     nm = right.n
     rt = grid.rt
     masks = []
@@ -440,7 +331,7 @@ def coproduct(left, right):
     masks = tuple(masks)
     for x in range(left.n):
         for y in range(nm):
-            k = red_index.get(rt[x][y])
+            k = index.get(rt[x][y])
             if k is None or masks[k] != carrier.tensor_mask(x, y):
                 raise VerificationError(
                     "a single-pair tensor is missing from the element set"
@@ -453,18 +344,6 @@ def coproduct(left, right):
                 )
     if masks[bottom] != carrier.nbar or masks[top] != carrier.full:
         raise VerificationError("the coproduct bounds are not the stated ones")
-    iota1_map = []
-    for x in range(left.n):
-        k = red_index[grid.iota1_reduced(x)]
-        if masks[k] != carrier.iota1_mask(x):
-            raise VerificationError("the left injection misses its stated mask")
-        iota1_map.append(k)
-    iota2_map = []
-    for y in range(right.n):
-        k = red_index[grid.iota2_reduced(y)]
-        if masks[k] != carrier.iota2_mask(y):
-            raise VerificationError("the right injection misses its stated mask")
-        iota2_map.append(k)
     frame = TensorFrame(
         order,
         join,
@@ -477,8 +356,7 @@ def coproduct(left, right):
         masks=masks,
         grid=grid,
         reduced=reduced,
-        iota1_map=iota1_map,
-        iota2_map=iota2_map,
+        index=index,
     )
     _check_hom(left, frame, frame.iota1_map)
     _check_hom(right, frame, frame.iota2_map)
@@ -495,18 +373,9 @@ def _tensor_action(source, target, hom):
     two reduced tensors yields the reduced tensor of the pairwise meet.
     """
     gs = source.grid
-    gt = target.grid
-    wt = gt.width
-    per_bit = []
-    for p in gs.irr_left:
-        for q in gs.irr_right:
-            fq = hom.mapping[q]
-            m = 0
-            rb = gt.rbits[fq]
-            for a in iter_bits(gt.lbits[p]):
-                m |= rb << (a * wt)
-            per_bit.append(m)
-    tindex = target.red_index
+    rt = target.grid.rt
+    per_bit = [rt[p][hom.mapping[q]] for p in gs.irr_left for q in gs.irr_right]
+    tindex = target.index
     mapping = []
     for r in source.reduced:
         img = 0
@@ -519,8 +388,9 @@ def _tensor_action(source, target, hom):
 def copair(f, g, *, tensor=None):
     """The mediating hom out of a coproduct for a cocone (f, g).
 
-    Evaluates the join of f(a) meet g(b) over the member pairs of each
-    element and certifies both triangle laws.
+    Each element is the join of the tensors p (x) q of its irreducible
+    pairs, so its image is the join of f(p) meet g(q) over them.  Both
+    triangle laws are certified.
     """
     if f.target != g.target:
         raise ValueError("copairing needs a common codomain")
@@ -529,13 +399,17 @@ def copair(f, g, *, tensor=None):
         tensor = coproduct(f.source, g.source)
     elif tensor.left != f.source or tensor.right != g.source:
         raise ValueError("the given tensor does not match the cocone")
-    nm = tensor.carrier.nm
+    grid = tensor.grid
+    per_bit = [
+        codomain.meet[f.mapping[p]][g.mapping[q]]
+        for p in grid.irr_left
+        for q in grid.irr_right
+    ]
     mapping = []
-    for m in tensor.masks:
+    for r in tensor.reduced:
         acc = codomain.bottom
-        for p in iter_bits(m):
-            i, j = divmod(p, nm)
-            acc = codomain.join[acc][codomain.meet[f.mapping[i]][g.mapping[j]]]
+        for p in iter_bits(r):
+            acc = codomain.join[acc][per_bit[p]]
         mapping.append(acc)
     out = FrameHom(tensor, codomain, mapping)
     for x in range(f.source.n):
@@ -544,28 +418,6 @@ def copair(f, g, *, tensor=None):
     for y in range(g.source.n):
         if out.mapping[tensor.iota2_map[y]] != g.mapping[y]:
             raise VerificationError("copair does not restrict to g on the right leg")
-    return out
-
-
-def _cover_lists(frame):
-    """Per element, the indices covering it.
-
-    The covers of u are its strict up-set less everything strictly above a
-    member of it.  Members are taken lowest index first, and a member
-    already found above one taken before is skipped, so on an order whose
-    indices extend it linearly only the covers are taken.
-    """
-    up = frame.order.up
-    out = []
-    for u, row in enumerate(up):
-        strict = row ^ (1 << u)
-        rest = strict
-        above = 0
-        while rest:
-            low = rest & -rest
-            above |= up[low.bit_length() - 1] ^ low
-            rest &= ~(above | low)
-        out.append(list(iter_bits(strict & ~above)))
     return out
 
 
@@ -603,7 +455,7 @@ def product_frames(factors):
     order.  By Birkhoff's representation each tuple is the set of
     join-irreducibles below its components: factor k contributes its
     `irreducibles_below` mask, shifted past the elements of the factors
-    before it.  `_family_lattice` builds the frame on those masks.  Inclusion
+    before it.  `frames.family_lattice` builds the frame on those masks.  Inclusion
     of such sets is the componentwise order in any finite lattice, and
     intersection is the componentwise meet; union is the componentwise join
     exactly when every factor is distributive, so the kernel's closure check
@@ -627,7 +479,7 @@ def product_frames(factors):
         below = [m << shift for m in f.irreducibles_below]
         masks = [a | b for a in masks for b in below]
         shift += f.n
-    _, lattice = _family_lattice(labels, masks)
+    _, lattice = family_lattice(labels, masks)
     return ProductFrame(*lattice, factors=factors, tuples=tuples)
 
 
@@ -643,10 +495,9 @@ def distribute_iso(left, m1, m2):
     """L tensor (M1 x M2) against (L tensor M1) x (L tensor M2).
 
     The forward map pairs the two projection actions (id tensor p_k); it is
-    certified to be a bijection that preserves and reflects the order, by a
-    sweep of the covering pairs on both sides, and an order isomorphism of
-    finite lattices is automatically a frame isomorphism.  NotIsoError
-    otherwise.
+    certified to be an order isomorphism by `order.is_isomorphism`, and an
+    order isomorphism of finite lattices is automatically a frame
+    isomorphism.  NotIsoError otherwise.
     """
     prod = product_frames([m1, m2])
     source = coproduct(left, prod)
@@ -657,26 +508,11 @@ def distribute_iso(left, m1, m2):
     c2 = _tensor_action(source, t2, prod.projection(1))
     tindex = target.tuple_index
     fwd = [tindex[(u, v)] for u, v in zip(c1, c2)]
-    if source.n != target.n or len(set(fwd)) != target.n:
-        raise NotIsoError("the distribution map is not a bijection")
+    if not is_isomorphism(source.order.up, target.order.up, fwd):
+        raise NotIsoError("the distribution map is not an order isomorphism")
     inv = [0] * target.n
     for k, v in enumerate(fwd):
         inv[v] = k
-    for k, covers in enumerate(_cover_lists(source)):
-        for t in covers:
-            if not (t1.leq_idx(c1[k], c1[t]) and t2.leq_idx(c2[k], c2[t])):
-                raise NotIsoError("the distribution map does not preserve the order")
-    cov1 = _cover_lists(t1)
-    cov2 = _cover_lists(t2)
-    sup = source.order.up
-    for (u, v), k in tindex.items():
-        src = inv[k]
-        for u2 in cov1[u]:
-            if not sup[src] >> inv[tindex[(u2, v)]] & 1:
-                raise NotIsoError("the distribution map does not reflect the order")
-        for v2 in cov2[v]:
-            if not sup[src] >> inv[tindex[(u, v2)]] & 1:
-                raise NotIsoError("the distribution map does not reflect the order")
     forward = FrameHom(source, target, fwd, validate=False)
     inverse = FrameHom(target, source, inv, validate=False)
     return DistributeIso(forward, inverse)
@@ -706,10 +542,13 @@ def pushout_loc(f_left, g_left):
     """Pushout in the localic direction of the span given by two frame homs.
 
     f_left : B -> A and g_left : C -> A present localic maps A -> B and
-    A -> C.  The apex is the pullback of the two homs, verified to be a
-    frame under the componentwise operations; the legs come from the join
-    formula over agreeing pairs and are cross-checked against the generic
-    right adjoint of each projection.
+    A -> C.  The apex is the pullback of the two homs: the agreeing pairs
+    (b, c), which the homs make closed under componentwise joins and meets.
+    As in `product_frames`, a pair is the set of join-irreducibles below b
+    and below c side by side, so `frames.family_lattice` builds the apex
+    with the componentwise order and operations.  The legs come from the
+    join formula over agreeing pairs and are cross-checked against the
+    generic right adjoint of each projection.
     """
     if f_left.target != g_left.target:
         raise ValueError("the span needs a common codomain frame")
@@ -724,26 +563,10 @@ def pushout_loc(f_left, g_left):
     labels = tuple(
         f"({b_frame.labels[b]},{c_frame.labels[c]})" for b, c in pairs
     )
-    rows = []
-    for b, c in pairs:
-        row = 0
-        for t, (b2, c2) in enumerate(pairs):
-            if b_frame.leq_idx(b, b2) and c_frame.leq_idx(c, c2):
-                row |= 1 << t
-        rows.append(row)
-    try:
-        apex = frame_from_poset(FinitePoset(labels, rows, validate=False))
-    except (NotLatticeError, NotDistributiveError) as exc:
-        raise NotFrameError(f"the agreement pairs do not form a frame: {exc}") from exc
-    index = {p: k for k, p in enumerate(pairs)}
-    for k, (b, c) in enumerate(pairs):
-        for t, (b2, c2) in enumerate(pairs):
-            componentwise = (b_frame.meet[b][b2], c_frame.meet[c][c2])
-            if index.get(componentwise) != apex.meet[k][t]:
-                raise NotFrameError("meets are not componentwise on the apex")
-            componentwise = (b_frame.join[b][b2], c_frame.join[c][c2])
-            if index.get(componentwise) != apex.join[k][t]:
-                raise NotFrameError("joins are not componentwise on the apex")
+    below_b = b_frame.irreducibles_below
+    below_c = c_frame.irreducibles_below
+    masks = [below_b[b] | below_c[c] << b_frame.n for b, c in pairs]
+    apex = FiniteFrame(*family_lattice(labels, masks)[1])
     proj_b = FrameHom(apex, b_frame, [b for b, _ in pairs])
     proj_c = FrameHom(apex, c_frame, [c for _, c in pairs])
     leg_b = right_adjoint(proj_b)

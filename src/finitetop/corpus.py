@@ -42,7 +42,7 @@ def all_posets(max_n):
         top = 1 << (n - 1)
         grown = []
         for rows in layers[n - 1]:
-            for d in _poset_from_rows(rows).downsets().masks:
+            for d in _poset_from_rows(rows).downsets():
                 grown.append(
                     tuple(r | top if d >> i & 1 else r for i, r in enumerate(rows)) + (top,)
                 )

@@ -49,10 +49,6 @@ class NotIsoError(FinitetopError):
     """A comparison map expected to be an isomorphism is not one."""
 
 
-class NotFrameError(FinitetopError):
-    """A constructed order is not a frame."""
-
-
 class CarrierMismatchError(FinitetopError):
     """Two structures expected to share a carrier do not."""
 

@@ -2,21 +2,30 @@
 
 A finite frame is a finite distributive lattice; binary meets and joins are
 precomputed index tables so that everything downstream is table lookups and
-mask folds.  Validation is eager: `frame_from_poset` rejects non-lattices
-and non-distributive lattices with witnesses.  Building the tables costs
-O(n^2) bit-row operations: a join is the index whose up row equals the
-intersection of two up rows, and a meet likewise with down rows.
-Distributivity of an order-built lattice is decided by Birkhoff's
-join-primality test in O(n^2); only when that test fails does the literal
-triple sweep `distributivity_witness` run, to name the witness.  Frames
-built from set families (`colimits.coproduct` and `product_frames`) take
-their tables from unions and intersections, which distribute, and are not
-swept.
+mask folds.  There are two builders.
+
+`family_lattice` is the one builder of a frame of sets: a family closed
+under union and intersection, ordered by inclusion, with unions and
+intersections as its tables.  Those distribute, so nothing is swept.  It
+builds `spatial.omega` on opens, `downset_frame` on downsets, and
+`colimits.coproduct`, `product_frames` and `pushout_loc` on the Birkhoff
+masks of their elements, the join-irreducibles below each.  Above
+`EAGER_TABLE_LIMIT` members its tables are computed per lookup, and a
+missing union or intersection raises VerificationError when it is looked up.
+
+`frame_from_poset` builds a frame given only as an order: a parsed frame,
+the corpus and `chain_frame`.  It rejects non-lattices and non-distributive
+lattices with witnesses.  Building the tables costs O(n^2) bit-row
+operations: a join is the index whose up row equals the intersection of
+two up rows, and a meet likewise with down rows.  Distributivity is decided
+by Birkhoff's join-primality test in O(n^2); only when that test fails
+does the literal triple sweep `distributivity_witness` run, to name the
+witness.
 """
 
 from __future__ import annotations
 
-from functools import cached_property
+from functools import cached_property, reduce
 from operator import itemgetter
 
 from .bits import iter_bits, popcount
@@ -28,8 +37,10 @@ from .errors import (
     NotPrenucleusError,
     VerificationError,
 )
-from .order import fill, is_isomorphism, isomorphisms
-from .poset import validate_poset
+from .order import fill, inclusion_rows, is_isomorphism, isomorphisms
+from .poset import FinitePoset, downset_label, validate_poset
+
+EAGER_TABLE_LIMIT = 600
 
 
 class FiniteFrame:
@@ -216,9 +227,91 @@ def distributivity_witness(frame):
     return None
 
 
+class _LazyRow:
+    __slots__ = ("table", "i", "base")
+
+    def __init__(self, table, i):
+        self.table = table
+        self.i = i
+        self.base = table.masks[i]
+
+    def __getitem__(self, j):
+        table = self.table
+        try:
+            return table.index[table.op(self.base, table.masks[j])]
+        except KeyError:
+            raise _misses(table.labels, table.what, self.i, j) from None
+
+
+class _LazyTable:
+    """Row-indexable union or intersection table, computed per lookup.
+
+    Stands in for the eager tuple tables above EAGER_TABLE_LIMIT, where a
+    quadratic table would dominate both memory and construction time.  A
+    lookup whose union or intersection is not in the family raises
+    VerificationError, as the eager build does.
+    """
+
+    __slots__ = ("labels", "masks", "index", "op", "what")
+
+    def __init__(self, labels, masks, index, op, what):
+        self.labels = labels
+        self.masks = masks
+        self.index = index
+        self.op = op
+        self.what = what
+
+    def __getitem__(self, i):
+        return _LazyRow(self, i)
+
+
+def family_lattice(labels, masks):
+    """The lattice of a family of sets closed under union and intersection.
+
+    This is the one builder of a frame of sets: `spatial.omega` passes
+    opens, `downset_frame` downsets, and `colimits.coproduct`,
+    `product_frames` and `pushout_loc` the Birkhoff masks of their
+    elements.  Returns the family's index, mask to position, and the
+    (order, join, meet, bottom, top) of a FiniteFrame on it.  The order is
+    inclusion (`order.inclusion_rows`); join and meet are the positions of
+    a | b and a & b, gathered a row at a time with `map` up to
+    EAGER_TABLE_LIMIT members, and `_LazyTable`s above it.  A missing union
+    or intersection raises VerificationError, at build time when eager and
+    at lookup when lazy.  Bottom and top are the AND and the OR of the
+    family.  Unions and intersections of sets distribute over each other,
+    so the tables need no distributivity sweep.
+    """
+    index = {m: k for k, m in enumerate(masks)}
+    if len(masks) <= EAGER_TABLE_LIMIT:
+        join = tuple(tuple(map(index.get, map(a.__or__, masks))) for a in masks)
+        meet = tuple(tuple(map(index.get, map(a.__and__, masks))) for a in masks)
+        for table, what in ((join, "union"), (meet, "intersection")):
+            for a, row in enumerate(table):
+                if None in row:
+                    raise _misses(labels, what, a, row.index(None))
+    else:
+        join = _LazyTable(labels, masks, index, int.__or__, "union")
+        meet = _LazyTable(labels, masks, index, int.__and__, "intersection")
+    top = index.get(reduce(int.__or__, masks, 0))
+    bottom = index.get(reduce(int.__and__, masks, ~0))
+    if bottom is None or top is None:
+        raise VerificationError("the family has no least or no greatest member")
+    order = FinitePoset(labels, inclusion_rows(masks), validate=False)
+    return index, (order, join, meet, bottom, top)
+
+
+def _misses(labels, what, a, b):
+    return VerificationError(f"the family misses the {what} of {labels[a]!r} and {labels[b]!r}")
+
+
 def downset_frame(poset):
-    """All downsets of a poset as a frame ordered by inclusion; the free frame on the poset."""
-    return frame_from_poset(poset.downsets().poset, check_distributive=False)
+    """All downsets of a poset as a frame ordered by inclusion; the free frame on the poset.
+
+    Elements are the downsets sorted by label, as a parsed frame's are.
+    """
+    pairs = sorted((downset_label(poset, m), m) for m in poset.downsets())
+    labels, masks = zip(*pairs)
+    return FiniteFrame(*family_lattice(labels, masks)[1])
 
 
 class FrameHom:

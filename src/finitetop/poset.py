@@ -13,7 +13,9 @@ spaces, pseudotopologies (on their carriers) and cell attachment all glue
 their spans with it.  Element labels are opaque strings; constructors that
 parse labelled input sort them once, and everything downstream works with
 positional indices, so enumeration is reproducible.  Subsets of the
-carrier are plain ints over the same bit positions.
+carrier are plain ints over the same bit positions.  `downsets` lists a
+poset's downsets as masks; `frames.downset_frame` hands them, sorted by
+`downset_label`, to the set-family kernel `frames.family_lattice`.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ from .errors import (
     TopologyError,
     VerificationError,
 )
-from .order import glue_span, inclusion_rows, maps, sort_labels, transitive_closure, transpose, upsets
+from .order import glue_span, maps, sort_labels, transitive_closure, transpose, upsets
 
 DOWNSET_CAP = 1 << 20
 
@@ -119,14 +121,14 @@ class FinitePoset(Preorder):
         return tuple(order)
 
     def downsets(self, cap=DOWNSET_CAP):
-        """All downsets, the up-sets of the dual rows, ordered by (size, mask).
+        """All downsets as masks, the up-sets of the dual rows, ordered by (size, mask).
 
         SizeError beyond `cap`.
         """
         masks = upsets(self.down, cap)
         if len(masks) > cap:
             raise SizeError(f"more than {cap} downsets on {self.n} elements")
-        return DownsetFamily(self, masks)
+        return masks
 
 
 def validate_poset(elements, relation):
@@ -155,33 +157,6 @@ def validate_poset(elements, relation):
                     f"cycle through {labels[i]!r} and {labels[j]!r}"
                 )
     return FinitePoset(labels, rows, validate=False)
-
-
-class DownsetFamily:
-    """All downsets of a poset, as canonically ordered bitmasks."""
-
-    def __init__(self, base, masks):
-        self.base = base
-        self.masks = masks
-        self._pos = {m: k for k, m in enumerate(masks)}
-
-    def __len__(self):
-        return len(self.masks)
-
-    def __iter__(self):
-        return iter(self.masks)
-
-    def __contains__(self, mask):
-        return mask in self._pos
-
-    def position(self, mask):
-        return self._pos[mask]
-
-    @cached_property
-    def poset(self):
-        """The family ordered by inclusion, labelled by member sets."""
-        labels = [downset_label(self.base, m) for m in self.masks]
-        return FinitePoset(*sort_labels(labels, inclusion_rows(self.masks)), validate=False)
 
 
 def downset_label(poset, mask):

@@ -1,5 +1,8 @@
 """The open-sets / points correspondence for finite spaces and frames.
 
+`omega` hands the opens of a space, which are its up-sets, to the
+set-family kernel `frames.family_lattice`.
+
 Points of a frame are its homs into the two-element frame.  On a finite
 lattice the preimage of top under such a hom is a principal prime filter,
 so the candidates are indexed by their least member, a join-irreducible,
@@ -11,9 +14,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import HypothesisError, NotHomError, VerificationError
-from .frames import FiniteFrame, FrameHom, frame_from_poset, iter_frame_homs, two
-from .order import inclusion_rows
-from .poset import FinitePoset, iter_monotone_maps
+from .frames import FiniteFrame, FrameHom, family_lattice, iter_frame_homs, two
+from .poset import iter_monotone_maps
 from .spaces import FiniteSpace, is_sober
 
 
@@ -27,12 +29,14 @@ class LocalePoint:
 
 
 def omega(space):
-    """The topology of a space as a frame ordered by inclusion."""
+    """The topology of a space as a frame ordered by inclusion.
+
+    `frames.family_lattice` builds it on the opens, which are closed under
+    union and intersection.
+    """
     opens = space.opens
     labels = ["{" + ",".join(space.label_set(m)) + "}" for m in opens]
-    return frame_from_poset(
-        FinitePoset(labels, inclusion_rows(opens), validate=False), check_distributive=False
-    )
+    return FiniteFrame(*family_lattice(labels, opens)[1])
 
 
 def locale_points(frame):

@@ -10,11 +10,8 @@ from hypothesis import strategies as st
 from finitetop import colimits
 from finitetop.bits import iter_bits
 from finitetop.colimits import (
-    EAGER_TABLE_LIMIT,
     JOIN_CLOSURE_MEMO_SIZE,
     TensorCarrier,
-    _family_lattice,
-    _LazyTable,
     _tensor_action,
     copair,
     coproduct,
@@ -24,19 +21,24 @@ from finitetop.colimits import (
     pushout_loc,
     pushout_mediator,
 )
-from finitetop.corpus import all_frames, frame_corpus
-from finitetop.errors import VerificationError
+from finitetop.corpus import all_frames, frame_corpus, frames_upto
+from finitetop.errors import NotIsoError, VerificationError
 from finitetop.frames import (
+    EAGER_TABLE_LIMIT,
     FiniteFrame,
     FrameHom,
+    _LazyTable,
     chain_frame,
+    family_lattice,
     frame_from_poset,
     frame_isomorphism,
     iter_frame_homs,
     two,
 )
 from finitetop.poset import FinitePoset
-from finitetop.suites import SuiteOptions, run_group
+from finitetop.spaces import FiniteSpace
+from finitetop.spatial import omega
+from finitetop.suites import SuiteOptions, run_group, run_suite
 
 from conftest import diamond_m3, garbage_after, grid_poset
 
@@ -107,6 +109,61 @@ def test_injections_are_certified_homs():
     assert t.iota1.mapping[c3.bottom] == t.bottom
 
 
+def _injection_masks(left, right):
+    """The full and reduced masks of every x (x) top and top (x) y, written out.
+
+    The left injection's image of x holds every pair (k, j) with k <= x and
+    the right one's of y every pair (i, k) with k <= y; both add the least
+    element, the pairs with a bottom coordinate.  The reduced masks hold
+    the irreducible pairs (a, b) with irr_left[a] <= x, or irr_right[b] <= y.
+    """
+    nl, nm = left.n, right.n
+    nbar = 0
+    for i in range(nl):
+        for j in range(nm):
+            if i == left.bottom or j == right.bottom:
+                nbar |= 1 << (i * nm + j)
+    irr_l, irr_r = left.irreducibles, right.irreducibles
+    w = len(irr_r)
+    iota1 = []
+    for x in range(nl):
+        full = nbar
+        reduced = 0
+        for i in range(nl):
+            if left.leq_idx(i, x):
+                for j in range(nm):
+                    full |= 1 << (i * nm + j)
+        for a, p in enumerate(irr_l):
+            if left.leq_idx(p, x):
+                for b in range(w):
+                    reduced |= 1 << (a * w + b)
+        iota1.append((full, reduced))
+    iota2 = []
+    for y in range(nm):
+        full = nbar
+        reduced = 0
+        for i in range(nl):
+            for j in range(nm):
+                if right.leq_idx(j, y):
+                    full |= 1 << (i * nm + j)
+        for a in range(len(irr_l)):
+            for b, q in enumerate(irr_r):
+                if right.leq_idx(q, y):
+                    reduced |= 1 << (a * w + b)
+        iota2.append((full, reduced))
+    return iota1, iota2
+
+
+def test_injections_match_the_written_out_masks():
+    """iota1_map and iota2_map land on the elements the old mask formulas named."""
+    pool = [f for f in frame_corpus() if f.n <= 4] + [chain_frame(1)]
+    for left, right in itertools.product(pool, repeat=2):
+        t = coproduct(left, right)
+        iota1, iota2 = _injection_masks(left, right)
+        assert [(t.masks[k], t.reduced[k]) for k in t.iota1_map] == iota1
+        assert [(t.masks[k], t.reduced[k]) for k in t.iota2_map] == iota2
+
+
 def test_a_dropped_coproduct_leaves_no_cyclic_garbage():
     """The tensor holds its injections as mappings, so nothing points back at it."""
     c3 = chain_frame(3)
@@ -134,7 +191,7 @@ def _product_poset(left, right):
 
 
 def _product_downsets(left, right):
-    return _product_poset(left.order, right.order).downsets().masks
+    return _product_poset(left.order, right.order).downsets()
 
 
 def test_sigma0_is_identity_on_finite_downsets():
@@ -234,6 +291,33 @@ def test_copair_is_the_unique_mediator():
             assert matches == [h.mapping]
 
 
+def _full_mask_copair(f, g, tensor):
+    """The join of f(i) meet g(j) over every pair (i, j) of each element's full mask."""
+    codomain = f.target
+    mapping = []
+    for m in tensor.masks:
+        acc = codomain.bottom
+        for p in iter_bits(m):
+            i, j = divmod(p, tensor.right.n)
+            acc = codomain.join[acc][codomain.meet[f.mapping[i]][g.mapping[j]]]
+        mapping.append(acc)
+    return tuple(mapping)
+
+
+def test_copair_matches_the_full_mask_join_on_corpus_cocones():
+    """Joining over the irreducible pairs gives the join over every member pair."""
+    pool = [f for f in frame_corpus() if f.n <= 4]
+    cocones = 0
+    for left, right in itertools.product(pool, repeat=2):
+        t = coproduct(left, right)
+        for codomain in pool:
+            for f in iter_frame_homs(left, codomain):
+                for g in iter_frame_homs(right, codomain):
+                    assert copair(f, g, tensor=t).mapping == _full_mask_copair(f, g, t)
+                    cocones += 1
+    assert cocones > 100
+
+
 def test_copair_needs_a_common_codomain():
     c3 = chain_frame(3)
     f = FrameHom(c3, c3, (0, 1, 2))
@@ -290,6 +374,28 @@ def test_product_pair_is_the_unique_mediator():
             assert matches == [h.mapping]
 
 
+def test_a_non_monotone_distribution_map_is_refused(monkeypatch):
+    """A killing mutant for ProductDistributeLocale.
+
+    Swapping the images of bottom and top in every tensor action keeps the
+    distribution map a bijection but not an order isomorphism.
+    """
+    action = colimits._tensor_action
+
+    def swapped(source, target, hom):
+        mapping = action(source, target, hom)
+        b, t = source.bottom, source.top
+        mapping[b], mapping[t] = mapping[t], mapping[b]
+        return mapping
+
+    monkeypatch.setattr(colimits, "_tensor_action", swapped)
+    with pytest.raises(NotIsoError, match="not an order isomorphism"):
+        distribute_iso(chain_frame(3), two(), chain_frame(3))
+    report = run_suite("ProductDistributeLocale", SuiteOptions(max_frame_size=2))
+    assert not report.ok
+    assert report.failures
+
+
 def test_distribute_iso_small_triple():
     ds = distribute_iso(chain_frame(3), two(), chain_frame(3))
     src = ds.forward.source
@@ -334,6 +440,56 @@ def test_pushout_preserves_localic_injections():
                         assert len(set(result.proj_c.mapping)) == result.proj_c.target.n
                         cases += 1
     assert cases > 20
+
+
+def _componentwise_apex(result):
+    """The apex order and tables of the agreement pairs, one pair at a time.
+
+    The componentwise order as rows, the frame `frame_from_poset` builds on
+    it, and the componentwise meet and join of every two pairs, looked up.
+    """
+    b_frame = result.span_left.source
+    c_frame = result.span_right.source
+    pairs = result.pairs
+    rows = []
+    for b, c in pairs:
+        row = 0
+        for t, (b2, c2) in enumerate(pairs):
+            if b_frame.leq_idx(b, b2) and c_frame.leq_idx(c, c2):
+                row |= 1 << t
+        rows.append(row)
+    labels = [f"({b_frame.labels[b]},{c_frame.labels[c]})" for b, c in pairs]
+    frame = frame_from_poset(FinitePoset(labels, rows, validate=False))
+    index = {p: k for k, p in enumerate(pairs)}
+    meet = tuple(
+        tuple(index[(b_frame.meet[b][b2], c_frame.meet[c][c2])] for b2, c2 in pairs)
+        for b, c in pairs
+    )
+    join = tuple(
+        tuple(index[(b_frame.join[b][b2], c_frame.join[c][c2])] for b2, c2 in pairs)
+        for b, c in pairs
+    )
+    return frame, meet, join
+
+
+def test_pushout_apex_matches_the_componentwise_build():
+    """Every span of frames_upto(4): the set-family apex is the componentwise one."""
+    pool = frames_upto(4)
+    spans = 0
+    for a in pool:
+        for b in pool:
+            for c in pool:
+                for f in iter_frame_homs(b, a):
+                    for g in iter_frame_homs(c, a):
+                        result = pushout_loc(f, g)
+                        frame, meet, join = _componentwise_apex(result)
+                        apex = result.apex
+                        assert apex.order == frame.order
+                        assert (apex.join, apex.meet) == (frame.join, frame.meet)
+                        assert (apex.join, apex.meet) == (join, meet)
+                        assert (apex.bottom, apex.top) == (frame.bottom, frame.top)
+                        spans += 1
+    assert spans > 100
 
 
 def test_pushout_mediator_triangles_and_uniqueness():
@@ -408,17 +564,20 @@ def test_product_tables_match_the_literal_tuple_build(factors):
     assert p.meet == meet
 
 
-@functools.lru_cache(maxsize=2)
+@functools.lru_cache(maxsize=3)
 def _lazy_frame_and_eager_oracle(kind):
     if kind == "product":
         frame = product_frames([chain_frame(25), chain_frame(25)])
-    else:
+    elif kind == "tensor":
         frame = coproduct(chain_frame(6), chain_frame(8))
+    else:
+        # the discrete 10-point space: 1,024 opens
+        frame = omega(FiniteSpace([f"x{i}" for i in range(10)], [1 << i for i in range(10)]))
     return frame, frame_from_poset(frame.order, check_distributive=False)
 
 
 @settings(max_examples=40, deadline=None)
-@given(st.sampled_from(["product", "tensor"]), st.data())
+@given(st.sampled_from(["product", "tensor", "omega"]), st.data())
 def test_lazy_tables_match_an_eager_build(kind, data):
     frame, eager = _lazy_frame_and_eager_oracle(kind)
     assert frame.n > EAGER_TABLE_LIMIT
@@ -434,7 +593,7 @@ def _labels(masks):
 
 def test_the_family_kernel_builds_a_powerset():
     masks = (0b00, 0b01, 0b10, 0b11)
-    index, (order, join, meet, bottom, top) = _family_lattice(_labels(masks), masks)
+    index, (order, join, meet, bottom, top) = family_lattice(_labels(masks), masks)
     assert index == {m: k for k, m in enumerate(masks)}
     assert order.up == (0b1111, 0b1010, 0b1100, 0b1000)
     assert join[1][2] == 3 and meet[1][2] == 0
@@ -452,14 +611,27 @@ def test_the_family_kernel_builds_a_powerset():
 )
 def test_the_family_kernel_refuses_a_family_that_is_not_a_lattice_of_sets(masks, message):
     with pytest.raises(VerificationError, match=f"^{message}$"):
-        _family_lattice(_labels(masks), masks)
+        family_lattice(_labels(masks), masks)
 
 
 def test_the_lazy_family_kernel_refuses_a_family_with_no_least_member():
     """Above EAGER_TABLE_LIMIT no table is built, but the bounds are still looked up."""
     masks = tuple(1 << k for k in range(EAGER_TABLE_LIMIT + 1))
     with pytest.raises(VerificationError, match="no least or no greatest member"):
-        _family_lattice(_labels(masks), masks)
+        family_lattice(_labels(masks), masks)
+
+
+def test_a_lazy_lookup_of_a_missing_union_is_refused():
+    """Above EAGER_TABLE_LIMIT a missing union is found when it is looked up."""
+    singletons = tuple(1 << k for k in range(EAGER_TABLE_LIMIT - 1))
+    masks = (0,) + singletons + ((1 << len(singletons)) - 1,)
+    assert len(masks) == EAGER_TABLE_LIMIT + 1
+    _, (order, join, meet, bottom, top) = family_lattice(_labels(masks), masks)
+    assert isinstance(join, _LazyTable)
+    assert (bottom, top) == (0, len(masks) - 1)
+    assert join[0][1] == 1 and meet[1][2] == 0 and join[1][top] == top
+    with pytest.raises(VerificationError, match="^the family misses the union of 'm1' and 'm2'$"):
+        join[1][2]
 
 
 def test_a_product_with_a_non_distributive_factor_is_refused():

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from finitetop.bits import iter_bits
 from finitetop.colimits import coproduct, product_frames
-from finitetop.corpus import all_frames, all_posets, frame_corpus, frames_upto
+from finitetop.corpus import all_frames, all_posets, all_spaces, frame_corpus, frames_upto
 from finitetop.errors import (
     CarrierMismatchError,
     NotDistributiveError,
@@ -35,7 +35,8 @@ from finitetop.frames import (
     right_adjoint,
     two,
 )
-from finitetop.poset import FinitePoset, validate_poset
+from finitetop.order import inclusion_rows, sort_labels
+from finitetop.poset import FinitePoset, downset_label, validate_poset
 from finitetop.spaces import space_from_preorder
 from finitetop.spatial import omega
 
@@ -275,6 +276,29 @@ def test_downset_frame_of_antichain_is_powerset():
     b4 = frame_from_poset(grid_poset())
     free = downset_frame(antichain_poset(2))
     assert frame_isomorphism(free, b4) is not None
+
+
+def _same_frame(frame, oracle):
+    assert frame.order == oracle.order
+    assert (frame.join, frame.meet) == (oracle.join, oracle.meet)
+    assert (frame.bottom, frame.top) == (oracle.bottom, oracle.top)
+
+
+def test_set_family_frames_match_their_inclusion_orders():
+    """downset_frame and omega equal frame_from_poset on the inclusion order of the same sets.
+
+    The downsets are labelled by their members and sorted by label, the
+    opens kept in the space's order.
+    """
+    for p in all_posets(4):
+        masks = p.downsets()
+        labels = [downset_label(p, m) for m in masks]
+        order = FinitePoset(*sort_labels(labels, inclusion_rows(masks)), validate=False)
+        _same_frame(downset_frame(p), frame_from_poset(order))
+    for space in all_spaces(3):
+        labels = ["{" + ",".join(space.label_set(m)) + "}" for m in space.opens]
+        order = FinitePoset(labels, inclusion_rows(space.opens), validate=False)
+        _same_frame(omega(space), frame_from_poset(order))
 
 
 @settings(max_examples=80, deadline=None)

@@ -129,6 +129,41 @@ def test_every_top_level_name_has_a_package_caller():
     assert _unreached(definitions, ast.Name) == []
 
 
+def _unused_imports(tree):
+    """(name, line) of every top-level import binding that the module never names.
+
+    `from __future__` imports bind no name.  `import a.b` binds `a`.
+    """
+    bound = []
+    for node in tree.body:
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                bound.append(((alias.asname or alias.name).split(".")[0], node.lineno))
+    named = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    return [(name, line) for name, line in bound if name not in named]
+
+
+def test_the_unused_import_guard_finds_a_dead_import():
+    source = (
+        "from __future__ import annotations\n"
+        "import os.path\nimport sys as system\nfrom json import dumps, loads\n"
+        "def f():\n    return loads(os.path.sep)\n"
+    )
+    assert _unused_imports(ast.parse(source)) == [("system", 3), ("dumps", 4)]
+
+
+def test_every_import_is_used():
+    """Every name a package module imports at top level is referenced in it."""
+    found = [
+        f"{module}:{line} {name}"
+        for module, tree in _package_trees()
+        for name, line in _unused_imports(tree)
+    ]
+    assert found == []
+
+
 def test_the_package_init_imports_nothing():
     """Names are imported from their defining module, never re-exported."""
     path = Path(finitetop.__file__)

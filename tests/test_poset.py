@@ -63,11 +63,11 @@ def _downsets_brute(p):
 
 def test_downsets_match_brute_force():
     for p in all_posets(4):
-        assert list(p.downsets().masks) == _downsets_brute(p)
+        assert list(p.downsets()) == _downsets_brute(p)
 
 
 def test_downsets_canonical_order():
-    masks = grid_poset().downsets().masks
+    masks = grid_poset().downsets()
     assert list(masks) == sorted(masks, key=lambda m: (popcount(m), m))
     assert masks[0] == 0
     assert masks[-1] == grid_poset().full
@@ -238,8 +238,8 @@ def _downsets_by_linear_extension(p):
 
 def test_downsets_match_the_linear_extension_recursion():
     for p in all_posets(5):
-        masks = p.downsets().masks
+        masks = p.downsets()
         assert list(masks) == _downsets_by_linear_extension(p)
-        assert p.downsets(cap=len(masks)).masks == masks
+        assert p.downsets(cap=len(masks)) == masks
         with pytest.raises(SizeError, match=f"more than {len(masks) - 1} downsets on {p.n} elements"):
             p.downsets(cap=len(masks) - 1)

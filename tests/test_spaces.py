@@ -119,7 +119,7 @@ def test_alexandrov_round_trip():
 def test_space_from_preorder_collapses_nothing_on_posets():
     c3 = chain_poset(3)
     space = space_from_preorder(c3.points, c3.up)
-    upsets = FiniteSpace.from_opens(c3.points, [c3.full ^ m for m in c3.downsets().masks])
+    upsets = FiniteSpace.from_opens(c3.points, [c3.full ^ m for m in c3.downsets()])
     assert spaces_homeomorphic(space, upsets) is not None
 
 
