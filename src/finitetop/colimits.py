@@ -14,9 +14,10 @@ kernel `frames.family_lattice`, on a family of sets closed under union and
 intersection.  A coproduct element is its downset of irreducible pairs; by
 Birkhoff's representation a product element, and a pushout's agreeing
 pair, is the disjoint union of the join-irreducibles below its
-components.  The kernel orders the family by inclusion and reads joins and
-meets as unions and intersections through the family's index, so the
-tables are distributive by construction and no triple sweep runs.  The
+components.  The kernel checks that the family is closed, orders it by
+inclusion and reads joins and meets as unions and intersections through
+the family's index, a row when it is first read, so the tables are
+distributive by construction and no triple sweep runs.  The
 coproduct keeps that index: its injections, `tensor` and the tensor action
 of a hom are lookups of single-pair tensors in it.
 """
@@ -253,6 +254,7 @@ class TensorFrame(FiniteFrame):
         meet,
         bottom,
         top,
+        irreducibles,
         *,
         left,
         right,
@@ -262,7 +264,7 @@ class TensorFrame(FiniteFrame):
         reduced,
         index,
     ):
-        super().__init__(order, join, meet, bottom, top)
+        super().__init__(order, join, meet, bottom, top, irreducibles)
         self.left = left
         self.right = right
         self.carrier = carrier
@@ -314,7 +316,7 @@ def coproduct(left, right):
     n = len(reduced)
     width = max(4, len(str(n - 1)))
     labels = tuple(f"t{k:0{width}d}" for k in range(n))
-    index, (order, join, meet, bottom, top) = family_lattice(labels, reduced)
+    index, (order, join, meet, bottom, top, irreducibles) = family_lattice(labels, reduced)
     nm = right.n
     rt = grid.rt
     masks = []
@@ -350,6 +352,7 @@ def coproduct(left, right):
         meet,
         bottom,
         top,
+        irreducibles,
         left=left,
         right=right,
         carrier=carrier,
@@ -424,8 +427,8 @@ def copair(f, g, *, tensor=None):
 class ProductFrame(FiniteFrame):
     """A finite product of frames with the pointwise order."""
 
-    def __init__(self, order, join, meet, bottom, top, *, factors, tuples):
-        super().__init__(order, join, meet, bottom, top)
+    def __init__(self, order, join, meet, bottom, top, irreducibles, *, factors, tuples):
+        super().__init__(order, join, meet, bottom, top, irreducibles)
         self.factors = factors
         self.tuples = tuples
         self.tuple_index = {t: k for k, t in enumerate(tuples)}
@@ -459,8 +462,7 @@ def product_frames(factors):
     of such sets is the componentwise order in any finite lattice, and
     intersection is the componentwise meet; union is the componentwise join
     exactly when every factor is distributive, so the kernel's closure check
-    refuses, with VerificationError, a factor that is not, at every size up
-    to EAGER_TABLE_LIMIT.
+    refuses, with VerificationError, a factor that is not, at every size.
     """
     factors = tuple(factors)
     count = 1

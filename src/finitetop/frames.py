@@ -9,9 +9,14 @@ under union and intersection, ordered by inclusion, with unions and
 intersections as its tables.  Those distribute, so nothing is swept.  It
 builds `spatial.omega` on opens, `downset_frame` on downsets, and
 `colimits.coproduct`, `product_frames` and `pushout_loc` on the Birkhoff
-masks of their elements, the join-irreducibles below each.  Above
-`EAGER_TABLE_LIMIT` members its tables are computed per lookup, and a
-missing union or intersection raises VerificationError when it is looked up.
+masks of their elements, the join-irreducibles below each.  It checks
+closure at build, at every size, on the generators of each point (the
+least member holding it and the greatest avoiding it), so no table is
+built to check it; a missing union or intersection raises
+VerificationError.  A table row is gathered when it is first read, and
+kept up to `EAGER_TABLE_LIMIT` members; above it every lookup is computed.
+The join-irreducibles are read off the family, the least members holding
+each point, so they cost no table either.
 
 `frame_from_poset` builds a frame given only as an order: a parsed frame,
 the corpus and `chain_frame`.  It rejects non-lattices and non-distributive
@@ -37,7 +42,7 @@ from .errors import (
     NotPrenucleusError,
     VerificationError,
 )
-from .order import fill, inclusion_rows, is_isomorphism, isomorphisms
+from .order import fill, holder_columns, inclusion_rows, is_isomorphism, isomorphisms
 from .poset import FinitePoset, downset_label, validate_poset
 
 EAGER_TABLE_LIMIT = 600
@@ -46,12 +51,15 @@ EAGER_TABLE_LIMIT = 600
 class FiniteFrame:
     """A finite distributive lattice with total meet/join tables."""
 
-    def __init__(self, order, join, meet, bottom, top):
+    def __init__(self, order, join, meet, bottom, top, irreducibles=None):
         self.order = order
         self.join = join
         self.meet = meet
         self.bottom = bottom
         self.top = top
+        if irreducibles is not None:
+            # a builder that knows them, `family_lattice`, spares the table walk
+            self.__dict__["irreducibles"] = irreducibles
 
     @property
     def n(self):
@@ -227,6 +235,46 @@ def distributivity_witness(frame):
     return None
 
 
+class _RowTable(dict):
+    """Union or intersection table whose row i is gathered when first read.
+
+    Row i is the positions of `masks[i] | b` (or `&`) over the members b,
+    one `map` gather through the family's index, kept once built; reading
+    a built row again is a plain dict lookup.  Iteration, `len` and `==`
+    are those of the tuple of rows.  The table holds the family, never its
+    frame, so a dropped frame leaves no reference cycle.
+    `family_lattice` has already checked that every entry exists.
+    """
+
+    __slots__ = ("masks", "index", "op")
+
+    def __init__(self, masks, index, op):
+        super().__init__()
+        self.masks = masks
+        self.index = index
+        self.op = op
+
+    def __missing__(self, i):
+        masks = self.masks
+        row = tuple(map(self.index.__getitem__, map(getattr(masks[i], self.op), masks)))
+        self[i] = row
+        return row
+
+    def __iter__(self):
+        return map(self.__getitem__, range(len(self.masks)))
+
+    def __len__(self):
+        return len(self.masks)
+
+    def __eq__(self, other):
+        if isinstance(other, _RowTable):
+            other = tuple(other)
+        return tuple(self) == other
+
+    def __ne__(self, other):
+        return not self == other
+
+
 class _LazyRow:
     __slots__ = ("table", "i", "base")
 
@@ -246,10 +294,11 @@ class _LazyRow:
 class _LazyTable:
     """Row-indexable union or intersection table, computed per lookup.
 
-    Stands in for the eager tuple tables above EAGER_TABLE_LIMIT, where a
-    quadratic table would dominate both memory and construction time.  A
+    Stands in for `_RowTable` above EAGER_TABLE_LIMIT, where keeping the
+    rows that are read would let a quadratic table dominate memory.  A
     lookup whose union or intersection is not in the family raises
-    VerificationError, as the eager build does.
+    VerificationError, though `family_lattice` has already checked that
+    none is missing.
     """
 
     __slots__ = ("labels", "masks", "index", "op", "what")
@@ -265,6 +314,65 @@ class _LazyTable:
         return _LazyRow(self, i)
 
 
+def _point_generators(masks, holders):
+    """The generators d(p) and u(p) of each point p that some member lacks.
+
+    `holders` is `order.holder_columns(masks)`.  d(p) is the AND of the
+    members that hold p and u(p) the OR of the members that avoid p; point
+    q is in d(p) when every holder of p holds q, and in u(p) when some
+    member avoids p and holds q.  So both depend on p only through its
+    holder column, and are computed once per distinct column.  Points held
+    by every member are left out: they have no u(p), and their d(p) is the
+    AND of the whole family.  Returns the lists of d(p) and of u(p).
+    """
+    everyone = (1 << len(masks)) - 1
+    points = {}
+    for q, h in enumerate(holders):
+        if h:
+            points[h] = points.get(h, 0) | 1 << q
+    downs = []
+    ups = []
+    for hp in points:
+        if hp == everyone:
+            continue
+        d = 0
+        u = 0
+        for hq, qs in points.items():
+            if not hp & ~hq:
+                d |= qs
+            if hq & ~hp:
+                u |= qs
+        downs.append(d)
+        ups.append(u)
+    return downs, ups
+
+
+def _is_closed(masks, index, downs, ups):
+    """Whether every `a | d` and every `a & u`, a a member, is a member.
+
+    With `_point_generators`' d(p) and u(p) this decides closure under
+    union and intersection in O(n * points) gathers.  Sound: a member b is
+    the union of d(p) over its points and the intersection of u(p) over the
+    points outside it, so a | b and a & b are reached one generator at a
+    time (the points every member holds change neither).  Complete: in a
+    closed family d(p) and u(p) are members.
+    """
+    has = index.__contains__
+    return all(all(map(has, map(d.__or__, masks))) for d in downs) and all(
+        all(map(has, map(u.__and__, masks))) for u in ups
+    )
+
+
+def _first_miss(labels, masks, index):
+    """VerificationError naming the first missing union, then intersection, in row order."""
+    for op, what in (("__or__", "union"), ("__and__", "intersection")):
+        for a, m in enumerate(masks):
+            row = tuple(map(index.get, map(getattr(m, op), masks)))
+            if None in row:
+                return _misses(labels, what, a, row.index(None))
+    return VerificationError("the closure screen and the row scan disagree")
+
+
 def family_lattice(labels, masks):
     """The lattice of a family of sets closed under union and intersection.
 
@@ -272,23 +380,31 @@ def family_lattice(labels, masks):
     opens, `downset_frame` downsets, and `colimits.coproduct`,
     `product_frames` and `pushout_loc` the Birkhoff masks of their
     elements.  Returns the family's index, mask to position, and the
-    (order, join, meet, bottom, top) of a FiniteFrame on it.  The order is
-    inclusion (`order.inclusion_rows`); join and meet are the positions of
-    a | b and a & b, gathered a row at a time with `map` up to
-    EAGER_TABLE_LIMIT members, and `_LazyTable`s above it.  A missing union
-    or intersection raises VerificationError, at build time when eager and
-    at lookup when lazy.  Bottom and top are the AND and the OR of the
-    family.  Unions and intersections of sets distribute over each other,
-    so the tables need no distributivity sweep.
+    (order, join, meet, bottom, top, irreducibles) of a FiniteFrame on it.
+
+    Closure is checked at build, at every size, without a table:
+    `_is_closed` tries each member against the generators d(p) and u(p) of
+    `_point_generators`.  When that fails, `_first_miss` scans the unions
+    and then the intersections in row order and the first missing one is
+    raised as VerificationError.  The order is inclusion
+    (`order.inclusion_rows`, on the same holder columns).  join and meet
+    are the positions of a | b and a & b: `_RowTable`s, which gather a row
+    when it is first read, up to EAGER_TABLE_LIMIT members, and
+    `_LazyTable`s, which compute each lookup, above it.  Bottom and top are
+    the AND and the OR of the family.  The join-irreducibles are the
+    distinct d(p), the least member holding each point p outside the
+    bottom (Birkhoff), in ascending position, so `FiniteFrame.irreducibles`
+    reads no table.  Unions and intersections of sets distribute over each
+    other, so no distributivity sweep runs.
     """
     index = {m: k for k, m in enumerate(masks)}
+    holders = holder_columns(masks)
+    downs, ups = _point_generators(masks, holders)
+    if not _is_closed(masks, index, downs, ups):
+        raise _first_miss(labels, masks, index)
     if len(masks) <= EAGER_TABLE_LIMIT:
-        join = tuple(tuple(map(index.get, map(a.__or__, masks))) for a in masks)
-        meet = tuple(tuple(map(index.get, map(a.__and__, masks))) for a in masks)
-        for table, what in ((join, "union"), (meet, "intersection")):
-            for a, row in enumerate(table):
-                if None in row:
-                    raise _misses(labels, what, a, row.index(None))
+        join = _RowTable(masks, index, "__or__")
+        meet = _RowTable(masks, index, "__and__")
     else:
         join = _LazyTable(labels, masks, index, int.__or__, "union")
         meet = _LazyTable(labels, masks, index, int.__and__, "intersection")
@@ -296,8 +412,9 @@ def family_lattice(labels, masks):
     bottom = index.get(reduce(int.__and__, masks, ~0))
     if bottom is None or top is None:
         raise VerificationError("the family has no least or no greatest member")
-    order = FinitePoset(labels, inclusion_rows(masks), validate=False)
-    return index, (order, join, meet, bottom, top)
+    irreducibles = tuple(sorted(map(index.__getitem__, downs)))
+    order = FinitePoset(labels, inclusion_rows(masks, holders), validate=False)
+    return index, (order, join, meet, bottom, top, irreducibles)
 
 
 def _misses(labels, what, a, b):

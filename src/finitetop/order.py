@@ -30,7 +30,7 @@ numbers a pushout-product corner's classes without rows and orders them
 with it.  `inclusion_rows` orders a family of sets by inclusion, as the
 opens of a space, the downsets of a poset and the elements of a frame
 coproduct or product are; row a is one AND per point of a, over the
-bit-sliced column of members holding that point.
+bit-sliced column of members holding that point (`holder_columns`).
 
 `isomorphisms` is the one isomorphism search: it yields every isomorphism
 between two relations, or only those keeping given point colours (the
@@ -274,18 +274,29 @@ def glue_span(b_up, c_up, f_map, g_map):
     return quotient_rows(cls, tuple(b_up) + tuple(r << nb for r in c_up)), cls
 
 
-def inclusion_rows(masks):
-    """Rows of a family of sets ordered by inclusion, in the family's order.
+def holder_columns(masks):
+    """Per point p, the bitset of the members of a family that hold p.
 
-    Bit-sliced: bit k of `holders[p]` is set when member k holds point p,
-    and row a is the AND of `holders[p]` over the points p of a, the
-    members that hold every point of a.
+    Bit k of `holders[p]` is set when member k holds point p; the list runs
+    to the highest point of any member.
     """
     holders = [0] * max(masks, default=0).bit_length()
     for k, m in enumerate(masks):
         bit = 1 << k
         for p in iter_bits(m):
             holders[p] |= bit
+    return holders
+
+
+def inclusion_rows(masks, holders=None):
+    """Rows of a family of sets ordered by inclusion, in the family's order.
+
+    Bit-sliced: row a is the AND of `holders[p]` over the points p of a,
+    the members that hold every point of a.  A caller that already has
+    `holder_columns(masks)` passes it as `holders`.
+    """
+    if holders is None:
+        holders = holder_columns(masks)
     everyone = (1 << len(masks)) - 1
     rows = []
     for a in masks:

@@ -25,6 +25,15 @@ def garbage_after(run):
             gc.enable()
 
 
+def table_irreducibles(frame):
+    """The join-irreducibles by their definition through the join table.
+
+    The oracle of the irreducibles `frames.family_lattice` reads off a family.
+    """
+    down = frame.order.down
+    return tuple(j for j in range(frame.n) if frame.join_mask(down[j] & ~(1 << j)) != j)
+
+
 def certificate(rows):
     """Canonical form of a relation: the least row tuple over all n! relabellings.
 

@@ -11,6 +11,7 @@ from finitetop import colimits
 from finitetop.bits import iter_bits
 from finitetop.colimits import (
     JOIN_CLOSURE_MEMO_SIZE,
+    SATURATION_CHECK_LIMIT,
     TensorCarrier,
     _tensor_action,
     copair,
@@ -21,7 +22,7 @@ from finitetop.colimits import (
     pushout_loc,
     pushout_mediator,
 )
-from finitetop.corpus import all_frames, frame_corpus, frames_upto
+from finitetop.corpus import all_frames, all_posets, all_spaces, frame_corpus, frames_upto
 from finitetop.errors import NotIsoError, VerificationError
 from finitetop.frames import (
     EAGER_TABLE_LIMIT,
@@ -29,6 +30,7 @@ from finitetop.frames import (
     FrameHom,
     _LazyTable,
     chain_frame,
+    downset_frame,
     family_lattice,
     frame_from_poset,
     frame_isomorphism,
@@ -40,7 +42,7 @@ from finitetop.spaces import FiniteSpace
 from finitetop.spatial import omega
 from finitetop.suites import SuiteOptions, run_group, run_suite
 
-from conftest import diamond_m3, garbage_after, grid_poset
+from conftest import diamond_m3, garbage_after, grid_poset, table_irreducibles
 
 
 def _small_pairs():
@@ -587,17 +589,89 @@ def test_lazy_tables_match_an_eager_build(kind, data):
     assert tuple(frame.meet[i][j] for j in range(frame.n)) == eager.meet[i]
 
 
+def _pushout_apexes(pool):
+    for a in pool:
+        for b in pool:
+            for c in pool:
+                for f in iter_frame_homs(b, a):
+                    for g in iter_frame_homs(c, a):
+                        yield pushout_loc(f, g).apex
+
+
+FAMILY_CORPORA = {
+    "omega": lambda: (omega(s) for s in all_spaces(3)),
+    "downsets": lambda: (downset_frame(p) for p in all_posets(4)),
+    "coproduct": lambda: itertools.starmap(coproduct, itertools.product(frames_upto(4), repeat=2)),
+    "product": lambda: (
+        product_frames(pair) for pair in itertools.product(frames_upto(4), repeat=2)
+    ),
+    "pushout": lambda: _pushout_apexes(frames_upto(3)),
+    "lazy": lambda: (_lazy_frame_and_eager_oracle(k)[0] for k in ("product", "tensor", "omega")),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(FAMILY_CORPORA))
+def test_family_irreducibles_match_the_table_definition(kind):
+    """The kernel reads the irreducibles off the family; the tables agree on every corpus frame."""
+    count = 0
+    for frame in FAMILY_CORPORA[kind]():
+        assert "irreducibles" in frame.__dict__
+        assert frame.irreducibles == table_irreducibles(frame)
+        count += 1
+    assert count >= 3
+
+
+def _built_rows(table):
+    return set(dict.keys(table))
+
+
+def test_family_tables_build_a_row_when_it_is_first_read():
+    """A fresh product has built no row; a fresh coproduct only those its injection checks read."""
+    p = product_frames([chain_frame(3), chain_frame(4)])
+    assert _built_rows(p.join) == _built_rows(p.meet) == set()
+    x, y = p.tuples[5]
+    assert p.join[5] == tuple(p.tuple_index[(max(a, x), max(b, y))] for a, b in p.tuples)
+    assert _built_rows(p.join) == {5} and _built_rows(p.meet) == set()
+    t = coproduct(chain_frame(3), product_frames([two(), two()]))
+    injected = set(t.iota1_map) | set(t.iota2_map)
+    assert _built_rows(t.join) == _built_rows(t.meet) == injected
+    fresh = min(set(range(t.n)) - injected)
+    t.meet[fresh]
+    assert _built_rows(t.meet) == injected | {fresh} and _built_rows(t.join) == injected
+    assert len(t.join) == t.n and list(t.join) == [t.join[i] for i in range(t.n)]
+    assert _built_rows(t.join) == set(range(t.n))
+
+
+@pytest.mark.parametrize(
+    "left, right",
+    [
+        (lambda: chain_frame(7), lambda: chain_frame(7)),
+        (lambda: chain_frame(4), lambda: product_frames([chain_frame(4)] * 3)),
+    ],
+    ids=["chain7-chain7", "chain4-chain4cubed"],
+)
+def test_coproduct_masks_are_saturated_above_the_check_limit(left, right):
+    """Every reconstructed mask is saturated, at 924 and 8,000 elements.
+
+    `coproduct` itself re-saturates its masks only up to SATURATION_CHECK_LIMIT.
+    """
+    t = coproduct(left(), right())
+    assert t.n > SATURATION_CHECK_LIMIT
+    assert all(t.carrier.saturate(m) == m for m in t.masks)
+
+
 def _labels(masks):
     return tuple(f"m{m}" for m in masks)
 
 
 def test_the_family_kernel_builds_a_powerset():
     masks = (0b00, 0b01, 0b10, 0b11)
-    index, (order, join, meet, bottom, top) = family_lattice(_labels(masks), masks)
+    index, (order, join, meet, bottom, top, irreducibles) = family_lattice(_labels(masks), masks)
     assert index == {m: k for k, m in enumerate(masks)}
     assert order.up == (0b1111, 0b1010, 0b1100, 0b1000)
     assert join[1][2] == 3 and meet[1][2] == 0
     assert (bottom, top) == (0, 3)
+    assert irreducibles == (1, 2)
 
 
 @pytest.mark.parametrize(
@@ -615,23 +689,41 @@ def test_the_family_kernel_refuses_a_family_that_is_not_a_lattice_of_sets(masks,
 
 
 def test_the_lazy_family_kernel_refuses_a_family_with_no_least_member():
-    """Above EAGER_TABLE_LIMIT no table is built, but the bounds are still looked up."""
+    """Above EAGER_TABLE_LIMIT closure is still checked at build, before the bounds.
+
+    601 singletons have no least member, but their first missing union is
+    named first.
+    """
     masks = tuple(1 << k for k in range(EAGER_TABLE_LIMIT + 1))
-    with pytest.raises(VerificationError, match="no least or no greatest member"):
+    with pytest.raises(VerificationError, match="^the family misses the union of 'm1' and 'm2'$"):
         family_lattice(_labels(masks), masks)
 
 
-def test_a_lazy_lookup_of_a_missing_union_is_refused():
-    """Above EAGER_TABLE_LIMIT a missing union is found when it is looked up."""
+def test_a_missing_union_above_the_limit_is_refused_at_build():
+    """Above EAGER_TABLE_LIMIT a missing union is refused at build, as below it.
+
+    A lazy table on the same family, built directly, still refuses the
+    lookup with the same message.
+    """
     singletons = tuple(1 << k for k in range(EAGER_TABLE_LIMIT - 1))
     masks = (0,) + singletons + ((1 << len(singletons)) - 1,)
     assert len(masks) == EAGER_TABLE_LIMIT + 1
-    _, (order, join, meet, bottom, top) = family_lattice(_labels(masks), masks)
-    assert isinstance(join, _LazyTable)
-    assert (bottom, top) == (0, len(masks) - 1)
-    assert join[0][1] == 1 and meet[1][2] == 0 and join[1][top] == top
-    with pytest.raises(VerificationError, match="^the family misses the union of 'm1' and 'm2'$"):
+    message = "^the family misses the union of 'm1' and 'm2'$"
+    with pytest.raises(VerificationError, match=message):
+        family_lattice(_labels(masks), masks)
+    index = {m: k for k, m in enumerate(masks)}
+    join = _LazyTable(_labels(masks), masks, index, int.__or__, "union")
+    assert join[0][1] == 1 and join[1][len(masks) - 1] == len(masks) - 1
+    with pytest.raises(VerificationError, match=message):
         join[1][2]
+
+
+def test_a_product_with_a_non_distributive_factor_is_refused_above_the_limit():
+    """M3 x chain(121) has 605 elements, so its tables would be lazy; it is refused at build."""
+    m3 = frame_from_poset(diamond_m3(), check_distributive=False)
+    assert m3.n * 121 > EAGER_TABLE_LIMIT
+    with pytest.raises(VerificationError, match="misses the union"):
+        product_frames([m3, chain_frame(121)])
 
 
 def test_a_product_with_a_non_distributive_factor_is_refused():

@@ -21,12 +21,16 @@ from finitetop.errors import (
     VerificationError,
 )
 from finitetop.frames import (
+    FiniteFrame,
     FrameHom,
     GaloisConnection,
     Prenucleus,
+    _is_closed,
+    _point_generators,
     chain_frame,
     distributivity_witness,
     downset_frame,
+    family_lattice,
     frame_from_poset,
     frame_isomorphism,
     iter_frame_homs,
@@ -35,7 +39,7 @@ from finitetop.frames import (
     right_adjoint,
     two,
 )
-from finitetop.order import inclusion_rows, sort_labels
+from finitetop.order import holder_columns, inclusion_rows, sort_labels, transitive_closure
 from finitetop.poset import FinitePoset, downset_label, validate_poset
 from finitetop.spaces import space_from_preorder
 from finitetop.spatial import omega
@@ -47,6 +51,7 @@ from conftest import (
     downset_frames,
     grid_poset,
     pentagon_n5,
+    table_irreducibles,
 )
 
 
@@ -672,3 +677,100 @@ def test_homs_out_of_a_non_distributive_table_are_refused():
     m3 = frame_from_poset(diamond_m3(), check_distributive=False)
     with pytest.raises(VerificationError, match="not distributive"):
         list(iter_frame_homs(m3, two()))
+
+
+def _literal_closure_miss(labels, masks):
+    """The row-order scan the closure screen replaced, kept as its oracle.
+
+    Every union, row by row, then every intersection; the first that is
+    not a member is named, and None means the family is closed.
+    """
+    members = set(masks)
+    for what, op in (("union", int.__or__), ("intersection", int.__and__)):
+        for a in range(len(masks)):
+            for b in range(len(masks)):
+                if op(masks[a], masks[b]) not in members:
+                    return f"the family misses the {what} of {labels[a]!r} and {labels[b]!r}"
+    return None
+
+
+def _screen(masks, drop=None):
+    """The kernel's closure screen; `drop` names a generator list a mutant leaves out."""
+    index = {m: k for k, m in enumerate(masks)}
+    downs, ups = _point_generators(masks, holder_columns(masks))
+    if drop == "downs":
+        downs = []
+    if drop == "ups":
+        ups = []
+    return _is_closed(masks, index, downs, ups)
+
+
+def _screen_agrees(masks, drop=None):
+    """The screen passes exactly when every union and intersection is a member."""
+    labels = [f"m{m}" for m in masks]
+    return _screen(masks, drop) == (_literal_closure_miss(labels, masks) is None)
+
+
+@st.composite
+def ring_families(draw):
+    """Families of subsets of up to 6 points, in a random order.
+
+    A ring of sets is the up-sets of a random preorder, each point with at
+    most two drawn successors, or an interval [lo, hi] of them; it is
+    kept, or loses one member, or gains one subset.
+    """
+    k = draw(st.integers(1, 6))
+    successors = st.lists(st.integers(0, k - 1), max_size=2)
+    up = transitive_closure(
+        [sum({1 << j for j in draw(successors)}) | 1 << i for i in range(k)]
+    )
+    ring = [s for s in range(1 << k) if all(up[i] & ~s == 0 for i in iter_bits(s))]
+    family = ring
+    if draw(st.booleans()):
+        lo = draw(st.sampled_from(ring))
+        hi = draw(st.sampled_from([s for s in reversed(ring) if lo & ~s == 0]))
+        family = [s for s in ring if lo & ~s == 0 and s & ~hi == 0]
+    change = draw(st.sampled_from(["ring", "drop", "add"]))
+    if change == "drop":
+        del family[draw(st.integers(0, len(family) - 1))]
+    elif change == "add":
+        outside = [s for s in range(1 << k) if s not in family]
+        if outside:
+            family.append(draw(st.sampled_from(outside)))
+    return tuple(draw(st.permutations(family)))
+
+
+@settings(max_examples=400, deadline=None)
+@given(ring_families())
+def test_the_closure_screen_matches_the_row_order_scan(masks):
+    """The screen passes exactly on closed families, and a refusal names the scan's first pair."""
+    labels = [f"m{m}" for m in masks]
+    miss = _literal_closure_miss(labels, masks)
+    assert _screen(masks) == (miss is None)
+    if miss is not None:
+        with pytest.raises(VerificationError) as refused:
+            family_lattice(labels, masks)
+        assert str(refused.value) == miss
+    elif masks:
+        frame = FiniteFrame(*family_lattice(labels, masks)[1])
+        assert frame.irreducibles == table_irreducibles(frame)
+        members = {m: k for k, m in enumerate(masks)}
+        assert frame.join == tuple(tuple(members[a | b] for b in masks) for a in masks)
+        assert frame.meet == tuple(tuple(members[a & b] for b in masks) for a in masks)
+
+
+def _families_of_three_points():
+    """Every family of subsets of three points, members ascending: 256 families."""
+    return [tuple(s for s in range(8) if f >> s & 1) for f in range(256)]
+
+
+def test_the_closure_screen_is_exact_on_every_family_of_three_points():
+    assert all(_screen_agrees(masks) for masks in _families_of_three_points())
+
+
+@pytest.mark.parametrize("drop", ["downs", "ups"])
+def test_a_screen_without_either_generator_fails_the_oracle(drop):
+    """The mutants: without d(p) a missing union passes, without u(p) a missing intersection."""
+    assert not all(_screen_agrees(masks, drop) for masks in _families_of_three_points())
+    missing = (0b00, 0b01, 0b10) if drop == "downs" else (0b01, 0b10, 0b11)
+    assert not _screen_agrees(missing, drop)
