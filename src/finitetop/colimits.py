@@ -34,6 +34,7 @@ from .frames import (
     FrameHom,
     GaloisConnection,
     _check_hom,
+    composed,
     family_lattice,
     right_adjoint,
 )
@@ -610,8 +611,8 @@ def pushout_mediator(result, u_left, v_left):
     if v_left.target != result.span_right.source:
         raise ValueError("the second cocone hom must land in the right span frame")
     # The checks above fix every source and target, so composites compare
-    # as mappings and need no validated `then`.
-    if _composed(u_left, result.span_left) != _composed(v_left, result.span_right):
+    # as mappings.
+    if composed(u_left, result.span_left) != composed(v_left, result.span_right):
         raise ValueError("the cocone does not commute with the span")
     index = {p: k for k, p in enumerate(result.pairs)}
     mapping = [
@@ -620,13 +621,9 @@ def pushout_mediator(result, u_left, v_left):
     ]
     out = FrameHom(u_left.source, result.apex, mapping)
     if (
-        _composed(out, result.proj_b) != u_left.mapping
-        or _composed(out, result.proj_c) != v_left.mapping
+        composed(out, result.proj_b) != u_left.mapping
+        or composed(out, result.proj_c) != v_left.mapping
     ):
         raise VerificationError("the mediator breaks a pushout triangle")
     return out
 
-
-def _composed(first, second):
-    """The mapping of `first` then `second`, unvalidated."""
-    return tuple(map(second.mapping.__getitem__, first.mapping))

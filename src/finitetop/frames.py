@@ -1,13 +1,13 @@
 """Finite frames, frame homomorphisms, adjoints and nuclei.
 
 A finite frame is a finite distributive lattice; binary meets and joins are
-precomputed index tables so that everything downstream is table lookups and
-mask folds.  There are two builders.
+index tables so that everything downstream is table lookups and mask
+folds.  There is one builder, `family_lattice`.
 
-`family_lattice` is the one builder of a frame of sets: a family closed
-under union and intersection, ordered by inclusion, with unions and
-intersections as its tables.  Those distribute, so nothing is swept.  It
-builds `spatial.omega` on opens, `downset_frame` on downsets, and
+`family_lattice` builds the frame of a family of sets closed under union
+and intersection, ordered by inclusion, with unions and intersections as
+its tables.  Those distribute, so nothing is swept.  It builds
+`spatial.omega` on opens, `downset_frame` on downsets, and
 `colimits.coproduct`, `product_frames` and `pushout_loc` on the Birkhoff
 masks of their elements, the join-irreducibles below each.  It checks
 closure at build, at every size, on the generators of each point (the
@@ -18,14 +18,14 @@ kept up to `EAGER_TABLE_LIMIT` members; above it every lookup is computed.
 The join-irreducibles are read off the family, the least members holding
 each point, so they cost no table either.
 
-`frame_from_poset` builds a frame given only as an order: a parsed frame,
-the corpus and `chain_frame`.  It rejects non-lattices and non-distributive
-lattices with witnesses.  Building the tables costs O(n^2) bit-row
-operations: a join is the index whose up row equals the intersection of
-two up rows, and a meet likewise with down rows.  Distributivity is decided
-by Birkhoff's join-primality test in O(n^2); only when that test fails
-does the literal triple sweep `distributivity_witness` run, to name the
-witness.
+`frame_from_poset` takes a frame given only as an order (a parsed frame,
+the corpus, `chain_frame`) to the same kernel, by Birkhoff's
+representation: an element is the set of join-irreducibles below it.  The
+order is accepted when those sets are closed and ordered by inclusion as
+given.  Only a refused order runs the row scan that names a missing bound
+and the triple sweep `distributivity_witness` that names a failing
+triple, so non-lattices and non-distributive lattices are rejected with
+witnesses.
 """
 
 from __future__ import annotations
@@ -42,7 +42,7 @@ from .errors import (
     NotPrenucleusError,
     VerificationError,
 )
-from .order import fill, holder_columns, inclusion_rows, is_isomorphism, isomorphisms
+from .order import fill, inclusion_rows, is_isomorphism, isomorphisms, transpose
 from .poset import FinitePoset, downset_label, validate_poset
 
 EAGER_TABLE_LIMIT = 600
@@ -51,15 +51,14 @@ EAGER_TABLE_LIMIT = 600
 class FiniteFrame:
     """A finite distributive lattice with total meet/join tables."""
 
-    def __init__(self, order, join, meet, bottom, top, irreducibles=None):
+    def __init__(self, order, join, meet, bottom, top, irreducibles):
         self.order = order
         self.join = join
         self.meet = meet
         self.bottom = bottom
         self.top = top
-        if irreducibles is not None:
-            # a builder that knows them, `family_lattice`, spares the table walk
-            self.__dict__["irreducibles"] = irreducibles
+        # join-irreducibles, ascending; every builder knows them without a table
+        self.irreducibles = irreducibles
 
     @property
     def n(self):
@@ -83,16 +82,6 @@ class FiniteFrame:
         for i in iter_bits(mask):
             acc = self.meet[acc][i]
         return acc
-
-    @cached_property
-    def irreducibles(self):
-        """Join-irreducible elements: strictly above the join of their strict down-set."""
-        out = []
-        for j in range(self.n):
-            below = self.order.down[j] & ~(1 << j)
-            if self.join_mask(below) != j:
-                out.append(j)
-        return tuple(out)
 
     @cached_property
     def irreducibles_below(self):
@@ -134,24 +123,40 @@ class FiniteFrame:
 def frame_from_poset(poset, *, check_distributive=True):
     """Build a FiniteFrame, or raise NotLatticeError / NotDistributiveError.
 
-    The upper bounds of i and j form the up-set `up[i] & up[j]`, which has
-    a least element u exactly when it equals `up[u]`; so every join is one
-    dict lookup from up rows to indices, and every meet one lookup from
-    down rows.  Pairs are scanned in row order, join before meet, and the
-    first pair without a bound is named.
+    A front end to `family_lattice` (Birkhoff): a finite poset is a
+    distributive lattice exactly when x -> J(x), the join-irreducibles
+    below x, is an order embedding onto a family closed under union and
+    intersection.  J is the elements whose strict down row is a down row.
+    The order is accepted when the kernel takes the masks `down[x] & J`
+    and their inclusion rows are the given up rows.
 
-    Distributivity is decided by Birkhoff's criterion: a finite lattice is
-    distributive iff every join-irreducible below `i | j` is below i or
-    below j, that is, iff `irreducibles_below` turns joins into unions.
-    That is quadratic.  Only when it fails does the literal triple sweep
-    run, to name the first triple (a, b, c) with a&(b|c) != (a&b)|(a&c),
-    so both the diamond M3 and the pentagon N5 are rejected with witnesses.
+    A refusal, or `check_distributive=False`, runs the row scan: the upper
+    bounds of i and j form the up-set `up[i] & up[j]`, which has a least
+    element u exactly when it equals `up[u]`, so every join is one dict
+    lookup, and every meet one on down rows.  The first pair in row order
+    without a bound is named, join before meet.  A refused lattice is not
+    distributive, and `distributivity_witness` names its first failing
+    triple, so M3 and N5 are rejected with witnesses.  On any lattice J is
+    the join-irreducibles.
     """
     n = poset.n
     if n == 0:
         raise NotLatticeError("a frame needs at least one element")
     up = poset.up
     down = poset.down
+    rows = set(down)
+    irreducibles = tuple(x for x in range(n) if down[x] & ~(1 << x) in rows)
+    if check_distributive:
+        j_mask = sum(1 << x for x in irreducibles)
+        try:
+            _, (order, join, meet, bottom, top, _) = family_lattice(
+                poset.points, [d & j_mask for d in down]
+            )
+        except VerificationError:
+            pass
+        else:
+            if order.up == up:
+                return FiniteFrame(poset, join, meet, bottom, top, irreducibles)
     least = {}
     greatest = {}
     for u in range(n):
@@ -166,17 +171,15 @@ def frame_from_poset(poset, *, check_distributive=True):
             _raise_missing_bound(poset, i, jrow, mrow)
         join.append(jrow)
         meet.append(mrow)
-    bottom = 0
-    top = 0
-    for i in range(n):
-        bottom = meet[bottom][i]
-        top = join[top][i]
-    frame = FiniteFrame(poset, tuple(join), tuple(meet), bottom, top)
-    if check_distributive and not _joins_are_unions(frame):
+    everything = (1 << n) - 1
+    frame = FiniteFrame(
+        poset, tuple(join), tuple(meet), least[everything], greatest[everything], irreducibles
+    )
+    if check_distributive:
         witness = distributivity_witness(frame)
         if witness is None:
             raise VerificationError(
-                "Birkhoff's test and the triple sweep disagree on distributivity"
+                "the family kernel and the triple sweep disagree on distributivity"
             )
         a, b, c = (poset.points[k] for k in witness)
         raise NotDistributiveError(f"distributivity fails on ({a!r}, {b!r}, {c!r})")
@@ -200,20 +203,12 @@ def _raise_missing_bound(poset, i, jrow, mrow):
             )
 
 
-def _joins_are_unions(frame):
-    """Birkhoff's test: the irreducibles below i | j are those below i or below j."""
-    below = frame.irreducibles_below
-    for i, row in enumerate(frame.join):
-        if tuple(map(below.__getitem__, row)) != tuple(map(below[i].__or__, below)):
-            return False
-    return True
-
-
 def distributivity_witness(frame):
     """The first triple (a, b, c) with a&(b|c) != (a&b)|(a&c), or None.
 
     Triples are visited in lexicographic order.  `frame_from_poset` runs
-    this sweep only after Birkhoff's test has failed, to name the witness.
+    this sweep only on a lattice the family kernel refused, to name the
+    witness.
     For each (a, b) the whole c row is compared at once, (a&(b|c))_c
     against ((a&b)|(a&c))_c, through `itemgetter`; the row is scanned for c
     only when the two differ.
@@ -317,13 +312,14 @@ class _LazyTable:
 def _point_generators(masks, holders):
     """The generators d(p) and u(p) of each point p that some member lacks.
 
-    `holders` is `order.holder_columns(masks)`.  d(p) is the AND of the
-    members that hold p and u(p) the OR of the members that avoid p; point
-    q is in d(p) when every holder of p holds q, and in u(p) when some
-    member avoids p and holds q.  So both depend on p only through its
-    holder column, and are computed once per distinct column.  Points held
-    by every member are left out: they have no u(p), and their d(p) is the
-    AND of the whole family.  Returns the lists of d(p) and of u(p).
+    `holders` is `order.transpose(masks)`, the members holding each point.
+    d(p) is the AND of the members that hold p and u(p) the OR of the
+    members that avoid p; point q is in d(p) when every holder of p holds
+    q, and in u(p) when some member avoids p and holds q.  So both depend
+    on p only through its holder column, and are computed once per
+    distinct column.  Points held by every member are left out: they have
+    no u(p), and their d(p) is the AND of the whole family.  Returns the
+    lists of d(p) and of u(p).
     """
     everyone = (1 << len(masks)) - 1
     points = {}
@@ -376,11 +372,12 @@ def _first_miss(labels, masks, index):
 def family_lattice(labels, masks):
     """The lattice of a family of sets closed under union and intersection.
 
-    This is the one builder of a frame of sets: `spatial.omega` passes
-    opens, `downset_frame` downsets, and `colimits.coproduct`,
-    `product_frames` and `pushout_loc` the Birkhoff masks of their
-    elements.  Returns the family's index, mask to position, and the
-    (order, join, meet, bottom, top, irreducibles) of a FiniteFrame on it.
+    This is the one builder of a frame: `spatial.omega` passes opens,
+    `downset_frame` downsets, and `frame_from_poset`,
+    `colimits.coproduct`, `product_frames` and `pushout_loc` the Birkhoff
+    masks of their elements.  Returns the family's index, mask to
+    position, and the (order, join, meet, bottom, top, irreducibles) of a
+    FiniteFrame on it.
 
     Closure is checked at build, at every size, without a table:
     `_is_closed` tries each member against the generators d(p) and u(p) of
@@ -398,7 +395,7 @@ def family_lattice(labels, masks):
     other, so no distributivity sweep runs.
     """
     index = {m: k for k, m in enumerate(masks)}
-    holders = holder_columns(masks)
+    holders = transpose(masks)
     downs, ups = _point_generators(masks, holders)
     if not _is_closed(masks, index, downs, ups):
         raise _first_miss(labels, masks, index)
@@ -454,9 +451,7 @@ class FrameHom:
     def then(self, other):
         if self.target != other.source:
             raise CarrierMismatchError("composition needs matching middle object")
-        return FrameHom(
-            self.source, other.target, [other.mapping[v] for v in self.mapping]
-        )
+        return FrameHom(self.source, other.target, composed(self, other))
 
     def __eq__(self, other):
         return (
@@ -475,6 +470,14 @@ class FrameHom:
             for x, v in zip(self.source.labels, self.mapping)
         )
         return f"FrameHom({pairs})"
+
+
+def composed(first, second):
+    """The mapping of `first` then `second`, unvalidated.
+
+    The composite of two homs is a hom; `then` validates the one it builds.
+    """
+    return tuple(map(second.mapping.__getitem__, first.mapping))
 
 
 def _check_hom(source, target, mapping):

@@ -30,7 +30,8 @@ numbers a pushout-product corner's classes without rows and orders them
 with it.  `inclusion_rows` orders a family of sets by inclusion, as the
 opens of a space, the downsets of a poset and the elements of a frame
 coproduct or product are; row a is one AND per point of a, over the
-bit-sliced column of members holding that point (`holder_columns`).
+bit-sliced column of members holding that point, the family's
+`transpose`.
 
 `isomorphisms` is the one isomorphism search: it yields every isomorphism
 between two relations, or only those keeping given point colours (the
@@ -53,8 +54,12 @@ MAPS_CACHE_SIZE = 1024
 
 
 def transpose(up):
-    """The dual rows: bit i of row j is set when bit j of row i is."""
-    rows = [0] * len(up)
+    """The dual rows: bit i of row j is set when bit j of row i is.
+
+    One row per column up to the highest bit: of a family of sets, the
+    members holding each point.
+    """
+    rows = [0] * max(up, default=0).bit_length()
     for i, r in enumerate(up):
         for j in iter_bits(r):
             rows[j] |= 1 << i
@@ -274,29 +279,16 @@ def glue_span(b_up, c_up, f_map, g_map):
     return quotient_rows(cls, tuple(b_up) + tuple(r << nb for r in c_up)), cls
 
 
-def holder_columns(masks):
-    """Per point p, the bitset of the members of a family that hold p.
-
-    Bit k of `holders[p]` is set when member k holds point p; the list runs
-    to the highest point of any member.
-    """
-    holders = [0] * max(masks, default=0).bit_length()
-    for k, m in enumerate(masks):
-        bit = 1 << k
-        for p in iter_bits(m):
-            holders[p] |= bit
-    return holders
-
-
 def inclusion_rows(masks, holders=None):
     """Rows of a family of sets ordered by inclusion, in the family's order.
 
     Bit-sliced: row a is the AND of `holders[p]` over the points p of a,
     the members that hold every point of a.  A caller that already has
-    `holder_columns(masks)` passes it as `holders`.
+    `transpose(masks)`, the column of holders of each point, passes it as
+    `holders`.
     """
     if holders is None:
-        holders = holder_columns(masks)
+        holders = transpose(masks)
     everyone = (1 << len(masks)) - 1
     rows = []
     for a in masks:

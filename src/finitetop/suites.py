@@ -23,6 +23,7 @@ from .corpus import frames_upto, spaces_upto
 from .errors import FinitetopError, NotIsoError, VerificationError
 from .frames import (
     Prenucleus,
+    composed,
     frame_isomorphism,
     iter_frame_homs,
     nucleus_from_prenucleus,
@@ -155,7 +156,8 @@ def _by_legs(homs, legs):
 
     Legs out of one frame into one target are equal as homs exactly when
     their mappings are, so the homs restricting to a cocone are one lookup
-    away.  The legs are built by `then`, so each is validated as a hom.
+    away.  The legs are `frames.composed` mappings of validated homs, so
+    each is a hom and is not validated again.
     """
     table = {}
     for h in homs:
@@ -191,7 +193,7 @@ def _run_frame_coproduct(opt):
                     continue
                 mediators = _by_legs(
                     iter_frame_homs(tensor, target),
-                    lambda m: (iota1.then(m).mapping, iota2.then(m).mapping),
+                    lambda m: (composed(iota1, m), composed(iota2, m)),
                 )
                 for f in fs:
                     for g in gs:
@@ -377,10 +379,10 @@ def _run_loc_pushout(opt):
                             vs = homs(q_frame, c_frame)
                             if not us or not vs:
                                 continue
-                            vgs = [v.then(g).mapping for v in vs]
+                            vgs = [composed(v, g) for v in vs]
                             into_apex = None
                             for u in us:
-                                uf = u.then(f).mapping
+                                uf = composed(u, f)
                                 for v, vg in zip(vs, vgs):
                                     if uf != vg:
                                         continue
@@ -393,8 +395,8 @@ def _run_loc_pushout(opt):
                                         into_apex = _by_legs(
                                             iter_frame_homs(q_frame, result.apex),
                                             lambda h: (
-                                                h.then(result.proj_b).mapping,
-                                                h.then(result.proj_c).mapping,
+                                                composed(h, result.proj_b),
+                                                composed(h, result.proj_c),
                                             ),
                                         )
                                     found = into_apex.get((u.mapping, v.mapping), [])

@@ -28,7 +28,8 @@ def garbage_after(run):
 def table_irreducibles(frame):
     """The join-irreducibles by their definition through the join table.
 
-    The oracle of the irreducibles `frames.family_lattice` reads off a family.
+    The oracle of the irreducibles `frames.family_lattice` reads off a family
+    and `frames.frame_from_poset` finds on an order.
     """
     down = frame.order.down
     return tuple(j for j in range(frame.n) if frame.join_mask(down[j] & ~(1 << j)) != j)

@@ -38,6 +38,7 @@ from finitetop.frames import (
     two,
 )
 from finitetop.poset import FinitePoset
+from finitetop.serialize import parse_structure, structure_data
 from finitetop.spaces import FiniteSpace
 from finitetop.spatial import omega
 from finitetop.suites import SuiteOptions, run_group, run_suite
@@ -626,7 +627,15 @@ def _built_rows(table):
 
 
 def test_family_tables_build_a_row_when_it_is_first_read():
-    """A fresh product has built no row; a fresh coproduct only those its injection checks read."""
+    """A fresh product has built no row; a fresh coproduct only those its injection checks read.
+
+    A frame given as an order, built or parsed, has built no row either.
+    """
+    parsed = parse_structure(structure_data(product_frames([chain_frame(3), two()])))
+    for frame in (frame_from_poset(grid_poset()), parsed):
+        assert _built_rows(frame.join) == _built_rows(frame.meet) == set()
+        assert frame.join[1] == tuple(frame.join[1][j] for j in range(frame.n))
+        assert _built_rows(frame.join) == {1} and _built_rows(frame.meet) == set()
     p = product_frames([chain_frame(3), chain_frame(4)])
     assert _built_rows(p.join) == _built_rows(p.meet) == set()
     x, y = p.tuples[5]

@@ -39,7 +39,7 @@ from finitetop.frames import (
     right_adjoint,
     two,
 )
-from finitetop.order import holder_columns, inclusion_rows, sort_labels, transitive_closure
+from finitetop.order import inclusion_rows, sort_labels, transitive_closure, transpose
 from finitetop.poset import FinitePoset, downset_label, validate_poset
 from finitetop.spaces import space_from_preorder
 from finitetop.spatial import omega
@@ -386,11 +386,24 @@ def _first_triple(join, meet):
     return None
 
 
+def _assert_accepted_frame_is_literal(frame, poset, join, meet):
+    """The frame's tables, bounds and irreducibles are the literal ones of the poset."""
+    everything = (1 << poset.n) - 1
+    assert (tuple(frame.join), tuple(frame.meet)) == (join, meet)
+    assert frame.bottom == _least_of(poset, everything)
+    assert frame.top == _greatest_of(poset, everything)
+    assert frame.irreducibles == table_irreducibles(frame)
+
+
 def _assert_verdict_matches_triple_sweep(poset, join, meet):
-    """frame_from_poset accepts iff no triple fails, else names the first one."""
+    """frame_from_poset accepts iff no triple fails, else names the first one.
+
+    An accepted frame, which the family kernel built, has the literal
+    tables, bounds and irreducibles.
+    """
     witness = _first_triple(join, meet)
     if witness is None:
-        frame_from_poset(poset)
+        _assert_accepted_frame_is_literal(frame_from_poset(poset), poset, join, meet)
         return True
     a, b, c = (poset.points[k] for k in witness)
     message = f"distributivity fails on ({a!r}, {b!r}, {c!r})"
@@ -405,6 +418,15 @@ def test_table_builder_matches_literal_oracle_on_small_posets():
         assert _tables_or_error(_built_tables, p) == expected
     lattices = sum(not isinstance(o, str) for o in outcomes)
     assert 0 < lattices < len(outcomes)
+
+
+def test_accepted_frames_match_the_literal_tables_on_every_poset_of_six_points():
+    accepted = 0
+    for p in all_posets(6):
+        expected = _tables_or_error(_literal_tables, p)
+        if not isinstance(expected, str):
+            accepted += _assert_verdict_matches_triple_sweep(p, *expected)
+    assert accepted > 0
 
 
 @st.composite
@@ -451,10 +473,13 @@ def _lattices_upto_7():
 
 
 def test_frame_validation_accepts_exactly_distributive_lattices():
+    """Also, checked or not, every lattice's irreducibles are those of the join definition."""
     lattices = {}
     distributive = {}
     for p in _lattices_upto_7():
         lattices[p.n] = lattices.get(p.n, 0) + 1
+        unchecked = frame_from_poset(p, check_distributive=False)
+        assert unchecked.irreducibles == table_irreducibles(unchecked)
         if _assert_verdict_matches_triple_sweep(p, *_literal_tables(p)):
             distributive[p.n] = distributive.get(p.n, 0) + 1
     # OEIS A006966 and A006982: lattices and distributive lattices by size.
@@ -697,7 +722,7 @@ def _literal_closure_miss(labels, masks):
 def _screen(masks, drop=None):
     """The kernel's closure screen; `drop` names a generator list a mutant leaves out."""
     index = {m: k for k, m in enumerate(masks)}
-    downs, ups = _point_generators(masks, holder_columns(masks))
+    downs, ups = _point_generators(masks, transpose(masks))
     if drop == "downs":
         downs = []
     if drop == "ups":

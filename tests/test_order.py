@@ -152,6 +152,8 @@ def test_transpose_is_the_dual_relation():
             for j in range(n):
                 assert (down[j] >> i & 1) == (rows[i] >> j & 1)
         assert transpose(down) == tuple(rows)
+    # a family of four subsets of three points: one column per point
+    assert transpose((0b110, 0, 0b011, 0)) == (0b0100, 0b0101, 0b0001)
 
 
 def _oracle_inclusion_rows(masks):
