@@ -19,12 +19,13 @@ defines it:
 - `poset`: `Preorder`, the one order type, with its subclass
   `FinitePoset`, the one map class `PreMap` with its enumerator
   `iter_monotone_maps`, the one labelled `pushout`, and `validate_poset`;
-- `frames`: `FiniteFrame`, `FrameHom`, `iter_frame_homs`, nuclei and
-  Galois connections, and the one set-family frame kernel
-  `family_lattice`, which `downset_frame`, `spatial.omega` and every
-  construction in `colimits` call;
+- `frames`: `FiniteFrame`, whose one constructor
+  `FiniteFrame(labels, family)` builds the frame of a family of sets
+  closed under union and intersection, and which `frame_from_poset`,
+  `downset_frame`, `spatial.omega` and every construction in `colimits`
+  call; `FrameHom`, `iter_frame_homs`, nuclei and Galois connections;
 - `colimits`: frame coproducts and products and localic pushouts, each
-  built as a set family by `frames.family_lattice`;
+  built as a set family by `frames.FiniteFrame`;
 - `spaces`: `FiniteSpace`, the `Preorder` of a space's specialization
   order, soberness, pushouts and products;
 - `spatial`: `omega`, on the set-family kernel, `pt` and their adjunction;

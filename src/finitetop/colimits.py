@@ -9,22 +9,23 @@ irreducible-pair subposet and each element's full downset mask is
 reconstructed from there; the saturation machinery stays as the per-call
 cross-check on small carriers and as the slow oracle in the test suite.
 
-Coproducts, products and localic pushouts are all built by the set-family
-kernel `frames.family_lattice`, on a family of sets closed under union and
-intersection.  A coproduct element is its downset of irreducible pairs; by
-Birkhoff's representation a product element, and a pushout's agreeing
-pair, is the disjoint union of the join-irreducibles below its
-components.  The kernel checks that the family is closed, orders it by
-inclusion and reads joins and meets as unions and intersections through
-the family's index, a row when it is first read, so the tables are
-distributive by construction and no triple sweep runs.  The
-coproduct keeps that index: its injections, `tensor` and the tensor action
-of a hom are lookups of single-pair tensors in it.
+Coproducts, products and localic pushouts are all frames of a family of
+sets closed under union and intersection, built by
+`FiniteFrame(labels, family)`.  A coproduct element is its downset of
+irreducible pairs; a product element, and a pushout's agreeing pair, is
+the disjoint union of its components' sets in their frames' `family`.
+The builder checks that the family is closed, orders it by inclusion and
+reads joins and meets as unions and intersections through the family's
+`index`, a row when it is first read, so the tables are distributive by
+construction and no triple sweep runs.  A coproduct's injections,
+`tensor` and the tensor action of a hom are lookups of single-pair
+tensors in its `index`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import product as _iterproduct
 
 from .bits import iter_bits, popcount, submasks
@@ -35,11 +36,9 @@ from .frames import (
     GaloisConnection,
     _check_hom,
     composed,
-    family_lattice,
     right_adjoint,
 )
-from .order import is_isomorphism, product_rows, transpose
-from .poset import FinitePoset
+from .order import is_isomorphism, product_rows, upsets
 
 TENSOR_ELEMENT_CAP = 20000
 PRODUCT_ELEMENT_CAP = 20000
@@ -213,7 +212,6 @@ class _IrrGrid:
         self.irr_left = left.irreducibles
         self.irr_right = right.irreducibles
         w = len(self.irr_right)
-        self.size = len(self.irr_left) * w
         lbits = _positions_below(left)
         rbits = _positions_below(right)
         rt = []
@@ -241,44 +239,34 @@ class TensorFrame(FiniteFrame):
     """The coproduct frame of two finite frames.
 
     Elements are saturated-downset masks in canonical order; `masks[k]` is
-    the downset behind element k, `reduced[k]` its restriction to the
-    irreducible pairs and `index` the kernel's map back from reduced masks.
-    `tensor(x, y)` locates the image of a single pair, and the injections
-    `iota1`/`iota2` send x to x (x) top and y to top (x) y; `coproduct`
-    validates both mappings.
+    the downset behind element k and `family[k]`, the set the frame is
+    built on, its restriction to the irreducible pairs.  `tensor(x, y)`
+    locates the image of a single pair, and the injections `iota1`/`iota2`
+    send x to x (x) top and y to top (x) y; `coproduct` validates both
+    mappings.
     """
 
-    def __init__(
-        self,
-        order,
-        join,
-        meet,
-        bottom,
-        top,
-        irreducibles,
-        *,
-        left,
-        right,
-        carrier,
-        masks,
-        grid,
-        reduced,
-        index,
-    ):
-        super().__init__(order, join, meet, bottom, top, irreducibles)
+    def __init__(self, labels, family, *, left, right, carrier, masks, grid):
+        super().__init__(labels, family)
         self.left = left
         self.right = right
         self.carrier = carrier
         self.masks = masks
         self.grid = grid
-        self.reduced = reduced
-        self.index = index
-        self.iota1_map = tuple(self.tensor(x, right.top) for x in range(left.n))
-        self.iota2_map = tuple(self.tensor(left.top, y) for y in range(right.n))
 
-    # The injections are built on access: a FrameHom into the tensor held by
-    # the tensor would make every tensor a reference cycle.  `coproduct`
-    # checks both mappings once.
+    # The injection mappings are computed when first read, which `coproduct`
+    # does only after finding every single-pair tensor.  The injections are
+    # built on access: a FrameHom into the tensor held by the tensor would
+    # make every tensor a reference cycle.  `coproduct` checks both mappings
+    # once.
+    @cached_property
+    def iota1_map(self):
+        return tuple(self.tensor(x, self.right.top) for x in range(self.left.n))
+
+    @cached_property
+    def iota2_map(self):
+        return tuple(self.tensor(self.left.top, y) for y in range(self.right.n))
+
     @property
     def iota1(self):
         return FrameHom(self.left, self, self.iota1_map, validate=False)
@@ -297,27 +285,20 @@ def coproduct(left, right):
     Every saturated downset is the join of the single-pair tensors of the
     irreducible pairs it contains, and restriction to irreducible pairs is
     inverse to that join; the elements are therefore enumerated as downsets
-    of the irreducible-pair subposet, and `frames.family_lattice` builds
-    the frame on those reduced masks.  Each single-pair tensor is verified
-    to appear with the stated full mask, the injections' x (x) top and
-    top (x) y among them, and on small carriers every reconstructed element
-    is re-checked against literal saturation.
+    of the irreducible-pair subposet, and `FiniteFrame` builds the frame
+    on those reduced masks.  Each single-pair tensor is verified to appear
+    with the stated full mask, the injections' x (x) top and top (x) y
+    among them, and on small carriers every reconstructed element is
+    re-checked against literal saturation.
     """
     carrier = TensorCarrier(left, right)
     grid = _IrrGrid(left, right)
-    base = FinitePoset(
-        tuple(f"p{k}" for k in range(grid.size)), transpose(grid.down), validate=False
-    )
-    try:
-        reduced = base.downsets(cap=TENSOR_ELEMENT_CAP)
-    except SizeError:
-        raise SizeError(
-            f"coproduct exceeds the cap of {TENSOR_ELEMENT_CAP} elements"
-        ) from None
+    reduced = upsets(grid.down, TENSOR_ELEMENT_CAP)
     n = len(reduced)
+    if n > TENSOR_ELEMENT_CAP:
+        raise SizeError(f"coproduct exceeds the cap of {TENSOR_ELEMENT_CAP} elements")
     width = max(4, len(str(n - 1)))
     labels = tuple(f"t{k:0{width}d}" for k in range(n))
-    index, (order, join, meet, bottom, top, irreducibles) = family_lattice(labels, reduced)
     nm = right.n
     rt = grid.rt
     masks = []
@@ -332,9 +313,12 @@ def coproduct(left, right):
                 p += 1
         masks.append(full)
     masks = tuple(masks)
+    frame = TensorFrame(
+        labels, reduced, left=left, right=right, carrier=carrier, masks=masks, grid=grid
+    )
     for x in range(left.n):
         for y in range(nm):
-            k = index.get(rt[x][y])
+            k = frame.index.get(rt[x][y])
             if k is None or masks[k] != carrier.tensor_mask(x, y):
                 raise VerificationError(
                     "a single-pair tensor is missing from the element set"
@@ -345,23 +329,8 @@ def coproduct(left, right):
                 raise VerificationError(
                     "a reconstructed element failed to be saturated"
                 )
-    if masks[bottom] != carrier.nbar or masks[top] != carrier.full:
+    if masks[frame.bottom] != carrier.nbar or masks[frame.top] != carrier.full:
         raise VerificationError("the coproduct bounds are not the stated ones")
-    frame = TensorFrame(
-        order,
-        join,
-        meet,
-        bottom,
-        top,
-        irreducibles,
-        left=left,
-        right=right,
-        carrier=carrier,
-        masks=masks,
-        grid=grid,
-        reduced=reduced,
-        index=index,
-    )
     _check_hom(left, frame, frame.iota1_map)
     _check_hom(right, frame, frame.iota2_map)
     return frame
@@ -381,7 +350,7 @@ def _tensor_action(source, target, hom):
     per_bit = [rt[p][hom.mapping[q]] for p in gs.irr_left for q in gs.irr_right]
     tindex = target.index
     mapping = []
-    for r in source.reduced:
+    for r in source.family:
         img = 0
         for p in iter_bits(r):
             img |= per_bit[p]
@@ -410,7 +379,7 @@ def copair(f, g, *, tensor=None):
         for q in grid.irr_right
     ]
     mapping = []
-    for r in tensor.reduced:
+    for r in tensor.family:
         acc = codomain.bottom
         for p in iter_bits(r):
             acc = codomain.join[acc][per_bit[p]]
@@ -428,8 +397,8 @@ def copair(f, g, *, tensor=None):
 class ProductFrame(FiniteFrame):
     """A finite product of frames with the pointwise order."""
 
-    def __init__(self, order, join, meet, bottom, top, irreducibles, *, factors, tuples):
-        super().__init__(order, join, meet, bottom, top, irreducibles)
+    def __init__(self, labels, family, *, factors, tuples):
+        super().__init__(labels, family)
         self.factors = factors
         self.tuples = tuples
         self.tuple_index = {t: k for k, t in enumerate(tuples)}
@@ -456,14 +425,14 @@ def product_frames(factors):
     """The product of a family of frames; the empty product is the one-point frame.
 
     Elements are the tuples of factor elements in `itertools.product`
-    order.  By Birkhoff's representation each tuple is the set of
-    join-irreducibles below its components: factor k contributes its
-    `irreducibles_below` mask, shifted past the elements of the factors
-    before it.  `frames.family_lattice` builds the frame on those masks.  Inclusion
-    of such sets is the componentwise order in any finite lattice, and
-    intersection is the componentwise meet; union is the componentwise join
-    exactly when every factor is distributive, so the kernel's closure check
-    refuses, with VerificationError, a factor that is not, at every size.
+    order.  Each factor is a family of sets, so a tuple is the disjoint
+    union of its components' sets: factor k contributes its `family` mask,
+    shifted past the points of the factors before it, the width of their
+    top members.  `FiniteFrame` builds the frame on those masks.  Inclusion,
+    union and intersection of disjoint unions are componentwise, so the
+    order and tables are the componentwise ones.  The builder still checks
+    closure, at every size: a lattice that is not a family of sets closed
+    under union and intersection is refused with VerificationError.
     """
     factors = tuple(factors)
     count = 1
@@ -479,11 +448,10 @@ def product_frames(factors):
     masks = [0]
     shift = 0
     for f in factors:
-        below = [m << shift for m in f.irreducibles_below]
-        masks = [a | b for a in masks for b in below]
-        shift += f.n
-    _, lattice = family_lattice(labels, masks)
-    return ProductFrame(*lattice, factors=factors, tuples=tuples)
+        family = [m << shift for m in f.family]
+        masks = [a | b for a in masks for b in family]
+        shift += f.family[f.top].bit_length()
+    return ProductFrame(labels, masks, factors=factors, tuples=tuples)
 
 
 @dataclass(frozen=True)
@@ -547,11 +515,11 @@ def pushout_loc(f_left, g_left):
     f_left : B -> A and g_left : C -> A present localic maps A -> B and
     A -> C.  The apex is the pullback of the two homs: the agreeing pairs
     (b, c), which the homs make closed under componentwise joins and meets.
-    As in `product_frames`, a pair is the set of join-irreducibles below b
-    and below c side by side, so `frames.family_lattice` builds the apex
-    with the componentwise order and operations.  The legs come from the
-    join formula over agreeing pairs and are cross-checked against the
-    generic right adjoint of each projection.
+    As in `product_frames`, a pair is the sets of b and of c side by side,
+    so `FiniteFrame` builds the apex with the componentwise order and
+    operations.  The legs come from the join formula over agreeing pairs
+    and are cross-checked against the generic right adjoint of each
+    projection.
     """
     if f_left.target != g_left.target:
         raise ValueError("the span needs a common codomain frame")
@@ -566,10 +534,10 @@ def pushout_loc(f_left, g_left):
     labels = tuple(
         f"({b_frame.labels[b]},{c_frame.labels[c]})" for b, c in pairs
     )
-    below_b = b_frame.irreducibles_below
-    below_c = c_frame.irreducibles_below
-    masks = [below_b[b] | below_c[c] << b_frame.n for b, c in pairs]
-    apex = FiniteFrame(*family_lattice(labels, masks)[1])
+    family_b = b_frame.family
+    family_c = c_frame.family
+    shift = family_b[b_frame.top].bit_length()
+    apex = FiniteFrame(labels, [family_b[b] | family_c[c] << shift for b, c in pairs])
     proj_b = FrameHom(apex, b_frame, [b for b, _ in pairs])
     proj_c = FrameHom(apex, c_frame, [c for _, c in pairs])
     leg_b = right_adjoint(proj_b)

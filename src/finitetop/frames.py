@@ -1,25 +1,17 @@
 """Finite frames, frame homomorphisms, adjoints and nuclei.
 
-A finite frame is a finite distributive lattice; binary meets and joins are
-index tables so that everything downstream is table lookups and mask
-folds.  There is one builder, `family_lattice`.
-
-`family_lattice` builds the frame of a family of sets closed under union
-and intersection, ordered by inclusion, with unions and intersections as
-its tables.  Those distribute, so nothing is swept.  It builds
-`spatial.omega` on opens, `downset_frame` on downsets, and
-`colimits.coproduct`, `product_frames` and `pushout_loc` on the Birkhoff
-masks of their elements, the join-irreducibles below each.  It checks
-closure at build, at every size, on the generators of each point (the
-least member holding it and the greatest avoiding it), so no table is
-built to check it; a missing union or intersection raises
-VerificationError.  A table row is gathered when it is first read, and
-kept up to `EAGER_TABLE_LIMIT` members; above it every lookup is computed.
-The join-irreducibles are read off the family, the least members holding
-each point, so they cost no table either.
+A finite frame is a finite distributive lattice, and by Birkhoff's
+representation a family of sets closed under union and intersection.
+There is one builder, `FiniteFrame(labels, family)`: it checks closure,
+orders the family by inclusion and reads joins and meets as unions and
+intersections, so everything downstream is table lookups and mask folds,
+and the tables distribute by construction; nothing is swept.
+`spatial.omega` builds on opens, `downset_frame` on downsets, and
+`colimits.coproduct`, `product_frames` and `pushout_loc` on families their
+factors' families give.
 
 `frame_from_poset` takes a frame given only as an order (a parsed frame,
-the corpus, `chain_frame`) to the same kernel, by Birkhoff's
+the corpus, `chain_frame`) to the same builder, by Birkhoff's
 representation: an element is the set of join-irreducibles below it.  The
 order is accepted when those sets are closed and ordered by inclusion as
 given.  Only a refused order runs the row scan that names a missing bound
@@ -49,16 +41,47 @@ EAGER_TABLE_LIMIT = 600
 
 
 class FiniteFrame:
-    """A finite distributive lattice with total meet/join tables."""
+    """The frame of a family of sets closed under union and intersection.
 
-    def __init__(self, order, join, meet, bottom, top, irreducibles):
-        self.order = order
-        self.join = join
-        self.meet = meet
-        self.bottom = bottom
-        self.top = top
-        # join-irreducibles, ascending; every builder knows them without a table
-        self.irreducibles = irreducibles
+    Element k is `family[k]`, ordered by inclusion; `index` maps a member
+    back to its position.  Closure is checked at build, at every size,
+    without a table: `_is_closed` tries each member against the generators
+    d(p) and u(p) of `_point_generators`.  When that fails, `_first_miss`
+    scans the unions and then the intersections in row order and the first
+    missing one is raised as VerificationError.  The order is inclusion
+    (`order.inclusion_rows`, on the same holder columns).  join and meet
+    are the positions of a | b and a & b: `_RowTable`s, which gather a row
+    when it is first read, up to EAGER_TABLE_LIMIT members, and
+    `_LazyTable`s, which compute each lookup, above it.  Bottom and top are
+    the AND and the OR of the family.  The join-irreducibles are the
+    distinct d(p), the least member holding each point p outside the
+    bottom (Birkhoff), in ascending position, so no table is read for
+    them.  Unions and intersections of sets distribute over each other, so
+    no distributivity sweep runs.
+    """
+
+    def __init__(self, labels, family):
+        family = tuple(family)
+        index = {m: k for k, m in enumerate(family)}
+        holders = transpose(family)
+        downs, ups = _point_generators(family, holders)
+        if not _is_closed(family, index, downs, ups):
+            raise _first_miss(labels, family, index)
+        if len(family) <= EAGER_TABLE_LIMIT:
+            self.join = _RowTable(family, index, "__or__")
+            self.meet = _RowTable(family, index, "__and__")
+        else:
+            self.join = _LazyTable(labels, family, index, int.__or__, "union")
+            self.meet = _LazyTable(labels, family, index, int.__and__, "intersection")
+        self.top = index.get(reduce(int.__or__, family, 0))
+        self.bottom = index.get(reduce(int.__and__, family, ~0))
+        if self.bottom is None or self.top is None:
+            raise VerificationError("the family has no least or no greatest member")
+        self.family = family
+        self.index = index
+        # join-irreducibles, ascending
+        self.irreducibles = tuple(sorted(map(index.__getitem__, downs)))
+        self.order = FinitePoset(labels, inclusion_rows(family, holders), validate=False)
 
     @property
     def n(self):
@@ -120,24 +143,23 @@ class FiniteFrame:
         return f"FiniteFrame({self.n} elements)"
 
 
-def frame_from_poset(poset, *, check_distributive=True):
+def frame_from_poset(poset):
     """Build a FiniteFrame, or raise NotLatticeError / NotDistributiveError.
 
-    A front end to `family_lattice` (Birkhoff): a finite poset is a
+    A front end to `FiniteFrame` (Birkhoff): a finite poset is a
     distributive lattice exactly when x -> J(x), the join-irreducibles
     below x, is an order embedding onto a family closed under union and
     intersection.  J is the elements whose strict down row is a down row.
-    The order is accepted when the kernel takes the masks `down[x] & J`
-    and their inclusion rows are the given up rows.
+    The order is accepted when the frame of the masks `down[x] & J` is
+    built and its inclusion rows are the given up rows.
 
-    A refusal, or `check_distributive=False`, runs the row scan: the upper
-    bounds of i and j form the up-set `up[i] & up[j]`, which has a least
-    element u exactly when it equals `up[u]`, so every join is one dict
-    lookup, and every meet one on down rows.  The first pair in row order
-    without a bound is named, join before meet.  A refused lattice is not
-    distributive, and `distributivity_witness` names its first failing
-    triple, so M3 and N5 are rejected with witnesses.  On any lattice J is
-    the join-irreducibles.
+    A refusal runs the row scan: the upper bounds of i and j form the
+    up-set `up[i] & up[j]`, which has a least element u exactly when it
+    equals `up[u]`, so every join is one dict lookup, and every meet one on
+    down rows.  The first pair in row order without a bound is named, join
+    before meet.  A refused lattice is not distributive, and
+    `distributivity_witness` names its first failing triple, so M3 and N5
+    are rejected with witnesses.
     """
     n = poset.n
     if n == 0:
@@ -145,18 +167,14 @@ def frame_from_poset(poset, *, check_distributive=True):
     up = poset.up
     down = poset.down
     rows = set(down)
-    irreducibles = tuple(x for x in range(n) if down[x] & ~(1 << x) in rows)
-    if check_distributive:
-        j_mask = sum(1 << x for x in irreducibles)
-        try:
-            _, (order, join, meet, bottom, top, _) = family_lattice(
-                poset.points, [d & j_mask for d in down]
-            )
-        except VerificationError:
-            pass
-        else:
-            if order.up == up:
-                return FiniteFrame(poset, join, meet, bottom, top, irreducibles)
+    j_mask = sum(1 << x for x in range(n) if down[x] & ~(1 << x) in rows)
+    try:
+        frame = FiniteFrame(poset.points, [d & j_mask for d in down])
+    except VerificationError:
+        pass
+    else:
+        if frame.order.up == up:
+            return frame
     least = {}
     greatest = {}
     for u in range(n):
@@ -171,19 +189,13 @@ def frame_from_poset(poset, *, check_distributive=True):
             _raise_missing_bound(poset, i, jrow, mrow)
         join.append(jrow)
         meet.append(mrow)
-    everything = (1 << n) - 1
-    frame = FiniteFrame(
-        poset, tuple(join), tuple(meet), least[everything], greatest[everything], irreducibles
-    )
-    if check_distributive:
-        witness = distributivity_witness(frame)
-        if witness is None:
-            raise VerificationError(
-                "the family kernel and the triple sweep disagree on distributivity"
-            )
-        a, b, c = (poset.points[k] for k in witness)
-        raise NotDistributiveError(f"distributivity fails on ({a!r}, {b!r}, {c!r})")
-    return frame
+    witness = distributivity_witness(join, meet)
+    if witness is None:
+        raise VerificationError(
+            "the family kernel and the triple sweep disagree on distributivity"
+        )
+    a, b, c = (poset.points[k] for k in witness)
+    raise NotDistributiveError(f"distributivity fails on ({a!r}, {b!r}, {c!r})")
 
 
 def _raise_missing_bound(poset, i, jrow, mrow):
@@ -203,19 +215,17 @@ def _raise_missing_bound(poset, i, jrow, mrow):
             )
 
 
-def distributivity_witness(frame):
+def distributivity_witness(join, meet):
     """The first triple (a, b, c) with a&(b|c) != (a&b)|(a&c), or None.
 
-    Triples are visited in lexicographic order.  `frame_from_poset` runs
-    this sweep only on a lattice the family kernel refused, to name the
-    witness.
+    Triples are visited in lexicographic order over the join and meet
+    tables.  `frame_from_poset` runs this sweep only on a lattice the
+    family kernel refused, to name the witness.
     For each (a, b) the whole c row is compared at once, (a&(b|c))_c
     against ((a&b)|(a&c))_c, through `itemgetter`; the row is scanned for c
     only when the two differ.
     """
-    n = frame.n
-    join = frame.join
-    meet = frame.meet
+    n = len(join)
     pick_join = [itemgetter(*row) for row in join]
     for a in range(n):
         ma = meet[a]
@@ -238,7 +248,7 @@ class _RowTable(dict):
     a built row again is a plain dict lookup.  Iteration, `len` and `==`
     are those of the tuple of rows.  The table holds the family, never its
     frame, so a dropped frame leaves no reference cycle.
-    `family_lattice` has already checked that every entry exists.
+    `FiniteFrame` has already checked that every entry exists.
     """
 
     __slots__ = ("masks", "index", "op")
@@ -292,8 +302,8 @@ class _LazyTable:
     Stands in for `_RowTable` above EAGER_TABLE_LIMIT, where keeping the
     rows that are read would let a quadratic table dominate memory.  A
     lookup whose union or intersection is not in the family raises
-    VerificationError, though `family_lattice` has already checked that
-    none is missing.
+    VerificationError, though `FiniteFrame` has already checked that none
+    is missing.
     """
 
     __slots__ = ("labels", "masks", "index", "op", "what")
@@ -369,51 +379,6 @@ def _first_miss(labels, masks, index):
     return VerificationError("the closure screen and the row scan disagree")
 
 
-def family_lattice(labels, masks):
-    """The lattice of a family of sets closed under union and intersection.
-
-    This is the one builder of a frame: `spatial.omega` passes opens,
-    `downset_frame` downsets, and `frame_from_poset`,
-    `colimits.coproduct`, `product_frames` and `pushout_loc` the Birkhoff
-    masks of their elements.  Returns the family's index, mask to
-    position, and the (order, join, meet, bottom, top, irreducibles) of a
-    FiniteFrame on it.
-
-    Closure is checked at build, at every size, without a table:
-    `_is_closed` tries each member against the generators d(p) and u(p) of
-    `_point_generators`.  When that fails, `_first_miss` scans the unions
-    and then the intersections in row order and the first missing one is
-    raised as VerificationError.  The order is inclusion
-    (`order.inclusion_rows`, on the same holder columns).  join and meet
-    are the positions of a | b and a & b: `_RowTable`s, which gather a row
-    when it is first read, up to EAGER_TABLE_LIMIT members, and
-    `_LazyTable`s, which compute each lookup, above it.  Bottom and top are
-    the AND and the OR of the family.  The join-irreducibles are the
-    distinct d(p), the least member holding each point p outside the
-    bottom (Birkhoff), in ascending position, so `FiniteFrame.irreducibles`
-    reads no table.  Unions and intersections of sets distribute over each
-    other, so no distributivity sweep runs.
-    """
-    index = {m: k for k, m in enumerate(masks)}
-    holders = transpose(masks)
-    downs, ups = _point_generators(masks, holders)
-    if not _is_closed(masks, index, downs, ups):
-        raise _first_miss(labels, masks, index)
-    if len(masks) <= EAGER_TABLE_LIMIT:
-        join = _RowTable(masks, index, "__or__")
-        meet = _RowTable(masks, index, "__and__")
-    else:
-        join = _LazyTable(labels, masks, index, int.__or__, "union")
-        meet = _LazyTable(labels, masks, index, int.__and__, "intersection")
-    top = index.get(reduce(int.__or__, masks, 0))
-    bottom = index.get(reduce(int.__and__, masks, ~0))
-    if bottom is None or top is None:
-        raise VerificationError("the family has no least or no greatest member")
-    irreducibles = tuple(sorted(map(index.__getitem__, downs)))
-    order = FinitePoset(labels, inclusion_rows(masks, holders), validate=False)
-    return index, (order, join, meet, bottom, top, irreducibles)
-
-
 def _misses(labels, what, a, b):
     return VerificationError(f"the family misses the {what} of {labels[a]!r} and {labels[b]!r}")
 
@@ -425,7 +390,7 @@ def downset_frame(poset):
     """
     pairs = sorted((downset_label(poset, m), m) for m in poset.downsets())
     labels, masks = zip(*pairs)
-    return FiniteFrame(*family_lattice(labels, masks)[1])
+    return FiniteFrame(labels, masks)
 
 
 class FrameHom:
@@ -524,8 +489,10 @@ def iter_frame_homs(source, target):
     index.  The homs are sorted by `tuple(h[p] for p in ext)`, ext the
     source irreducibles in `linear_extension` order: lexicographic in the
     values on the irreducibles.  Every hom is still built by FrameHom, so
-    `_check_hom` validates each one.  A frame that is not distributive has
-    downsets of J that name no element, and raises VerificationError.
+    `_check_hom` validates each one.  Every frame `FiniteFrame` builds is
+    distributive; a lattice that is not, which only the tests' stand-in
+    for M3 and N5 can be, has downsets of J that name no element, and
+    raises VerificationError.
     """
     irr = source.irreducibles
     at = {p: t for t, p in enumerate(irr)}

@@ -14,8 +14,9 @@ their spans with it.  Element labels are opaque strings; constructors that
 parse labelled input sort them once, and everything downstream works with
 positional indices, so enumeration is reproducible.  Subsets of the
 carrier are plain ints over the same bit positions.  `downsets` lists a
-poset's downsets as masks; `frames.downset_frame` hands them, sorted by
-`downset_label`, to the set-family kernel `frames.family_lattice`.
+poset's downsets as masks; `frames.downset_frame` builds the frame of
+them, sorted by `downset_label`, as the family of sets
+`frames.FiniteFrame(labels, downsets)`.
 """
 
 from __future__ import annotations

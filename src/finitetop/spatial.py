@@ -1,7 +1,7 @@
 """The open-sets / points correspondence for finite spaces and frames.
 
-`omega` hands the opens of a space, which are its up-sets, to the
-set-family kernel `frames.family_lattice`.
+`omega` builds the frame of a space's opens, which are its up-sets, as
+the family of sets `FiniteFrame(labels, opens)`.
 
 Points of a frame are its homs into the two-element frame.  On a finite
 lattice the preimage of top under such a hom is a principal prime filter,
@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import HypothesisError, NotHomError, VerificationError
-from .frames import FiniteFrame, FrameHom, family_lattice, iter_frame_homs, two
+from .frames import FiniteFrame, FrameHom, iter_frame_homs, two
 from .poset import iter_monotone_maps
 from .spaces import FiniteSpace, is_sober
 
@@ -31,12 +31,12 @@ class LocalePoint:
 def omega(space):
     """The topology of a space as a frame ordered by inclusion.
 
-    `frames.family_lattice` builds it on the opens, which are closed under
-    union and intersection.
+    `FiniteFrame` builds it on the opens, which are closed under union and
+    intersection.
     """
     opens = space.opens
     labels = ["{" + ",".join(space.label_set(m)) + "}" for m in opens]
-    return FiniteFrame(*family_lattice(labels, opens)[1])
+    return FiniteFrame(labels, opens)
 
 
 def locale_points(frame):

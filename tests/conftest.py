@@ -7,7 +7,8 @@ import pytest
 from hypothesis import strategies as st
 
 from finitetop.bits import iter_bits
-from finitetop.frames import chain_frame, downset_frame, frame_from_poset
+from finitetop.errors import NotLatticeError
+from finitetop.frames import FiniteFrame, chain_frame, downset_frame, frame_from_poset
 from finitetop.poset import validate_poset
 from finitetop.spaces import FiniteSpace
 
@@ -28,11 +29,70 @@ def garbage_after(run):
 def table_irreducibles(frame):
     """The join-irreducibles by their definition through the join table.
 
-    The oracle of the irreducibles `frames.family_lattice` reads off a family
-    and `frames.frame_from_poset` finds on an order.
+    The oracle of the irreducibles `frames.FiniteFrame` reads off a family.
     """
     down = frame.order.down
     return tuple(j for j in range(frame.n) if frame.join_mask(down[j] & ~(1 << j)) != j)
+
+
+def least_of(poset, mask):
+    for u in iter_bits(mask):
+        if mask & ~poset.up[u] == 0:
+            return u
+    return None
+
+
+def greatest_of(poset, mask):
+    for u in iter_bits(mask):
+        if mask & ~poset.down[u] == 0:
+            return u
+    return None
+
+
+def literal_tables(poset):
+    """Join and meet tables with each bound found as the least/greatest of its bound set."""
+    n = poset.n
+    if n == 0:
+        raise NotLatticeError("a frame needs at least one element")
+    join = [[0] * n for _ in range(n)]
+    meet = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            least = least_of(poset, poset.up[i] & poset.up[j])
+            if least is None:
+                raise NotLatticeError(
+                    f"no least upper bound for {poset.points[i]!r}, {poset.points[j]!r}"
+                )
+            join[i][j] = join[j][i] = least
+            greatest = greatest_of(poset, poset.down[i] & poset.down[j])
+            if greatest is None:
+                raise NotLatticeError(
+                    f"no greatest lower bound for {poset.points[i]!r}, {poset.points[j]!r}"
+                )
+            meet[i][j] = meet[j][i] = greatest
+    return tuple(map(tuple, join)), tuple(map(tuple, meet))
+
+
+class TableLattice(FiniteFrame):
+    """A lattice filled from its literal tables, distributive or not.
+
+    `FiniteFrame(labels, family)` refuses a lattice that is not a family of
+    sets closed under union and intersection, such as M3 or N5.  This
+    stand-in skips that constructor, so tests can hand such a lattice to
+    the package and watch it be refused.  Its `family` is the
+    join-irreducibles below each element, as `frame_from_poset` would try.
+    """
+
+    def __init__(self, poset):
+        everything = (1 << poset.n) - 1
+        self.order = poset
+        self.join, self.meet = literal_tables(poset)
+        self.bottom = least_of(poset, everything)
+        self.top = greatest_of(poset, everything)
+        self.irreducibles = table_irreducibles(self)
+        j_mask = sum(1 << j for j in self.irreducibles)
+        self.family = tuple(d & j_mask for d in poset.down)
+        self.index = {m: k for k, m in enumerate(self.family)}
 
 
 def certificate(rows):

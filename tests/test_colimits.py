@@ -31,7 +31,6 @@ from finitetop.frames import (
     _LazyTable,
     chain_frame,
     downset_frame,
-    family_lattice,
     frame_from_poset,
     frame_isomorphism,
     iter_frame_homs,
@@ -43,7 +42,7 @@ from finitetop.spaces import FiniteSpace
 from finitetop.spatial import omega
 from finitetop.suites import SuiteOptions, run_group, run_suite
 
-from conftest import diamond_m3, garbage_after, grid_poset, table_irreducibles
+from conftest import TableLattice, diamond_m3, garbage_after, grid_poset, table_irreducibles
 
 
 def _small_pairs():
@@ -163,8 +162,8 @@ def test_injections_match_the_written_out_masks():
     for left, right in itertools.product(pool, repeat=2):
         t = coproduct(left, right)
         iota1, iota2 = _injection_masks(left, right)
-        assert [(t.masks[k], t.reduced[k]) for k in t.iota1_map] == iota1
-        assert [(t.masks[k], t.reduced[k]) for k in t.iota2_map] == iota2
+        assert [(t.masks[k], t.family[k]) for k in t.iota1_map] == iota1
+        assert [(t.masks[k], t.family[k]) for k in t.iota2_map] == iota2
 
 
 def test_a_dropped_coproduct_leaves_no_cyclic_garbage():
@@ -569,6 +568,7 @@ def test_product_tables_match_the_literal_tuple_build(factors):
 
 @functools.lru_cache(maxsize=3)
 def _lazy_frame_and_eager_oracle(kind):
+    """A frame above EAGER_TABLE_LIMIT, and its join and meet tables written out from its family."""
     if kind == "product":
         frame = product_frames([chain_frame(25), chain_frame(25)])
     elif kind == "tensor":
@@ -576,18 +576,22 @@ def _lazy_frame_and_eager_oracle(kind):
     else:
         # the discrete 10-point space: 1,024 opens
         frame = omega(FiniteSpace([f"x{i}" for i in range(10)], [1 << i for i in range(10)]))
-    return frame, frame_from_poset(frame.order, check_distributive=False)
+    index = frame.index
+    family = frame.family
+    join = tuple(tuple(index[a | b] for b in family) for a in family)
+    meet = tuple(tuple(index[a & b] for b in family) for a in family)
+    return frame, join, meet
 
 
 @settings(max_examples=40, deadline=None)
 @given(st.sampled_from(["product", "tensor", "omega"]), st.data())
 def test_lazy_tables_match_an_eager_build(kind, data):
-    frame, eager = _lazy_frame_and_eager_oracle(kind)
+    frame, join, meet = _lazy_frame_and_eager_oracle(kind)
     assert frame.n > EAGER_TABLE_LIMIT
     assert isinstance(frame.join, _LazyTable) and isinstance(frame.meet, _LazyTable)
     i = data.draw(st.integers(0, frame.n - 1))
-    assert tuple(frame.join[i][j] for j in range(frame.n)) == eager.join[i]
-    assert tuple(frame.meet[i][j] for j in range(frame.n)) == eager.meet[i]
+    assert tuple(frame.join[i][j] for j in range(frame.n)) == join[i]
+    assert tuple(frame.meet[i][j] for j in range(frame.n)) == meet[i]
 
 
 def _pushout_apexes(pool):
@@ -675,12 +679,13 @@ def _labels(masks):
 
 def test_the_family_kernel_builds_a_powerset():
     masks = (0b00, 0b01, 0b10, 0b11)
-    index, (order, join, meet, bottom, top, irreducibles) = family_lattice(_labels(masks), masks)
-    assert index == {m: k for k, m in enumerate(masks)}
-    assert order.up == (0b1111, 0b1010, 0b1100, 0b1000)
-    assert join[1][2] == 3 and meet[1][2] == 0
-    assert (bottom, top) == (0, 3)
-    assert irreducibles == (1, 2)
+    frame = FiniteFrame(_labels(masks), masks)
+    assert frame.family == masks
+    assert frame.index == {m: k for k, m in enumerate(masks)}
+    assert frame.order.up == (0b1111, 0b1010, 0b1100, 0b1000)
+    assert frame.join[1][2] == 3 and frame.meet[1][2] == 0
+    assert (frame.bottom, frame.top) == (0, 3)
+    assert frame.irreducibles == (1, 2)
 
 
 @pytest.mark.parametrize(
@@ -694,7 +699,7 @@ def test_the_family_kernel_builds_a_powerset():
 )
 def test_the_family_kernel_refuses_a_family_that_is_not_a_lattice_of_sets(masks, message):
     with pytest.raises(VerificationError, match=f"^{message}$"):
-        family_lattice(_labels(masks), masks)
+        FiniteFrame(_labels(masks), masks)
 
 
 def test_the_lazy_family_kernel_refuses_a_family_with_no_least_member():
@@ -705,7 +710,7 @@ def test_the_lazy_family_kernel_refuses_a_family_with_no_least_member():
     """
     masks = tuple(1 << k for k in range(EAGER_TABLE_LIMIT + 1))
     with pytest.raises(VerificationError, match="^the family misses the union of 'm1' and 'm2'$"):
-        family_lattice(_labels(masks), masks)
+        FiniteFrame(_labels(masks), masks)
 
 
 def test_a_missing_union_above_the_limit_is_refused_at_build():
@@ -719,7 +724,7 @@ def test_a_missing_union_above_the_limit_is_refused_at_build():
     assert len(masks) == EAGER_TABLE_LIMIT + 1
     message = "^the family misses the union of 'm1' and 'm2'$"
     with pytest.raises(VerificationError, match=message):
-        family_lattice(_labels(masks), masks)
+        FiniteFrame(_labels(masks), masks)
     index = {m: k for k, m in enumerate(masks)}
     join = _LazyTable(_labels(masks), masks, index, int.__or__, "union")
     assert join[0][1] == 1 and join[1][len(masks) - 1] == len(masks) - 1
@@ -729,7 +734,7 @@ def test_a_missing_union_above_the_limit_is_refused_at_build():
 
 def test_a_product_with_a_non_distributive_factor_is_refused_above_the_limit():
     """M3 x chain(121) has 605 elements, so its tables would be lazy; it is refused at build."""
-    m3 = frame_from_poset(diamond_m3(), check_distributive=False)
+    m3 = TableLattice(diamond_m3())
     assert m3.n * 121 > EAGER_TABLE_LIMIT
     with pytest.raises(VerificationError, match="misses the union"):
         product_frames([m3, chain_frame(121)])
@@ -737,7 +742,7 @@ def test_a_product_with_a_non_distributive_factor_is_refused_above_the_limit():
 
 def test_a_product_with_a_non_distributive_factor_is_refused():
     """Birkhoff masks of M3 miss a union, so the kernel refuses the product."""
-    m3 = frame_from_poset(diamond_m3(), check_distributive=False)
+    m3 = TableLattice(diamond_m3())
     with pytest.raises(VerificationError, match="misses the union"):
         product_frames([two(), m3])
 

@@ -3,7 +3,6 @@
 import hashlib
 import random
 import re
-from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -30,7 +29,6 @@ from finitetop.frames import (
     chain_frame,
     distributivity_witness,
     downset_frame,
-    family_lattice,
     frame_from_poset,
     frame_isomorphism,
     iter_frame_homs,
@@ -45,11 +43,15 @@ from finitetop.spaces import space_from_preorder
 from finitetop.spatial import omega
 
 from conftest import (
+    TableLattice,
     antichain_poset,
     chain_poset,
     diamond_m3,
     downset_frames,
+    greatest_of,
     grid_poset,
+    least_of,
+    literal_tables,
     pentagon_n5,
     table_irreducibles,
 )
@@ -325,47 +327,25 @@ def test_meet_join_lattice_laws(which, data):
 # --- the table builder and the distributivity test against literal oracles --
 
 
-def _least_of(poset, mask):
-    for u in iter_bits(mask):
-        if mask & ~poset.up[u] == 0:
-            return u
-    return None
-
-
-def _greatest_of(poset, mask):
-    for u in iter_bits(mask):
-        if mask & ~poset.down[u] == 0:
-            return u
-    return None
-
-
-def _literal_tables(poset):
-    """Join and meet tables with each bound found as the least/greatest of its bound set."""
-    n = poset.n
-    if n == 0:
-        raise NotLatticeError("a frame needs at least one element")
-    join = [[0] * n for _ in range(n)]
-    meet = [[0] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(i, n):
-            least = _least_of(poset, poset.up[i] & poset.up[j])
-            if least is None:
-                raise NotLatticeError(
-                    f"no least upper bound for {poset.points[i]!r}, {poset.points[j]!r}"
-                )
-            join[i][j] = join[j][i] = least
-            greatest = _greatest_of(poset, poset.down[i] & poset.down[j])
-            if greatest is None:
-                raise NotLatticeError(
-                    f"no greatest lower bound for {poset.points[i]!r}, {poset.points[j]!r}"
-                )
-            meet[i][j] = meet[j][i] = greatest
-    return tuple(map(tuple, join)), tuple(map(tuple, meet))
-
-
 def _built_tables(poset):
-    frame = frame_from_poset(poset, check_distributive=False)
-    return frame.join, frame.meet
+    """An accepted frame's tables, or "not distributive" for a lattice refused as one."""
+    try:
+        frame = frame_from_poset(poset)
+    except NotDistributiveError:
+        return "not distributive"
+    return tuple(frame.join), tuple(frame.meet)
+
+
+def _expected_tables(poset):
+    """What `_built_tables` gives by the literal oracles.
+
+    The literal tables when no triple fails on them, "not distributive"
+    when one does, or the NotLatticeError message.
+    """
+    tables = _tables_or_error(literal_tables, poset)
+    if isinstance(tables, str) or _first_triple(*tables) is None:
+        return tables
+    return "not distributive"
 
 
 def _tables_or_error(build, poset):
@@ -390,8 +370,8 @@ def _assert_accepted_frame_is_literal(frame, poset, join, meet):
     """The frame's tables, bounds and irreducibles are the literal ones of the poset."""
     everything = (1 << poset.n) - 1
     assert (tuple(frame.join), tuple(frame.meet)) == (join, meet)
-    assert frame.bottom == _least_of(poset, everything)
-    assert frame.top == _greatest_of(poset, everything)
+    assert frame.bottom == least_of(poset, everything)
+    assert frame.top == greatest_of(poset, everything)
     assert frame.irreducibles == table_irreducibles(frame)
 
 
@@ -413,17 +393,17 @@ def _assert_verdict_matches_triple_sweep(poset, join, meet):
 
 
 def test_table_builder_matches_literal_oracle_on_small_posets():
-    outcomes = [_tables_or_error(_literal_tables, p) for p in all_posets(5)]
+    outcomes = [_expected_tables(p) for p in all_posets(5)]
     for p, expected in zip(all_posets(5), outcomes):
         assert _tables_or_error(_built_tables, p) == expected
-    lattices = sum(not isinstance(o, str) for o in outcomes)
-    assert 0 < lattices < len(outcomes)
+    frames = sum(not isinstance(o, str) for o in outcomes)
+    assert 0 < frames < len(outcomes) and "not distributive" in outcomes
 
 
 def test_accepted_frames_match_the_literal_tables_on_every_poset_of_six_points():
     accepted = 0
     for p in all_posets(6):
-        expected = _tables_or_error(_literal_tables, p)
+        expected = _tables_or_error(literal_tables, p)
         if not isinstance(expected, str):
             accepted += _assert_verdict_matches_triple_sweep(p, *expected)
     assert accepted > 0
@@ -445,8 +425,8 @@ def labelled_posets(draw, min_n=6, max_n=10):
 @settings(max_examples=150, deadline=None)
 @given(labelled_posets())
 def test_table_builder_and_verdict_match_oracles_on_random_posets(poset):
-    expected = _tables_or_error(_literal_tables, poset)
-    assert _tables_or_error(_built_tables, poset) == expected
+    expected = _tables_or_error(literal_tables, poset)
+    assert _tables_or_error(_built_tables, poset) == _expected_tables(poset)
     if isinstance(expected, str):
         with pytest.raises(NotLatticeError, match=f"^{re.escape(expected)}$"):
             frame_from_poset(poset)
@@ -467,20 +447,17 @@ def _lattices_upto_7():
         top = 1 << (n - 1)
         rows = [(1 << n) - 1] + [row << 1 | top for row in p.up] + [top]
         q = FinitePoset([f"e{k}" for k in range(n)], rows)
-        if not isinstance(_tables_or_error(_literal_tables, q), str):
+        if not isinstance(_tables_or_error(literal_tables, q), str):
             out.append(q)
     return out
 
 
 def test_frame_validation_accepts_exactly_distributive_lattices():
-    """Also, checked or not, every lattice's irreducibles are those of the join definition."""
     lattices = {}
     distributive = {}
     for p in _lattices_upto_7():
         lattices[p.n] = lattices.get(p.n, 0) + 1
-        unchecked = frame_from_poset(p, check_distributive=False)
-        assert unchecked.irreducibles == table_irreducibles(unchecked)
-        if _assert_verdict_matches_triple_sweep(p, *_literal_tables(p)):
+        if _assert_verdict_matches_triple_sweep(p, *literal_tables(p)):
             distributive[p.n] = distributive.get(p.n, 0) + 1
     # OEIS A006966 and A006982: lattices and distributive lattices by size.
     assert lattices == {1: 1, 2: 1, 3: 1, 4: 2, 5: 5, 6: 15, 7: 53}
@@ -519,8 +496,7 @@ def perturbed_tables(draw):
 def test_distributivity_witness_matches_scalar_loop_on_random_tables(tables):
     """The witness is the first failing triple of the literal loop."""
     join, meet = tables
-    table = SimpleNamespace(n=len(join), join=join, meet=meet)
-    assert distributivity_witness(table) == _first_triple(join, meet)
+    assert distributivity_witness(join, meet) == _first_triple(join, meet)
 
 
 def _self_checked_tensors():
@@ -541,15 +517,14 @@ def test_distributivity_witness_finds_a_single_perturbed_entry(which):
     frame = (list(frame_corpus()) + _self_checked_tensors())[which]
     n = frame.n
     assert _first_triple(frame.join, frame.meet) is None
-    assert distributivity_witness(frame) is None
+    assert distributivity_witness(frame.join, frame.meet) is None
     rng = random.Random(which)
     for _ in range(40):
         join = [list(row) for row in frame.join]
         meet = [list(row) for row in frame.meet]
         table = rng.choice((join, meet))
         table[rng.randrange(n)][rng.randrange(n)] = rng.randrange(n)
-        perturbed = SimpleNamespace(n=n, join=join, meet=meet)
-        assert distributivity_witness(perturbed) == _first_triple(join, meet)
+        assert distributivity_witness(join, meet) == _first_triple(join, meet)
 
 
 FAMILY_BUILDERS = {
@@ -582,10 +557,10 @@ def test_non_distributive_lattice_above_256_elements_names_the_first_triple(latt
     pairs += [("1", chain[0])] + list(zip(chain, chain[1:]))
     poset = validate_poset(list(small.points) + chain, pairs)
     assert poset.n == 261
-    tables = frame_from_poset(poset, check_distributive=False)
-    witness = _first_triple(tables.join, tables.meet)
+    join, meet = literal_tables(poset)
+    witness = _first_triple(join, meet)
     assert witness is not None
-    assert distributivity_witness(tables) == witness
+    assert distributivity_witness(join, meet) == witness
     a, b, c = (poset.points[k] for k in witness)
     message = f"distributivity fails on ({a!r}, {b!r}, {c!r})"
     with pytest.raises(NotDistributiveError, match=f"^{re.escape(message)}$"):
@@ -699,7 +674,7 @@ def test_one_element_frames_as_source_and_target():
 
 
 def test_homs_out_of_a_non_distributive_table_are_refused():
-    m3 = frame_from_poset(diamond_m3(), check_distributive=False)
+    m3 = TableLattice(diamond_m3())
     with pytest.raises(VerificationError, match="not distributive"):
         list(iter_frame_homs(m3, two()))
 
@@ -774,10 +749,10 @@ def test_the_closure_screen_matches_the_row_order_scan(masks):
     assert _screen(masks) == (miss is None)
     if miss is not None:
         with pytest.raises(VerificationError) as refused:
-            family_lattice(labels, masks)
+            FiniteFrame(labels, masks)
         assert str(refused.value) == miss
     elif masks:
-        frame = FiniteFrame(*family_lattice(labels, masks)[1])
+        frame = FiniteFrame(labels, masks)
         assert frame.irreducibles == table_irreducibles(frame)
         members = {m: k for k, m in enumerate(masks)}
         assert frame.join == tuple(tuple(members[a | b] for b in masks) for a in masks)

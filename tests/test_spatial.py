@@ -17,6 +17,7 @@ from finitetop.spaces import is_sober, product_spaces, spaces_homeomorphic
 from finitetop.spatial import adjunction_check, is_spatial, locale_points, omega, pt
 
 from conftest import (
+    TableLattice,
     diamond_m3,
     discrete_space,
     downset_frames,
@@ -89,7 +90,7 @@ def test_points_match_the_all_elements_sweep_on_the_corpus():
 
 def test_points_match_the_sweep_on_non_distributive_tables():
     for poset in (diamond_m3(), pentagon_n5()):
-        table = frame_from_poset(poset, check_distributive=False)
+        table = TableLattice(poset)
         assert _points(table) == _oracle_points(table)
         assert len(_points(table)) < len(table.irreducibles)
 
