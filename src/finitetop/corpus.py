@@ -95,35 +95,31 @@ def all_spaces(max_n, *, t0_only=False):
 
 @lru_cache(maxsize=CORPUS_CACHE_SIZE)
 def all_lattices(max_n):
-    """All lattice posets with 1..max_n elements, one per isomorphism class.
+    """All lattices with 1..max_n elements, one per isomorphism class.
 
-    A poset is a lattice when `frame_from_poset` names no missing bound:
-    it builds a frame, or finds every bound and names a failing triple.
+    Each is a (poset, frame) pair; the frame is None when the lattice is
+    not distributive.  A poset is a lattice when `frame_from_poset` names
+    no missing bound: it builds a frame, or finds every bound and names a
+    failing triple.  `all_frames` reads this pass, so each frame is built
+    once.
     """
     out = []
     for p in all_posets(max_n):
         if p.n == 0:
             continue
         try:
-            frame_from_poset(p)
+            out.append((p, frame_from_poset(p)))
         except NotLatticeError:
             continue
         except NotDistributiveError:
-            pass
-        out.append(p)
+            out.append((p, None))
     return tuple(out)
 
 
 @lru_cache(maxsize=CORPUS_CACHE_SIZE)
 def all_frames(max_n):
     """All frames (distributive lattices) with 1..max_n elements, up to iso."""
-    out = []
-    for p in all_lattices(max_n):
-        try:
-            out.append(frame_from_poset(p))
-        except NotDistributiveError:
-            continue
-    return tuple(out)
+    return tuple(frame for _, frame in all_lattices(max_n) if frame is not None)
 
 
 @lru_cache(maxsize=CORPUS_CACHE_SIZE)

@@ -61,8 +61,11 @@ def transpose(up):
     """
     rows = [0] * max(up, default=0).bit_length()
     for i, r in enumerate(up):
-        for j in iter_bits(r):
-            rows[j] |= 1 << i
+        bit = 1 << i
+        while r:
+            low = r & -r
+            rows[low.bit_length() - 1] |= bit
+            r ^= low
     return tuple(rows)
 
 
@@ -71,13 +74,19 @@ _dual_rows = lru_cache(maxsize=PLAN_CACHE_SIZE)(transpose)
 
 def sort_labels(labels, rows):
     """The labels in sorted order, with the rows renumbered to match."""
-    order = sorted(range(len(labels)), key=lambda i: labels[i])
-    pos = {i: t for t, i in enumerate(order)}
+    order = sorted(range(len(labels)), key=labels.__getitem__)
+    if order == list(range(len(labels))):
+        return list(labels), list(rows)
+    pos = [0] * len(labels)
+    for t, i in enumerate(order):
+        pos[i] = t
     out = [0] * len(labels)
     for i, r in enumerate(rows):
         m = 0
-        for j in iter_bits(r):
-            m |= 1 << pos[j]
+        while r:
+            low = r & -r
+            m |= 1 << pos[low.bit_length() - 1]
+            r ^= low
         out[pos[i]] = m
     return [labels[i] for i in order], out
 
@@ -293,8 +302,10 @@ def inclusion_rows(masks, holders=None):
     rows = []
     for a in masks:
         row = everyone
-        for p in iter_bits(a):
-            row &= holders[p]
+        while a:
+            low = a & -a
+            row &= holders[low.bit_length() - 1]
+            a ^= low
         rows.append(row)
     return tuple(rows)
 

@@ -1,6 +1,7 @@
 """Shared fixtures: small named posets, spaces, and frames."""
 
 import gc
+import json
 from itertools import permutations
 
 import pytest
@@ -93,6 +94,11 @@ class TableLattice(FiniteFrame):
         j_mask = sum(1 << j for j in self.irreducibles)
         self.family = tuple(d & j_mask for d in poset.down)
         self.index = {m: k for k, m in enumerate(self.family)}
+
+
+def stdlib_canonical_json(data):
+    """The canonical text through the stdlib's encoder: the oracle of `serialize.canonical_json`."""
+    return json.dumps(data, sort_keys=True, indent=2, ensure_ascii=False) + "\n"
 
 
 def certificate(rows):

@@ -10,10 +10,14 @@ from pathlib import Path
 import pytest
 
 import finitetop
-from finitetop import suites
+from finitetop import serialize, suites
 from finitetop.cli import run
+from finitetop.colimits import coproduct
 from finitetop.lifting import PreMap, Preorder
-from finitetop.serialize import structure_data
+from finitetop.serialize import load_structure, structure_data
+from finitetop.spatial import omega
+
+from conftest import discrete_space, stdlib_canonical_json
 
 
 def _error(capsys):
@@ -254,6 +258,41 @@ def test_coproduct_output_bytes_are_pinned(frame, digest, tmp_path, capsys):
     assert run(["coproduct", "--left", str(path), "--right", str(path)]) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_coproduct_prints_the_stdlib_text_of_its_structure(tmp_path, capsys):
+    chain5 = {"kind": "frame", "points": [f"c{k}" for k in range(5)],
+              "leq": [[f"c{k}", f"c{k + 1}"] for k in range(4)]}
+    path = tmp_path / "frame.json"
+    path.write_text(json.dumps(chain5))
+    assert run(["coproduct", "--left", str(path), "--right", str(path)]) == 0
+    frame = load_structure(str(path))
+    expected = stdlib_canonical_json(structure_data(coproduct(frame, frame)))
+    assert capsys.readouterr().out == expected
+
+
+def test_omega_prints_the_stdlib_text_across_list_blocks(monkeypatch, tmp_path, capsys):
+    space = discrete_space("abcd")
+    path = tmp_path / "space.json"
+    path.write_text(json.dumps(structure_data(space)))
+    data = structure_data(omega(space))
+    # 16 points and 65 leq pairs: 3 and 10 list blocks of 7 items
+    assert len(data["leq"]) == 65
+    monkeypatch.setattr(serialize, "_BLOCK_ITEMS", 7)
+    out = tmp_path / "omega.json"
+    assert run(["omega", "--space", str(path), "--json-out", str(out)]) == 0
+    assert capsys.readouterr().out == stdlib_canonical_json(data)
+    assert out.read_text(encoding="utf-8") == stdlib_canonical_json(data)
+
+
+def test_check_frames_prints_the_stdlib_text_of_its_reports(tmp_path, capsys):
+    out = tmp_path / "reports.json"
+    assert run(["check", "frames", "--json-out", str(out)]) == 0
+    text = out.read_text(encoding="utf-8")
+    # the reports carry only str, int, bool and lists, so the text's own
+    # data is the report data
+    assert text == stdlib_canonical_json(json.loads(text))
+    assert capsys.readouterr().out == text
 
 
 def test_factorize_refuses_a_monotone_map_of_posets(tmp_path, capsys):

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from finitetop.bits import iter_bits
 from finitetop.colimits import coproduct, product_frames
-from finitetop.corpus import all_frames, all_posets, all_spaces, frame_corpus, frames_upto
+from finitetop.corpus import all_frames, all_lattices, all_posets, all_spaces, frame_corpus, frames_upto
 from finitetop.errors import (
     CarrierMismatchError,
     NotDistributiveError,
@@ -98,6 +98,16 @@ def test_frame_counts_frozen():
         sizes[f.n] = sizes.get(f.n, 0) + 1
     assert sizes == {1: 1, 2: 1, 3: 1, 4: 2, 5: 3}
     assert len(frame_corpus()) == 8
+    lattices = all_lattices(5)
+    sizes = {}
+    for p, _ in lattices:
+        sizes[p.n] = sizes.get(p.n, 0) + 1
+    assert sizes == {1: 1, 2: 1, 3: 1, 4: 2, 5: 5}
+    # the frames are the ones the lattice pass built, on the lattices' orders
+    kept = [f for _, f in lattices if f is not None]
+    assert len(kept) == len(all_frames(5))
+    assert all(a is b for a, b in zip(kept, all_frames(5)))
+    assert all(f is None or f.order.up == p.up for p, f in lattices)
 
 
 def test_infinitary_distributivity_on_corpus():

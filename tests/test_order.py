@@ -16,6 +16,7 @@ from finitetop.order import (
     inclusion_rows,
     is_isomorphism,
     isomorphisms,
+    sort_labels,
     transpose,
 )
 from finitetop.pstop import all_ps_spaces, ps_spaces_up_to_iso
@@ -175,6 +176,40 @@ def _oracle_inclusion_rows(masks):
 @example([5, 0, 5, 7])
 def test_inclusion_rows_match_the_pairwise_loop(masks):
     assert inclusion_rows(masks) == _oracle_inclusion_rows(masks)
+
+
+def _oracle_transpose(rows):
+    """Bit i of column j is set when bit j of row i is, bit by bit."""
+    width = max(rows, default=0).bit_length()
+    columns = [0] * width
+    for i, row in enumerate(rows):
+        for j in range(width):
+            if row >> j & 1:
+                columns[j] |= 1 << i
+    return tuple(columns)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(0, (1 << 130) - 1), max_size=20))
+@example([1 << 64, (1 << 129) | 1, 0])
+@example([(1 << 100) - 1] * 3)
+def test_transpose_and_inclusion_rows_match_double_loops_on_wide_rows(rows):
+    assert transpose(rows) == _oracle_transpose(rows)
+    assert inclusion_rows(rows) == _oracle_inclusion_rows(rows)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_sort_labels_renumbers_the_rows_to_the_sorted_labels(data):
+    n = data.draw(st.integers(0, 8))
+    labels = data.draw(st.permutations([f"p{k}" for k in range(n)]))
+    rows = data.draw(st.lists(st.integers(0, (1 << n) - 1), min_size=n, max_size=n))
+    points, out = sort_labels(labels, rows)
+    assert points == sorted(labels)
+    at = {x: t for t, x in enumerate(points)}
+    for i, row in enumerate(rows):
+        for j in range(n):
+            assert (out[at[labels[i]]] >> at[labels[j]] & 1) == (row >> j & 1)
 
 
 def _oracle_glue(total, pairs):

@@ -1,9 +1,13 @@
 """Canonical JSON encodings and their parsers."""
 
 import json
+from unittest.mock import patch
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from finitetop import serialize
 from finitetop.colimits import pushout_loc
 from finitetop.errors import CycleError, ParseError
 from finitetop.frames import FrameHom, frame_from_poset
@@ -21,12 +25,13 @@ from finitetop.pstop import PsSpace
 from finitetop.serialize import (
     LocPushoutData,
     canonical_json,
+    iter_canonical_json,
     load_structure,
     parse_structure,
     structure_data,
 )
 
-from conftest import chain_poset, grid_poset, sierpinski
+from conftest import chain_poset, grid_poset, sierpinski, stdlib_canonical_json
 
 
 def _round_trip(obj):
@@ -42,6 +47,65 @@ def test_canonical_json_is_key_order_independent():
     assert a == b
     assert a.endswith("\n")
     assert a.index('"a"') < a.index('"b"')
+
+
+# Text with quotes, backslashes, control characters and non-ASCII letters.
+_TEXT = st.text(st.sampled_from('ab"\\\x00\x1f\n\t\u00e9\u2028\U0001f600 /'), max_size=6)
+_SCALARS = (
+    _TEXT
+    | st.booleans()
+    | st.none()
+    | st.integers(-(2**70), 2**70)
+    | st.floats(allow_nan=True, allow_infinity=True)
+)
+_JSON = st.recursive(
+    _SCALARS | st.lists(st.lists(_TEXT, max_size=3), max_size=5),
+    lambda inner: st.lists(inner, max_size=5)
+    | st.lists(inner, max_size=5).map(tuple)
+    | st.dictionaries(_TEXT, inner, max_size=5),
+    max_leaves=40,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_JSON)
+@example({})
+@example([])
+@example({"leq": [], "points": [[]]})
+@example([["a", "b"], ("c",), []])
+@example([[["a"]], "b", {"c": None}])
+@example({"x": [1.5, -0.0, float("inf")], "y": [True, False, None, -(2**80)]})
+def test_canonical_json_matches_the_stdlib_encoder(data):
+    text = canonical_json(data)
+    assert text == stdlib_canonical_json(data)
+    assert "".join(iter_canonical_json(data)) == text
+    # two items a list block and every piece a block of output
+    with patch.object(serialize, "_BLOCK_ITEMS", 2), patch.object(serialize, "_BLOCK_CHARS", 1):
+        assert "".join(iter_canonical_json(data)) == text
+
+
+def test_canonical_json_raises_the_stdlib_error_on_unsupported_values():
+    for data in ({"a": {1, 2}}, [object()]):
+        with pytest.raises(TypeError) as ours:
+            canonical_json(data)
+        with pytest.raises(TypeError) as stdlib:
+            stdlib_canonical_json(data)
+        assert str(ours.value) == str(stdlib.value)
+
+
+@pytest.mark.parametrize("pairs", [False, True], ids=["strings", "pairs"])
+def test_a_long_list_streams_in_blocks_of_bounded_size(pairs):
+    n = 200_000
+    points = [f"s{k:06d}" for k in range(n)]
+    data = {"points": [[x, "t"] for x in points] if pairs else points}
+    text = stdlib_canonical_json(data)
+    blocks = list(iter_canonical_json(data))
+    assert "".join(blocks) == text
+    # at most one buffer's worth of pieces plus one list block of items,
+    # every item as wide as the average
+    bound = serialize._BLOCK_CHARS + serialize._BLOCK_ITEMS * len(text) / n
+    assert len(blocks) > 20
+    assert max(map(len, blocks)) <= bound
 
 
 def test_poset_round_trip():
