@@ -9,15 +9,5 @@ def iter_bits(mask):
         mask ^= low
 
 
-def submasks(mask):
-    """Yield every subset of `mask`, descending, ending with 0."""
-    s = mask
-    while True:
-        yield s
-        if s == 0:
-            return
-        s = (s - 1) & mask
-
-
 def popcount(mask):
     return mask.bit_count()

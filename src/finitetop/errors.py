@@ -17,10 +17,6 @@ class SizeError(FinitetopError):
     """An enumeration would exceed its configured cap."""
 
 
-class NotDownsetError(FinitetopError):
-    """A subset expected to be downward closed is not."""
-
-
 class NotMonotoneError(FinitetopError):
     """A map between preorders fails to preserve the order; for spaces, continuity fails."""
 

@@ -123,16 +123,6 @@ class FiniteFrame:
             sum(1 << s for s, q in enumerate(irr) if up[p] >> q & 1) for p in irr
         )
 
-    def joins_of_subsets(self, mask):
-        """The set {join of X : X a subset of mask}, as a mask; includes bottom."""
-        acc = 1 << self.bottom
-        for a in iter_bits(mask):
-            extra = 0
-            for s in iter_bits(acc):
-                extra |= 1 << self.join[s][a]
-            acc |= extra
-        return acc
-
     def __eq__(self, other):
         return self is other or (isinstance(other, FiniteFrame) and self.order == other.order)
 

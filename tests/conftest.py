@@ -7,9 +7,10 @@ from itertools import permutations
 import pytest
 from hypothesis import strategies as st
 
-from finitetop.bits import iter_bits
-from finitetop.errors import NotLatticeError
+from finitetop.bits import iter_bits, popcount
+from finitetop.errors import NotLatticeError, SizeError
 from finitetop.frames import FiniteFrame, chain_frame, downset_frame, frame_from_poset
+from finitetop.order import product_rows
 from finitetop.poset import validate_poset
 from finitetop.spaces import FiniteSpace
 
@@ -94,6 +95,229 @@ class TableLattice(FiniteFrame):
         j_mask = sum(1 << j for j in self.irreducibles)
         self.family = tuple(d & j_mask for d in poset.down)
         self.index = {m: k for k, m in enumerate(self.family)}
+
+
+def submasks(mask):
+    """Yield every subset of `mask`, descending, ending with 0."""
+    s = mask
+    while True:
+        yield s
+        if s == 0:
+            return
+        s = (s - 1) & mask
+
+
+def joins_of_subsets(frame, mask):
+    """The set {join of X : X a subset of mask}, as a mask; includes bottom."""
+    acc = 1 << frame.bottom
+    for a in iter_bits(mask):
+        extra = 0
+        for s in iter_bits(acc):
+            extra |= 1 << frame.join[s][a]
+        acc |= extra
+    return acc
+
+
+LITERAL_SIDE_CAP = 12
+LITERAL_SUBSET_CAP = 16
+# Entries per frame of the join-closure memo, oldest out first.
+JOIN_CLOSURE_MEMO_SIZE = 256
+
+
+def _join_closure(frame, mask):
+    # memo lives on the frame: row/column masks repeat heavily across saturations
+    cache = frame.__dict__.setdefault("_join_closure_memo", {})
+    out = cache.get(mask)
+    if out is None:
+        out = joins_of_subsets(frame, mask)
+        if len(cache) >= JOIN_CLOSURE_MEMO_SIZE:
+            del cache[next(iter(cache))]
+        cache[mask] = out
+    return out
+
+
+class TensorCarrier:
+    """Bit-level workspace for downsets of the product of two frame carriers.
+
+    The literal oracle of `colimits.coproduct`: the coproduct of frames is
+    the frame of saturated downsets of the product of their carriers.  A
+    downset is an int with the pair (i, j) at bit i * |M| + j; saturation
+    closes a downset under per-row and per-column joins.
+    """
+
+    def __init__(self, left, right):
+        self.left = left
+        self.right = right
+        self.nl = left.n
+        self.nm = right.n
+        self.size = self.nl * self.nm
+        self.row_mask = (1 << self.nm) - 1
+        self.full = (1 << self.size) - 1
+        self.down = product_rows(left.order.down, right.order.down)
+        self.up = product_rows(left.order.up, right.order.up)
+        nbar = self.row_mask << (left.bottom * self.nm)
+        for i in range(self.nl):
+            nbar |= 1 << (i * self.nm + right.bottom)
+        self.nbar = nbar
+
+    def pos(self, i, j):
+        return i * self.nm + j
+
+    def is_downset(self, mask):
+        acc = 0
+        for p in iter_bits(mask):
+            acc |= self.down[p]
+        return acc | mask == mask
+
+    def row_pass(self, mask):
+        """Close every row under joins taken in the right frame.
+
+        Rows with no members still gain (i, bottom) from the empty join, so
+        repeated passes accumulate the least element without special casing.
+        """
+        out = 0
+        for i in range(self.nl):
+            row = (mask >> (i * self.nm)) & self.row_mask
+            out |= _join_closure(self.right, row) << (i * self.nm)
+        return out
+
+    def col_pass(self, mask):
+        """Close every column under joins taken in the left frame."""
+        nm = self.nm
+        out = 0
+        for j in range(nm):
+            col = 0
+            for i in range(self.nl):
+                if mask >> (i * nm + j) & 1:
+                    col |= 1 << i
+            closed = _join_closure(self.left, col)
+            for i in iter_bits(closed):
+                out |= 1 << (i * nm + j)
+        return out
+
+    def saturate(self, mask):
+        """Least saturated downset containing the given downset.
+
+        Iterates the column pass after the row pass until nothing changes;
+        both passes are inflationary and monotone, so the limit is the least
+        common fixed point above the input.
+        """
+        cur = mask
+        while True:
+            nxt = self.col_pass(self.row_pass(cur))
+            if nxt == cur:
+                break
+            cur = nxt
+        return cur
+
+    def tensor_mask(self, x, y):
+        """The downset of (x, y) together with the least element."""
+        out = 0
+        rd = self.right.order.down[y]
+        for k in iter_bits(self.left.order.down[x]):
+            out |= rd << (k * self.nm)
+        return out | self.nbar
+
+
+def prenuclei(left, right, mask):
+    """Literal evaluation of the three closure passes on one downset.
+
+    Returns (sigma0, pi1, pihat2) where sigma0 adds joins of nonempty
+    updirected subsets, pi1 adds (join X, y) for every X contained in a
+    column, and pihat2 adds (x, join Y) for every Y contained in a row.
+    All three quantifiers are swept directly, so sizes are capped hard.
+    This is the literal oracle that the tests hold `TensorCarrier.row_pass`,
+    `TensorCarrier.col_pass` and `TensorCarrier.saturate` against.
+    """
+    if left.n > LITERAL_SIDE_CAP or right.n > LITERAL_SIDE_CAP:
+        raise SizeError("literal prenucleus evaluation is capped at 12x12 carriers")
+    carrier = TensorCarrier(left, right)
+    if not carrier.is_downset(mask):
+        raise ValueError("prenuclei need a downward closed input")
+    if popcount(mask) > LITERAL_SUBSET_CAP:
+        raise SizeError("literal prenucleus evaluation is capped at 16 member pairs")
+
+    sigma0 = mask
+    up = carrier.up
+    for sub in submasks(mask):
+        if sub == 0:
+            continue
+        directed = True
+        members = list(iter_bits(sub))
+        for a in range(len(members)):
+            for b in range(a + 1, len(members)):
+                if up[members[a]] & up[members[b]] & sub == 0:
+                    directed = False
+                    break
+            if not directed:
+                break
+        if directed:
+            xs = 0
+            ys = 0
+            for p in members:
+                i, j = divmod(p, carrier.nm)
+                xs |= 1 << i
+                ys |= 1 << j
+            sigma0 |= 1 << carrier.pos(left.join_mask(xs), right.join_mask(ys))
+
+    pi1 = mask
+    for j in range(carrier.nm):
+        col = 0
+        for i in range(carrier.nl):
+            if mask >> carrier.pos(i, j) & 1:
+                col |= 1 << i
+        for sub in submasks(col):
+            pi1 |= 1 << carrier.pos(left.join_mask(sub), j)
+
+    pihat2 = mask
+    for i in range(carrier.nl):
+        row = (mask >> (i * carrier.nm)) & carrier.row_mask
+        for sub in submasks(row):
+            pihat2 |= 1 << carrier.pos(i, right.join_mask(sub))
+
+    return sigma0, pi1, pihat2
+
+
+def full_masks(t):
+    """Per element of the coproduct t, its downset of the carriers' product.
+
+    Pair (x, y) is at bit x * |M| + y, and it is in element k when the
+    single-pair tensor of (x, y) is below it: `grid.rt[x][y]` inside
+    `family[k]`.
+    """
+    nm = t.right.n
+    rt = t.grid.rt
+    masks = []
+    for r in t.family:
+        full = 0
+        p = 0
+        for x in range(t.left.n):
+            row = rt[x]
+            for y in range(nm):
+                if row[y] & ~r == 0:
+                    full |= 1 << p
+                p += 1
+        masks.append(full)
+    return tuple(masks)
+
+
+def assert_saturated_oracle(t):
+    """The coproduct t against literal saturation on the carriers' product.
+
+    Every full mask is a saturated downset, no two elements share one, each
+    single-pair tensor's is the downset of the pair with the least element,
+    and the bounds are the least element and the whole product.
+    """
+    carrier = TensorCarrier(t.left, t.right)
+    masks = full_masks(t)
+    assert all(carrier.saturate(m) == m for m in masks)
+    assert len(set(masks)) == t.n
+    assert all(
+        masks[t.tensor(x, y)] == carrier.tensor_mask(x, y)
+        for x in range(t.left.n)
+        for y in range(t.right.n)
+    )
+    assert (masks[t.bottom], masks[t.top]) == (carrier.nbar, carrier.full)
 
 
 def stdlib_canonical_json(data):

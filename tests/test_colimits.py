@@ -10,14 +10,11 @@ from hypothesis import strategies as st
 from finitetop import colimits
 from finitetop.bits import iter_bits
 from finitetop.colimits import (
-    JOIN_CLOSURE_MEMO_SIZE,
-    SATURATION_CHECK_LIMIT,
-    TensorCarrier,
+    TensorFrame,
     _tensor_action,
     copair,
     coproduct,
     distribute_iso,
-    prenuclei,
     product_frames,
     pushout_loc,
     pushout_mediator,
@@ -42,7 +39,17 @@ from finitetop.spaces import FiniteSpace
 from finitetop.spatial import omega
 from finitetop.suites import SuiteOptions, run_group, run_suite
 
-from conftest import TableLattice, diamond_m3, garbage_after, grid_poset, table_irreducibles
+from conftest import (
+    TableLattice,
+    TensorCarrier,
+    assert_saturated_oracle,
+    diamond_m3,
+    full_masks,
+    garbage_after,
+    grid_poset,
+    prenuclei,
+    table_irreducibles,
+)
 
 
 def _small_pairs():
@@ -95,9 +102,10 @@ def test_tensor_distributes_over_joins_in_each_slot():
 def test_every_element_is_a_join_of_tensors():
     for left, right in _small_pairs():
         t = coproduct(left, right)
+        masks = full_masks(t)
         for k in range(t.n):
             acc = t.bottom
-            for p in iter_bits(t.masks[k]):
+            for p in iter_bits(masks[k]):
                 acc = t.join[acc][t.tensor(*divmod(p, right.n))]
             assert acc == k
 
@@ -162,8 +170,9 @@ def test_injections_match_the_written_out_masks():
     for left, right in itertools.product(pool, repeat=2):
         t = coproduct(left, right)
         iota1, iota2 = _injection_masks(left, right)
-        assert [(t.masks[k], t.family[k]) for k in t.iota1_map] == iota1
-        assert [(t.masks[k], t.family[k]) for k in t.iota2_map] == iota2
+        masks = full_masks(t)
+        assert [(masks[k], t.family[k]) for k in t.iota1_map] == iota1
+        assert [(masks[k], t.family[k]) for k in t.iota2_map] == iota2
 
 
 def test_a_dropped_coproduct_leaves_no_cyclic_garbage():
@@ -229,9 +238,10 @@ def test_saturate_is_a_closure_operator():
 def test_saturated_masks_are_fixed_by_all_passes():
     c3 = chain_frame(3)
     t = coproduct(c3, c3)
-    for m in t.masks:
+    carrier = TensorCarrier(c3, c3)
+    for m in full_masks(t):
         assert prenuclei(c3, c3, m) == (m, m, m)
-        assert t.carrier.saturate(m) == m
+        assert carrier.saturate(m) == m
 
 
 def test_elements_are_exactly_the_saturated_downsets():
@@ -248,15 +258,15 @@ def test_elements_are_exactly_the_saturated_downsets():
             if carrier.saturate(m) == m
         }
         t = coproduct(left, right)
-        assert set(t.masks) == fixed
+        assert set(full_masks(t)) == fixed
 
 
 def test_single_generator_saturation_collapses_to_bottom():
     c3 = chain_frame(3)
     t = coproduct(c3, c3)
-    carrier = t.carrier
+    carrier = TensorCarrier(c3, c3)
     mask = carrier.down[carrier.pos(1, c3.bottom)]
-    assert carrier.saturate(mask) == t.masks[t.bottom]
+    assert carrier.saturate(mask) == full_masks(t)[t.bottom]
 
 
 def test_copair_codiagonal_is_meet():
@@ -297,7 +307,7 @@ def _full_mask_copair(f, g, tensor):
     """The join of f(i) meet g(j) over every pair (i, j) of each element's full mask."""
     codomain = f.target
     mapping = []
-    for m in tensor.masks:
+    for m in full_masks(tensor):
         acc = codomain.bottom
         for p in iter_bits(m):
             i, j = divmod(p, tensor.right.n)
@@ -664,13 +674,14 @@ def test_family_tables_build_a_row_when_it_is_first_read():
     ids=["chain7-chain7", "chain4-chain4cubed"],
 )
 def test_coproduct_masks_are_saturated_above_the_check_limit(left, right):
-    """Every reconstructed mask is saturated, at 924 and 8,000 elements.
+    """Every full mask is saturated, at 924 and 8,000 elements.
 
-    `coproduct` itself re-saturates its masks only up to SATURATION_CHECK_LIMIT.
+    Above 512 elements, the old limit of the run-time saturation check.
     """
     t = coproduct(left(), right())
-    assert t.n > SATURATION_CHECK_LIMIT
-    assert all(t.carrier.saturate(m) == m for m in t.masks)
+    assert t.n > 512
+    carrier = TensorCarrier(t.left, t.right)
+    assert all(carrier.saturate(m) == m for m in full_masks(t))
 
 
 def _labels(masks):
@@ -747,37 +758,28 @@ def test_a_product_with_a_non_distributive_factor_is_refused():
         product_frames([two(), m3])
 
 
-def test_the_join_closure_memo_keeps_its_bound(monkeypatch):
-    monkeypatch.setattr(colimits, "JOIN_CLOSURE_MEMO_SIZE", 3)
-    frame = chain_frame(5)
-    masks = list(range(1 << frame.n)) * 2
-    closures = [colimits._join_closure(frame, m) for m in masks]
-    assert closures == [frame.joins_of_subsets(m) for m in masks]
-    assert list(frame.__dict__["_join_closure_memo"]) == masks[-3:]
-
-
-def test_the_join_closure_memo_evicts_nothing_in_the_frame_groups(monkeypatch):
+def test_every_coproduct_of_the_frame_groups_passes_the_saturation_oracle(monkeypatch):
     """The frames, colimits and spatial groups at the default bounds and at frame size 4.
 
-    A closure is computed only on a memo miss, and a miss evicts only when it
-    finds the memo full; so the largest memo a miss finds, plus the entry it
-    adds, is the peak.  No group leaves cyclic garbage.
+    Every report is ok, no group leaves cyclic garbage, and every tensor
+    the run builds matches literal saturation on its carriers' product.
     """
-    found = []
-    closure = FiniteFrame.joins_of_subsets
+    built = []
+    init = TensorFrame.__init__
 
-    def spy(frame, mask):
-        found.append(len(frame.__dict__["_join_closure_memo"]))
-        return closure(frame, mask)
+    def record(frame, *args, **kwargs):
+        init(frame, *args, **kwargs)
+        built.append(frame)
 
-    monkeypatch.setattr(FiniteFrame, "joins_of_subsets", spy)
-    peaks = []
+    monkeypatch.setattr(TensorFrame, "__init__", record)
+    counts = []
     for opt in (SuiteOptions(), SuiteOptions(max_frame_size=4)):
-        found.clear()
+        built.clear()
         for group in ("frames", "colimits", "spatial"):
             reports = []
             assert garbage_after(lambda: reports.extend(run_group(group, opt))) == 0
             assert reports and all(r.ok for r in reports)
-        peaks.append(max(found) + 1)
-    assert peaks == [9, 16]
-    assert max(peaks) < JOIN_CLOSURE_MEMO_SIZE
+        for t in built:
+            assert_saturated_oracle(t)
+        counts.append(len(built))
+    assert min(counts) > 0

@@ -54,7 +54,6 @@ UNREFERENCED_ALLOWED = {
     "pullback_power": "the pullback-power arrow of `lifting._power`'s key, for the tests; the bench tracer wraps it",
     "frame_corpus": "test corpus; the bench tracer wraps it",
     "poset_certificate": "the bench tracer wraps the corpus dedupe by this name",
-    "prenuclei": "literal oracle of the tensor closure passes in the tests",
 }
 
 

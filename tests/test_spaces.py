@@ -55,6 +55,42 @@ def test_space_requires_sorted_unique_points():
         FiniteSpace.from_opens(("a", "a"), (0, 3))
 
 
+def _pairwise_topology(family):
+    """The topology axioms one pair at a time: the oracle of `from_opens`."""
+    return all(a | b in family and a & b in family for a in family for b in family)
+
+
+def test_from_opens_accepts_exactly_the_topologies_on_up_to_four_points():
+    """Every family holding the empty set and the carrier, on 0 to 4 points.
+
+    `from_opens` accepts by counting the up-sets of its rows; the pairwise
+    scan decides the same on all 16,454 families, and an accepted space
+    keeps the family as its opens.
+    """
+    families = 0
+    for n in range(5):
+        points = LABELS[:n]
+        full = (1 << n) - 1
+        middle = range(1, full)
+        for keep in range(1 << len(middle)):
+            family = {0, full} | {m for k, m in enumerate(middle) if keep >> k & 1}
+            try:
+                space = FiniteSpace.from_opens(points, family)
+            except TopologyError:
+                assert not _pairwise_topology(family)
+            else:
+                assert _pairwise_topology(family)
+                assert set(space.opens) == family
+            families += 1
+    assert families == 16454
+
+
+def test_from_opens_refuses_an_open_outside_the_carrier():
+    """{0, 2} on one point has as many members as the point's up-sets, but 2 is no subset."""
+    with pytest.raises(TopologyError, match="^carrier is not open$"):
+        FiniteSpace.from_opens(("a",), (0, 2))
+
+
 def _is_t0(space):
     """Distinct points have distinct smallest opens."""
     return len(set(space.up)) == space.n
