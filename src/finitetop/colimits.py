@@ -133,7 +133,9 @@ def coproduct(left, right):
     those masks: the kernel's closure check; every single-pair tensor
     `grid.rt[x][y]` is a member, the injections' x (x) top and top (x) y
     among them; the bounds are the empty and the full pair mask; and both
-    injections are certified frame homs.
+    injections are certified frame homs.  The membership and bounds checks
+    are construction asserts: each `rt[x][y]` is a downset of `grid.down`,
+    and `upsets` lists those from the empty mask to the full one.
 
     Saturation is not checked here.  A reduced downset r stands for the
     full mask {(x, y) : rt[x][y] is inside r}, which is saturated because

@@ -120,20 +120,6 @@ def joins_of_subsets(frame, mask):
 
 LITERAL_SIDE_CAP = 12
 LITERAL_SUBSET_CAP = 16
-# Entries per frame of the join-closure memo, oldest out first.
-JOIN_CLOSURE_MEMO_SIZE = 256
-
-
-def _join_closure(frame, mask):
-    # memo lives on the frame: row/column masks repeat heavily across saturations
-    cache = frame.__dict__.setdefault("_join_closure_memo", {})
-    out = cache.get(mask)
-    if out is None:
-        out = joins_of_subsets(frame, mask)
-        if len(cache) >= JOIN_CLOSURE_MEMO_SIZE:
-            del cache[next(iter(cache))]
-        cache[mask] = out
-    return out
 
 
 class TensorCarrier:
@@ -159,9 +145,19 @@ class TensorCarrier:
         for i in range(self.nl):
             nbar |= 1 << (i * self.nm + right.bottom)
         self.nbar = nbar
+        # row and column masks repeat heavily across saturations
+        self.closures = {}
 
     def pos(self, i, j):
         return i * self.nm + j
+
+    def closure(self, frame, mask):
+        """The joins of the subsets of mask in frame, memoised on the carrier."""
+        key = (frame is self.left, mask)
+        out = self.closures.get(key)
+        if out is None:
+            out = self.closures[key] = joins_of_subsets(frame, mask)
+        return out
 
     def is_downset(self, mask):
         acc = 0
@@ -178,7 +174,7 @@ class TensorCarrier:
         out = 0
         for i in range(self.nl):
             row = (mask >> (i * self.nm)) & self.row_mask
-            out |= _join_closure(self.right, row) << (i * self.nm)
+            out |= self.closure(self.right, row) << (i * self.nm)
         return out
 
     def col_pass(self, mask):
@@ -190,7 +186,7 @@ class TensorCarrier:
             for i in range(self.nl):
                 if mask >> (i * nm + j) & 1:
                     col |= 1 << i
-            closed = _join_closure(self.left, col)
+            closed = self.closure(self.left, col)
             for i in iter_bits(closed):
                 out |= 1 << (i * nm + j)
         return out
