@@ -44,7 +44,7 @@ targets coloured apart), and `representatives` dedupes a corpus with it.
 from __future__ import annotations
 
 from functools import lru_cache
-from .bits import iter_bits, popcount
+from .bits import popcount
 
 # Entries per cache.  `check all` at the default bounds needs about 500
 # distinct plans, 200 dual-row tuples and 200 map lists, so nothing is
@@ -96,10 +96,15 @@ def product_rows(left, right):
     nr = len(right)
     rows = []
     for row in left:
+        shifts = []
+        while row:
+            low = row & -row
+            shifts.append((low.bit_length() - 1) * nr)
+            row ^= low
         for r in right:
             m = 0
-            for k in iter_bits(row):
-                m |= r << (k * nr)
+            for s in shifts:
+                m |= r << s
             rows.append(m)
     return tuple(rows)
 
@@ -152,6 +157,8 @@ def fill(src_up, dst_up, allowed=None):
     `allowed` optionally restricts each source point to a mask of target
     values.  Each step intersects the allowed mask with the down row of
     every placed point above it and the up row of every placed point below.
+    One loop walks the steps: `left[t]` holds the candidates of step t not
+    yet tried, and the last step yields one assignment per candidate.
     """
     n = len(src_up)
     if n == 0:
@@ -164,7 +171,33 @@ def fill(src_up, dst_up, allowed=None):
     elif not all(allowed):
         return
     plan = _plan(tuple(src_up))
-    yield from _fill_from(0, plan, allowed, dst_up, _dual_rows(tuple(dst_up)), [0] * n)
+    dst_down = _dual_rows(tuple(dst_up))
+    assigned = [0] * n
+    left = [0] * n
+    last = n - 1
+    t = 0
+    while True:
+        i, above, below = plan[t]
+        cand = allowed[i]
+        for k in above:
+            cand &= dst_down[assigned[k]]
+        for k in below:
+            cand &= dst_up[assigned[k]]
+        if t == last:
+            while cand:
+                low = cand & -cand
+                assigned[i] = low.bit_length() - 1
+                yield tuple(assigned)
+                cand ^= low
+        while not cand:
+            if t == 0:
+                return
+            t -= 1
+            cand = left[t]
+        low = cand & -cand
+        left[t] = cand ^ low
+        assigned[plan[t][0]] = low.bit_length() - 1
+        t += 1
 
 
 @lru_cache(maxsize=MAPS_CACHE_SIZE)
@@ -173,27 +206,9 @@ def maps(src_up, dst_up):
     return tuple(fill(src_up, dst_up))
 
 
-# The recursions of `fill`, `count_fill` and `isomorphisms` are module-level
+# The recursions of `count_fill` and `isomorphisms` are module-level
 # functions: a nested function that calls itself holds itself through its
 # closure cell, so every call would leave a cycle for the garbage collector.
-
-
-def _fill_from(t, plan, allowed, dst_up, dst_down, assigned):
-    """The assignments extending `assigned` from visit step t on."""
-    i, above, below = plan[t]
-    cand = allowed[i]
-    for k in above:
-        cand &= dst_down[assigned[k]]
-    for k in below:
-        cand &= dst_up[assigned[k]]
-    if t == len(plan) - 1:
-        for v in iter_bits(cand):
-            assigned[i] = v
-            yield tuple(assigned)
-        return
-    for v in iter_bits(cand):
-        assigned[i] = v
-        yield from _fill_from(t + 1, plan, allowed, dst_up, dst_down, assigned)
 
 
 def count_fill(src_up, dst_up, allowed):
@@ -222,9 +237,11 @@ def _count_from(t, plan, allowed, dst_up, dst_down, assigned):
     if t == len(plan) - 1:
         return popcount(cand)
     total = 0
-    for v in iter_bits(cand):
-        assigned[i] = v
+    while cand:
+        low = cand & -cand
+        assigned[i] = low.bit_length() - 1
         total += _count_from(t + 1, plan, allowed, dst_up, dst_down, assigned)
+        cand ^= low
     return total
 
 
@@ -270,8 +287,12 @@ def quotient_rows(cls, up):
     """
     rows = [1 << k for k in range(max(cls, default=-1) + 1)]
     for i, row in enumerate(up):
-        for j in iter_bits(row):
-            rows[cls[i]] |= 1 << cls[j]
+        m = 0
+        while row:
+            low = row & -row
+            m |= 1 << cls[low.bit_length() - 1]
+            row ^= low
+        rows[cls[i]] |= m
     return tuple(transitive_closure(rows))
 
 
@@ -372,8 +393,10 @@ def is_isomorphism(up_a, up_b, mapping):
         return False
     for i, row in enumerate(up_a):
         moved = 0
-        for j in iter_bits(row):
-            moved |= 1 << mapping[j]
+        while row:
+            low = row & -row
+            moved |= 1 << mapping[low.bit_length() - 1]
+            row ^= low
         if moved != up_b[mapping[i]]:
             return False
     return True

@@ -18,7 +18,7 @@ from .errors import (
     SizeError,
     VerificationError,
 )
-from .order import fill, representatives, transitive_closure
+from .order import fill, inclusion_rows, representatives, transitive_closure, transpose
 from .poset import Preorder, iter_monotone_maps, pushout
 from .spaces import FiniteSpace, pushout_spaces
 
@@ -128,8 +128,11 @@ def lim_filter(xi, filt):
     if not filt.proper:
         return xi.full
     out = xi.full
-    for x in iter_bits(filt.base):
-        out &= xi.lim[x]
+    base = filt.base
+    while base:
+        low = base & -base
+        out &= xi.lim[low.bit_length() - 1]
+        base ^= low
     return out
 
 
@@ -142,8 +145,10 @@ def push_filter(mapping, target, filt):
 
 def _image(mapping, mask):
     img = 0
-    for x in iter_bits(mask):
-        img |= 1 << mapping[x]
+    while mask:
+        low = mask & -mask
+        img |= 1 << mapping[low.bit_length() - 1]
+        mask ^= low
     return img
 
 
@@ -181,10 +186,14 @@ def continuous_on_ultrafilters(mapping, xi, zeta):
     re-proven exhaustively by a suite rather than taken on faith, and this
     is the licensed fast path.
     """
-    return all(
-        _image(mapping, xi.lim[x]) & ~zeta.lim[mapping[x]] == 0
-        for x in range(xi.n)
-    )
+    for x, lim in enumerate(xi.lim):
+        target = zeta.lim[mapping[x]]
+        while lim:
+            low = lim & -lim
+            if not target >> mapping[low.bit_length() - 1] & 1:
+                return False
+            lim ^= low
+    return True
 
 
 def iter_continuous_ps_maps(xi, zeta):
@@ -416,34 +425,50 @@ class LemmaReport:
         return not self.failures
 
 
-def _restriction(mapping, source_mask, target_mask):
-    src = list(iter_bits(source_mask))
-    tgt = {j: t for t, j in enumerate(iter_bits(target_mask))}
-    return tuple(tgt[mapping[i]] for i in src)
+def _subspaces(xi):
+    """Per nonempty subset A: A, its `subspace_ps`, its members, and `pos`.
+
+    The members ascend, and `pos[i]` is the index of member i among them,
+    its point number in the subspace.
+    """
+    out = []
+    for mask in range(1, xi.full + 1):
+        members = list(iter_bits(mask))
+        pos = [0] * xi.n
+        for t, i in enumerate(members):
+            pos[i] = t
+        out.append((mask, subspace_ps(xi, mask), members, pos))
+    return out
 
 
 def lemma_subspace_restriction(max_points=3):
     """Restrictions of continuous maps stay continuous on compatible subsets.
 
-    Quantifies over the deduplicated corpus; the hot loop uses the licensed
-    ultrafilter criterion and any hit is re-examined with the literal
-    all-filters checker before it counts as a failure.
+    Quantifies over the deduplicated corpus: for each continuous map xi ->
+    zeta, each A and each B holding f(A), f restricted to A -> B must be
+    continuous between the subspaces.  Each space's subspaces, member lists
+    and position tables are built once, so an instance's restricted map is
+    f's values on A renumbered into B.  Every instance is checked with the
+    licensed ultrafilter criterion, and any miss is re-examined with the
+    literal all-filters checker before it counts as a failure.
     """
     instances = 0
     failures = []
     spaces = [s for n in range(1, max_points + 1) for s in ps_spaces_up_to_iso(n)]
+    subspaces = {id(xi): _subspaces(xi) for xi in spaces}
     for xi in spaces:
-        subs_x = {a: subspace_ps(xi, a) for a in range(1, xi.full + 1)}
+        subs_x = subspaces[id(xi)]
         for zeta in spaces:
-            subs_z = {b: subspace_ps(zeta, b) for b in range(1, zeta.full + 1)}
+            subs_z = subspaces[id(zeta)]
             for mapping in iter_continuous_ps_maps(xi, zeta):
-                for a_mask, sub_xi in subs_x.items():
+                for a_mask, sub_xi, members, _ in subs_x:
+                    values = [mapping[i] for i in members]
                     fa = _image(mapping, a_mask)
-                    for b_mask, sub_zeta in subs_z.items():
+                    for b_mask, sub_zeta, _, pos in subs_z:
                         if fa & ~b_mask:
                             continue
                         instances += 1
-                        sub = _restriction(mapping, a_mask, b_mask)
+                        sub = tuple(map(pos.__getitem__, values))
                         if not continuous_on_ultrafilters(sub, sub_xi, sub_zeta):
                             if not check_continuity(sub, sub_xi, sub_zeta):
                                 failures.append((xi, zeta, mapping, a_mask, b_mask))
@@ -469,25 +494,30 @@ def lemma_subspace_modification(max_points=3):
 def lemma_compact_image(max_points=3):
     """Continuous images of compact-at pairs stay compact-at.
 
-    Adherence and compact-at tables are hoisted out of the map loop; a table
-    miss is re-checked with the literal compact_at before it is recorded.
+    Each space's compact-at pairs are listed once by `_compact_pairs`: a
+    source's pairs are the instances, and an image pair holds when it is
+    among the target's pairs, the same predicate.  A miss is re-checked with
+    the literal compact_at before it is recorded.
     """
     instances = 0
     failures = []
     spaces = [s for n in range(1, max_points + 1) for s in ps_spaces_up_to_iso(n)]
-    source_pairs = {id(xi): _compact_pairs(xi, _adherence_table(xi)) for xi in spaces}
+    compact = {id(xi): _compact_pairs(xi, _adherence_table(xi)) for xi in spaces}
+    compact_sets = {key: set(pairs) for key, pairs in compact.items()}
     for xi in spaces:
-        pairs = source_pairs[id(xi)]
+        pairs = compact[id(xi)]
+        images = [0] * (xi.full + 1)
         for zeta in spaces:
-            adh = _adherence_table(zeta)
+            target_pairs = compact_sets[id(zeta)]
             for mapping in iter_continuous_ps_maps(xi, zeta):
-                images = [_image(mapping, m) for m in range(xi.full + 1)]
+                for m in range(1, xi.full + 1):
+                    low = m & -m
+                    images[m] = images[m ^ low] | 1 << mapping[low.bit_length() - 1]
                 for a_mask, b_mask in pairs:
                     instances += 1
                     fa = images[a_mask]
                     fb = images[b_mask]
-                    bases = [b for b in range(1, zeta.full + 1) if b & fa]
-                    if all(adh[b] & fb for b in bases):
+                    if (fa, fb) in target_pairs:
                         continue
                     if not compact_at(zeta, fa, fb):
                         failures.append((xi, zeta, mapping, a_mask, b_mask))
@@ -576,19 +606,21 @@ def _refinement_bits(everything):
     """Per limit tuple, the bitsets over `everything` of the etas above and below it.
 
     Bit k of `above` is set when the space is finer than everything[k], and
-    bit k of `below` when everything[k] is finer than the space; both come
-    from `finer_ps`.
+    bit k of `below` when everything[k] is finer than the space.  A space on
+    n points packs into n * n bits, limit set i at bits i * n on, and xi is
+    finer than eta exactly when xi's packed relation is a subset of eta's;
+    so `above` is `inclusion_rows` of the packed relations and `below` its
+    `transpose`.
     """
-    out = {}
+    packed = []
     for space in everything:
-        above = below = 0
-        for k, eta in enumerate(everything):
-            if finer_ps(space, eta):
-                above |= 1 << k
-            if finer_ps(eta, space):
-                below |= 1 << k
-        out[space.lim] = (above, below)
-    return out
+        m = 0
+        for i, lim in enumerate(space.lim):
+            m |= lim << (i * space.n)
+        packed.append(m)
+    above = inclusion_rows(packed)
+    below = transpose(above)
+    return {space.lim: pair for space, pair in zip(everything, zip(above, below))}
 
 
 def _extremal(bits, xi, zeta, met, joined):

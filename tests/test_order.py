@@ -93,6 +93,42 @@ def test_count_fill_matches_product_filter():
         )
 
 
+@st.composite
+def preorders(draw, max_n=5):
+    """A random preorder: reflexive rows closed under transitivity."""
+    n = draw(st.integers(0, max_n))
+    rows = [draw(st.integers(0, (1 << n) - 1)) | 1 << i for i in range(n)]
+    return tuple(order.transitive_closure(rows))
+
+
+@st.composite
+def fill_cases(draw):
+    """A source and a target preorder, and one `allowed` mask per source point."""
+    src = draw(preorders())
+    dst = draw(preorders())
+    full = (1 << len(dst)) - 1
+    masks = tuple(draw(st.integers(0, full)) for _ in src)
+    return src, dst, masks
+
+
+@settings(max_examples=300, deadline=None)
+@given(fill_cases())
+@example(((), (), ()))
+@example(((1,), (), (0,)))
+@example(((0b11, 0b11), (0b1, 0b11, 0b111), (0b111, 0b101)))
+@example(((31,) * 5, (31, 30, 28, 24, 16), (31,) * 5))
+def test_fill_and_count_fill_match_the_oracle_on_random_preorders(case):
+    """Up to five points each way, with every value allowed and with the drawn masks."""
+    src, dst, masks = case
+    full = ((1 << len(dst)) - 1,) * len(src)
+    for allowed in (full, masks):
+        expected = _oracle_fill(src, dst, allowed)
+        assert list(fill(src, dst, allowed)) == expected
+        assert count_fill(src, dst, allowed) == len(expected)
+        if allowed is full:
+            assert list(fill(src, dst)) == expected
+
+
 def _clear_plan_caches():
     order._plan.cache_clear()
     order._dual_rows.cache_clear()

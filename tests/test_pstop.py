@@ -4,6 +4,8 @@ import itertools
 import random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from finitetop import pstop
 from finitetop.bits import iter_bits
@@ -114,6 +116,31 @@ def test_ultrafilter_licensing_spot_checks_at_four_points():
         assert fast == slow
 
 
+@st.composite
+def point_maps(draw):
+    """A random pseudotopology pair on 4 or 5 points each, and a point map between them."""
+
+    def space(n):
+        lim = [draw(st.integers(0, (1 << n) - 1)) | 1 << i for i in range(n)]
+        return PsSpace(pstop.PS_LABELS[:n], lim)
+
+    xi = space(draw(st.integers(4, 5)))
+    zeta = space(draw(st.integers(4, 5)))
+    mapping = tuple(draw(st.integers(0, zeta.n - 1)) for _ in range(xi.n))
+    return mapping, xi, zeta
+
+
+@settings(max_examples=300, deadline=None)
+@given(point_maps())
+@example(((0, 1, 2, 3, 4), PsSpace("12345", (3, 3, 4, 8, 16)), discrete_ps("12345")))
+@example(((0, 0, 0, 0), PsSpace("1234", (15, 15, 15, 15)), discrete_ps("12345")))
+def test_ultrafilter_continuity_matches_all_filters_above_three_points(case):
+    mapping, xi, zeta = case
+    assert continuous_on_ultrafilters(mapping, xi, zeta) == bool(
+        check_continuity(mapping, xi, zeta)
+    )
+
+
 def test_lattice_ops_bound_both_arguments():
     for xi in all_pseudotopologies("12"):
         for zeta in all_pseudotopologies("12"):
@@ -160,6 +187,26 @@ def test_lattice_bitset_clauses_match_the_literal_clauses(n):
         assert pstop._extremal(bits, xi, zeta, met, joined) == literal
         verdicts.add(literal)
     assert verdicts == ({True} if n == 1 else {True, False})
+
+
+def _literal_refinement_bits(everything):
+    """The etas above and below each space, one `finer_ps` pair at a time."""
+    out = {}
+    for space in everything:
+        above = below = 0
+        for k, eta in enumerate(everything):
+            if finer_ps(space, eta):
+                above |= 1 << k
+            if finer_ps(eta, space):
+                below |= 1 << k
+        out[space.lim] = (above, below)
+    return out
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_packed_refinement_bits_match_the_pairwise_loop(n):
+    everything = list(all_pseudotopologies(pstop.PS_LABELS[:n]))
+    assert pstop._refinement_bits(everything) == _literal_refinement_bits(everything)
 
 
 def test_lattice_ops_need_a_shared_carrier():

@@ -1,8 +1,10 @@
 """Every registered suite at small bounds: verdicts and report bytes."""
 
 import hashlib
+import itertools
 
 import finitetop.suites as suites
+from finitetop import pstop
 from finitetop.frames import iter_frame_homs
 from finitetop.serialize import canonical_json
 from finitetop.suites import (
@@ -74,6 +76,19 @@ DEFAULT_LIFTING_DIGESTS = {
     "PushProdAndPullPowerLemma": "e19ad4283dcc9cd708df1edcddac2409744dc98a711bb4c97709ed2b73017bd8",
     "PushProdArrowCategory": "84f181311785f35218ab4f0a0a818cd146e88a5b18daa113df5c37fe0d906b73",
     "SmallObjectArgument": "8bcb84a86b8a3d8b9034e070d9c1125747552d6ba36e2309f4b73d855ea61130",
+}
+
+# sha256 of the pstop-lemmas reports at the default bounds (three points),
+# where the two swept suites check 77,957 and 111,731 instances.
+DEFAULT_PSTOP_DIGESTS = {
+    "SubspaceRestiction": "5b2ca73d9a1a09f7e0e4650c93937df6ad42929a2fe468fec93cc5315f768641",
+    "SubspaceLemma": "b346e709f4031b8fd8204f4ca7fa7ba87a8a4a57f4f2fb12e64a21be3437ab1f",
+    "CompactImageCompact": "4975477a5a7096f6f411f2c121092210fdb0fc37cbfb447377158580ee66c461",
+    "CompactSpacesBalanced": "6215a15eb8fe5ea61b1c515236d42f211b0283632f5fd6318b241134bc512ead",
+    "PushoutsInPsTop": "8401a3caf2780c3f8b7506419fa5b830aca45c40fbeb88d24d64083dc5a0bc1a",
+    "TauIotaAdjunction": "c6ea8f2834aae9b7cb865a6b3731913dc592dc6534b8e32b56da9807d4f0125e",
+    "PsTopLattice": "4791accd7ff1437c5d189515db49ff6c6dbb30dd8f1388a17e13a3273772aaeb",
+    "FinitePsTopCompact": "200d1f1ee5ba6642944cd414fc441633f2ca4b7a4c3006f07043166e8146b9fa",
 }
 
 
@@ -149,9 +164,31 @@ def test_a_repeated_hom_shows_as_a_second_mediator(monkeypatch):
     assert pushout_report.failures == ("{a,b} <- {a} -> {a,b}: 2 mediators from {a,b}",)
 
 
-def test_pstop_pushout_report_at_the_default_bounds():
-    """Two-point spans, where the glued carriers are not all trivial."""
-    report = run_suite("PushoutsInPsTop", SuiteOptions())
-    assert report.ok, report.failures
-    assert report.cases == 106
-    assert _digest(report) == "8401a3caf2780c3f8b7506419fa5b830aca45c40fbeb88d24d64083dc5a0bc1a"
+def test_pstop_lemma_reports_at_the_default_bounds():
+    """Three-point corpora, and two-point spans for PushoutsInPsTop."""
+    reports = run_group("pstop-lemmas", SuiteOptions())
+    assert [r.citation for r in reports] == list(DEFAULT_PSTOP_DIGESTS)
+    cases = {r.citation: r.cases for r in reports}
+    assert (cases["SubspaceRestiction"], cases["CompactImageCompact"]) == (77957, 111731)
+    assert cases["PushoutsInPsTop"] == 106
+    for report in reports:
+        assert report.ok, (report.citation, report.failures)
+        assert _digest(report) == DEFAULT_PSTOP_DIGESTS[report.citation], report.citation
+
+
+def test_the_swept_pstop_suites_catch_discontinuous_maps(monkeypatch):
+    """With every point map passed off as continuous, both swept lemmas fail.
+
+    A restriction of a discontinuous map can be discontinuous, and a
+    discontinuous image of a compact-at pair need not be compact-at.
+    """
+
+    def every_map(xi, zeta):
+        return itertools.product(range(zeta.n), repeat=xi.n)
+
+    monkeypatch.setattr(pstop, "iter_continuous_ps_maps", every_map)
+    opt = SuiteOptions(max_points=2)
+    restriction = run_suite("SubspaceRestiction", opt)
+    image = run_suite("CompactImageCompact", opt)
+    assert (restriction.cases, len(restriction.failures)) == (220, 7)
+    assert (image.cases, len(image.failures)) == (280, 18)
