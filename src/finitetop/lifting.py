@@ -10,20 +10,20 @@ pointwise order.  Working on order rows keeps the derived objects
 (iterated products, map objects, pushouts of both) small where explicit
 open-set families would grow exponentially.
 
-Lifting verdicts run a square census fibre by fibre.  Every monotone map
-out of the left map's target yields one commuting square it solves, and
-that projection hits exactly the squares admitting a diagonal.
-`_fibre_walk` is the one walk over squares: it streams the side with
-fewer candidate maps, and per streamed top (or bottom) yields the pins of
-the other side's fill and the squares its pinned diagonals solve.
-`_census` counts each fibre against its solved squares and stops at the
-first that falls short; `_unsolved` lists the missed squares, for a
-witness and for cell attachment.  Lifting is invariant under arrow
-isomorphism, so `_lifts` runs the census once per pair of class
-representatives: `_arrow_class` maps a key to the first-seen key of its
-class, found by the coloured `order.isomorphisms` search among earlier
-representatives with equal signatures.  A witness square for a failure is
-still searched on the real keys.
+Lifting verdicts ask each commuting square for one diagonal.  `_squares`
+is the one walk over squares: it streams the side with fewer candidate
+maps in `fill` order, and per streamed top (or bottom) the other side,
+pinned so the square commutes.  A square (u, v) has a diagonal exactly
+when `fill` yields one under `_diagonal_pins`, the fibre of v(b) at each
+point b narrowed to u(a) where b = i(a).  `_unsolved` yields the squares
+that fail this test, for a witness and for cell attachment; `_census` is
+whether it yields none, and `enumerate_lifts` lists every diagonal under
+the same pins.  Lifting is invariant under arrow isomorphism, so `_lifts`
+runs the census once per pair of class representatives: `_arrow_class`
+maps a key to the first-seen key of its class, found by the coloured
+`order.isomorphisms` search among earlier representatives with equal
+signatures.  A witness square for a failure is still searched on the real
+keys.
 
 Pushout-product corners and pullback-power comparisons depend on their
 factors only through `PreMap.key`: gluing numbers classes by first
@@ -58,7 +58,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from operator import itemgetter
 
 from .errors import (
     CarrierMismatchError,
@@ -68,7 +67,6 @@ from .errors import (
     VerificationError,
 )
 from .order import (
-    count_fill,
     fill,
     glue,
     invariant,
@@ -147,20 +145,6 @@ def arrows_between(objects):
     return tuple(out)
 
 
-def _restriction(i_map):
-    """h -> h.i as a tuple.
-
-    `itemgetter` returns a bare value for one index and needs at least one,
-    so one point and none are their own cases.
-    """
-    if len(i_map) > 1:
-        return itemgetter(*i_map)
-    if i_map:
-        (a,) = i_map
-        return lambda h: (h[a],)
-    return lambda h: ()
-
-
 def _streams_tops(left_key, right_key):
     """Whether the tops have the smaller map bound, so squares stream by top."""
     a_up, b_up, _ = left_key
@@ -168,65 +152,65 @@ def _streams_tops(left_key, right_key):
     return max(len(x_up), 1) ** len(a_up) <= max(len(y_up), 1) ** len(b_up)
 
 
-def _fibre_walk(left_key, right_key):
-    """The commuting squares, one fibre per streamed top or bottom.
+def _fibres(f_map, ny):
+    """Per target point of f, the mask of the source points over it."""
+    fibre = [0] * ny
+    for x, y in enumerate(f_map):
+        fibre[y] |= 1 << x
+    return fibre
 
-    Streams the side with the smaller map bound in `fill` order.  For each
-    streamed top u (or bottom v) yields ((src_up, dst_up, square), allowed,
-    solved): the fibre's squares are square(m) for m in fill(src_up,
-    dst_up, allowed), and `solved` holds the m that the diagonals h pinned
-    to u (or to the fibres of v) give, the distinct f.h (or h.i).
+
+def _squares(left_key, right_key):
+    """Every commuting square (top, bottom) of left against right.
+
+    Streams the side with the smaller map bound in `fill` order, and per
+    streamed top u (or bottom v) the other side in `fill` order, pinned so
+    that f.u = v.i.
     """
     a_up, b_up, i_map = left_key
     x_up, y_up, f_map = right_key
     if _streams_tops(left_key, right_key):
-        x_full = (1 << len(x_up)) - 1
         y_full = (1 << len(y_up)) - 1
-        bottom = f_map.__getitem__
         for top in fill(a_up, x_up):
             allowed = [y_full] * len(b_up)
-            pins = [x_full] * len(b_up)
             for a, t in enumerate(top):
                 allowed[i_map[a]] &= 1 << f_map[t]
-                pins[i_map[a]] &= 1 << t
-            solved = {tuple(map(bottom, h)) for h in fill(b_up, x_up, tuple(pins))}
-            yield (b_up, y_up, lambda bot, top=top: (top, bot)), tuple(allowed), solved
+            for bot in fill(b_up, y_up, allowed):
+                yield top, bot
     else:
-        fibre = [0] * len(y_up)
-        for x, y in enumerate(f_map):
-            fibre[y] |= 1 << x
-        restrict = _restriction(i_map)
+        fibre = _fibres(f_map, len(y_up))
         for bot in fill(b_up, y_up):
-            pins = tuple(fibre[v] for v in bot)
-            solved = {restrict(h) for h in fill(b_up, x_up, pins)}
-            yield (a_up, x_up, lambda top, bot=bot: (top, bot)), restrict(pins), solved
+            for top in fill(a_up, x_up, [fibre[bot[b]] for b in i_map]):
+                yield top, bot
+
+
+def _diagonal_pins(fibre, i_map, top, bot):
+    """Per point b of B, the values a diagonal may take at b.
+
+    The fibre of v(b) over f, narrowed to u(a) where b = i(a): h is a
+    diagonal of the square (u, v) exactly when `fill` yields it under these
+    pins.
+    """
+    pins = [fibre[v] for v in bot]
+    for a, t in enumerate(top):
+        pins[i_map[a]] &= 1 << t
+    return pins
+
+
+def _unsolved(left_key, right_key):
+    """The commuting squares with no diagonal, as (top, bottom), in `_squares` order."""
+    _, b_up, i_map = left_key
+    x_up, y_up, f_map = right_key
+    fibre = _fibres(f_map, len(y_up))
+    for top, bot in _squares(left_key, right_key):
+        if next(fill(b_up, x_up, _diagonal_pins(fibre, i_map, top, bot)), None) is None:
+            yield top, bot
 
 
 @lru_cache(maxsize=CENSUS_CACHE_SIZE)
 def _census(left_key, right_key):
-    """Whether every commuting square admits a diagonal, one fibre at a time.
-
-    Each fibre of `_fibre_walk` is counted by `count_fill`, memoized per
-    pin pattern, against its solved squares; the first fibre with fewer
-    solved squares decides False.
-    """
-    counts = {}
-    for (src_up, dst_up, _), allowed, solved in _fibre_walk(left_key, right_key):
-        if allowed not in counts:
-            counts[allowed] = count_fill(src_up, dst_up, allowed)
-        if len(solved) > counts[allowed]:
-            raise VerificationError("square census undercounts its solved squares")
-        if len(solved) < counts[allowed]:
-            return False
-    return True
-
-
-def _unsolved(left_key, right_key):
-    """The commuting squares with no diagonal, as (top, bottom), fibre by fibre."""
-    for (src_up, dst_up, square), allowed, solved in _fibre_walk(left_key, right_key):
-        for m in fill(src_up, dst_up, allowed):
-            if m not in solved:
-                yield square(m)
+    """Whether every commuting square admits a diagonal: none is unsolved."""
+    return next(_unsolved(left_key, right_key), None) is None
 
 
 def _arrow_rows(key):
@@ -320,21 +304,11 @@ class LiftingSquare:
 def enumerate_lifts(square):
     """Every diagonal h with h.i = u and f.h = v, by pinned monotone fill."""
     i, f = square.left, square.right
-    u, v = square.top, square.bottom
-    b = i.target
-    x = f.source
-    allowed = [0] * b.n
-    for k in range(b.n):
-        m = 0
-        for t in range(x.n):
-            if f.mapping[t] == v.mapping[k]:
-                m |= 1 << t
-        allowed[k] = m
-    for a in range(i.source.n):
-        allowed[i.mapping[a]] &= 1 << u.mapping[a]
+    pins = _diagonal_pins(
+        _fibres(f.mapping, f.target.n), i.mapping, square.top.mapping, square.bottom.mapping
+    )
     return tuple(
-        PreMap(b, x, h, validate=False)
-        for h in fill(b.up, x.up, tuple(allowed))
+        PreMap(i.target, f.source, h, validate=False) for h in fill(i.target.up, f.source.up, pins)
     )
 
 

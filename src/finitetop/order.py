@@ -18,9 +18,9 @@ changes reports.  `maps` is that sequence as a tuple, LRU-cached on the
 row tuples; every list of maps between two orders reads it.
 
 The visit plan of a source and the dual rows of a target depend on the rows
-alone, so `fill` and `count_fill` read both from bounded LRU caches keyed on
-the row tuples (`_plan` and `_dual_rows`); a run over a fixed corpus builds
-each once.  `PLAN_CACHE_SIZE` bounds each cache.
+alone, so `fill` reads both from bounded LRU caches keyed on the row tuples
+(`_plan` and `_dual_rows`); a run over a fixed corpus builds each once.
+`PLAN_CACHE_SIZE` bounds each cache.
 
 `glue_span` is the one pushout kernel: it glues B and C along the images
 of a span B <- A -> C and closes the two image orders, on rows and
@@ -206,45 +206,6 @@ def maps(src_up, dst_up):
     return tuple(fill(src_up, dst_up))
 
 
-# The recursions of `count_fill` and `isomorphisms` are module-level
-# functions: a nested function that calls itself holds itself through its
-# closure cell, so every call would leave a cycle for the garbage collector.
-
-
-def count_fill(src_up, dst_up, allowed):
-    """The number of assignments `fill` would yield, without yielding them.
-
-    Same visit plan; the last point contributes a popcount instead of a
-    branch, which collapses the widest level.
-    """
-    n = len(src_up)
-    if n == 0:
-        return 1
-    if not dst_up or not all(allowed):
-        return 0
-    plan = _plan(tuple(src_up))
-    return _count_from(0, plan, allowed, dst_up, _dual_rows(tuple(dst_up)), [0] * n)
-
-
-def _count_from(t, plan, allowed, dst_up, dst_down, assigned):
-    """The number of assignments extending `assigned` from visit step t on."""
-    i, above, below = plan[t]
-    cand = allowed[i]
-    for k in above:
-        cand &= dst_down[assigned[k]]
-    for k in below:
-        cand &= dst_up[assigned[k]]
-    if t == len(plan) - 1:
-        return popcount(cand)
-    total = 0
-    while cand:
-        low = cand & -cand
-        assigned[i] = low.bit_length() - 1
-        total += _count_from(t + 1, plan, allowed, dst_up, dst_down, assigned)
-        cand ^= low
-    return total
-
-
 def glue(total, pairs):
     """Classes of the equivalence on range(total) generated by `pairs`.
 
@@ -364,6 +325,11 @@ def isomorphisms(up_a, up_b, colours=None):
     cands = [[j for j in range(n) if sig_b[j] == sig_a[i]] for i in range(n)]
     order = sorted(range(n), key=lambda i: len(cands[i]))
     yield from _extend_iso(0, order, cands, up_a, up_b, [-1] * n, [False] * n)
+
+
+# The recursion of `isomorphisms` is a module-level function: a nested
+# function that calls itself holds itself through its closure cell, so every
+# call would leave a cycle for the garbage collector.
 
 
 def _extend_iso(t, order, cands, up_a, up_b, image, used):

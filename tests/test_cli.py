@@ -13,7 +13,7 @@ import finitetop
 from finitetop import serialize, suites
 from finitetop.cli import run
 from finitetop.colimits import coproduct
-from finitetop.lifting import PreMap, Preorder
+from finitetop.lifting import PreMap, Preorder, identity_arrow
 from finitetop.serialize import load_structure, structure_data
 from finitetop.spatial import omega
 
@@ -303,3 +303,56 @@ def test_factorize_refuses_a_monotone_map_of_posets(tmp_path, capsys):
         "kind": "input",
         "message": f"{paths['monotone-map']}: expected a premap or space map",
     }
+
+
+EMPTY = Preorder((), ())
+POINT = Preorder(("p",), (1,))
+PAIR = Preorder(("x", "y"), (1, 2))
+
+
+def _square_argv(tmp_path, left, right, top, bottom):
+    """`lift check` on a square written side by side, commuting or not."""
+    sides = {"left": left, "right": right, "top": top, "bottom": bottom}
+    data = {"kind": "lifting-square", **{k: structure_data(m) for k, m in sides.items()}}
+    path = tmp_path / "square.json"
+    path.write_text(json.dumps(data))
+    return ["lift", "check", "--square", str(path)]
+
+
+CELL_MAP = PreMap(EMPTY, POINT, ())
+
+# sha256 of `lift check` stdout: the cell against the fold of a discrete pair
+# has two fillers, and the cell against itself has none.
+
+
+@pytest.mark.parametrize(
+    "sides, code, digest",
+    [
+        (
+            (CELL_MAP, PreMap(PAIR, POINT, (0, 0)), PreMap(EMPTY, PAIR, ()), identity_arrow(POINT)),
+            0,
+            "b201b6299100a762192046211fbaa55d72f973cd2d7dbcbcf78a907026e24d51",
+        ),
+        (
+            (CELL_MAP, CELL_MAP, identity_arrow(EMPTY), identity_arrow(POINT)),
+            1,
+            "f3c2feef756ce2b37a3413431b1e97c6bc605e06b20989488345d11ba125d5fc",
+        ),
+    ],
+    ids=["two-fillers", "no-filler"],
+)
+def test_lift_check_output_bytes_are_pinned(sides, code, digest, tmp_path, capsys):
+    assert run(_square_argv(tmp_path, *sides)) == code
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+    report = json.loads(out)
+    assert report["lifts"] is (code == 0) and report["count"] == len(report["fillers"])
+
+
+def test_lift_check_refuses_a_square_that_does_not_commute(tmp_path, capsys):
+    ident = identity_arrow(PAIR)
+    argv = _square_argv(tmp_path, ident, ident, PreMap(PAIR, PAIR, (1, 0)), ident)
+    assert run(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert json.loads(captured.err)["error"]["kind"] == "input"

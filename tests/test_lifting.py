@@ -180,18 +180,28 @@ def test_cell_over_collapsed_pair_has_two_lifts():
     assert {h.mapping for h in lifts} == {(0,), (1,)}
 
 
+def _diagonals_oracle(square):
+    """Every diagonal of the square, by filtering all monotone maps B -> X."""
+    i, f = square.left, square.right
+    return [
+        h
+        for h in _monotone_maps(i.target.up, f.source.up)
+        if tuple(h[b] for b in i.mapping) == square.top.mapping
+        and tuple(f.mapping[x] for x in h) == square.bottom.mapping
+    ]
+
+
 def test_census_agrees_with_square_enumeration():
-    """The memoized lifting census versus literal search over every square."""
+    """The memoized census and `enumerate_lifts` versus literal search over every square."""
     pool = arrows_between([EMPTY, PT, D2, C2])
     checked = 0
     for left in pool:
         for right in pool:
             verdict = lifts_against(left, right)
-            squares = _commuting_squares(left, right)
-            expected = all(enumerate_lifts(sq) for sq in squares)
-            assert verdict.holds == expected
+            diagonals = [_diagonals_oracle(sq) for sq in _commuting_squares(left, right)]
+            assert verdict.holds == all(diagonals)
             if not verdict:
-                assert enumerate_lifts(verdict.witness) == ()
+                assert _diagonals_oracle(verdict.witness) == []
             checked += 1
     assert checked == len(pool) ** 2
 
@@ -701,19 +711,12 @@ def _solved_squares_oracle(left_key, right_key):
 @example((EDGE, EDGE), (identity_arrow(EMPTY), identity_arrow(EMPTY)))
 @example((CELL, CELL), (identity_arrow(EMPTY), identity_arrow(EMPTY)))
 def test_solved_squares_match_the_generator_projection(ls, rs):
-    """The fibre walk partitions the squares; its solved sets are the projection."""
+    """The walk lists every square once; the unsolved ones are those off the projection."""
     left, right = ls[0].key, rs[0].key
-    expected = _solved_squares_oracle(left, right)
-    squares, solved = [], set()
-    for (src_up, dst_up, square), allowed, fibre_solved in lifting._fibre_walk(left, right):
-        others = list(fill(src_up, dst_up, allowed))
-        assert fibre_solved <= set(others)
-        squares += map(square, others)
-        solved |= set(map(square, fibre_solved))
-    assert solved == expected
     in_order = _squares_in_walk_order(left, right)
-    assert squares == in_order
-    assert list(lifting._unsolved(left, right)) == [sq for sq in in_order if sq not in expected]
+    assert list(lifting._squares(left, right)) == in_order
+    unsolved = set(_unsolved_oracle(left, right))
+    assert list(lifting._unsolved(left, right)) == [sq for sq in in_order if sq in unsolved]
 
 
 def _squares_in_walk_order(left_key, right_key):
@@ -732,19 +735,25 @@ def _squares_in_walk_order(left_key, right_key):
     return squares
 
 
-def _unsolved_oracle(left_key, right_key):
-    """The commuting squares with no diagonal, by listing every square and diagonal."""
+def _squares_oracle(left_key, right_key):
+    """Every commuting square (top, bottom), by filtering all pairs of monotone maps."""
     a_up, b_up, i_map = left_key
     x_up, y_up, f_map = right_key
-    squares = [
+    return [
         (top, bot)
         for top, bot in itertools.product(_monotone_maps(a_up, x_up), _monotone_maps(b_up, y_up))
         if all(f_map[top[a]] == bot[i_map[a]] for a in range(len(a_up)))
     ]
+
+
+def _unsolved_oracle(left_key, right_key):
+    """The commuting squares with no diagonal, by listing every square and diagonal."""
+    _, b_up, i_map = left_key
+    x_up, _, f_map = right_key
     solved = {
         (tuple(h[b] for b in i_map), tuple(f_map[x] for x in h)) for h in _monotone_maps(b_up, x_up)
     }
-    return [sq for sq in squares if sq not in solved]
+    return [sq for sq in _squares_oracle(left_key, right_key) if sq not in solved]
 
 
 @settings(max_examples=200, deadline=None)
@@ -767,11 +776,29 @@ def test_lifting_verdicts_match_brute_force_squares_and_diagonals(ls, rs):
         assert verdict.witness is None
 
 
+@settings(max_examples=150, deadline=None)
+@given(arrow_twins(), arrow_twins())
+@example((CELL, CELL), (FOLD, FOLD))
+@example((EDGE, EDGE), (identity_arrow(C2), identity_arrow(C2)))
+def test_enumerate_lifts_matches_the_diagonal_filter(ls, rs):
+    """Every square of two random arrows: its fillers, in `fill` order, are the filtered maps."""
+    left, right = ls[1], rs[1]
+    for top, bot in _squares_oracle(left.key, right.key):
+        square = LiftingSquare(
+            left, right, PreMap(left.source, right.source, top), PreMap(left.target, right.target, bot)
+        )
+        lifts = enumerate_lifts(square)
+        assert all(h.source == left.target and h.target == right.source for h in lifts)
+        expected = _diagonals_oracle(square)
+        in_fill_order = [h for h in fill(left.target.up, right.source.up) if h in expected]
+        assert [h.mapping for h in lifts] == in_fill_order
+
+
 def _square_count(left_key, right_key):
     """The number of commuting squares, counting the wide side per pin.
 
-    Streams the side with the smaller map bound and counts the other with
-    `count_fill`, memoized per pin pattern: the literal census oracle.
+    Streams the side with the smaller map bound and counts the other by
+    running `fill` out, memoized per pin pattern: the literal census oracle.
     """
     a_up, b_up, i_map = left_key
     x_up, y_up, f_map = right_key
@@ -785,13 +812,13 @@ def _square_count(left_key, right_key):
                 allowed[i_map[a]] &= 1 << f_map[t]
             allowed = tuple(allowed)
             if allowed not in memo:
-                memo[allowed] = order.count_fill(b_up, y_up, allowed)
+                memo[allowed] = sum(1 for _ in fill(b_up, y_up, allowed))
             total += memo[allowed]
     else:
         for bot in fill(b_up, y_up):
             allowed = tuple(fibre[bot[i_map[a]]] for a in range(len(a_up)))
             if allowed not in memo:
-                memo[allowed] = order.count_fill(a_up, x_up, allowed)
+                memo[allowed] = sum(1 for _ in fill(a_up, x_up, allowed))
             total += memo[allowed]
     return total
 
@@ -847,7 +874,7 @@ SEEDED_RIGHT = ((5, 2, 4), (1, 2, 7), (2, 1, 2))
     (SEEDED_RIGHT, _renumbered(SEEDED_RIGHT, (1, 2, 0), (2, 1, 0))),
 )
 def test_census_matches_the_oracle_on_keys_and_renumbered_twins(ls, rs):
-    """The fibre census, alone and through the class memo, against the oracle."""
+    """The census, alone and through the class memo, against the counting oracle."""
     (left, left_twin), (right, right_twin) = ls, rs
     expected = _census_oracle(left, right)
     assert _census_oracle(left_twin, right_twin) == expected

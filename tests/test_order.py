@@ -10,7 +10,6 @@ from finitetop.bits import iter_bits, popcount
 from finitetop import order
 from finitetop.corpus import all_posets, all_preorders_labelled, all_spaces
 from finitetop.order import (
-    count_fill,
     fill,
     glue,
     inclusion_rows,
@@ -84,15 +83,6 @@ def test_fill_matches_product_filter_in_visit_order():
         assert list(fill(src, dst, masks)) == _oracle_fill(src, dst, masks)
 
 
-def test_count_fill_matches_product_filter():
-    for src, dst, masks in _fill_cases():
-        full = (1 << len(dst)) - 1
-        assert count_fill(src, dst, masks) == len(_oracle_fill(src, dst, masks))
-        assert count_fill(src, dst, (full,) * len(src)) == len(
-            _oracle_fill(src, dst, (full,) * len(src))
-        )
-
-
 @st.composite
 def preorders(draw, max_n=5):
     """A random preorder: reflexive rows closed under transitivity."""
@@ -117,14 +107,13 @@ def fill_cases(draw):
 @example(((1,), (), (0,)))
 @example(((0b11, 0b11), (0b1, 0b11, 0b111), (0b111, 0b101)))
 @example(((31,) * 5, (31, 30, 28, 24, 16), (31,) * 5))
-def test_fill_and_count_fill_match_the_oracle_on_random_preorders(case):
+def test_fill_matches_the_oracle_on_random_preorders(case):
     """Up to five points each way, with every value allowed and with the drawn masks."""
     src, dst, masks = case
     full = ((1 << len(dst)) - 1,) * len(src)
     for allowed in (full, masks):
         expected = _oracle_fill(src, dst, allowed)
         assert list(fill(src, dst, allowed)) == expected
-        assert count_fill(src, dst, allowed) == len(expected)
         if allowed is full:
             assert list(fill(src, dst)) == expected
 
@@ -139,13 +128,11 @@ def _fill_outputs(cases, *, cold):
     for src, dst, masks in cases:
         if cold:
             _clear_plan_caches()
-        out.append(
-            (list(fill(src, dst)), list(fill(src, dst, masks)), count_fill(src, dst, masks))
-        )
+        out.append((list(fill(src, dst)), list(fill(src, dst, masks))))
     return out
 
 
-def test_fill_and_count_fill_are_the_same_from_cached_plans():
+def test_fill_is_the_same_from_cached_plans():
     cases = _fill_cases()
     _clear_plan_caches()
     first = _fill_outputs(cases, cold=False)
@@ -376,11 +363,9 @@ def test_certificate_is_invariant_under_relabelling():
 
 def test_the_order_kernels_leave_no_cyclic_garbage():
     src, dst = FOUR[3], FOUR[-1]
-    full = ((1 << len(dst)) - 1,) * len(src)
     assert len(list(fill(src, dst))) > 1
     assert garbage_after(lambda: list(fill(src, dst))) == 0
     assert garbage_after(lambda: next(fill(src, dst))) == 0
-    assert garbage_after(lambda: count_fill(src, dst, full)) == 0
     assert next(isomorphisms(FOUR[3], FOUR[6])) == (1, 2, 0, 3)
     assert garbage_after(lambda: next(isomorphisms(FOUR[3], FOUR[6]))) == 0
     assert garbage_after(lambda: list(isomorphisms(FOUR[3], FOUR[6]))) == 0

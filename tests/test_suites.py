@@ -4,7 +4,7 @@ import hashlib
 import itertools
 
 import finitetop.suites as suites
-from finitetop import pstop
+from finitetop import lifting, pstop
 from finitetop.frames import iter_frame_homs
 from finitetop.serialize import canonical_json
 from finitetop.suites import (
@@ -75,6 +75,7 @@ LIFTING2_DIGESTS = {
 DEFAULT_LIFTING_DIGESTS = {
     "PushProdAndPullPowerLemma": "e19ad4283dcc9cd708df1edcddac2409744dc98a711bb4c97709ed2b73017bd8",
     "PushProdArrowCategory": "84f181311785f35218ab4f0a0a818cd146e88a5b18daa113df5c37fe0d906b73",
+    "PushProdIdentity1": "7361fb5d02f8512218a9383872f15aa9d4dfab937093864b2555d93f6d746f82",
     "SmallObjectArgument": "8bcb84a86b8a3d8b9034e070d9c1125747552d6ba36e2309f4b73d855ea61130",
 }
 
@@ -192,3 +193,28 @@ def test_the_swept_pstop_suites_catch_discontinuous_maps(monkeypatch):
     image = run_suite("CompactImageCompact", opt)
     assert (restriction.cases, len(restriction.failures)) == (220, 7)
     assert (image.cases, len(image.failures)) == (280, 18)
+
+
+def _clear_lifting_verdicts():
+    lifting._census.cache_clear()
+    lifting._arrow_class.cache_clear()
+    lifting._CLASSES.clear()
+
+
+def test_the_adjunction_suite_catches_diagonals_that_ignore_the_top(monkeypatch):
+    """With pins that read only the bottom, some corners and powers disagree.
+
+    The mutant's verdicts are cleared before and after, so none outlives
+    the run in a cache.
+    """
+
+    def bottom_only(fibre, i_map, top, bot):
+        return [fibre[v] for v in bot]
+
+    monkeypatch.setattr(lifting, "_diagonal_pins", bottom_only)
+    _clear_lifting_verdicts()
+    try:
+        report = run_suite("PushProdAndPullPowerLemma", SuiteOptions(max_points=2))
+    finally:
+        _clear_lifting_verdicts()
+    assert (report.cases, len(report.failures)) == (85384, 5376)
