@@ -1,9 +1,11 @@
 """Finite pseudotopological spaces: convergence, continuity, and modification.
 
 A pseudotopology on a finite carrier is determined by the limit sets of the
-principal ultrafilters, one per point, subject only to reflexivity.  Proper
-filters are principal, represented by their nonempty base set; the improper
-filter gets an explicit marker (base 0) and converges everywhere.
+principal ultrafilters, one per point, subject only to reflexivity.  Every
+filter is principal, so a filter is its base mask; base 0 is the improper
+filter, and the loops over a base give it every limit, the empty image and
+no adherence.  Each `lemma_*` check returns (instances, failures), a failure
+being a string that names its spaces, map and subsets.
 """
 
 from __future__ import annotations
@@ -75,10 +77,6 @@ class PsSpace:
     def label_set(self, mask):
         return tuple(self.points[i] for i in iter_bits(mask))
 
-    @property
-    def is_discrete(self):
-        return all(self.lim[i] == 1 << i for i in range(self.n))
-
     def __eq__(self, other):
         return (
             isinstance(other, PsSpace)
@@ -90,11 +88,18 @@ class PsSpace:
         return hash((self.points, self.lim))
 
     def __repr__(self):
-        parts = ", ".join(
-            f"{x}->{{{','.join(self.label_set(m))}}}"
-            for x, m in zip(self.points, self.lim)
-        )
+        parts = ", ".join(f"{x}->{_labels(self, m)}" for x, m in zip(self.points, self.lim))
         return f"PsSpace({parts})"
+
+
+def _labels(xi, mask):
+    return "{" + ",".join(xi.label_set(mask)) + "}"
+
+
+def _arrow(xi, zeta, mapping):
+    """A point map with its two spaces, as source -[x>f(x),...]-> target."""
+    pairs = ",".join(f"{x}>{zeta.points[v]}" for x, v in zip(xi.points, mapping))
+    return f"{xi!r} -[{pairs}]-> {zeta!r}"
 
 
 def discrete_ps(points):
@@ -102,33 +107,14 @@ def discrete_ps(points):
     return PsSpace(points, [1 << i for i in range(len(points))])
 
 
-@dataclass(frozen=True)
-class FilterRep:
-    """A filter on a finite carrier: principal with nonempty base, or improper.
-
-    Base 0 is the improper filter (all subsets, the empty meet); any other
-    base A stands for the sets containing A.
-    """
-
-    space: PsSpace
-    base: int
-
-    @property
-    def proper(self):
-        return self.base != 0
-
-
-def lim_filter(xi, filt):
-    """Limit set of a filter: meet of the ultrafilter limits above it.
+def lim_filter(xi, base):
+    """Limit set of the filter at `base`: meet of the ultrafilter limits above it.
 
     The ultrafilters containing the principal filter at A are exactly the
     principal ultrafilters at points of A, so the limit is the intersection
-    of their limit sets; the improper filter converges to every point.
+    of their limit sets; at base 0, the improper filter, it is every point.
     """
-    if not filt.proper:
-        return xi.full
     out = xi.full
-    base = filt.base
     while base:
         low = base & -base
         out &= xi.lim[low.bit_length() - 1]
@@ -136,14 +122,8 @@ def lim_filter(xi, filt):
     return out
 
 
-def push_filter(mapping, target, filt):
-    """Pushforward along a point map: the principal filter at the image."""
-    if not filt.proper:
-        return FilterRep(target, 0)
-    return FilterRep(target, _image(mapping, filt.base))
-
-
 def _image(mapping, mask):
+    """Image of a subset, and so the base of the pushed-forward filter."""
     img = 0
     while mask:
         low = mask & -mask
@@ -155,7 +135,7 @@ def _image(mapping, mask):
 @dataclass(frozen=True)
 class ContinuityReport:
     continuous: bool
-    witness: FilterRep | None
+    witness: int | None
 
     def __bool__(self):
         return self.continuous
@@ -165,17 +145,16 @@ def check_continuity(mapping, xi, zeta):
     """Continuity of a point map, quantified over every filter literally.
 
     Checks that the image of each limit set lands in the limit of the
-    pushed filter; the first failing filter is returned as witness.
+    pushed filter; the first failing base mask is returned as witness.
     """
     mapping = tuple(mapping)
     if len(mapping) != xi.n:
         raise CarrierMismatchError("the map must be total on the source carrier")
     for base in range(xi.full + 1):
-        filt = FilterRep(xi, base)
-        lhs = _image(mapping, lim_filter(xi, filt))
-        rhs = lim_filter(zeta, push_filter(mapping, zeta, filt))
+        lhs = _image(mapping, lim_filter(xi, base))
+        rhs = lim_filter(zeta, _image(mapping, base))
         if lhs & ~rhs:
-            return ContinuityReport(False, filt)
+            return ContinuityReport(False, base)
     return ContinuityReport(True, None)
 
 
@@ -321,33 +300,26 @@ def subspace_ps(xi, mask):
     return PsSpace(points, lim)
 
 
-def adherence_filter(xi, filt):
-    """Adherence of a filter: union of limits of the ultrafilters meshing it."""
-    if not filt.proper:
-        return 0
+def adherence_filter(xi, base):
+    """Adherence of the filter at `base`: union of limits of the ultrafilters meshing it."""
     out = 0
-    for x in iter_bits(filt.base):
+    for x in iter_bits(base):
         out |= xi.lim[x]
     return out
 
 
 def compact_at(xi, a_mask, b_mask):
-    """Whether A is compact at B: meshing filters adhere inside B.
+    """Whether A is compact at B: every filter meshing A adheres inside B.
 
-    Quantifies over all filters; the improper filter never meshes a
-    nonempty collection, so only proper bases contribute.
+    Quantifies over all filters; the improper one, base 0, meshes nothing.
     """
-    for base in range(1, xi.full + 1):
-        if base & a_mask == 0:
-            continue
-        if adherence_filter(xi, FilterRep(xi, base)) & b_mask == 0:
+    for base in range(xi.full + 1):
+        if base & a_mask and adherence_filter(xi, base) & b_mask == 0:
             return False
     return True
 
 
 def is_compact_ps(xi):
-    if xi.n == 0:
-        return True
     return compact_at(xi, xi.full, xi.full)
 
 
@@ -392,19 +364,9 @@ def ps_spaces_up_to_iso(n):
     return [PsSpace(points, lim, validate=False) for lim in lims]
 
 
-def _adherence_table(xi):
-    """Adherence of every proper principal filter, indexed by base mask."""
-    out = [0] * (xi.full + 1)
-    for base in range(1, xi.full + 1):
-        m = 0
-        for x in iter_bits(base):
-            m |= xi.lim[x]
-        out[base] = m
-    return out
-
-
-def _compact_pairs(xi, adh):
-    """All (A, B) with A compact at B, from a precomputed adherence table."""
+def _compact_pairs(xi):
+    """All (A, B) with A compact at B, each base's adherence read once."""
+    adh = [adherence_filter(xi, base) for base in range(xi.full + 1)]
     pairs = []
     for a_mask in range(1, xi.full + 1):
         bases = [b for b in range(1, xi.full + 1) if b & a_mask]
@@ -412,17 +374,6 @@ def _compact_pairs(xi, adh):
             if all(adh[b] & b_mask for b in bases):
                 pairs.append((a_mask, b_mask))
     return pairs
-
-
-@dataclass(frozen=True)
-class LemmaReport:
-    name: str
-    instances: int
-    failures: tuple
-
-    @property
-    def holds(self):
-        return not self.failures
 
 
 def _subspaces(xi):
@@ -471,8 +422,11 @@ def lemma_subspace_restriction(max_points=3):
                         sub = tuple(map(pos.__getitem__, values))
                         if not continuous_on_ultrafilters(sub, sub_xi, sub_zeta):
                             if not check_continuity(sub, sub_xi, sub_zeta):
-                                failures.append((xi, zeta, mapping, a_mask, b_mask))
-    return LemmaReport("subspace_restriction", instances, tuple(failures))
+                                failures.append(
+                                    f"{_arrow(xi, zeta, mapping)} restricted to "
+                                    f"{_labels(xi, a_mask)} -> {_labels(zeta, b_mask)}"
+                                )
+    return instances, failures
 
 
 def lemma_subspace_modification(max_points=3):
@@ -487,8 +441,8 @@ def lemma_subspace_modification(max_points=3):
                 fine = top_modification(subspace_ps(xi, a_mask))
                 coarse = tau_whole.restrict(a_mask)
                 if any(not fine.is_open(u) for u in coarse.opens):
-                    failures.append((xi, a_mask))
-    return LemmaReport("subspace_modification", instances, tuple(failures))
+                    failures.append(f"{xi!r} on {_labels(xi, a_mask)}")
+    return instances, failures
 
 
 def lemma_compact_image(max_points=3):
@@ -502,7 +456,7 @@ def lemma_compact_image(max_points=3):
     instances = 0
     failures = []
     spaces = [s for n in range(1, max_points + 1) for s in ps_spaces_up_to_iso(n)]
-    compact = {id(xi): _compact_pairs(xi, _adherence_table(xi)) for xi in spaces}
+    compact = {id(xi): _compact_pairs(xi) for xi in spaces}
     compact_sets = {key: set(pairs) for key, pairs in compact.items()}
     for xi in spaces:
         pairs = compact[id(xi)]
@@ -520,8 +474,11 @@ def lemma_compact_image(max_points=3):
                     if (fa, fb) in target_pairs:
                         continue
                     if not compact_at(zeta, fa, fb):
-                        failures.append((xi, zeta, mapping, a_mask, b_mask))
-    return LemmaReport("compact_image", instances, tuple(failures))
+                        failures.append(
+                            f"{_arrow(xi, zeta, mapping)} on {_labels(xi, a_mask)} "
+                            f"compact at {_labels(xi, b_mask)}"
+                        )
+    return instances, failures
 
 
 def lemma_compact_balanced(max_points=3):
@@ -541,8 +498,8 @@ def lemma_compact_balanced(max_points=3):
                 for i, v in enumerate(mapping):
                     inverse[v] = i
                 if not check_continuity(tuple(inverse), hausdorff, xi):
-                    failures.append((xi, mapping))
-    return LemmaReport("compact_balanced", instances, tuple(failures))
+                    failures.append(_arrow(xi, hausdorff, mapping))
+    return instances, failures
 
 
 def lemma_pushout_agreement(max_points=2):
@@ -569,13 +526,16 @@ def lemma_pushout_agreement(max_points=2):
                         if not apex.is_discrete:
                             continue
                         instances += 1
+                        ps_a, ps_b, ps_c = map(ps_from_space, (a_space, b_space, c_space))
                         ps_apex, _, _ = pushout_ps(
-                            (ps_from_space(a_space), f.mapping, ps_from_space(b_space)),
-                            (ps_from_space(a_space), g.mapping, ps_from_space(c_space)),
+                            (ps_a, f.mapping, ps_b), (ps_a, g.mapping, ps_c)
                         )
                         if ps_apex != ps_from_space(apex):
-                            failures.append((a_space, b_space, c_space, f, g))
-    return LemmaReport("pushout_agreement", instances, tuple(failures))
+                            failures.append(
+                                f"{_arrow(ps_a, ps_b, f.mapping)} and "
+                                f"{_arrow(ps_a, ps_c, g.mapping)}"
+                            )
+    return instances, failures
 
 
 def lemma_tau_iota(max_points=3):
@@ -598,8 +558,8 @@ def lemma_tau_iota(max_points=3):
                 via_ps = set(iter_continuous_ps_maps(xi, ps_from_space(target)))
                 via_top = set(fill(tau.up, target.up))
                 if via_ps != via_top:
-                    failures.append((xi, target, via_ps ^ via_top))
-    return LemmaReport("tau_iota_adjunction", instances, tuple(failures))
+                    failures.append(f"{xi!r} into {ps_from_space(target)!r}")
+    return instances, failures
 
 
 def _refinement_bits(everything):
@@ -644,7 +604,7 @@ def lemma_lattice_bounds(max_points=3):
     instances = 0
     failures = []
     for n in range(1, max_points + 1):
-        everything = list(all_pseudotopologies(PS_LABELS[:n]))
+        everything = all_ps_spaces(n)
         bits = _refinement_bits(everything)
         for xi in everything:
             for zeta in everything:
@@ -659,17 +619,17 @@ def lemma_lattice_bounds(max_points=3):
                     and _extremal(bits, xi, zeta, met, joined)
                 )
                 if not ok:
-                    failures.append((xi, zeta))
-    return LemmaReport("lattice_bounds", instances, tuple(failures))
+                    failures.append(f"{xi!r} and {zeta!r}")
+    return instances, failures
 
 
 def lemma_all_compact(max_points=3):
-    """Every finite pseudotopological space is compact."""
+    """Every finite pseudotopological space is compact; no construction is under test."""
     instances = 0
     failures = []
     for n in range(1, max_points + 1):
         for xi in ps_spaces_up_to_iso(n):
             instances += 1
             if not is_compact_ps(xi):
-                failures.append((xi,))
-    return LemmaReport("all_compact", instances, tuple(failures))
+                failures.append(repr(xi))
+    return instances, failures

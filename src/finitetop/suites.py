@@ -482,9 +482,8 @@ def _run_omega_pt(opt):
 def _wrap_lemma(func, capped=False):
     def run(opt):
         bound = min(opt.max_points, 2) if capped else opt.max_points
-        report = func(bound)
-        corpus = f"pseudotopologies up to {bound} points"
-        return corpus, report.instances, list(report.failures)
+        instances, failures = func(bound)
+        return f"pseudotopologies up to {bound} points", instances, failures
 
     return run
 

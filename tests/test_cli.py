@@ -1,6 +1,7 @@
 """The command line exit contract: 0 ok, 1 a negative check, 2 unusable input."""
 
 import hashlib
+import itertools
 import json
 import os
 import subprocess
@@ -10,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import finitetop
-from finitetop import serialize, suites
+from finitetop import pstop, serialize, suites
 from finitetop.cli import run
 from finitetop.colimits import coproduct
 from finitetop.lifting import PreMap, Preorder, identity_arrow
@@ -154,6 +155,21 @@ def test_a_failed_check_exits_1_with_its_witness(monkeypatch, tmp_path, capsys):
     assert "FAIL FrameCoproduct" in capsys.readouterr().err
 
 
+def test_a_failed_pstop_lemma_exits_1_with_string_witnesses(monkeypatch, capsys):
+    """With every point map passed off as continuous, the restriction lemma
+    fails, and its witnesses are strings in a canonical JSON report."""
+
+    def every_map(xi, zeta):
+        return itertools.product(range(zeta.n), repeat=xi.n)
+
+    monkeypatch.setattr(pstop, "iter_continuous_ps_maps", every_map)
+    assert run(["check", "SubspaceRestiction", "--max-points", "2"]) == 1
+    (report,) = json.loads(capsys.readouterr().out)
+    assert report["ok"] is False and report["cases"] == 220
+    assert len(report["failures"]) == 7
+    assert all(isinstance(f, str) for f in report["failures"])
+
+
 def _m3():
     middles = ("a", "b", "c")
     return ["0", *middles, "1"], [["0", m] for m in middles] + [[m, "1"] for m in middles]
@@ -187,6 +203,9 @@ SPACE = {"kind": "space", "points": ["c", "a", "b"], "opens": [[], ["b"], ["a", 
 SIERPINSKI = {"kind": "space", "points": ["x", "y"], "opens": [[], ["y"], ["x", "y"]]}
 PREORDER = {"kind": "preorder", "points": ["r", "p", "q"], "leq": [["p", "q"], ["q", "p"], ["q", "r"]]}
 CHAIN2_PRE = {"kind": "preorder", "points": ["s", "t"], "leq": [["s", "t"]]}
+FRAME = {"kind": "frame", "points": ["0", "a", "b", "c", "1"],
+         "leq": [["0", "a"], ["0", "b"], ["a", "c"], ["b", "c"], ["c", "1"]]}
+CHAIN3 = {"kind": "frame", "points": ["0", "m", "1"], "leq": [["0", "m"], ["m", "1"]]}
 INPUTS = {
     "poset": POSET,
     "space": SPACE,
@@ -197,10 +216,17 @@ INPUTS = {
                   "mapping": {"x": "a", "y": "b"}},
     "premap": {"kind": "premap", "source": CHAIN2_PRE, "target": PREORDER,
                "mapping": {"s": "p", "t": "r"}},
-    "frame": {"kind": "frame", "points": ["0", "a", "b", "c", "1"],
-              "leq": [["0", "a"], ["0", "b"], ["a", "c"], ["b", "c"], ["c", "1"]]},
+    "frame": FRAME,
+    "frame-hom": {"kind": "frame-hom", "source": FRAME, "target": FRAME,
+                  "mapping": {x: x for x in FRAME["points"]}},
+    "chain-hom": {"kind": "frame-hom", "source": CHAIN3, "target": FRAME,
+                  "mapping": {"0": "0", "m": "a", "1": "1"}},
     "pstop": {"kind": "pstop", "points": ["1", "2", "3"],
               "limits": {"1": ["1", "2"], "2": ["2"], "3": ["1", "3"]}},
+    "pstop-line": {"kind": "pstop", "points": ["1", "2", "3"],
+                   "limits": {"1": ["1", "2"], "2": ["2", "3"], "3": ["3"]}},
+    "pstop-pair": {"kind": "pstop", "points": ["1", "2"],
+                   "limits": {"1": ["1"], "2": ["1", "2"]}},
 }
 
 
@@ -229,6 +255,10 @@ def _write_inputs(tmp_path):
         (["downsets", "--poset", "poset"], "cebe58db447a4df67571913b37426bf2bae7f03803ad18926e6a8d47ea908432"),
         (["pstop", "tau", "--input", "pstop"], "dc0bf2ec067f31c7f4616f6de9ef5862022a16b92ae16707a59a64a907eacff2"),
         (["lift", "factorize", "--map", "space-map", "--gens", "gens"], "0d309be4a5ef663fdb0e118de0c6e75bc3285877d736e7391f7a74c39144a2bd"),
+        (["pstop", "meet", "--left", "pstop", "--right", "pstop-line"], "aa777114d50a9360645043527487a5d65004c438874f2e144198d3533f306e95"),
+        (["pstop", "join", "--left", "pstop", "--right", "pstop-line"], "315b929138ac32e46acdaa20a4c761e53076fbaaab4896c1901f95c1fae0d907"),
+        (["copair", "--left", "chain-hom", "--right", "frame-hom"], "56358685da70ec177efb8249c69884761eaa7464bd914fed0c9925fa3ed8d3fd"),
+        (["pushout-loc", "--left", "chain-hom", "--right", "frame-hom"], "a85f751b54acc7e48dd71517685ad0f09e6569c42664ca2a8107b3162056b0f9"),
     ],
 )
 def test_structure_output_bytes_are_pinned(words, digest, tmp_path, capsys):
@@ -237,6 +267,14 @@ def test_structure_output_bytes_are_pinned(words, digest, tmp_path, capsys):
     assert run(argv) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_pstop_join_refuses_carriers_of_different_sizes(tmp_path, capsys):
+    paths = _write_inputs(tmp_path)
+    assert run(["pstop", "join", "--left", paths["pstop-pair"], "--right", paths["pstop"]]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert json.loads(captured.err)["error"]["kind"] == "input"
 
 
 CHAIN7 = {"kind": "frame", "points": [f"c{k}" for k in range(7)],

@@ -3,9 +3,12 @@
 import hashlib
 import itertools
 
+import pytest
+
 import finitetop.suites as suites
 from finitetop import lifting, pstop
 from finitetop.frames import iter_frame_homs
+from finitetop.pstop import PsSpace
 from finitetop.serialize import canonical_json
 from finitetop.suites import (
     REGISTRY,
@@ -15,6 +18,8 @@ from finitetop.suites import (
     run_group,
     run_suite,
 )
+
+from conftest import discrete_space
 
 SMALL = SuiteOptions(max_points=1, max_frame_size=2)
 
@@ -193,6 +198,32 @@ def test_the_swept_pstop_suites_catch_discontinuous_maps(monkeypatch):
     image = run_suite("CompactImageCompact", opt)
     assert (restriction.cases, len(restriction.failures)) == (220, 7)
     assert (image.cases, len(image.failures)) == (280, 18)
+    canonical_json([report_data(restriction), report_data(image)])
+
+
+def _indiscrete_ps(points):
+    points = tuple(sorted(points))
+    return PsSpace(points, [(1 << len(points)) - 1] * len(points))
+
+
+@pytest.mark.parametrize(
+    "citation, name, mutant, counts",
+    [
+        ("TauIotaAdjunction", "top_modification", lambda xi: discrete_space(xi.points), (16, 4)),
+        ("SubspaceLemma", "subspace_ps", lambda xi, m: _indiscrete_ps(xi.label_set(m)), (10, 2)),
+        ("PushoutsInPsTop", "final_structure", lambda pieces, pts: _indiscrete_ps(pts), (106, 80)),
+        ("CompactSpacesBalanced", "discrete_ps", _indiscrete_ps, (7, 4)),
+    ],
+)
+def test_the_pstop_suites_catch_a_wrong_construction(monkeypatch, citation, name, mutant, counts):
+    """A discrete modification, indiscrete subspaces, an indiscrete final
+    structure or an indiscrete Hausdorff target each fails its suite, with
+    a report of string witnesses.  FinitePsTopCompact builds nothing to
+    break: it checks `is_compact_ps` over the corpus."""
+    monkeypatch.setattr(pstop, name, mutant)
+    report = run_suite(citation, SuiteOptions(max_points=2))
+    assert (report.cases, len(report.failures)) == counts
+    canonical_json([report_data(report)])
 
 
 def _clear_lifting_verdicts():
