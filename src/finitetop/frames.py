@@ -2,10 +2,10 @@
 
 A finite frame is a finite distributive lattice, and by Birkhoff's
 representation a family of sets closed under union and intersection.
-There is one builder, `FiniteFrame(labels, family)`: it checks closure,
-orders the family by inclusion and reads joins and meets as unions and
-intersections, so everything downstream is table lookups and mask folds,
-and the tables distribute by construction; nothing is swept.
+There is one constructor, `FiniteFrame(labels, family)`: it checks closure
+and orders the family by inclusion.  The family is the only copy of the
+lattice: a join is a union and a meet an intersection, looked up in the
+family's index, so they distribute by construction and nothing is swept.
 `spatial.omega` builds on opens, `downset_frame` on downsets, and
 `colimits.coproduct`, `product_frames` and `pushout_loc` on families their
 factors' families give.
@@ -18,6 +18,12 @@ given.  Only a refused order runs the row scan that names a missing bound
 and the triple sweep `distributivity_witness` that names a failing
 triple, so non-lattices and non-distributive lattices are rejected with
 witnesses.
+
+Frame homs are certified by Birkhoff duality (`_check_hom`): a map of
+finite distributive lattices preserving bottom and top is a hom exactly
+when the preimage of each principal prime filter of the target is one of
+the source.  Only a refused map runs the pair scan that names the first
+join or meet it breaks.
 """
 
 from __future__ import annotations
@@ -35,29 +41,27 @@ from .errors import (
     VerificationError,
 )
 from .order import fill, inclusion_rows, is_isomorphism, isomorphisms, transpose
-from .poset import FinitePoset, downset_label, validate_poset
-
-EAGER_TABLE_LIMIT = 600
+from .poset import FinitePoset, mask_label, validate_poset
 
 
 class FiniteFrame:
     """The frame of a family of sets closed under union and intersection.
 
     Element k is `family[k]`, ordered by inclusion; `index` maps a member
-    back to its position.  Closure is checked at build, at every size,
-    without a table: `_is_closed` tries each member against the generators
-    d(p) and u(p) of `_point_generators`.  When that fails, `_first_miss`
-    scans the unions and then the intersections in row order and the first
-    missing one is raised as VerificationError.  The order is inclusion
-    (`order.inclusion_rows`, on the same holder columns).  join and meet
-    are the positions of a | b and a & b: `_RowTable`s, which gather a row
-    when it is first read, up to EAGER_TABLE_LIMIT members, and
-    `_LazyTable`s, which compute each lookup, above it.  Bottom and top are
-    the AND and the OR of the family.  The join-irreducibles are the
-    distinct d(p), the least member holding each point p outside the
-    bottom (Birkhoff), in ascending position, so no table is read for
-    them.  Unions and intersections of sets distribute over each other, so
-    no distributivity sweep runs.
+    back to its position.  The family is the frame's only lattice data:
+    `join(i, j)` and `meet(i, j)` are the positions of the union and the
+    intersection of two members, and `join_mask`/`meet_mask` fold the
+    members of a mask in one pass and look the result up once.  Closure is
+    checked at build, at every size: `_is_closed` tries each member
+    against the generators d(p) and u(p) of `_point_generators`.  When
+    that fails, `_first_miss` scans the unions and then the intersections
+    in row order and the first missing one is raised as
+    VerificationError.  The order is inclusion (`order.inclusion_rows`, on
+    the same holder columns).  Bottom and top are the AND and the OR of
+    the family.  The join-irreducibles are the distinct d(p), the least
+    member holding each point p outside the bottom (Birkhoff), in
+    ascending position.  Unions and intersections of sets distribute over
+    each other, so no distributivity sweep runs.
     """
 
     def __init__(self, labels, family):
@@ -67,12 +71,6 @@ class FiniteFrame:
         downs, ups = _point_generators(family, holders)
         if not _is_closed(family, index, downs, ups):
             raise _first_miss(labels, family, index)
-        if len(family) <= EAGER_TABLE_LIMIT:
-            self.join = _RowTable(family, index, "__or__")
-            self.meet = _RowTable(family, index, "__and__")
-        else:
-            self.join = _LazyTable(labels, family, index, int.__or__, "union")
-            self.meet = _LazyTable(labels, family, index, int.__and__, "intersection")
         self.top = index.get(reduce(int.__or__, family, 0))
         self.bottom = index.get(reduce(int.__and__, family, ~0))
         if self.bottom is None or self.top is None:
@@ -94,25 +92,36 @@ class FiniteFrame:
     def leq_idx(self, i, j):
         return self.order.leq_idx(i, j)
 
+    def join(self, i, j):
+        return self.index[self.family[i] | self.family[j]]
+
+    def meet(self, i, j):
+        return self.index[self.family[i] & self.family[j]]
+
     def join_mask(self, mask):
-        acc = self.bottom
+        family = self.family
+        acc = family[self.bottom]
         for i in iter_bits(mask):
-            acc = self.join[acc][i]
-        return acc
+            acc |= family[i]
+        return self.index[acc]
 
     def meet_mask(self, mask):
-        acc = self.top
+        family = self.family
+        acc = family[self.top]
         for i in iter_bits(mask):
-            acc = self.meet[acc][i]
-        return acc
+            acc &= family[i]
+        return self.index[acc]
 
     @cached_property
     def irreducibles_below(self):
         """Per element, the mask of join-irreducibles below it."""
-        irr_mask = 0
+        rows = [0] * self.n
+        up = self.order.up
         for j in self.irreducibles:
-            irr_mask |= 1 << j
-        return tuple(self.order.down[x] & irr_mask for x in range(self.n))
+            bit = 1 << j
+            for x in iter_bits(up[j]):
+                rows[x] |= bit
+        return tuple(rows)
 
     @cached_property
     def irreducible_up(self):
@@ -230,85 +239,6 @@ def distributivity_witness(join, meet):
     return None
 
 
-class _RowTable(dict):
-    """Union or intersection table whose row i is gathered when first read.
-
-    Row i is the positions of `masks[i] | b` (or `&`) over the members b,
-    one `map` gather through the family's index, kept once built; reading
-    a built row again is a plain dict lookup.  Iteration, `len` and `==`
-    are those of the tuple of rows.  The table holds the family, never its
-    frame, so a dropped frame leaves no reference cycle.
-    `FiniteFrame` has already checked that every entry exists.
-    """
-
-    __slots__ = ("masks", "index", "op")
-
-    def __init__(self, masks, index, op):
-        super().__init__()
-        self.masks = masks
-        self.index = index
-        self.op = op
-
-    def __missing__(self, i):
-        masks = self.masks
-        row = tuple(map(self.index.__getitem__, map(getattr(masks[i], self.op), masks)))
-        self[i] = row
-        return row
-
-    def __iter__(self):
-        return map(self.__getitem__, range(len(self.masks)))
-
-    def __len__(self):
-        return len(self.masks)
-
-    def __eq__(self, other):
-        if isinstance(other, _RowTable):
-            other = tuple(other)
-        return tuple(self) == other
-
-    def __ne__(self, other):
-        return not self == other
-
-
-class _LazyRow:
-    __slots__ = ("table", "i", "base")
-
-    def __init__(self, table, i):
-        self.table = table
-        self.i = i
-        self.base = table.masks[i]
-
-    def __getitem__(self, j):
-        table = self.table
-        try:
-            return table.index[table.op(self.base, table.masks[j])]
-        except KeyError:
-            raise _misses(table.labels, table.what, self.i, j) from None
-
-
-class _LazyTable:
-    """Row-indexable union or intersection table, computed per lookup.
-
-    Stands in for `_RowTable` above EAGER_TABLE_LIMIT, where keeping the
-    rows that are read would let a quadratic table dominate memory.  A
-    lookup whose union or intersection is not in the family raises
-    VerificationError, though `FiniteFrame` has already checked that none
-    is missing.
-    """
-
-    __slots__ = ("labels", "masks", "index", "op", "what")
-
-    def __init__(self, labels, masks, index, op, what):
-        self.labels = labels
-        self.masks = masks
-        self.index = index
-        self.op = op
-        self.what = what
-
-    def __getitem__(self, i):
-        return _LazyRow(self, i)
-
-
 def _point_generators(masks, holders):
     """The generators d(p) and u(p) of each point p that some member lacks.
 
@@ -365,12 +295,11 @@ def _first_miss(labels, masks, index):
         for a, m in enumerate(masks):
             row = tuple(map(index.get, map(getattr(m, op), masks)))
             if None in row:
-                return _misses(labels, what, a, row.index(None))
+                b = row.index(None)
+                return VerificationError(
+                    f"the family misses the {what} of {labels[a]!r} and {labels[b]!r}"
+                )
     return VerificationError("the closure screen and the row scan disagree")
-
-
-def _misses(labels, what, a, b):
-    return VerificationError(f"the family misses the {what} of {labels[a]!r} and {labels[b]!r}")
 
 
 def downset_frame(poset):
@@ -378,7 +307,7 @@ def downset_frame(poset):
 
     Elements are the downsets sorted by label, as a parsed frame's are.
     """
-    pairs = sorted((downset_label(poset, m), m) for m in poset.downsets())
+    pairs = sorted((mask_label(poset, m), m) for m in poset.downsets())
     labels, masks = zip(*pairs)
     return FiniteFrame(labels, masks)
 
@@ -387,10 +316,9 @@ class FrameHom:
     """A map preserving bottom, top, binary joins and binary meets.
 
     In the finite case this forces preservation of all joins and meets, so
-    these are exactly the frame homomorphisms.  Validation on construction
-    is quadratic in the source; internal callers that already hold a
-    construction-level certificate (a checked order isomorphism, say) may
-    pass validate=False to skip the direct law sweep.
+    these are exactly the frame homomorphisms.  Construction validates with
+    `_check_hom`; callers that already hold a certificate may pass
+    validate=False.
     """
 
     def __init__(self, source, target, mapping, *, validate=True):
@@ -436,30 +364,51 @@ def composed(first, second):
 
 
 def _check_hom(source, target, mapping):
+    """Raise NotHomError unless `mapping` is a frame hom source -> target.
+
+    After the length, range, bottom and top checks, Birkhoff duality
+    (Davey and Priestley, 2002, ch. 5): a map h of finite distributive
+    lattices keeping bottom and top is a hom exactly when, for each
+    join-irreducible q of the target, the preimage {x : q <= h(x)} is the
+    up row of a join-irreducible of the source.  The preimages are gathered
+    once per distinct value in O(|J| * n) bit operations; every q is below
+    h(top), so each gets one.  Only a refused map runs the pair scan, which
+    names the first pair i <= j in row order whose join, then meet, breaks.
+    """
     n = source.n
     if len(mapping) != n:
         raise NotHomError("mapping length does not match the source")
+    if min(mapping) < 0 or max(mapping) >= target.n:
+        v = next(v for v in mapping if not 0 <= v < target.n)
+        raise NotHomError(f"{v!r} is not an element of the target")
     if mapping[source.bottom] != target.bottom:
         raise NotHomError("bottom is not preserved")
     if mapping[source.top] != target.top:
         raise NotHomError("top is not preserved")
+    fibres = {}
+    for x, v in enumerate(mapping):
+        fibres[v] = fibres.get(v, 0) | 1 << x
+    below = target.irreducibles_below
+    preimages = {}
+    for v, xs in fibres.items():
+        for q in iter_bits(below[v]):
+            preimages[q] = preimages.get(q, 0) | xs
+    up = source.order.up
+    if {up[p] for p in source.irreducibles}.issuperset(preimages.values()):
+        return
     for i in range(n):
         fi = mapping[i]
-        # rows by indexing, so a lazy table serves them too
-        sjoin = source.join[i]
-        smeet = source.meet[i]
-        tjoin = target.join[fi]
-        tmeet = target.meet[fi]
         for j in range(i, n):
             fj = mapping[j]
-            if mapping[sjoin[j]] != tjoin[fj]:
+            if mapping[source.join(i, j)] != target.join(fi, fj):
                 raise NotHomError(
                     f"join of {source.labels[i]!r}, {source.labels[j]!r} not preserved"
                 )
-            if mapping[smeet[j]] != tmeet[fj]:
+            if mapping[source.meet(i, j)] != target.meet(fi, fj):
                 raise NotHomError(
                     f"meet of {source.labels[i]!r}, {source.labels[j]!r} not preserved"
                 )
+    raise VerificationError("the Birkhoff test refused a map the pair scan accepts")
 
 
 def iter_frame_homs(source, target):
@@ -552,7 +501,7 @@ class GaloisConnection:
         gfg = all(g[f[g[y]]] == g[y] for y in range(tgt.n))
         g_top = g[tgt.top] == src.top
         g_meets = all(
-            g[tgt.meet[y][z]] == src.meet[g[y]][g[z]]
+            g[tgt.meet(y, z)] == src.meet(g[y], g[z])
             for y in range(tgt.n)
             for z in range(tgt.n)
         )
@@ -612,8 +561,8 @@ def prenucleus_violation(frame, mapping):
                 return f"not monotone on {frame.labels[x]!r} <= {frame.labels[y]!r}"
     for x in range(n):
         for y in range(n):
-            lhs = frame.meet[mapping[x]][y]
-            rhs = mapping[frame.meet[x][y]]
+            lhs = frame.meet(mapping[x], y)
+            rhs = mapping[frame.meet(x, y)]
             if not frame.leq_idx(lhs, rhs):
                 return (
                     f"k(x) & y <= k(x & y) fails at x={frame.labels[x]!r}, "
@@ -636,7 +585,7 @@ class Nucleus:
                 raise NotPrenucleusError(f"not idempotent at {frame.labels[x]!r}")
         for x in range(n):
             for y in range(n):
-                if self.mapping[frame.meet[x][y]] != frame.meet[self.mapping[x]][self.mapping[y]]:
+                if self.mapping[frame.meet(x, y)] != frame.meet(self.mapping[x], self.mapping[y]):
                     raise NotPrenucleusError(
                         f"meets not preserved at {frame.labels[x]!r}, {frame.labels[y]!r}"
                     )

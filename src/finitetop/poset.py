@@ -15,7 +15,7 @@ parse labelled input sort them once, and everything downstream works with
 positional indices, so enumeration is reproducible.  Subsets of the
 carrier are plain ints over the same bit positions.  `downsets` lists a
 poset's downsets as masks; `frames.downset_frame` builds the frame of
-them, sorted by `downset_label`, as the family of sets
+them, sorted by `mask_label`, as the family of sets
 `frames.FiniteFrame(labels, downsets)`.
 """
 
@@ -160,8 +160,9 @@ def validate_poset(elements, relation):
     return FinitePoset(labels, rows, validate=False)
 
 
-def downset_label(poset, mask):
-    return "{" + ",".join(poset.points[i] for i in iter_bits(mask)) + "}"
+def mask_label(carrier, mask):
+    """The points of `mask` as "{a,b}", in position order; `carrier` has a `label_set`."""
+    return "{" + ",".join(carrier.label_set(mask)) + "}"
 
 
 class PreMap:

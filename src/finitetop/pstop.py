@@ -21,7 +21,7 @@ from .errors import (
     VerificationError,
 )
 from .order import fill, inclusion_rows, representatives, transitive_closure, transpose
-from .poset import Preorder, iter_monotone_maps, pushout
+from .poset import Preorder, iter_monotone_maps, mask_label, pushout
 from .spaces import FiniteSpace, pushout_spaces
 
 CERTIFY_POINT_CAP = 4
@@ -88,12 +88,8 @@ class PsSpace:
         return hash((self.points, self.lim))
 
     def __repr__(self):
-        parts = ", ".join(f"{x}->{_labels(self, m)}" for x, m in zip(self.points, self.lim))
+        parts = ", ".join(f"{x}->{mask_label(self, m)}" for x, m in zip(self.points, self.lim))
         return f"PsSpace({parts})"
-
-
-def _labels(xi, mask):
-    return "{" + ",".join(xi.label_set(mask)) + "}"
 
 
 def _arrow(xi, zeta, mapping):
@@ -424,7 +420,7 @@ def lemma_subspace_restriction(max_points=3):
                             if not check_continuity(sub, sub_xi, sub_zeta):
                                 failures.append(
                                     f"{_arrow(xi, zeta, mapping)} restricted to "
-                                    f"{_labels(xi, a_mask)} -> {_labels(zeta, b_mask)}"
+                                    f"{mask_label(xi, a_mask)} -> {mask_label(zeta, b_mask)}"
                                 )
     return instances, failures
 
@@ -441,7 +437,7 @@ def lemma_subspace_modification(max_points=3):
                 fine = top_modification(subspace_ps(xi, a_mask))
                 coarse = tau_whole.restrict(a_mask)
                 if any(not fine.is_open(u) for u in coarse.opens):
-                    failures.append(f"{xi!r} on {_labels(xi, a_mask)}")
+                    failures.append(f"{xi!r} on {mask_label(xi, a_mask)}")
     return instances, failures
 
 
@@ -475,8 +471,8 @@ def lemma_compact_image(max_points=3):
                         continue
                     if not compact_at(zeta, fa, fb):
                         failures.append(
-                            f"{_arrow(xi, zeta, mapping)} on {_labels(xi, a_mask)} "
-                            f"compact at {_labels(xi, b_mask)}"
+                            f"{_arrow(xi, zeta, mapping)} on {mask_label(xi, a_mask)} "
+                            f"compact at {mask_label(xi, b_mask)}"
                         )
     return instances, failures
 

@@ -13,9 +13,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import HypothesisError, NotHomError, VerificationError
+from .errors import HypothesisError, VerificationError
 from .frames import FiniteFrame, FrameHom, iter_frame_homs, two
-from .poset import iter_monotone_maps
+from .poset import iter_monotone_maps, mask_label
 from .spaces import FiniteSpace, is_sober
 
 
@@ -35,8 +35,7 @@ def omega(space):
     intersection.
     """
     opens = space.opens
-    labels = ["{" + ",".join(space.label_set(m)) + "}" for m in opens]
-    return FiniteFrame(labels, opens)
+    return FiniteFrame([mask_label(space, m) for m in opens], opens)
 
 
 def locale_points(frame):
@@ -50,17 +49,14 @@ def locale_points(frame):
     neither a nor b.  So only irreducibles are tried, in ascending order,
     and the points and their order are those of a sweep over every element.
     This is Birkhoff duality for the target 2, whose only irreducible is its
-    top: on a distributive frame every candidate is a hom.
+    top: on a distributive frame every candidate is a hom.  Each is still
+    validated by FrameHom, so a refusal raises rather than dropping a point.
     """
     target = two()
     out = []
     for x in frame.irreducibles:
         mapping = [1 if frame.leq_idx(x, a) else 0 for a in range(frame.n)]
-        try:
-            hom = FrameHom(frame, target, mapping)
-        except NotHomError:
-            continue
-        out.append(LocalePoint(frame, hom, x))
+        out.append(LocalePoint(frame, FrameHom(frame, target, mapping), x))
     return tuple(out)
 
 

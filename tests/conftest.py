@@ -8,7 +8,7 @@ import pytest
 from hypothesis import strategies as st
 
 from finitetop.bits import iter_bits, popcount
-from finitetop.errors import NotLatticeError, SizeError
+from finitetop.errors import NotHomError, NotLatticeError, SizeError
 from finitetop.frames import FiniteFrame, chain_frame, downset_frame, frame_from_poset
 from finitetop.order import product_rows
 from finitetop.poset import validate_poset
@@ -29,12 +29,22 @@ def garbage_after(run):
 
 
 def table_irreducibles(frame):
-    """The join-irreducibles by their definition through the join table.
+    """The join-irreducibles by their definition through the literal join table.
 
-    The oracle of the irreducibles `frames.FiniteFrame` reads off a family.
+    The oracle of the irreducibles `frames.FiniteFrame` reads off a family:
+    j is irreducible when the join of the elements strictly below it,
+    folded over `literal_tables` of its order, is not j.
     """
+    join, _ = literal_tables(frame.order)
     down = frame.order.down
-    return tuple(j for j in range(frame.n) if frame.join_mask(down[j] & ~(1 << j)) != j)
+    out = []
+    for j in range(frame.n):
+        acc = frame.bottom
+        for i in iter_bits(down[j] & ~(1 << j)):
+            acc = join[acc][i]
+        if acc != j:
+            out.append(j)
+    return tuple(out)
 
 
 def least_of(poset, mask):
@@ -75,8 +85,17 @@ def literal_tables(poset):
     return tuple(map(tuple, join)), tuple(map(tuple, meet))
 
 
+def frame_tables(frame):
+    """A frame's `join` and `meet` written out as tables, for whole-table comparisons."""
+    span = range(frame.n)
+    return (
+        tuple(tuple(frame.join(i, j) for j in span) for i in span),
+        tuple(tuple(frame.meet(i, j) for j in span) for i in span),
+    )
+
+
 class TableLattice(FiniteFrame):
-    """A lattice filled from its literal tables, distributive or not.
+    """A lattice given by its order, distributive or not.
 
     `FiniteFrame(labels, family)` refuses a lattice that is not a family of
     sets closed under union and intersection, such as M3 or N5.  This
@@ -88,13 +107,42 @@ class TableLattice(FiniteFrame):
     def __init__(self, poset):
         everything = (1 << poset.n) - 1
         self.order = poset
-        self.join, self.meet = literal_tables(poset)
         self.bottom = least_of(poset, everything)
         self.top = greatest_of(poset, everything)
         self.irreducibles = table_irreducibles(self)
         j_mask = sum(1 << j for j in self.irreducibles)
         self.family = tuple(d & j_mask for d in poset.down)
         self.index = {m: k for k, m in enumerate(self.family)}
+
+
+def literal_check_hom(source, target, mapping):
+    """The pair sweep `frames._check_hom` replaced, kept as its oracle.
+
+    Length, bottom and top, then every pair i <= j in row order, join
+    before meet, on the literal tables of both orders; raises NotHomError
+    with the message `_check_hom` gives.
+    """
+    n = source.n
+    if len(mapping) != n:
+        raise NotHomError("mapping length does not match the source")
+    if mapping[source.bottom] != target.bottom:
+        raise NotHomError("bottom is not preserved")
+    if mapping[source.top] != target.top:
+        raise NotHomError("top is not preserved")
+    sjoin, smeet = literal_tables(source.order)
+    tjoin, tmeet = literal_tables(target.order)
+    for i in range(n):
+        fi = mapping[i]
+        for j in range(i, n):
+            fj = mapping[j]
+            if mapping[sjoin[i][j]] != tjoin[fi][fj]:
+                raise NotHomError(
+                    f"join of {source.labels[i]!r}, {source.labels[j]!r} not preserved"
+                )
+            if mapping[smeet[i][j]] != tmeet[fi][fj]:
+                raise NotHomError(
+                    f"meet of {source.labels[i]!r}, {source.labels[j]!r} not preserved"
+                )
 
 
 def submasks(mask):
@@ -113,7 +161,7 @@ def joins_of_subsets(frame, mask):
     for a in iter_bits(mask):
         extra = 0
         for s in iter_bits(acc):
-            extra |= 1 << frame.join[s][a]
+            extra |= 1 << frame.join(s, a)
         acc |= extra
     return acc
 

@@ -285,7 +285,7 @@ CHAIN7 = {"kind": "frame", "points": [f"c{k}" for k in range(7)],
     "frame, digest",
     [
         (INPUTS["frame"], "a5b95f748ae96b29c74878630797fd79d80dd655acb0df9c870ab58e17c2fee3"),
-        # 924 elements: above EAGER_TABLE_LIMIT, so the tables are lazy
+        # the coproduct of two 7-chains: 924 elements
         (CHAIN7, "4addba159e3941fd19db2dbd7499a1389652b0dd801803add0d5e33b6c5337d9"),
     ],
     ids=["frame", "chain7"],

@@ -1,6 +1,5 @@
 """Frame coproducts, products, distribution, and localic pushouts."""
 
-import functools
 import itertools
 
 import pytest
@@ -22,10 +21,8 @@ from finitetop.colimits import (
 from finitetop.corpus import all_frames, all_posets, all_spaces, frame_corpus, frames_upto
 from finitetop.errors import NotIsoError, VerificationError
 from finitetop.frames import (
-    EAGER_TABLE_LIMIT,
     FiniteFrame,
     FrameHom,
-    _LazyTable,
     chain_frame,
     downset_frame,
     frame_from_poset,
@@ -34,7 +31,6 @@ from finitetop.frames import (
     two,
 )
 from finitetop.poset import FinitePoset
-from finitetop.serialize import parse_structure, structure_data
 from finitetop.spaces import FiniteSpace
 from finitetop.spatial import omega
 from finitetop.suites import SuiteOptions, run_group, run_suite
@@ -44,9 +40,11 @@ from conftest import (
     TensorCarrier,
     assert_saturated_oracle,
     diamond_m3,
+    frame_tables,
     full_masks,
     garbage_after,
     grid_poset,
+    literal_tables,
     prenuclei,
     table_irreducibles,
 )
@@ -89,13 +87,13 @@ def test_tensor_distributes_over_joins_in_each_slot():
             for mask in range(1 << left.n):
                 joined = t.bottom
                 for x in iter_bits(mask):
-                    joined = t.join[joined][t.tensor(x, y)]
+                    joined = t.join(joined, t.tensor(x, y))
                 assert joined == t.tensor(left.join_mask(mask), y)
         for x in range(left.n):
             for mask in range(1 << right.n):
                 joined = t.bottom
                 for y in iter_bits(mask):
-                    joined = t.join[joined][t.tensor(x, y)]
+                    joined = t.join(joined, t.tensor(x, y))
                 assert joined == t.tensor(x, right.join_mask(mask))
 
 
@@ -106,7 +104,7 @@ def test_every_element_is_a_join_of_tensors():
         for k in range(t.n):
             acc = t.bottom
             for p in iter_bits(masks[k]):
-                acc = t.join[acc][t.tensor(*divmod(p, right.n))]
+                acc = t.join(acc, t.tensor(*divmod(p, right.n)))
             assert acc == k
 
 
@@ -276,7 +274,7 @@ def test_copair_codiagonal_is_meet():
     h = copair(ident, ident, tensor=t)
     for x in range(3):
         for y in range(3):
-            assert h.mapping[t.tensor(x, y)] == c3.meet[x][y]
+            assert h.mapping[t.tensor(x, y)] == c3.meet(x, y)
     assert h.mapping[t.tensor(1, 2)] == 1
     assert h.mapping[t.bottom] == c3.bottom
 
@@ -311,7 +309,7 @@ def _full_mask_copair(f, g, tensor):
         acc = codomain.bottom
         for p in iter_bits(m):
             i, j = divmod(p, tensor.right.n)
-            acc = codomain.join[acc][codomain.meet[f.mapping[i]][g.mapping[j]]]
+            acc = codomain.join(acc, codomain.meet(f.mapping[i], g.mapping[j]))
         mapping.append(acc)
     return tuple(mapping)
 
@@ -408,6 +406,32 @@ def test_a_non_monotone_distribution_map_is_refused(monkeypatch):
     assert report.failures
 
 
+@pytest.mark.parametrize("mutant", ["merge", "swap"])
+def test_a_distribution_map_that_is_no_bijection_or_no_hom_is_refused(monkeypatch, mutant):
+    """Both refusals of the hom test's certificate, with the same message.
+
+    "merge" sends top where a middle element goes, so the map is no
+    bijection; "swap" exchanges the images of two comparable middle
+    elements, a bijection keeping bottom and top that is not monotone.
+    """
+    action = colimits._tensor_action
+
+    def changed(source, target, hom):
+        mapping = action(source, target, hom)
+        middle = [x for x in range(source.n) if x not in (source.bottom, source.top)]
+        x = middle[0]
+        y = next(y for y in middle if y != x and source.leq_idx(x, y))
+        if mutant == "merge":
+            mapping[source.top] = mapping[x]
+        else:
+            mapping[x], mapping[y] = mapping[y], mapping[x]
+        return mapping
+
+    monkeypatch.setattr(colimits, "_tensor_action", changed)
+    with pytest.raises(NotIsoError, match="^the distribution map is not an order isomorphism$"):
+        distribute_iso(chain_frame(3), two(), chain_frame(3))
+
+
 def test_distribute_iso_small_triple():
     ds = distribute_iso(chain_frame(3), two(), chain_frame(3))
     src = ds.forward.source
@@ -474,11 +498,11 @@ def _componentwise_apex(result):
     frame = frame_from_poset(FinitePoset(labels, rows, validate=False))
     index = {p: k for k, p in enumerate(pairs)}
     meet = tuple(
-        tuple(index[(b_frame.meet[b][b2], c_frame.meet[c][c2])] for b2, c2 in pairs)
+        tuple(index[(b_frame.meet(b, b2), c_frame.meet(c, c2))] for b2, c2 in pairs)
         for b, c in pairs
     )
     join = tuple(
-        tuple(index[(b_frame.join[b][b2], c_frame.join[c][c2])] for b2, c2 in pairs)
+        tuple(index[(b_frame.join(b, b2), c_frame.join(c, c2))] for b2, c2 in pairs)
         for b, c in pairs
     )
     return frame, meet, join
@@ -497,8 +521,7 @@ def test_pushout_apex_matches_the_componentwise_build():
                         frame, meet, join = _componentwise_apex(result)
                         apex = result.apex
                         assert apex.order == frame.order
-                        assert (apex.join, apex.meet) == (frame.join, frame.meet)
-                        assert (apex.join, apex.meet) == (join, meet)
+                        assert frame_tables(apex) == frame_tables(frame) == (join, meet)
                         assert (apex.bottom, apex.top) == (frame.bottom, frame.top)
                         spans += 1
     assert spans > 100
@@ -534,8 +557,7 @@ def test_tensor_orders_revalidate_as_frames():
     for left, right in itertools.product(pool, repeat=2):
         t = coproduct(left, right)
         rebuilt = frame_from_poset(t.order)
-        assert rebuilt.join == t.join
-        assert rebuilt.meet == t.meet
+        assert frame_tables(rebuilt) == frame_tables(t) == literal_tables(t.order)
         assert rebuilt.bottom == t.bottom
         assert rebuilt.top == t.top
 
@@ -548,7 +570,7 @@ def _literal_product_tables(factors):
     def table(op):
         return tuple(
             tuple(
-                index[tuple(getattr(f, op)[a[k]][b[k]] for k, f in enumerate(factors))]
+                index[tuple(getattr(f, op)(a[k], b[k]) for k, f in enumerate(factors))]
                 for b in tuples
             )
             for a in tuples
@@ -572,36 +594,17 @@ def test_product_tables_match_the_literal_tuple_build(factors):
     p = product_frames(factors)
     tuples, join, meet = _literal_product_tables(factors)
     assert p.tuples == tuples
-    assert p.join == join
-    assert p.meet == meet
+    assert frame_tables(p) == (join, meet)
 
 
-@functools.lru_cache(maxsize=3)
-def _lazy_frame_and_eager_oracle(kind):
-    """A frame above EAGER_TABLE_LIMIT, and its join and meet tables written out from its family."""
+def _large_frame(kind):
+    """A product, a tensor or an Omega of 625 to 1,024 elements."""
     if kind == "product":
-        frame = product_frames([chain_frame(25), chain_frame(25)])
-    elif kind == "tensor":
-        frame = coproduct(chain_frame(6), chain_frame(8))
-    else:
-        # the discrete 10-point space: 1,024 opens
-        frame = omega(FiniteSpace([f"x{i}" for i in range(10)], [1 << i for i in range(10)]))
-    index = frame.index
-    family = frame.family
-    join = tuple(tuple(index[a | b] for b in family) for a in family)
-    meet = tuple(tuple(index[a & b] for b in family) for a in family)
-    return frame, join, meet
-
-
-@settings(max_examples=40, deadline=None)
-@given(st.sampled_from(["product", "tensor", "omega"]), st.data())
-def test_lazy_tables_match_an_eager_build(kind, data):
-    frame, join, meet = _lazy_frame_and_eager_oracle(kind)
-    assert frame.n > EAGER_TABLE_LIMIT
-    assert isinstance(frame.join, _LazyTable) and isinstance(frame.meet, _LazyTable)
-    i = data.draw(st.integers(0, frame.n - 1))
-    assert tuple(frame.join[i][j] for j in range(frame.n)) == join[i]
-    assert tuple(frame.meet[i][j] for j in range(frame.n)) == meet[i]
+        return product_frames([chain_frame(25), chain_frame(25)])
+    if kind == "tensor":
+        return coproduct(chain_frame(6), chain_frame(8))
+    # the discrete 10-point space: 1,024 opens
+    return omega(FiniteSpace([f"x{i}" for i in range(10)], [1 << i for i in range(10)]))
 
 
 def _pushout_apexes(pool):
@@ -621,7 +624,7 @@ FAMILY_CORPORA = {
         product_frames(pair) for pair in itertools.product(frames_upto(4), repeat=2)
     ),
     "pushout": lambda: _pushout_apexes(frames_upto(3)),
-    "lazy": lambda: (_lazy_frame_and_eager_oracle(k)[0] for k in ("product", "tensor", "omega")),
+    "large": lambda: map(_large_frame, ("product", "tensor", "omega")),
 }
 
 
@@ -634,35 +637,6 @@ def test_family_irreducibles_match_the_table_definition(kind):
         assert frame.irreducibles == table_irreducibles(frame)
         count += 1
     assert count >= 3
-
-
-def _built_rows(table):
-    return set(dict.keys(table))
-
-
-def test_family_tables_build_a_row_when_it_is_first_read():
-    """A fresh product has built no row; a fresh coproduct only those its injection checks read.
-
-    A frame given as an order, built or parsed, has built no row either.
-    """
-    parsed = parse_structure(structure_data(product_frames([chain_frame(3), two()])))
-    for frame in (frame_from_poset(grid_poset()), parsed):
-        assert _built_rows(frame.join) == _built_rows(frame.meet) == set()
-        assert frame.join[1] == tuple(frame.join[1][j] for j in range(frame.n))
-        assert _built_rows(frame.join) == {1} and _built_rows(frame.meet) == set()
-    p = product_frames([chain_frame(3), chain_frame(4)])
-    assert _built_rows(p.join) == _built_rows(p.meet) == set()
-    x, y = p.tuples[5]
-    assert p.join[5] == tuple(p.tuple_index[(max(a, x), max(b, y))] for a, b in p.tuples)
-    assert _built_rows(p.join) == {5} and _built_rows(p.meet) == set()
-    t = coproduct(chain_frame(3), product_frames([two(), two()]))
-    injected = set(t.iota1_map) | set(t.iota2_map)
-    assert _built_rows(t.join) == _built_rows(t.meet) == injected
-    fresh = min(set(range(t.n)) - injected)
-    t.meet[fresh]
-    assert _built_rows(t.meet) == injected | {fresh} and _built_rows(t.join) == injected
-    assert len(t.join) == t.n and list(t.join) == [t.join[i] for i in range(t.n)]
-    assert _built_rows(t.join) == set(range(t.n))
 
 
 @pytest.mark.parametrize(
@@ -694,7 +668,7 @@ def test_the_family_kernel_builds_a_powerset():
     assert frame.family == masks
     assert frame.index == {m: k for k, m in enumerate(masks)}
     assert frame.order.up == (0b1111, 0b1010, 0b1100, 0b1000)
-    assert frame.join[1][2] == 3 and frame.meet[1][2] == 0
+    assert frame.join(1, 2) == 3 and frame.meet(1, 2) == 0
     assert (frame.bottom, frame.top) == (0, 3)
     assert frame.irreducibles == (1, 2)
 
@@ -714,39 +688,28 @@ def test_the_family_kernel_refuses_a_family_that_is_not_a_lattice_of_sets(masks,
 
 
 def test_the_lazy_family_kernel_refuses_a_family_with_no_least_member():
-    """Above EAGER_TABLE_LIMIT closure is still checked at build, before the bounds.
+    """Closure is checked at build, before the bounds, on a large family too.
 
     601 singletons have no least member, but their first missing union is
     named first.
     """
-    masks = tuple(1 << k for k in range(EAGER_TABLE_LIMIT + 1))
+    masks = tuple(1 << k for k in range(601))
     with pytest.raises(VerificationError, match="^the family misses the union of 'm1' and 'm2'$"):
         FiniteFrame(_labels(masks), masks)
 
 
 def test_a_missing_union_above_the_limit_is_refused_at_build():
-    """Above EAGER_TABLE_LIMIT a missing union is refused at build, as below it.
-
-    A lazy table on the same family, built directly, still refuses the
-    lookup with the same message.
-    """
-    singletons = tuple(1 << k for k in range(EAGER_TABLE_LIMIT - 1))
+    """601 members, the empty set, 599 singletons and their union: the first missing union is named."""
+    singletons = tuple(1 << k for k in range(599))
     masks = (0,) + singletons + ((1 << len(singletons)) - 1,)
-    assert len(masks) == EAGER_TABLE_LIMIT + 1
-    message = "^the family misses the union of 'm1' and 'm2'$"
-    with pytest.raises(VerificationError, match=message):
+    with pytest.raises(VerificationError, match="^the family misses the union of 'm1' and 'm2'$"):
         FiniteFrame(_labels(masks), masks)
-    index = {m: k for k, m in enumerate(masks)}
-    join = _LazyTable(_labels(masks), masks, index, int.__or__, "union")
-    assert join[0][1] == 1 and join[1][len(masks) - 1] == len(masks) - 1
-    with pytest.raises(VerificationError, match=message):
-        join[1][2]
 
 
 def test_a_product_with_a_non_distributive_factor_is_refused_above_the_limit():
-    """M3 x chain(121) has 605 elements, so its tables would be lazy; it is refused at build."""
+    """M3 x chain(121), of 605 elements, is refused at build as a small product is."""
     m3 = TableLattice(diamond_m3())
-    assert m3.n * 121 > EAGER_TABLE_LIMIT
+    assert m3.n * 121 == 605
     with pytest.raises(VerificationError, match="misses the union"):
         product_frames([m3, chain_frame(121)])
 

@@ -1,6 +1,7 @@
 """Frames, homomorphisms, adjoints, and nuclei."""
 
 import hashlib
+import itertools
 import random
 import re
 
@@ -38,7 +39,7 @@ from finitetop.frames import (
     two,
 )
 from finitetop.order import inclusion_rows, sort_labels, transitive_closure, transpose
-from finitetop.poset import FinitePoset, downset_label, validate_poset
+from finitetop.poset import FinitePoset, mask_label, validate_poset
 from finitetop.spaces import space_from_preorder
 from finitetop.spatial import omega
 
@@ -48,9 +49,11 @@ from conftest import (
     chain_poset,
     diamond_m3,
     downset_frames,
+    frame_tables,
     greatest_of,
     grid_poset,
     least_of,
+    literal_check_hom,
     literal_tables,
     pentagon_n5,
     table_irreducibles,
@@ -61,9 +64,9 @@ def test_chain_frame_tables():
     c3 = chain_frame(3)
     assert c3.bottom == 0
     assert c3.top == 2
-    assert c3.meet[1][2] == 1
-    assert c3.join[1][2] == 2
-    assert c3.meet[0][1] == 0
+    assert c3.meet(1, 2) == 1
+    assert c3.join(1, 2) == 2
+    assert c3.meet(0, 1) == 0
     assert c3.join_mask(0) == c3.bottom
     assert c3.meet_mask(0) == c3.top
 
@@ -115,10 +118,10 @@ def test_infinitary_distributivity_on_corpus():
     for frame in frame_corpus():
         for a in range(frame.n):
             for mask in range(1 << frame.n):
-                lhs = frame.meet[a][frame.join_mask(mask)]
+                lhs = frame.meet(a, frame.join_mask(mask))
                 rhs = frame.bottom
                 for s in iter_bits(mask):
-                    rhs = frame.join[rhs][frame.meet[a][s]]
+                    rhs = frame.join(rhs, frame.meet(a, s))
                 assert lhs == rhs
 
 
@@ -297,7 +300,7 @@ def test_downset_frame_of_antichain_is_powerset():
 
 def _same_frame(frame, oracle):
     assert frame.order == oracle.order
-    assert (frame.join, frame.meet) == (oracle.join, oracle.meet)
+    assert frame_tables(frame) == frame_tables(oracle) == literal_tables(frame.order)
     assert (frame.bottom, frame.top) == (oracle.bottom, oracle.top)
 
 
@@ -309,7 +312,7 @@ def test_set_family_frames_match_their_inclusion_orders():
     """
     for p in all_posets(4):
         masks = p.downsets()
-        labels = [downset_label(p, m) for m in masks]
+        labels = [mask_label(p, m) for m in masks]
         order = FinitePoset(*sort_labels(labels, inclusion_rows(masks)), validate=False)
         _same_frame(downset_frame(p), frame_from_poset(order))
     for space in all_spaces(3):
@@ -326,12 +329,12 @@ def test_meet_join_lattice_laws(which, data):
     x = data.draw(st.integers(0, n - 1))
     y = data.draw(st.integers(0, n - 1))
     z = data.draw(st.integers(0, n - 1))
-    assert frame.meet[x][y] == frame.meet[y][x]
-    assert frame.join[x][y] == frame.join[y][x]
-    assert frame.meet[x][frame.meet[y][z]] == frame.meet[frame.meet[x][y]][z]
-    assert frame.join[x][frame.join[y][z]] == frame.join[frame.join[x][y]][z]
-    assert frame.join[x][frame.meet[x][y]] == x
-    assert frame.meet[x][frame.join[x][y]] == x
+    assert frame.meet(x, y) == frame.meet(y, x)
+    assert frame.join(x, y) == frame.join(y, x)
+    assert frame.meet(x, frame.meet(y, z)) == frame.meet(frame.meet(x, y), z)
+    assert frame.join(x, frame.join(y, z)) == frame.join(frame.join(x, y), z)
+    assert frame.join(x, frame.meet(x, y)) == x
+    assert frame.meet(x, frame.join(x, y)) == x
 
 
 # --- the table builder and the distributivity test against literal oracles --
@@ -343,7 +346,7 @@ def _built_tables(poset):
         frame = frame_from_poset(poset)
     except NotDistributiveError:
         return "not distributive"
-    return tuple(frame.join), tuple(frame.meet)
+    return frame_tables(frame)
 
 
 def _expected_tables(poset):
@@ -379,7 +382,7 @@ def _first_triple(join, meet):
 def _assert_accepted_frame_is_literal(frame, poset, join, meet):
     """The frame's tables, bounds and irreducibles are the literal ones of the poset."""
     everything = (1 << poset.n) - 1
-    assert (tuple(frame.join), tuple(frame.meet)) == (join, meet)
+    assert frame_tables(frame) == (join, meet)
     assert frame.bottom == least_of(poset, everything)
     assert frame.top == greatest_of(poset, everything)
     assert frame.irreducibles == table_irreducibles(frame)
@@ -484,8 +487,7 @@ def perturbed_tables(draw):
     if draw(st.booleans()):
         frame = draw(downset_frames())
         n = frame.n
-        join = [list(row) for row in frame.join]
-        meet = [list(row) for row in frame.meet]
+        join, meet = ([list(row) for row in table] for table in literal_tables(frame.order))
         for _ in range(draw(st.integers(0, 3))):
             table = draw(st.sampled_from((join, meet)))
             row = draw(st.integers(0, n - 1))
@@ -526,12 +528,12 @@ def _self_checked_tensors():
 def test_distributivity_witness_finds_a_single_perturbed_entry(which):
     frame = (list(frame_corpus()) + _self_checked_tensors())[which]
     n = frame.n
-    assert _first_triple(frame.join, frame.meet) is None
-    assert distributivity_witness(frame.join, frame.meet) is None
+    tables = literal_tables(frame.order)
+    assert _first_triple(*tables) is None
+    assert distributivity_witness(*tables) is None
     rng = random.Random(which)
     for _ in range(40):
-        join = [list(row) for row in frame.join]
-        meet = [list(row) for row in frame.meet]
+        join, meet = ([list(row) for row in table] for table in tables)
         table = rng.choice((join, meet))
         table[rng.randrange(n)][rng.randrange(n)] = rng.randrange(n)
         assert distributivity_witness(join, meet) == _first_triple(join, meet)
@@ -550,7 +552,7 @@ def test_family_frames_hold_no_failing_triple(kind):
     for left in frames:
         for right in frames:
             frame = FAMILY_BUILDERS[kind](left, right)
-            assert _first_triple(frame.join, frame.meet) is None
+            assert _first_triple(*frame_tables(frame)) is None
 
 
 @pytest.mark.parametrize("lattice", [diamond_m3, pentagon_n5])
@@ -585,16 +587,17 @@ def _oracle_homs(source, target):
 
     A hom is determined by its monotone values on the join-irreducibles, so
     those are enumerated, in linear-extension order with values ascending;
-    each candidate is extended by joins and kept when it preserves top and
-    passes FrameHom's validation.  This is the enumerator that Birkhoff
-    duality replaced; its output order is the lexicographic order of the
-    values on the irreducibles.
+    each candidate is extended by joins of the literal table and kept when
+    it preserves top and passes the literal pair sweep.  This is the
+    enumerator that Birkhoff duality replaced; its output order is the
+    lexicographic order of the values on the irreducibles.
     """
     irr = set(source.irreducibles)
     if source.n == 1:
         return [(target.bottom,)] if target.n == 1 else []
     ext = [i for i in source.order.linear_extension if i in irr]
     below = source.irreducibles_below
+    join, _ = literal_tables(target.order)
     values = {}
     out = []
 
@@ -604,14 +607,15 @@ def _oracle_homs(source, target):
             for x in range(source.n):
                 acc = target.bottom
                 for j in iter_bits(below[x]):
-                    acc = target.join[acc][values[j]]
+                    acc = join[acc][values[j]]
                 mapping.append(acc)
             if mapping[source.top] != target.top:
                 return
             try:
-                out.append(FrameHom(source, target, mapping).mapping)
+                literal_check_hom(source, target, mapping)
             except NotHomError:
-                pass
+                return
+            out.append(tuple(mapping))
             return
         i = ext[t]
         cand = (1 << target.n) - 1
@@ -681,6 +685,83 @@ def test_one_element_frames_as_source_and_target():
     for other in [one, two(), chain_frame(3), coproduct(two(), chain_frame(3))]:
         assert _assert_homs_match_oracle(one, other) == ([(0,)] if other.n == 1 else [])
         assert _assert_homs_match_oracle(other, one) == [(0,) * other.n]
+
+
+# --- the Birkhoff hom test against the literal pair sweep --------------------
+
+
+def _verdict(check, source, target, mapping):
+    """None when `check` accepts the mapping, else its NotHomError message."""
+    try:
+        check(source, target, mapping)
+    except NotHomError as exc:
+        return str(exc)
+    return None
+
+
+def _disagreements_on_small_maps():
+    """Maps between frames of at most 4 elements where FrameHom and the sweep disagree.
+
+    Returns the disagreements and the number of maps tried.
+    """
+    pool = all_frames(4)
+    out = []
+    tried = 0
+    for source in pool:
+        for target in pool:
+            for mapping in itertools.product(range(target.n), repeat=source.n):
+                expected = _verdict(literal_check_hom, source, target, mapping)
+                if _verdict(FrameHom, source, target, mapping) != expected:
+                    out.append((source, target, mapping))
+                tried += 1
+    return out, tried
+
+
+def test_the_hom_test_matches_the_pair_sweep_on_every_map_of_small_frames():
+    """Every map between frames of at most 4 elements: the same verdict and message."""
+    disagreements, tried = _disagreements_on_small_maps()
+    assert disagreements == []
+    assert tried == 1444
+
+
+def test_a_hom_test_that_skips_the_last_target_irreducible_fails_the_oracle(monkeypatch):
+    """The mutant never gathers the preimage of each target's last irreducible."""
+    for frame in all_frames(4):
+        if frame.irreducibles:
+            keep = ~(1 << frame.irreducibles[-1])
+            mutant = tuple(m & keep for m in frame.irreducibles_below)
+            monkeypatch.setitem(frame.__dict__, "irreducibles_below", mutant)
+    disagreements, _ = _disagreements_on_small_maps()
+    assert disagreements
+
+
+@st.composite
+def maps_between_built_frames(draw):
+    """Two built frames and a map: a hom with up to two values changed, or random values."""
+    source = draw(built_frames())
+    target = draw(built_frames())
+    values = st.integers(0, target.n - 1)
+    homs = [h.mapping for h in iter_frame_homs(source, target)]
+    if homs and draw(st.booleans()):
+        mapping = list(draw(st.sampled_from(homs)))
+        for _ in range(draw(st.integers(0, 2))):
+            mapping[draw(st.integers(0, source.n - 1))] = draw(values)
+    else:
+        mapping = draw(st.lists(values, min_size=source.n, max_size=source.n))
+    return source, target, tuple(mapping)
+
+
+@settings(max_examples=300, deadline=None)
+@given(maps_between_built_frames())
+def test_the_hom_test_matches_the_pair_sweep_on_random_and_perturbed_maps(case):
+    expected = _verdict(literal_check_hom, *case)
+    assert _verdict(FrameHom, *case) == expected
+
+
+@pytest.mark.parametrize("value", [99, 3, -1])
+def test_a_mapping_value_outside_the_target_is_refused(value):
+    with pytest.raises(NotHomError, match=f"^{value} is not an element of the target$"):
+        FrameHom(chain_frame(3), two(), (0, value, 1))
 
 
 def test_homs_out_of_a_non_distributive_table_are_refused():
@@ -765,8 +846,10 @@ def test_the_closure_screen_matches_the_row_order_scan(masks):
         frame = FiniteFrame(labels, masks)
         assert frame.irreducibles == table_irreducibles(frame)
         members = {m: k for k, m in enumerate(masks)}
-        assert frame.join == tuple(tuple(members[a | b] for b in masks) for a in masks)
-        assert frame.meet == tuple(tuple(members[a & b] for b in masks) for a in masks)
+        assert frame_tables(frame) == (
+            tuple(tuple(members[a | b] for b in masks) for a in masks),
+            tuple(tuple(members[a & b] for b in masks) for a in masks),
+        )
 
 
 def _families_of_three_points():

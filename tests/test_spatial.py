@@ -17,13 +17,10 @@ from finitetop.spaces import is_sober, product_spaces, spaces_homeomorphic
 from finitetop.spatial import adjunction_check, is_spatial, locale_points, omega, pt
 
 from conftest import (
-    TableLattice,
-    diamond_m3,
     discrete_space,
     downset_frames,
     grid_poset,
     indiscrete_space,
-    pentagon_n5,
     point_space,
     sierpinski,
 )
@@ -86,13 +83,6 @@ def test_points_match_the_all_elements_sweep_on_the_corpus():
     for frame in all_frames(6):
         assert _points(frame) == _oracle_points(frame)
         assert [g for g, _ in _points(frame)] == list(frame.irreducibles)
-
-
-def test_points_match_the_sweep_on_non_distributive_tables():
-    for poset in (diamond_m3(), pentagon_n5()):
-        table = TableLattice(poset)
-        assert _points(table) == _oracle_points(table)
-        assert len(_points(table)) < len(table.irreducibles)
 
 
 @settings(max_examples=100, deadline=None)
