@@ -14,17 +14,28 @@ the data in pure-Python generators a token at a time, which made writing
 a large frame cost more than building it.  `iter_canonical_json` walks
 dicts (keys sorted), lists and tuples itself and streams the text in
 blocks.  A list of strings or of lists of strings, as every `points` and
-`leq` is, is encoded `_BLOCK_ITEMS` items at a time: each string goes
-through the C escaper `json.encoder.encode_basestring` once, and the
-block is one `str.join`.  Other scalars are encoded as the stdlib encodes
+every block of a `leq` is, is encoded `_BLOCK_ITEMS` items at a time:
+each string goes through the C escaper `json.encoder.encode_basestring`
+once, and the block is one `str.join`.  Other scalars are encoded as the stdlib encodes
 them, floats by the stdlib itself.  The tests hold the stdlib encoder as
 the oracle of these bytes.
+
+Relations stream from rows.  The `leq` of a poset, frame or preorder is
+no list of pairs but a read-only sequence over the structure's sorted
+rows: it has a length, iterates and answers `in` like the list would,
+and a slice builds only the pairs in it.  The encoder slices it into the
+same blocks as a list, so no command holds more than one block of a
+relation's pairs.  Give `json.dumps` `default=list` to encode such data
+with the stdlib.
 """
 
 from __future__ import annotations
 
 import json
+from bisect import bisect_right
+from collections.abc import Sequence
 from dataclasses import dataclass
+from itertools import accumulate
 
 from .bits import iter_bits
 from .colimits import PushoutLocaleResult
@@ -92,7 +103,7 @@ def _pieces(o, depth):
     """The text of o at nesting depth `depth`, in pieces."""
     if isinstance(o, dict):
         yield from _dict_pieces(o, depth)
-    elif isinstance(o, (list, tuple)):
+    elif isinstance(o, (list, tuple, _Relation)):
         yield from _list_pieces(o, depth)
     else:
         yield _scalar(o)
@@ -168,17 +179,68 @@ def _mask_labels(labels, mask):
     return [labels[i] for i in iter_bits(mask)]
 
 
-def _relation_pairs(labels, up):
-    """The strict pairs of the rows, sorted: labels sorted and distinct make row order sorted."""
-    pairs = []
-    for i, row in enumerate(up):
-        x = labels[i]
-        row &= ~(1 << i)
-        while row:
-            low = row & -row
-            pairs.append([x, labels[low.bit_length() - 1]])
-            row ^= low
-    return pairs
+class _Relation(Sequence):
+    """The strict pairs of sorted rows, as [x, y] label lists read in row order.
+
+    Labels sorted and distinct make row order sorted.  A slice builds only
+    its own pairs, so the encoder, which slices every list into blocks,
+    never holds more than one block of a large relation; the rows stay,
+    so the relation reads the same every time.
+    """
+
+    def __init__(self, labels, rows):
+        self._labels = labels
+        self._rows = [row & ~(1 << i) for i, row in enumerate(rows)]
+        # self._starts[i]: the pairs before row i; the last entry is the length
+        self._starts = list(accumulate(map(int.bit_count, self._rows), initial=0))
+
+    def __len__(self):
+        return self._starts[-1]
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            start, stop, step = index.indices(len(self))
+            if step == 1:
+                return self._pairs(start, stop)
+            return [self[k] for k in range(start, stop, step)]
+        k = index + len(self) if index < 0 else index
+        if not 0 <= k < len(self):
+            raise IndexError("relation index out of range")
+        return self._pairs(k, k + 1)[0]
+
+    def __iter__(self):
+        for start in range(0, len(self), _BLOCK_ITEMS):
+            yield from self[start:start + _BLOCK_ITEMS]
+
+    def _pairs(self, start, stop):
+        """Pairs start to stop - 1 (within the length): the rows they lie in, cut at both ends."""
+        labels, rows, starts = self._labels, self._rows, self._starts
+        pairs = []
+        left = stop - start
+        if left <= 0:
+            return pairs
+        i = bisect_right(starts, start) - 1
+        row = rows[i]
+        for _ in range(start - starts[i]):
+            row &= row - 1
+        while left > 0:
+            count = row.bit_count()
+            if count > left:
+                rest = row
+                for _ in range(left):
+                    rest &= rest - 1
+                row ^= rest
+                count = left
+            left -= count
+            x = labels[i]
+            while row:
+                low = row & -row
+                pairs.append([x, labels[low.bit_length() - 1]])
+                row ^= low
+            i += 1
+            if left > 0:
+                row = rows[i]
+        return pairs
 
 
 def _order_data(kind, labels, up):
@@ -186,7 +248,7 @@ def _order_data(kind, labels, up):
     return {
         "kind": kind,
         "points": sorted_labels,
-        "leq": _relation_pairs(sorted_labels, rows),
+        "leq": _Relation(sorted_labels, rows),
     }
 
 
@@ -321,14 +383,22 @@ def _expect(data, kind):
         raise ParseError(f"expected a {kind} object")
 
 
+def _label_pairs(kind, relation):
+    """The entries of a relation, passed through as they are read; each must be two labels."""
+    for entry in relation:
+        if not isinstance(entry, (list, tuple)) or len(entry) != 2:
+            raise ParseError(f"malformed {kind} data: relation entry {entry!r} is not a pair of labels")
+        yield entry
+
+
 def _parse_poset(data):
     _expect(data, "poset")
-    return validate_poset(data["points"], [tuple(p) for p in data["leq"]])
+    return validate_poset(data["points"], _label_pairs("poset", data["leq"]))
 
 
 def _parse_frame(data):
     _expect(data, "frame")
-    poset = validate_poset(data["points"], [tuple(p) for p in data["leq"]])
+    poset = validate_poset(data["points"], _label_pairs("frame", data["leq"]))
     return frame_from_poset(poset)
 
 
@@ -388,7 +458,7 @@ def _parse_preorder(data):
         raise ParseError("duplicate points")
     index = {x: i for i, x in enumerate(points)}
     rows = [1 << i for i in range(len(points))]
-    for x, y in data["leq"]:
+    for x, y in _label_pairs("preorder", data["leq"]):
         if x not in index or y not in index:
             raise ParseError("relation mentions unknown labels")
         rows[index[x]] |= 1 << index[y]

@@ -2,6 +2,7 @@
 
 import gc
 import json
+from collections.abc import Sequence
 from itertools import permutations
 
 import pytest
@@ -364,9 +365,20 @@ def assert_saturated_oracle(t):
     assert (masks[t.bottom], masks[t.top]) == (carrier.nbar, carrier.full)
 
 
+def _as_list(o):
+    """A sequence the stdlib does not know, as a streamed relation, read as a list.
+
+    Anything else is refused by the stdlib's own `default`, so a set still
+    raises its TypeError.
+    """
+    if isinstance(o, Sequence):
+        return list(o)
+    return json.JSONEncoder().default(o)
+
+
 def stdlib_canonical_json(data):
     """The canonical text through the stdlib's encoder: the oracle of `serialize.canonical_json`."""
-    return json.dumps(data, sort_keys=True, indent=2, ensure_ascii=False) + "\n"
+    return json.dumps(data, sort_keys=True, indent=2, ensure_ascii=False, default=_as_list) + "\n"
 
 
 def certificate(rows):

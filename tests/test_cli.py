@@ -65,8 +65,8 @@ def test_suite_commands_take_no_steps_option(argv, capsys):
 def _factorize_argv(tmp_path):
     """Factorize the cell map against itself; `--steps` comes last, unset."""
     cell = PreMap(Preorder((), ()), Preorder(("p",), (1,)), ())
-    (tmp_path / "map.json").write_text(json.dumps(structure_data(cell)))
-    (tmp_path / "gens.json").write_text(json.dumps([structure_data(cell)]))
+    (tmp_path / "map.json").write_text(json.dumps(structure_data(cell), default=list))
+    (tmp_path / "gens.json").write_text(json.dumps([structure_data(cell)], default=list))
     argv = ["lift", "factorize", "--map", str(tmp_path / "map.json")]
     return argv + ["--gens", str(tmp_path / "gens.json"), "--steps"]
 
@@ -121,6 +121,19 @@ def test_a_trace_with_a_non_index_generator_exits_2(generator, tmp_path, capsys)
     error = _error(capsys)
     assert error["kind"] == "input"
     assert repr(generator) in error["message"]
+
+
+@pytest.mark.parametrize("kind", ["poset", "frame", "preorder"])
+@pytest.mark.parametrize("entry", [["a"], ["a", "b", "c"], "ab"], ids=["one", "three", "string"])
+def test_a_relation_entry_that_is_not_a_pair_exits_2(kind, entry, tmp_path, capsys):
+    """The message names the file, the kind and the entry."""
+    path = tmp_path / "p.json"
+    path.write_text(json.dumps({"kind": kind, "points": ["a", "b"], "leq": [entry]}))
+    assert run(["validate", "--input", str(path)]) == 2
+    assert _error(capsys) == {
+        "kind": "input",
+        "message": f"{path}: malformed {kind} data: relation entry {entry!r} is not a pair of labels",
+    }
 
 
 def test_python_dash_m_runs_a_check():
@@ -237,7 +250,7 @@ def _write_inputs(tmp_path):
         Path(paths[kind]).write_text(json.dumps(data))
     cell = PreMap(Preorder((), ()), Preorder(("p",), (1,)), ())
     paths["gens"] = str(tmp_path / "gens.json")
-    Path(paths["gens"]).write_text(json.dumps([structure_data(cell)]))
+    Path(paths["gens"]).write_text(json.dumps([structure_data(cell)], default=list))
     return paths
 
 
@@ -312,7 +325,7 @@ def test_coproduct_prints_the_stdlib_text_of_its_structure(tmp_path, capsys):
 def test_omega_prints_the_stdlib_text_across_list_blocks(monkeypatch, tmp_path, capsys):
     space = discrete_space("abcd")
     path = tmp_path / "space.json"
-    path.write_text(json.dumps(structure_data(space)))
+    path.write_text(json.dumps(structure_data(space), default=list))
     data = structure_data(omega(space))
     # 16 points and 65 leq pairs: 3 and 10 list blocks of 7 items
     assert len(data["leq"]) == 65
@@ -353,7 +366,7 @@ def _square_argv(tmp_path, left, right, top, bottom):
     sides = {"left": left, "right": right, "top": top, "bottom": bottom}
     data = {"kind": "lifting-square", **{k: structure_data(m) for k, m in sides.items()}}
     path = tmp_path / "square.json"
-    path.write_text(json.dumps(data))
+    path.write_text(json.dumps(data, default=list))
     return ["lift", "check", "--square", str(path)]
 
 

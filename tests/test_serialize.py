@@ -1,6 +1,7 @@
 """Canonical JSON encodings and their parsers."""
 
 import json
+import tracemalloc
 from unittest.mock import patch
 
 import pytest
@@ -8,9 +9,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from finitetop import serialize
-from finitetop.colimits import pushout_loc
+from finitetop.colimits import coproduct, pushout_loc
 from finitetop.errors import CycleError, ParseError
-from finitetop.frames import FrameHom, frame_from_poset
+from finitetop.frames import FrameHom, chain_frame, frame_from_poset
 from finitetop.lifting import (
     LiftingSquare,
     PreMap,
@@ -21,6 +22,7 @@ from finitetop.lifting import (
     replay_trace,
 )
 from finitetop.order import isomorphisms
+from finitetop.poset import validate_poset
 from finitetop.pstop import PsSpace
 from finitetop.serialize import (
     LocPushoutData,
@@ -31,7 +33,7 @@ from finitetop.serialize import (
     structure_data,
 )
 
-from conftest import chain_poset, grid_poset, sierpinski, stdlib_canonical_json
+from conftest import antichain_poset, chain_poset, grid_poset, sierpinski, stdlib_canonical_json
 
 
 def _round_trip(obj):
@@ -122,6 +124,78 @@ def test_poset_relation_omits_reflexive_pairs():
     assert all(x != y for x, y in data["leq"])
 
 
+def _literal_pairs(poset):
+    """The strict pairs of a poset with sorted labels, listed the slow way."""
+    labels = poset.points
+    return [
+        [x, y]
+        for i, x in enumerate(labels)
+        for j, y in enumerate(labels)
+        if i != j and poset.up[i] >> j & 1
+    ]
+
+
+def _poset_of_pairs(n):
+    """A 32-chain (496 pairs) beside a fan of n - 496 tops over one bottom.
+
+    The fan's row comes last, so block edges at 512 pairs cut inside it.
+    """
+    chain = [f"c{k:02d}" for k in range(32)]
+    tops = [f"g{k:02d}" for k in range(n - 496)]
+    pairs = list(zip(chain, chain[1:])) + [("f", t) for t in tops]
+    return validate_poset(chain + ["f"] + tops, pairs)
+
+
+@pytest.mark.parametrize(
+    "poset",
+    [
+        validate_poset([0, 1, 2, 10], [(0, 1), (1, 2), (0, 10)]),
+        antichain_poset(3),
+        _poset_of_pairs(511),
+        _poset_of_pairs(512),
+        _poset_of_pairs(513),
+    ],
+    ids=["integer-labels", "antichain", "511-pairs", "512-pairs", "513-pairs"],
+)
+def test_a_streamed_relation_has_the_stdlib_bytes_every_time(poset):
+    """Integer labels take the per-item path; the rest meet the block edges."""
+    data = structure_data(poset)
+    text = canonical_json(data)
+    assert text == stdlib_canonical_json(data)
+    assert canonical_json(data) == text
+    assert json.loads(text)["leq"] == _literal_pairs(poset)
+
+
+def test_a_streamed_relation_reads_like_its_list():
+    poset = _poset_of_pairs(513)
+    literal = _literal_pairs(poset)
+    leq = structure_data(poset)["leq"]
+    assert (len(leq), leq[0], leq[-1], leq[496]) == (513, literal[0], literal[-1], literal[496])
+    cuts = [(0, 513, 1), (30, 530, 1), (510, 497, 1), (-20, None, 1), (None, None, 7), (None, None, -3)]
+    for start, stop, step in cuts:
+        assert leq[start:stop:step] == literal[start:stop:step], (start, stop, step)
+    assert ["c00", "c31"] in leq
+    assert ["f", "g16"] in leq
+    assert ["c31", "c00"] not in leq
+    with pytest.raises(IndexError):
+        leq[513]
+
+
+def test_encoding_a_924_element_coproduct_holds_one_block_of_pairs():
+    """chain7 (x) chain7 has 225 k relation pairs; built as lists they took 17.7 MiB."""
+    chain7 = chain_frame(7)
+    tensor = coproduct(chain7, chain7)
+    assert tensor.n == 924
+    tracemalloc.start()
+    try:
+        size = sum(map(len, iter_canonical_json(structure_data(tensor))))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert size > 9_000_000
+    assert peak < 2 * 2**20, f"peak {peak / 2**20:.2f} MiB"
+
+
 def test_frame_round_trip():
     frame = frame_from_poset(chain_poset(3))
     parsed = _round_trip(frame)
@@ -171,7 +245,7 @@ def test_pstop_round_trip():
 def test_preorder_round_trip():
     pre = Preorder(("a", "b"), (3, 2))
     data = structure_data(pre)
-    assert data["leq"] == [["a", "b"]]
+    assert list(data["leq"]) == [["a", "b"]]
     assert _round_trip(pre) == pre
 
 

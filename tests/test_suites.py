@@ -226,6 +226,24 @@ def test_the_pstop_suites_catch_a_wrong_construction(monkeypatch, citation, name
     canonical_json([report_data(report)])
 
 
+def test_the_coproduct_suite_catches_a_copair_with_swapped_legs(monkeypatch):
+    """Copairing (g, f) for the cocone (f, g), wherever the legs share a
+    source, breaks the uniqueness of the mediator for every f != g."""
+    copair = suites.copair
+
+    def swapped(f, g, *, tensor=None):
+        if f.source == g.source:
+            f, g = g, f
+        return copair(f, g, tensor=tensor)
+
+    monkeypatch.setattr(suites, "copair", swapped)
+    report = run_suite("FrameCoproduct", SuiteOptions())
+    assert not report.ok
+    assert (report.cases, len(report.failures)) == (87, 32)
+    assert report.failures[0] == "{a,b,c} (x) {a,b,c} into {a,b}: 1 mediators for one cocone"
+    canonical_json([report_data(report)])
+
+
 def _clear_lifting_verdicts():
     lifting._census.cache_clear()
     lifting._arrow_class.cache_clear()
