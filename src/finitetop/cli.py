@@ -15,7 +15,7 @@ import sys
 from contextlib import nullcontext
 
 from .colimits import copair, coproduct, pushout_loc
-from .errors import FinitetopError, ParseError, VerificationError
+from .errors import FinitetopError, VerificationError
 from .frames import FiniteFrame, FrameHom, downset_frame
 from .lifting import LiftingSquare, arrow, bounded_factorize, enumerate_lifts
 from .poset import FinitePoset, PreMap
@@ -68,7 +68,7 @@ def _load(path, want=None):
         obj = load_structure(path)
     except OSError as exc:
         raise _InputProblem(f"cannot read {path}: {exc}") from None
-    except ParseError as exc:
+    except (FinitetopError, ValueError) as exc:
         raise _InputProblem(f"{path}: {exc}") from None
     if want is not None and not isinstance(obj, want):
         raise _InputProblem(f"{path}: expected a {_KIND_NAMES[want]}")
@@ -97,7 +97,7 @@ def _load_generators(path):
     for item in data:
         try:
             out.append(_as_arrow(parse_structure(item), path))
-        except (ParseError, FinitetopError) as exc:
+        except FinitetopError as exc:
             raise _InputProblem(f"{path}: {exc}") from None
     return tuple(out)
 

@@ -14,28 +14,27 @@ the data in pure-Python generators a token at a time, which made writing
 a large frame cost more than building it.  `iter_canonical_json` walks
 dicts (keys sorted), lists and tuples itself and streams the text in
 blocks.  A list of strings or of lists of strings, as every `points` and
-every block of a `leq` is, is encoded `_BLOCK_ITEMS` items at a time:
-each string goes through the C escaper `json.encoder.encode_basestring`
-once, and the block is one `str.join`.  Other scalars are encoded as the stdlib encodes
-them, floats by the stdlib itself.  The tests hold the stdlib encoder as
+every space's `opens` is, is encoded `_BLOCK_ITEMS` items at a time: each
+string goes through the C escaper `json.encoder.encode_basestring` once,
+and the block is one `str.join`.  Other scalars are encoded as the stdlib
+encodes them, floats by the stdlib itself.  The tests hold the stdlib encoder as
 the oracle of these bytes.
 
-Relations stream from rows.  The `leq` of a poset, frame or preorder is
-no list of pairs but a read-only sequence over the structure's sorted
-rows: it has a length, iterates and answers `in` like the list would,
-and a slice builds only the pairs in it.  The encoder slices it into the
-same blocks as a list, so no command holds more than one block of a
-relation's pairs.  Give `json.dumps` `default=list` to encode such data
-with the stdlib.
+Relations are written row by row.  The `leq` of a poset, frame or preorder
+is no list of pairs but a read-only collection over the structure's sorted
+rows: it has a length, iterates its pairs and answers `in` like the list
+would.  The encoder never builds its pairs: it encodes each label once and
+writes each non-empty row as one piece, the row's targets picked from the
+encoded labels and joined by one `str.join`.  Give `json.dumps`
+`default=list` to encode such data with the stdlib.
 """
 
 from __future__ import annotations
 
 import json
-from bisect import bisect_right
-from collections.abc import Sequence
+from collections.abc import Collection
 from dataclasses import dataclass
-from itertools import accumulate
+from itertools import compress
 
 from .bits import iter_bits
 from .colimits import PushoutLocaleResult
@@ -55,8 +54,8 @@ _ESCAPE = json.encoder.encode_basestring
 
 # Items of a list encoded into one piece, and characters of pieces joined
 # into one block of streamed output.  Of 128 to 4096 items, 512 encoded
-# the 924-element coproduct fastest, and it keeps peak memory at what the
-# stdlib encoder needed.
+# the 924-element coproduct fastest while its relation was a list of
+# pairs, and it keeps peak memory at what the stdlib encoder needed.
 _BLOCK_ITEMS = 512
 _BLOCK_CHARS = 1 << 16
 
@@ -127,6 +126,9 @@ def _list_pieces(o, depth):
     if not o:
         yield "[]"
         return
+    if isinstance(o, _Relation):
+        yield from o.row_pieces(depth)
+        return
     newline = "\n" + "  " * (depth + 1)
     separator = "," + newline
     opening = "[" + newline
@@ -148,8 +150,8 @@ def _list_pieces(o, depth):
 def _flat_block(block, depth, separator):
     """One string for a block of strings or of lists of strings, else None.
 
-    These are the `points` and `leq` lists that make up most output; each
-    string goes through the C escaper once and the block is one join.
+    These are the `points`, `opens` and `limits` lists; each string goes
+    through the C escaper once and the block is one join.
     """
     try:
         return separator.join(map(_ESCAPE, block))
@@ -179,68 +181,61 @@ def _mask_labels(labels, mask):
     return [labels[i] for i in iter_bits(mask)]
 
 
-class _Relation(Sequence):
+def _row_flags(row):
+    """Whether each bit of row is set, lowest first: a `compress` selector."""
+    return map("1".__eq__, bin(row)[:1:-1])
+
+
+class _Relation(Collection):
     """The strict pairs of sorted rows, as [x, y] label lists read in row order.
 
-    Labels sorted and distinct make row order sorted.  A slice builds only
-    its own pairs, so the encoder, which slices every list into blocks,
-    never holds more than one block of a large relation; the rows stay,
-    so the relation reads the same every time.
+    Labels sorted and distinct make row order sorted.  Nothing holds the
+    pairs: iteration builds them a row at a time, and the encoder writes
+    each row's text without them, so the relation reads the same every time.
     """
 
     def __init__(self, labels, rows):
         self._labels = labels
         self._rows = [row & ~(1 << i) for i, row in enumerate(rows)]
-        # self._starts[i]: the pairs before row i; the last entry is the length
-        self._starts = list(accumulate(map(int.bit_count, self._rows), initial=0))
+        self._len = sum(map(int.bit_count, self._rows))
 
     def __len__(self):
-        return self._starts[-1]
-
-    def __getitem__(self, index):
-        if isinstance(index, slice):
-            start, stop, step = index.indices(len(self))
-            if step == 1:
-                return self._pairs(start, stop)
-            return [self[k] for k in range(start, stop, step)]
-        k = index + len(self) if index < 0 else index
-        if not 0 <= k < len(self):
-            raise IndexError("relation index out of range")
-        return self._pairs(k, k + 1)[0]
+        return self._len
 
     def __iter__(self):
-        for start in range(0, len(self), _BLOCK_ITEMS):
-            yield from self[start:start + _BLOCK_ITEMS]
+        labels = self._labels
+        for x, row in zip(labels, self._rows):
+            for y in compress(labels, _row_flags(row)):
+                yield [x, y]
 
-    def _pairs(self, start, stop):
-        """Pairs start to stop - 1 (within the length): the rows they lie in, cut at both ends."""
-        labels, rows, starts = self._labels, self._rows, self._starts
-        pairs = []
-        left = stop - start
-        if left <= 0:
-            return pairs
-        i = bisect_right(starts, start) - 1
-        row = rows[i]
-        for _ in range(start - starts[i]):
-            row &= row - 1
-        while left > 0:
-            count = row.bit_count()
-            if count > left:
-                rest = row
-                for _ in range(left):
-                    rest &= rest - 1
-                row ^= rest
-                count = left
-            left -= count
-            x = labels[i]
-            while row:
-                low = row & -row
-                pairs.append([x, labels[low.bit_length() - 1]])
-                row ^= low
-            i += 1
-            if left > 0:
-                row = rows[i]
-        return pairs
+    def __contains__(self, pair):
+        if not isinstance(pair, list) or len(pair) != 2:
+            return False
+        try:
+            i, j = self._labels.index(pair[0]), self._labels.index(pair[1])
+        except ValueError:
+            return False
+        return self._rows[i] >> j & 1 == 1
+
+    def row_pieces(self, depth):
+        """The text of the nonempty relation at nesting depth `depth`, one piece per nonempty row.
+
+        Each label is encoded once, at the depth of a pair's items.  A row's
+        text is one join of its targets' encoded labels, each pair's close
+        and the next pair's opening with the row's own label between them.
+        """
+        newline = "\n" + "  " * (depth + 1)
+        inner = "\n" + "  " * (depth + 2)
+        close = newline + "]"
+        encoded = ["".join(_pieces(label, depth + 2)) for label in self._labels]
+        opening = "[" + newline
+        for x, row in zip(encoded, self._rows):
+            if row:
+                head = "[" + inner + x + "," + inner
+                targets = compress(encoded, _row_flags(row))
+                yield opening + head + (close + "," + newline + head).join(targets) + close
+                opening = "," + newline
+        yield "\n" + "  " * depth + "]"
 
 
 def _order_data(kind, labels, up):

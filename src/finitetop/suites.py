@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import dataclasses
 import random
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from time import perf_counter
 
@@ -869,6 +868,9 @@ def run_all(options=None, jobs=1):
 def _run_many(citations, options, jobs):
     opt = options or SuiteOptions()
     if jobs > 1 and len(citations) > 1:
+        # imported here: the pool pulls in multiprocessing, which a serial run never needs
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             reports = list(pool.map(_run_remote, [(c, opt) for c in citations]))
         return tuple(reports)

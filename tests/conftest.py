@@ -2,12 +2,12 @@
 
 import gc
 import json
-from collections.abc import Sequence
 from itertools import permutations
 
 import pytest
 from hypothesis import strategies as st
 
+from finitetop import serialize
 from finitetop.bits import iter_bits, popcount
 from finitetop.errors import NotHomError, NotLatticeError, SizeError
 from finitetop.frames import FiniteFrame, chain_frame, downset_frame, frame_from_poset
@@ -366,12 +366,12 @@ def assert_saturated_oracle(t):
 
 
 def _as_list(o):
-    """A sequence the stdlib does not know, as a streamed relation, read as a list.
+    """A streamed relation, which the stdlib does not know, read as its list of pairs.
 
     Anything else is refused by the stdlib's own `default`, so a set still
     raises its TypeError.
     """
-    if isinstance(o, Sequence):
+    if isinstance(o, serialize._Relation):
         return list(o)
     return json.JSONEncoder().default(o)
 

@@ -136,6 +136,16 @@ def test_a_relation_entry_that_is_not_a_pair_exits_2(kind, entry, tmp_path, caps
     }
 
 
+def test_importing_the_cli_loads_no_process_pool():
+    """Only `--jobs` above 1 uses the pool, so a start does not import multiprocessing."""
+    src = str(Path(finitetop.__file__).parent.parent)
+    code = "import sys, finitetop.cli; print(sorted(m for m in sys.modules if m.startswith('concurrent')))"
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=src), timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "[]\n"
+
+
 def test_python_dash_m_runs_a_check():
     src = str(Path(finitetop.__file__).parent.parent)
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
@@ -207,7 +217,25 @@ def test_pt_rejects_a_lattice_that_is_not_a_frame(frame, message, tmp_path, caps
     assert run(["pt", "--frame", str(path)]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert json.loads(captured.err) == {"error": {"kind": "input", "message": message}}
+    assert json.loads(captured.err) == {"error": {"kind": "input", "message": f"{path}: {message}"}}
+
+
+@pytest.mark.parametrize(
+    "data, message",
+    [
+        ({"kind": "poset", "points": ["a"], "leq": [["a", "z"]]}, "relation mentions unknown label 'z'"),
+        ({"kind": "poset", "points": ["a", "b"], "leq": [["a", "b"], ["b", "a"]]}, "cycle through 'a' and 'b'"),
+        ({"kind": "poset", "points": ["a", "a"], "leq": []}, "duplicate labels: ['a']"),
+        ({"kind": "frame", "points": ["a", "b"], "leq": []}, "no least upper bound for 'a', 'b'"),
+    ],
+    ids=["unknown-label", "two-cycle", "duplicate-labels", "not-a-lattice"],
+)
+def test_a_refused_structure_names_its_file(data, message, tmp_path, capsys):
+    """Errors the validating constructors raise while loading get the path, as parse errors do."""
+    path = tmp_path / "p.json"
+    path.write_text(json.dumps(data))
+    assert run(["validate", "--input", str(path)]) == 2
+    assert _error(capsys) == {"kind": "input", "message": f"{path}: {message}"}
 
 
 POSET = {"kind": "poset", "points": ["b", "1", "a", "0"], "leq": [["0", "a"], ["0", "b"], ["a", "1"], ["b", "1"]]}
@@ -327,7 +355,7 @@ def test_omega_prints_the_stdlib_text_across_list_blocks(monkeypatch, tmp_path, 
     path = tmp_path / "space.json"
     path.write_text(json.dumps(structure_data(space), default=list))
     data = structure_data(omega(space))
-    # 16 points and 65 leq pairs: 3 and 10 list blocks of 7 items
+    # 16 points: 3 list blocks of 7 items; the 65 leq pairs are written by row
     assert len(data["leq"]) == 65
     monkeypatch.setattr(serialize, "_BLOCK_ITEMS", 7)
     out = tmp_path / "omega.json"

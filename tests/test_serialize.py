@@ -146,6 +146,10 @@ def _poset_of_pairs(n):
     return validate_poset(chain + ["f"] + tops, pairs)
 
 
+def _chain(labels):
+    return validate_poset(labels, list(zip(labels, labels[1:])))
+
+
 @pytest.mark.parametrize(
     "poset",
     [
@@ -154,15 +158,23 @@ def _poset_of_pairs(n):
         _poset_of_pairs(511),
         _poset_of_pairs(512),
         _poset_of_pairs(513),
+        _chain(['"', "\\", "\x01", "\u00e9t\u00e9", "\u2028", "\U0001f600"]),
+        validate_poset(list("abcde"), [("b", "c"), ("b", "d"), ("c", "d")]),
+        validate_poset(["x", "y"], [("x", "y")]),
     ],
-    ids=["integer-labels", "antichain", "511-pairs", "512-pairs", "513-pairs"],
+    ids=[
+        "integer-labels", "antichain", "511-pairs", "512-pairs", "513-pairs",
+        "escaped-labels", "empty-end-rows", "one-pair",
+    ],
 )
 def test_a_streamed_relation_has_the_stdlib_bytes_every_time(poset):
-    """Integer labels take the per-item path; the rest meet the block edges."""
+    """Labels of any type and text, and rows empty at either end, as the stdlib writes them."""
     data = structure_data(poset)
     text = canonical_json(data)
     assert text == stdlib_canonical_json(data)
     assert canonical_json(data) == text
+    with patch.object(serialize, "_BLOCK_CHARS", 1):
+        assert "".join(iter_canonical_json(data)) == text
     assert json.loads(text)["leq"] == _literal_pairs(poset)
 
 
@@ -170,19 +182,38 @@ def test_a_streamed_relation_reads_like_its_list():
     poset = _poset_of_pairs(513)
     literal = _literal_pairs(poset)
     leq = structure_data(poset)["leq"]
-    assert (len(leq), leq[0], leq[-1], leq[496]) == (513, literal[0], literal[-1], literal[496])
+    pairs = list(leq)
+    assert (len(leq), pairs[0], pairs[-1], pairs[496]) == (513, literal[0], literal[-1], literal[496])
     cuts = [(0, 513, 1), (30, 530, 1), (510, 497, 1), (-20, None, 1), (None, None, 7), (None, None, -3)]
     for start, stop, step in cuts:
-        assert leq[start:stop:step] == literal[start:stop:step], (start, stop, step)
+        assert pairs[start:stop:step] == literal[start:stop:step], (start, stop, step)
     assert ["c00", "c31"] in leq
     assert ["f", "g16"] in leq
     assert ["c31", "c00"] not in leq
     with pytest.raises(IndexError):
-        leq[513]
+        pairs[513]
+    # a second reading gives the same pairs, and `in` answers as the list does
+    assert list(leq) == literal
+    for probe in (("c00", "c31"), ["c00", "zz"], ["c00"], "c00", ["f", "f"]):
+        assert (probe in leq) == (probe in literal), probe
+
+
+def test_a_nested_relation_has_the_stdlib_bytes():
+    """The apex's relation sits at depth 2, the legs' frames' at depth 3."""
+    frame = frame_from_poset(_chain(['"q"', "a\\b", "\u00e9"]))
+    ident = FrameHom(frame, frame, range(frame.n))
+    data = structure_data(pushout_loc(ident, ident))
+    text = stdlib_canonical_json(data)
+    assert canonical_json(data) == text
+    nested = {"outer": [data, [data["apex"]]]}
+    assert canonical_json(nested) == stdlib_canonical_json(nested)
 
 
 def test_encoding_a_924_element_coproduct_holds_one_block_of_pairs():
-    """chain7 (x) chain7 has 225 k relation pairs; built as lists they took 17.7 MiB."""
+    """chain7 (x) chain7 has 225 k relation pairs; built as lists they took 17.7 MiB.
+
+    The encoder holds no pairs, only the encoded labels and one row's text.
+    """
     chain7 = chain_frame(7)
     tensor = coproduct(chain7, chain7)
     assert tensor.n == 924

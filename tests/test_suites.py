@@ -267,3 +267,11 @@ def test_the_adjunction_suite_catches_diagonals_that_ignore_the_top(monkeypatch)
     finally:
         _clear_lifting_verdicts()
     assert (report.cases, len(report.failures)) == (85384, 5376)
+
+
+def test_a_process_pool_gives_the_serial_reports():
+    serial = run_group("frames", SMALL)
+    pooled = run_group("frames", SMALL, jobs=2)
+    assert [canonical_json(report_data(r)) for r in pooled] == [
+        canonical_json(report_data(r)) for r in serial
+    ]
