@@ -18,12 +18,21 @@ when `fill` yields one under `_diagonal_pins`, the fibre of v(b) at each
 point b narrowed to u(a) where b = i(a).  `_unsolved` yields the squares
 that fail this test, for a witness and for cell attachment; `_census` is
 whether it yields none, and `enumerate_lifts` lists every diagonal under
-the same pins.  Lifting is invariant under arrow isomorphism, so `_lifts`
-runs the census once per pair of class representatives: `_arrow_class`
-maps a key to the first-seen key of its class, found by the coloured
+the same pins.  Lifting is invariant under arrow isomorphism, so the census
+runs once per pair of class representatives: `_arrow_class` maps a key to
+the first-seen key of its class, found by the coloured
 `order.isomorphisms` search among earlier representatives with equal
-signatures.  A witness square for a failure is still searched on the real
-keys.
+signatures, and `_lifts` asks the census about the two classes.  A
+witness square for a failure is still searched on the real keys.
+
+The exhaustive sweeps are tables.  `adjunction_failures` builds each
+corner and power of its lists once, numbers the classes of the arrows,
+corners and powers, and fills `left[corner class][g]` and
+`right[power class][f]` from the census, one run per pair of classes; a
+triple then compares two entries.  `associativity_failures` numbers set
+keys and asks `_associates` once per distinct triple of them.  The
+per-triple checks `lifting_adjunction_check` and `associates` are the
+tables on singletons.
 
 Pushout-product corners and pullback-power comparisons depend on their
 factors only through `PreMap.key`: gluing numbers classes by first
@@ -68,6 +77,7 @@ from .errors import (
 )
 from .order import (
     fill,
+    gather,
     glue,
     invariant,
     is_isomorphism,
@@ -92,10 +102,11 @@ FACTORIZE_POINT_CAP = 512
 # on about 1.9k set-level corners (`_glued`, shared by `_corner` and
 # `_associates`), 2.1k powers and at most 1,531 associativity verdicts (the
 # two-point corpus has 11 set keys, so 1,331 triples, plus 200 seeded).
-# Its 44.6k labelled census pairs fall into 11.4k pairs of class
-# representatives, and `_arrow_class` sees 1.6k keys in at most 890 classes
-# (seeds 0, 3, 5 and 7).  Every bound is above its count, so that run
-# evicts nothing.  `_glued` shares `CORNER_CACHE_SIZE`.
+# The adjunction table asks the census about 11.4k pairs of class
+# representatives (11,441 at seed 0), each once, where the 85k triples
+# name 44.6k labelled pairs; `_arrow_class` sees 1.6k keys in at most 890
+# classes (seeds 0, 3, 5 and 7).  Every bound is above its count, so that
+# run evicts nothing.  `_glued` shares `CORNER_CACHE_SIZE`.
 CORNER_CACHE_SIZE = 8192
 POWER_CACHE_SIZE = 8192
 CENSUS_CACHE_SIZE = 1 << 14
@@ -471,13 +482,25 @@ def _capped_maps(src_up, dst_up):
 
 
 def _pointwise_rows(base_up, mappings):
-    """Rows of the pointwise order on maps into the base."""
+    """Rows of the pointwise order on maps into the base, bit-sliced.
+
+    Map m is below map t when t[a] is in the up row of m[a] at every
+    position a.  Per position a and value u, the maps t with t[a] above u
+    are the `gather` of `base_up[u]` over the columns "maps t with t[a] =
+    v"; row m is the AND of those masks over its positions.
+    """
+    everyone = (1 << len(mappings)) - 1
+    above = []
+    for a in range(len(mappings[0]) if mappings else 0):
+        columns = [0] * len(base_up)
+        for t, m in enumerate(mappings):
+            columns[m[a]] |= 1 << t
+        above.append([gather(up, columns) for up in base_up])
     rows = []
     for m in mappings:
-        row = 0
-        for t, m2 in enumerate(mappings):
-            if all(base_up[a] >> b & 1 for a, b in zip(m, m2)):
-                row |= 1 << t
+        row = everyone
+        for masks, u in zip(above, m):
+            row &= masks[u]
         rows.append(row)
     return tuple(rows)
 
@@ -487,7 +510,10 @@ def _power(f_key, g_key):
     """The pullback-power of two arrow keys: its key and its apex pairs.
 
     The apex point (i, j) pairs the i-th map of X^A with the j-th map of
-    Y^B that agree in Y^A, maps numbered in fill order.
+    Y^B that agree in Y^A, maps numbered in fill order.  The apex is
+    ordered pointwise, bit-sliced: the pairs above (i, j) are those whose
+    first map is above the i-th, a `gather` of its row over the columns
+    "pairs with first map i2", AND those whose second map is above the j-th.
     """
     x_up, y_up, f_map = f_key
     a_up, b_up, g_map = g_key
@@ -503,13 +529,14 @@ def _power(f_key, g_key):
     for i, alpha in enumerate(xa):
         for j in restricted.get(tuple(f_map[v] for v in alpha), ()):
             pairs.append((i, j))
-    rows = []
-    for i, j in pairs:
-        row = 0
-        for k, (i2, j2) in enumerate(pairs):
-            if xa_up[i] >> i2 & 1 and yb_up[j] >> j2 & 1:
-                row |= 1 << k
-        rows.append(row)
+    firsts = [0] * len(xa)
+    seconds = [0] * len(yb)
+    for k, (i, j) in enumerate(pairs):
+        firsts[i] |= 1 << k
+        seconds[j] |= 1 << k
+    above_a = [gather(row, firsts) for row in xa_up]
+    above_b = [gather(row, seconds) for row in yb_up]
+    rows = [above_a[i] & above_b[j] for i, j in pairs]
     pos = {(xa[i], yb[j]): k for k, (i, j) in enumerate(pairs)}
     mapping = tuple(
         pos[(tuple(beta[b] for b in g_map), tuple(f_map[v] for v in beta))]
@@ -527,15 +554,51 @@ def pullback_power(f, g):
     return _arrow_from_key(key)
 
 
-def lifting_adjunction_check(f, g, i):
-    """The two lifting verdicts of the pushout-product adjunction agree.
+def _numbering():
+    """A dict and a function giving each distinct key its first-seen index."""
+    ids = {}
+    return ids, lambda key: ids.setdefault(key, len(ids))
 
-    Compares (f pushout-product i) lifting on the left against g with f
-    lifting on the left against (g pullback-power i).
+
+def adjunction_failures(fs, gs, is_):
+    """The index triples (f, g, i) of fs x gs x is_ where the adjunction fails.
+
+    It fails where (f pushout-product i) lifting on the left against g and
+    f lifting on the left against (g pullback-power i) disagree.  Every
+    corner and power is built once, and the arrow classes of the arrows,
+    corners and powers are numbered.  The census then runs once per pair
+    of classes it is asked about, into the tables `left[corner class][g]`
+    and `right[power class][f]`, and each triple compares two entries.
+    Triples come f-major, then g, then i.
     """
-    corner_key, _ = _corner(f.key, i.key)
-    power_key, _ = _power(g.key, i.key)
-    return _lifts(corner_key, g.key) == _lifts(f.key, power_key)
+    classes, number = _numbering()
+    f_cls = [number(_arrow_class(f.key)) for f in fs]
+    g_cls = [number(_arrow_class(g.key)) for g in gs]
+    corner = [[number(_arrow_class(_corner(f.key, i.key)[0])) for i in is_] for f in fs]
+    power = [[number(_arrow_class(_power(g.key, i.key)[0])) for i in is_] for g in gs]
+    reps = list(classes)
+
+    def table(outer, inner, census):
+        out = {}
+        for c in dict.fromkeys(k for row in outer for k in row):
+            verdicts = {k: census(reps[c], reps[k]) for k in dict.fromkeys(inner)}
+            out[c] = [verdicts[k] for k in inner]
+        return out
+
+    left = table(corner, g_cls, _census)
+    right = table(power, f_cls, lambda p, f: _census(f, p))
+    failures = []
+    for f, corner_f in enumerate(corner):
+        for g, power_g in enumerate(power):
+            for i, (c, p) in enumerate(zip(corner_f, power_g)):
+                if left[c][g] != right[p][f]:
+                    failures.append((f, g, i))
+    return failures
+
+
+def lifting_adjunction_check(f, g, i):
+    """The two lifting verdicts of the pushout-product adjunction agree."""
+    return not adjunction_failures((f,), (g,), (i,))
 
 
 @dataclass(frozen=True)
@@ -717,13 +780,37 @@ def associator(f, g, h):
     )
 
 
-def associates(f, g, h):
-    """Whether (f x^ g) x^ h and f x^ (g x^ h) agree, by `_associates`.
+def associativity_failures(fs, gs, hs):
+    """The index triples (f, g, h) of fs x gs x hs where the corners do not associate.
 
-    The verdict reads the three arrows' sizes and mappings only, so it is
-    memoized on those, the set keys (source size, target size, mapping).
+    The verdict `_associates` reads the three arrows' set keys only, so the
+    set keys are numbered and it runs once per distinct triple of them.
+    Triples come f-major, then g, then h.
     """
-    return _associates(_set_key(f.key), _set_key(g.key), _set_key(h.key))
+    keys, number = _numbering()
+    f_ids = [number(_set_key(f.key)) for f in fs]
+    g_ids = [number(_set_key(g.key)) for g in gs]
+    h_ids = [number(_set_key(h.key)) for h in hs]
+    sets = list(keys)
+    bad = {}
+    for a in dict.fromkeys(f_ids):
+        for b in dict.fromkeys(g_ids):
+            bad[a, b] = {
+                c for c in dict.fromkeys(h_ids) if not _associates(sets[a], sets[b], sets[c])
+            }
+    return [
+        (f, g, h)
+        for f, a in enumerate(f_ids)
+        for g, b in enumerate(g_ids)
+        if bad[a, b]
+        for h, c in enumerate(h_ids)
+        if c in bad[a, b]
+    ]
+
+
+def associates(f, g, h):
+    """Whether (f x^ g) x^ h and f x^ (g x^ h) agree, by `_associates`."""
+    return not associativity_failures((f,), (g,), (h,))
 
 
 @lru_cache(maxsize=ASSOC_CACHE_SIZE)

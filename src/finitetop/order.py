@@ -31,7 +31,9 @@ with it.  `inclusion_rows` orders a family of sets by inclusion, as the
 opens of a space, the downsets of a poset and the elements of a frame
 coproduct or product are; row a is one AND per point of a, over the
 bit-sliced column of members holding that point, the family's
-`transpose`.
+`transpose`.  `gather` is the OR twin of that AND: the union of the columns
+named by a row's bits, which the lifting layer's pointwise map orders are
+bit-sliced with.
 
 `isomorphisms` is the one isomorphism search: it yields every isomorphism
 between two relations, or only those keeping given point colours (the
@@ -70,6 +72,16 @@ def transpose(up):
 
 
 _dual_rows = lru_cache(maxsize=PLAN_CACHE_SIZE)(transpose)
+
+
+def gather(row, columns):
+    """The OR of `columns[p]` over the bits p of `row`."""
+    out = 0
+    while row:
+        low = row & -row
+        out |= columns[low.bit_length() - 1]
+        row ^= low
+    return out
 
 
 def sort_labels(labels, rows):

@@ -33,9 +33,11 @@ from .frames import (
 from .lifting import (
     COMPLETE,
     PARTIAL,
+    adjunction_failures,
     arrow_iso,
     arrows_between,
     associates,
+    associativity_failures,
     associator,
     bounded_factorize,
     braiding,
@@ -507,20 +509,16 @@ def _sample_arrow(rng, pool):
 def _run_lifting_adjunction(opt):
     """Corner map against power map: both transposes lift together.
 
-    Exhaustive over the arrows between preorders of up to two points, then
-    seeded random triples at the full point bound.
+    Exhaustive over the arrows between preorders of up to two points, as
+    one `adjunction_failures` table, then seeded random triples at the full
+    point bound.
     """
     small = arrows_between(_preorder_pool(min(opt.max_points, 2)))
-    failures = []
-    cases = 0
-    for f in small:
-        for g in small:
-            for i in small:
-                cases += 1
-                if not lifting_adjunction_check(f, g, i):
-                    failures.append(
-                        f"{_arrow_name(f)} / {_arrow_name(g)} / {_arrow_name(i)}"
-                    )
+    failures = [
+        f"{_arrow_name(small[f])} / {_arrow_name(small[g])} / {_arrow_name(small[i])}"
+        for f, g, i in adjunction_failures(small, small, small)
+    ]
+    cases = len(small) ** 3
     rng = random.Random(opt.seed)
     pool = _preorder_pool(opt.max_points)
     for _ in range(opt.samples):
@@ -572,14 +570,11 @@ def _run_pushout_product_symmetry(opt):
                 braiding(f, g)
             except FinitetopError as exc:
                 failures.append(f"braid {_arrow_name(f)} / {_arrow_name(g)}: {exc}")
-    for f in small:
-        for g in small:
-            for h in small:
-                cases += 1
-                if not associates(f, g, h):
-                    failures.append(
-                        f"assoc {_arrow_name(f)} / {_arrow_name(g)} / {_arrow_name(h)}"
-                    )
+    cases += len(small) ** 3
+    failures.extend(
+        f"assoc {_arrow_name(small[f])} / {_arrow_name(small[g])} / {_arrow_name(small[h])}"
+        for f, g, h in associativity_failures(small, small, small)
+    )
     stride = max(1, len(small) // 9)
     sample = small[::stride]
     for f in sample:

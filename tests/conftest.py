@@ -7,7 +7,7 @@ from itertools import permutations
 import pytest
 from hypothesis import strategies as st
 
-from finitetop import serialize
+from finitetop import lifting, order, serialize
 from finitetop.bits import iter_bits, popcount
 from finitetop.errors import NotHomError, NotLatticeError, SizeError
 from finitetop.frames import FiniteFrame, chain_frame, downset_frame, frame_from_poset
@@ -400,6 +400,59 @@ def certificate(rows):
         if best is None or key < best:
             best = key
     return best
+
+
+def adjunction_failures_oracle(fs, gs, is_):
+    """The failing triples of the lifting adjunction, asked one triple at a time.
+
+    The per-triple loop that `lifting.adjunction_failures` replaced: the
+    corner of (f, i) lifting against g, against f lifting against the power
+    of (g, i), each verdict through `_lifts`.
+    """
+    return [
+        (f, g, i)
+        for f, fm in enumerate(fs)
+        for g, gm in enumerate(gs)
+        for i, im in enumerate(is_)
+        if lifting._lifts(lifting._corner(fm.key, im.key)[0], gm.key)
+        != lifting._lifts(fm.key, lifting._power(gm.key, im.key)[0])
+    ]
+
+
+def associativity_failures_oracle(fs, gs, hs):
+    """The failing triples of associativity, asked one triple at a time on set keys."""
+    set_key = lifting._set_key
+    return [
+        (f, g, h)
+        for f, fm in enumerate(fs)
+        for g, gm in enumerate(gs)
+        for h, hm in enumerate(hs)
+        if not lifting._associates(set_key(fm.key), set_key(gm.key), set_key(hm.key))
+    ]
+
+
+def clear_lifting_caches():
+    """Empty every memo of the lifting layer, so no verdict outlives a mutant."""
+    for cache in (
+        lifting._census,
+        lifting._arrow_class,
+        lifting._glued,
+        lifting._corner,
+        lifting._power,
+        lifting._associates,
+    ):
+        cache.cache_clear()
+    lifting._CLASSES.clear()
+
+
+def pins_ignoring_the_top(fibre, i_map, top, bot):
+    """A mutant of `lifting._diagonal_pins`: the fibres of the bottom alone."""
+    return [fibre[v] for v in bot]
+
+
+def glue_dropping_the_last_pair(total, pairs):
+    """A mutant of the corner's `glue`: the last gluing pair is never made."""
+    return order.glue(total, pairs[:-1])
 
 
 def chain_poset(k, labels=None):

@@ -28,10 +28,12 @@ from finitetop.lifting import (
     LiftingSquare,
     PreMap,
     Preorder,
+    adjunction_failures,
     arrow,
     arrow_iso,
     arrows_between,
     associates,
+    associativity_failures,
     associator,
     bounded_factorize,
     braiding,
@@ -54,7 +56,15 @@ from finitetop.serialize import canonical_json, parse_structure, structure_data
 from finitetop.spaces import FiniteSpace, space_from_preorder
 from finitetop.suites import SuiteOptions, _preorder_pool, run_group, soa_regression_cases
 
-from conftest import garbage_after, sierpinski
+from conftest import (
+    adjunction_failures_oracle,
+    associativity_failures_oracle,
+    clear_lifting_caches,
+    garbage_after,
+    glue_dropping_the_last_pair,
+    pins_ignoring_the_top,
+    sierpinski,
+)
 
 EMPTY = Preorder((), ())
 PT = Preorder(("p",), (1,))
@@ -513,6 +523,102 @@ def test_memoized_corner_and_power_match_fresh_builds(fs, gs):
     assert lifting._power(f_twin.key, g_twin.key) == power
     _check_corner_literally(f, g, *corner)
     _check_power_literally(f, g, *power)
+
+
+CUBE = arrows_between(_preorder_pool(2))
+
+
+def _pointwise_rows_oracle(base_up, mappings):
+    """The pointwise order on maps, one pair of maps at a time."""
+    return tuple(
+        sum(
+            1 << t
+            for t, m2 in enumerate(mappings)
+            if all(base_up[a] >> b & 1 for a, b in zip(m, m2))
+        )
+        for m in mappings
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(ROWS_UPTO_3), st.sampled_from(ROWS_UPTO_3))
+@example((), ())
+@example((1,), ())
+@example((), (1,))
+@example((1, 2), ())
+def test_pointwise_rows_match_the_pairwise_loop(src, dst):
+    """Bit-sliced rows against the pairwise loop, including one empty map
+    (an empty source), no maps (a non-empty source into an empty target),
+    and zero-width maps over a non-empty base."""
+    mappings = order.maps(src, dst)
+    assert lifting._pointwise_rows(dst, mappings) == _pointwise_rows_oracle(dst, mappings)
+
+
+def test_every_power_of_the_two_point_cube_matches_the_literal_build():
+    """All 44 x 44 pullback-powers, which include empty exponents (one empty
+    map) and empty bases under a non-empty exponent (no maps)."""
+    assert len(CUBE) == 44
+    assert {CELL.key, identity_arrow(EMPTY).key} <= {m.key for m in CUBE}
+    for f, g in itertools.product(CUBE, repeat=2):
+        _check_power_literally(f, g, *lifting._power(f.key, g.key))
+
+
+def _census_misses(run):
+    """What run() returns, and the census runs it makes from cold caches."""
+    clear_lifting_caches()
+    out = run()
+    return out, lifting._census.cache_info().misses
+
+
+def test_the_adjunction_table_is_the_per_triple_loop_on_the_cube():
+    """No failures, and the census runs on exactly the class pairs the
+    per-triple loop asks about."""
+    table = _census_misses(lambda: adjunction_failures(CUBE, CUBE, CUBE))
+    oracle = _census_misses(lambda: adjunction_failures_oracle(CUBE, CUBE, CUBE))
+    assert table == oracle
+    assert table[0] == []
+
+
+def test_the_associativity_table_is_the_per_triple_loop_on_the_cube():
+    """No failures, and one verdict per triple of the cube's 11 set keys."""
+    lifting._associates.cache_clear()
+    assert associativity_failures(CUBE, CUBE, CUBE) == []
+    assert lifting._associates.cache_info().misses == 11**3
+    lifting._associates.cache_clear()
+    assert associativity_failures_oracle(CUBE, CUBE, CUBE) == []
+
+
+def test_the_tables_find_each_mutant_failure_in_the_loop_order(monkeypatch):
+    """Under pins that ignore the top, and under a corner missing its last
+    gluing, the tables fail on the oracles' triples in the oracles' order."""
+    try:
+        with monkeypatch.context() as m:
+            m.setattr(lifting, "_diagonal_pins", pins_ignoring_the_top)
+            table, _ = _census_misses(lambda: adjunction_failures(CUBE, CUBE, CUBE))
+            oracle, _ = _census_misses(lambda: adjunction_failures_oracle(CUBE, CUBE, CUBE))
+            assert len(table) == 5368
+            assert table == oracle
+        with monkeypatch.context() as m:
+            m.setattr(lifting, "glue", glue_dropping_the_last_pair)
+            clear_lifting_caches()
+            table = associativity_failures(CUBE, CUBE, CUBE)
+            clear_lifting_caches()
+            assert len(table) == 49032
+            assert table == associativity_failures_oracle(CUBE, CUBE, CUBE)
+    finally:
+        clear_lifting_caches()
+
+
+@settings(max_examples=60, deadline=None)
+@given(arrow_twins(), arrow_twins(), arrow_twins())
+def test_the_per_triple_checks_are_the_tables_on_singletons(fs, gs, hs):
+    """Singletons against the oracles, and twins mixed into short lists."""
+    f, g, h = fs[0], gs[0], hs[0]
+    assert lifting_adjunction_check(f, g, h) == (adjunction_failures_oracle([f], [g], [h]) == [])
+    assert associates(f, g, h) == (associativity_failures_oracle([f], [g], [h]) == [])
+    lists = (fs[::-1], [g, hs[1]], [h, gs[1], fs[0]])
+    assert adjunction_failures(*lists) == adjunction_failures_oracle(*lists)
+    assert associativity_failures(*lists) == associativity_failures_oracle(*lists)
 
 
 @settings(max_examples=80, deadline=None)

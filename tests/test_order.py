@@ -11,6 +11,7 @@ from finitetop import order
 from finitetop.corpus import all_posets, all_preorders_labelled, all_spaces
 from finitetop.order import (
     fill,
+    gather,
     glue,
     inclusion_rows,
     is_isomorphism,
@@ -219,6 +220,18 @@ def _oracle_transpose(rows):
 def test_transpose_and_inclusion_rows_match_double_loops_on_wide_rows(rows):
     assert transpose(rows) == _oracle_transpose(rows)
     assert inclusion_rows(rows) == _oracle_inclusion_rows(rows)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_gather_is_the_union_of_the_columns_a_row_names(data):
+    columns = data.draw(st.lists(st.integers(0, (1 << 70) - 1), max_size=12))
+    row = data.draw(st.integers(0, (1 << len(columns)) - 1))
+    union = 0
+    for p, column in enumerate(columns):
+        if row >> p & 1:
+            union |= column
+    assert gather(row, columns) == union
 
 
 @settings(max_examples=200, deadline=None)

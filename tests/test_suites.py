@@ -1,5 +1,6 @@
 """Every registered suite at small bounds: verdicts and report bytes."""
 
+import collections
 import hashlib
 import itertools
 
@@ -19,7 +20,12 @@ from finitetop.suites import (
     run_suite,
 )
 
-from conftest import discrete_space
+from conftest import (
+    clear_lifting_caches,
+    discrete_space,
+    glue_dropping_the_last_pair,
+    pins_ignoring_the_top,
+)
 
 SMALL = SuiteOptions(max_points=1, max_frame_size=2)
 
@@ -244,29 +250,51 @@ def test_the_coproduct_suite_catches_a_copair_with_swapped_legs(monkeypatch):
     canonical_json([report_data(report)])
 
 
-def _clear_lifting_verdicts():
-    lifting._census.cache_clear()
-    lifting._arrow_class.cache_clear()
-    lifting._CLASSES.clear()
+def _failures_digest(report):
+    return hashlib.sha256("\n".join(report.failures).encode()).hexdigest()
 
 
 def test_the_adjunction_suite_catches_diagonals_that_ignore_the_top(monkeypatch):
     """With pins that read only the bottom, some corners and powers disagree.
 
     The mutant's verdicts are cleared before and after, so none outlives
-    the run in a cache.
+    the run in a cache.  The digest pins the failures in their order.
     """
-
-    def bottom_only(fibre, i_map, top, bot):
-        return [fibre[v] for v in bot]
-
-    monkeypatch.setattr(lifting, "_diagonal_pins", bottom_only)
-    _clear_lifting_verdicts()
+    monkeypatch.setattr(lifting, "_diagonal_pins", pins_ignoring_the_top)
+    clear_lifting_caches()
     try:
         report = run_suite("PushProdAndPullPowerLemma", SuiteOptions(max_points=2))
     finally:
-        _clear_lifting_verdicts()
+        clear_lifting_caches()
     assert (report.cases, len(report.failures)) == (85384, 5376)
+    assert report.failures[0] == "[] / [a>a,b>a] / [a>a,b>a]"
+    assert _failures_digest(report) == (
+        "d09e0504d4de46d341651c749a448b4515c77389c6012c0d56716a1a34f57b60"
+    )
+
+
+def test_the_arrow_category_suite_catches_a_corner_missing_one_gluing(monkeypatch):
+    """With the last gluing pair of every corner dropped, the two
+    bracketings of a triple glue different classes, the certified
+    associators fail, and a relabelled factor changes the corner.
+
+    The corners and verdicts are cleared before and after, so none
+    outlives the run in a cache.
+    """
+    monkeypatch.setattr(lifting, "glue", glue_dropping_the_last_pair)
+    clear_lifting_caches()
+    try:
+        report = run_suite("PushProdArrowCategory", SuiteOptions(max_points=2))
+    finally:
+        clear_lifting_caches()
+    assert (report.cases, len(report.failures)) == (88972, 49596)
+    kinds = collections.Counter(failure.split(" ")[0] for failure in report.failures)
+    assert kinds == {"assoc": 49032, "associator": 404, "relabel": 2, "seeded": 158}
+    assert report.failures[0] == "assoc [] / [a>a] / [a>a]"
+    assert _failures_digest(report) == (
+        "d5def3f7f257767acaa6f6edec3896f6371bfce0b7822a6ec4eff83c4c1979a4"
+    )
+    canonical_json([report_data(report)])
 
 
 def test_a_process_pool_gives_the_serial_reports():
