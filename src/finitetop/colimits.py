@@ -43,7 +43,7 @@ from .frames import (
     composed,
     right_adjoint,
 )
-from .order import upsets
+from .order import fibres, gather, upsets
 
 TENSOR_ELEMENT_CAP = 20000
 PRODUCT_ELEMENT_CAP = 20000
@@ -174,14 +174,7 @@ def _tensor_action(source, target, hom):
     gs = source.grid
     rt = target.grid.rt
     per_bit = [rt[p][hom.mapping[q]] for p in gs.irr_left for q in gs.irr_right]
-    tindex = target.index
-    mapping = []
-    for r in source.family:
-        img = 0
-        for p in iter_bits(r):
-            img |= per_bit[p]
-        mapping.append(tindex[img])
-    return mapping
+    return [target.index[gather(r, per_bit)] for r in source.family]
 
 
 def copair(f, g, *, tensor=None):
@@ -206,13 +199,10 @@ def copair(f, g, *, tensor=None):
         for p in grid.irr_left
         for q in grid.irr_right
     ]
-    mapping = []
-    for r in tensor.family:
-        acc = family[codomain.bottom]
-        for p in iter_bits(r):
-            acc |= per_bit[p]
-        mapping.append(codomain.index[acc])
-    out = FrameHom(tensor, codomain, mapping)
+    bottom = family[codomain.bottom]
+    out = FrameHom(
+        tensor, codomain, [codomain.index[gather(r, per_bit) | bottom] for r in tensor.family]
+    )
     for x in range(f.source.n):
         if out.mapping[tensor.iota1_map[x]] != f.mapping[x]:
             raise VerificationError("copair does not restrict to f on the left leg")
@@ -339,6 +329,11 @@ class PushoutLocaleResult:
     span_left: FrameHom
     span_right: FrameHom
 
+    @cached_property
+    def position(self):
+        """Each agreeing pair's index in the apex."""
+        return {p: k for k, p in enumerate(self.pairs)}
+
 
 def pushout_loc(f_left, g_left):
     """Pushout in the localic direction of the span given by two frame homs.
@@ -349,8 +344,8 @@ def pushout_loc(f_left, g_left):
     As in `product_frames`, a pair is the sets of b and of c side by side,
     so `FiniteFrame` builds the apex with the componentwise order and
     operations.  The legs come from the join formula over agreeing pairs
-    and are cross-checked against the generic right adjoint of each
-    projection.
+    and are cross-checked against `right_adjoint` of each projection: the
+    formula gathers the projection's fibres over the down row of x.
     """
     if f_left.target != g_left.target:
         raise ValueError("the span needs a common codomain frame")
@@ -373,20 +368,11 @@ def pushout_loc(f_left, g_left):
     proj_c = FrameHom(apex, c_frame, [c for _, c in pairs])
     leg_b = right_adjoint(proj_b)
     leg_c = right_adjoint(proj_c)
-    for x in range(b_frame.n):
-        mask = 0
-        for k, (b, _) in enumerate(pairs):
-            if b_frame.leq_idx(b, x):
-                mask |= 1 << k
-        if apex.join_mask(mask) != leg_b.right[x]:
-            raise VerificationError("the stated leg formula disagrees with the adjoint")
-    for y in range(c_frame.n):
-        mask = 0
-        for k, (_, c) in enumerate(pairs):
-            if c_frame.leq_idx(c, y):
-                mask |= 1 << k
-        if apex.join_mask(mask) != leg_c.right[y]:
-            raise VerificationError("the stated leg formula disagrees with the adjoint")
+    for proj, leg, factor in ((proj_b, leg_b, b_frame), (proj_c, leg_c, c_frame)):
+        over = fibres(proj.mapping, factor.n)
+        for x, row in enumerate(factor.order.down):
+            if apex.join_mask(gather(row, over)) != leg.right[x]:
+                raise VerificationError("the stated leg formula disagrees with the adjoint")
     f_radj = right_adjoint(f_left).right
     g_radj = right_adjoint(g_left).right
     for a in range(f_left.target.n):
@@ -413,11 +399,7 @@ def pushout_mediator(result, u_left, v_left):
     # as mappings.
     if composed(u_left, result.span_left) != composed(v_left, result.span_right):
         raise ValueError("the cocone does not commute with the span")
-    index = {p: k for k, p in enumerate(result.pairs)}
-    mapping = [
-        index[(u_left.mapping[q], v_left.mapping[q])]
-        for q in range(u_left.source.n)
-    ]
+    mapping = map(result.position.__getitem__, zip(u_left.mapping, v_left.mapping))
     out = FrameHom(u_left.source, result.apex, mapping)
     if (
         composed(out, result.proj_b) != u_left.mapping

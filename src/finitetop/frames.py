@@ -22,8 +22,11 @@ witnesses.
 Frame homs are certified by Birkhoff duality (`_check_hom`): a map of
 finite distributive lattices preserving bottom and top is a hom exactly
 when the preimage of each principal prime filter of the target is one of
-the source.  Only a refused map runs the pair scan that names the first
-join or meet it breaks.
+the source's `prime_filters`.  Only a refused map runs the pair scan that
+names the first join or meet it breaks.  Adjoints are rows too:
+`right_adjoint` joins the columns of the up rows of a hom's values, and
+`GaloisConnection` checks the adjunction law once per source element, as
+the fibres of the right map gathered over its up row.
 """
 
 from __future__ import annotations
@@ -40,7 +43,7 @@ from .errors import (
     NotPrenucleusError,
     VerificationError,
 )
-from .order import fill, inclusion_rows, is_isomorphism, isomorphisms, transpose
+from .order import fibres, fill, gather, inclusion_rows, is_isomorphism, isomorphisms, transpose
 from .poset import FinitePoset, mask_label, validate_poset
 
 
@@ -99,11 +102,7 @@ class FiniteFrame:
         return self.index[self.family[i] & self.family[j]]
 
     def join_mask(self, mask):
-        family = self.family
-        acc = family[self.bottom]
-        for i in iter_bits(mask):
-            acc |= family[i]
-        return self.index[acc]
+        return self.index[gather(mask, self.family) | self.family[self.bottom]]
 
     def meet_mask(self, mask):
         family = self.family
@@ -122,6 +121,12 @@ class FiniteFrame:
             for x in iter_bits(up[j]):
                 rows[x] |= bit
         return tuple(rows)
+
+    @cached_property
+    def prime_filters(self):
+        """The up rows of the join-irreducibles: the principal prime filters (Birkhoff)."""
+        up = self.order.up
+        return frozenset(up[p] for p in self.irreducibles)
 
     @cached_property
     def irreducible_up(self):
@@ -370,10 +375,10 @@ def _check_hom(source, target, mapping):
     (Davey and Priestley, 2002, ch. 5): a map h of finite distributive
     lattices keeping bottom and top is a hom exactly when, for each
     join-irreducible q of the target, the preimage {x : q <= h(x)} is the
-    up row of a join-irreducible of the source.  The preimages are gathered
-    once per distinct value in O(|J| * n) bit operations; every q is below
-    h(top), so each gets one.  Only a refused map runs the pair scan, which
-    names the first pair i <= j in row order whose join, then meet, breaks.
+    up row of a join-irreducible of the source, one of its `prime_filters`.
+    The preimages are gathered once per distinct value of h, so the cost
+    follows h's image, not the target's rows.  Only a refused map runs the
+    pair scan, which names the first pair i <= j whose join, then meet, breaks.
     """
     n = source.n
     if len(mapping) != n:
@@ -385,16 +390,18 @@ def _check_hom(source, target, mapping):
         raise NotHomError("bottom is not preserved")
     if mapping[source.top] != target.top:
         raise NotHomError("top is not preserved")
-    fibres = {}
+    over = {}
     for x, v in enumerate(mapping):
-        fibres[v] = fibres.get(v, 0) | 1 << x
+        over[v] = over.get(v, 0) | 1 << x
     below = target.irreducibles_below
-    preimages = {}
-    for v, xs in fibres.items():
-        for q in iter_bits(below[v]):
-            preimages[q] = preimages.get(q, 0) | xs
-    up = source.order.up
-    if {up[p] for p in source.irreducibles}.issuperset(preimages.values()):
+    preimages = [0] * target.n
+    for v, xs in over.items():
+        qs = below[v]
+        while qs:
+            low = qs & -qs
+            preimages[low.bit_length() - 1] |= xs
+            qs ^= low
+    if source.prime_filters.issuperset(map(preimages.__getitem__, target.irreducibles)):
         return
     for i in range(n):
         fi = mapping[i]
@@ -449,12 +456,12 @@ def iter_frame_homs(source, target):
                 p = next(p for p in reversed(ext) if below[x] >> p & 1)
                 steps.append((x, source_index[below[x] ^ 1 << p], at[p]))
         for phi in fill(target.irreducible_up, source.irreducible_up):
-            fibres = [0] * len(irr)
+            over = [0] * len(irr)
             for bit, t in zip(tbits, phi):
-                fibres[t] |= bit
+                over[t] |= bit
             masks = [0] * source.n
             for x, y, t in steps:
-                masks[x] = masks[y] | fibres[t]
+                masks[x] = masks[y] | over[t]
             mappings.append(tuple(map(index.__getitem__, masks)))
     except KeyError:
         raise VerificationError(
@@ -467,17 +474,27 @@ def iter_frame_homs(source, target):
 
 
 class GaloisConnection:
-    """A frame hom together with its validated right adjoint."""
+    """A frame hom together with its validated right adjoint.
+
+    The law f(x) <= y iff x <= g(y) is checked per x on rows: the fibres of
+    g gathered over the up row of x must be the up row of f(x).
+    """
 
     def __init__(self, left, right):
         self.left = left
         self.right = tuple(right)
         src = left.source
         tgt = left.target
-        for x in range(src.n):
-            for y in range(tgt.n):
-                if tgt.leq_idx(left.mapping[x], y) != src.leq_idx(x, self.right[y]):
-                    raise VerificationError("adjunction law fails")
+        if len(self.right) != tgt.n:
+            raise VerificationError("right map length does not match the target")
+        if min(self.right) < 0 or max(self.right) >= src.n:
+            x = next(x for x in self.right if not 0 <= x < src.n)
+            raise VerificationError(f"{x!r} is not an element of the source")
+        over = fibres(self.right, src.n)
+        up = tgt.order.up
+        for x, row in enumerate(src.order.up):
+            if gather(row, over) != up[left.mapping[x]]:
+                raise VerificationError("adjunction law fails")
 
     @property
     def source(self):
@@ -520,17 +537,14 @@ class GaloisConnection:
 
 
 def right_adjoint(hom):
-    """The right adjoint g(y) = join{x : f(x) <= y}, as a GaloisConnection."""
-    src = hom.source
-    tgt = hom.target
-    g = []
-    for y in range(tgt.n):
-        mask = 0
-        for x in range(src.n):
-            if tgt.leq_idx(hom.mapping[x], y):
-                mask |= 1 << x
-        g.append(src.join_mask(mask))
-    return GaloisConnection(hom, g)
+    """The right adjoint g(y) = join{x : f(x) <= y}, as a GaloisConnection.
+
+    {x : f(x) <= y} is column y of the up rows of the f(x); f(bottom) is
+    the bottom, whose up row gives one column per y.
+    """
+    up = hom.target.order.up
+    below = transpose([up[v] for v in hom.mapping])
+    return GaloisConnection(hom, map(hom.source.join_mask, below))
 
 
 class Prenucleus:

@@ -76,6 +76,7 @@ from .errors import (
     VerificationError,
 )
 from .order import (
+    fibres,
     fill,
     gather,
     glue,
@@ -163,14 +164,6 @@ def _streams_tops(left_key, right_key):
     return max(len(x_up), 1) ** len(a_up) <= max(len(y_up), 1) ** len(b_up)
 
 
-def _fibres(f_map, ny):
-    """Per target point of f, the mask of the source points over it."""
-    fibre = [0] * ny
-    for x, y in enumerate(f_map):
-        fibre[y] |= 1 << x
-    return fibre
-
-
 def _squares(left_key, right_key):
     """Every commuting square (top, bottom) of left against right.
 
@@ -189,7 +182,7 @@ def _squares(left_key, right_key):
             for bot in fill(b_up, y_up, allowed):
                 yield top, bot
     else:
-        fibre = _fibres(f_map, len(y_up))
+        fibre = fibres(f_map, len(y_up))
         for bot in fill(b_up, y_up):
             for top in fill(a_up, x_up, [fibre[bot[b]] for b in i_map]):
                 yield top, bot
@@ -212,7 +205,7 @@ def _unsolved(left_key, right_key):
     """The commuting squares with no diagonal, as (top, bottom), in `_squares` order."""
     _, b_up, i_map = left_key
     x_up, y_up, f_map = right_key
-    fibre = _fibres(f_map, len(y_up))
+    fibre = fibres(f_map, len(y_up))
     for top, bot in _squares(left_key, right_key):
         if next(fill(b_up, x_up, _diagonal_pins(fibre, i_map, top, bot)), None) is None:
             yield top, bot
@@ -316,7 +309,7 @@ def enumerate_lifts(square):
     """Every diagonal h with h.i = u and f.h = v, by pinned monotone fill."""
     i, f = square.left, square.right
     pins = _diagonal_pins(
-        _fibres(f.mapping, f.target.n), i.mapping, square.top.mapping, square.bottom.mapping
+        fibres(f.mapping, f.target.n), i.mapping, square.top.mapping, square.bottom.mapping
     )
     return tuple(
         PreMap(i.target, f.source, h, validate=False) for h in fill(i.target.up, f.source.up, pins)

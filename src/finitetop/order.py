@@ -32,8 +32,9 @@ opens of a space, the downsets of a poset and the elements of a frame
 coproduct or product are; row a is one AND per point of a, over the
 bit-sliced column of members holding that point, the family's
 `transpose`.  `gather` is the OR twin of that AND: the union of the columns
-named by a row's bits, which the lifting layer's pointwise map orders are
-bit-sliced with.
+named by a row's bits, which the lifting layer's pointwise map orders and
+the frame layer's adjoints are bit-sliced with; `fibres` gives the columns
+of a map, the points over each value.
 
 `isomorphisms` is the one isomorphism search: it yields every isomorphism
 between two relations, or only those keeping given point colours (the
@@ -81,6 +82,14 @@ def gather(row, columns):
         low = row & -row
         out |= columns[low.bit_length() - 1]
         row ^= low
+    return out
+
+
+def fibres(mapping, n):
+    """Per point v of range(n), the mask of the points x with mapping[x] == v."""
+    out = [0] * n
+    for x, v in enumerate(mapping):
+        out[v] |= 1 << x
     return out
 
 

@@ -116,12 +116,24 @@ class TableLattice(FiniteFrame):
         self.index = {m: k for k, m in enumerate(self.family)}
 
 
+def literal_join(frame, i, j):
+    """The least upper bound of i and j, found in their common up row."""
+    return least_of(frame.order, frame.order.up[i] & frame.order.up[j])
+
+
+def literal_meet(frame, i, j):
+    """The greatest lower bound of i and j, found in their common down row."""
+    return greatest_of(frame.order, frame.order.down[i] & frame.order.down[j])
+
+
 def literal_check_hom(source, target, mapping):
     """The pair sweep `frames._check_hom` replaced, kept as its oracle.
 
     Length, bottom and top, then every pair i <= j in row order, join
-    before meet, on the literal tables of both orders; raises NotHomError
-    with the message `_check_hom` gives.
+    before meet, each bound found as the least or greatest of its bound set
+    in both orders; raises NotHomError with the message `_check_hom` gives.
+    Bounds are found only for the pairs swept, so a large target costs one
+    search per source pair.
     """
     n = source.n
     if len(mapping) != n:
@@ -130,20 +142,83 @@ def literal_check_hom(source, target, mapping):
         raise NotHomError("bottom is not preserved")
     if mapping[source.top] != target.top:
         raise NotHomError("top is not preserved")
-    sjoin, smeet = literal_tables(source.order)
-    tjoin, tmeet = literal_tables(target.order)
     for i in range(n):
         fi = mapping[i]
         for j in range(i, n):
             fj = mapping[j]
-            if mapping[sjoin[i][j]] != tjoin[fi][fj]:
+            if mapping[literal_join(source, i, j)] != literal_join(target, fi, fj):
                 raise NotHomError(
                     f"join of {source.labels[i]!r}, {source.labels[j]!r} not preserved"
                 )
-            if mapping[smeet[i][j]] != tmeet[fi][fj]:
+            if mapping[literal_meet(source, i, j)] != literal_meet(target, fi, fj):
                 raise NotHomError(
                     f"meet of {source.labels[i]!r}, {source.labels[j]!r} not preserved"
                 )
+
+
+def hom_verdict(check, source, target, mapping):
+    """None when `check` accepts the mapping, else its NotHomError message."""
+    try:
+        check(source, target, mapping)
+    except NotHomError as exc:
+        return str(exc)
+    return None
+
+
+def literal_right_adjoint(hom):
+    """g(y), the join of {x : f(x) <= y}, one pair (x, y) at a time.
+
+    The loop `frames.right_adjoint` replaced, kept as its oracle; the join
+    is folded over the literal bounds of the source.
+    """
+    src = hom.source
+    tgt = hom.target
+    g = []
+    for y in range(tgt.n):
+        acc = src.bottom
+        for x in range(src.n):
+            if tgt.leq_idx(hom.mapping[x], y):
+                acc = literal_join(src, acc, x)
+        g.append(acc)
+    return tuple(g)
+
+
+def literal_adjunction_law(left, right):
+    """Whether f(x) <= y exactly when x <= g(y), for every pair (x, y).
+
+    The pair loop `frames.GaloisConnection` replaced, kept as its oracle;
+    `right` must list one source element per target element.
+    """
+    src = left.source
+    tgt = left.target
+    return all(
+        tgt.leq_idx(left.mapping[x], y) == src.leq_idx(x, right[y])
+        for x in range(src.n)
+        for y in range(tgt.n)
+    )
+
+
+def literal_legs(result):
+    """The two legs of a localic pushout by the stated formula, one pair at a time.
+
+    Leg b sends x to the join in the apex of the agreeing pairs (b, c) with
+    b <= x, and leg c sends y to that of the pairs with c <= y.  The loop
+    `colimits.pushout_loc` cross-checked with before it gathered fibres,
+    kept as its oracle; the join is folded over the literal bounds of the
+    apex.
+    """
+    apex = result.apex
+    legs = []
+    for side, factor in ((0, result.span_left.source), (1, result.span_right.source)):
+        leg = []
+        for x in range(factor.n):
+            acc = apex.bottom
+            for k, pair in enumerate(result.pairs):
+                if factor.leq_idx(pair[side], x):
+                    acc = literal_join(apex, acc, k)
+            leg.append(acc)
+        legs.append(tuple(leg))
+    return tuple(legs)
 
 
 def submasks(mask):

@@ -1,6 +1,9 @@
 """Frame coproducts, products, distribution, and localic pushouts."""
 
+import collections
 import itertools
+import random
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import example, given, settings
@@ -44,6 +47,10 @@ from conftest import (
     full_masks,
     garbage_after,
     grid_poset,
+    hom_verdict,
+    literal_check_hom,
+    literal_legs,
+    literal_right_adjoint,
     literal_tables,
     prenuclei,
     table_irreducibles,
@@ -525,6 +532,71 @@ def test_pushout_apex_matches_the_componentwise_build():
                         assert (apex.bottom, apex.top) == (frame.bottom, frame.top)
                         spans += 1
     assert spans > 100
+
+
+def test_pushout_legs_match_the_pair_loops_on_every_span_of_the_default_bounds():
+    """Every span LocPushout sweeps at frame size 3: both legs, by the stated
+    formula one pair at a time, are the certified legs and the pair-loop
+    right adjoints of the projections."""
+    pool = frames_upto(3)
+    spans = 0
+    for a in pool:
+        for b in pool:
+            for c in pool:
+                for f in iter_frame_homs(b, a):
+                    for g in iter_frame_homs(c, a):
+                        result = pushout_loc(f, g)
+                        legs = (result.leg_b.right, result.leg_c.right)
+                        assert legs == literal_legs(result)
+                        assert legs == (
+                            literal_right_adjoint(result.proj_b),
+                            literal_right_adjoint(result.proj_c),
+                        )
+                        spans += 1
+    assert spans == 34
+
+
+def test_the_leg_formula_refuses_an_adjoint_that_skipped_its_law(monkeypatch):
+    """The leg cross-check is live: projection adjoints that are off by one
+    value, handed over without their law check, are refused."""
+
+    def unchecked_off_by_one(hom):
+        right = list(literal_right_adjoint(hom))
+        right[-1] = (right[-1] + 1) % hom.source.n
+        return SimpleNamespace(right=tuple(right))
+
+    monkeypatch.setattr(colimits, "right_adjoint", unchecked_off_by_one)
+    c3 = chain_frame(3)
+    ident = FrameHom(c3, c3, (0, 1, 2))
+    with pytest.raises(VerificationError, match="^the stated leg formula disagrees with the adjoint$"):
+        pushout_loc(ident, ident)
+
+
+def test_the_hom_test_matches_the_pair_sweep_into_a_924_element_coproduct():
+    """The injections of chain7 (x) chain7 and maps one value away from them.
+
+    Each value of each injection is moved, one at a time, to every tensor
+    in its row (iota1) or column (iota2) and to eight seeded random
+    elements.
+    """
+    c7 = chain_frame(7)
+    t = coproduct(c7, c7)
+    assert t.n == 924
+    rng = random.Random(924)
+    maps = []
+    for inj, near in ((t.iota1_map, t.tensor), (t.iota2_map, lambda q, p: t.tensor(p, q))):
+        maps.append(inj)
+        for x in range(7):
+            for value in [near(x, y) for y in range(7)] + rng.sample(range(t.n), 8):
+                mapping = list(inj)
+                mapping[x] = value
+                maps.append(tuple(mapping))
+    verdicts = collections.Counter()
+    for mapping in maps:
+        expected = hom_verdict(literal_check_hom, c7, t, mapping)
+        assert hom_verdict(FrameHom, c7, t, mapping) == expected
+        verdicts[expected is None] += 1
+    assert verdicts == {True: 41, False: 171}
 
 
 def test_pushout_mediator_triangles_and_uniqueness():

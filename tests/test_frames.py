@@ -52,8 +52,11 @@ from conftest import (
     frame_tables,
     greatest_of,
     grid_poset,
+    hom_verdict,
     least_of,
+    literal_adjunction_law,
     literal_check_hom,
+    literal_right_adjoint,
     literal_tables,
     pentagon_n5,
     table_irreducibles,
@@ -194,6 +197,73 @@ def test_galois_rejects_wrong_right_adjoint():
     ident = FrameHom(c3, c3, (0, 1, 2))
     with pytest.raises(VerificationError):
         GaloisConnection(ident, (0, 0, 2))
+
+
+@pytest.mark.parametrize(
+    "right, message",
+    [
+        ((0, 1, 2, 2), "right map length does not match the target"),
+        ((0, 1), "right map length does not match the target"),
+        ((0, -1, 2), "-1 is not an element of the source"),
+        ((0, 3, 2), "3 is not an element of the source"),
+    ],
+)
+def test_galois_refuses_a_right_map_that_is_not_a_map_of_the_carriers(right, message):
+    c3 = chain_frame(3)
+    ident = FrameHom(c3, c3, (0, 1, 2))
+    with pytest.raises(VerificationError, match=f"^{re.escape(message)}$"):
+        GaloisConnection(ident, right)
+
+
+def _galois_verdict(left, right):
+    """None when GaloisConnection accepts the right map, else its message."""
+    try:
+        GaloisConnection(left, right)
+    except VerificationError as exc:
+        return str(exc)
+    return None
+
+
+def test_right_adjoints_and_the_law_match_the_pair_loops_on_every_small_map():
+    """Every hom between frames of at most 4 elements, and every right map of it.
+
+    The row adjoint is the pair-loop adjoint, and the row law accepts a
+    right map exactly when the pair loop does: only the adjoint itself.
+    """
+    pool = all_frames(4)
+    homs = 0
+    tried = 0
+    for source in pool:
+        for target in pool:
+            for hom in iter_frame_homs(source, target):
+                homs += 1
+                adjoint = right_adjoint(hom).right
+                assert adjoint == literal_right_adjoint(hom)
+                for right in itertools.product(range(source.n), repeat=target.n):
+                    expected = None if literal_adjunction_law(hom, right) else "adjunction law fails"
+                    assert _galois_verdict(hom, right) == expected
+                    assert (expected is None) == (right == adjoint)
+                    tried += 1
+    assert (homs, tried) == (60, 7797)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_right_adjoints_match_the_pair_loop_on_built_frames(data):
+    """Tensors, products and downset frames, with perturbed right maps."""
+    source = data.draw(built_frames())
+    target = data.draw(built_frames())
+    homs = list(iter_frame_homs(source, target))
+    if not homs:
+        return
+    hom = data.draw(st.sampled_from(homs))
+    adjoint = right_adjoint(hom).right
+    assert adjoint == literal_right_adjoint(hom)
+    right = list(adjoint)
+    for _ in range(data.draw(st.integers(0, 2))):
+        right[data.draw(st.integers(0, target.n - 1))] = data.draw(st.integers(0, source.n - 1))
+    expected = None if literal_adjunction_law(hom, right) else "adjunction law fails"
+    assert _galois_verdict(hom, right) == expected
 
 
 def test_prenucleus_identity_and_constant_top():
@@ -690,15 +760,6 @@ def test_one_element_frames_as_source_and_target():
 # --- the Birkhoff hom test against the literal pair sweep --------------------
 
 
-def _verdict(check, source, target, mapping):
-    """None when `check` accepts the mapping, else its NotHomError message."""
-    try:
-        check(source, target, mapping)
-    except NotHomError as exc:
-        return str(exc)
-    return None
-
-
 def _disagreements_on_small_maps():
     """Maps between frames of at most 4 elements where FrameHom and the sweep disagree.
 
@@ -710,8 +771,8 @@ def _disagreements_on_small_maps():
     for source in pool:
         for target in pool:
             for mapping in itertools.product(range(target.n), repeat=source.n):
-                expected = _verdict(literal_check_hom, source, target, mapping)
-                if _verdict(FrameHom, source, target, mapping) != expected:
+                expected = hom_verdict(literal_check_hom, source, target, mapping)
+                if hom_verdict(FrameHom, source, target, mapping) != expected:
                     out.append((source, target, mapping))
                 tried += 1
     return out, tried
@@ -725,14 +786,20 @@ def test_the_hom_test_matches_the_pair_sweep_on_every_map_of_small_frames():
 
 
 def test_a_hom_test_that_skips_the_last_target_irreducible_fails_the_oracle(monkeypatch):
-    """The mutant never gathers the preimage of each target's last irreducible."""
+    """The mutant never tests the preimage of each target's last irreducible.
+
+    Each frame's prime filters and irreducible rows are read, and pinned,
+    before its last irreducible is dropped, so the source side of the test
+    is intact and no cache outlives the mutant.
+    """
     for frame in all_frames(4):
         if frame.irreducibles:
-            keep = ~(1 << frame.irreducibles[-1])
-            mutant = tuple(m & keep for m in frame.irreducibles_below)
-            monkeypatch.setitem(frame.__dict__, "irreducibles_below", mutant)
+            for name in ("prime_filters", "irreducibles_below"):
+                monkeypatch.setitem(frame.__dict__, name, getattr(frame, name))
+            monkeypatch.setattr(frame, "irreducibles", frame.irreducibles[:-1])
     disagreements, _ = _disagreements_on_small_maps()
-    assert disagreements
+    assert len(disagreements) == 16
+    assert all(hom_verdict(FrameHom, *case) is None for case in disagreements)
 
 
 @st.composite
@@ -754,8 +821,8 @@ def maps_between_built_frames(draw):
 @settings(max_examples=300, deadline=None)
 @given(maps_between_built_frames())
 def test_the_hom_test_matches_the_pair_sweep_on_random_and_perturbed_maps(case):
-    expected = _verdict(literal_check_hom, *case)
-    assert _verdict(FrameHom, *case) == expected
+    expected = hom_verdict(literal_check_hom, *case)
+    assert hom_verdict(FrameHom, *case) == expected
 
 
 @pytest.mark.parametrize("value", [99, 3, -1])

@@ -10,6 +10,7 @@ from finitetop.bits import iter_bits, popcount
 from finitetop import order
 from finitetop.corpus import all_posets, all_preorders_labelled, all_spaces
 from finitetop.order import (
+    fibres,
     fill,
     gather,
     glue,
@@ -232,6 +233,15 @@ def test_gather_is_the_union_of_the_columns_a_row_names(data):
         if row >> p & 1:
             union |= column
     assert gather(row, columns) == union
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_fibres_are_the_points_over_each_value(data):
+    n = data.draw(st.integers(1, 9))
+    mapping = data.draw(st.lists(st.integers(0, n - 1), max_size=12))
+    over = fibres(mapping, n)
+    assert over == [sum(1 << x for x, w in enumerate(mapping) if w == v) for v in range(n)]
 
 
 @settings(max_examples=200, deadline=None)

@@ -8,7 +8,7 @@ import pytest
 
 import finitetop.suites as suites
 from finitetop import lifting, pstop
-from finitetop.frames import iter_frame_homs
+from finitetop.frames import GaloisConnection, iter_frame_homs, right_adjoint
 from finitetop.pstop import PsSpace
 from finitetop.serialize import canonical_json
 from finitetop.suites import (
@@ -247,6 +247,52 @@ def test_the_coproduct_suite_catches_a_copair_with_swapped_legs(monkeypatch):
     assert not report.ok
     assert (report.cases, len(report.failures)) == (87, 32)
     assert report.failures[0] == "{a,b,c} (x) {a,b,c} into {a,b}: 1 mediators for one cocone"
+    canonical_json([report_data(report)])
+
+
+def test_the_galois_suite_catches_an_adjoint_off_by_one_value(monkeypatch):
+    """A right adjoint whose value at the last target element is moved to
+    the next source element breaks the adjunction law for every hom out of
+    a frame of two or more elements."""
+
+    def off_by_one(hom):
+        right = list(right_adjoint(hom).right)
+        right[-1] = (right[-1] + 1) % hom.source.n
+        return GaloisConnection(hom, right)
+
+    monkeypatch.setattr(suites, "right_adjoint", off_by_one)
+    report = run_suite("GaloisLaws", SuiteOptions(max_frame_size=4))
+    assert (report.cases, len(report.failures)) == (60, 59)
+    assert report.failures[0] == "{a,b} -> {a}: adjunction law fails"
+    assert _failures_digest(report) == (
+        "b7501b81df395a9d8da1bd3af1f81f7df0632f0ffd023eac302a7abdedff5472"
+    )
+    canonical_json([report_data(report)])
+
+
+def test_the_pushout_suite_catches_a_mediator_that_pairs_the_wrong_coordinates(monkeypatch):
+    """A mediator that reads its first coordinate from the second cocone
+    leg and its second from the first, wherever the span's two frames
+    agree, breaks the cocone check or the uniqueness of the mediator."""
+    mediator = suites.pushout_mediator
+
+    def swapped(result, u, v):
+        if result.span_left.source == result.span_right.source:
+            u, v = v, u
+        return mediator(result, u, v)
+
+    monkeypatch.setattr(suites, "pushout_mediator", swapped)
+    report = run_suite("LocPushout", SuiteOptions())
+    assert (report.cases, len(report.failures)) == (34, 28)
+    kinds = collections.Counter(failure.split(": ")[1] for failure in report.failures)
+    assert kinds == {
+        "1 mediators from {a,b,c}": 16,
+        "the cocone does not commute with the span": 12,
+    }
+    assert report.failures[0] == "{a,b} <- {a} -> {a,b}: 1 mediators from {a,b,c}"
+    assert _failures_digest(report) == (
+        "f424a193d597861ff65b31320a77bb20070e7c53926eb5bb2dec6d01b788e6aa"
+    )
     canonical_json([report_data(report)])
 
 
