@@ -6,6 +6,12 @@ filter is principal, so a filter is its base mask; base 0 is the improper
 filter, and the loops over a base give it every limit, the empty image and
 no adherence.  Each `lemma_*` check returns (instances, failures), a failure
 being a string that names its spaces, map and subsets.
+
+The swept lemmas hold the instances of one continuous map f: xi -> zeta as
+the bits of one int, instance (A, B) at bit A * 2^|zeta| + B (2^|xi| in
+`lemma_compact_image`, whose B lies in xi): A-major and B-minor, the order
+of a loop over A and then B.  Each set bit of a map's instances ANDed with
+its bad bits goes through the literal checker before it counts.
 """
 
 from __future__ import annotations
@@ -20,7 +26,9 @@ from .errors import (
     SizeError,
     VerificationError,
 )
-from .order import fill, inclusion_rows, representatives, transitive_closure, transpose
+from .order import (
+    fibres, fill, gather, inclusion_rows, representatives, transitive_closure, transpose,
+)
 from .poset import Preorder, iter_monotone_maps, mask_label, pushout
 from .spaces import FiniteSpace, pushout_spaces
 
@@ -154,55 +162,49 @@ def check_continuity(mapping, xi, zeta):
     return ContinuityReport(True, None)
 
 
-def continuous_on_ultrafilters(mapping, xi, zeta):
-    """The principal-ultrafilter continuity condition only.
-
-    Equivalent to full continuity on finite carriers; the equivalence is
-    re-proven exhaustively by a suite rather than taken on faith, and this
-    is the licensed fast path.
-    """
-    for x, lim in enumerate(xi.lim):
-        target = zeta.lim[mapping[x]]
-        while lim:
-            low = lim & -lim
-            if not target >> mapping[low.bit_length() - 1] & 1:
-                return False
-            lim ^= low
-    return True
-
-
 def iter_continuous_ps_maps(xi, zeta):
     """All continuous point maps between two finite PsSpaces.
 
-    By `continuous_on_ultrafilters`, y in lim x must give f(y) in lim f(x):
-    the maps preserve the limit relations, so `order.fill` lists them on the
-    limit rows, which are reflexive.
+    On finite carriers continuity is the ultrafilter condition, y in lim x
+    gives f(y) in lim f(x): the maps preserve the limit relations, so
+    `order.fill` lists them on the limit rows, which are reflexive.
     """
     return fill(xi.lim, zeta.lim)
 
 
-def meet_ps(xi, zeta):
-    """Infimum in the pseudotopology lattice: pointwise union of limit sets."""
+def _packed(space):
+    """The limit relation as one int, limit set i at bits i * n on; xi is
+    finer than eta exactly when its packed relation is a subset of eta's."""
+    return sum(lim << (i * space.n) for i, lim in enumerate(space.lim))
+
+
+def _meet_rels(p, qs, n):
+    """Meets of a packed relation on n points with each of `qs`: unions."""
+    return [p | q for q in qs]
+
+
+def _join_rels(p, qs, n):
+    """Joins of a packed relation on n points with each of `qs`: intersections
+    with the diagonal re-imposed."""
+    diagonal = sum(1 << i * (n + 1) for i in range(n))
+    return [p & q | diagonal for q in qs]
+
+
+def _lattice_op(kernel, xi, zeta):
     if xi.points != zeta.points:
         raise CarrierMismatchError("lattice operations need a shared carrier")
-    return PsSpace(xi.points, [a | b for a, b in zip(xi.lim, zeta.lim)])
+    (rel,) = kernel(_packed(xi), [_packed(zeta)], xi.n)
+    return PsSpace(xi.points, [rel >> (i * xi.n) & xi.full for i in range(xi.n)])
+
+
+def meet_ps(xi, zeta):
+    """Infimum in the pseudotopology lattice: pointwise union of limit sets."""
+    return _lattice_op(_meet_rels, xi, zeta)
 
 
 def join_ps(xi, zeta):
     """Pointwise intersection of limit sets, with reflexivity re-imposed."""
-    if xi.points != zeta.points:
-        raise CarrierMismatchError("lattice operations need a shared carrier")
-    return PsSpace(
-        xi.points,
-        [(a & b) | (1 << i) for i, (a, b) in enumerate(zip(xi.lim, zeta.lim))],
-    )
-
-
-def finer_ps(xi, zeta):
-    """Whether xi is finer than zeta (identity is continuous xi -> zeta)."""
-    if xi.points != zeta.points:
-        raise CarrierMismatchError("comparison needs a shared carrier")
-    return all(a & ~b == 0 for a, b in zip(xi.lim, zeta.lim))
+    return _lattice_op(_join_rels, xi, zeta)
 
 
 def all_pseudotopologies(points):
@@ -360,68 +362,64 @@ def ps_spaces_up_to_iso(n):
     return [PsSpace(points, lim, validate=False) for lim in lims]
 
 
-def _compact_pairs(xi):
-    """All (A, B) with A compact at B, each base's adherence read once."""
-    adh = [adherence_filter(xi, base) for base in range(xi.full + 1)]
-    pairs = []
+def _subspace_clauses(xi):
+    """Per point pair (x, y), the mask of the As where y is in x's limit in
+    `subspace_ps(xi, A)`, as (x, y, mask) when it is not 0; and, at x * n + y,
+    the mask of the As holding x and y where y is not in that limit."""
+    n = xi.n
+    holds = [0] * (n * n)
+    breaks = [0] * (n * n)
     for a_mask in range(1, xi.full + 1):
-        bases = [b for b in range(1, xi.full + 1) if b & a_mask]
-        for b_mask in range(1, xi.full + 1):
-            if all(adh[b] & b_mask for b in bases):
-                pairs.append((a_mask, b_mask))
-    return pairs
-
-
-def _subspaces(xi):
-    """Per nonempty subset A: A, its `subspace_ps`, its members, and `pos`.
-
-    The members ascend, and `pos[i]` is the index of member i among them,
-    its point number in the subspace.
-    """
-    out = []
-    for mask in range(1, xi.full + 1):
-        members = list(iter_bits(mask))
-        pos = [0] * xi.n
-        for t, i in enumerate(members):
-            pos[i] = t
-        out.append((mask, subspace_ps(xi, mask), members, pos))
-    return out
+        members = list(iter_bits(a_mask))
+        for x, lim in zip(members, subspace_ps(xi, a_mask).lim):
+            for t, y in enumerate(members):
+                (holds if lim >> t & 1 else breaks)[x * n + y] |= 1 << a_mask
+    return [(k // n, k % n, h) for k, h in enumerate(holds) if h], breaks
 
 
 def lemma_subspace_restriction(max_points=3):
     """Restrictions of continuous maps stay continuous on compatible subsets.
 
-    Quantifies over the deduplicated corpus: for each continuous map xi ->
-    zeta, each A and each B holding f(A), f restricted to A -> B must be
-    continuous between the subspaces.  Each space's subspaces, member lists
-    and position tables are built once, so an instance's restricted map is
-    f's values on A renumbered into B.  Every instance is checked with the
-    licensed ultrafilter criterion, and any miss is re-examined with the
-    literal all-filters checker before it counts as a failure.
+    For each continuous f: xi -> zeta of the deduplicated corpus, each A and
+    each B holding f(A), f restricted to A -> B must be continuous between
+    the subspaces.  By the ultrafilter criterion that fails exactly when some
+    y in x's subspace limit on A has f(y) outside f(x)'s on B: clause (x, y)
+    ORs, into every A that holds it, the Bs where (f(x), f(y)) breaks.  The
+    valid bits depend only on f's values and are kept per map; each bad one
+    is re-examined with the literal all-filters checker before it counts.
     """
+    spaces = [s for n in range(1, max_points + 1) for s in ps_spaces_up_to_iso(n)]
+    clauses = {id(s): _subspace_clauses(s) for s in spaces}
+    sizes = range(1, max_points + 1)
+    supersets = {m: [sum(1 << b for b in range(1 << m) if b & s == s) for s in range(1 << m)]
+                 for m in sizes}
+    seen = {m: {} for m in sizes}
     instances = 0
     failures = []
-    spaces = [s for n in range(1, max_points + 1) for s in ps_spaces_up_to_iso(n)]
-    subspaces = {id(xi): _subspaces(xi) for xi in spaces}
     for xi in spaces:
-        subs_x = subspaces[id(xi)]
+        holds = clauses[id(xi)][0]
+        spread = {m: [(x, y, sum(1 << (a << m) for a in iter_bits(h))) for x, y, h in holds]
+                  for m in sizes}
         for zeta in spaces:
-            subs_z = subspaces[id(zeta)]
+            m = zeta.n
+            breaks = clauses[id(zeta)][1]
             for mapping in iter_continuous_ps_maps(xi, zeta):
-                for a_mask, sub_xi, members, _ in subs_x:
-                    values = [mapping[i] for i in members]
-                    fa = _image(mapping, a_mask)
-                    for b_mask, sub_zeta, _, pos in subs_z:
-                        if fa & ~b_mask:
-                            continue
-                        instances += 1
-                        sub = tuple(map(pos.__getitem__, values))
-                        if not continuous_on_ultrafilters(sub, sub_xi, sub_zeta):
-                            if not check_continuity(sub, sub_xi, sub_zeta):
-                                failures.append(
-                                    f"{_arrow(xi, zeta, mapping)} restricted to "
-                                    f"{mask_label(xi, a_mask)} -> {mask_label(zeta, b_mask)}"
-                                )
+                valid = seen[m].get(mapping)
+                if valid is None:
+                    valid = seen[m][mapping] = sum(
+                        supersets[m][_image(mapping, a)] << (a << m) for a in range(1, xi.full + 1)
+                    )
+                instances += valid.bit_count()
+                bad = 0
+                for x, y, a_bits in spread[m]:
+                    bad |= a_bits * breaks[mapping[x] * m + mapping[y]]
+                for a, b in (divmod(k, 1 << m) for k in iter_bits(bad & valid)):
+                    sub = tuple((b & (1 << mapping[i]) - 1).bit_count() for i in iter_bits(a))
+                    if not check_continuity(sub, subspace_ps(xi, a), subspace_ps(zeta, b)):
+                        failures.append(
+                            f"{_arrow(xi, zeta, mapping)} restricted to "
+                            f"{mask_label(xi, a)} -> {mask_label(zeta, b)}"
+                        )
     return instances, failures
 
 
@@ -441,35 +439,48 @@ def lemma_subspace_modification(max_points=3):
     return instances, failures
 
 
+def _compact_bits(xi):
+    """Bit A * 2^n + B for each A compact at B.  Adherence grows with the
+    filter base, so the singletons decide: A is compact at B exactly when
+    lim z meets B for every z in A."""
+    width = 1 << xi.n
+    misses = [sum(1 << b for b in range(width) if not b & lim) for lim in xi.lim]
+    everything = (1 << width) - 1
+    return sum((everything ^ gather(a, misses)) << (a << xi.n) for a in range(1, width))
+
+
 def lemma_compact_image(max_points=3):
     """Continuous images of compact-at pairs stay compact-at.
 
-    Each space's compact-at pairs are listed once by `_compact_pairs`: a
-    source's pairs are the instances, and an image pair holds when it is
-    among the target's pairs, the same predicate.  A miss is re-checked with
-    the literal compact_at before it is recorded.
+    A source's compact-at pairs are the instances, one fixed mask per space.
+    (f(A), f(B)) is compact in zeta exactly when B meets S_a = {b : f(b) in
+    lim f(a)} for every a in A; S_a is the preimage of lim f(a), from a table
+    kept per map.  Each bad instance is re-checked with the literal
+    compact_at before it is recorded.
     """
+    spaces = [s for n in range(1, max_points + 1) for s in ps_spaces_up_to_iso(n)]
+    seen = {m: {} for m in range(1, max_points + 1)}
     instances = 0
     failures = []
-    spaces = [s for n in range(1, max_points + 1) for s in ps_spaces_up_to_iso(n)]
-    compact = {id(xi): _compact_pairs(xi) for xi in spaces}
-    compact_sets = {key: set(pairs) for key, pairs in compact.items()}
     for xi in spaces:
-        pairs = compact[id(xi)]
-        images = [0] * (xi.full + 1)
+        n = xi.n
+        width = 1 << n
+        pairs = _compact_bits(xi)
+        missing = [sum(1 << b for b in range(width) if not b & s) for s in range(width)]
+        holding = [sum(1 << (a << n) for a in range(width) if a >> z & 1) for z in range(n)]
         for zeta in spaces:
-            target_pairs = compact_sets[id(zeta)]
             for mapping in iter_continuous_ps_maps(xi, zeta):
-                for m in range(1, xi.full + 1):
-                    low = m & -m
-                    images[m] = images[m ^ low] | 1 << mapping[low.bit_length() - 1]
-                for a_mask, b_mask in pairs:
-                    instances += 1
-                    fa = images[a_mask]
-                    fb = images[b_mask]
-                    if (fa, fb) in target_pairs:
-                        continue
-                    if not compact_at(zeta, fa, fb):
+                instances += pairs.bit_count()
+                preimage = seen[zeta.n].get(mapping)
+                if preimage is None:
+                    fibre = fibres(mapping, zeta.n)
+                    preimage = [gather(t, fibre) for t in range(zeta.full + 1)]
+                    seen[zeta.n][mapping] = preimage
+                bad = 0
+                for a, v in enumerate(mapping):
+                    bad |= holding[a] * missing[preimage[zeta.lim[v]]]
+                for a_mask, b_mask in (divmod(k, width) for k in iter_bits(bad & pairs)):
+                    if not compact_at(zeta, _image(mapping, a_mask), _image(mapping, b_mask)):
                         failures.append(
                             f"{_arrow(xi, zeta, mapping)} on {mask_label(xi, a_mask)} "
                             f"compact at {mask_label(xi, b_mask)}"
@@ -558,64 +569,52 @@ def lemma_tau_iota(max_points=3):
     return instances, failures
 
 
-def _refinement_bits(everything):
-    """Per limit tuple, the bitsets over `everything` of the etas above and below it.
+def _refinement_bits(packed):
+    """Per packed relation, the bitsets over `packed` of the etas above and below it.
 
-    Bit k of `above` is set when the space is finer than everything[k], and
-    bit k of `below` when everything[k] is finer than the space.  A space on
-    n points packs into n * n bits, limit set i at bits i * n on, and xi is
-    finer than eta exactly when xi's packed relation is a subset of eta's;
-    so `above` is `inclusion_rows` of the packed relations and `below` its
-    `transpose`.
+    Bit k of `above` is set when the relation lies inside packed[k], and bit
+    k of `below` when packed[k] lies inside it: `above` is `inclusion_rows`
+    of the relations and `below` its `transpose`.
     """
-    packed = []
-    for space in everything:
-        m = 0
-        for i, lim in enumerate(space.lim):
-            m |= lim << (i * space.n)
-        packed.append(m)
     above = inclusion_rows(packed)
-    below = transpose(above)
-    return {space.lim: pair for space, pair in zip(everything, zip(above, below))}
+    return dict(zip(packed, zip(above, transpose(above))))
 
 
-def _extremal(bits, xi, zeta, met, joined):
-    """Every common coarsening of xi and zeta is coarser than met, and every
-    common refinement is finer than joined, as two bitset tests."""
-    above_xi, below_xi = bits[xi.lim]
-    above_zeta, below_zeta = bits[zeta.lim]
-    return (
-        above_xi & above_zeta & ~bits[met.lim][0] == 0
-        and below_xi & below_zeta & ~bits[joined.lim][1] == 0
-    )
+def _unbounded(bits, p, qs, mets, joins):
+    """The k at which mets[k] and joins[k] are not the extremal bounds of p
+    and qs[k], all packed relations keyed in `bits`.
+
+    p and q are finer than the meet when their union lies inside it, and
+    every common coarsening is coarser when the etas above q miss those above
+    p but not above the meet, a bitset made once per meet; dually for joins.
+    """
+    above_p, below_p = bits[p]
+    escapes_meet = {r: above_p & ~bits[r][0] for r in set(mets)}
+    escapes_join = {r: below_p & ~bits[r][1] for r in set(joins)}
+    return [
+        k for k, (q, met, joined) in enumerate(zip(qs, mets, joins))
+        if (p | q) & ~met or joined & ~(p & q)
+        or bits[q][0] & escapes_meet[met] or bits[q][1] & escapes_join[joined]
+    ]
 
 
 def lemma_lattice_bounds(max_points=3):
     """meet_ps and join_ps are the extremal bounds for the refinement order.
 
     The meet is a common coarsening of xi and zeta finer than every other,
-    and the join a common refinement coarser than every other; the two
-    extremality clauses read `_refinement_bits` of the carrier's corpus.
+    and the join a common refinement coarser than every other.  The loop runs
+    on packed relations, with the kernels of meet_ps and join_ps.
     """
     instances = 0
     failures = []
     for n in range(1, max_points + 1):
         everything = all_ps_spaces(n)
-        bits = _refinement_bits(everything)
-        for xi in everything:
-            for zeta in everything:
-                instances += 1
-                met = meet_ps(xi, zeta)
-                joined = join_ps(xi, zeta)
-                ok = (
-                    finer_ps(xi, met)
-                    and finer_ps(zeta, met)
-                    and finer_ps(joined, xi)
-                    and finer_ps(joined, zeta)
-                    and _extremal(bits, xi, zeta, met, joined)
-                )
-                if not ok:
-                    failures.append(f"{xi!r} and {zeta!r}")
+        packed = [_packed(space) for space in everything]
+        bits = _refinement_bits(packed)
+        for xi, p in zip(everything, packed):
+            found = _unbounded(bits, p, packed, _meet_rels(p, packed, n), _join_rels(p, packed, n))
+            failures += [f"{xi!r} and {everything[k]!r}" for k in found]
+        instances += len(everything) ** 2
     return instances, failures
 
 

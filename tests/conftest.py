@@ -13,6 +13,7 @@ from finitetop.errors import NotHomError, NotLatticeError, SizeError
 from finitetop.frames import FiniteFrame, chain_frame, downset_frame, frame_from_poset
 from finitetop.order import product_rows
 from finitetop.poset import validate_poset
+from finitetop.pstop import PsSpace
 from finitetop.spaces import FiniteSpace
 
 
@@ -594,6 +595,17 @@ def discrete_space(labels):
 def indiscrete_space(labels):
     points = tuple(labels)
     return FiniteSpace.from_opens(points, (0, (1 << len(points)) - 1))
+
+
+def least_member_only(subspace):
+    """A `subspace_ps` mutant that keeps only its least member's limit set and
+    makes every other member discrete."""
+
+    def mutant(xi, mask):
+        sub = subspace(xi, mask)
+        return PsSpace(sub.points, [sub.lim[0]] + [1 << t for t in range(1, sub.n)])
+
+    return mutant
 
 
 def sierpinski():

@@ -1,5 +1,6 @@
 """Pseudotopological spaces, convergence, and the lemma checks."""
 
+import functools
 import itertools
 import random
 
@@ -11,6 +12,7 @@ from finitetop import pstop
 from finitetop.bits import iter_bits
 from finitetop.corpus import all_spaces
 from finitetop.errors import CarrierMismatchError, EmptySubspaceError
+from finitetop.poset import mask_label
 from finitetop.pstop import (
     PsSpace,
     adherence_filter,
@@ -18,10 +20,8 @@ from finitetop.pstop import (
     all_pseudotopologies,
     check_continuity,
     compact_at,
-    continuous_on_ultrafilters,
     discrete_ps,
     final_structure,
-    finer_ps,
     is_compact_ps,
     iter_continuous_ps_maps,
     join_ps,
@@ -38,7 +38,19 @@ from finitetop.pstop import (
 )
 from finitetop.suites import SuiteOptions, run_group
 
-from conftest import discrete_space, indiscrete_space
+from conftest import discrete_space, indiscrete_space, least_member_only
+
+
+def continuous_on_ultrafilters(mapping, xi, zeta):
+    """The principal-ultrafilter continuity condition only: y in lim x gives f(y) in lim f(x)."""
+    return all(
+        zeta.lim[mapping[x]] >> mapping[y] & 1 for x in range(xi.n) for y in iter_bits(xi.lim[x])
+    )
+
+
+def finer_ps(xi, zeta):
+    """Whether xi is finer than zeta (identity is continuous xi -> zeta)."""
+    return all(a & ~b == 0 for a, b in zip(xi.lim, zeta.lim))
 
 
 def _kink():
@@ -153,10 +165,26 @@ def test_lattice_ops_bound_both_arguments():
                     assert finer_ps(eta, j)
 
 
+def _indiscrete_meets(p, qs, n):
+    return [(1 << n * n) - 1] * len(qs)
+
+
+def _discrete_joins(p, qs, n):
+    return [sum(1 << i * (n + 1) for i in range(n))] * len(qs)
+
+
 def test_lattice_bounds_catch_an_indiscrete_meet_and_a_discrete_join(monkeypatch):
-    """Both are bounds of every pair but not the extremal ones, so the lemma fails."""
-    monkeypatch.setattr(pstop, "meet_ps", lambda xi, zeta: PsSpace(xi.points, [xi.full] * xi.n))
-    monkeypatch.setattr(pstop, "join_ps", lambda xi, zeta: discrete_ps(xi.points))
+    """Both are bounds of every pair but not the extremal ones, so the lemma fails.
+
+    The sweep reads the kernels of meet_ps and join_ps, so the mutants patch
+    the kernels, and meet_ps and join_ps follow them.
+    """
+    monkeypatch.setattr(pstop, "_meet_rels", _indiscrete_meets)
+    monkeypatch.setattr(pstop, "_join_rels", _discrete_joins)
+    for xi in all_pseudotopologies("12"):
+        for zeta in all_pseudotopologies("12"):
+            assert meet_ps(xi, zeta) == PsSpace(xi.points, [xi.full] * xi.n)
+            assert join_ps(xi, zeta) == discrete_ps(xi.points)
     instances, failures = lemma_lattice_bounds(2)
     assert (instances, len(failures)) == (17, 12)
 
@@ -174,15 +202,31 @@ def _literal_extremal(everything, xi, zeta, met, joined):
     )
 
 
+def _literal_bounds(everything, xi, zeta, met, joined):
+    """Whether met and joined are the extremal bounds of xi and zeta, literally."""
+    return (
+        finer_ps(xi, met)
+        and finer_ps(zeta, met)
+        and finer_ps(joined, xi)
+        and finer_ps(joined, zeta)
+        and _literal_extremal(everything, xi, zeta, met, joined)
+    )
+
+
+def _packed_bits(everything):
+    return pstop._refinement_bits([pstop._packed(s) for s in everything])
+
+
 @pytest.mark.parametrize("n", [1, 2])
 def test_lattice_bitset_clauses_match_the_literal_clauses(n):
     """Every pair, against every candidate meet and join on the carrier."""
     everything = list(all_pseudotopologies(pstop.PS_LABELS[:n]))
-    bits = pstop._refinement_bits(everything)
+    bits = _packed_bits(everything)
     verdicts = set()
     for xi, zeta, met, joined in itertools.product(everything, repeat=4):
-        literal = _literal_extremal(everything, xi, zeta, met, joined)
-        assert pstop._extremal(bits, xi, zeta, met, joined) == literal
+        literal = _literal_bounds(everything, xi, zeta, met, joined)
+        p, q, m, j = map(pstop._packed, (xi, zeta, met, joined))
+        assert (pstop._unbounded(bits, p, [q], [m], [j]) == []) == literal
         verdicts.add(literal)
     assert verdicts == ({True} if n == 1 else {True, False})
 
@@ -197,14 +241,89 @@ def _literal_refinement_bits(everything):
                 above |= 1 << k
             if finer_ps(eta, space):
                 below |= 1 << k
-        out[space.lim] = (above, below)
+        out[pstop._packed(space)] = (above, below)
     return out
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_packed_refinement_bits_match_the_pairwise_loop(n):
     everything = list(all_pseudotopologies(pstop.PS_LABELS[:n]))
-    assert pstop._refinement_bits(everything) == _literal_refinement_bits(everything)
+    assert _packed_bits(everything) == _literal_refinement_bits(everything)
+
+
+def lattice_oracle(max_points):
+    """The per-pair `lemma_lattice_bounds`: a PsSpace meet and join for every
+    pair, checked with `finer_ps` against the literal refinement bits."""
+    instances = 0
+    failures = []
+    for n in range(1, max_points + 1):
+        everything = pstop.all_ps_spaces(n)
+        bits = _literal_refinement_bits(everything)
+        for xi in everything:
+            for zeta in everything:
+                instances += 1
+                met = pstop.meet_ps(xi, zeta)
+                joined = pstop.join_ps(xi, zeta)
+                above_xi, below_xi = bits[pstop._packed(xi)]
+                above_zeta, below_zeta = bits[pstop._packed(zeta)]
+                ok = (
+                    finer_ps(xi, met)
+                    and finer_ps(zeta, met)
+                    and finer_ps(joined, xi)
+                    and finer_ps(joined, zeta)
+                    and above_xi & above_zeta & ~bits[pstop._packed(met)][0] == 0
+                    and below_xi & below_zeta & ~bits[pstop._packed(joined)][1] == 0
+                )
+                if not ok:
+                    failures.append(f"{xi!r} and {zeta!r}")
+    return instances, failures
+
+
+@pytest.mark.parametrize("max_points", [1, 2, 3])
+@pytest.mark.parametrize("mutant", [False, True])
+def test_the_lattice_sweep_matches_its_oracle(monkeypatch, mutant, max_points):
+    if mutant:
+        monkeypatch.setattr(pstop, "_meet_rels", _indiscrete_meets)
+        monkeypatch.setattr(pstop, "_join_rels", _discrete_joins)
+    assert lemma_lattice_bounds(max_points) == lattice_oracle(max_points)
+
+
+@functools.lru_cache(maxsize=1)
+def _four_point_corpus():
+    everything = pstop.all_ps_spaces(4)
+    return everything, _packed_bits(everything)
+
+
+@st.composite
+def four_point_rows(draw):
+    """A 4-point space, a row of others, and per pair a meet and a join that
+    are either the kernels' or any pseudotopology on the carrier."""
+    everything, _ = _four_point_corpus()
+    space = st.sampled_from(everything)
+    xi = draw(space)
+    zetas = draw(st.lists(space, min_size=1, max_size=4))
+    kernels = draw(st.booleans())
+    if kernels:
+        mets = [meet_ps(xi, zeta) for zeta in zetas]
+        joins = [join_ps(xi, zeta) for zeta in zetas]
+    else:
+        mets = [draw(space) for _ in zetas]
+        joins = [draw(space) for _ in zetas]
+    return xi, zetas, mets, joins
+
+
+@settings(max_examples=60, deadline=None)
+@given(four_point_rows())
+def test_lattice_rows_match_the_literal_bounds_at_four_points(row):
+    xi, zetas, mets, joins = row
+    everything, bits = _four_point_corpus()
+    literal = [
+        k
+        for k, (zeta, met, joined) in enumerate(zip(zetas, mets, joins))
+        if not _literal_bounds(everything, xi, zeta, met, joined)
+    ]
+    packed = [[pstop._packed(s) for s in row] for row in (zetas, mets, joins)]
+    assert pstop._unbounded(bits, pstop._packed(xi), *packed) == literal
 
 
 def test_lattice_ops_need_a_shared_carrier():
@@ -298,6 +417,156 @@ def test_compact_at_fails_outside_adherent_sets():
     assert compact_at(d2, 1, 1)
 
 
+def _compact_pairs(xi):
+    """All (A, B) with A compact at B, each base's adherence read once."""
+    adh = [adherence_filter(xi, base) for base in range(xi.full + 1)]
+    pairs = []
+    for a_mask in range(1, xi.full + 1):
+        bases = [b for b in range(1, xi.full + 1) if b & a_mask]
+        for b_mask in range(1, xi.full + 1):
+            if all(adh[b] & b_mask for b in bases):
+                pairs.append((a_mask, b_mask))
+    return pairs
+
+
+def test_the_singleton_criterion_matches_the_compact_pairs_up_to_four_points():
+    """A is compact at B exactly when lim z meets B for every z in A."""
+    spaces = [xi for n in range(1, 5) for xi in ps_spaces_up_to_iso(n)]
+    assert len(spaces) == 238
+    for xi in spaces:
+        singletons = [
+            (a, b)
+            for a in range(1, xi.full + 1)
+            for b in range(1, xi.full + 1)
+            if all(xi.lim[z] & b for z in iter_bits(a))
+        ]
+        assert singletons == _compact_pairs(xi)
+        assert pstop._compact_bits(xi) == sum(1 << (a << xi.n) + b for a, b in singletons)
+
+
+def _subspaces(xi):
+    """Per nonempty subset A: A, its `subspace_ps`, its members, and `pos`.
+
+    The members ascend, and `pos[i]` is the index of member i among them,
+    its point number in the subspace.
+    """
+    out = []
+    for mask in range(1, xi.full + 1):
+        members = list(iter_bits(mask))
+        pos = [0] * xi.n
+        for t, i in enumerate(members):
+            pos[i] = t
+        out.append((mask, pstop.subspace_ps(xi, mask), members, pos))
+    return out
+
+
+def _ps_corpus(max_points):
+    return [s for n in range(1, max_points + 1) for s in pstop.ps_spaces_up_to_iso(n)]
+
+
+def restriction_oracle(max_points):
+    """The per-instance `lemma_subspace_restriction`: each restricted map is
+    checked with the ultrafilter criterion, and a miss is re-examined with
+    the literal all-filters checker."""
+    instances = 0
+    failures = []
+    spaces = _ps_corpus(max_points)
+    subspaces = {id(xi): _subspaces(xi) for xi in spaces}
+    for xi in spaces:
+        for zeta in spaces:
+            for mapping in pstop.iter_continuous_ps_maps(xi, zeta):
+                for a_mask, sub_xi, members, _ in subspaces[id(xi)]:
+                    values = [mapping[i] for i in members]
+                    fa = pstop._image(mapping, a_mask)
+                    for b_mask, sub_zeta, _, pos in subspaces[id(zeta)]:
+                        if fa & ~b_mask:
+                            continue
+                        instances += 1
+                        sub = tuple(map(pos.__getitem__, values))
+                        if not continuous_on_ultrafilters(sub, sub_xi, sub_zeta):
+                            if not pstop.check_continuity(sub, sub_xi, sub_zeta):
+                                failures.append(
+                                    f"{pstop._arrow(xi, zeta, mapping)} restricted to "
+                                    f"{mask_label(xi, a_mask)} -> {mask_label(zeta, b_mask)}"
+                                )
+    return instances, failures
+
+
+def compact_image_oracle(max_points):
+    """The per-instance `lemma_compact_image`: an image pair holds when it is
+    among the target's `_compact_pairs`, and a miss is re-checked with the
+    literal compact_at."""
+    instances = 0
+    failures = []
+    spaces = _ps_corpus(max_points)
+    compact = {id(xi): _compact_pairs(xi) for xi in spaces}
+    for xi in spaces:
+        for zeta in spaces:
+            target_pairs = set(compact[id(zeta)])
+            for mapping in pstop.iter_continuous_ps_maps(xi, zeta):
+                for a_mask, b_mask in compact[id(xi)]:
+                    instances += 1
+                    fa = pstop._image(mapping, a_mask)
+                    fb = pstop._image(mapping, b_mask)
+                    if (fa, fb) not in target_pairs and not pstop.compact_at(zeta, fa, fb):
+                        failures.append(
+                            f"{pstop._arrow(xi, zeta, mapping)} on {mask_label(xi, a_mask)} "
+                            f"compact at {mask_label(xi, b_mask)}"
+                        )
+    return instances, failures
+
+
+MAP_SWEEPS = [
+    pytest.param(pstop.lemma_subspace_restriction, restriction_oracle, id="restriction"),
+    pytest.param(pstop.lemma_compact_image, compact_image_oracle, id="compact-image"),
+]
+
+
+def every_map(xi, zeta):
+    return itertools.product(range(zeta.n), repeat=xi.n)
+
+
+@pytest.mark.parametrize("max_points", [1, 2, 3])
+@pytest.mark.parametrize("mutant", [None, "every_map", "least_member_only"])
+@pytest.mark.parametrize("lemma, oracle", MAP_SWEEPS)
+def test_the_map_sweeps_match_their_oracles(monkeypatch, lemma, oracle, mutant, max_points):
+    """Same instance count and the same failures in the same order."""
+    if mutant == "every_map":
+        monkeypatch.setattr(pstop, "iter_continuous_ps_maps", every_map)
+    elif mutant == "least_member_only":
+        monkeypatch.setattr(pstop, "subspace_ps", least_member_only(pstop.subspace_ps))
+    assert lemma(max_points) == oracle(max_points)
+
+
+@st.composite
+def four_point_maps(draw):
+    """Two 4-point pseudotopologies, point maps of the carrier continuous
+    from the first to the second or not, and whether subspaces are mutated."""
+
+    def space():
+        return PsSpace(pstop.PS_LABELS[:4], [draw(st.integers(0, 15)) | 1 << i for i in range(4)])
+
+    xi, zeta = space(), space()
+    continuous = st.sampled_from(list(iter_continuous_ps_maps(xi, zeta)))
+    any_map = st.tuples(*[st.integers(0, 3)] * 4)
+    maps = draw(st.lists(st.one_of(continuous, any_map), min_size=1, max_size=5))
+    return xi, zeta, maps, draw(st.booleans())
+
+
+@settings(max_examples=40, deadline=None)
+@given(four_point_maps())
+def test_the_map_sweeps_match_their_oracles_at_four_points(case):
+    """The corpus is the drawn pair, and every pair of it gets the drawn maps."""
+    xi, zeta, maps, mutate = case
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(pstop, "ps_spaces_up_to_iso", lambda n: [xi, zeta] if n == 4 else [])
+        mp.setattr(pstop, "iter_continuous_ps_maps", lambda source, target: iter(maps))
+        if mutate:
+            mp.setattr(pstop, "subspace_ps", least_member_only(pstop.subspace_ps))
+        for lemma, oracle in (p.values for p in MAP_SWEEPS):
+            assert lemma(4) == oracle(4)
+
+
 def test_pushout_ps_glues_like_spaces():
     a = discrete_ps(["a"])
     b = PsSpace.from_lim(["1", "2"], {"1": ["1"], "2": ["1", "2"]})
@@ -338,7 +607,7 @@ def test_lemma_suite_all_hold_at_desk_scale():
 
 def test_tau_iota_and_lattice_lemmas_at_three_points():
     assert not lemma_tau_iota(3)[1]
-    assert not lemma_lattice_bounds(2)[1]
+    assert lemma_lattice_bounds(3) == (4113, [])
     assert not lemma_pushout_agreement(2)[1]
 
 

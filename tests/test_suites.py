@@ -24,6 +24,7 @@ from conftest import (
     clear_lifting_caches,
     discrete_space,
     glue_dropping_the_last_pair,
+    least_member_only,
     pins_ignoring_the_top,
 )
 
@@ -205,6 +206,24 @@ def test_the_swept_pstop_suites_catch_discontinuous_maps(monkeypatch):
     assert (restriction.cases, len(restriction.failures)) == (220, 7)
     assert (image.cases, len(image.failures)) == (280, 18)
     canonical_json([report_data(restriction), report_data(image)])
+
+
+def test_subspace_restriction_catches_subspaces_that_keep_only_the_least_limit(monkeypatch):
+    """A `subspace_ps` that keeps only its least member's limit set, and makes
+    every other member discrete, restricts some continuous maps to
+    discontinuous ones.  The failure list is pinned by its sha256."""
+    monkeypatch.setattr(pstop, "subspace_ps", least_member_only(pstop.subspace_ps))
+    two = run_suite("SubspaceRestiction", SuiteOptions(max_points=2))
+    assert (two.cases, len(two.failures)) == (185, 1)
+    assert two.failures[0] == (
+        "PsSpace(1->{1,2}, 2->{1,2}) -[1>2,2>1]-> PsSpace(1->{1,2}, 2->{1,2}) "
+        "restricted to {1,2} -> {1,2}"
+    )
+    three = run_suite("SubspaceRestiction", SuiteOptions(max_points=3))
+    assert (three.cases, len(three.failures)) == (77957, 1877)
+    assert three.failures[0] == two.failures[0]
+    digest = hashlib.sha256(canonical_json(list(three.failures)).encode()).hexdigest()
+    assert digest == "d8e8f0ab0043493d9f42d28938ec8f33bbcce28da4697c02653e68717a216016"
 
 
 def _indiscrete_ps(points):
