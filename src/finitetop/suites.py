@@ -337,77 +337,97 @@ def _run_product_distribute(opt):
 def _run_loc_pushout(opt):
     """Localic pushouts: legs, mediators, uniqueness, injective stability.
 
-    Every span of corpus frame homs is pushed out; each cocone gets its
-    mediator certified unique among all homs into the apex, and a
-    surjective span hom must make the opposite projection surjective.
-    Each hom set between corpus frames is enumerated once per run, each
-    cocone hom is composed with its span leg once, and the homs into an
-    apex are grouped once by their projections (h;proj_b, h;proj_c), so
-    the homs restricting to a cocone (u, v) are the group at (u, v);
-    uniqueness holds when that group is exactly [mediator].
+    Every span f: B -> A, g: C -> A of corpus frame homs is pushed out, and
+    a surjective span hom must make the opposite projection surjective.
+    The cocones of a span are the (u, v) with u;f = v;g, which holds
+    exactly when every (u(x), v(x)) is one of the agreeing `pairs`; equal
+    (B, C, pairs) also give an equal apex, projections and `position`, and
+    `pushout_mediator` reads the span only through that same commutation.
+    So the cocone checks run once per distinct pushout, keyed on the pool
+    positions of B and C and on `pairs`, and every span with that pushout
+    reports their messages under its own tag.  Each cocone gets its
+    mediator certified unique among all homs into the apex: those homs are
+    grouped once by their projections (h;proj_b, h;proj_c), so the homs
+    restricting to (u, v) are the group at (u, v), and uniqueness holds
+    when that group is exactly [mediator].
     """
     pool = frames_upto(opt.max_frame_size)
     homs = _hom_sets()
+    cocones = {}
     failures = []
     cases = 0
-    for apex_frame in pool:
-        for b_frame in pool:
-            homs_b = homs(b_frame, apex_frame)
+    for codomain in pool:
+        for b_pos, b_frame in enumerate(pool):
+            homs_b = homs(b_frame, codomain)
             if not homs_b:
                 continue
-            for c_frame in pool:
-                homs_c = homs(c_frame, apex_frame)
+            for c_pos, c_frame in enumerate(pool):
+                homs_c = homs(c_frame, codomain)
+                tag = (
+                    f"{_frame_name(b_frame)} <- {_frame_name(codomain)}"
+                    f" -> {_frame_name(c_frame)}"
+                )
                 for f in homs_b:
                     for g in homs_c:
                         cases += 1
-                        tag = (
-                            f"{_frame_name(b_frame)} <- {_frame_name(apex_frame)}"
-                            f" -> {_frame_name(c_frame)}"
-                        )
                         try:
                             result = pushout_loc(f, g)
                         except FinitetopError as exc:
                             failures.append(f"{tag}: {exc}")
                             continue
-                        f_surj = len(set(f.mapping)) == apex_frame.n
-                        g_surj = len(set(g.mapping)) == apex_frame.n
+                        f_surj = len(set(f.mapping)) == codomain.n
+                        g_surj = len(set(g.mapping)) == codomain.n
                         if f_surj and len(set(result.proj_c.mapping)) != c_frame.n:
                             failures.append(f"{tag}: pushed leg lost injectivity")
                         if g_surj and len(set(result.proj_b.mapping)) != b_frame.n:
                             failures.append(f"{tag}: pushed leg lost injectivity")
-                        for q_frame in pool:
-                            us = homs(q_frame, b_frame)
-                            vs = homs(q_frame, c_frame)
-                            if not us or not vs:
-                                continue
-                            vgs = [composed(v, g) for v in vs]
-                            into_apex = None
-                            for u in us:
-                                uf = composed(u, f)
-                                for v, vg in zip(vs, vgs):
-                                    if uf != vg:
-                                        continue
-                                    try:
-                                        m = pushout_mediator(result, u, v)
-                                    except (ValueError, VerificationError) as exc:
-                                        failures.append(f"{tag}: {exc}")
-                                        continue
-                                    if into_apex is None:
-                                        into_apex = _by_legs(
-                                            iter_frame_homs(q_frame, result.apex),
-                                            lambda h: (
-                                                composed(h, result.proj_b),
-                                                composed(h, result.proj_c),
-                                            ),
-                                        )
-                                    found = into_apex.get((u.mapping, v.mapping), [])
-                                    if found != [m]:
-                                        failures.append(
-                                            f"{tag}: {len(found)} mediators from "
-                                            f"{_frame_name(q_frame)}"
-                                        )
+                        key = (b_pos, c_pos, result.pairs)
+                        messages = cocones.get(key)
+                        if messages is None:
+                            messages = cocones[key] = _cocone_failures(pool, homs, result)
+                        failures.extend(f"{tag}: {msg}" for msg in messages)
     corpus = f"spans and cocones over frames up to {opt.max_frame_size} elements"
     return corpus, cases, failures
+
+
+def _cocone_failures(pool, homs, result):
+    """The untagged failure messages of every cocone of one pushout, in order.
+
+    Each cocone hom is composed with its span leg once, and the homs into
+    the apex from a frame are enumerated only if some cocone from it has a
+    mediator.
+    """
+    f, g = result.span_left, result.span_right
+    messages = []
+    for q_frame in pool:
+        us = homs(q_frame, f.source)
+        vs = homs(q_frame, g.source)
+        if not us or not vs:
+            continue
+        vgs = [composed(v, g) for v in vs]
+        into_apex = None
+        for u in us:
+            uf = composed(u, f)
+            for v, vg in zip(vs, vgs):
+                if uf != vg:
+                    continue
+                try:
+                    m = pushout_mediator(result, u, v)
+                except (ValueError, VerificationError) as exc:
+                    messages.append(str(exc))
+                    continue
+                if into_apex is None:
+                    into_apex = _by_legs(
+                        iter_frame_homs(q_frame, result.apex),
+                        lambda h: (
+                            composed(h, result.proj_b),
+                            composed(h, result.proj_c),
+                        ),
+                    )
+                found = into_apex.get((u.mapping, v.mapping), [])
+                if found != [m]:
+                    messages.append(f"{len(found)} mediators from {_frame_name(q_frame)}")
+    return tuple(messages)
 
 
 # --- spatial ----------------------------------------------------------------

@@ -9,8 +9,23 @@ from hypothesis import strategies as st
 
 from finitetop import lifting, order, serialize
 from finitetop.bits import iter_bits, popcount
-from finitetop.errors import NotHomError, NotLatticeError, SizeError
-from finitetop.frames import FiniteFrame, chain_frame, downset_frame, frame_from_poset
+from finitetop.colimits import pushout_loc, pushout_mediator
+from finitetop.corpus import frames_upto
+from finitetop.errors import (
+    FinitetopError,
+    NotHomError,
+    NotLatticeError,
+    SizeError,
+    VerificationError,
+)
+from finitetop.frames import (
+    FiniteFrame,
+    chain_frame,
+    composed,
+    downset_frame,
+    frame_from_poset,
+    iter_frame_homs,
+)
 from finitetop.order import product_rows
 from finitetop.poset import validate_poset
 from finitetop.pstop import PsSpace
@@ -220,6 +235,97 @@ def literal_legs(result):
             leg.append(acc)
         legs.append(tuple(leg))
     return tuple(legs)
+
+
+def literal_loc_pushout(max_frame_size, mediator=pushout_mediator):
+    """LocPushout's case count and failure list, one span at a time.
+
+    The loop the suite ran before it checked cocones once per distinct
+    pushout, kept as its oracle: every span f: B -> A, g: C -> A is pushed
+    out and checks its own cocones, with `mediator` in place of
+    `pushout_mediator`.  Hom sets are enumerated once per pair of corpus
+    frames, and the homs into an apex once per span and cocone frame.
+    """
+    pool = frames_upto(max_frame_size)
+    hom_sets = {}
+
+    def homs(s, t):
+        key = (id(s), id(t))
+        if key not in hom_sets:
+            hom_sets[key] = tuple(iter_frame_homs(s, t))
+        return hom_sets[key]
+
+    def name(frame):
+        return "{" + ",".join(frame.labels) + "}"
+
+    failures = []
+    cases = 0
+    for a in pool:
+        for b in pool:
+            for c in pool:
+                tag = f"{name(b)} <- {name(a)} -> {name(c)}"
+                for f in homs(b, a):
+                    for g in homs(c, a):
+                        cases += 1
+                        try:
+                            result = pushout_loc(f, g)
+                        except FinitetopError as exc:
+                            failures.append(f"{tag}: {exc}")
+                            continue
+                        if len(set(f.mapping)) == a.n and len(set(result.proj_c.mapping)) != c.n:
+                            failures.append(f"{tag}: pushed leg lost injectivity")
+                        if len(set(g.mapping)) == a.n and len(set(result.proj_b.mapping)) != b.n:
+                            failures.append(f"{tag}: pushed leg lost injectivity")
+                        for q in pool:
+                            into_apex = None
+                            for u in homs(q, b):
+                                for v in homs(q, c):
+                                    if composed(u, f) != composed(v, g):
+                                        continue
+                                    try:
+                                        m = mediator(result, u, v)
+                                    except (ValueError, VerificationError) as exc:
+                                        failures.append(f"{tag}: {exc}")
+                                        continue
+                                    if into_apex is None:
+                                        into_apex = {}
+                                        for h in iter_frame_homs(q, result.apex):
+                                            legs = (
+                                                composed(h, result.proj_b),
+                                                composed(h, result.proj_c),
+                                            )
+                                            into_apex.setdefault(legs, []).append(h)
+                                    found = into_apex.get((u.mapping, v.mapping), [])
+                                    if found != [m]:
+                                        failures.append(
+                                            f"{tag}: {len(found)} mediators from {name(q)}"
+                                        )
+    return cases, failures
+
+
+def cocone_legs_swapped(mediator):
+    """A `pushout_mediator` mutant: wherever the span's two frames agree, the
+    mediator reads its first coordinate from the second cocone leg and its
+    second from the first."""
+
+    def mutant(result, u, v):
+        if result.span_left.source == result.span_right.source:
+            u, v = v, u
+        return mediator(result, u, v)
+
+    return mutant
+
+
+def tensor_action_dropping_the_last_pair(source, target, hom):
+    """A mutant of `colimits._tensor_action`: the last irreducible pair of
+    the source adds nothing to an image, and a union that is no element of
+    the target is sent to element 0."""
+    gs = source.grid
+    rt = target.grid.rt
+    per_bit = [rt[p][hom.mapping[q]] for p in gs.irr_left for q in gs.irr_right]
+    if per_bit:
+        per_bit[-1] = 0
+    return [target.index.get(order.gather(r, per_bit), 0) for r in source.family]
 
 
 def submasks(mask):

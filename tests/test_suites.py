@@ -7,7 +7,7 @@ import itertools
 import pytest
 
 import finitetop.suites as suites
-from finitetop import lifting, pstop
+from finitetop import colimits, lifting, pstop
 from finitetop.frames import GaloisConnection, iter_frame_homs, right_adjoint
 from finitetop.pstop import PsSpace
 from finitetop.serialize import canonical_json
@@ -22,10 +22,13 @@ from finitetop.suites import (
 
 from conftest import (
     clear_lifting_caches,
+    cocone_legs_swapped,
     discrete_space,
     glue_dropping_the_last_pair,
     least_member_only,
+    literal_loc_pushout,
     pins_ignoring_the_top,
+    tensor_action_dropping_the_last_pair,
 )
 
 SMALL = SuiteOptions(max_points=1, max_frame_size=2)
@@ -293,14 +296,9 @@ def test_the_pushout_suite_catches_a_mediator_that_pairs_the_wrong_coordinates(m
     """A mediator that reads its first coordinate from the second cocone
     leg and its second from the first, wherever the span's two frames
     agree, breaks the cocone check or the uniqueness of the mediator."""
-    mediator = suites.pushout_mediator
-
-    def swapped(result, u, v):
-        if result.span_left.source == result.span_right.source:
-            u, v = v, u
-        return mediator(result, u, v)
-
-    monkeypatch.setattr(suites, "pushout_mediator", swapped)
+    monkeypatch.setattr(
+        suites, "pushout_mediator", cocone_legs_swapped(suites.pushout_mediator)
+    )
     report = run_suite("LocPushout", SuiteOptions())
     assert (report.cases, len(report.failures)) == (34, 28)
     kinds = collections.Counter(failure.split(": ")[1] for failure in report.failures)
@@ -311,6 +309,60 @@ def test_the_pushout_suite_catches_a_mediator_that_pairs_the_wrong_coordinates(m
     assert report.failures[0] == "{a,b} <- {a} -> {a,b}: 1 mediators from {a,b,c}"
     assert _failures_digest(report) == (
         "f424a193d597861ff65b31320a77bb20070e7c53926eb5bb2dec6d01b788e6aa"
+    )
+    canonical_json([report_data(report)])
+
+
+@pytest.mark.parametrize("size", [3, 4])
+@pytest.mark.parametrize("mutated", [False, True], ids=["as-built", "legs-swapped"])
+def test_the_pushout_suite_matches_the_per_span_loop(monkeypatch, size, mutated):
+    """Checking cocones once per distinct pushout reports what checking
+    them once per span does: the same cases and the same failures in the
+    same order, with correct mediators and with cocone legs swapped."""
+    mediator = suites.pushout_mediator
+    if mutated:
+        mediator = cocone_legs_swapped(mediator)
+        monkeypatch.setattr(suites, "pushout_mediator", mediator)
+    report = run_suite("LocPushout", SuiteOptions(max_frame_size=size))
+    assert (report.cases, list(report.failures)) == literal_loc_pushout(size, mediator)
+    assert bool(report.failures) == mutated
+
+
+def test_the_pushout_suite_checks_each_distinct_pushout_once(monkeypatch):
+    """At frame size 4 the 846 spans have 236 distinct pushouts.  Their
+    cocones are checked once each: 5,763 mediators, not one per cocone of
+    every span (19,478).  Homs are enumerated 970 times, not 3,410: the
+    25 hom sets between corpus frames, and 945 sets of homs into an apex."""
+    calls = collections.Counter()
+
+    def counted(name):
+        original = getattr(suites, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return original(*args)
+
+        monkeypatch.setattr(suites, name, wrapper)
+
+    for name in ("pushout_loc", "pushout_mediator", "iter_frame_homs"):
+        counted(name)
+    report = run_suite("LocPushout", SuiteOptions(max_frame_size=4))
+    assert report.ok
+    assert report.cases == 846
+    assert calls == {"pushout_loc": 846, "pushout_mediator": 5763, "iter_frame_homs": 970}
+
+
+def test_the_distribution_suite_catches_a_tensor_action_missing_a_pair(monkeypatch):
+    """A tensor action that drops the last irreducible pair of its source
+    sends distinct elements to one image, or to one that is no hom."""
+    monkeypatch.setattr(colimits, "_tensor_action", tensor_action_dropping_the_last_pair)
+    report = run_suite("ProductDistributeLocale", SuiteOptions())
+    assert (report.cases, len(report.failures)) == (27, 16)
+    assert report.failures[0] == (
+        "{a,b} over {a} x {a,b}: the distribution map is not an order isomorphism"
+    )
+    assert _failures_digest(report) == (
+        "9158c16f827b0f886188a79f51617dc4808676c46140a5389b127e7a6298bb2e"
     )
     canonical_json([report_data(report)])
 
