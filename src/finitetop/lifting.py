@@ -43,19 +43,21 @@ by the memoized kernels `_corner` and `_power`.  Products are row-major
 a corner's classes are glued by `order.glue` and ordered by
 `order.quotient_rows`, the two halves of `order.glue_span`.
 `pushout_product`, `pullback_power` and `product_arrow` return the arrow
-of the resulting key with its points labelled by position, and `braiding`
-and `associator` certify their isomorphisms on `_corner`'s keys and
-classes.
+of the resulting key with its points labelled by position.
 
-Corner classes and comparisons never read an up row, so `_glued` builds
-them on set keys (source size, target size, mapping) and `_corner` adds
-only the rows.  `_reassociate` is the one comparison of a corner's two
-bracketings: the class map between them, on set keys, which must be a
-bijection commuting with the comparisons.  The verdict `_associates` is
-that map found, memoized on the three set keys, an exact key and not a
-canonical form; `associator` adds the order isomorphism on the rows.
-Every cache here is LRU-bounded, above what a default-bounds `check all`
-fills.
+A corner is its class array: classes and comparisons never read an up
+row, so `_glued` builds them on set keys (source size, target size,
+mapping) as `cls`, the class of every point of X x B and then of Y x A,
+and `_corner` adds only the rows; `_corner` and `_power` memoize their
+keys and nothing more.  `_descend` is the one kernel that turns a point
+map into a class map.  `braiding` descends the coordinate swap, and
+`_reassociate`, the one comparison of a corner's two bracketings, each
+block point's class on the left to its class on the right; either map
+must be a bijection commuting with the comparisons.  The verdict
+`_associates` is that map found, memoized on the three set keys, an
+exact key and not a canonical form; `associator` and `braiding` add the
+order isomorphism on `_corner`'s rows.  Every cache here is LRU-bounded,
+above what a default-bounds `check all` fills.
 
 Cell attachment glues with the labelled `poset.pushout`, the same one
 finite spaces and pseudotopologies use.  Its labels and the coproduct's
@@ -100,9 +102,10 @@ PRODUCT_POINT_CAP = 4096
 FACTORIZE_POINT_CAP = 512
 
 # Cache bounds.  A default-bounds `check all` creates about 5.1k corners
-# on about 1.9k set-level corners (`_glued`, shared by `_corner` and
-# `_associates`), 2.1k powers and at most 1,531 associativity verdicts (the
-# two-point corpus has 11 set keys, so 1,331 triples, plus 200 seeded).
+# on about 1.9k set-level corners (`_glued`, shared by `_corner`,
+# `braiding` and `_associates`), 2.1k powers and at most 1,531
+# associativity verdicts (the two-point corpus has 11 set keys, so 1,331
+# triples, plus 200 seeded).
 # The adjunction table asks the census about 11.4k pairs of class
 # representatives (11,441 at seed 0), each once, where the 85k triples
 # name 44.6k labelled pairs; `_arrow_class` sees 1.6k keys in at most 890
@@ -394,16 +397,17 @@ def coproduct_pre(parts, prefixes):
     )
 
 
-def _descend(cls, values, message):
-    """Per class 0, 1, ... of `cls`, the value all its points share.
+def _descend(cls, values):
+    """Per class 0, 1, ... of `cls`, the value all its points share, or None.
 
-    `values` runs over the same points as `cls`; a class whose points
-    disagree raises VerificationError with `message`.
+    `values` runs over the same points as `cls`, and every class must own
+    at least one of them.  None means some class's points disagree; each
+    caller raises its own error.
     """
     out = {}
     for k, v in zip(cls, values):
         if out.setdefault(k, v) != v:
-            raise VerificationError(message)
+            return None
     return tuple(out[k] for k in range(len(out)))
 
 
@@ -415,12 +419,13 @@ def _set_key(key):
 
 @lru_cache(maxsize=CORNER_CACHE_SIZE)
 def _glued(f_set, g_set):
-    """The pushout-product of two set keys: its set key, classes and point classes.
+    """The pushout-product of two set keys: its set key and the class of every point.
 
     The corner glues X x B (side 0) and Y x A (side 1) over X x A, with
-    products numbered row-major and classes by first occurrence; the
+    products numbered row-major and classes by first occurrence; `cls`
+    holds the class of each point of X x B and then of Y x A.  The
     comparison sends each class into Y x B and must agree on all its
-    members.  None of this reads an up row.  X x A is never built, but it
+    points.  None of this reads an up row.  X x A is never built, but it
     is refused over the product cap like the other three.
     """
     nx, ny, f_map = f_set
@@ -435,35 +440,32 @@ def _glued(f_set, g_set):
         cls,
         [y * nb + b for y in f_map for b in range(nb)]
         + [y * nb + b for y in range(ny) for b in g_map],
-        "pushout-product comparison is not well defined",
     )
-    classes = [[] for _ in mapping]
-    for p, k in enumerate(cls):
-        classes[k].append((0, p) if p < side else (1, p - side))
-    return (len(mapping), ny * nb, mapping), tuple(map(tuple, classes)), cls
+    if mapping is None:
+        raise VerificationError("pushout-product comparison is not well defined")
+    return (len(mapping), ny * nb, mapping), cls
 
 
 @lru_cache(maxsize=CORNER_CACHE_SIZE)
 def _corner(f_key, g_key):
-    """The pushout-product of two arrow keys: its key and its corner classes.
+    """The pushout-product of two arrow keys: rows, target rows and comparison.
 
     `_glued` numbers the classes; the corner orders them by `quotient_rows`
     of X x B beside Y x A.
     """
     x_up, y_up, _ = f_key
     a_up, b_up, _ = g_key
-    (_, _, mapping), classes, cls = _glued(_set_key(f_key), _set_key(g_key))
+    (_, _, mapping), cls = _glued(_set_key(f_key), _set_key(g_key))
     side = len(x_up) * len(b_up)
     rows = quotient_rows(
         cls, product_rows(x_up, b_up) + tuple(r << side for r in product_rows(y_up, a_up))
     )
-    return (rows, product_rows(y_up, b_up), mapping), classes
+    return rows, product_rows(y_up, b_up), mapping
 
 
 def pushout_product(f, g):
     """The induced map from X x B glued with Y x A over X x A into Y x B."""
-    key, _ = _corner(f.key, g.key)
-    return _arrow_from_key(key)
+    return _arrow_from_key(_corner(f.key, g.key))
 
 
 def _capped_maps(src_up, dst_up):
@@ -500,7 +502,7 @@ def _pointwise_rows(base_up, mappings):
 
 @lru_cache(maxsize=POWER_CACHE_SIZE)
 def _power(f_key, g_key):
-    """The pullback-power of two arrow keys: its key and its apex pairs.
+    """The pullback-power of two arrow keys: source rows, apex rows and comparison.
 
     The apex point (i, j) pairs the i-th map of X^A with the j-th map of
     Y^B that agree in Y^A, maps numbered in fill order.  The apex is
@@ -535,7 +537,7 @@ def _power(f_key, g_key):
         pos[(tuple(beta[b] for b in g_map), tuple(f_map[v] for v in beta))]
         for beta in xb
     )
-    return (_pointwise_rows(x_up, xb), tuple(rows), mapping), tuple(pairs)
+    return _pointwise_rows(x_up, xb), tuple(rows), mapping
 
 
 def pullback_power(f, g):
@@ -543,8 +545,7 @@ def pullback_power(f, g):
 
     The arrow of `_power`'s key; the bench tracer wraps it by name.
     """
-    key, _ = _power(f.key, g.key)
-    return _arrow_from_key(key)
+    return _arrow_from_key(_power(f.key, g.key))
 
 
 def _numbering():
@@ -567,8 +568,8 @@ def adjunction_failures(fs, gs, is_):
     classes, number = _numbering()
     f_cls = [number(_arrow_class(f.key)) for f in fs]
     g_cls = [number(_arrow_class(g.key)) for g in gs]
-    corner = [[number(_arrow_class(_corner(f.key, i.key)[0])) for i in is_] for f in fs]
-    power = [[number(_arrow_class(_power(g.key, i.key)[0])) for i in is_] for g in gs]
+    corner = [[number(_arrow_class(_corner(f.key, i.key))) for i in is_] for f in fs]
+    power = [[number(_arrow_class(_power(g.key, i.key))) for i in is_] for g in gs]
     reps = list(classes)
 
     def table(outer, inner, census):
@@ -635,28 +636,23 @@ def arrow_iso(m1, m2):
 def braiding(f, g):
     """The swap isomorphism between f pushout-product g and g pushout-product f.
 
-    The mediator transposes pair coordinates on both the glued corner and
-    the target product; the certificate checks class structure, order
-    transfer in both directions, and commutation with the comparisons.
+    The swap transposes pair coordinates: point (x, b) of X x B goes to
+    (b, x) of B x X, and (y, a) of Y x A to (a, y) of A x Y.  `_descend`
+    turns it into a class map on the two set-level corners; the
+    certificate checks that it respects the classes, transfers the order
+    both ways on the corners and the targets, and commutes with the
+    comparisons.
     """
-    key1, classes1 = _corner(f.key, g.key)
-    key2, classes2 = _corner(g.key, f.key)
     nx, ny = len(f.key[0]), len(f.key[1])
     na, nb = len(g.key[0]), len(g.key[1])
-    cls2 = {member: k for k, members in enumerate(classes2) for member in members}
-    top = []
-    for members in classes1:
-        targets = set()
-        for side, idx in members:
-            if side == 0:
-                x, b = divmod(idx, nb)
-                targets.add(cls2[(1, b * nx + x)])
-            else:
-                y, a = divmod(idx, na)
-                targets.add(cls2[(0, a * ny + y)])
-        if len(targets) != 1:
-            raise NotIsoError("the swap does not respect the glued classes")
-        top.append(targets.pop())
+    _, cls1 = _glued(_set_key(f.key), _set_key(g.key))
+    _, cls2 = _glued(_set_key(g.key), _set_key(f.key))
+    moved = [na * ny + b * nx + x for x in range(nx) for b in range(nb)]
+    moved += [a * ny + y for y in range(ny) for a in range(na)]
+    top = _descend(cls1, [cls2[p] for p in moved])
+    if top is None:
+        raise NotIsoError("the swap does not respect the glued classes")
+    key1, key2 = _corner(f.key, g.key), _corner(g.key, f.key)
     (rows1, yb_up, map1), (rows2, by_up, map2) = key1, key2
     if not is_isomorphism(rows1, rows2, top):
         raise NotIsoError("the swap is not an order isomorphism on the corner")
@@ -668,86 +664,35 @@ def braiding(f, g):
     return _iso_between(_arrow_from_key(key1), _arrow_from_key(key2), top, bottom)
 
 
-def _expand_lhs(classes, inner, na, nb, na2, nb2):
-    """Flat coordinates per corner class of (f x^ g) x^ h.
-
-    `inner` holds the classes of f x^ g; g has na source and nb target
-    points, h has na2 and nb2.
-    """
-    out = []
-    for members in classes:
-        flats = []
-        for side, idx in members:
-            if side == 0:
-                p1, b2 = divmod(idx, nb2)
-                for iside, iidx in inner[p1]:
-                    if iside == 0:
-                        x, b = divmod(iidx, nb)
-                        flats.append((0, x, b, b2))
-                    else:
-                        y, a = divmod(iidx, na)
-                        flats.append((1, y, a, b2))
-            else:
-                yb, a2 = divmod(idx, na2)
-                y, b = divmod(yb, nb)
-                flats.append((2, y, b, a2))
-        out.append(flats)
-    return out
-
-
-def _expand_rhs(classes, inner, nb, na2, nb2):
-    """Flat coordinates per corner class of f x^ (g x^ h).
-
-    `inner` holds the classes of g x^ h; g has nb target points, h has na2
-    source and nb2 target points.
-    """
-    out = []
-    for members in classes:
-        flats = []
-        for side, idx in members:
-            if side == 0:
-                x, bb2 = divmod(idx, nb * nb2)
-                b, b2 = divmod(bb2, nb2)
-                flats.append((0, x, b, b2))
-            else:
-                y, p2 = divmod(idx, len(inner))
-                for iside, iidx in inner[p2]:
-                    if iside == 0:
-                        a, b2 = divmod(iidx, nb2)
-                        flats.append((1, y, a, b2))
-                    else:
-                        b, a2 = divmod(iidx, na2)
-                        flats.append((2, y, b, a2))
-        out.append(flats)
-    return out
-
-
 def _reassociate(f_set, g_set, h_set):
     """The class map (f x^ g) x^ h -> f x^ (g x^ h) on set keys.
 
-    Both corners glue the same three product blocks, so the map is induced
-    by the identity on block coordinates.  Raises NotIsoError unless it is
-    a bijection of classes that commutes with the comparisons, through the
-    row-major identification of the two target products.
+    Both corners glue the blocks X x B x B2, Y x A x B2 and Y x B x A2, so
+    the identity on block points, read through the inner corners' classes,
+    descends to the map; every left class owns a block point.  Raises
+    NotIsoError unless it is a well-defined bijection of classes that
+    commutes with the comparisons, through the row-major identification of
+    the two target products.
     """
-    fg_set, fg_classes, _ = _glued(f_set, g_set)
-    (_, _, lhs_map), lhs_classes, _ = _glued(fg_set, h_set)
-    gh_set, gh_classes, _ = _glued(g_set, h_set)
-    (_, _, rhs_map), rhs_classes, _ = _glued(f_set, gh_set)
-    na, nb, _ = g_set
-    na2, nb2, _ = h_set
-    rhs_of = {
-        fl: k
-        for k, flats in enumerate(_expand_rhs(rhs_classes, gh_classes, nb, na2, nb2))
-        for fl in flats
-    }
-    top = []
-    for flats in _expand_lhs(lhs_classes, fg_classes, na, nb, na2, nb2):
-        targets = {rhs_of[fl] for fl in flats}
-        if len(targets) != 1:
-            raise NotIsoError("re-association does not respect the glued classes")
-        top.append(targets.pop())
-    if sorted(top) != list(range(len(rhs_classes))):
+    fg_set, fg = _glued(f_set, g_set)
+    (_, _, lhs_map), lhs = _glued(fg_set, h_set)
+    gh_set, gh = _glued(g_set, h_set)
+    (n_rhs, _, rhs_map), rhs = _glued(f_set, gh_set)
+    nb2 = h_set[1]
+    # Each block point's class on either side, blocks in the order above.
+    # Left, side 0 is (f x^ g) x B2, reached from X x B and Y x A through
+    # `fg`, and side 1 is Y x B x A2 itself.
+    left = [lhs[p * nb2 + b2] for p in fg for b2 in range(nb2)] + list(lhs[fg_set[0] * nb2 :])
+    # Right, side 0 is X x B x B2 itself, and side 1 is Y x (g x^ h), reached
+    # per y from A x B2 and then from B x A2 through `gh`.
+    side, split = f_set[0] * gh_set[1], g_set[0] * nb2
+    offsets = [side + y * gh_set[0] for y in range(f_set[1])]
+    right = list(rhs[:side])
+    right += [rhs[o + q] for block in (gh[:split], gh[split:]) for o in offsets for q in block]
+    top = _descend(left, right)
+    if top is None:
+        raise NotIsoError("re-association does not respect the glued classes")
+    if sorted(top) != list(range(n_rhs)):
         raise NotIsoError("re-association is not a bijection of the glued classes")
     if any(v != rhs_map[t] for v, t in zip(lhs_map, top)):
         raise NotIsoError("re-association does not commute with the comparisons")
@@ -761,8 +706,8 @@ def associator(f, g, h):
     order transfers both ways and that the target products agree.
     """
     top = _reassociate(_set_key(f.key), _set_key(g.key), _set_key(h.key))
-    lhs_key, _ = _corner(_corner(f.key, g.key)[0], h.key)
-    rhs_key, _ = _corner(f.key, _corner(g.key, h.key)[0])
+    lhs_key = _corner(_corner(f.key, g.key), h.key)
+    rhs_key = _corner(f.key, _corner(g.key, h.key))
     (lhs_rows, lhs_target, _), (rhs_rows, rhs_target, _) = lhs_key, rhs_key
     if not is_isomorphism(lhs_rows, rhs_rows, top):
         raise NotIsoError("re-association is not an order isomorphism on the corner")
@@ -901,11 +846,9 @@ def cell_attach(right, generators, problems):
             bottoms[p] = bottom[v]
     points, rows, step, cells = pushout(right.source, sigb, sigma, sig_s)
     apex = Preorder(points, rows, validate=False)
-    new_right = _descend(
-        step + cells,
-        right.mapping + tuple(bottoms),
-        "the extended right factor is not well defined",
-    )
+    new_right = _descend(step + cells, right.mapping + tuple(bottoms))
+    if new_right is None:
+        raise VerificationError("the extended right factor is not well defined")
     return CellStage(
         tuple(problems),
         apex,

@@ -14,6 +14,7 @@ from finitetop.corpus import frames_upto
 from finitetop.errors import (
     FinitetopError,
     NotHomError,
+    NotIsoError,
     NotLatticeError,
     SizeError,
     VerificationError,
@@ -596,8 +597,8 @@ def adjunction_failures_oracle(fs, gs, is_):
         for f, fm in enumerate(fs)
         for g, gm in enumerate(gs)
         for i, im in enumerate(is_)
-        if lifting._lifts(lifting._corner(fm.key, im.key)[0], gm.key)
-        != lifting._lifts(fm.key, lifting._power(gm.key, im.key)[0])
+        if lifting._lifts(lifting._corner(fm.key, im.key), gm.key)
+        != lifting._lifts(fm.key, lifting._power(gm.key, im.key))
     ]
 
 
@@ -613,6 +614,138 @@ def associativity_failures_oracle(fs, gs, hs):
     ]
 
 
+def corner_members(f_set, g_set):
+    """The member lists of a corner's classes, rebuilt from `_glued`'s class array.
+
+    Class k lists its points in order, (0, x * nb + b) for a point of
+    X x B and (1, y * na + a) for a point of Y x A.
+    """
+    side = f_set[0] * g_set[1]
+    _, cls = lifting._glued(f_set, g_set)
+    members = [[] for _ in range(max(cls, default=-1) + 1)]
+    for p, k in enumerate(cls):
+        members[k].append((0, p) if p < side else (1, p - side))
+    return tuple(map(tuple, members))
+
+
+def literal_swap(f, g):
+    """The braiding's class map by the member-list loop it replaced.
+
+    The literal oracle of `lifting.braiding`: each class of f x^ g sends
+    its members through the coordinate swap and must land in one class of
+    g x^ f; then the same order, target and commutation checks, with the
+    same messages.  Returns the class map.
+    """
+    rows1, yb_up, map1 = lifting._corner(f.key, g.key)
+    rows2, by_up, map2 = lifting._corner(g.key, f.key)
+    f_set, g_set = lifting._set_key(f.key), lifting._set_key(g.key)
+    nx, ny, _ = f_set
+    na, nb, _ = g_set
+    cls2 = {m: k for k, members in enumerate(corner_members(g_set, f_set)) for m in members}
+    top = []
+    for members in corner_members(f_set, g_set):
+        targets = set()
+        for side, idx in members:
+            if side == 0:
+                x, b = divmod(idx, nb)
+                targets.add(cls2[(1, b * nx + x)])
+            else:
+                y, a = divmod(idx, na)
+                targets.add(cls2[(0, a * ny + y)])
+        if len(targets) != 1:
+            raise NotIsoError("the swap does not respect the glued classes")
+        top.append(targets.pop())
+    if not order.is_isomorphism(rows1, rows2, top):
+        raise NotIsoError("the swap is not an order isomorphism on the corner")
+    bottom = [b * ny + y for y in range(ny) for b in range(nb)]
+    if not order.is_isomorphism(yb_up, by_up, bottom):
+        raise NotIsoError("the swap is not an order isomorphism on the target")
+    if any(bottom[v] != map2[t] for v, t in zip(map1, top)):
+        raise NotIsoError("the swap does not commute with the comparisons")
+    return tuple(top)
+
+
+def _expand_lhs(classes, inner, na, nb, na2, nb2):
+    """Flat coordinates per corner class of (f x^ g) x^ h, from member lists."""
+    out = []
+    for members in classes:
+        flats = []
+        for side, idx in members:
+            if side == 0:
+                p1, b2 = divmod(idx, nb2)
+                for iside, iidx in inner[p1]:
+                    if iside == 0:
+                        x, b = divmod(iidx, nb)
+                        flats.append((0, x, b, b2))
+                    else:
+                        y, a = divmod(iidx, na)
+                        flats.append((1, y, a, b2))
+            else:
+                yb, a2 = divmod(idx, na2)
+                y, b = divmod(yb, nb)
+                flats.append((2, y, b, a2))
+        out.append(flats)
+    return out
+
+
+def _expand_rhs(classes, inner, nb, na2, nb2):
+    """Flat coordinates per corner class of f x^ (g x^ h), from member lists."""
+    out = []
+    for members in classes:
+        flats = []
+        for side, idx in members:
+            if side == 0:
+                x, bb2 = divmod(idx, nb * nb2)
+                b, b2 = divmod(bb2, nb2)
+                flats.append((0, x, b, b2))
+            else:
+                y, p2 = divmod(idx, len(inner))
+                for iside, iidx in inner[p2]:
+                    if iside == 0:
+                        a, b2 = divmod(iidx, nb2)
+                        flats.append((1, y, a, b2))
+                    else:
+                        b, a2 = divmod(iidx, na2)
+                        flats.append((2, y, b, a2))
+        out.append(flats)
+    return out
+
+
+def literal_reassociate(f_set, g_set, h_set):
+    """The re-association class map by the member-list expansion it replaced.
+
+    The literal oracle of `lifting._reassociate`: every class of either
+    bracketing is expanded to its flat block coordinates through the
+    inner corner's members, each left class must land in one right
+    class, and the map must be a bijection commuting with the
+    comparisons, with the same messages.  Returns the class map.
+    """
+    fg_set, _ = lifting._glued(f_set, g_set)
+    (_, _, lhs_map), _ = lifting._glued(fg_set, h_set)
+    gh_set, _ = lifting._glued(g_set, h_set)
+    (_, _, rhs_map), _ = lifting._glued(f_set, gh_set)
+    fg_classes, gh_classes = corner_members(f_set, g_set), corner_members(g_set, h_set)
+    lhs_classes, rhs_classes = corner_members(fg_set, h_set), corner_members(f_set, gh_set)
+    na, nb, _ = g_set
+    na2, nb2, _ = h_set
+    rhs_of = {
+        fl: k
+        for k, flats in enumerate(_expand_rhs(rhs_classes, gh_classes, nb, na2, nb2))
+        for fl in flats
+    }
+    top = []
+    for flats in _expand_lhs(lhs_classes, fg_classes, na, nb, na2, nb2):
+        targets = {rhs_of[fl] for fl in flats}
+        if len(targets) != 1:
+            raise NotIsoError("re-association does not respect the glued classes")
+        top.append(targets.pop())
+    if sorted(top) != list(range(len(rhs_classes))):
+        raise NotIsoError("re-association is not a bijection of the glued classes")
+    if any(v != rhs_map[t] for v, t in zip(lhs_map, top)):
+        raise NotIsoError("re-association does not commute with the comparisons")
+    return tuple(top)
+
+
 def clear_lifting_caches():
     """Empty every memo of the lifting layer, so no verdict outlives a mutant."""
     for cache in (
@@ -622,6 +755,7 @@ def clear_lifting_caches():
         lifting._corner,
         lifting._power,
         lifting._associates,
+        lifting._arrow_autos,
     ):
         cache.cache_clear()
     lifting._CLASSES.clear()

@@ -1,21 +1,24 @@
 """Lifting problems in preorders: squares, pushout products, factorizations."""
 
 import dataclasses
+import gc
 import hashlib
 import itertools
 import json
+import tracemalloc
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from finitetop import lifting, order
-from finitetop.corpus import all_preorders_labelled, all_spaces
+from finitetop.corpus import all_preorders_labelled, all_spaces, spaces_upto
 from finitetop.errors import (
     CarrierMismatchError,
     DuplicateLabelError,
     FinitetopError,
     NonCommutingError,
+    NotIsoError,
     NotMonotoneError,
     SizeError,
     TopologyError,
@@ -60,8 +63,11 @@ from conftest import (
     adjunction_failures_oracle,
     associativity_failures_oracle,
     clear_lifting_caches,
+    corner_members,
     garbage_after,
     glue_dropping_the_last_pair,
+    literal_reassociate,
+    literal_swap,
     pins_ignoring_the_top,
     sierpinski,
 )
@@ -279,7 +285,7 @@ def test_coproduct_prefixes_labels():
 
 def _power_rows(base, exponent):
     """Rows of base^exponent: the source of id_base pullback-power (empty -> exponent)."""
-    (rows, _, _), _ = lifting._power(identity_arrow(base).key, PreMap(EMPTY, exponent, ()).key)
+    rows, _, _ = lifting._power(identity_arrow(base).key, PreMap(EMPTY, exponent, ()).key)
     return rows
 
 
@@ -428,8 +434,12 @@ def _monotone_maps(src_up, dst_up):
     ]
 
 
-def _check_corner_literally(f, g, key, classes):
-    """Glue the corner by graph search and compare classes, order and comparison."""
+def _check_corner_literally(f, g, key):
+    """Glue the corner by graph search and compare classes, order and comparison.
+
+    The classes are `_glued`'s, as member lists.
+    """
+    classes = corner_members(lifting._set_key(f.key), lifting._set_key(g.key))
     nb, na = g.target.n, g.source.n
     points = [(0, x * nb + b) for x in range(f.source.n) for b in range(nb)]
     points += [(1, y * na + a) for y in range(f.target.n) for a in range(na)]
@@ -476,8 +486,12 @@ def _check_corner_literally(f, g, key, classes):
             assert mapping[k] == y * nb + g.mapping[a]
 
 
-def _check_power_literally(f, g, key, pairs):
-    """Enumerate maps by brute force and compare the pullback and the comparison."""
+def _check_power_literally(f, g, key):
+    """Enumerate maps by brute force and compare the pullback and the comparison.
+
+    The apex numbers the agreeing pairs (i, j) of the i-th map of X^A and
+    the j-th of Y^B, maps in fill order, i-major and then j ascending.
+    """
     agreeing = [
         (alpha, delta)
         for alpha in _monotone_maps(g.source.up, f.source.up)
@@ -487,7 +501,12 @@ def _check_power_literally(f, g, key, pairs):
     source, target, mapping = key
     xa = order.maps(g.source.up, f.source.up)
     yb = order.maps(g.target.up, f.target.up)
-    points = [(xa[i], yb[j]) for i, j in pairs]
+    points = [
+        (alpha, delta)
+        for alpha in xa
+        for delta in yb
+        if all(f.mapping[alpha[a]] == delta[g.mapping[a]] for a in range(g.source.n))
+    ]
     assert sorted(points) == sorted(agreeing)
     for k, (alpha, delta) in enumerate(points):
         for k2, (alpha2, delta2) in enumerate(points):
@@ -512,17 +531,20 @@ def _check_power_literally(f, g, key, pairs):
 def test_memoized_corner_and_power_match_fresh_builds(fs, gs):
     """The memoized kernels against a cold rebuild and the literal oracles."""
     (f, f_twin), (g, g_twin) = fs, gs
+    sets = lifting._set_key(f.key), lifting._set_key(g.key)
+    glued = lifting._glued(*sets)
     corner = lifting._corner(f.key, g.key)
     power = lifting._power(f.key, g.key)
     lifting._glued.cache_clear()
     lifting._corner.cache_clear()
     lifting._power.cache_clear()
-    assert pushout_product(f_twin, g_twin).key == corner[0]
-    assert pullback_power(f_twin, g_twin).key == power[0]
+    assert pushout_product(f_twin, g_twin).key == corner
+    assert pullback_power(f_twin, g_twin).key == power
+    assert lifting._glued(*sets) == glued
     assert lifting._corner(f_twin.key, g_twin.key) == corner
     assert lifting._power(f_twin.key, g_twin.key) == power
-    _check_corner_literally(f, g, *corner)
-    _check_power_literally(f, g, *power)
+    _check_corner_literally(f, g, corner)
+    _check_power_literally(f, g, power)
 
 
 CUBE = arrows_between(_preorder_pool(2))
@@ -560,7 +582,7 @@ def test_every_power_of_the_two_point_cube_matches_the_literal_build():
     assert len(CUBE) == 44
     assert {CELL.key, identity_arrow(EMPTY).key} <= {m.key for m in CUBE}
     for f, g in itertools.product(CUBE, repeat=2):
-        _check_power_literally(f, g, *lifting._power(f.key, g.key))
+        _check_power_literally(f, g, lifting._power(f.key, g.key))
 
 
 def _census_misses(run):
@@ -673,8 +695,10 @@ def _associates_oracle(f, g, h):
     f = arrow(f)
     g = arrow(g)
     h = arrow(h)
-    (_, _, map1), classes1 = lifting._corner(f.key, g.key)
-    (_, _, map2), classes2 = lifting._corner(g.key, h.key)
+    _, _, map1 = lifting._corner(f.key, g.key)
+    _, _, map2 = lifting._corner(g.key, h.key)
+    classes1 = corner_members(lifting._set_key(f.key), lifting._set_key(g.key))
+    classes2 = corner_members(lifting._set_key(g.key), lifting._set_key(h.key))
     nx, ny = f.source.n, f.target.n
     na, nb = g.source.n, g.target.n
     na2, nb2 = h.source.n, h.target.n
@@ -788,6 +812,161 @@ def test_associates_matches_the_literal_oracle_on_arrow_and_order_twins(fs, gs, 
     assert associates(*order_twins) == verdict
     assert lifting._associates.cache_info().hits == hits + 1
     assert _associates_oracle(*order_twins) == verdict
+
+
+SET_KEYS = tuple(dict.fromkeys(lifting._set_key(m.key) for m in CUBE))
+
+
+def test_the_class_maps_are_the_member_list_loops_on_the_cube():
+    """`_reassociate` on all 11^3 set-key triples and `braiding` on all
+    44^2 pairs give exactly the class maps of the member-list loops."""
+    assert len(SET_KEYS) == 11
+    for triple in itertools.product(SET_KEYS, repeat=3):
+        assert lifting._reassociate(*triple) == literal_reassociate(*triple)
+    for f, g in itertools.product(CUBE, repeat=2):
+        assert braiding(f, g).top.mapping == literal_swap(f, g)
+
+
+def _outcome(run):
+    """What run() returns, or the type and message of the FinitetopError it raises."""
+    try:
+        return run()
+    except FinitetopError as exc:
+        return type(exc), str(exc)
+
+
+TO_D2 = PreMap(EMPTY, D2, ())
+ID_PT = identity_arrow(PT)
+
+
+@settings(max_examples=60, deadline=None)
+@given(arrow_twins(), arrow_twins(), arrow_twins())
+@example((TO_D2, TO_D2), (ID_PT, ID_PT), (ID_PT, ID_PT))
+@example((ID_PT, ID_PT), (ID_PT, ID_PT), (TO_D2, TO_D2))
+def test_the_class_maps_match_the_member_list_loops_under_the_glue_mutant(fs, gs, hs):
+    """Unmutated and with the last gluing pair of every corner dropped,
+    both sides give the same class map or raise the same message.  The
+    two examples fail re-association under the mutant, one by each message
+    it reaches on the cube."""
+    f, g, h = fs[0], gs[1], hs[0]
+    sets = [lifting._set_key(m.key) for m in (f, g, h)]
+
+    def agree():
+        assert _outcome(lambda: lifting._reassociate(*sets)) == _outcome(
+            lambda: literal_reassociate(*sets)
+        )
+        assert _outcome(lambda: braiding(f, g).top.mapping) == _outcome(lambda: literal_swap(f, g))
+
+    agree()
+    clear_lifting_caches()
+    try:
+        with pytest.MonkeyPatch.context() as m:
+            m.setattr(lifting, "glue", glue_dropping_the_last_pair)
+            agree()
+    finally:
+        clear_lifting_caches()
+
+
+def _split_a_class(glued):
+    """The last point of the first class of two or more moved to a class of its own."""
+    (n, t, mapping), cls = glued
+    k = next(k for k in range(n) if cls.count(k) > 1)
+    p = len(cls) - 1 - cls[::-1].index(k)
+    return (n + 1, t, mapping + (mapping[k],)), cls[:p] + (n,) + cls[p + 1 :]
+
+
+def _merge_the_last_two_classes(glued):
+    (n, t, mapping), cls = glued
+    return (n - 1, t, mapping[:-1]), tuple(min(k, n - 2) for k in cls)
+
+
+def _shift_the_comparison(glued):
+    (n, t, mapping), cls = glued
+    return (n, t, tuple((v + 1) % t for v in mapping)), cls
+
+
+def _raise_the_last_target_row(key):
+    rows, target, mapping = key
+    return rows, target[:-1] + ((1 << len(target)) - 1,), mapping
+
+
+def _patched(name, args, change):
+    """`lifting.<name>` with `change` applied to its result on `args` alone."""
+    real = getattr(lifting, name)
+    return lambda *a: change(real(*a)) if a == args else real(*a)
+
+
+# A triple whose four corners (f, g), (f x^ g, h), (g, h) and (f, g x^ h)
+# have distinct set keys, so an altered corner is altered alone.
+_F, _G, _H = EDGE, FOLD, TO_D2
+_SETS = tuple(lifting._set_key(m.key) for m in (_F, _G, _H))
+_GH_SET, _ = lifting._glued(_SETS[1], _SETS[2])
+SWAP_REFUSALS = [
+    ("_glued", _SETS[1::-1], _split_a_class, "the swap does not respect the glued classes"),
+    (
+        "_glued",
+        _SETS[1::-1],
+        _merge_the_last_two_classes,
+        "the swap is not an order isomorphism on the corner",
+    ),
+    (
+        "_corner",
+        (_G.key, _F.key),
+        _raise_the_last_target_row,
+        "the swap is not an order isomorphism on the target",
+    ),
+    (
+        "_glued",
+        _SETS[1::-1],
+        _shift_the_comparison,
+        "the swap does not commute with the comparisons",
+    ),
+]
+REASSOCIATION_REFUSALS = [
+    ("_glued", (_SETS[0], _GH_SET), change, message)
+    for change, message in [
+        (_split_a_class, "re-association does not respect the glued classes"),
+        (_merge_the_last_two_classes, "re-association is not a bijection of the glued classes"),
+        (_shift_the_comparison, "re-association does not commute with the comparisons"),
+    ]
+]
+
+
+@pytest.mark.parametrize(
+    "name, args, change, message, run",
+    [(*case, lambda: braiding(_F, _G)) for case in SWAP_REFUSALS]
+    + [(*case, lambda: literal_swap(_F, _G)) for case in SWAP_REFUSALS]
+    + [(*case, lambda: lifting._reassociate(*_SETS)) for case in REASSOCIATION_REFUSALS]
+    + [(*case, lambda: literal_reassociate(*_SETS)) for case in REASSOCIATION_REFUSALS],
+)
+def test_every_class_map_refusal_is_reached(monkeypatch, name, args, change, message, run):
+    """One corner altered: split a class, merge two, shift its comparison or
+    raise a target row.  The braiding, the re-association and their
+    member-list oracles each refuse with the message of that check."""
+    clear_lifting_caches()
+    try:
+        with monkeypatch.context() as m:
+            m.setattr(lifting, name, _patched(name, args, change))
+            with pytest.raises(NotIsoError, match=f"^{message}$"):
+                run()
+    finally:
+        clear_lifting_caches()
+
+
+def test_a_class_that_disagrees_descends_to_nothing(monkeypatch):
+    """`_descend` returns None; the corner's comparison then refuses as before."""
+    assert lifting._descend((0, 1, 0), "aba") == ("a", "b")
+    assert lifting._descend((0, 1, 0), "abc") is None
+    clear_lifting_caches()
+    try:
+        with monkeypatch.context() as m:
+            m.setattr(lifting, "glue", lambda total, pairs: [0] * total)
+            with pytest.raises(
+                VerificationError, match="^pushout-product comparison is not well defined$"
+            ):
+                lifting._glued(*_SETS[:2])
+    finally:
+        clear_lifting_caches()
 
 
 def test_associates_runs_once_per_triple_of_sizes_and_mappings():
@@ -965,7 +1144,7 @@ def renumbered_twins(draw):
 
 # A seeded corner of two 3-point arrows (11 points over 9) and a 3-point
 # arrow it does not lift against; the census streams bottoms on this pair.
-SEEDED_CORNER, _ = lifting._corner(
+SEEDED_CORNER = lifting._corner(
     ((3, 2, 6), (3, 2, 7), (0, 1, 0)), ((1, 6, 6), (5, 7, 5), (0, 0, 0))
 )
 SEEDED_RIGHT = ((5, 2, 4), (1, 2, 7), (2, 1, 2))
@@ -1046,7 +1225,8 @@ def test_the_lifting_caches_evict_nothing_at_the_default_bounds(monkeypatch):
 
     A miss adds one entry and only an eviction removes one, so the run
     evicts nothing exactly when the misses equal the size.  `_glued` holds
-    the set-level corners of `_corner` and of `_associates`.  The table of arrow-class representatives starts empty and never fills.
+    the set-level corners of `_corner`, `braiding` and `_associates`.  The
+    table of arrow-class representatives starts empty and never fills.
     The run leaves no cyclic garbage, so reference counting frees all it drops.
     """
     caches = (
@@ -1070,6 +1250,28 @@ def test_the_lifting_caches_evict_nothing_at_the_default_bounds(monkeypatch):
         assert info.misses == info.currsize < info.maxsize, cache.__name__
     assert lifting._associates.cache_info().misses <= 11**3 + SuiteOptions().samples
     assert 0 < lifting._CLASSES.size < lifting._CLASSES.bound
+
+
+def test_the_lifting_caches_hold_little_after_the_lifting_group():
+    """The lifting group from cold caches leaves under 10 MiB traced and held.
+
+    The corpora are built first, so what stays held is what the memos
+    keep: keys and class arrays, no member lists and no apex pairs.  It
+    read 12.09 MiB with them and 8.45 MiB without.
+    """
+    for n in range(SuiteOptions().max_points + 1):
+        spaces_upto(n)
+    clear_lifting_caches()
+    order.maps.cache_clear()
+    gc.collect()
+    tracemalloc.start()
+    try:
+        assert all(r.ok for r in run_group("lifting", SuiteOptions()))
+        gc.collect()
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert held < 10 * 2**20, held
 
 
 def test_factorize_map_with_rlp_needs_no_stages():
@@ -1140,7 +1342,7 @@ def test_a_stage_of_eleven_cells_replays_after_a_json_round_trip():
 def test_cell_attach_refuses_a_problem_that_does_not_commute():
     """The glued cell point would need two values under the extended right factor."""
     right = PreMap(PT, C2, (0,))
-    with pytest.raises(VerificationError, match="not well defined"):
+    with pytest.raises(VerificationError, match="^the extended right factor is not well defined$"):
         cell_attach(right, [identity_arrow(PT)], [(0, (0,), (1,))])
 
 
