@@ -12,7 +12,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from finitetop import lifting, order
-from finitetop.corpus import all_preorders_labelled, all_spaces, spaces_upto
+from finitetop.corpus import all_preorders_labelled, all_spaces
 from finitetop.errors import (
     CarrierMismatchError,
     DuplicateLabelError,
@@ -472,6 +472,8 @@ def _check_corner_literally(f, g, key):
         relation |= more
     rows, target, mapping = key
     n = len(classes)
+    assert len(rows) == len(mapping) == n and all(row >> n == 0 for row in rows)
+    assert len(target) == f.target.n * nb and all(row >> len(target) == 0 for row in target)
     assert relation == {(k, k2) for k in range(n) for k2 in range(n) if rows[k] >> k2 & 1}
     for (y, b), (y2, b2) in itertools.product(itertools.product(range(f.target.n), range(nb)), repeat=2):
         pointwise = f.target.leq_idx(y, y2) and g.target.leq_idx(b, b2)
@@ -508,6 +510,7 @@ def _check_power_literally(f, g, key):
         if all(f.mapping[alpha[a]] == delta[g.mapping[a]] for a in range(g.source.n))
     ]
     assert sorted(points) == sorted(agreeing)
+    assert len(target) == len(points) and all(row >> len(points) == 0 for row in target)
     for k, (alpha, delta) in enumerate(points):
         for k2, (alpha2, delta2) in enumerate(points):
             pointwise = all(f.source.leq_idx(u, v) for u, v in zip(alpha, alpha2)) and all(
@@ -516,6 +519,8 @@ def _check_power_literally(f, g, key):
             assert bool(target[k] >> k2 & 1) == pointwise
 
     xb = order.maps(g.target.up, f.source.up)
+    assert len(source) == len(mapping) == len(xb)
+    assert all(row >> len(xb) == 0 for row in source)
     for (k, beta), (k2, beta2) in itertools.product(enumerate(xb), repeat=2):
         pointwise = all(f.source.leq_idx(u, v) for u, v in zip(beta, beta2))
         assert bool(source[k] >> k2 & 1) == pointwise
@@ -1253,14 +1258,16 @@ def test_the_lifting_caches_evict_nothing_at_the_default_bounds(monkeypatch):
 
 
 def test_the_lifting_caches_hold_little_after_the_lifting_group():
-    """The lifting group from cold caches leaves under 10 MiB traced and held.
+    """The lifting memos and `order.maps` hold under 10 MiB after the lifting group.
 
-    The corpora are built first, so what stays held is what the memos
-    keep: keys and class arrays, no member lists and no apex pairs.  It
-    read 12.09 MiB with them and 8.45 MiB without.
+    A first run warms every cache outside the lifting layer, whatever ran
+    before; then the lifting caches and `order.maps` are emptied and a
+    second run is traced.  What stays held counts only the blocks
+    allocated in `lifting.py` and `order.py`: keys and class arrays, no
+    member lists and no apex pairs.  It read 11.17 MiB with them and
+    7.56 MiB without.
     """
-    for n in range(SuiteOptions().max_points + 1):
-        spaces_upto(n)
+    assert all(r.ok for r in run_group("lifting", SuiteOptions()))
     clear_lifting_caches()
     order.maps.cache_clear()
     gc.collect()
@@ -1268,9 +1275,11 @@ def test_the_lifting_caches_hold_little_after_the_lifting_group():
     try:
         assert all(r.ok for r in run_group("lifting", SuiteOptions()))
         gc.collect()
-        held, _ = tracemalloc.get_traced_memory()
+        snapshot = tracemalloc.take_snapshot()
     finally:
         tracemalloc.stop()
+    mine = [tracemalloc.Filter(True, module.__file__) for module in (lifting, order)]
+    held = sum(stat.size for stat in snapshot.filter_traces(mine).statistics("filename"))
     assert held < 10 * 2**20, held
 
 
