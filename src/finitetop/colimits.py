@@ -280,17 +280,27 @@ class DistributeIso:
     inverse: FrameHom
 
 
-def distribute_iso(left, m1, m2):
+def distribute_iso(left, m1, m2, *, built=None):
     """L tensor (M1 x M2) against (L tensor M1) x (L tensor M2).
 
+    `built` is the pieces (L tensor P, L tensor M1, L tensor M2, P) for
+    P = M1 x M2, when the caller has built them; otherwise they are built
+    here, P first.  The target (L tensor M1) x (L tensor M2) is built here.
     The forward map pairs the two projection actions (id tensor p_k).  It
     is certified to be a bijection and, by `_check_hom`, a frame hom; a
     bijective lattice hom is an isomorphism.  NotIsoError otherwise.
     """
-    prod = product_frames([m1, m2])
-    source = coproduct(left, prod)
-    t1 = coproduct(left, m1)
-    t2 = coproduct(left, m2)
+    if built is None:
+        prod = product_frames([m1, m2])
+        built = coproduct(left, prod), coproduct(left, m1), coproduct(left, m2), prod
+    source, t1, t2, prod = built
+    if (
+        (source.left, t1.left, t2.left) != (left, left, left)
+        or (t1.right, t2.right) != (m1, m2)
+        or prod.factors != (m1, m2)
+        or source.right != prod
+    ):
+        raise ValueError("the given pieces do not match the triple")
     target = product_frames([t1, t2])
     c1 = _tensor_action(source, t1, prod.projection(0))
     c2 = _tensor_action(source, t2, prod.projection(1))
@@ -341,22 +351,39 @@ def pushout_loc(f_left, g_left):
     f_left : B -> A and g_left : C -> A present localic maps A -> B and
     A -> C.  The apex is the pullback of the two homs: the agreeing pairs
     (b, c), which the homs make closed under componentwise joins and meets.
+    It is two halves composed: `pushout_apex` builds the apex, projections
+    and legs from (B, C, pairs) alone, and `pushout_square` checks the
+    legs against the right adjoints of the span.
+    """
+    if f_left.target != g_left.target:
+        raise ValueError("the span needs a common codomain frame")
+    apex, pairs, proj_b, proj_c, leg_b, leg_c = pushout_apex(
+        f_left.source, g_left.source, agreeing_pairs(f_left, g_left)
+    )
+    pushout_square(
+        (leg_b.right, leg_c.right), right_adjoint(f_left).right, right_adjoint(g_left).right
+    )
+    return PushoutLocaleResult(apex, pairs, proj_b, proj_c, leg_b, leg_c, f_left, g_left)
+
+
+def agreeing_pairs(f_left, g_left):
+    """The pairs (b, c) with f(b) = g(c), b-major: the apex elements of the span."""
+    g_map = g_left.mapping
+    return tuple(
+        (b, c) for b, x in enumerate(f_left.mapping) for c, y in enumerate(g_map) if x == y
+    )
+
+
+def pushout_apex(b_frame, c_frame, pairs):
+    """The half of `pushout_loc` that reads no span hom, only (B, C, pairs).
+
     As in `product_frames`, a pair is the sets of b and of c side by side,
     so `FiniteFrame` builds the apex with the componentwise order and
     operations.  The legs come from the join formula over agreeing pairs
     and are cross-checked against `right_adjoint` of each projection: the
     formula gathers the projection's fibres over the down row of x.
+    Returns the first six fields of a `PushoutLocaleResult`, in order.
     """
-    if f_left.target != g_left.target:
-        raise ValueError("the span needs a common codomain frame")
-    b_frame = f_left.source
-    c_frame = g_left.source
-    pairs = tuple(
-        (b, c)
-        for b in range(b_frame.n)
-        for c in range(c_frame.n)
-        if f_left.mapping[b] == g_left.mapping[c]
-    )
     labels = tuple(
         f"({b_frame.labels[b]},{c_frame.labels[c]})" for b, c in pairs
     )
@@ -373,14 +400,19 @@ def pushout_loc(f_left, g_left):
         for x, row in enumerate(factor.order.down):
             if apex.join_mask(gather(row, over)) != leg.right[x]:
                 raise VerificationError("the stated leg formula disagrees with the adjoint")
-    f_radj = right_adjoint(f_left).right
-    g_radj = right_adjoint(g_left).right
-    for a in range(f_left.target.n):
-        if leg_b.right[f_radj[a]] != leg_c.right[g_radj[a]]:
-            raise VerificationError("the pushout square does not commute")
-    return PushoutLocaleResult(
-        apex, pairs, proj_b, proj_c, leg_b, leg_c, f_left, g_left
-    )
+    return apex, pairs, proj_b, proj_c, leg_b, leg_c
+
+
+def pushout_square(legs, f_right, g_right):
+    """The half of `pushout_loc` that reads the span: the square commutes.
+
+    `legs` are the right maps of the two legs, `f_right` and `g_right`
+    those of `right_adjoint` of the span homs; VerificationError unless
+    leg_b after f_right equals leg_c after g_right.
+    """
+    leg_b, leg_c = legs
+    if [leg_b[y] for y in f_right] != [leg_c[y] for y in g_right]:
+        raise VerificationError("the pushout square does not commute")
 
 
 def pushout_mediator(result, u_left, v_left):

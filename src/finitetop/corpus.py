@@ -1,5 +1,8 @@
 """Exhaustive corpora of small posets, preorders, lattices and frames.
 
+Also the fixed regression set of factorization problems that the small
+object argument suite runs, `soa_regression_cases`.
+
 Generation is deterministic: posets grow by attaching a fresh maximal
 element over each downset of a smaller poset (every finite poset arises
 this way by deleting a maximal element), spaces are the labelled preorders,
@@ -14,8 +17,9 @@ from functools import lru_cache
 
 from .errors import NotDistributiveError, NotLatticeError
 from .frames import frame_from_poset
+from .lifting import coproduct_pre
 from .order import representatives
-from .poset import FinitePoset
+from .poset import FinitePoset, PreMap, Preorder
 from .spaces import space_from_preorder
 
 LABELS = "abcdefghijklmnop"
@@ -140,3 +144,44 @@ def frames_upto(max_n):
 
 def spaces_upto(max_n, t0_only=False):
     return all_spaces(max_n, t0_only=t0_only)
+
+
+def soa_regression_cases():
+    """The fixed factorization regression set: (name, map, generators, steps)."""
+    empty = Preorder((), ())
+    point = Preorder(("p",), (1,))
+    d2 = Preorder(("x", "y"), (1, 2))
+    c2 = Preorder(("x", "y"), (3, 2))
+    i2 = Preorder(("x", "y"), (3, 3))
+    d3 = Preorder(("x", "y", "z"), (1, 2, 4))
+    c3 = Preorder(("x", "y", "z"), (7, 6, 4))
+    v3 = Preorder(("r", "s", "t"), (7, 2, 4))
+    l3 = Preorder(("r", "s", "t"), (1, 3, 5))
+    fold_src, _ = coproduct_pre((point, point), ("0", "1"))
+    g_cell = PreMap(empty, point, ())
+    g_fold = PreMap(fold_src, point, (0, 0))
+    g_edge = PreMap(d2, c2, (0, 1))
+    g_low = PreMap(point, c2, (0,))
+    g_high = PreMap(point, c2, (1,))
+    return (
+        ("attach-two-cells", PreMap(empty, d2, ()), (g_cell,), 2),
+        ("attach-cells-no-steps", PreMap(empty, d2, ()), (g_cell,), 0),
+        ("fold-pair", PreMap(d2, point, (0, 0)), (g_fold,), 2),
+        ("fold-pair-no-steps", PreMap(d2, point, (0, 0)), (g_fold,), 0),
+        ("fill-edge", PreMap(d2, c2, (0, 1)), (g_edge,), 2),
+        ("fill-edge-no-steps", PreMap(d2, c2, (0, 1)), (g_edge,), 0),
+        ("climb-chain", PreMap(point, c3, (0,)), (g_low,), 4),
+        ("climb-chain-short", PreMap(point, c3, (0,)), (g_low,), 1),
+        ("mixed-generators", PreMap(d2, c3, (0, 2)), (g_cell, g_fold, g_edge), 4),
+        ("grow-wedge", PreMap(point, v3, (1,)), (g_cell, g_low), 3),
+        ("indiscrete-edge", PreMap(d2, i2, (0, 1)), (g_edge,), 2),
+        ("identity-stays", PreMap(d2, d2, (0, 1)), (g_cell, g_fold, g_edge), 2),
+        ("empty-identity", PreMap(empty, empty, ()), (g_cell,), 1),
+        ("single-cell", PreMap(empty, point, ()), (g_cell,), 1),
+        ("merge-then-order", PreMap(d3, c2, (0, 0, 1)), (g_fold, g_edge), 3),
+        ("grow-under-top", PreMap(point, l3, (1,)), (g_low,), 3),
+        ("grow-under-top-no-steps", PreMap(point, l3, (1,)), (g_low,), 0),
+        ("two-sided-chain", PreMap(point, c3, (0,)), (g_low, g_high), 3),
+        ("collapse-chain", PreMap(c3, point, (0, 0, 0)), (g_fold,), 2),
+        ("build-chain-from-nothing", PreMap(empty, c3, ()), (g_cell, g_low), 5),
+    )

@@ -17,8 +17,18 @@ from dataclasses import dataclass
 from time import perf_counter
 
 from .bits import iter_bits
-from .colimits import coproduct, copair, distribute_iso, pushout_loc, pushout_mediator
-from .corpus import frames_upto, spaces_upto
+from .colimits import (
+    PushoutLocaleResult,
+    agreeing_pairs,
+    copair,
+    coproduct,
+    distribute_iso,
+    product_frames,
+    pushout_apex,
+    pushout_mediator,
+    pushout_square,
+)
+from .corpus import frames_upto, soa_regression_cases, spaces_upto
 from .errors import FinitetopError, NotIsoError, VerificationError
 from .frames import (
     Prenucleus,
@@ -41,7 +51,6 @@ from .lifting import (
     associator,
     bounded_factorize,
     braiding,
-    coproduct_pre,
     identity_arrow,
     lifting_adjunction_check,
     product_arrow,
@@ -134,22 +143,27 @@ def _arrow_name(m):
 # --- frames -----------------------------------------------------------------
 
 
-def _hom_sets():
-    """A per-run memo: `homs(source, target)` enumerates each hom set once.
+def _memo(build):
+    """A per-run memo: `get(*key)` calls `build(*key)` once per key.
 
-    Keyed on the corpus frames, which live for the whole run; the tuple is
-    in enumeration order, so loops over it visit homs as before.
+    The suites key it on corpus frames and on homs between them, which live
+    for the whole run.  `_hom_sets` keeps each hom set as a tuple in
+    enumeration order, so loops over it visit homs as before.
     """
     memo = {}
 
-    def homs(source, target):
-        key = (source, target)
+    def get(*key):
         found = memo.get(key)
         if found is None:
-            found = memo[key] = tuple(iter_frame_homs(source, target))
+            found = memo[key] = build(*key)
         return found
 
-    return homs
+    return get
+
+
+def _hom_sets():
+    """`homs(source, target)` enumerates each hom set once per run."""
+    return _memo(lambda source, target: tuple(iter_frame_homs(source, target)))
 
 
 def _by_legs(homs, legs):
@@ -315,16 +329,28 @@ def _run_nucleus_generation(opt):
 
 
 def _run_product_distribute(opt):
-    """The distribution of a tensor over a binary product, all triples."""
+    """The distribution of a tensor over a binary product, all triples.
+
+    Each triple (L, M1, M2) hands `distribute_iso` its pieces built:
+    L (x) (M1 x M2), L (x) M1, L (x) M2 and M1 x M2.  Only L (x) (M1 x M2)
+    and the target (L (x) M1) x (L (x) M2) are new to a triple; each
+    M1 x M2 is built once per run and each L (x) M once per L, and every
+    frame built runs its build checks.
+    """
     pool = frames_upto(opt.max_frame_size)
+    products = [[product_frames([m1, m2]) for m2 in pool] for m1 in pool]
     failures = []
     cases = 0
     for left in pool:
-        for m1 in pool:
-            for m2 in pool:
+        tensors = [coproduct(left, m) for m in pool]
+        for i, m1 in enumerate(pool):
+            for j, m2 in enumerate(pool):
                 cases += 1
+                prod = products[i][j]
                 try:
-                    distribute_iso(left, m1, m2)
+                    distribute_iso(
+                        left, m1, m2, built=(coproduct(left, prod), tensors[i], tensors[j], prod)
+                    )
                 except NotIsoError as exc:
                     failures.append(
                         f"{_frame_name(left)} over {_frame_name(m1)} x "
@@ -339,21 +365,26 @@ def _run_loc_pushout(opt):
 
     Every span f: B -> A, g: C -> A of corpus frame homs is pushed out, and
     a surjective span hom must make the opposite projection surjective.
-    The cocones of a span are the (u, v) with u;f = v;g, which holds
-    exactly when every (u(x), v(x)) is one of the agreeing `pairs`; equal
-    (B, C, pairs) also give an equal apex, projections and `position`, and
-    `pushout_mediator` reads the span only through that same commutation.
-    So the cocone checks run once per distinct pushout, keyed on the pool
-    positions of B and C and on `pairs`, and every span with that pushout
-    reports their messages under its own tag.  Each cocone gets its
-    mediator certified unique among all homs into the apex: those homs are
-    grouped once by their projections (h;proj_b, h;proj_c), so the homs
-    restricting to (u, v) are the group at (u, v), and uniqueness holds
-    when that group is exactly [mediator].
+    `colimits.pushout_loc` is two halves: `pushout_apex` reads only B, C
+    and the agreeing `pairs`, and `pushout_square` reads the span through
+    the right adjoints of f and g.  The cocones of a span are the (u, v)
+    with u;f = v;g, which holds exactly when every (u(x), v(x)) is one of
+    the agreeing pairs; equal (B, C, pairs) also give an equal apex,
+    projections and `position`, and `pushout_mediator` reads the span only
+    through that same commutation.  So the apex half and the cocone checks
+    run once per distinct pushout, keyed on the pool positions of B and C
+    and on `pairs` (`_pushout_record`), and every span with that pushout
+    runs its own square and surjectivity checks and reports the pushout's
+    messages under its own tag.  The right adjoint of each span hom is
+    taken once.  Each cocone gets its mediator certified unique among all
+    homs into the apex: those homs are grouped once by their projections
+    (h;proj_b, h;proj_c), so the homs restricting to (u, v) are the group
+    at (u, v), and uniqueness holds when that group is exactly [mediator].
     """
     pool = frames_upto(opt.max_frame_size)
     homs = _hom_sets()
-    cocones = {}
+    right = _memo(lambda hom: right_adjoint(hom).right)
+    pushouts = {}
     failures = []
     cases = 0
     for codomain in pool:
@@ -370,24 +401,44 @@ def _run_loc_pushout(opt):
                 for f in homs_b:
                     for g in homs_c:
                         cases += 1
+                        pairs = agreeing_pairs(f, g)
+                        key = (b_pos, c_pos, pairs)
+                        record = pushouts.get(key)
+                        if record is None:
+                            record = pushouts[key] = _pushout_record(pool, homs, f, g, pairs)
+                        if isinstance(record, str):
+                            failures.append(f"{tag}: {record}")
+                            continue
+                        legs, messages = record
                         try:
-                            result = pushout_loc(f, g)
+                            pushout_square(legs, right(f), right(g))
                         except FinitetopError as exc:
                             failures.append(f"{tag}: {exc}")
                             continue
                         f_surj = len(set(f.mapping)) == codomain.n
                         g_surj = len(set(g.mapping)) == codomain.n
-                        if f_surj and len(set(result.proj_c.mapping)) != c_frame.n:
+                        if f_surj and len({c for _, c in pairs}) != c_frame.n:
                             failures.append(f"{tag}: pushed leg lost injectivity")
-                        if g_surj and len(set(result.proj_b.mapping)) != b_frame.n:
+                        if g_surj and len({b for b, _ in pairs}) != b_frame.n:
                             failures.append(f"{tag}: pushed leg lost injectivity")
-                        key = (b_pos, c_pos, result.pairs)
-                        messages = cocones.get(key)
-                        if messages is None:
-                            messages = cocones[key] = _cocone_failures(pool, homs, result)
                         failures.extend(f"{tag}: {msg}" for msg in messages)
     corpus = f"spans and cocones over frames up to {opt.max_frame_size} elements"
     return corpus, cases, failures
+
+
+def _pushout_record(pool, homs, f, g, pairs):
+    """What the spans of one distinct pushout read, built from its first span.
+
+    The refusal message of `pushout_apex`, or the right maps of the two
+    legs and the untagged cocone messages of `_cocone_failures`.  The apex
+    itself is not kept.
+    """
+    try:
+        parts = pushout_apex(f.source, g.source, pairs)
+    except FinitetopError as exc:
+        return str(exc)
+    result = PushoutLocaleResult(*parts, f, g)
+    return (result.leg_b.right, result.leg_c.right), _cocone_failures(pool, homs, result)
 
 
 def _cocone_failures(pool, homs, result):
@@ -669,47 +720,6 @@ def _run_pushout_product_units(opt):
         failures.append("the point cell squared is not the point cell")
     corpus = f"spaces and arrows up to {min(opt.max_points, 2)} points"
     return corpus, cases, failures
-
-
-def soa_regression_cases():
-    """The fixed factorization regression set: (name, map, generators, steps)."""
-    empty = Preorder((), ())
-    point = Preorder(("p",), (1,))
-    d2 = Preorder(("x", "y"), (1, 2))
-    c2 = Preorder(("x", "y"), (3, 2))
-    i2 = Preorder(("x", "y"), (3, 3))
-    d3 = Preorder(("x", "y", "z"), (1, 2, 4))
-    c3 = Preorder(("x", "y", "z"), (7, 6, 4))
-    v3 = Preorder(("r", "s", "t"), (7, 2, 4))
-    l3 = Preorder(("r", "s", "t"), (1, 3, 5))
-    fold_src, _ = coproduct_pre((point, point), ("0", "1"))
-    g_cell = PreMap(empty, point, ())
-    g_fold = PreMap(fold_src, point, (0, 0))
-    g_edge = PreMap(d2, c2, (0, 1))
-    g_low = PreMap(point, c2, (0,))
-    g_high = PreMap(point, c2, (1,))
-    return (
-        ("attach-two-cells", PreMap(empty, d2, ()), (g_cell,), 2),
-        ("attach-cells-no-steps", PreMap(empty, d2, ()), (g_cell,), 0),
-        ("fold-pair", PreMap(d2, point, (0, 0)), (g_fold,), 2),
-        ("fold-pair-no-steps", PreMap(d2, point, (0, 0)), (g_fold,), 0),
-        ("fill-edge", PreMap(d2, c2, (0, 1)), (g_edge,), 2),
-        ("fill-edge-no-steps", PreMap(d2, c2, (0, 1)), (g_edge,), 0),
-        ("climb-chain", PreMap(point, c3, (0,)), (g_low,), 4),
-        ("climb-chain-short", PreMap(point, c3, (0,)), (g_low,), 1),
-        ("mixed-generators", PreMap(d2, c3, (0, 2)), (g_cell, g_fold, g_edge), 4),
-        ("grow-wedge", PreMap(point, v3, (1,)), (g_cell, g_low), 3),
-        ("indiscrete-edge", PreMap(d2, i2, (0, 1)), (g_edge,), 2),
-        ("identity-stays", PreMap(d2, d2, (0, 1)), (g_cell, g_fold, g_edge), 2),
-        ("empty-identity", PreMap(empty, empty, ()), (g_cell,), 1),
-        ("single-cell", PreMap(empty, point, ()), (g_cell,), 1),
-        ("merge-then-order", PreMap(d3, c2, (0, 0, 1)), (g_fold, g_edge), 3),
-        ("grow-under-top", PreMap(point, l3, (1,)), (g_low,), 3),
-        ("grow-under-top-no-steps", PreMap(point, l3, (1,)), (g_low,), 0),
-        ("two-sided-chain", PreMap(point, c3, (0,)), (g_low, g_high), 3),
-        ("collapse-chain", PreMap(c3, point, (0, 0, 0)), (g_fold,), 2),
-        ("build-chain-from-nothing", PreMap(empty, c3, ()), (g_cell, g_low), 5),
-    )
 
 
 def _run_soa(opt):

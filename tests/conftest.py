@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from finitetop import lifting, order, serialize
 from finitetop.bits import iter_bits, popcount
-from finitetop.colimits import pushout_loc, pushout_mediator
+from finitetop.colimits import distribute_iso, pushout_loc, pushout_mediator
 from finitetop.corpus import frames_upto
 from finitetop.errors import (
     FinitetopError,
@@ -22,6 +22,7 @@ from finitetop.errors import (
 from finitetop.frames import (
     FiniteFrame,
     chain_frame,
+    GaloisConnection,
     composed,
     downset_frame,
     frame_from_poset,
@@ -327,6 +328,48 @@ def tensor_action_dropping_the_last_pair(source, target, hom):
     if per_bit:
         per_bit[-1] = 0
     return [target.index.get(order.gather(r, per_bit), 0) for r in source.family]
+
+
+def projection_adjoint_off_by_one(right_adjoint):
+    """A `colimits.right_adjoint` mutant: for a projection out of a pushout
+    apex (labelled by pairs) onto a smaller factor, the value at the last
+    factor element moves to the next apex element, so the law check of the
+    adjoint refuses it.  Every other hom gets its true adjoint."""
+
+    def mutant(hom):
+        adjoint = right_adjoint(hom)
+        if not hom.source.labels[0].startswith("(") or hom.source.n <= hom.target.n:
+            return adjoint
+        right = list(adjoint.right)
+        right[-1] = (right[-1] + 1) % hom.source.n
+        return GaloisConnection(hom, right)
+
+    return mutant
+
+
+def literal_product_distribute(max_frame_size):
+    """ProductDistributeLocale's case count and failure list, one call per triple.
+
+    The loop the suite ran before it built each tensor and product once:
+    every triple (L, M1, M2) calls the public `distribute_iso`, which
+    builds all four of its pieces itself.
+    """
+
+    def name(frame):
+        return "{" + ",".join(frame.labels) + "}"
+
+    pool = frames_upto(max_frame_size)
+    failures = []
+    cases = 0
+    for left in pool:
+        for m1 in pool:
+            for m2 in pool:
+                cases += 1
+                try:
+                    distribute_iso(left, m1, m2)
+                except NotIsoError as exc:
+                    failures.append(f"{name(left)} over {name(m1)} x {name(m2)}: {exc}")
+    return cases, failures
 
 
 def submasks(mask):

@@ -14,12 +14,15 @@ from finitetop.bits import iter_bits
 from finitetop.colimits import (
     TensorFrame,
     _tensor_action,
+    agreeing_pairs,
     copair,
     coproduct,
     distribute_iso,
     product_frames,
+    pushout_apex,
     pushout_loc,
     pushout_mediator,
+    pushout_square,
 )
 from finitetop.corpus import all_frames, all_posets, all_spaces, frame_corpus, frames_upto
 from finitetop.errors import NotIsoError, VerificationError
@@ -31,6 +34,7 @@ from finitetop.frames import (
     frame_from_poset,
     frame_isomorphism,
     iter_frame_homs,
+    right_adjoint,
     two,
 )
 from finitetop.poset import FinitePoset
@@ -452,6 +456,66 @@ def test_distribute_iso_small_triple():
     FrameHom(tgt, src, ds.inverse.mapping)
 
 
+def test_distribute_iso_on_built_pieces_is_the_built_call():
+    """Handing `distribute_iso` its pieces gives the maps it builds itself,
+    and pieces of another triple are refused."""
+    c3, t = chain_frame(3), two()
+    prod = product_frames([t, c3])
+    built = (coproduct(c3, prod), coproduct(c3, t), coproduct(c3, c3), prod)
+    ds = distribute_iso(c3, t, c3, built=built)
+    fresh = distribute_iso(c3, t, c3)
+    assert ds.forward.mapping == fresh.forward.mapping
+    assert ds.inverse.mapping == fresh.inverse.mapping
+    assert ds.forward.source is built[0]
+    swapped = (built[0], built[2], built[1], prod)
+    with pytest.raises(ValueError, match="^the given pieces do not match the triple$"):
+        distribute_iso(c3, t, c3, built=swapped)
+    with pytest.raises(ValueError, match="^the given pieces do not match the triple$"):
+        distribute_iso(c3, c3, t, built=built)
+
+
+def test_pushout_loc_is_its_apex_half_then_its_square():
+    """On every span of frames of at most 3 elements, the apex half on
+    (B, C, pairs) gives the fields `pushout_loc` returns, and the square
+    half accepts the span's own right adjoints and refuses legs swapped
+    wherever that changes the composite."""
+    pool = frames_upto(3)
+    refused = spans = 0
+    for a in pool:
+        for b in pool:
+            for c in pool:
+                for f in iter_frame_homs(b, a):
+                    for g in iter_frame_homs(c, a):
+                        result = pushout_loc(f, g)
+                        apex, pairs, proj_b, proj_c, leg_b, leg_c = pushout_apex(
+                            b, c, agreeing_pairs(f, g)
+                        )
+                        assert pairs == result.pairs
+                        assert apex.order == result.apex.order
+                        assert apex.labels == result.apex.labels
+                        assert (proj_b.mapping, proj_c.mapping) == (
+                            result.proj_b.mapping,
+                            result.proj_c.mapping,
+                        )
+                        assert (leg_b.right, leg_c.right) == (
+                            result.leg_b.right,
+                            result.leg_c.right,
+                        )
+                        f_right = right_adjoint(f).right
+                        g_right = right_adjoint(g).right
+                        pushout_square((leg_b.right, leg_c.right), f_right, g_right)
+                        if b == c and [leg_c.right[y] for y in f_right] != [
+                            leg_b.right[y] for y in g_right
+                        ]:
+                            with pytest.raises(
+                                VerificationError, match="^the pushout square does not commute$"
+                            ):
+                                pushout_square((leg_c.right, leg_b.right), f_right, g_right)
+                            refused += 1
+                        spans += 1
+    assert (spans, refused) == (34, 8)
+
+
 def test_pushout_of_identity_span():
     c3 = chain_frame(3)
     ident = FrameHom(c3, c3, (0, 1, 2))
@@ -800,6 +864,9 @@ def test_every_coproduct_of_the_frame_groups_passes_the_saturation_oracle(monkey
     the run builds matches literal saturation on its carriers' product.
     Each tensor is checked as it is built and only counted, so no tensor
     is held past its run and a cycle through one still shows as garbage.
+    ProductDistributeLocale builds each L (x) M once per run, so the counts
+    are those of the distinct tensors the suites build (175 and 487 when
+    it built both two-factor tensors for every triple).
     """
     counts = []
     init = TensorFrame.__init__
@@ -816,4 +883,4 @@ def test_every_coproduct_of_the_frame_groups_passes_the_saturation_oracle(monkey
             reports = []
             assert garbage_after(lambda: reports.extend(run_group(group, opt))) == 0
             assert reports and all(r.ok for r in reports)
-    assert counts == [175, 487]
+    assert counts == [130, 262]

@@ -1,13 +1,15 @@
 """Every registered suite at small bounds: verdicts and report bytes."""
 
 import collections
+import gc
 import hashlib
 import itertools
+import tracemalloc
 
 import pytest
 
 import finitetop.suites as suites
-from finitetop import colimits, lifting, pstop
+from finitetop import colimits, lifting, pstop, spatial
 from finitetop.frames import GaloisConnection, iter_frame_homs, right_adjoint
 from finitetop.pstop import PsSpace
 from finitetop.serialize import canonical_json
@@ -27,7 +29,9 @@ from conftest import (
     glue_dropping_the_last_pair,
     least_member_only,
     literal_loc_pushout,
+    literal_product_distribute,
     pins_ignoring_the_top,
+    projection_adjoint_off_by_one,
     tensor_action_dropping_the_last_pair,
 )
 
@@ -314,25 +318,44 @@ def test_the_pushout_suite_catches_a_mediator_that_pairs_the_wrong_coordinates(m
 
 
 @pytest.mark.parametrize("size", [3, 4])
-@pytest.mark.parametrize("mutated", [False, True], ids=["as-built", "legs-swapped"])
-def test_the_pushout_suite_matches_the_per_span_loop(monkeypatch, size, mutated):
-    """Checking cocones once per distinct pushout reports what checking
-    them once per span does: the same cases and the same failures in the
-    same order, with correct mediators and with cocone legs swapped."""
+@pytest.mark.parametrize("mutant", ["as-built", "legs-swapped", "projection-adjoint"])
+def test_the_pushout_suite_matches_the_per_span_loop(monkeypatch, size, mutant):
+    """Building each apex and checking its cocones once per distinct
+    pushout reports what pushing out and checking every span does: the
+    same cases and the same failures in the same order, with correct
+    mediators, with cocone legs swapped, and with projection adjoints that
+    fail their law.  That last refusal is raised in `pushout_apex`, which
+    the suite runs once per distinct pushout, so every span of a refused
+    pushout must report it under its own tag, in span order; the counts
+    are those of the per-span loop the suite ran before the split."""
     mediator = suites.pushout_mediator
-    if mutated:
+    if mutant == "legs-swapped":
         mediator = cocone_legs_swapped(mediator)
         monkeypatch.setattr(suites, "pushout_mediator", mediator)
+    elif mutant == "projection-adjoint":
+        monkeypatch.setattr(
+            colimits, "right_adjoint", projection_adjoint_off_by_one(colimits.right_adjoint)
+        )
     report = run_suite("LocPushout", SuiteOptions(max_frame_size=size))
     assert (report.cases, list(report.failures)) == literal_loc_pushout(size, mediator)
-    assert bool(report.failures) == mutated
+    if mutant == "projection-adjoint":
+        assert (report.cases, len(report.failures)) == {3: (34, 24), 4: (846, 569)}[size]
+        assert {f.split(": ", 1)[1] for f in report.failures} == {"adjunction law fails"}
+        assert report.failures[0] == "{a} <- {a} -> {a,b}: adjunction law fails"
+        assert _failures_digest(report) == {
+            3: "c897b4aecec3b1c7999a211de90710be99aa6c7c6aafcfaec5ec7a0cad00538c",
+            4: "ec7f5f26d89186c638257e21e3c2d86d0cbf7b916b4df8c5d7f4fc5275361af4",
+        }[size]
+    else:
+        assert bool(report.failures) == (mutant == "legs-swapped")
 
 
 def test_the_pushout_suite_checks_each_distinct_pushout_once(monkeypatch):
-    """At frame size 4 the 846 spans have 236 distinct pushouts.  Their
-    cocones are checked once each: 5,763 mediators, not one per cocone of
-    every span (19,478).  Homs are enumerated 970 times, not 3,410: the
-    25 hom sets between corpus frames, and 945 sets of homs into an apex."""
+    """At frame size 4 the 846 spans have 236 distinct pushouts.  Each
+    apex is built once, and its cocones are checked once: 5,763 mediators,
+    not one per cocone of every span (19,478).  Homs are enumerated 970
+    times, not 3,410: the 25 hom sets between corpus frames, and 945 sets
+    of homs into an apex.  Every span checks its own square."""
     calls = collections.Counter()
 
     def counted(name):
@@ -344,12 +367,92 @@ def test_the_pushout_suite_checks_each_distinct_pushout_once(monkeypatch):
 
         monkeypatch.setattr(suites, name, wrapper)
 
-    for name in ("pushout_loc", "pushout_mediator", "iter_frame_homs"):
+    for name in ("pushout_apex", "pushout_square", "pushout_mediator", "iter_frame_homs"):
         counted(name)
     report = run_suite("LocPushout", SuiteOptions(max_frame_size=4))
     assert report.ok
     assert report.cases == 846
-    assert calls == {"pushout_loc": 846, "pushout_mediator": 5763, "iter_frame_homs": 970}
+    assert calls == {
+        "pushout_apex": 236,
+        "pushout_square": 846,
+        "pushout_mediator": 5763,
+        "iter_frame_homs": 970,
+    }
+
+
+def _count_builds(monkeypatch, names):
+    """Count the calls of each named function, wherever colimits or suites call it."""
+    calls = collections.Counter()
+    for name in names:
+        original = getattr(colimits, name)
+
+        def wrapper(*args, _name=name, _original=original, **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        for module in (colimits, suites):
+            if getattr(module, name, None) is original:
+                monkeypatch.setattr(module, name, wrapper)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "citation, counts",
+    [
+        # 375 coproducts and 250 products before tensors were built once
+        ("ProductDistributeLocale", {"coproduct": 150, "product_frames": 150}),
+        # 846 apexes and 3,384 right adjoints before apexes were built once
+        ("LocPushout", {"FiniteFrame": 236, "right_adjoint": 532}),
+    ],
+)
+def test_the_colimit_suites_build_each_piece_once(monkeypatch, citation, counts):
+    """At frame size 4 each distinct piece is built once per run.
+
+    ProductDistributeLocale: the 25 tensors L (x) M and 25 products
+    M1 x M2 of the pool pairs, and per triple of the 125 the tensor
+    L (x) (M1 x M2) and the product of the two tensors.  LocPushout: one
+    apex per distinct pushout (236), the right adjoints of its two
+    projections (472) and of each of the 60 span homs once.
+    """
+    calls = _count_builds(monkeypatch, counts)
+    report = run_suite(citation, SuiteOptions(max_frame_size=4))
+    assert report.ok
+    assert calls == counts
+
+
+def test_the_pushout_suite_keeps_no_apex(monkeypatch):
+    """Past its first span, a distinct pushout keeps only its two leg right
+    maps and its messages: the suite's heap peak at frame size 4 stays
+    under 0.8 MiB, which a memo holding every one of the 236 apexes, with
+    its projections and legs, breaks."""
+    opt = SuiteOptions(max_frame_size=4)
+    run_suite("LocPushout", opt)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        run_suite("LocPushout", opt)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.8 * 2**20
+
+
+@pytest.mark.parametrize("size", [3, 4])
+@pytest.mark.parametrize("mutated", [False, True], ids=["as-built", "pair-dropped"])
+def test_the_distribution_suite_matches_the_per_triple_loop(monkeypatch, size, mutated):
+    """Building each tensor L (x) M and each product M1 x M2 once per run
+    reports what calling `distribute_iso` on every triple does: the same
+    cases and the same failures in the same order, as built and with a
+    tensor action that drops the last irreducible pair (96 of 125 triples
+    fail at frame size 4)."""
+    if mutated:
+        monkeypatch.setattr(colimits, "_tensor_action", tensor_action_dropping_the_last_pair)
+    report = run_suite("ProductDistributeLocale", SuiteOptions(max_frame_size=size))
+    assert (report.cases, list(report.failures)) == literal_product_distribute(size)
+    if mutated:
+        assert (report.cases, len(report.failures)) == {3: (27, 16), 4: (125, 96)}[size]
+    else:
+        assert report.ok
 
 
 def test_the_distribution_suite_catches_a_tensor_action_missing_a_pair(monkeypatch):
@@ -363,6 +466,41 @@ def test_the_distribution_suite_catches_a_tensor_action_missing_a_pair(monkeypat
     )
     assert _failures_digest(report) == (
         "9158c16f827b0f886188a79f51617dc4808676c46140a5389b127e7a6298bb2e"
+    )
+    canonical_json([report_data(report)])
+
+
+def test_the_points_suite_catches_a_locale_missing_its_last_point(monkeypatch):
+    """With `locale_points` dropping its last point, the points of the opens
+    of every sober space lose a point, every frame with a point is not
+    spatial, and transposition against such a frame is no bijection."""
+    points = spatial.locale_points
+    monkeypatch.setattr(spatial, "locale_points", lambda frame: points(frame)[:-1])
+    report = run_suite("OmegaPtAdjunction", SuiteOptions())
+    assert (report.cases, len(report.failures)) == (39, 26)
+    assert report.failures[0] == "{a|2 opens}: points of opens changed the space"
+    assert _failures_digest(report) == (
+        "70eae94983e32a82c76236493783e5065f204fb1951f2f32936604a15e3c4c70"
+    )
+    canonical_json([report_data(report)])
+
+
+def test_the_spatial_products_suite_catches_a_discrete_product(monkeypatch):
+    """With `product_spaces` returning the discrete space on the product's
+    points, the tensor of the opens misses the opens of the product
+    wherever a factor has a non-trivial specialization order."""
+    product_spaces = suites.product_spaces
+
+    def discrete_product(x, y):
+        space, _, _ = product_spaces(x, y)
+        return discrete_space(space.points), None, None
+
+    monkeypatch.setattr(suites, "product_spaces", discrete_product)
+    report = run_suite("LocSpatialProducts", SuiteOptions())
+    assert (report.cases, len(report.failures)) == (82, 55)
+    assert report.failures[0] == "{a|2 opens} x {a,b|3 opens}: tensor misses the opens"
+    assert _failures_digest(report) == (
+        "1fb377cc830818b21c8d32eff952413c70553fb0fb3ae1bc33d6ff649e46bfa0"
     )
     canonical_json([report_data(report)])
 
