@@ -18,12 +18,15 @@ when `fill` yields one under `_diagonal_pins`, the fibre of v(b) at each
 point b narrowed to u(a) where b = i(a).  `_unsolved` yields the squares
 that fail this test, for a witness and for cell attachment; `_census` is
 whether it yields none, and `enumerate_lifts` lists every diagonal under
-the same pins.  Lifting is invariant under arrow isomorphism, so the census
-runs once per pair of class representatives: `_arrow_class` maps a key to
-the first-seen key of its class, found by the coloured
-`order.isomorphisms` search among earlier representatives with equal
-signatures, and `_lifts` asks the census about the two classes.  A
-witness square for a failure is still searched on the real keys.
+the same pins.  Two exact lemmas decide a census before the walk: an
+isomorphism on either side lifts, and a left arrow with a disconnected
+target is cut by `order.split` into one part per component, each asked
+in turn.  Lifting is invariant under arrow isomorphism, so the census runs
+once per pair of class representatives: `_arrow_class` maps a key to the
+first-seen key of its class, found by the coloured `order.isomorphisms`
+search among earlier representatives with equal signatures, and `_lifts`
+asks the census about the two classes.  A witness square for a failure
+is still searched on the real keys, by the walk alone.
 
 The exhaustive sweeps are tables.  `adjunction_failures` builds each
 corner and power of its lists once, numbers the classes of the arrows,
@@ -86,9 +89,11 @@ from .order import (
     is_isomorphism,
     isomorphisms,
     maps,
+    pointwise_rows,
     product_rows,
     quotient_rows,
     sort_labels,
+    split,
 )
 from .poset import FinitePoset, PreMap, Preorder, pushout
 from .poset import iter_monotone_maps as iter_monotone_arrows
@@ -107,10 +112,12 @@ FACTORIZE_POINT_CAP = 512
 # associativity verdicts (the two-point corpus has 11 set keys, so 1,331
 # triples, plus 200 seeded).
 # The adjunction table asks the census about 11.4k pairs of class
-# representatives (11,441 at seed 0), each once, where the 85k triples
-# name 44.6k labelled pairs; `_arrow_class` sees 1.6k keys in at most 890
-# classes (seeds 0, 3, 5 and 7).  Every bound is above its count, so that
-# run evicts nothing.  `_glued` shares `CORNER_CACHE_SIZE`.
+# representatives, each once, where the 85k triples name 44.6k labelled
+# pairs; with the parts that split left arrows ask about, the census
+# misses 11,588 to 11,640 times (11,618 at seed 0), and `_arrow_class`
+# sees at most 1,675 keys in at most 956 classes (seeds 0 to 7).  Every
+# bound is above its count, so that run evicts nothing.  `_glued` shares
+# `CORNER_CACHE_SIZE`.
 CORNER_CACHE_SIZE = 8192
 POWER_CACHE_SIZE = 8192
 CENSUS_CACHE_SIZE = 1 << 14
@@ -216,7 +223,20 @@ def _unsolved(left_key, right_key):
 
 @lru_cache(maxsize=CENSUS_CACHE_SIZE)
 def _census(left_key, right_key):
-    """Whether every commuting square admits a diagonal: none is unsolved."""
+    """Whether every commuting square admits a diagonal.
+
+    An isomorphism on either side lifts: u.i^-1 or f^-1.v is the diagonal.
+    The squares of a left arrow with a disconnected target are the product
+    of its parts' squares, so it lifts exactly when some part has no square
+    or every part lifts.  Otherwise no square may be unsolved.
+    """
+    if is_isomorphism(*left_key) or is_isomorphism(*right_key):
+        return True
+    parts = split(*left_key)
+    if parts:
+        return any(next(_squares(p, right_key), None) is None for p in parts) or all(
+            _lifts(p, right_key) for p in parts
+        )
     return next(_unsolved(left_key, right_key), None) is None
 
 
@@ -476,30 +496,6 @@ def _capped_maps(src_up, dst_up):
     return mappings
 
 
-def _pointwise_rows(base_up, mappings):
-    """Rows of the pointwise order on maps into the base, bit-sliced.
-
-    Map m is below map t when t[a] is in the up row of m[a] at every
-    position a.  Per position a and value u, the maps t with t[a] above u
-    are the `gather` of `base_up[u]` over the columns "maps t with t[a] =
-    v"; row m is the AND of those masks over its positions.
-    """
-    everyone = (1 << len(mappings)) - 1
-    above = []
-    for a in range(len(mappings[0]) if mappings else 0):
-        columns = [0] * len(base_up)
-        for t, m in enumerate(mappings):
-            columns[m[a]] |= 1 << t
-        above.append([gather(up, columns) for up in base_up])
-    rows = []
-    for m in mappings:
-        row = everyone
-        for masks, u in zip(above, m):
-            row &= masks[u]
-        rows.append(row)
-    return tuple(rows)
-
-
 @lru_cache(maxsize=POWER_CACHE_SIZE)
 def _power(f_key, g_key):
     """The pullback-power of two arrow keys: source rows, apex rows and comparison.
@@ -515,8 +511,8 @@ def _power(f_key, g_key):
     xb = _capped_maps(b_up, x_up)
     xa = _capped_maps(a_up, x_up)
     yb = _capped_maps(b_up, y_up)
-    xa_up = _pointwise_rows(x_up, xa)
-    yb_up = _pointwise_rows(y_up, yb)
+    xa_up = pointwise_rows(x_up, xa)
+    yb_up = pointwise_rows(y_up, yb)
     restricted = {}
     for j, delta in enumerate(yb):
         restricted.setdefault(tuple(delta[b] for b in g_map), []).append(j)
@@ -537,7 +533,7 @@ def _power(f_key, g_key):
         pos[(tuple(beta[b] for b in g_map), tuple(f_map[v] for v in beta))]
         for beta in xb
     )
-    return _pointwise_rows(x_up, xb), tuple(rows), mapping
+    return pointwise_rows(x_up, xb), tuple(rows), mapping
 
 
 def pullback_power(f, g):

@@ -32,9 +32,11 @@ opens of a space, the downsets of a poset and the elements of a frame
 coproduct or product are; row a is one AND per point of a, over the
 bit-sliced column of members holding that point, the family's
 `transpose`.  `gather` is the OR twin of that AND: the union of the columns
-named by a row's bits, which the lifting layer's pointwise map orders and
-the frame layer's adjoints are bit-sliced with; `fibres` gives the columns
-of a map, the points over each value.
+named by a row's bits, which `pointwise_rows` (the pointwise order on a list
+of maps) and the frame layer's adjoints are bit-sliced with; `fibres` gives
+the columns of a map, the points over each value.  `restrict` gives the
+induced order on a subset, and `split` cuts a map at its target's connected
+components, found by `glue`, for the lifting census.
 
 `isomorphisms` is the one isomorphism search: it yields every isomorphism
 between two relations, or only those keeping given point colours (the
@@ -91,6 +93,26 @@ def fibres(mapping, n):
     for x, v in enumerate(mapping):
         out[v] |= 1 << x
     return out
+
+
+def restrict(up, mask):
+    """Rows of the induced order on the points of `mask`, renumbered ascending.
+
+    Point p of the mask becomes the number of mask points below it.
+    """
+    rows = []
+    rest = mask
+    while rest:
+        low = rest & -rest
+        row = up[low.bit_length() - 1] & mask
+        r = 0
+        while row:
+            bit = row & -row
+            r |= 1 << popcount(mask & (bit - 1))
+            row ^= bit
+        rows.append(r)
+        rest ^= low
+    return tuple(rows)
 
 
 def sort_labels(labels, rows):
@@ -227,6 +249,30 @@ def maps(src_up, dst_up):
     return tuple(fill(src_up, dst_up))
 
 
+def pointwise_rows(base_up, mappings):
+    """Rows of the pointwise order on maps into the base, bit-sliced.
+
+    Map m is below map t when t[a] is in the up row of m[a] at every
+    position a.  Per position a and value u, the maps t with t[a] above u
+    are the `gather` of `base_up[u]` over the columns "maps t with t[a] =
+    v"; row m is the AND of those masks over its positions.
+    """
+    everyone = (1 << len(mappings)) - 1
+    above = []
+    for a in range(len(mappings[0]) if mappings else 0):
+        columns = [0] * len(base_up)
+        for t, m in enumerate(mappings):
+            columns[m[a]] |= 1 << t
+        above.append([gather(up, columns) for up in base_up])
+    rows = []
+    for m in mappings:
+        row = everyone
+        for masks, u in zip(above, m):
+            row &= masks[u]
+        rows.append(row)
+    return tuple(rows)
+
+
 def glue(total, pairs):
     """Classes of the equivalence on range(total) generated by `pairs`.
 
@@ -248,6 +294,27 @@ def glue(total, pairs):
             parent[rb] = ra
     ids = {}
     return [ids.setdefault(find(i), len(ids)) for i in range(total)]
+
+
+def split(src_up, dst_up, mapping):
+    """The map cut at its target's connected components, or () if there are under two.
+
+    Part k maps the preimage of the k-th component, by first occurrence,
+    into it, as (source rows, target rows, mapping), both `restrict`ed.
+    """
+    n = len(dst_up)
+    cls = glue(n, [(b, c) for b in range(n) for c in range(n) if dst_up[b] >> c & 1])
+    if max(cls, default=0) == 0:
+        return ()
+    fibre = fibres(mapping, n)
+    return [
+        (
+            restrict(src_up, gather(comp, fibre)),
+            restrict(dst_up, comp),
+            tuple(popcount(comp & ((1 << b) - 1)) for b in mapping if comp >> b & 1),
+        )
+        for comp in fibres(cls, max(cls) + 1)
+    ]
 
 
 def transitive_closure(rows):

@@ -33,7 +33,15 @@ from .errors import (
     TopologyError,
     VerificationError,
 )
-from .order import glue_span, maps, sort_labels, transitive_closure, transpose, upsets
+from .order import (
+    glue_span,
+    maps,
+    restrict,
+    sort_labels,
+    transitive_closure,
+    transpose,
+    upsets,
+)
 
 DOWNSET_CAP = 1 << 20
 
@@ -80,15 +88,7 @@ class Preorder:
 
     def restrict(self, mask):
         """The induced order on the points of `mask`, of the same kind."""
-        keep = list(iter_bits(mask))
-        pos = {i: t for t, i in enumerate(keep)}
-        rows = []
-        for i in keep:
-            r = 0
-            for j in iter_bits(self.up[i] & mask):
-                r |= 1 << pos[j]
-            rows.append(r)
-        return type(self)([self.points[i] for i in keep], rows, validate=False)
+        return type(self)(self.label_set(mask), restrict(self.up, mask), validate=False)
 
     def __eq__(self, other):
         return self is other or (

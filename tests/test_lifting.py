@@ -578,7 +578,7 @@ def test_pointwise_rows_match_the_pairwise_loop(src, dst):
     (an empty source), no maps (a non-empty source into an empty target),
     and zero-width maps over a non-empty base."""
     mappings = order.maps(src, dst)
-    assert lifting._pointwise_rows(dst, mappings) == _pointwise_rows_oracle(dst, mappings)
+    assert order.pointwise_rows(dst, mappings) == _pointwise_rows_oracle(dst, mappings)
 
 
 def test_every_power_of_the_two_point_cube_matches_the_literal_build():
@@ -1189,6 +1189,91 @@ def test_renumbered_twins_cost_one_census_run():
     assert lifting._lifts(left, right) == lifting._lifts(left_twin, right_twin)
     info = lifting._census.cache_info()
     assert (info.misses, info.hits) == (1, 1)
+
+
+def _key_sum(k1, k2):
+    """The coproduct of two arrow keys: the second's points after the first's."""
+    (a1, b1, m1), (a2, b2, m2) = k1, k2
+    na, nb = len(a1), len(b1)
+    return (
+        a1 + tuple(r << na for r in a2),
+        b1 + tuple(r << nb for r in b2),
+        m1 + tuple(nb + v for v in m2),
+    )
+
+
+def _walk_lifts(left_key, right_key):
+    """The census by the square walk alone, with neither lemma."""
+    return next(lifting._unsolved(left_key, right_key), None) is None
+
+
+def test_the_reduced_census_is_the_walk_on_every_small_pair():
+    """Every arrow between preorders of up to 3 points, empty ones included,
+    against every arrow of up to 2 points; both lemmas decide some pairs."""
+    lefts = [f.key for f in arrows_between(_preorder_pool(3))]
+    rights = [g.key for g in CUBE]
+    assert len(lefts) * len(rights) == 64944
+    assert any(order.split(*k) for k in lefts)
+    assert any(order.is_isomorphism(*k) for k in lefts)
+    for left in lefts:
+        for right in rights:
+            assert lifting._census.__wrapped__(left, right) == _walk_lifts(left, right), (
+                left,
+                right,
+            )
+
+
+@settings(max_examples=150, deadline=None)
+@given(arrow_twins(), arrow_twins(), arrow_twins())
+@example((CELL, CELL), (identity_arrow(PT),) * 2, (CELL, CELL))
+@example((EDGE, EDGE), (FOLD, FOLD), (FOLD, FOLD))
+def test_the_census_of_a_coproduct_matches_the_oracle(ls, ks, rs):
+    """The sum of two drawn arrows against a third: the census, which
+    splits it, and the walk against the counting oracle."""
+    left = _key_sum(ls[0].key, ks[1].key)
+    right = rs[1].key
+    expected = _census_oracle(left, right)
+    assert lifting._census.__wrapped__(left, right) == expected
+    assert _walk_lifts(left, right) == expected
+
+
+def test_a_part_with_no_square_makes_the_census_vacuous():
+    """The cell beside a point, against the empty point: the point's part
+    has no square, so the sum lifts although the cell's part does not."""
+    left, right = ((1,), (1, 2), (1,)), CELL.key
+    cell, point = order.split(*left)
+    assert (cell, point) == (CELL.key, identity_arrow(PT).key)
+    assert next(lifting._squares(point, right), None) is None
+    assert not lifting._lifts(cell, right)
+    assert lifting._census.__wrapped__(left, right)
+    assert _census_oracle(left, right) and _walk_lifts(left, right)
+
+
+def test_a_disconnected_left_arrow_that_fails_gets_a_witness_on_its_own_keys():
+    """Sums of two small arrows against the cube: where the split census
+    refuses, `lifts_against` walks the whole sum for an unsolved square."""
+    small = [CELL, EDGE, FOLD, identity_arrow(PT), identity_arrow(D2)]
+    failed = 0
+    for f, g in itertools.product(small, repeat=2):
+        left = lifting._arrow_from_key(_key_sum(f.key, g.key))
+        assert order.split(*left.key)
+        for right in CUBE:
+            verdict = lifts_against(left, right)
+            assert verdict.holds == _walk_lifts(left.key, right.key)
+            if not verdict:
+                witness = verdict.witness
+                assert witness.left == left and witness.right == right
+                square = (witness.top.mapping, witness.bottom.mapping)
+                assert square in _unsolved_oracle(left.key, right.key)
+                failed += 1
+    assert failed > 0
+
+
+def test_a_census_the_walk_contradicts_is_refused(monkeypatch):
+    """A census that refuses a pair the walk finds no unsolved square for."""
+    monkeypatch.setattr(lifting, "_lifts", lambda left_key, right_key: False)
+    with pytest.raises(VerificationError, match="^a failed census produced no witness square$"):
+        lifts_against(identity_arrow(PT), identity_arrow(PT))
 
 
 def _arrow_isos_oracle(key1, key2):

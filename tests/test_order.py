@@ -311,6 +311,61 @@ def _assert_isomorphisms_match_brute_force(a, b):
     assert all(is_isomorphism(a, b, p) for p in found)
 
 
+def _restrict_oracle(up, keep):
+    """The induced order on the listed points, numbered in list order."""
+    return tuple(sum(1 << t for t, j in enumerate(keep) if up[i] >> j & 1) for i in keep)
+
+
+def test_restrict_is_the_induced_order_renumbered_ascending():
+    for up in SMALL + FOUR:
+        for mask in range(1 << len(up)):
+            assert order.restrict(up, mask) == _restrict_oracle(up, list(iter_bits(mask)))
+
+
+def _components_oracle(up):
+    """The connected components, grown from each least unplaced point."""
+    n = len(up)
+    near = [up[i] | sum(1 << j for j in range(n) if up[j] >> i & 1) for i in range(n)]
+    comps = []
+    for i in range(n):
+        if any(c >> i & 1 for c in comps):
+            continue
+        comp, grown = 0, 1 << i
+        while grown != comp:
+            comp = grown
+            for j in iter_bits(comp):
+                grown |= near[j]
+        comps.append(comp)
+    return comps
+
+
+def test_split_cuts_a_map_at_its_targets_components():
+    """Every map between preorders of up to 3 points; a connected or empty
+    target gives no parts."""
+    cut = 0
+    for src, dst in itertools.product(SMALL, repeat=2):
+        comps = _components_oracle(dst)
+        for mapping in order.maps(src, dst):
+            parts = order.split(src, dst, mapping)
+            if len(comps) < 2:
+                assert parts == ()
+                continue
+            expected = []
+            for comp in comps:
+                keep_b = list(iter_bits(comp))
+                keep_a = [a for a, b in enumerate(mapping) if comp >> b & 1]
+                expected.append(
+                    (
+                        _restrict_oracle(src, keep_a),
+                        _restrict_oracle(dst, keep_b),
+                        tuple(keep_b.index(mapping[a]) for a in keep_a),
+                    )
+                )
+            assert parts == expected
+            cut += 1
+    assert cut > 0
+
+
 def test_isomorphism_matches_brute_force_on_posets():
     """Every poset of up to 4 points against every relabelling of each one."""
     posets = [p.up for p in all_posets(4)]
