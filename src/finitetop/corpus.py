@@ -17,9 +17,8 @@ from functools import lru_cache
 
 from .errors import NotDistributiveError, NotLatticeError
 from .frames import frame_from_poset
-from .lifting import coproduct_pre
 from .order import representatives
-from .poset import FinitePoset, PreMap, Preorder
+from .poset import FinitePoset, PreMap, Preorder, coproduct_pre
 from .spaces import space_from_preorder
 
 LABELS = "abcdefghijklmnop"

@@ -18,15 +18,18 @@ when `fill` yields one under `_diagonal_pins`, the fibre of v(b) at each
 point b narrowed to u(a) where b = i(a).  `_unsolved` yields the squares
 that fail this test, for a witness and for cell attachment; `_census` is
 whether it yields none, and `enumerate_lifts` lists every diagonal under
-the same pins.  Two exact lemmas decide a census before the walk: an
-isomorphism on either side lifts, and a left arrow with a disconnected
-target is cut by `order.split` into one part per component, each asked
-in turn.  Lifting is invariant under arrow isomorphism, so the census runs
-once per pair of class representatives: `_arrow_class` maps a key to the
+the same pins.  Three exact lemmas decide a census before the walk: an
+isomorphism on either side lifts, a bijection lifts against a map out of
+an indiscrete preorder, and a left arrow with a disconnected target is
+cut by `order.split` into one part per component, each asked in turn.
+Lifting is invariant under arrow isomorphism, so the census runs once
+per pair of class representatives: `_arrow_class` maps a key to the
 first-seen key of its class, found by the coloured `order.isomorphisms`
 search among earlier representatives with equal signatures, and `_lifts`
-asks the census about the two classes.  A witness square for a failure
-is still searched on the real keys, by the walk alone.
+asks the census about the two classes.  `_facts` holds what the lemmas
+read of one key, so each fact is computed once per representative, not
+once per pair.  A witness square for a failure is still searched on the
+real keys, by the walk alone.
 
 The exhaustive sweeps are tables.  `adjunction_failures` builds each
 corner and power of its lists once, numbers the classes of the arrows,
@@ -42,8 +45,9 @@ factors only through `PreMap.key`: gluing numbers classes by first
 occurrence and a power object lists its maps in fill order, never by
 label.  So each is built once per pair of keys, on rows and indices alone,
 by the memoized kernels `_corner` and `_power`.  Products are row-major
-(`order.product_rows`), power objects list `order.maps` in fill order, and
-a corner's classes are glued by `order.glue` and ordered by
+(`order.product_rows`), power objects list `order.maps` in fill order,
+each with its pointwise rows, once per pair of row tuples (`_map_object`),
+and a corner's classes are glued by `order.glue` and ordered by
 `order.quotient_rows`, the two halves of `order.glue_span`.
 `pushout_product`, `pullback_power` and `product_arrow` return the arrow
 of the resulting key with its points labelled by position.
@@ -92,10 +96,9 @@ from .order import (
     pointwise_rows,
     product_rows,
     quotient_rows,
-    sort_labels,
     split,
 )
-from .poset import FinitePoset, PreMap, Preorder, pushout
+from .poset import FinitePoset, PreMap, Preorder, coproduct_pre, pushout
 from .poset import iter_monotone_maps as iter_monotone_arrows
 from .spaces import FiniteSpace
 
@@ -114,10 +117,12 @@ FACTORIZE_POINT_CAP = 512
 # The adjunction table asks the census about 11.4k pairs of class
 # representatives, each once, where the 85k triples name 44.6k labelled
 # pairs; with the parts that split left arrows ask about, the census
-# misses 11,588 to 11,640 times (11,618 at seed 0), and `_arrow_class`
-# sees at most 1,675 keys in at most 956 classes (seeds 0 to 7).  Every
-# bound is above its count, so that run evicts nothing.  `_glued` shares
-# `CORNER_CACHE_SIZE`.
+# misses 11,585 to 11,638 times (11,607 at seed 0), and `_arrow_class`
+# sees at most 1,675 keys in at most 956 classes (seeds 0 to 7).  `_facts`
+# holds one entry per class the census meets, 910 to 956, and
+# `_map_object` 182 to 192 pairs of row tuples.  Every bound is above its
+# count, so that run evicts nothing.  `_glued` shares `CORNER_CACHE_SIZE`,
+# `_facts` `ARROW_CLASS_CACHE_SIZE` and `_map_object` `POWER_CACHE_SIZE`.
 CORNER_CACHE_SIZE = 8192
 POWER_CACHE_SIZE = 8192
 CENSUS_CACHE_SIZE = 1 << 14
@@ -221,18 +226,34 @@ def _unsolved(left_key, right_key):
             yield top, bot
 
 
+@lru_cache(maxsize=ARROW_CLASS_CACHE_SIZE)
+def _facts(key):
+    """What the census lemmas read of one arrow: iso, bijective, indiscrete source, parts."""
+    src_up, dst_up, mapping = key
+    full = (1 << len(src_up)) - 1
+    return (
+        is_isomorphism(*key),
+        len(set(mapping)) == len(mapping) == len(dst_up),
+        all(row == full for row in src_up),
+        tuple(split(*key)),
+    )
+
+
 @lru_cache(maxsize=CENSUS_CACHE_SIZE)
 def _census(left_key, right_key):
     """Whether every commuting square admits a diagonal.
 
     An isomorphism on either side lifts: u.i^-1 or f^-1.v is the diagonal.
-    The squares of a left arrow with a disconnected target are the product
-    of its parts' squares, so it lifts exactly when some part has no square
-    or every part lifts.  Otherwise no square may be unsolved.
+    So does a bijection against a map out of an indiscrete preorder, into
+    which every function is monotone: u.i^-1 as sets.  The squares of a
+    left arrow with a disconnected target are the product of its parts'
+    squares, so it lifts exactly when some part has no square or every part
+    lifts.  Otherwise no square may be unsolved.
     """
-    if is_isomorphism(*left_key) or is_isomorphism(*right_key):
+    l_iso, l_bijective, _, parts = _facts(left_key)
+    r_iso, _, r_indiscrete, _ = _facts(right_key)
+    if l_iso or r_iso or l_bijective and r_indiscrete:
         return True
-    parts = split(*left_key)
     if parts:
         return any(next(_squares(p, right_key), None) is None for p in parts) or all(
             _lifts(p, right_key) for p in parts
@@ -395,28 +416,6 @@ def product_arrow(f, g):
     return _arrow_from_key((product_rows(x_up, a_up), product_rows(y_up, b_up), mapping))
 
 
-def coproduct_pre(parts, prefixes):
-    """Disjoint union with prefixed labels; returns the sum and injections.
-
-    The labels are sorted, as a parsed structure's are, and the injections
-    follow the sort.
-    """
-    if len(parts) != len(prefixes):
-        raise CarrierMismatchError("one prefix per summand")
-    points = []
-    rows = []
-    offset = 0
-    for part, prefix in zip(parts, prefixes):
-        points.extend(f"{prefix}:{x}" for x in part.points)
-        rows.extend(r << offset for r in part.up)
-        offset += part.n
-    total = Preorder(*sort_labels(points, rows), validate=False)
-    return total, tuple(
-        PreMap(part, total, [total.index(f"{prefix}:{x}") for x in part.points], validate=False)
-        for part, prefix in zip(parts, prefixes)
-    )
-
-
 def _descend(cls, values):
     """Per class 0, 1, ... of `cls`, the value all its points share, or None.
 
@@ -488,12 +487,13 @@ def pushout_product(f, g):
     return _arrow_from_key(_corner(f.key, g.key))
 
 
-def _capped_maps(src_up, dst_up):
-    """The points of the map object dst^src, refused over the cap."""
+@lru_cache(maxsize=POWER_CACHE_SIZE)
+def _map_object(src_up, dst_up):
+    """The maps dst^src in fill order and their pointwise rows, refused over the cap."""
     mappings = maps(src_up, dst_up)
     if len(mappings) > POWER_POINT_CAP:
         raise SizeError(f"map object exceeds {POWER_POINT_CAP} points")
-    return mappings
+    return mappings, pointwise_rows(dst_up, mappings)
 
 
 @lru_cache(maxsize=POWER_CACHE_SIZE)
@@ -508,11 +508,9 @@ def _power(f_key, g_key):
     """
     x_up, y_up, f_map = f_key
     a_up, b_up, g_map = g_key
-    xb = _capped_maps(b_up, x_up)
-    xa = _capped_maps(a_up, x_up)
-    yb = _capped_maps(b_up, y_up)
-    xa_up = pointwise_rows(x_up, xa)
-    yb_up = pointwise_rows(y_up, yb)
+    xb, xb_up = _map_object(b_up, x_up)
+    xa, xa_up = _map_object(a_up, x_up)
+    yb, yb_up = _map_object(b_up, y_up)
     restricted = {}
     for j, delta in enumerate(yb):
         restricted.setdefault(tuple(delta[b] for b in g_map), []).append(j)
@@ -533,7 +531,7 @@ def _power(f_key, g_key):
         pos[(tuple(beta[b] for b in g_map), tuple(f_map[v] for v in beta))]
         for beta in xb
     )
-    return pointwise_rows(x_up, xb), tuple(rows), mapping
+    return xb_up, tuple(rows), mapping
 
 
 def pullback_power(f, g):

@@ -36,7 +36,7 @@ named by a row's bits, which `pointwise_rows` (the pointwise order on a list
 of maps) and the frame layer's adjoints are bit-sliced with; `fibres` gives
 the columns of a map, the points over each value.  `restrict` gives the
 induced order on a subset, and `split` cuts a map at its target's connected
-components, found by `glue`, for the lifting census.
+components, for the lifting census.
 
 `isomorphisms` is the one isomorphism search: it yields every isomorphism
 between two relations, or only those keeping given point colours (the
@@ -299,21 +299,32 @@ def glue(total, pairs):
 def split(src_up, dst_up, mapping):
     """The map cut at its target's connected components, or () if there are under two.
 
-    Part k maps the preimage of the k-th component, by first occurrence,
-    into it, as (source rows, target rows, mapping), both `restrict`ed.
+    Part k maps the preimage of the k-th component, by least point, into
+    it, as (source rows, target rows, mapping), both `restrict`ed.  Each
+    point's up row, with the point, joins every component it meets, so the
+    cost follows the points and the components, not the relation's pairs.
     """
-    n = len(dst_up)
-    cls = glue(n, [(b, c) for b in range(n) for c in range(n) if dst_up[b] >> c & 1])
-    if max(cls, default=0) == 0:
+    comps = []
+    for b, row in enumerate(dst_up):
+        joined = row | 1 << b
+        rest = []
+        for comp in comps:
+            if comp & joined:
+                joined |= comp
+            else:
+                rest.append(comp)
+        rest.append(joined)
+        comps = rest
+    if len(comps) < 2:
         return ()
-    fibre = fibres(mapping, n)
+    fibre = fibres(mapping, len(dst_up))
     return [
         (
             restrict(src_up, gather(comp, fibre)),
             restrict(dst_up, comp),
             tuple(popcount(comp & ((1 << b) - 1)) for b in mapping if comp >> b & 1),
         )
-        for comp in fibres(cls, max(cls) + 1)
+        for comp in sorted(comps, key=lambda c: c & -c)
     ]
 
 

@@ -10,7 +10,8 @@ class: a map is valid when it is monotone on the up rows, which for finite
 spaces is exactly continuity, and `iter_monotone_maps` lists every map
 between two orders.  `pushout` is the one labelled pushout: finite
 spaces, pseudotopologies (on their carriers) and cell attachment all glue
-their spans with it.  Element labels are opaque strings; constructors that
+their spans with it; `coproduct_pre` is the labelled sum cell attachment
+glues along.  Element labels are opaque strings; constructors that
 parse labelled input sort them once, and everything downstream works with
 positional indices, so enumeration is reproducible.  Subsets of the
 carrier are plain ints over the same bit positions.  `downsets` lists a
@@ -262,3 +263,25 @@ def pushout(b, c, f_map, g_map):
     index = {x: t for t, x in enumerate(points)}
     inj = tuple(index[labels[k]] for k in cls)
     return points, rows, inj[: b.n], inj[b.n :]
+
+
+def coproduct_pre(parts, prefixes):
+    """Disjoint union with prefixed labels; returns the sum and injections.
+
+    The labels are sorted, as a parsed structure's are, and the injections
+    follow the sort.
+    """
+    if len(parts) != len(prefixes):
+        raise CarrierMismatchError("one prefix per summand")
+    points = []
+    rows = []
+    offset = 0
+    for part, prefix in zip(parts, prefixes):
+        points.extend(f"{prefix}:{x}" for x in part.points)
+        rows.extend(r << offset for r in part.up)
+        offset += part.n
+    total = Preorder(*sort_labels(points, rows), validate=False)
+    return total, tuple(
+        PreMap(part, total, [total.index(f"{prefix}:{x}") for x in part.points], validate=False)
+        for part, prefix in zip(parts, prefixes)
+    )

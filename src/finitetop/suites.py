@@ -29,7 +29,7 @@ from .colimits import (
     pushout_square,
 )
 from .corpus import frames_upto, soa_regression_cases, spaces_upto
-from .errors import FinitetopError, NotIsoError, VerificationError
+from .errors import FinitetopError, NotHomError, NotIsoError, VerificationError
 from .frames import (
     Prenucleus,
     composed,
@@ -215,7 +215,7 @@ def _run_frame_coproduct(opt):
                         cases += 1
                         try:
                             h = copair(f, g, tensor=tensor)
-                        except VerificationError as exc:
+                        except (NotHomError, VerificationError) as exc:
                             failures.append(f"{pair}: {exc}")
                             continue
                         found = mediators.get((f.mapping, g.mapping), [])
@@ -464,7 +464,7 @@ def _cocone_failures(pool, homs, result):
                     continue
                 try:
                     m = pushout_mediator(result, u, v)
-                except (ValueError, VerificationError) as exc:
+                except (ValueError, NotHomError, VerificationError) as exc:
                     messages.append(str(exc))
                     continue
                 if into_apex is None:

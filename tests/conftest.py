@@ -21,6 +21,7 @@ from finitetop.errors import (
 )
 from finitetop.frames import (
     FiniteFrame,
+    FrameHom,
     chain_frame,
     GaloisConnection,
     composed,
@@ -303,6 +304,20 @@ def literal_loc_pushout(max_frame_size, mediator=pushout_mediator):
                                             f"{tag}: {len(found)} mediators from {name(q)}"
                                         )
     return cases, failures
+
+
+def top_sent_to_bottom(build):
+    """A mutant of a hom builder, `copair` or `pushout_mediator`: the hom it
+    returns, rebuilt with the source's top sent to the target's bottom, so
+    that `FrameHom` refuses it into any target of two or more elements."""
+
+    def mutant(*args, **kwargs):
+        h = build(*args, **kwargs)
+        mapping = list(h.mapping)
+        mapping[h.source.top] = h.target.bottom
+        return FrameHom(h.source, h.target, mapping)
+
+    return mutant
 
 
 def cocone_legs_swapped(mediator):
@@ -793,10 +808,12 @@ def clear_lifting_caches():
     """Empty every memo of the lifting layer, so no verdict outlives a mutant."""
     for cache in (
         lifting._census,
+        lifting._facts,
         lifting._arrow_class,
         lifting._glued,
         lifting._corner,
         lifting._power,
+        lifting._map_object,
         lifting._associates,
         lifting._arrow_autos,
     ):

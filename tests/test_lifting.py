@@ -1209,18 +1209,111 @@ def _walk_lifts(left_key, right_key):
 
 def test_the_reduced_census_is_the_walk_on_every_small_pair():
     """Every arrow between preorders of up to 3 points, empty ones included,
-    against every arrow of up to 2 points; both lemmas decide some pairs."""
+    against every arrow of up to 2 points; each lemma decides some pairs."""
     lefts = [f.key for f in arrows_between(_preorder_pool(3))]
     rights = [g.key for g in CUBE]
     assert len(lefts) * len(rights) == 64944
     assert any(order.split(*k) for k in lefts)
     assert any(order.is_isomorphism(*k) for k in lefts)
+    by_bijection = 0
     for left in lefts:
+        l_iso, l_bijective, _, _ = lifting._facts(left)
         for right in rights:
+            r_iso, _, r_indiscrete, _ = lifting._facts(right)
+            by_bijection += l_bijective and r_indiscrete and not (l_iso or r_iso)
             assert lifting._census.__wrapped__(left, right) == _walk_lifts(left, right), (
                 left,
                 right,
             )
+    assert by_bijection > 0
+
+
+def test_the_facts_of_a_key_are_their_literal_definitions():
+    """`_facts` on every arrow between preorders of up to 3 points: an order
+    isomorphism, a bijection on points, a source whose points are all
+    related both ways, and the `split` parts."""
+    for f in arrows_between(_preorder_pool(3)):
+        src_up, dst_up, mapping = f.key
+        indiscrete = all(row >> j & 1 for row in src_up for j in range(len(src_up)))
+        assert lifting._facts(f.key) == (
+            order.is_isomorphism(*f.key),
+            sorted(mapping) == list(range(len(dst_up))),
+            indiscrete,
+            tuple(order.split(*f.key)),
+        )
+
+
+def test_an_injection_does_not_lift_against_a_map_out_of_an_indiscrete_preorder():
+    """The cell is injective and its source, being empty, is indiscrete, but
+    the cell does not lift against itself: only a bijection lifts by the
+    third lemma."""
+    assert lifting._facts(CELL.key)[1:3] == (False, True)
+    assert not _walk_lifts(CELL.key, CELL.key)
+    assert not lifting._census.__wrapped__(CELL.key, CELL.key)
+
+
+def test_a_bijection_against_a_map_out_of_an_indiscrete_preorder_walks_no_square(monkeypatch):
+    """The edge, bijective but no isomorphism, against the indiscrete pair
+    collapsed to a point: the census decides it by the third lemma alone."""
+
+    def no_walk(*keys):
+        raise AssertionError("the census walked squares")
+
+    monkeypatch.setattr(lifting, "_squares", no_walk)
+    monkeypatch.setattr(lifting, "_unsolved", no_walk)
+    assert lifting._census.__wrapped__(EDGE.key, ((3, 3), (1,), (0, 0)))
+
+
+@st.composite
+def bijections(draw, max_n=5):
+    """A random bijective arrow of up to max_n points.
+
+    The target is the closure of a drawn relation, and the identity maps
+    the closure of drawn pairs of it into it; the source is then renumbered
+    by a drawn permutation.
+    """
+    n = draw(st.integers(0, max_n))
+    pairs = [(i, j) for i in range(n) for j in range(n) if i != j]
+
+    def closure(within):
+        keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+        rows = [1 << i for i in range(n)]
+        for (i, j), k in zip(pairs, keep):
+            if k and within[i] >> j & 1:
+                rows[i] |= 1 << j
+        return tuple(order.transitive_closure(rows))
+
+    dst_up = closure([(1 << n) - 1] * n)
+    sigma = draw(st.permutations(range(n)))
+    return _renumbered((closure(dst_up), dst_up, tuple(range(n))), sigma, range(n))
+
+
+@st.composite
+def maps_out_of_indiscrete(draw, max_n=3):
+    """A random map from an indiscrete preorder of up to max_n points into
+    a preorder of up to 3 points."""
+    dst_up = draw(st.sampled_from(ROWS_UPTO_3))
+    m = draw(st.integers(0, max_n if dst_up else 0))
+    src_up = ((1 << m) - 1,) * m
+    return src_up, dst_up, draw(st.sampled_from(order.maps(src_up, dst_up)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(bijections(), maps_out_of_indiscrete())
+@example(EDGE.key, ((3, 3), (1,), (0, 0)))
+def test_a_bijection_lifts_against_a_map_out_of_an_indiscrete_preorder(left, right):
+    """The third lemma against the walk and the counting oracle."""
+    src_up, dst_up, mapping = left
+    assert sorted(mapping) == list(range(len(dst_up)))
+    assert all(
+        dst_up[mapping[i]] >> mapping[j] & 1
+        for i, row in enumerate(src_up)
+        for j in range(len(src_up))
+        if row >> j & 1
+    )
+    assert lifting._census.__wrapped__(left, right)
+    assert _walk_lifts(left, right)
+    assert _census_oracle(left, right)
 
 
 @settings(max_examples=150, deadline=None)
@@ -1324,7 +1417,9 @@ def test_the_lifting_caches_evict_nothing_at_the_default_bounds(monkeypatch):
         lifting._glued,
         lifting._corner,
         lifting._power,
+        lifting._map_object,
         lifting._arrow_class,
+        lifting._facts,
         lifting._census,
         lifting._associates,
     )

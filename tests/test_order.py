@@ -366,6 +366,36 @@ def test_split_cuts_a_map_at_its_targets_components():
     assert cut > 0
 
 
+@st.composite
+def sparse_preorders(draw, max_n=9):
+    """A random preorder from at most two drawn edges per point, so that
+    several components are common."""
+    n = draw(st.integers(0, max_n))
+    rows = [
+        sum(1 << j for j in draw(st.sets(st.integers(0, n - 1), max_size=2))) | 1 << i
+        for i in range(n)
+    ]
+    return tuple(order.transitive_closure(rows))
+
+
+@settings(max_examples=300, deadline=None)
+@given(sparse_preorders())
+@example((1, 2, 4, 8))
+@example((9, 2, 12, 8))
+def test_split_cuts_random_preorders_at_their_components(up):
+    """The identity of a random preorder of up to 9 points: one part per
+    component, in order of its least point, each its induced order."""
+    comps = _components_oracle(up)
+    parts = order.split(up, up, tuple(range(len(up))))
+    if len(comps) < 2:
+        assert parts == ()
+        return
+    assert [dst for _, dst, _ in parts] == [
+        _restrict_oracle(up, list(iter_bits(comp))) for comp in comps
+    ]
+    assert all(src == dst and m == tuple(range(len(dst))) for src, dst, m in parts)
+
+
 def test_isomorphism_matches_brute_force_on_posets():
     """Every poset of up to 4 points against every relabelling of each one."""
     posets = [p.up for p in all_posets(4)]

@@ -4,12 +4,14 @@ import collections
 import gc
 import hashlib
 import itertools
+import json
 import tracemalloc
 
 import pytest
 
 import finitetop.suites as suites
 from finitetop import colimits, lifting, pstop, spatial
+from finitetop.cli import run
 from finitetop.frames import GaloisConnection, iter_frame_homs, right_adjoint
 from finitetop.pstop import PsSpace
 from finitetop.serialize import canonical_json
@@ -33,6 +35,7 @@ from conftest import (
     pins_ignoring_the_top,
     projection_adjoint_off_by_one,
     tensor_action_dropping_the_last_pair,
+    top_sent_to_bottom,
 )
 
 SMALL = SuiteOptions(max_points=1, max_frame_size=2)
@@ -274,6 +277,31 @@ def test_the_coproduct_suite_catches_a_copair_with_swapped_legs(monkeypatch):
     assert (report.cases, len(report.failures)) == (87, 32)
     assert report.failures[0] == "{a,b,c} (x) {a,b,c} into {a,b}: 1 mediators for one cocone"
     canonical_json([report_data(report)])
+
+
+@pytest.mark.parametrize(
+    "citation, group, builder, counts, first",
+    [
+        ("FrameCoproduct", "frames", "copair", (87, 75), "{a,b} (x) {a,b}"),
+        ("LocPushout", "colimits", "pushout_mediator", (34, 151), "{a} <- {a} -> {a,b}"),
+    ],
+)
+def test_a_built_map_that_is_no_hom_fails_its_case(
+    monkeypatch, capsys, citation, group, builder, counts, first
+):
+    """A copair or mediator with its top sent to bottom is refused by
+    `FrameHom` as it is built.  The suite reports that refusal as a failed
+    case, and `check` exits 1 with every report, not 2 with none."""
+    monkeypatch.setattr(suites, builder, top_sent_to_bottom(getattr(suites, builder)))
+    report = run_suite(citation, SuiteOptions())
+    assert (report.cases, len(report.failures)) == counts
+    assert report.failures[0] == f"{first}: top is not preserved"
+    assert all(f.endswith(": top is not preserved") for f in report.failures)
+    capsys.readouterr()
+    assert run(["check", group]) == 1
+    reports = {r["citation"]: r for r in json.loads(capsys.readouterr().out)}
+    assert reports[citation]["failures"] == list(report.failures)
+    assert [c for c, r in reports.items() if not r["ok"]] == [citation]
 
 
 def test_the_galois_suite_catches_an_adjoint_off_by_one_value(monkeypatch):
