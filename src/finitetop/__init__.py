@@ -2,7 +2,8 @@
 
 Everything here is exhaustively finite.  Posets and spaces carry their
 elements as sorted labels with bitmask subsets; frames are finite
-distributive lattices with total operation tables; and the higher layers
+distributive lattices whose joins and meets are the unions and
+intersections of a family of sets; and the higher layers
 (coproducts of frames, the open-sets/points adjunction, pseudotopological
 spaces, lifting problems in preorders) only ever quantify over sets they
 can enumerate.

@@ -13,6 +13,7 @@ import argparse
 import json
 import sys
 from contextlib import nullcontext
+from functools import partial
 
 from .colimits import copair, coproduct, pushout_loc
 from .errors import FinitetopError, VerificationError
@@ -122,63 +123,10 @@ def _options(args):
     )
 
 
-def _cmd_validate(args):
-    _emit(structure_data(_load(args.input)), args)
-    return 0
-
-
-def _cmd_downsets(args):
-    _emit(structure_data(downset_frame(_load(args.poset, FinitePoset))), args)
-    return 0
-
-
-def _cmd_omega(args):
-    _emit(structure_data(omega(_load(args.space, FiniteSpace))), args)
-    return 0
-
-
-def _cmd_pt(args):
-    _emit(structure_data(pt(_load(args.frame, FiniteFrame))), args)
-    return 0
-
-
-def _cmd_coproduct(args):
-    left = _load(args.left, FiniteFrame)
-    right = _load(args.right, FiniteFrame)
-    _emit(structure_data(coproduct(left, right)), args)
-    return 0
-
-
-def _cmd_copair(args):
-    left = _load(args.left, FrameHom)
-    right = _load(args.right, FrameHom)
-    _emit(structure_data(copair(left, right)), args)
-    return 0
-
-
-def _cmd_pushout_loc(args):
-    left = _load(args.left, FrameHom)
-    right = _load(args.right, FrameHom)
-    _emit(structure_data(pushout_loc(left, right)), args)
-    return 0
-
-
-def _cmd_pstop_tau(args):
-    _emit(structure_data(top_modification(_load(args.input, PsSpace))), args)
-    return 0
-
-
-def _cmd_pstop_meet(args):
-    left = _load(args.left, PsSpace)
-    right = _load(args.right, PsSpace)
-    _emit(structure_data(meet_ps(left, right)), args)
-    return 0
-
-
-def _cmd_pstop_join(args):
-    left = _load(args.left, PsSpace)
-    right = _load(args.right, PsSpace)
-    _emit(structure_data(join_ps(left, right)), args)
+def _run_structure(construct, kinds, args):
+    """Load each --flag as its class in `kinds` (None for any), construct, emit."""
+    inputs = [_load(getattr(args, dest), want) for dest, want in kinds.items()]
+    _emit(structure_data(construct(*inputs)), args)
     return 0
 
 
@@ -237,103 +185,70 @@ def _report_suites(reports, args):
     return 0 if all(rep.ok for rep in reports) else 1
 
 
-def _add_output(parser):
-    parser.add_argument("--json-out", metavar="PATH", help="also write the JSON here")
-
-
-def _add_suite_options(parser):
-    parser.add_argument("--max-points", type=int, default=3, metavar="N")
-    parser.add_argument("--max-frame-size", type=int, default=3, metavar="N")
-    parser.add_argument("--seed", type=int, default=0, metavar="N")
-    parser.add_argument("--jobs", type=int, default=1, metavar="N")
-
-
 def _build_parser():
+    """One parser per row of the command table; a row without a handler is a group."""
+    path = {"required": True, "metavar": "PATH"}
+
+    def structure(construct, **kinds):
+        """The arguments and handler of a load -> build -> emit row."""
+        return tuple((f"--{dest}", path) for dest in kinds), partial(
+            _run_structure, construct, kinds
+        )
+
+    def number(default):
+        return {"type": int, "default": default, "metavar": "N"}
+
+    suite_options = (
+        ("--max-points", number(3)),
+        ("--max-frame-size", number(3)),
+        ("--seed", number(0)),
+        ("--jobs", number(1)),
+    )
+    commands = (
+        (("validate",), "parse a structure and emit its canonical form",
+         *structure(lambda obj: obj, input=None)),
+        (("downsets",), "the frame of downsets of a poset",
+         *structure(downset_frame, poset=FinitePoset)),
+        (("omega",), "the frame of opens of a space", *structure(omega, space=FiniteSpace)),
+        (("pt",), "the space of points of a frame", *structure(pt, frame=FiniteFrame)),
+        (("coproduct",), "the coproduct of two frames",
+         *structure(coproduct, left=FiniteFrame, right=FiniteFrame)),
+        (("copair",), "the mediating hom out of a coproduct",
+         *structure(copair, left=FrameHom, right=FrameHom)),
+        (("pushout-loc",), "the localic pushout of a span of homs",
+         *structure(pushout_loc, left=FrameHom, right=FrameHom)),
+        (("pstop",), "pseudotopology operations", (), None),
+        (("pstop", "tau"), "the topological modification",
+         *structure(top_modification, input=PsSpace)),
+        (("pstop", "meet"), "the meet of two pseudotopologies",
+         *structure(meet_ps, left=PsSpace, right=PsSpace)),
+        (("pstop", "join"), "the join of two pseudotopologies",
+         *structure(join_ps, left=PsSpace, right=PsSpace)),
+        (("pstop", "check"), "run the pseudotopology lemma suites", suite_options,
+         _cmd_pstop_check),
+        (("lift",), "lifting problems and factorizations", (), None),
+        (("lift", "check"), "search a commuting square for fillers", (("--square", path),),
+         _cmd_lift_check),
+        (("lift", "factorize"), "bounded cell factorization of a map",
+         (("--map", path), ("--gens", path), ("--steps", number(4))),
+         _cmd_lift_factorize),
+        (("check",), "run verification suites",
+         (("target", {"help": "a group name, a citation key, or all"}), *suite_options),
+         _cmd_check),
+    )
     parser = _Parser(prog="finitetop", description=__doc__.splitlines()[0])
-    sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
-
-    p = sub.add_parser("validate", help="parse a structure and emit its canonical form")
-    p.add_argument("--input", required=True, metavar="PATH")
-    _add_output(p)
-    p.set_defaults(handler=_cmd_validate)
-
-    p = sub.add_parser("downsets", help="the frame of downsets of a poset")
-    p.add_argument("--poset", required=True, metavar="PATH")
-    _add_output(p)
-    p.set_defaults(handler=_cmd_downsets)
-
-    p = sub.add_parser("omega", help="the frame of opens of a space")
-    p.add_argument("--space", required=True, metavar="PATH")
-    _add_output(p)
-    p.set_defaults(handler=_cmd_omega)
-
-    p = sub.add_parser("pt", help="the space of points of a frame")
-    p.add_argument("--frame", required=True, metavar="PATH")
-    _add_output(p)
-    p.set_defaults(handler=_cmd_pt)
-
-    p = sub.add_parser("coproduct", help="the coproduct of two frames")
-    p.add_argument("--left", required=True, metavar="PATH")
-    p.add_argument("--right", required=True, metavar="PATH")
-    _add_output(p)
-    p.set_defaults(handler=_cmd_coproduct)
-
-    p = sub.add_parser("copair", help="the mediating hom out of a coproduct")
-    p.add_argument("--left", required=True, metavar="PATH")
-    p.add_argument("--right", required=True, metavar="PATH")
-    _add_output(p)
-    p.set_defaults(handler=_cmd_copair)
-
-    p = sub.add_parser("pushout-loc", help="the localic pushout of a span of homs")
-    p.add_argument("--left", required=True, metavar="PATH")
-    p.add_argument("--right", required=True, metavar="PATH")
-    _add_output(p)
-    p.set_defaults(handler=_cmd_pushout_loc)
-
-    pstop = sub.add_parser("pstop", help="pseudotopology operations")
-    pstop_sub = pstop.add_subparsers(
-        dest="subcommand", required=True, parser_class=_Parser
-    )
-    p = pstop_sub.add_parser("tau", help="the topological modification")
-    p.add_argument("--input", required=True, metavar="PATH")
-    _add_output(p)
-    p.set_defaults(handler=_cmd_pstop_tau)
-    p = pstop_sub.add_parser("meet", help="the meet of two pseudotopologies")
-    p.add_argument("--left", required=True, metavar="PATH")
-    p.add_argument("--right", required=True, metavar="PATH")
-    _add_output(p)
-    p.set_defaults(handler=_cmd_pstop_meet)
-    p = pstop_sub.add_parser("join", help="the join of two pseudotopologies")
-    p.add_argument("--left", required=True, metavar="PATH")
-    p.add_argument("--right", required=True, metavar="PATH")
-    _add_output(p)
-    p.set_defaults(handler=_cmd_pstop_join)
-    p = pstop_sub.add_parser("check", help="run the pseudotopology lemma suites")
-    _add_suite_options(p)
-    _add_output(p)
-    p.set_defaults(handler=_cmd_pstop_check)
-
-    lift = sub.add_parser("lift", help="lifting problems and factorizations")
-    lift_sub = lift.add_subparsers(
-        dest="subcommand", required=True, parser_class=_Parser
-    )
-    p = lift_sub.add_parser("check", help="search a commuting square for fillers")
-    p.add_argument("--square", required=True, metavar="PATH")
-    _add_output(p)
-    p.set_defaults(handler=_cmd_lift_check)
-    p = lift_sub.add_parser("factorize", help="bounded cell factorization of a map")
-    p.add_argument("--map", required=True, metavar="PATH")
-    p.add_argument("--gens", required=True, metavar="PATH")
-    p.add_argument("--steps", type=int, default=4, metavar="N")
-    _add_output(p)
-    p.set_defaults(handler=_cmd_lift_factorize)
-
-    p = sub.add_parser("check", help="run verification suites")
-    p.add_argument("target", help="a group name, a citation key, or all")
-    _add_suite_options(p)
-    _add_output(p)
-    p.set_defaults(handler=_cmd_check)
-
+    groups = {(): parser.add_subparsers(dest="command", required=True, parser_class=_Parser)}
+    for words, text, arguments, handler in commands:
+        p = groups[words[:-1]].add_parser(words[-1], help=text)
+        if handler is None:
+            groups[words] = p.add_subparsers(
+                dest="subcommand", required=True, parser_class=_Parser
+            )
+            continue
+        for name, options in arguments:
+            p.add_argument(name, **options)
+        p.add_argument("--json-out", metavar="PATH", help="also write the JSON here")
+        p.set_defaults(handler=handler)
     return parser
 
 
@@ -346,16 +261,10 @@ def run(argv):
         return int(exc.code or 0)
     try:
         return args.handler(args)
-    except _InputProblem as exc:
-        _diagnostic("input", str(exc))
-        return 2
     except VerificationError as exc:
         _diagnostic("verification", str(exc))
         return 1
-    except (FinitetopError, ValueError) as exc:
-        _diagnostic("input", str(exc))
-        return 2
-    except OSError as exc:
+    except (_InputProblem, FinitetopError, ValueError, OSError) as exc:
         _diagnostic("input", str(exc))
         return 2
 

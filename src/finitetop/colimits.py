@@ -248,7 +248,7 @@ def product_frames(factors):
     shifted past the points of the factors before it, the width of their
     top members.  `FiniteFrame` builds the frame on those masks.  Inclusion,
     union and intersection of disjoint unions are componentwise, so the
-    order and tables are the componentwise ones.  The builder still checks
+    order, joins and meets are the componentwise ones.  The builder still checks
     closure, at every size: a lattice that is not a family of sets closed
     under union and intersection is refused with VerificationError.
     """
@@ -280,25 +280,22 @@ class DistributeIso:
     inverse: FrameHom
 
 
-def distribute_iso(left, m1, m2, *, built=None):
+def distribute_iso(source, t1, t2):
     """L tensor (M1 x M2) against (L tensor M1) x (L tensor M2).
 
-    `built` is the pieces (L tensor P, L tensor M1, L tensor M2, P) for
-    P = M1 x M2, when the caller has built them; otherwise they are built
-    here, P first.  The target (L tensor M1) x (L tensor M2) is built here.
+    The pieces are `source` = L tensor (M1 x M2), `t1` = L tensor M1 and
+    `t2` = L tensor M2; L, M1, M2 and the product M1 x M2 are read off
+    them, and pieces that do not come from one triple are refused with
+    ValueError.  The target (L tensor M1) x (L tensor M2) is built here.
     The forward map pairs the two projection actions (id tensor p_k).  It
     is certified to be a bijection and, by `_check_hom`, a frame hom; a
     bijective lattice hom is an isomorphism.  NotIsoError otherwise.
     """
-    if built is None:
-        prod = product_frames([m1, m2])
-        built = coproduct(left, prod), coproduct(left, m1), coproduct(left, m2), prod
-    source, t1, t2, prod = built
+    left, prod = source.left, source.right
     if (
-        (source.left, t1.left, t2.left) != (left, left, left)
-        or (t1.right, t2.right) != (m1, m2)
-        or prod.factors != (m1, m2)
-        or source.right != prod
+        (t1.left, t2.left) != (left, left)
+        or not isinstance(prod, ProductFrame)
+        or prod.factors != (t1.right, t2.right)
     ):
         raise ValueError("the given pieces do not match the triple")
     target = product_frames([t1, t2])

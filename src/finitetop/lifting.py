@@ -28,7 +28,8 @@ first-seen key of its class, found by the coloured `order.isomorphisms`
 search among earlier representatives with equal signatures, and `_lifts`
 asks the census about the two classes.  `_facts` holds what the lemmas
 read of one key, so each fact is computed once per representative, not
-once per pair.  A witness square for a failure is still searched on the
+once per pair; `_parts` holds the `order.split` parts of a left key,
+cut only when the lemmas leave one of its pairs undecided.  A witness square for a failure is still searched on the
 real keys, by the walk alone.
 
 The exhaustive sweeps are tables.  `adjunction_failures` builds each
@@ -119,10 +120,11 @@ FACTORIZE_POINT_CAP = 512
 # pairs; with the parts that split left arrows ask about, the census
 # misses 11,585 to 11,638 times (11,607 at seed 0), and `_arrow_class`
 # sees at most 1,675 keys in at most 956 classes (seeds 0 to 7).  `_facts`
-# holds one entry per class the census meets, 910 to 956, and
-# `_map_object` 182 to 192 pairs of row tuples.  Every bound is above its
-# count, so that run evicts nothing.  `_glued` shares `CORNER_CACHE_SIZE`,
-# `_facts` `ARROW_CLASS_CACHE_SIZE` and `_map_object` `POWER_CACHE_SIZE`.
+# holds one entry per class the census meets, 910 to 956, `_parts` one per
+# left class the lemmas leave undecided, 524 to 574, and `_map_object` 182
+# to 192 pairs of row tuples.  Every bound is above its count, so that run
+# evicts nothing.  `_glued` shares `CORNER_CACHE_SIZE`, `_facts` and
+# `_parts` `ARROW_CLASS_CACHE_SIZE` and `_map_object` `POWER_CACHE_SIZE`.
 CORNER_CACHE_SIZE = 8192
 POWER_CACHE_SIZE = 8192
 CENSUS_CACHE_SIZE = 1 << 14
@@ -228,15 +230,20 @@ def _unsolved(left_key, right_key):
 
 @lru_cache(maxsize=ARROW_CLASS_CACHE_SIZE)
 def _facts(key):
-    """What the census lemmas read of one arrow: iso, bijective, indiscrete source, parts."""
+    """What the census lemmas read of one arrow: iso, bijective, indiscrete source."""
     src_up, dst_up, mapping = key
     full = (1 << len(src_up)) - 1
     return (
         is_isomorphism(*key),
         len(set(mapping)) == len(mapping) == len(dst_up),
         all(row == full for row in src_up),
-        tuple(split(*key)),
     )
+
+
+@lru_cache(maxsize=ARROW_CLASS_CACHE_SIZE)
+def _parts(key):
+    """The `order.split` parts of a left arrow, one per component of its target."""
+    return tuple(split(*key))
 
 
 @lru_cache(maxsize=CENSUS_CACHE_SIZE)
@@ -250,10 +257,11 @@ def _census(left_key, right_key):
     squares, so it lifts exactly when some part has no square or every part
     lifts.  Otherwise no square may be unsolved.
     """
-    l_iso, l_bijective, _, parts = _facts(left_key)
-    r_iso, _, r_indiscrete, _ = _facts(right_key)
+    l_iso, l_bijective, _ = _facts(left_key)
+    r_iso, _, r_indiscrete = _facts(right_key)
     if l_iso or r_iso or l_bijective and r_indiscrete:
         return True
+    parts = _parts(left_key)
     if parts:
         return any(next(_squares(p, right_key), None) is None for p in parts) or all(
             _lifts(p, right_key) for p in parts

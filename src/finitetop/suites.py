@@ -331,8 +331,8 @@ def _run_nucleus_generation(opt):
 def _run_product_distribute(opt):
     """The distribution of a tensor over a binary product, all triples.
 
-    Each triple (L, M1, M2) hands `distribute_iso` its pieces built:
-    L (x) (M1 x M2), L (x) M1, L (x) M2 and M1 x M2.  Only L (x) (M1 x M2)
+    Each triple (L, M1, M2) hands `distribute_iso` its pieces:
+    L (x) (M1 x M2), L (x) M1 and L (x) M2.  Only L (x) (M1 x M2)
     and the target (L (x) M1) x (L (x) M2) are new to a triple; each
     M1 x M2 is built once per run and each L (x) M once per L, and every
     frame built runs its build checks.
@@ -346,11 +346,8 @@ def _run_product_distribute(opt):
         for i, m1 in enumerate(pool):
             for j, m2 in enumerate(pool):
                 cases += 1
-                prod = products[i][j]
                 try:
-                    distribute_iso(
-                        left, m1, m2, built=(coproduct(left, prod), tensors[i], tensors[j], prod)
-                    )
+                    distribute_iso(coproduct(left, products[i][j]), tensors[i], tensors[j])
                 except NotIsoError as exc:
                     failures.append(
                         f"{_frame_name(left)} over {_frame_name(m1)} x "

@@ -9,7 +9,13 @@ from hypothesis import strategies as st
 
 from finitetop import lifting, order, serialize
 from finitetop.bits import iter_bits, popcount
-from finitetop.colimits import distribute_iso, pushout_loc, pushout_mediator
+from finitetop.colimits import (
+    coproduct,
+    distribute_iso,
+    product_frames,
+    pushout_loc,
+    pushout_mediator,
+)
 from finitetop.corpus import frames_upto
 from finitetop.errors import (
     FinitetopError,
@@ -366,8 +372,8 @@ def literal_product_distribute(max_frame_size):
     """ProductDistributeLocale's case count and failure list, one call per triple.
 
     The loop the suite ran before it built each tensor and product once:
-    every triple (L, M1, M2) calls the public `distribute_iso`, which
-    builds all four of its pieces itself.
+    every triple (L, M1, M2) builds all four of its pieces itself, M1 x M2
+    first, and hands the three tensors to the public `distribute_iso`.
     """
 
     def name(frame):
@@ -381,7 +387,8 @@ def literal_product_distribute(max_frame_size):
             for m2 in pool:
                 cases += 1
                 try:
-                    distribute_iso(left, m1, m2)
+                    prod = product_frames([m1, m2])
+                    distribute_iso(coproduct(left, prod), coproduct(left, m1), coproduct(left, m2))
                 except NotIsoError as exc:
                     failures.append(f"{name(left)} over {name(m1)} x {name(m2)}: {exc}")
     return cases, failures
@@ -809,6 +816,7 @@ def clear_lifting_caches():
     for cache in (
         lifting._census,
         lifting._facts,
+        lifting._parts,
         lifting._arrow_class,
         lifting._glued,
         lifting._corner,

@@ -1,5 +1,6 @@
 """The command line exit contract: 0 ok, 1 a negative check, 2 unusable input."""
 
+import argparse
 import hashlib
 import itertools
 import json
@@ -11,7 +12,7 @@ from pathlib import Path
 import pytest
 
 import finitetop
-from finitetop import pstop, serialize, suites
+from finitetop import cli, pstop, serialize, suites
 from finitetop.cli import run
 from finitetop.colimits import coproduct
 from finitetop.lifting import PreMap, Preorder, identity_arrow
@@ -318,6 +319,49 @@ def test_pstop_join_refuses_carriers_of_different_sizes(tmp_path, capsys):
     assert json.loads(captured.err)["error"]["kind"] == "input"
 
 
+
+# Each command that loads a typed structure, the flags it loads, a file of
+# the right kind, a well-formed file of another kind, and the kind it names.
+# `validate` takes every kind, so it refuses none.
+WRONG_KINDS = [
+    ("downsets", ("--poset",), "poset", "space", "poset"),
+    ("omega", ("--space",), "space", "poset", "space"),
+    ("pt", ("--frame",), "frame", "poset", "frame"),
+    ("coproduct", ("--left", "--right"), "frame", "frame-hom", "frame"),
+    ("copair", ("--left", "--right"), "frame-hom", "frame", "frame-hom"),
+    ("pushout-loc", ("--left", "--right"), "frame-hom", "frame", "frame-hom"),
+    ("pstop tau", ("--input",), "pstop", "space", "pstop"),
+    ("pstop meet", ("--left", "--right"), "pstop", "space", "pstop"),
+    ("pstop join", ("--left", "--right"), "pstop", "space", "pstop"),
+    ("lift check", ("--square",), None, "frame", "lifting-square"),
+]
+
+
+@pytest.mark.parametrize(
+    "command, flags, good, wrong, kind, refused",
+    [
+        pytest.param(*row, flag, id=f"{row[0]} {flag}")
+        for row in WRONG_KINDS
+        for flag in row[1]
+    ],
+)
+def test_a_structure_of_another_kind_is_refused_by_name(
+    command, flags, good, wrong, kind, refused, tmp_path, capsys
+):
+    """A well-formed file of the wrong kind on one flag, the right kind on the others."""
+    paths = _write_inputs(tmp_path)
+    argv = command.split()
+    for flag in flags:
+        argv += [flag, paths[wrong] if flag == refused else paths[good]]
+    assert run(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert json.loads(captured.err)["error"] == {
+        "kind": "input",
+        "message": f"{paths[wrong]}: expected a {kind}",
+    }
+
+
 CHAIN7 = {"kind": "frame", "points": [f"c{k}" for k in range(7)],
           "leq": [[f"c{k}", f"c{k + 1}"] for k in range(6)]}
 
@@ -435,3 +479,104 @@ def test_lift_check_refuses_a_square_that_does_not_commute(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert json.loads(captured.err)["error"]["kind"] == "input"
+
+
+# Every command path with its help, the root with the description, in the
+# order the parser lists them; then every option as (command, option
+# strings, dest, required, default, type, metavar, help).  The subcommand
+# choosers are the options with empty strings and no metavar.
+COMMAND_TREE = [
+    ('', 'Command line entry point: parse structures, compute, verify, report.'),
+    ('validate', 'parse a structure and emit its canonical form'),
+    ('downsets', 'the frame of downsets of a poset'),
+    ('omega', 'the frame of opens of a space'),
+    ('pt', 'the space of points of a frame'),
+    ('coproduct', 'the coproduct of two frames'),
+    ('copair', 'the mediating hom out of a coproduct'),
+    ('pushout-loc', 'the localic pushout of a span of homs'),
+    ('pstop', 'pseudotopology operations'),
+    ('pstop tau', 'the topological modification'),
+    ('pstop meet', 'the meet of two pseudotopologies'),
+    ('pstop join', 'the join of two pseudotopologies'),
+    ('pstop check', 'run the pseudotopology lemma suites'),
+    ('lift', 'lifting problems and factorizations'),
+    ('lift check', 'search a commuting square for fillers'),
+    ('lift factorize', 'bounded cell factorization of a map'),
+    ('check', 'run verification suites'),
+]
+COMMAND_OPTIONS = [
+    ('', '', 'command', True, None, None, None, None),
+    ('validate', '--input', 'input', True, None, None, 'PATH', None),
+    ('validate', '--json-out', 'json_out', False, None, None, 'PATH', 'also write the JSON here'),
+    ('downsets', '--poset', 'poset', True, None, None, 'PATH', None),
+    ('downsets', '--json-out', 'json_out', False, None, None, 'PATH', 'also write the JSON here'),
+    ('omega', '--space', 'space', True, None, None, 'PATH', None),
+    ('omega', '--json-out', 'json_out', False, None, None, 'PATH', 'also write the JSON here'),
+    ('pt', '--frame', 'frame', True, None, None, 'PATH', None),
+    ('pt', '--json-out', 'json_out', False, None, None, 'PATH', 'also write the JSON here'),
+    ('coproduct', '--left', 'left', True, None, None, 'PATH', None),
+    ('coproduct', '--right', 'right', True, None, None, 'PATH', None),
+    ('coproduct', '--json-out', 'json_out', False, None, None, 'PATH', 'also write the JSON here'),
+    ('copair', '--left', 'left', True, None, None, 'PATH', None),
+    ('copair', '--right', 'right', True, None, None, 'PATH', None),
+    ('copair', '--json-out', 'json_out', False, None, None, 'PATH', 'also write the JSON here'),
+    ('pushout-loc', '--left', 'left', True, None, None, 'PATH', None),
+    ('pushout-loc', '--right', 'right', True, None, None, 'PATH', None),
+    ('pushout-loc', '--json-out', 'json_out', False, None, None, 'PATH', 'also write the JSON here'),
+    ('pstop', '', 'subcommand', True, None, None, None, None),
+    ('pstop tau', '--input', 'input', True, None, None, 'PATH', None),
+    ('pstop tau', '--json-out', 'json_out', False, None, None, 'PATH', 'also write the JSON here'),
+    ('pstop meet', '--left', 'left', True, None, None, 'PATH', None),
+    ('pstop meet', '--right', 'right', True, None, None, 'PATH', None),
+    ('pstop meet', '--json-out', 'json_out', False, None, None, 'PATH', 'also write the JSON here'),
+    ('pstop join', '--left', 'left', True, None, None, 'PATH', None),
+    ('pstop join', '--right', 'right', True, None, None, 'PATH', None),
+    ('pstop join', '--json-out', 'json_out', False, None, None, 'PATH', 'also write the JSON here'),
+    ('pstop check', '--max-points', 'max_points', False, 3, 'int', 'N', None),
+    ('pstop check', '--max-frame-size', 'max_frame_size', False, 3, 'int', 'N', None),
+    ('pstop check', '--seed', 'seed', False, 0, 'int', 'N', None),
+    ('pstop check', '--jobs', 'jobs', False, 1, 'int', 'N', None),
+    ('pstop check', '--json-out', 'json_out', False, None, None, 'PATH', 'also write the JSON here'),
+    ('lift', '', 'subcommand', True, None, None, None, None),
+    ('lift check', '--square', 'square', True, None, None, 'PATH', None),
+    ('lift check', '--json-out', 'json_out', False, None, None, 'PATH', 'also write the JSON here'),
+    ('lift factorize', '--map', 'map', True, None, None, 'PATH', None),
+    ('lift factorize', '--gens', 'gens', True, None, None, 'PATH', None),
+    ('lift factorize', '--steps', 'steps', False, 4, 'int', 'N', None),
+    ('lift factorize', '--json-out', 'json_out', False, None, None, 'PATH', 'also write the JSON here'),
+    ('check', '', 'target', True, None, None, None, 'a group name, a citation key, or all'),
+    ('check', '--max-points', 'max_points', False, 3, 'int', 'N', None),
+    ('check', '--max-frame-size', 'max_frame_size', False, 3, 'int', 'N', None),
+    ('check', '--seed', 'seed', False, 0, 'int', 'N', None),
+    ('check', '--jobs', 'jobs', False, 1, 'int', 'N', None),
+    ('check', '--json-out', 'json_out', False, None, None, 'PATH', 'also write the JSON here'),
+]
+
+
+def _command_tree(parser, words="", help=None):
+    """The parser's commands and options in pre-order, as the pins above."""
+    commands, options = [(words, help)], []
+    for action in parser._actions:
+        if isinstance(action, argparse._HelpAction):
+            continue
+        options.append(
+            (words, ", ".join(action.option_strings), action.dest, action.required,
+             action.default, getattr(action.type, "__name__", action.type),
+             action.metavar, action.help)
+        )
+        if isinstance(action, argparse._SubParsersAction):
+            helps = {a.dest: a.help for a in action._choices_actions}
+            for name, sub in action.choices.items():
+                assert isinstance(sub, cli._Parser), name
+                below = _command_tree(sub, f"{words} {name}".strip(), helps[name])
+                commands += below[0]
+                options += below[1]
+    return commands, options
+
+
+def test_the_command_tree_is_pinned():
+    """Every command path, help string and option of the parser, literally."""
+    parser = cli._build_parser()
+    commands, options = _command_tree(parser, help=parser.description)
+    assert commands == COMMAND_TREE
+    assert options == COMMAND_OPTIONS

@@ -395,6 +395,11 @@ def test_product_pair_is_the_unique_mediator():
             assert matches == [h.mapping]
 
 
+def _pieces(left, m1, m2):
+    """The tensors L (x) (M1 x M2), L (x) M1 and L (x) M2 `distribute_iso` takes."""
+    return coproduct(left, product_frames([m1, m2])), coproduct(left, m1), coproduct(left, m2)
+
+
 def test_a_non_monotone_distribution_map_is_refused(monkeypatch):
     """A killing mutant for ProductDistributeLocale.
 
@@ -411,7 +416,7 @@ def test_a_non_monotone_distribution_map_is_refused(monkeypatch):
 
     monkeypatch.setattr(colimits, "_tensor_action", swapped)
     with pytest.raises(NotIsoError, match="not an order isomorphism"):
-        distribute_iso(chain_frame(3), two(), chain_frame(3))
+        distribute_iso(*_pieces(chain_frame(3), two(), chain_frame(3)))
     report = run_suite("ProductDistributeLocale", SuiteOptions(max_frame_size=2))
     assert not report.ok
     assert report.failures
@@ -440,11 +445,11 @@ def test_a_distribution_map_that_is_no_bijection_or_no_hom_is_refused(monkeypatc
 
     monkeypatch.setattr(colimits, "_tensor_action", changed)
     with pytest.raises(NotIsoError, match="^the distribution map is not an order isomorphism$"):
-        distribute_iso(chain_frame(3), two(), chain_frame(3))
+        distribute_iso(*_pieces(chain_frame(3), two(), chain_frame(3)))
 
 
 def test_distribute_iso_small_triple():
-    ds = distribute_iso(chain_frame(3), two(), chain_frame(3))
+    ds = distribute_iso(*_pieces(chain_frame(3), two(), chain_frame(3)))
     src = ds.forward.source
     tgt = ds.forward.target
     assert src.n == tgt.n
@@ -456,22 +461,26 @@ def test_distribute_iso_small_triple():
     FrameHom(tgt, src, ds.inverse.mapping)
 
 
-def test_distribute_iso_on_built_pieces_is_the_built_call():
-    """Handing `distribute_iso` its pieces gives the maps it builds itself,
-    and pieces of another triple are refused."""
+def test_distribute_iso_reads_its_triple_off_its_pieces():
+    """Pieces built twice give the same maps, the source is the given
+    L (x) (M1 x M2), and pieces of no single triple are refused."""
     c3, t = chain_frame(3), two()
-    prod = product_frames([t, c3])
-    built = (coproduct(c3, prod), coproduct(c3, t), coproduct(c3, c3), prod)
-    ds = distribute_iso(c3, t, c3, built=built)
-    fresh = distribute_iso(c3, t, c3)
+    pieces = _pieces(c3, t, c3)
+    ds = distribute_iso(*pieces)
+    fresh = distribute_iso(*_pieces(c3, t, c3))
     assert ds.forward.mapping == fresh.forward.mapping
     assert ds.inverse.mapping == fresh.inverse.mapping
-    assert ds.forward.source is built[0]
-    swapped = (built[0], built[2], built[1], prod)
-    with pytest.raises(ValueError, match="^the given pieces do not match the triple$"):
-        distribute_iso(c3, t, c3, built=swapped)
-    with pytest.raises(ValueError, match="^the given pieces do not match the triple$"):
-        distribute_iso(c3, c3, t, built=built)
+    assert ds.forward.source is pieces[0]
+    assert ds.forward.target.factors == pieces[1:]
+    source, t1, t2 = pieces
+    for wrong in (
+        (source, t2, t1),
+        (source, t1, coproduct(t, c3)),
+        (coproduct(c3, c3), t1, t2),
+        (_pieces(c3, c3, t)[0], t1, t2),
+    ):
+        with pytest.raises(ValueError, match="^the given pieces do not match the triple$"):
+            distribute_iso(*wrong)
 
 
 def test_pushout_loc_is_its_apex_half_then_its_square():

@@ -1217,9 +1217,9 @@ def test_the_reduced_census_is_the_walk_on_every_small_pair():
     assert any(order.is_isomorphism(*k) for k in lefts)
     by_bijection = 0
     for left in lefts:
-        l_iso, l_bijective, _, _ = lifting._facts(left)
+        l_iso, l_bijective, _ = lifting._facts(left)
         for right in rights:
-            r_iso, _, r_indiscrete, _ = lifting._facts(right)
+            r_iso, _, r_indiscrete = lifting._facts(right)
             by_bijection += l_bijective and r_indiscrete and not (l_iso or r_iso)
             assert lifting._census.__wrapped__(left, right) == _walk_lifts(left, right), (
                 left,
@@ -1231,7 +1231,7 @@ def test_the_reduced_census_is_the_walk_on_every_small_pair():
 def test_the_facts_of_a_key_are_their_literal_definitions():
     """`_facts` on every arrow between preorders of up to 3 points: an order
     isomorphism, a bijection on points, a source whose points are all
-    related both ways, and the `split` parts."""
+    related both ways; and `_parts`, the `split` parts."""
     for f in arrows_between(_preorder_pool(3)):
         src_up, dst_up, mapping = f.key
         indiscrete = all(row >> j & 1 for row in src_up for j in range(len(src_up)))
@@ -1239,8 +1239,8 @@ def test_the_facts_of_a_key_are_their_literal_definitions():
             order.is_isomorphism(*f.key),
             sorted(mapping) == list(range(len(dst_up))),
             indiscrete,
-            tuple(order.split(*f.key)),
         )
+        assert lifting._parts(f.key) == tuple(order.split(*f.key))
 
 
 def test_an_injection_does_not_lift_against_a_map_out_of_an_indiscrete_preorder():
@@ -1420,6 +1420,7 @@ def test_the_lifting_caches_evict_nothing_at_the_default_bounds(monkeypatch):
         lifting._map_object,
         lifting._arrow_class,
         lifting._facts,
+        lifting._parts,
         lifting._census,
         lifting._associates,
     )
