@@ -25,8 +25,9 @@ defines it:
   closed under union and intersection, and which `frame_from_poset`,
   `downset_frame`, `spatial.omega` and every construction in `colimits`
   call; `FrameHom`, `iter_frame_homs`, nuclei and Galois connections;
-- `colimits`: frame coproducts and products and localic pushouts, each
-  built as a set family by `frames.FiniteFrame`;
+- `colimits`: frame coproducts, and `TupleFrame`, the one frame of
+  tuples that products and localic pushout apexes are, each built as a
+  set family by `frames.FiniteFrame`;
 - `spaces`: `FiniteSpace`, the `Preorder` of a space's specialization
   order, soberness, pushouts and products;
 - `spatial`: `omega`, on the set-family kernel, `pt` and their adjunction;

@@ -11,8 +11,9 @@ the irreducible pairs componentwise below (x, y).
 Coproducts, products and localic pushouts are all frames of a family of
 sets closed under union and intersection, built by
 `FiniteFrame(labels, family)`.  A coproduct element is its downset of
-irreducible pairs; a product element, and a pushout's agreeing pair, is
-the disjoint union of its components' sets in their frames' `family`.
+irreducible pairs.  A product and a pushout apex are one `TupleFrame`, on
+every tuple and on a span's agreeing pairs: a tuple is the disjoint union
+of its components' sets in their frames' `family`.
 The constructor checks that the family is closed and orders it by inclusion;
 a join is a union and a meet an intersection, looked up in the family's
 `index`, so they distribute by construction and no triple sweep runs.  A
@@ -32,6 +33,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import product as _iterproduct
+from operator import getitem, itemgetter, or_
 
 from .bits import iter_bits
 from .errors import NotHomError, NotIsoError, SizeError, VerificationError
@@ -39,7 +41,6 @@ from .frames import (
     FiniteFrame,
     FrameHom,
     GaloisConnection,
-    _check_hom,
     composed,
     right_adjoint,
 )
@@ -91,7 +92,7 @@ class TensorFrame(FiniteFrame):
     `family[k]`, the set the frame is built on, is the downset of
     irreducible pairs behind element k.  `tensor(x, y)` locates the image
     of a single pair, and the injections `iota1`/`iota2` send x to
-    x (x) top and y to top (x) y; `coproduct` validates both mappings.
+    x (x) top and y to top (x) y, certified as frame homs when built.
     """
 
     def __init__(self, labels, family, *, left, right, grid):
@@ -103,8 +104,7 @@ class TensorFrame(FiniteFrame):
     # The injection mappings are computed when first read, which `coproduct`
     # does only after finding every single-pair tensor.  The injections are
     # built on access: a FrameHom into the tensor held by the tensor would
-    # make every tensor a reference cycle.  `coproduct` checks both mappings
-    # once.
+    # make every tensor a reference cycle.
     @cached_property
     def iota1_map(self):
         return tuple(self.tensor(x, self.right.top) for x in range(self.left.n))
@@ -115,11 +115,11 @@ class TensorFrame(FiniteFrame):
 
     @property
     def iota1(self):
-        return FrameHom(self.left, self, self.iota1_map, validate=False)
+        return FrameHom(self.left, self, self.iota1_map)
 
     @property
     def iota2(self):
-        return FrameHom(self.right, self, self.iota2_map, validate=False)
+        return FrameHom(self.right, self, self.iota2_map)
 
     def tensor(self, x, y):
         return self.index[self.grid.rt[x][y]]
@@ -157,8 +157,8 @@ def coproduct(left, right):
         raise VerificationError("a single-pair tensor is missing from the element set")
     if reduced[frame.bottom] != 0 or reduced[frame.top] != (1 << len(grid.down)) - 1:
         raise VerificationError("the coproduct bounds are not the stated ones")
-    _check_hom(left, frame, frame.iota1_map)
-    _check_hom(right, frame, frame.iota2_map)
+    # building both injections certifies them
+    frame.iota1, frame.iota2
     return frame
 
 
@@ -212,20 +212,39 @@ def copair(f, g, *, tensor=None):
     return out
 
 
-class ProductFrame(FiniteFrame):
-    """A finite product of frames with the pointwise order."""
+class TupleFrame(FiniteFrame):
+    """The frame of a family of tuples of factor elements, ordered componentwise.
 
-    def __init__(self, labels, family, *, factors, tuples):
-        super().__init__(labels, family)
+    Element k is `tuples[k]`, one element per frame of `factors`, labelled
+    "(x,y,...)"; `tuple_index` maps a tuple back to k.  A tuple is the
+    disjoint union of its components' sets: factor k's `family` mask,
+    shifted past the width of the earlier factors' top members.
+    `FiniteFrame` builds the frame on those masks, so the order, joins and
+    meets are componentwise, and still checks closure: tuples not closed
+    under componentwise joins and meets are refused with VerificationError.
+    """
+
+    def __init__(self, factors, tuples):
+        factors = tuple(factors)
+        tuples = tuple(tuples)
+        names = [f.labels for f in factors]
+        labels = ["(" + ",".join(map(getitem, names, t)) + ")" for t in tuples]
+        masks = [0] * len(tuples)
+        shift = 0
+        for k, f in enumerate(factors):
+            shifted = [m << shift for m in f.family]
+            masks = list(map(or_, masks, map(shifted.__getitem__, map(itemgetter(k), tuples))))
+            shift += f.family[f.top].bit_length()
+        super().__init__(labels, masks)
         self.factors = factors
         self.tuples = tuples
-        self.tuple_index = {t: k for k, t in enumerate(tuples)}
+        self.tuple_index = dict(zip(tuples, range(len(tuples))))
 
     def projection(self, k):
-        return FrameHom(self, self.factors[k], [t[k] for t in self.tuples])
+        return FrameHom(self, self.factors[k], map(itemgetter(k), self.tuples))
 
     def pair(self, homs):
-        """The mediating hom into the product for a cone of homs."""
+        """The mediating hom for a cone of homs whose tuples of values are members."""
         if len(homs) != len(self.factors):
             raise ValueError("one hom per factor is needed")
         source = homs[0].source
@@ -242,15 +261,9 @@ class ProductFrame(FiniteFrame):
 def product_frames(factors):
     """The product of a family of frames; the empty product is the one-point frame.
 
-    Elements are the tuples of factor elements in `itertools.product`
-    order.  Each factor is a family of sets, so a tuple is the disjoint
-    union of its components' sets: factor k contributes its `family` mask,
-    shifted past the points of the factors before it, the width of their
-    top members.  `FiniteFrame` builds the frame on those masks.  Inclusion,
-    union and intersection of disjoint unions are componentwise, so the
-    order, joins and meets are the componentwise ones.  The builder still checks
-    closure, at every size: a lattice that is not a family of sets closed
-    under union and intersection is refused with VerificationError.
+    The `TupleFrame` of every tuple of factor elements, in
+    `itertools.product` order, refused with SizeError above
+    `PRODUCT_ELEMENT_CAP` tuples.
     """
     factors = tuple(factors)
     count = 1
@@ -258,18 +271,7 @@ def product_frames(factors):
         count *= f.n
         if count > PRODUCT_ELEMENT_CAP:
             raise SizeError(f"product exceeds the cap of {PRODUCT_ELEMENT_CAP} elements")
-    tuples = tuple(_iterproduct(*(range(f.n) for f in factors)))
-    labels = tuple(
-        "(" + ",".join(f.labels[t[k]] for k, f in enumerate(factors)) + ")"
-        for t in tuples
-    )
-    masks = [0]
-    shift = 0
-    for f in factors:
-        family = [m << shift for m in f.family]
-        masks = [a | b for a in masks for b in family]
-        shift += f.family[f.top].bit_length()
-    return ProductFrame(labels, masks, factors=factors, tuples=tuples)
+    return TupleFrame(factors, _iterproduct(*(range(f.n) for f in factors)))
 
 
 @dataclass(frozen=True)
@@ -286,16 +288,19 @@ def distribute_iso(source, t1, t2):
     The pieces are `source` = L tensor (M1 x M2), `t1` = L tensor M1 and
     `t2` = L tensor M2; L, M1, M2 and the product M1 x M2 are read off
     them, and pieces that do not come from one triple are refused with
-    ValueError.  The target (L tensor M1) x (L tensor M2) is built here.
-    The forward map pairs the two projection actions (id tensor p_k).  It
-    is certified to be a bijection and, by `_check_hom`, a frame hom; a
-    bijective lattice hom is an isomorphism.  NotIsoError otherwise.
+    ValueError: among them a `TupleFrame` on M1 and M2 that is not on
+    every tuple, such as a pushout apex.  The target
+    (L tensor M1) x (L tensor M2) is built here.  The forward map pairs the
+    two projection actions (id tensor p_k).  It is certified to be a
+    bijection and a frame hom; a bijective lattice hom is an isomorphism,
+    and its inverse is certified too.  NotIsoError otherwise.
     """
     left, prod = source.left, source.right
     if (
         (t1.left, t2.left) != (left, left)
-        or not isinstance(prod, ProductFrame)
+        or not isinstance(prod, TupleFrame)
         or prod.factors != (t1.right, t2.right)
+        or prod.n != t1.right.n * t2.right.n
     ):
         raise ValueError("the given pieces do not match the triple")
     target = product_frames([t1, t2])
@@ -306,40 +311,32 @@ def distribute_iso(source, t1, t2):
     try:
         if source.n != target.n or len(set(fwd)) != target.n:
             raise NotHomError("the distribution map is not a bijection")
-        _check_hom(source, target, fwd)
+        forward = FrameHom(source, target, fwd)
     except NotHomError:
         raise NotIsoError("the distribution map is not an order isomorphism") from None
     inv = [0] * target.n
     for k, v in enumerate(fwd):
         inv[v] = k
-    forward = FrameHom(source, target, fwd, validate=False)
-    inverse = FrameHom(target, source, inv, validate=False)
-    return DistributeIso(forward, inverse)
+    return DistributeIso(forward, FrameHom(target, source, inv))
 
 
 @dataclass(frozen=True)
 class PushoutLocaleResult:
     """Pushout of a span of localic maps, computed in the frame category.
 
-    The apex frame is the pairs (b, c) agreeing under the span's left
-    adjoints; `proj_b`/`proj_c` are the coordinate frame homs and the legs
-    package them with their right adjoints, which are the localic maps
-    B -> P and C -> P.
+    The apex is the `TupleFrame` of the pairs (b, c) agreeing under the
+    span's left adjoints, its `tuples`; `proj_b`/`proj_c` are its
+    projections and the legs package them with their right adjoints, which
+    are the localic maps B -> P and C -> P.
     """
 
-    apex: FiniteFrame
-    pairs: tuple
+    apex: TupleFrame
     proj_b: FrameHom
     proj_c: FrameHom
     leg_b: GaloisConnection
     leg_c: GaloisConnection
     span_left: FrameHom
     span_right: FrameHom
-
-    @cached_property
-    def position(self):
-        """Each agreeing pair's index in the apex."""
-        return {p: k for k, p in enumerate(self.pairs)}
 
 
 def pushout_loc(f_left, g_left):
@@ -354,13 +351,13 @@ def pushout_loc(f_left, g_left):
     """
     if f_left.target != g_left.target:
         raise ValueError("the span needs a common codomain frame")
-    apex, pairs, proj_b, proj_c, leg_b, leg_c = pushout_apex(
+    apex, proj_b, proj_c, leg_b, leg_c = pushout_apex(
         f_left.source, g_left.source, agreeing_pairs(f_left, g_left)
     )
     pushout_square(
         (leg_b.right, leg_c.right), right_adjoint(f_left).right, right_adjoint(g_left).right
     )
-    return PushoutLocaleResult(apex, pairs, proj_b, proj_c, leg_b, leg_c, f_left, g_left)
+    return PushoutLocaleResult(apex, proj_b, proj_c, leg_b, leg_c, f_left, g_left)
 
 
 def agreeing_pairs(f_left, g_left):
@@ -374,22 +371,16 @@ def agreeing_pairs(f_left, g_left):
 def pushout_apex(b_frame, c_frame, pairs):
     """The half of `pushout_loc` that reads no span hom, only (B, C, pairs).
 
-    As in `product_frames`, a pair is the sets of b and of c side by side,
-    so `FiniteFrame` builds the apex with the componentwise order and
-    operations.  The legs come from the join formula over agreeing pairs
-    and are cross-checked against `right_adjoint` of each projection: the
-    formula gathers the projection's fibres over the down row of x.
-    Returns the first six fields of a `PushoutLocaleResult`, in order.
+    The apex is the `TupleFrame` of `pairs` on (B, C), with the
+    componentwise order and operations, and its projections.  The legs
+    come from the join formula over agreeing pairs and are cross-checked
+    against `right_adjoint` of each projection: the formula gathers the
+    projection's fibres over the down row of x.  Returns the first five
+    fields of a `PushoutLocaleResult`, in order.
     """
-    labels = tuple(
-        f"({b_frame.labels[b]},{c_frame.labels[c]})" for b, c in pairs
-    )
-    family_b = b_frame.family
-    family_c = c_frame.family
-    shift = family_b[b_frame.top].bit_length()
-    apex = FiniteFrame(labels, [family_b[b] | family_c[c] << shift for b, c in pairs])
-    proj_b = FrameHom(apex, b_frame, [b for b, _ in pairs])
-    proj_c = FrameHom(apex, c_frame, [c for _, c in pairs])
+    apex = TupleFrame((b_frame, c_frame), pairs)
+    proj_b = apex.projection(0)
+    proj_c = apex.projection(1)
     leg_b = right_adjoint(proj_b)
     leg_c = right_adjoint(proj_c)
     for proj, leg, factor in ((proj_b, leg_b, b_frame), (proj_c, leg_c, c_frame)):
@@ -397,7 +388,7 @@ def pushout_apex(b_frame, c_frame, pairs):
         for x, row in enumerate(factor.order.down):
             if apex.join_mask(gather(row, over)) != leg.right[x]:
                 raise VerificationError("the stated leg formula disagrees with the adjoint")
-    return apex, pairs, proj_b, proj_c, leg_b, leg_c
+    return apex, proj_b, proj_c, leg_b, leg_c
 
 
 def pushout_square(legs, f_right, g_right):
@@ -428,7 +419,7 @@ def pushout_mediator(result, u_left, v_left):
     # as mappings.
     if composed(u_left, result.span_left) != composed(v_left, result.span_right):
         raise ValueError("the cocone does not commute with the span")
-    mapping = map(result.position.__getitem__, zip(u_left.mapping, v_left.mapping))
+    mapping = map(result.apex.tuple_index.__getitem__, zip(u_left.mapping, v_left.mapping))
     out = FrameHom(u_left.source, result.apex, mapping)
     if (
         composed(out, result.proj_b) != u_left.mapping

@@ -321,17 +321,15 @@ class FrameHom:
     """A map preserving bottom, top, binary joins and binary meets.
 
     In the finite case this forces preservation of all joins and meets, so
-    these are exactly the frame homomorphisms.  Construction validates with
-    `_check_hom`; callers that already hold a certificate may pass
-    validate=False.
+    these are exactly the frame homomorphisms.  Every hom is certified by
+    `_check_hom` when it is built.
     """
 
-    def __init__(self, source, target, mapping, *, validate=True):
+    def __init__(self, source, target, mapping):
         self.source = source
         self.target = target
         self.mapping = tuple(mapping)
-        if validate:
-            _check_hom(source, target, self.mapping)
+        _check_hom(source, target, self.mapping)
 
     def __call__(self, i):
         return self.mapping[i]

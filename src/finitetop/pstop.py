@@ -27,7 +27,8 @@ from .errors import (
     VerificationError,
 )
 from .order import (
-    fibres, fill, gather, inclusion_rows, representatives, transitive_closure, transpose,
+    fibres, fill, gather, inclusion_rows, representatives, restrict, transitive_closure,
+    transpose,
 )
 from .poset import Preorder, iter_monotone_maps, mask_label, pushout
 from .spaces import FiniteSpace, pushout_spaces
@@ -263,11 +264,7 @@ def top_modification(xi):
     closure.  The identity carrier map into the result is the unit of the
     adjunction and is re-verified to be continuous.
     """
-    rows = [1 << i for i in range(xi.n)]
-    for x, lim in enumerate(xi.lim):
-        for y in iter_bits(lim):
-            rows[y] |= 1 << x
-    space = FiniteSpace(xi.points, transitive_closure(rows))
+    space = FiniteSpace(xi.points, transitive_closure(list(transpose(xi.lim))))
     ident = tuple(range(xi.n))
     if not check_continuity(ident, xi, ps_from_space(space)):
         raise VerificationError("the modification unit failed continuity")
@@ -286,24 +283,12 @@ def subspace_ps(xi, mask):
     """Restriction: limits along the inclusion intersected with the subset."""
     if mask == 0:
         raise EmptySubspaceError("a subspace needs at least one point")
-    members = list(iter_bits(mask))
-    points = tuple(xi.points[i] for i in members)
-    lim = []
-    for i in members:
-        m = 0
-        for t, j in enumerate(members):
-            if xi.lim[i] >> j & 1:
-                m |= 1 << t
-        lim.append(m)
-    return PsSpace(points, lim)
+    return PsSpace(xi.label_set(mask), restrict(xi.lim, mask))
 
 
 def adherence_filter(xi, base):
     """Adherence of the filter at `base`: union of limits of the ultrafilters meshing it."""
-    out = 0
-    for x in iter_bits(base):
-        out |= xi.lim[x]
-    return out
+    return gather(base, xi.lim)
 
 
 def compact_at(xi, a_mask, b_mask):

@@ -263,14 +263,8 @@ class LocPushoutData:
     """Pushout components as parsed back from a report."""
 
     apex: FiniteFrame
-    left_leg: FrameHom
-    right_leg: FrameHom
-
-
-def _pushout_parts(obj):
-    if isinstance(obj, PushoutLocaleResult):
-        return obj.apex, obj.proj_b, obj.proj_c
-    return obj.apex, obj.left_leg, obj.right_leg
+    proj_b: FrameHom
+    proj_c: FrameHom
 
 
 def structure_data(obj):
@@ -278,9 +272,7 @@ def structure_data(obj):
     if isinstance(obj, FinitePoset):
         return _order_data("poset", obj.points, obj.up)
     if isinstance(obj, FiniteFrame):
-        data = _order_data("frame", obj.order.points, obj.order.up)
-        data["kind"] = "frame"
-        return data
+        return _order_data("frame", obj.order.points, obj.order.up)
     if isinstance(obj, FrameHom):
         return _map_data(
             "frame-hom",
@@ -291,12 +283,11 @@ def structure_data(obj):
             obj.target.labels,
         )
     if isinstance(obj, (PushoutLocaleResult, LocPushoutData)):
-        apex, left_leg, right_leg = _pushout_parts(obj)
         return {
             "kind": "loc-pushout",
-            "apex": structure_data(apex),
-            "left-leg": structure_data(left_leg),
-            "right-leg": structure_data(right_leg),
+            "apex": structure_data(obj.apex),
+            "left-leg": structure_data(obj.proj_b),
+            "right-leg": structure_data(obj.proj_c),
         }
     if isinstance(obj, FiniteSpace):
         return {

@@ -367,7 +367,7 @@ def _run_loc_pushout(opt):
     the right adjoints of f and g.  The cocones of a span are the (u, v)
     with u;f = v;g, which holds exactly when every (u(x), v(x)) is one of
     the agreeing pairs; equal (B, C, pairs) also give an equal apex,
-    projections and `position`, and `pushout_mediator` reads the span only
+    projections and `tuple_index`, and `pushout_mediator` reads the span only
     through that same commutation.  So the apex half and the cocone checks
     run once per distinct pushout, keyed on the pool positions of B and C
     and on `pairs` (`_pushout_record`), and every span with that pushout

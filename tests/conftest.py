@@ -30,6 +30,7 @@ from finitetop.frames import (
     FrameHom,
     chain_frame,
     GaloisConnection,
+    Nucleus,
     composed,
     downset_frame,
     frame_from_poset,
@@ -238,7 +239,7 @@ def literal_legs(result):
         leg = []
         for x in range(factor.n):
             acc = apex.bottom
-            for k, pair in enumerate(result.pairs):
+            for k, pair in enumerate(result.apex.tuples):
                 if factor.leq_idx(pair[side], x):
                     acc = literal_join(apex, acc, k)
             leg.append(acc)
@@ -837,6 +838,22 @@ def pins_ignoring_the_top(fibre, i_map, top, bot):
 def glue_dropping_the_last_pair(total, pairs):
     """A mutant of the corner's `glue`: the last gluing pair is never made."""
     return order.glue(total, pairs[:-1])
+
+
+def discrete_quotient_rows(cls, up):
+    """A mutant of the corner's `quotient_rows`: the classes, with no order between them."""
+    return tuple(1 << k for k in range(max(cls, default=-1) + 1))
+
+
+def nucleus_from_fixed_points_strictly_above(pre):
+    """A mutant of `frames.nucleus_from_prenucleus`: x is sent to the meet of
+    the fixed points strictly above it, so a fixed x no longer stays put.
+    It skips the fixed-set re-check, so what fails is caught by `Nucleus` or
+    by the suite."""
+    frame = pre.frame
+    fixed = sum(1 << x for x in range(frame.n) if pre.mapping[x] == x)
+    mapping = [frame.meet_mask(fixed & frame.order.up[x] & ~(1 << x)) for x in range(frame.n)]
+    return Nucleus(frame, mapping)
 
 
 def chain_poset(k, labels=None):

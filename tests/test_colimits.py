@@ -13,6 +13,7 @@ from finitetop import colimits
 from finitetop.bits import iter_bits
 from finitetop.colimits import (
     TensorFrame,
+    TupleFrame,
     _tensor_action,
     agreeing_pairs,
     copair,
@@ -483,6 +484,20 @@ def test_distribute_iso_reads_its_triple_off_its_pieces():
             distribute_iso(*wrong)
 
 
+def test_distribute_iso_refuses_a_pushout_apex_for_the_product():
+    """A pushout apex is a `TupleFrame` on its two frames, as their product
+    is.  The diagonal apex of id: c3 -> c3 is not on every pair, so a tensor
+    with it is no L (x) (M1 x M2) and is refused as pieces of no triple."""
+    c3, t = chain_frame(3), two()
+    ident = FrameHom(c3, c3, (0, 1, 2))
+    apex = pushout_loc(ident, ident).apex
+    assert isinstance(apex, TupleFrame)
+    assert apex.factors == (c3, c3)
+    assert apex.tuples == ((0, 0), (1, 1), (2, 2))
+    with pytest.raises(ValueError, match="^the given pieces do not match the triple$"):
+        distribute_iso(coproduct(t, apex), coproduct(t, c3), coproduct(t, c3))
+
+
 def test_pushout_loc_is_its_apex_half_then_its_square():
     """On every span of frames of at most 3 elements, the apex half on
     (B, C, pairs) gives the fields `pushout_loc` returns, and the square
@@ -496,10 +511,10 @@ def test_pushout_loc_is_its_apex_half_then_its_square():
                 for f in iter_frame_homs(b, a):
                     for g in iter_frame_homs(c, a):
                         result = pushout_loc(f, g)
-                        apex, pairs, proj_b, proj_c, leg_b, leg_c = pushout_apex(
+                        apex, proj_b, proj_c, leg_b, leg_c = pushout_apex(
                             b, c, agreeing_pairs(f, g)
                         )
-                        assert pairs == result.pairs
+                        assert apex.tuples == result.apex.tuples
                         assert apex.order == result.apex.order
                         assert apex.labels == result.apex.labels
                         assert (proj_b.mapping, proj_c.mapping) == (
@@ -566,7 +581,7 @@ def _componentwise_apex(result):
     """
     b_frame = result.span_left.source
     c_frame = result.span_right.source
-    pairs = result.pairs
+    pairs = result.apex.tuples
     rows = []
     for b, c in pairs:
         row = 0

@@ -171,6 +171,24 @@ def test_the_package_init_imports_nothing():
     assert imports == []
 
 
+def test_no_module_imports_a_private_name_of_another():
+    """An underscore name is private to the package module that defines it.
+
+    A check that another module needs is reached through a public name,
+    such as `FrameHom` for `frames._check_hom`.
+    """
+    found = [
+        f"{module}:{node.lineno} {alias.name}"
+        for module, tree in _package_trees()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom)
+        and (node.level > 0 or (node.module or "").split(".")[0] == "finitetop")
+        for alias in node.names
+        if alias.name.startswith("_")
+    ]
+    assert found == []
+
+
 # Methods and properties that no package code references, each kept for a reason.
 UNREFERENCED_METHODS_ALLOWED = {
     "_Parser.error": "argparse calls it on a usage error",

@@ -329,8 +329,8 @@ def test_loc_pushout_round_trip():
     parsed = _round_trip(result)
     assert isinstance(parsed, LocPushoutData)
     assert parsed.apex == result.apex
-    assert parsed.left_leg == result.proj_b
-    assert parsed.right_leg == result.proj_c
+    assert parsed.proj_b == result.proj_b
+    assert parsed.proj_c == result.proj_c
 
 
 def test_factorization_trace_round_trip_and_replay():

@@ -27,11 +27,13 @@ from finitetop.suites import (
 from conftest import (
     clear_lifting_caches,
     cocone_legs_swapped,
+    discrete_quotient_rows,
     discrete_space,
     glue_dropping_the_last_pair,
     least_member_only,
     literal_loc_pushout,
     literal_product_distribute,
+    nucleus_from_fixed_points_strictly_above,
     pins_ignoring_the_top,
     projection_adjoint_off_by_one,
     tensor_action_dropping_the_last_pair,
@@ -430,7 +432,7 @@ def _count_builds(monkeypatch, names):
         # 375 coproducts and 250 products before tensors were built once
         ("ProductDistributeLocale", {"coproduct": 150, "product_frames": 150}),
         # 846 apexes and 3,384 right adjoints before apexes were built once
-        ("LocPushout", {"FiniteFrame": 236, "right_adjoint": 532}),
+        ("LocPushout", {"TupleFrame": 236, "right_adjoint": 532}),
     ],
 )
 def test_the_colimit_suites_build_each_piece_once(monkeypatch, citation, counts):
@@ -576,6 +578,42 @@ def test_the_arrow_category_suite_catches_a_corner_missing_one_gluing(monkeypatc
     assert report.failures[0] == "assoc [] / [a>a] / [a>a]"
     assert _failures_digest(report) == (
         "d5def3f7f257767acaa6f6edec3896f6371bfce0b7822a6ec4eff83c4c1979a4"
+    )
+    canonical_json([report_data(report)])
+
+
+def test_the_nucleus_suite_catches_a_nucleus_of_the_points_strictly_above(monkeypatch):
+    """Sending x to the meet of the fixed points strictly above it moves
+    every fixed point but the top.  For 34 of the 200 seeded prenuclei the
+    map is then not idempotent, and `Nucleus` refuses it."""
+    monkeypatch.setattr(suites, "nucleus_from_prenucleus", nucleus_from_fixed_points_strictly_above)
+    report = run_suite("NucleusGeneration", SuiteOptions())
+    assert (report.cases, len(report.failures)) == (200, 34)
+    assert report.failures[0] == "{a,b,c} sample 1: not idempotent at 'a'"
+    assert _failures_digest(report) == (
+        "ce1e0f8f3df70654ce9b5fba4d3ccb2fb704af25216cf8af4dae03e187dd67b5"
+    )
+    canonical_json([report_data(report)])
+
+
+def test_the_unit_suite_catches_corners_that_forget_their_order(monkeypatch):
+    """With every corner's classes left unordered, the corner of
+    (empty -> A) with f is no longer isomorphic to id_A x f wherever the
+    ends of that product have an order.
+
+    The corners and verdicts are cleared before and after, so none
+    outlives the run in a cache.
+    """
+    monkeypatch.setattr(lifting, "quotient_rows", discrete_quotient_rows)
+    clear_lifting_caches()
+    try:
+        report = run_suite("PushProdIdentity1", SuiteOptions())
+    finally:
+        clear_lifting_caches()
+    assert (report.cases, len(report.failures)) == (221, 116)
+    assert report.failures[0] == "{a|2 opens} with [a>a,b>a]"
+    assert _failures_digest(report) == (
+        "ca8e0021eaa922a5b2c975048414af3dedf90dec1d9baf740017cc2aecca2d52"
     )
     canonical_json([report_data(report)])
 
