@@ -185,8 +185,14 @@ def _report_suites(reports, args):
     return 0 if all(rep.ok for rep in reports) else 1
 
 
-def _build_parser():
-    """One parser per row of the command table; a row without a handler is a group."""
+def _build_parser(argv=None):
+    """One parser per row of the command table; a row without a handler is a group.
+
+    Given `argv`, only the rows whose words begin it are built, the invoked
+    command and its group, since the parse reads no other.  When no command
+    row matches (`-h` at the top, an unknown word, a bare group), and with
+    no `argv`, every row is built, so usage errors list every choice.
+    """
     path = {"required": True, "metavar": "PATH"}
 
     def structure(construct, **kinds):
@@ -236,6 +242,11 @@ def _build_parser():
          (("target", {"help": "a group name, a citation key, or all"}), *suite_options),
          _cmd_check),
     )
+    if argv is not None:
+        words = tuple(argv)
+        invoked = [row for row in commands if words[: len(row[0])] == row[0]]
+        if any(handler is not None for *_, handler in invoked):
+            commands = invoked
     parser = _Parser(prog="finitetop", description=__doc__.splitlines()[0])
     groups = {(): parser.add_subparsers(dest="command", required=True, parser_class=_Parser)}
     for words, text, arguments, handler in commands:
@@ -254,7 +265,7 @@ def _build_parser():
 
 def run(argv):
     """Parse argv, dispatch, and return the exit status."""
-    parser = _build_parser()
+    parser = _build_parser(argv)
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

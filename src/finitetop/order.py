@@ -158,8 +158,8 @@ def upsets(up, cap=None):
     Each step takes the lowest undecided point and either excludes it with
     everything below it or includes it with everything above it; both
     branches stay consistent, so every leaf is a distinct up-set and no
-    branch dies.  With a `cap`, enumeration stops after cap + 1 up-sets, so
-    a caller tells "too many" by the length.
+    branch dies.  With a `cap`, enumeration stops at cap + 1 up-sets and
+    returns them unsorted, so a caller tells "too many" by the length.
     """
     down = transpose(up)
     full = (1 << len(up)) - 1
@@ -171,7 +171,7 @@ def upsets(up, cap=None):
         if not free:
             out.append(inc)
             if cap is not None and len(out) > cap:
-                break
+                return tuple(out)
             continue
         i = (free & -free).bit_length() - 1
         stack.append((inc | up[i], exc))

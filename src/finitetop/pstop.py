@@ -4,14 +4,18 @@ A pseudotopology on a finite carrier is determined by the limit sets of the
 principal ultrafilters, one per point, subject only to reflexivity.  Every
 filter is principal, so a filter is its base mask; base 0 is the improper
 filter, and the loops over a base give it every limit, the empty image and
-no adherence.  Each `lemma_*` check returns (instances, failures), a failure
-being a string that names its spaces, map and subsets.
+no adherence.  Continuity is decided on the ultrafilter limits alone, and
+the sweep over every filter runs only to name a refused map's failing base.
+Each `lemma_*` check returns (instances, failures), a failure being a
+string that names its spaces, map and subsets.
 
 The swept lemmas hold the instances of one continuous map f: xi -> zeta as
 the bits of one int, instance (A, B) at bit A * 2^|zeta| + B (2^|xi| in
 `lemma_compact_image`, whose B lies in xi): A-major and B-minor, the order
 of a loop over A and then B.  Each set bit of a map's instances ANDed with
-its bad bits goes through the literal checker before it counts.
+its bad bits is re-checked before it counts: by `check_continuity`, whose
+refusal always comes with the first failing base of the sweep over every
+filter, or by `compact_at`, which quantifies over every filter itself.
 """
 
 from __future__ import annotations
@@ -147,20 +151,28 @@ class ContinuityReport:
 
 
 def check_continuity(mapping, xi, zeta):
-    """Continuity of a point map, quantified over every filter literally.
+    """Continuity of a point map, with the first failing filter base as witness.
 
-    Checks that the image of each limit set lands in the limit of the
-    pushed filter; the first failing base mask is returned as witness.
+    The map is continuous when the image of each filter's limit set lies in
+    the limit of the pushed filter.  A finite pseudotopology is fixed by its
+    ultrafilter limits, so that holds exactly when f(lim x) lies in lim f(x)
+    for every point x (Choquet, 1948): a y in the limit of every point of a
+    base B has f(y) in the limit of every point of f(B).  That test is n
+    images, and only a refused map runs the sweep over every base, which
+    names the first failing one; base 0 always passes and singletons are
+    bases, so one fails.
     """
     mapping = tuple(mapping)
     if len(mapping) != xi.n:
         raise CarrierMismatchError("the map must be total on the source carrier")
+    if all(_image(mapping, lim) & ~zeta.lim[v] == 0 for lim, v in zip(xi.lim, mapping)):
+        return ContinuityReport(True, None)
     for base in range(xi.full + 1):
         lhs = _image(mapping, lim_filter(xi, base))
         rhs = lim_filter(zeta, _image(mapping, base))
         if lhs & ~rhs:
             return ContinuityReport(False, base)
-    return ContinuityReport(True, None)
+    raise VerificationError("the ultrafilter test refused a map the filter sweep accepts")
 
 
 def iter_continuous_ps_maps(xi, zeta):
@@ -262,7 +274,8 @@ def top_modification(xi):
     lies inside, so y <= x in the specialization order whenever y is a limit
     of x's ultrafilter, and the opens are the up-sets of the transitive
     closure.  The identity carrier map into the result is the unit of the
-    adjunction and is re-verified to be continuous.
+    adjunction and is re-verified to be continuous by the ultrafilter test
+    of `check_continuity`, n images and no filter sweep.
     """
     space = FiniteSpace(xi.points, transitive_closure(list(transpose(xi.lim))))
     ident = tuple(range(xi.n))
@@ -371,7 +384,8 @@ def lemma_subspace_restriction(max_points=3):
     y in x's subspace limit on A has f(y) outside f(x)'s on B: clause (x, y)
     ORs, into every A that holds it, the Bs where (f(x), f(y)) breaks.  The
     valid bits depend only on f's values and are kept per map; each bad one
-    is re-examined with the literal all-filters checker before it counts.
+    is re-examined with `check_continuity` and counts only when it refuses,
+    after its sweep over every filter has named the failing base.
     """
     spaces = [s for n in range(1, max_points + 1) for s in ps_spaces_up_to_iso(n)]
     clauses = {id(s): _subspace_clauses(s) for s in spaces}

@@ -302,7 +302,7 @@ def _run_nucleus_generation(opt):
         except FinitetopError as exc:
             failures.append(f"{tag}: {exc}")
             continue
-        fix = nucleus.fixed_mask
+        fix = sum(1 << x for x in range(frame.n) if mapping[x] == x)
         for x in range(frame.n):
             j = nucleus.mapping[x]
             if not fix >> j & 1:

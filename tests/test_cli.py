@@ -580,3 +580,42 @@ def test_the_command_tree_is_pinned():
     commands, options = _command_tree(parser, help=parser.description)
     assert commands == COMMAND_TREE
     assert options == COMMAND_OPTIONS
+
+
+def _outcome(argv, capsys):
+    code = run(argv)
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+@pytest.mark.parametrize("path", [words for words, _ in COMMAND_TREE])
+@pytest.mark.parametrize("tail", [["--help"], ["--no-such-option"]], ids=["help", "usage"])
+def test_the_invoked_rows_parse_as_the_whole_tree(path, tail, monkeypatch, capsys):
+    """`--help` and a usage error give the bytes of the full parser on every
+    command path, though `run` builds only the invoked command's rows."""
+    argv = path.split() + tail
+    partial = _outcome(argv, capsys)
+    whole = cli._build_parser
+    monkeypatch.setattr(cli, "_build_parser", lambda argv=None: whole())
+    assert partial == _outcome(argv, capsys)
+    assert partial[0] == (0 if tail == ["--help"] else 2)
+
+
+@pytest.mark.parametrize(
+    "argv, paths",
+    [
+        (["pstop", "tau", "--input", "x.json"], ["", "pstop", "pstop tau"]),
+        (["lift", "check", "-h"], ["", "lift", "lift check"]),
+        (["check", "all"], ["", "check"]),
+        (["coproduct", "--left", "a", "--right", "b"], ["", "coproduct"]),
+    ],
+)
+def test_a_command_builds_only_its_rows(argv, paths):
+    commands, _ = _command_tree(cli._build_parser(argv))
+    assert [words for words, _ in commands] == paths
+
+
+@pytest.mark.parametrize("argv", [[], ["-h"], ["pstop"], ["lift", "tau"], ["tau"], ["--help", "pt"]])
+def test_no_invoked_command_builds_the_whole_tree(argv):
+    parser = cli._build_parser(argv)
+    assert _command_tree(parser, help=parser.description) == (COMMAND_TREE, COMMAND_OPTIONS)

@@ -322,6 +322,21 @@ def test_restrict_is_the_induced_order_renumbered_ascending():
             assert order.restrict(up, mask) == _restrict_oracle(up, list(iter_bits(mask)))
 
 
+def test_upsets_are_every_up_set_sorted_and_a_cap_stops_one_past_it():
+    """Uncapped, or capped at no fewer than there are, every up-set by
+    (size, mask); capped below the count, cap + 1 distinct up-sets."""
+    for up in SMALL + FOUR:
+        literal = [
+            m for m in range(1 << len(up)) if all(up[i] & ~m == 0 for i in iter_bits(m))
+        ]
+        literal.sort(key=lambda m: (popcount(m), m))
+        assert order.upsets(up) == order.upsets(up, len(literal)) == tuple(literal)
+        for cap in range(len(literal)):
+            over = order.upsets(up, cap)
+            assert len(over) == len(set(over)) == cap + 1
+            assert set(over) <= set(literal)
+
+
 def _components_oracle(up):
     """The connected components, grown from each least unplaced point."""
     n = len(up)

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from finitetop import pstop
 from finitetop.bits import iter_bits
 from finitetop.corpus import all_spaces
-from finitetop.errors import CarrierMismatchError, EmptySubspaceError
+from finitetop.errors import CarrierMismatchError, EmptySubspaceError, VerificationError
 from finitetop.poset import mask_label
 from finitetop.pstop import (
     PsSpace,
@@ -38,7 +38,7 @@ from finitetop.pstop import (
 )
 from finitetop.suites import SuiteOptions, run_group
 
-from conftest import discrete_space, indiscrete_space, least_member_only
+from conftest import discrete_space, indiscrete_space, least_member_only, literal_continuity
 
 
 def continuous_on_ultrafilters(mapping, xi, zeta):
@@ -104,14 +104,22 @@ def test_continuity_failure_carries_a_witness():
     assert lhs & ~rhs
 
 
+def _assert_continuity_is_literal(mapping, xi, zeta):
+    """`check_continuity`'s verdict and witness are the all-filters oracle's,
+    and its verdict is the ultrafilter condition's."""
+    report = check_continuity(mapping, xi, zeta)
+    literal = literal_continuity(mapping, xi, zeta)
+    assert (bool(report), report.witness) == literal
+    assert continuous_on_ultrafilters(mapping, xi, zeta) == literal[0]
+    return literal[0]
+
+
 def test_ultrafilter_continuity_licenses_all_filters():
     for n_src, n_tgt in [(2, 2), (2, 3), (3, 2), (3, 3)]:
         for xi in ps_spaces_up_to_iso(n_src):
             for zeta in ps_spaces_up_to_iso(n_tgt):
                 for mapping in itertools.product(range(n_tgt), repeat=n_src):
-                    fast = continuous_on_ultrafilters(mapping, xi, zeta)
-                    slow = bool(check_continuity(mapping, xi, zeta))
-                    assert fast == slow
+                    _assert_continuity_is_literal(mapping, xi, zeta)
 
 
 def test_ultrafilter_licensing_spot_checks_at_four_points():
@@ -121,9 +129,7 @@ def test_ultrafilter_licensing_spot_checks_at_four_points():
         xi = spaces[rng.randrange(len(spaces))]
         zeta = spaces[rng.randrange(len(spaces))]
         mapping = tuple(rng.randrange(4) for _ in range(4))
-        fast = continuous_on_ultrafilters(mapping, xi, zeta)
-        slow = bool(check_continuity(mapping, xi, zeta))
-        assert fast == slow
+        _assert_continuity_is_literal(mapping, xi, zeta)
 
 
 @st.composite
@@ -145,10 +151,79 @@ def point_maps(draw):
 @example(((0, 1, 2, 3, 4), PsSpace("12345", (3, 3, 4, 8, 16)), discrete_ps("12345")))
 @example(((0, 0, 0, 0), PsSpace("1234", (15, 15, 15, 15)), discrete_ps("12345")))
 def test_ultrafilter_continuity_matches_all_filters_above_three_points(case):
-    mapping, xi, zeta = case
-    assert continuous_on_ultrafilters(mapping, xi, zeta) == bool(
-        check_continuity(mapping, xi, zeta)
-    )
+    _assert_continuity_is_literal(*case)
+
+
+@st.composite
+def wide_point_maps(draw):
+    """A random map between pseudotopologies of 6 to 8 points each.  For
+    about half of them the target's limits are first widened by the images
+    of the source's, which makes the map continuous, and then one target
+    limit may lose one point again, which makes a near miss."""
+
+    def lims(n):
+        return [draw(st.integers(0, (1 << n) - 1)) | 1 << i for i in range(n)]
+
+    n, m = draw(st.integers(6, 8)), draw(st.integers(6, 8))
+    src, dst = lims(n), lims(m)
+    mapping = tuple(draw(st.integers(0, m - 1)) for _ in range(n))
+    if draw(st.booleans()):
+        for x, v in enumerate(mapping):
+            dst[v] |= pstop._image(mapping, src[x])
+        if draw(st.booleans()):
+            v, y = draw(st.integers(0, m - 1)), draw(st.integers(0, m - 1))
+            dst[v] &= ~(1 << y) | 1 << v
+    labels = [f"p{k}" for k in range(8)]
+    return mapping, PsSpace(labels[:n], src), PsSpace(labels[:m], dst)
+
+
+@settings(max_examples=200, deadline=None)
+@given(wide_point_maps())
+def test_continuity_matches_the_filter_sweep_at_six_to_eight_points(case):
+    _assert_continuity_is_literal(*case)
+
+
+def _ring(n):
+    """An n-point pseudotopology shaped like the benchmark's ring: point i
+    converges to i + 1 when 3 does not divide i, and to i + 5 when 4 does."""
+    lim = []
+    for i in range(n):
+        targets = {i, (i + 1) % n} if i % 3 else {i}
+        if i % 4 == 0:
+            targets.add((i + 5) % n)
+        lim.append(sum(1 << t for t in targets))
+    return PsSpace([f"p{k:02d}" for k in range(n)], lim)
+
+
+def test_the_modification_of_a_fourteen_point_ring_sweeps_no_filter(monkeypatch):
+    """The unit check of `top_modification` decides on the ultrafilter limits:
+    with `lim_filter` refusing every call, the 2^14 filters are never swept."""
+    xi = _ring(14)
+
+    def no_sweep(space, base):
+        raise AssertionError("a filter was swept")
+
+    expected = top_modification(xi)
+    monkeypatch.setattr(pstop, "lim_filter", no_sweep)
+    space = top_modification(xi)
+    assert (space.points, space.up) == (expected.points, expected.up)
+    assert check_continuity(tuple(range(xi.n)), xi, ps_from_space(space))
+
+
+def test_a_refusal_the_filter_sweep_does_not_confirm_raises(monkeypatch):
+    """The sweep names every refusal's base, so a fast test that refuses a
+    continuous map, here by a first image that holds every point, is a
+    verification error and not a verdict."""
+    xi = _kink()
+    image = pstop._image
+    answers = [xi.full]
+
+    def refusing_first(mapping, mask):
+        return answers.pop() if answers else image(mapping, mask)
+
+    monkeypatch.setattr(pstop, "_image", refusing_first)
+    with pytest.raises(VerificationError, match="refused a map the filter sweep accepts"):
+        check_continuity(tuple(range(xi.n)), xi, xi)
 
 
 def test_lattice_ops_bound_both_arguments():
@@ -467,7 +542,7 @@ def _ps_corpus(max_points):
 def restriction_oracle(max_points):
     """The per-instance `lemma_subspace_restriction`: each restricted map is
     checked with the ultrafilter criterion, and a miss is re-examined with
-    the literal all-filters checker."""
+    the all-filters oracle `literal_continuity`."""
     instances = 0
     failures = []
     spaces = _ps_corpus(max_points)
@@ -484,7 +559,7 @@ def restriction_oracle(max_points):
                         instances += 1
                         sub = tuple(map(pos.__getitem__, values))
                         if not continuous_on_ultrafilters(sub, sub_xi, sub_zeta):
-                            if not pstop.check_continuity(sub, sub_xi, sub_zeta):
+                            if not literal_continuity(sub, sub_xi, sub_zeta)[0]:
                                 failures.append(
                                     f"{pstop._arrow(xi, zeta, mapping)} restricted to "
                                     f"{mask_label(xi, a_mask)} -> {mask_label(zeta, b_mask)}"
