@@ -111,7 +111,6 @@ def _assert_continuity_is_literal(mapping, xi, zeta):
     literal = literal_continuity(mapping, xi, zeta)
     assert (bool(report), report.witness) == literal
     assert continuous_on_ultrafilters(mapping, xi, zeta) == literal[0]
-    return literal[0]
 
 
 def test_ultrafilter_continuity_licenses_all_filters():
