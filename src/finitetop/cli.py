@@ -185,13 +185,13 @@ def _report_suites(reports, args):
     return 0 if all(rep.ok for rep in reports) else 1
 
 
-def _build_parser(argv=None):
+def _build_parser(argv):
     """One parser per row of the command table; a row without a handler is a group.
 
-    Given `argv`, only the rows whose words begin it are built, the invoked
-    command and its group, since the parse reads no other.  When no command
-    row matches (`-h` at the top, an unknown word, a bare group), and with
-    no `argv`, every row is built, so usage errors list every choice.
+    Only the rows whose words begin `argv` are built, the invoked command
+    and its group, since the parse reads no other.  When no command row
+    matches (no words, `-h` at the top, an unknown word, a bare group),
+    every row is built, so usage errors list every choice.
     """
     path = {"required": True, "metavar": "PATH"}
 
@@ -242,11 +242,10 @@ def _build_parser(argv=None):
          (("target", {"help": "a group name, a citation key, or all"}), *suite_options),
          _cmd_check),
     )
-    if argv is not None:
-        words = tuple(argv)
-        invoked = [row for row in commands if words[: len(row[0])] == row[0]]
-        if any(handler is not None for *_, handler in invoked):
-            commands = invoked
+    words = tuple(argv)
+    invoked = [row for row in commands if words[: len(row[0])] == row[0]]
+    if any(handler is not None for *_, handler in invoked):
+        commands = invoked
     parser = _Parser(prog="finitetop", description=__doc__.splitlines()[0])
     groups = {(): parser.add_subparsers(dest="command", required=True, parser_class=_Parser)}
     for words, text, arguments, handler in commands:

@@ -922,23 +922,26 @@ def indiscrete_space(labels):
     return FiniteSpace.from_opens(points, (0, (1 << len(points)) - 1))
 
 
+def lim_filter(space, base):
+    """Limit set of the principal filter at `base`, as a mask: the points
+    that every member's ultrafilter converges to, every point at base 0."""
+    return sum(
+        1 << y for y in range(space.n) if all(space.lim[a] >> y & 1 for a in iter_bits(base))
+    )
+
+
 def literal_continuity(mapping, xi, zeta):
     """Continuity quantified over every filter, as (verdict, witness).
 
     The literal oracle of `pstop.check_continuity`: each base mask in
-    increasing order is a principal filter, its limit the points that every
-    member's ultrafilter converges to (all points at base 0), and the map is
-    continuous when the image of each filter's limit lies in the limit of
-    the filter at the image of its base; the first base that breaks it is
-    the witness.
+    increasing order is a principal filter, and the map is continuous when
+    the image of each filter's limit lies in the limit of the filter at the
+    image of its base; the first base that breaks it is the witness.
     """
-
-    def limit(space, base):
-        return {y for y in range(space.n) if all(space.lim[a] >> y & 1 for a in iter_bits(base))}
-
     for base in range(1 << xi.n):
         pushed = sum({1 << mapping[a] for a in iter_bits(base)})
-        if not {mapping[y] for y in limit(xi, base)} <= limit(zeta, pushed):
+        image = sum({1 << mapping[y] for y in iter_bits(lim_filter(xi, base))})
+        if image & ~lim_filter(zeta, pushed):
             return False, base
     return True, None
 

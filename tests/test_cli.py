@@ -576,7 +576,7 @@ def _command_tree(parser, words="", help=None):
 
 def test_the_command_tree_is_pinned():
     """Every command path, help string and option of the parser, literally."""
-    parser = cli._build_parser()
+    parser = cli._build_parser([])
     commands, options = _command_tree(parser, help=parser.description)
     assert commands == COMMAND_TREE
     assert options == COMMAND_OPTIONS
@@ -596,7 +596,7 @@ def test_the_invoked_rows_parse_as_the_whole_tree(path, tail, monkeypatch, capsy
     argv = path.split() + tail
     partial = _outcome(argv, capsys)
     whole = cli._build_parser
-    monkeypatch.setattr(cli, "_build_parser", lambda argv=None: whole())
+    monkeypatch.setattr(cli, "_build_parser", lambda argv: whole([]))
     assert partial == _outcome(argv, capsys)
     assert partial[0] == (0 if tail == ["--help"] else 2)
 

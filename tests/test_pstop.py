@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from finitetop import pstop
 from finitetop.bits import iter_bits
 from finitetop.corpus import all_spaces
-from finitetop.errors import CarrierMismatchError, EmptySubspaceError, VerificationError
+from finitetop.errors import CarrierMismatchError, EmptySubspaceError
 from finitetop.poset import mask_label
 from finitetop.pstop import (
     PsSpace,
@@ -28,7 +28,6 @@ from finitetop.pstop import (
     lemma_lattice_bounds,
     lemma_pushout_agreement,
     lemma_tau_iota,
-    lim_filter,
     meet_ps,
     ps_from_space,
     ps_spaces_up_to_iso,
@@ -38,7 +37,9 @@ from finitetop.pstop import (
 )
 from finitetop.suites import SuiteOptions, run_group
 
-from conftest import discrete_space, indiscrete_space, least_member_only, literal_continuity
+from conftest import (
+    discrete_space, indiscrete_space, least_member_only, lim_filter, literal_continuity,
+)
 
 
 def continuous_on_ultrafilters(mapping, xi, zeta):
@@ -196,33 +197,21 @@ def _ring(n):
 
 def test_the_modification_of_a_fourteen_point_ring_sweeps_no_filter(monkeypatch):
     """The unit check of `top_modification` decides on the ultrafilter limits:
-    with `lim_filter` refusing every call, the 2^14 filters are never swept."""
+    one image per point, not two per filter of the 2^14."""
     xi = _ring(14)
-
-    def no_sweep(space, base):
-        raise AssertionError("a filter was swept")
-
     expected = top_modification(xi)
-    monkeypatch.setattr(pstop, "lim_filter", no_sweep)
+    image = pstop._image
+    calls = []
+
+    def counted(mapping, mask):
+        calls.append(mask)
+        return image(mapping, mask)
+
+    monkeypatch.setattr(pstop, "_image", counted)
     space = top_modification(xi)
+    assert calls == list(xi.lim)
     assert (space.points, space.up) == (expected.points, expected.up)
     assert check_continuity(tuple(range(xi.n)), xi, ps_from_space(space))
-
-
-def test_a_refusal_the_filter_sweep_does_not_confirm_raises(monkeypatch):
-    """The sweep names every refusal's base, so a fast test that refuses a
-    continuous map, here by a first image that holds every point, is a
-    verification error and not a verdict."""
-    xi = _kink()
-    image = pstop._image
-    answers = [xi.full]
-
-    def refusing_first(mapping, mask):
-        return answers.pop() if answers else image(mapping, mask)
-
-    monkeypatch.setattr(pstop, "_image", refusing_first)
-    with pytest.raises(VerificationError, match="refused a map the filter sweep accepts"):
-        check_continuity(tuple(range(xi.n)), xi, xi)
 
 
 def test_lattice_ops_bound_both_arguments():
