@@ -18,8 +18,8 @@ The constructor checks that the family is closed and orders it by inclusion;
 a join is a union and a meet an intersection, looked up in the family's
 `index`, so they distribute by construction and no triple sweep runs.  A
 coproduct's injections, `tensor` and the tensor action of a hom are
-lookups of single-pair tensors in its `index`, and `copair` folds its
-cocone's values as sets of the codomain's family.
+lookups of single-pair tensors in its `index`, and `copair_mapping` folds
+its cocone's values as sets of the codomain's family.
 
 What `coproduct` checks at run time is listed in its docstring.  That the
 same elements are the saturated downsets of the carriers' product is a
@@ -92,7 +92,9 @@ class TensorFrame(FiniteFrame):
     `family[k]`, the set the frame is built on, is the downset of
     irreducible pairs behind element k.  `tensor(x, y)` locates the image
     of a single pair, and the injections `iota1`/`iota2` send x to
-    x (x) top and y to top (x) y, certified as frame homs when built.
+    x (x) top and y to top (x) y, certified as frame homs when built: on
+    every read, so a caller that needs only the mappings `coproduct` has
+    certified reads `iota1_map`/`iota2_map`.
     """
 
     def __init__(self, labels, family, *, left, right, grid):
@@ -177,21 +179,20 @@ def _tensor_action(source, target, hom):
     return [target.index[gather(r, per_bit)] for r in source.family]
 
 
-def copair(f, g, *, tensor=None):
-    """The mediating hom out of a coproduct for a cocone (f, g).
+def copair_mapping(f, g, tensor):
+    """The mapping of the copair of a cocone (f, g) out of `tensor`, not certified.
 
     Each element is the join of the tensors p (x) q of its irreducible
     pairs, so its image is the join of f(p) meet g(q) over them: the
     union of the intersections of their sets in the codomain's family,
-    looked up once.  Both triangle laws are certified.
+    looked up once.  ValueError unless f and g share a codomain and
+    `tensor` is the coproduct of their sources.
     """
     if f.target != g.target:
         raise ValueError("copairing needs a common codomain")
-    codomain = f.target
-    if tensor is None:
-        tensor = coproduct(f.source, g.source)
-    elif tensor.left != f.source or tensor.right != g.source:
+    if tensor.left != f.source or tensor.right != g.source:
         raise ValueError("the given tensor does not match the cocone")
+    codomain = f.target
     grid = tensor.grid
     family = codomain.family
     per_bit = [
@@ -200,9 +201,19 @@ def copair(f, g, *, tensor=None):
         for q in grid.irr_right
     ]
     bottom = family[codomain.bottom]
-    out = FrameHom(
-        tensor, codomain, [codomain.index[gather(r, per_bit) | bottom] for r in tensor.family]
-    )
+    return tuple(codomain.index[gather(r, per_bit) | bottom] for r in tensor.family)
+
+
+def copair(f, g, *, tensor=None):
+    """The mediating hom out of a coproduct for a cocone (f, g).
+
+    The hom on `copair_mapping`, certified, with both triangle laws
+    checked.  `tensor` defaults to the coproduct of the sources.
+    """
+    # Two codomains are refused by `copair_mapping` before any coproduct is built.
+    if tensor is None and f.target == g.target:
+        tensor = coproduct(f.source, g.source)
+    out = FrameHom(tensor, f.target, copair_mapping(f, g, tensor))
     for x in range(f.source.n):
         if out.mapping[tensor.iota1_map[x]] != f.mapping[x]:
             raise VerificationError("copair does not restrict to f on the left leg")
@@ -403,11 +414,12 @@ def pushout_square(legs, f_right, g_right):
         raise VerificationError("the pushout square does not commute")
 
 
-def pushout_mediator(result, u_left, v_left):
-    """The mediating hom out of a pushout cocone, with triangle checks.
+def mediator_mapping(result, u_left, v_left):
+    """The mapping of the mediator out of a pushout cocone, not certified.
 
     u_left : Q -> B and v_left : Q -> C present localic maps B -> Q and
-    C -> Q agreeing on the span; the mediator pairs them into the apex.
+    C -> Q agreeing on the span; the mediator sends x to the apex element
+    (u(x), v(x)).  ValueError unless (u, v) is a cocone of the span.
     """
     if u_left.source != v_left.source:
         raise ValueError("cocone homs must share a source frame")
@@ -419,12 +431,19 @@ def pushout_mediator(result, u_left, v_left):
     # as mappings.
     if composed(u_left, result.span_left) != composed(v_left, result.span_right):
         raise ValueError("the cocone does not commute with the span")
-    mapping = map(result.apex.tuple_index.__getitem__, zip(u_left.mapping, v_left.mapping))
-    out = FrameHom(u_left.source, result.apex, mapping)
+    return tuple(map(result.apex.tuple_index.__getitem__, zip(u_left.mapping, v_left.mapping)))
+
+
+def pushout_mediator(result, u_left, v_left):
+    """The mediating hom out of a pushout cocone, with triangle checks.
+
+    The hom on `mediator_mapping`, certified, with both pushout triangles
+    checked.
+    """
+    out = FrameHom(u_left.source, result.apex, mediator_mapping(result, u_left, v_left))
     if (
         composed(out, result.proj_b) != u_left.mapping
         or composed(out, result.proj_c) != v_left.mapping
     ):
         raise VerificationError("the mediator breaks a pushout triangle")
     return out
-

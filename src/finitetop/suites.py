@@ -20,17 +20,18 @@ from .bits import iter_bits
 from .colimits import (
     PushoutLocaleResult,
     agreeing_pairs,
-    copair,
+    copair_mapping,
     coproduct,
     distribute_iso,
+    mediator_mapping,
     product_frames,
     pushout_apex,
-    pushout_mediator,
     pushout_square,
 )
 from .corpus import frames_upto, soa_regression_cases, spaces_upto
 from .errors import FinitetopError, NotHomError, NotIsoError, VerificationError
 from .frames import (
+    FrameHom,
     Prenucleus,
     composed,
     frame_isomorphism,
@@ -171,8 +172,10 @@ def _by_legs(homs, legs):
 
     Legs out of one frame into one target are equal as homs exactly when
     their mappings are, so the homs restricting to a cocone are one lookup
-    away.  The legs are `frames.composed` mappings of validated homs, so
-    each is a hom and is not validated again.
+    away.  The legs are composites of certified homs, so each is a hom and
+    is not certified again.  A cocone's mediator mapping passes when its
+    group is exactly one hom with that mapping: being that certified hom is
+    its certificate, and being filed under the legs its triangle check.
     """
     table = {}
     for h in homs:
@@ -186,9 +189,11 @@ def _run_frame_coproduct(opt):
     Sweeps every cocone out of every pair of small frames, checks the
     copairing triangles, and certifies the mediating hom as the only hom
     satisfying them.  The homs tensor -> target are enumerated once per
-    target and grouped by their legs (m;iota1, m;iota2), so the homs
-    restricting to a cocone (f, g) are the group at (f, g); uniqueness
-    holds when that group is exactly [copair(f, g)].  The unit law
+    target and grouped by their legs (m;iota1, m;iota2) on the injection
+    mappings, so the homs restricting to a cocone (f, g) are the group at
+    (f, g), which must be exactly the `copair_mapping` of (f, g)
+    (`_by_legs`).  Only a mapping that does not match is certified, to
+    name `FrameHom`'s refusal before the group's size.  The unit law
     two (x) L = L runs over the frames up to the same bound.
     """
     pool = frames_upto(opt.max_frame_size)
@@ -199,7 +204,7 @@ def _run_frame_coproduct(opt):
     for left in pool:
         for right in pool:
             tensor = coproduct(left, right)
-            iota1, iota2 = tensor.iota1, tensor.iota2
+            iota1, iota2 = tensor.iota1_map, tensor.iota2_map
             pair = _frame_name(left) + " (x) " + _frame_name(right)
             for target in cocones:
                 fs = homs(left, target)
@@ -208,18 +213,23 @@ def _run_frame_coproduct(opt):
                     continue
                 mediators = _by_legs(
                     iter_frame_homs(tensor, target),
-                    lambda m: (composed(iota1, m), composed(iota2, m)),
+                    lambda m: (
+                        tuple(map(m.mapping.__getitem__, iota1)),
+                        tuple(map(m.mapping.__getitem__, iota2)),
+                    ),
                 )
                 for f in fs:
                     for g in gs:
                         cases += 1
+                        mapping = copair_mapping(f, g, tensor)
+                        found = mediators.get((f.mapping, g.mapping), [])
+                        if len(found) == 1 and found[0].mapping == mapping:
+                            continue
                         try:
-                            h = copair(f, g, tensor=tensor)
+                            FrameHom(tensor, target, mapping)
                         except (NotHomError, VerificationError) as exc:
                             failures.append(f"{pair}: {exc}")
-                            continue
-                        found = mediators.get((f.mapping, g.mapping), [])
-                        if found != [h]:
+                        else:
                             failures.append(
                                 f"{pair} into {_frame_name(target)}: "
                                 f"{len(found)} mediators for one cocone"
@@ -367,7 +377,7 @@ def _run_loc_pushout(opt):
     the right adjoints of f and g.  The cocones of a span are the (u, v)
     with u;f = v;g, which holds exactly when every (u(x), v(x)) is one of
     the agreeing pairs; equal (B, C, pairs) also give an equal apex,
-    projections and `tuple_index`, and `pushout_mediator` reads the span only
+    projections and `tuple_index`, and `mediator_mapping` reads the span only
     through that same commutation.  So the apex half and the cocone checks
     run once per distinct pushout, keyed on the pool positions of B and C
     and on `pairs` (`_pushout_record`), and every span with that pushout
@@ -376,7 +386,7 @@ def _run_loc_pushout(opt):
     taken once.  Each cocone gets its mediator certified unique among all
     homs into the apex: those homs are grouped once by their projections
     (h;proj_b, h;proj_c), so the homs restricting to (u, v) are the group
-    at (u, v), and uniqueness holds when that group is exactly [mediator].
+    at (u, v), which must be exactly the `mediator_mapping` of (u, v).
     """
     pool = frames_upto(opt.max_frame_size)
     homs = _hom_sets()
@@ -443,7 +453,9 @@ def _cocone_failures(pool, homs, result):
 
     Each cocone hom is composed with its span leg once, and the homs into
     the apex from a frame are enumerated only if some cocone from it has a
-    mediator.
+    mediator mapping.  A cocone's message is `mediator_mapping`'s
+    ValueError, or for a mapping that is not its group (`_by_legs`),
+    `FrameHom`'s refusal of it, else the group's size.
     """
     f, g = result.span_left, result.span_right
     messages = []
@@ -460,8 +472,8 @@ def _cocone_failures(pool, homs, result):
                 if uf != vg:
                     continue
                 try:
-                    m = pushout_mediator(result, u, v)
-                except (ValueError, NotHomError, VerificationError) as exc:
+                    mapping = mediator_mapping(result, u, v)
+                except ValueError as exc:
                     messages.append(str(exc))
                     continue
                 if into_apex is None:
@@ -473,7 +485,13 @@ def _cocone_failures(pool, homs, result):
                         ),
                     )
                 found = into_apex.get((u.mapping, v.mapping), [])
-                if found != [m]:
+                if len(found) == 1 and found[0].mapping == mapping:
+                    continue
+                try:
+                    FrameHom(q_frame, result.apex, mapping)
+                except (NotHomError, VerificationError) as exc:
+                    messages.append(str(exc))
+                else:
                     messages.append(f"{len(found)} mediators from {_frame_name(q_frame)}")
     return tuple(messages)
 

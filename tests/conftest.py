@@ -313,24 +313,26 @@ def literal_loc_pushout(max_frame_size, mediator=pushout_mediator):
     return cases, failures
 
 
-def top_sent_to_bottom(build):
-    """A mutant of a hom builder, `copair` or `pushout_mediator`: the hom it
-    returns, rebuilt with the source's top sent to the target's bottom, so
-    that `FrameHom` refuses it into any target of two or more elements."""
+def top_sent_to_bottom(build, ends):
+    """A mutant of a mapping builder, `copair_mapping` or `mediator_mapping`:
+    the mapping it returns with the source's top sent to the target's
+    bottom, so that `FrameHom` refuses it into any target of two or more
+    elements.  `ends(*args)` names the (source, target) of the hom the
+    mapping is built for."""
 
-    def mutant(*args, **kwargs):
-        h = build(*args, **kwargs)
-        mapping = list(h.mapping)
-        mapping[h.source.top] = h.target.bottom
-        return FrameHom(h.source, h.target, mapping)
+    def mutant(*args):
+        mapping = list(build(*args))
+        source, target = ends(*args)
+        mapping[source.top] = target.bottom
+        return tuple(mapping)
 
     return mutant
 
 
 def cocone_legs_swapped(mediator):
-    """A `pushout_mediator` mutant: wherever the span's two frames agree, the
-    mediator reads its first coordinate from the second cocone leg and its
-    second from the first."""
+    """A `mediator_mapping` or `pushout_mediator` mutant: wherever the span's
+    two frames agree, the mediator reads its first coordinate from the
+    second cocone leg and its second from the first."""
 
     def mutant(result, u, v):
         if result.span_left.source == result.span_right.source:

@@ -52,6 +52,7 @@ def test_the_package_has_no_unbounded_caches():
 UNREFERENCED_ALLOWED = {
     "main": "the `finitetop` console script in pyproject.toml",
     "pullback_power": "the pullback-power arrow of `lifting._power`'s key, for the tests; the bench tracer wraps it",
+    "pushout_mediator": "the certified mediator on `mediator_mapping`, for the tests; the bench tracer wraps it",
     "frame_corpus": "test corpus; the bench tracer wraps it",
     "poset_certificate": "the bench tracer wraps the corpus dedupe by this name",
 }

@@ -10,7 +10,7 @@ import tracemalloc
 import pytest
 
 import finitetop.suites as suites
-from finitetop import colimits, lifting, pstop, spatial
+from finitetop import colimits, frames, lifting, pstop, spatial
 from finitetop.cli import run
 from finitetop.frames import GaloisConnection, iter_frame_homs, right_adjoint
 from finitetop.pstop import PsSpace
@@ -265,20 +265,40 @@ def test_the_pstop_suites_catch_a_wrong_construction(monkeypatch, citation, name
 
 def test_the_coproduct_suite_catches_a_copair_with_swapped_legs(monkeypatch):
     """Copairing (g, f) for the cocone (f, g), wherever the legs share a
-    source, breaks the uniqueness of the mediator for every f != g."""
-    copair = suites.copair
+    source, breaks the uniqueness of the mediator for every f != g: the
+    mapping is a hom, but not the one filed under the cocone's legs."""
+    copair_mapping = suites.copair_mapping
 
-    def swapped(f, g, *, tensor=None):
+    def swapped(f, g, tensor):
         if f.source == g.source:
             f, g = g, f
-        return copair(f, g, tensor=tensor)
+        return copair_mapping(f, g, tensor)
 
-    monkeypatch.setattr(suites, "copair", swapped)
+    monkeypatch.setattr(suites, "copair_mapping", swapped)
     report = run_suite("FrameCoproduct", SuiteOptions())
     assert not report.ok
     assert (report.cases, len(report.failures)) == (87, 32)
     assert report.failures[0] == "{a,b,c} (x) {a,b,c} into {a,b}: 1 mediators for one cocone"
+    assert _failures_digest(report) == (
+        "9db46b36e770d443e9a90ee272e16d1fd1c6f7e3882361352dec854509080092"
+    )
     canonical_json([report_data(report)])
+
+
+# Each hom builder's mapping builder, the (source, target) of the hom a
+# mapping is for, and the failures digest under `top_sent_to_bottom`.
+_MAPPING_BUILDERS = {
+    "copair": (
+        "copair_mapping",
+        lambda f, g, tensor: (tensor, f.target),
+        "bde9a88d4dd0992931bae590509b5ddbf208c9cdf8adac1f772554f4a9100bb9",
+    ),
+    "pushout_mediator": (
+        "mediator_mapping",
+        lambda result, u, v: (u.source, result.apex),
+        "3d111134ade73d50948ff41fe40fbadd3b6ce038f0d295a6e529b464850fef75",
+    ),
+}
 
 
 @pytest.mark.parametrize(
@@ -291,14 +311,17 @@ def test_the_coproduct_suite_catches_a_copair_with_swapped_legs(monkeypatch):
 def test_a_built_map_that_is_no_hom_fails_its_case(
     monkeypatch, capsys, citation, group, builder, counts, first
 ):
-    """A copair or mediator with its top sent to bottom is refused by
-    `FrameHom` as it is built.  The suite reports that refusal as a failed
-    case, and `check` exits 1 with every report, not 2 with none."""
-    monkeypatch.setattr(suites, builder, top_sent_to_bottom(getattr(suites, builder)))
+    """A copair or mediator mapping with its top sent to bottom matches no
+    certified hom, so the suite certifies it and `FrameHom` refuses it.  The
+    suite reports that refusal as a failed case, and `check` exits 1 with
+    every report, not 2 with none."""
+    name, ends, digest = _MAPPING_BUILDERS[builder]
+    monkeypatch.setattr(suites, name, top_sent_to_bottom(getattr(suites, name), ends))
     report = run_suite(citation, SuiteOptions())
     assert (report.cases, len(report.failures)) == counts
     assert report.failures[0] == f"{first}: top is not preserved"
     assert all(f.endswith(": top is not preserved") for f in report.failures)
+    assert _failures_digest(report) == digest
     capsys.readouterr()
     assert run(["check", group]) == 1
     reports = {r["citation"]: r for r in json.loads(capsys.readouterr().out)}
@@ -331,7 +354,7 @@ def test_the_pushout_suite_catches_a_mediator_that_pairs_the_wrong_coordinates(m
     leg and its second from the first, wherever the span's two frames
     agree, breaks the cocone check or the uniqueness of the mediator."""
     monkeypatch.setattr(
-        suites, "pushout_mediator", cocone_legs_swapped(suites.pushout_mediator)
+        suites, "mediator_mapping", cocone_legs_swapped(suites.mediator_mapping)
     )
     report = run_suite("LocPushout", SuiteOptions())
     assert (report.cases, len(report.failures)) == (34, 28)
@@ -357,11 +380,15 @@ def test_the_pushout_suite_matches_the_per_span_loop(monkeypatch, size, mutant):
     fail their law.  That last refusal is raised in `pushout_apex`, which
     the suite runs once per distinct pushout, so every span of a refused
     pushout must report it under its own tag, in span order; the counts
-    are those of the per-span loop the suite ran before the split."""
-    mediator = suites.pushout_mediator
+    are those of the per-span loop the suite ran before the split.  The
+    loop builds and certifies each mediator with `pushout_mediator`, and
+    with legs swapped its mutant is the same swap of that hom builder."""
+    mediator = colimits.pushout_mediator
     if mutant == "legs-swapped":
         mediator = cocone_legs_swapped(mediator)
-        monkeypatch.setattr(suites, "pushout_mediator", mediator)
+        monkeypatch.setattr(
+            suites, "mediator_mapping", cocone_legs_swapped(suites.mediator_mapping)
+        )
     elif mutant == "projection-adjoint":
         monkeypatch.setattr(
             colimits, "right_adjoint", projection_adjoint_off_by_one(colimits.right_adjoint)
@@ -382,8 +409,9 @@ def test_the_pushout_suite_matches_the_per_span_loop(monkeypatch, size, mutant):
 
 def test_the_pushout_suite_checks_each_distinct_pushout_once(monkeypatch):
     """At frame size 4 the 846 spans have 236 distinct pushouts.  Each
-    apex is built once, and its cocones are checked once: 5,763 mediators,
-    not one per cocone of every span (19,478).  Homs are enumerated 970
+    apex is built once, and its cocones are checked once: 5,763 mediator
+    mappings, not one per cocone of every span (19,478), and each matches
+    a certified hom, so no mediator is certified.  Homs are enumerated 970
     times, not 3,410: the 25 hom sets between corpus frames, and 945 sets
     of homs into an apex.  Every span checks its own square."""
     calls = collections.Counter()
@@ -397,7 +425,8 @@ def test_the_pushout_suite_checks_each_distinct_pushout_once(monkeypatch):
 
         monkeypatch.setattr(suites, name, wrapper)
 
-    for name in ("pushout_apex", "pushout_square", "pushout_mediator", "iter_frame_homs"):
+    names = ("pushout_apex", "pushout_square", "mediator_mapping", "iter_frame_homs", "FrameHom")
+    for name in names:
         counted(name)
     report = run_suite("LocPushout", SuiteOptions(max_frame_size=4))
     assert report.ok
@@ -405,8 +434,37 @@ def test_the_pushout_suite_checks_each_distinct_pushout_once(monkeypatch):
     assert calls == {
         "pushout_apex": 236,
         "pushout_square": 846,
-        "pushout_mediator": 5763,
+        "mediator_mapping": 5763,
         "iter_frame_homs": 970,
+    }
+
+
+def test_the_frame_suites_certify_each_hom_once(monkeypatch):
+    """`frames._check_hom` runs at frame size 4, per suite of the frames,
+    colimits and spatial groups.  The colimit suites certify no copair,
+    mediator or injection that equals a hom `iter_frame_homs` has already
+    certified: `FrameCoproduct` ran it 4,923 times and `LocPushout` 12,058
+    times when they certified each copair and mediator, and read
+    `iota1`/`iota2`, before comparing them with the enumerated homs."""
+    calls = collections.Counter()
+    check_hom = frames._check_hom
+    citation = None
+
+    def counted(*args):
+        calls[citation] += 1
+        return check_hom(*args)
+
+    monkeypatch.setattr(frames, "_check_hom", counted)
+    for group in ("frames", "colimits", "spatial"):
+        for citation in suites.GROUPS[group]:
+            assert run_suite(citation, SuiteOptions(max_frame_size=4)).ok
+    assert calls == {
+        "FrameCoproduct": 2530,
+        "GaloisLaws": 60,
+        "ProductDistributeLocale": 800,
+        "LocPushout": 6295,
+        "LocSpatialProducts": 164,
+        "OmegaPtAdjunction": 544,
     }
 
 
