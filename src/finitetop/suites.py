@@ -168,18 +168,18 @@ def _hom_sets():
 
 
 def _by_legs(homs, legs):
-    """Group hom mappings by `legs(h)`, a pair of leg mappings, keeping their order.
+    """Group homs by `legs(h)`, a pair of leg mappings, keeping their order.
 
     Legs out of one frame into one target are equal as homs exactly when
     their mappings are, so the homs restricting to a cocone are one lookup
     away.  The legs are composites of certified homs, so each is a hom and
     is not certified again.  A cocone's mediator mapping passes when its
-    group is exactly that mapping: being a certified hom's mapping is its
-    certificate, and being filed under the cocone's legs its triangle check.
+    group is exactly one hom with that mapping: being that certified hom is
+    its certificate, and being filed under the legs its triangle check.
     """
     table = {}
     for h in homs:
-        table.setdefault(legs(h), []).append(h.mapping)
+        table.setdefault(legs(h), []).append(h)
     return table
 
 
@@ -223,7 +223,7 @@ def _run_frame_coproduct(opt):
                         cases += 1
                         mapping = copair_mapping(f, g, tensor)
                         found = mediators.get((f.mapping, g.mapping), [])
-                        if found == [mapping]:
+                        if len(found) == 1 and found[0].mapping == mapping:
                             continue
                         try:
                             FrameHom(tensor, target, mapping)
@@ -485,7 +485,7 @@ def _cocone_failures(pool, homs, result):
                         ),
                     )
                 found = into_apex.get((u.mapping, v.mapping), [])
-                if found == [mapping]:
+                if len(found) == 1 and found[0].mapping == mapping:
                     continue
                 try:
                     FrameHom(q_frame, result.apex, mapping)
